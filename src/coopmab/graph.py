@@ -2,14 +2,16 @@
 
 Nodes are dense integers 0..N-1.  Graphs are validated once at build time
 (simple, undirected, connected) and immutable afterwards, so views and
-cached distances can be shared freely between threads.
+the derived read-only arrays can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,14 +47,21 @@ class EdgeListParseError(GraphError):
     pass
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph with per-source memoized BFS distances."""
+    """Immutable undirected graph.
+
+    ``adj`` is the validated public form.  The array forms the elections
+    use (closed degrees, CSR) are derived from it once, on first use.
+    """
 
     node_count: int
     adj: tuple[tuple[int, ...], ...]  # sorted neighbor tuples, no self entries
-    _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _ball_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -70,31 +79,75 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for u in range(self.node_count) for v in self.adj[u] if u < v)
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): v's neighbors are indices[indptr[v]:indptr[v + 1]], ascending."""
+        degree = np.fromiter(map(len, self.adj), dtype=np.int64, count=self.node_count)
+        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=int(indptr[-1]))
+        return _frozen(indptr), _frozen(indices)
+
+    @cached_property
+    def closed_degrees(self) -> np.ndarray:
+        """closed_degree(v) for every node."""
+        return _frozen(np.diff(self.csr[0]) + 1)
+
+    def padded_neighbors(self) -> np.ndarray:
+        """(N, max degree) neighbor matrix, rows ascending, padded with the sentinel N.
+
+        Built from the CSR arrays in O(N + M) numpy work on every call and
+        not kept: a graph holds only O(N + M) arrays between elections.
+        """
+        indptr, indices = self.csr
+        degree = np.diff(indptr)
+        pad = np.full((self.node_count, int(degree.max())), self.node_count, dtype=np.int64)
+        rows = np.repeat(np.arange(self.node_count), degree)
+        pad[rows, np.arange(indices.size) - indptr[rows]] = indices
+        return pad
+
     def distances_from(self, source: int) -> np.ndarray:
-        """BFS distance from ``source`` to every node (computed once per source)."""
-        cached = self._dist_cache.get(source)
-        if cached is not None:
-            return cached
-        dist = np.full(self.node_count, -1, dtype=np.int64)
+        """BFS distance from ``source`` to every node (-1 where unreachable)."""
+        dist = [-1] * self.node_count
         dist[source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            du = dist[u]
+            du = dist[u] + 1
             for w in self.adj[u]:
                 if dist[w] < 0:
-                    dist[w] = du + 1
+                    dist[w] = du
                     queue.append(w)
-        dist.setflags(write=False)
-        self._dist_cache[source] = dist
+        return _frozen(np.array(dist, dtype=np.int64))
+
+    def multi_source_distances(self, sources: Iterable[int]) -> np.ndarray:
+        """Hop distance from every node to its nearest source (-1 where unreachable).
+
+        One level-synchronous BFS over the CSR arrays, started from all
+        sources at once: O(N + M) however many sources there are.
+        """
+        n = self.node_count
+        frontier = np.unique(np.fromiter(sources, dtype=np.int64))
+        if frontier.size and not (0 <= frontier[0] and frontier[-1] < n):
+            bad = frontier[(frontier < 0) | (frontier >= n)][0]
+            raise NodeOutOfRangeError(f"node {bad} outside 0..{n - 1}")
+        indptr, indices = self.csr
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[frontier] = 0
+        level = 0
+        while frontier.size:
+            level += 1
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            # flat CSR positions of every frontier node's neighbor range
+            shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            reached = indices[shift + np.arange(shift.size)]
+            frontier = np.unique(reached[dist[reached] < 0])
+            dist[frontier] = level
         return dist
 
     def ball(self, v: int, radius: int) -> frozenset[int]:
         """All nodes within BFS distance ``radius`` of v (v included)."""
-        key = (v, radius)
-        cached = self._ball_cache.get(key)
-        if cached is not None:
-            return cached
         reached = {v}
         frontier = [v]
         for _ in range(radius):
@@ -105,9 +158,7 @@ class Graph:
                         reached.add(w)
                         nxt.append(w)
             frontier = nxt
-        out = frozenset(reached)
-        self._ball_cache[key] = out
-        return out
+        return frozenset(reached)
 
 
 def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -81,7 +81,7 @@ NIL_MASS = Mass(0, 0)
 
 def degree_clamp(g: Graph, arms: int) -> np.ndarray:
     """min(closed degree, arms) per node: the mass a node would seed as a center."""
-    return np.minimum(np.array([g.closed_degree(v) for v in range(g.node_count)]), arms)
+    return np.minimum(g.closed_degrees, arms)
 
 
 def spread_rounds(arms: int) -> int:
@@ -92,11 +92,11 @@ def spread_rounds(arms: int) -> int:
 
 
 def min_center_distance(g: Graph, centers: Iterable[int]) -> np.ndarray:
-    """Per-node hop distance to the nearest center."""
-    stacks = [g.distances_from(c) for c in centers]
-    if not stacks:
+    """Per-node hop distance to the nearest center (one multi-source BFS)."""
+    sources = list(centers)
+    if not sources:
         raise EmptyCenterSetError("no centers given")
-    return np.minimum.reduce(stacks)
+    return g.multi_source_distances(sources)
 
 
 @dataclass(frozen=True)
@@ -172,56 +172,43 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
 
     rounds = spread_rounds(arms) + 1
     clamp = degree_clamp(g, arms)
-    center_mask = np.zeros(n, dtype=bool)
-    center_mask[center_list] = True
+    # One (4, n + 1) state: rows are SpreadRound's center_of, origin_of,
+    # mass_m, mass_d.  Column n is a nil node that picks itself each round;
+    # the pad sentinel gathers it.  A nil mass always has depth 0.
+    state = np.zeros((4, n + 1), dtype=np.int64)
+    state[:2] = -1
+    state[:2, center_list] = center_list
+    state[1, n] = n
+    state[2, center_list] = clamp[center_list]
+    is_center = np.zeros(n + 1, dtype=bool)  # origin -1 reads the False of slot n
+    is_center[center_list] = True
+    # mass score 6 ln(m) - d by table; nil (m = 0) scores -inf.  Equal pairs
+    # get equal scores and distinct pairs are far apart, so argmax is exact.
+    log_m = np.full(arms + 1, -np.inf)
+    log_m[1:] = MASS_DECAY_DENOM * np.log(np.arange(1, arms + 1))
 
-    ids = np.arange(n)
-    mass_m = np.where(center_mask, clamp, 0).astype(np.int64)
-    mass_d = np.zeros(n, dtype=np.int64)
-    cof = np.where(center_mask, ids, -1).astype(np.int64)
-    uof = np.where(center_mask, ids, -1).astype(np.int64)
+    # padded adjacency: the sentinel n reads the -inf slot of score_ext.  Rows
+    # are ascending, so argmax's first-max rule is exactly the lowest-id tie-break.
+    pad = g.padded_neighbors()
+    flat_pad = pad.ravel()
+    row_start = np.arange(n) * pad.shape[1]
 
-    # pad adjacency into a rectangle; column n is a -inf sentinel.  Rows are
-    # ascending, so argmax's first-max rule is exactly the lowest-id tie-break.
-    max_deg = max(g.degree(v) for v in range(n))
-    pad = np.full((n, max_deg), n, dtype=np.int64)
-    for v in range(n):
-        row = g.adj[v]
-        pad[v, : len(row)] = row
-
-    def snap() -> SpreadRound:
-        return SpreadRound(cof.copy(), uof.copy(), mass_m.copy(), mass_d.copy())
-
-    history = [snap()]
-    score_ext = np.empty(n + 1)
+    # a round never writes into an earlier state, so the history holds views
+    history = [SpreadRound(*state[:, :n])]
+    score_ext = np.full(n + 1, -np.inf)
     settled = rounds
     for t in range(1, rounds + 1):
-        score_ext[:n] = np.where(
-            mass_m > 0, MASS_DECAY_DENOM * np.log(np.maximum(mass_m, 1)) - mass_d, -np.inf
-        )
-        score_ext[n] = -np.inf
-        chosen = pad[ids, score_ext[pad].argmax(axis=1)]
-        frozen = (uof >= 0) & center_mask[np.maximum(uof, 0)]
-        upd = ~frozen
-
-        chosen_ext = np.append(chosen, n)  # unify sentinel gathers
-        cof_ext = np.append(cof, -1)
-        m_ext = np.append(mass_m, 0)
-        d_ext = np.append(mass_d, 0)
-
-        new_uof = np.where(upd, chosen, uof)
-        new_cof = np.where(upd, cof_ext[chosen], cof)
-        new_m = np.where(upd, m_ext[chosen], mass_m)
-        new_d = np.where(upd & (new_m > 0), d_ext[chosen] + 1, np.where(upd, 0, mass_d))
-
-        changed = not (
-            np.array_equal(new_uof, uof)
-            and np.array_equal(new_cof, cof)
-            and np.array_equal(new_m, mass_m)
-            and np.array_equal(new_d, mass_d)
-        )
-        uof, cof, mass_m, mass_d = new_uof, new_cof, new_m, new_d
-        history.append(snap())
+        np.subtract(log_m[state[2, :n]], state[3, :n], out=score_ext[:n])
+        chosen = np.append(flat_pad[row_start + score_ext[pad].argmax(axis=1)], n)
+        # every node not frozen (origin already a center) takes its chosen
+        # neighbor's center and mass, one hop deeper unless that mass is nil
+        pick = state.take(chosen, axis=1)
+        pick[1] = chosen
+        pick[3] += pick[2] > 0
+        new = np.where(is_center[state[1]], state, pick)
+        changed = not np.array_equal(new, state)
+        state = new
+        history.append(SpreadRound(*state[:, :n]))
         if not changed:
             # the update is a deterministic function of state: a fixed point
             # stays fixed, so the remaining rounds are no-ops
@@ -230,6 +217,7 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
     else:
         settled = rounds
 
+    cof, uof, mass_m, mass_d = state[:, :n]
     reached = mass_m > 0
     return ComponentMap(
         arms=arms,
@@ -238,7 +226,7 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
         centers=tuple(center_list),
         center_of=np.where(reached, cof, -1),
         origin_of=np.where(reached, uof, -1),
-        mass_m=mass_m,
+        mass_m=mass_m.copy(),
         mass_d=np.where(reached, mass_d, 0),
         history=history,
     )
@@ -253,6 +241,7 @@ def spread_history_violations(g: Graph, comp: ComponentMap) -> list[str]:
     """
     out: list[str] = []
     hist = comp.history
+    dist: dict[int, np.ndarray] = {}  # BFS distances of each claimed center, once per call
     for t in range(1, len(hist)):
         prev, cur = hist[t - 1], hist[t]
         for v in range(g.node_count):
@@ -264,7 +253,11 @@ def spread_history_violations(g: Graph, comp: ComponentMap) -> list[str]:
                 if b.d != t:
                     out.append(f"round {t}: node {v} changed to depth {b.d} != round")
                 c = int(cur.center_of[v])
-                if c >= 0 and int(g.distances_from(c)[v]) > t:
+                if c < 0:
+                    continue
+                if c not in dist:
+                    dist[c] = g.distances_from(c)
+                if int(dist[c][v]) > t:
                     out.append(f"round {t}: node {v} claims center {c} beyond {t} hops")
     return out
 
@@ -311,14 +304,31 @@ def partition_to_json(p: Partition) -> dict:
 
 
 def partition_from_json(doc: dict) -> Partition:
+    """Read a partition document; ids, arms and centers are checked, not trusted.
+
+    Raises ValueError on a field of the wrong length, ``arms < 2``, a
+    duplicate center, or a center, ``center_of`` or ``origin_of`` id
+    outside 0..node_count-1.  Structural checks are validate_partition's.
+    """
     n = int(doc["node_count"])
+    arms = int(doc["arms"])
+    if arms < 2:
+        raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
     arrays = {}
     for key in ("center_of", "origin_of", "delay", "mass_m", "mass_d"):
         vals = [int(x) for x in doc[key]]
         if len(vals) != n:
             raise ValueError(f"field {key} has {len(vals)} entries, expected {n}")
         arrays[key] = tuple(vals)
-    return Partition(arms=int(doc["arms"]), centers=tuple(int(c) for c in doc["centers"]), **arrays)
+    centers = tuple(int(c) for c in doc["centers"])
+    if len(set(centers)) != len(centers):
+        raise ValueError(f"duplicate centers in {list(centers)}")
+    for key, ids in (("centers", centers), ("center_of", arrays["center_of"]),
+                     ("origin_of", arrays["origin_of"])):
+        bad = [v for v in ids if not 0 <= v < n]
+        if bad:
+            raise ValueError(f"{key} holds node {bad[0]} outside 0..{n - 1}")
+    return Partition(arms=arms, centers=centers, **arrays)
 
 
 @dataclass
@@ -336,24 +346,25 @@ def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
     A node is satisfied once its mass reaches its own clamped closed degree
     or a center sits within two hops.  Each pass re-propagates from the
     grown center set; each pass adds exactly one center, so the loop ends
-    within node_count iterations.
+    within node_count iterations.  Ties in closed degree go to the lowest id.
     """
     n = g.node_count
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    clamp = degree_clamp(g, arms)
-    clamp_score = MASS_DECAY_DENOM * np.log(clamp)
-    pending = set(range(n))
+    cdeg = g.closed_degrees
+    clamp_score = MASS_DECAY_DENOM * np.log(degree_clamp(g, arms))
+    near = np.zeros(n, dtype=bool)  # a center within two hops
+    pending = np.arange(n)  # ascending, so argmax's first hit is the lowest id
     centers: list[int] = []
     comp = None
     iterations = 0
-    while pending:
+    while pending.size:
         iterations += 1
         if iterations > n:
             raise AssertionError("center search failed to shrink the unsatisfied set")
-        nxt = max(pending, key=lambda v: (g.closed_degree(v), -v))
+        nxt = int(pending[cdeg[pending].argmax()])
         centers.append(nxt)
         comp = centers_to_components(g, centers, arms)
         score = np.where(
@@ -361,8 +372,8 @@ def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
             MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d,
             -np.inf,
         )
-        near = min_center_distance(g, centers) <= 2
-        pending = {v for v in range(n) if score[v] < clamp_score[v] and not near[v]}
+        near[list(g.ball(nxt, 2))] = True
+        pending = np.flatnonzero((score < clamp_score) & ~near)
     assert comp is not None
     return InformedCenters(tuple(centers), comp, iterations)
 
@@ -393,6 +404,7 @@ def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTr
             raise ValueError(f"node {v} outside 0..{g.node_count - 1}")
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+    balls = {v: g.ball(v, 2) for v in active}  # built once per call, dropped after
     joined: set[int] = set()
     remaining = set(active)
     rounds = 0
@@ -402,12 +414,12 @@ def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTr
         winners = set()
         for v in remaining:
             rank_v = (draws[v], -v)
-            others = g.ball(v, 2) & remaining
+            others = balls[v] & remaining
             if all(rank_v > (draws[u], -u) for u in others if u != v):
                 winners.add(v)
         joined |= winners
         if winners:
-            remaining = {v for v in remaining if not (g.ball(v, 2) & winners)}
+            remaining = {v for v in remaining if not (balls[v] & winners)}
     return LubyTranscript(rounds, frozenset(joined), 4 * rounds, exhausted=bool(remaining))
 
 
@@ -631,10 +643,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     w = None
     if not is_r_independent(g, centers, 2):
         pairs = [
-            (a, b)
-            for a in sorted(centers)
-            for b in sorted(centers)
-            if a < b and int(g.distances_from(a)[b]) <= 2
+            (a, b) for a in sorted(centers) for b in sorted(g.ball(a, 2) & centers) if a < b
         ]
         w = f"centers {pairs[0]} within two hops"
     add("two-independence", w)

@@ -117,17 +117,6 @@ def switching_losses(switches: Sequence[tuple[int, int]], arms: int) -> LossOrac
     return LossOracle(kind="switch", arms=arms, switches=tuple(sw))
 
 
-@dataclass(frozen=True)
-class RoundMessage:
-    """What one agent broadcasts at the end of a step (reaches all neighbors)."""
-
-    sender: int
-    step: int
-    action: int
-    loss: float
-    distribution: np.ndarray
-
-
 class SimWorld:
     """Mutable state of one run; advance_round() moves it one global step."""
 
@@ -193,12 +182,6 @@ class SimWorld:
                 self.partition.mass_value(c), self.arms, horizon
             )
             self.center_logw[c] = np.zeros(self.arms)
-
-    def center_state(self, c: int) -> exp3.Exp3State:
-        """Current weights of one center as an immutable snapshot."""
-        lw = self.center_logw[c].copy()
-        lw.setflags(write=False)
-        return exp3.Exp3State(self.arms, self.center_rate[c], lw)
 
     def _charge(self, actions: np.ndarray, loss_row: np.ndarray, semi_add: np.ndarray) -> None:
         charged = loss_row[actions]
@@ -312,12 +295,6 @@ class SimWorld:
                     f"t={self.t} center {c}: arm {a} above one-step ceiling "
                     f"({p_next[a]:.12e} > {hi[a]:.12e})"
                 )
-
-
-def advance_round(world: SimWorld) -> SimWorld:
-    """One synchronous step: play, observe, update.  Mutates and returns world."""
-    world.advance_round()
-    return world
 
 
 @dataclass

@@ -1,5 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import networkx as nx
+except ImportError:  # an optional, test-only oracle
+    nx = None
 
 from coopmab.graph import (
     DisconnectedError,
@@ -205,3 +214,83 @@ def test_triangle_inequality_sampled():
     for _ in range(60):
         u, v, w = (int(x) for x in rng.integers(0, 22, size=3))
         assert bfs_distance(g, u, w) <= bfs_distance(g, u, v) + bfs_distance(g, v, w)
+
+
+def test_readme_graph_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Graph files", 1)[1]
+    block = section.split("```", 2)[1]  # the first fenced block of the section
+    g = parse_edge_list(block)
+    assert g.adj == star_graph(3).adj
+    assert parse_edge_list(format_edge_list(g)).adj == g.adj
+
+
+def test_array_forms_match_adjacency():
+    for g in (random_connected_graph(30, 0.2, 4), star_graph(6), path_graph(7), build_graph(1, [])):
+        n = g.node_count
+        indptr, indices = g.csr
+        pad = g.padded_neighbors()
+        assert indptr.tolist() == np.cumsum([0] + [g.degree(v) for v in range(n)]).tolist()
+        assert g.closed_degrees.tolist() == [g.closed_degree(v) for v in range(n)]
+        assert pad.shape == (n, max(g.degree(v) for v in range(n)))
+        for v in range(n):
+            assert tuple(indices[indptr[v]:indptr[v + 1]]) == g.adj[v]
+            assert tuple(pad[v, : g.degree(v)]) == g.adj[v]
+            assert (pad[v, g.degree(v):] == n).all()
+        for a in (indptr, indices, g.closed_degrees):
+            assert not a.flags.writeable
+        assert g.csr is g.csr  # built once
+
+
+def _kernel_graph(kind: str, n: int, seed: int):
+    if kind == "tree":
+        return random_connected_graph(n, 0.0, seed)
+    if kind == "star":
+        return star_graph(n - 1)
+    if kind == "path":
+        return path_graph(n)
+    return random_connected_graph(n, 0.25, seed)
+
+
+_kernel_cases = st.tuples(
+    st.sampled_from(["tree", "star", "path", "random"]),
+    st.integers(2, 60),
+    st.integers(0, 2**31 - 1),
+).flatmap(
+    lambda case: st.tuples(
+        st.just(case),
+        st.lists(st.integers(0, case[1] - 1), min_size=1, max_size=8),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases)
+def test_multi_source_bfs_equals_minimum_of_single_sources(case):
+    (kind, n, seed), sources = case
+    g = _kernel_graph(kind, n, seed)
+    got = g.multi_source_distances(sources)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.minimum.reduce([g.distances_from(s) for s in sources]))
+
+
+@pytest.mark.skipif(nx is None, reason="networkx is not installed")
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases)
+def test_multi_source_bfs_equals_networkx(case):
+    (kind, n, seed), sources = case
+    g = _kernel_graph(kind, n, seed)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
+    want = nx.multi_source_dijkstra_path_length(h, set(sources))
+    assert g.multi_source_distances(sources).tolist() == [want[v] for v in range(n)]
+
+
+def test_multi_source_bfs_edges():
+    g = path_graph(6)
+    assert g.multi_source_distances([]).tolist() == [-1] * 6
+    assert g.multi_source_distances([5, 0, 0]).tolist() == [0, 1, 2, 2, 1, 0]
+    for bad in ([6], [0, -1]):
+        with pytest.raises(NodeOutOfRangeError):
+            g.multi_source_distances(bad)

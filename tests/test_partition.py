@@ -16,8 +16,10 @@ from coopmab.graph import (
 from coopmab.partition import (
     MASS_DECAY_DENOM,
     NIL_MASS,
+    ComponentMap,
     EmptyCenterSetError,
     Mass,
+    SpreadRound,
     centers_to_components,
     compute_centers_informed,
     compute_centers_uninformed,
@@ -170,6 +172,120 @@ def test_informed_terminates_within_node_count():
         found = compute_centers_informed(g, 5)
         assert found.iterations <= n
         assert is_r_independent(g, set(found.centers), 2)
+
+
+def _propagation_oracle(g, centers, arms):
+    """centers_to_components in its first form: four state arrays per round,
+    the padded adjacency and the mass scores rebuilt on every call and round."""
+    n = g.node_count
+    center_list = sorted(set(centers))
+    rounds = spread_rounds(arms) + 1
+    clamp = np.minimum(np.array([g.closed_degree(v) for v in range(n)]), arms)
+    center_mask = np.zeros(n, dtype=bool)
+    center_mask[center_list] = True
+    ids = np.arange(n)
+    mass_m = np.where(center_mask, clamp, 0).astype(np.int64)
+    mass_d = np.zeros(n, dtype=np.int64)
+    cof = np.where(center_mask, ids, -1).astype(np.int64)
+    uof = np.where(center_mask, ids, -1).astype(np.int64)
+    pad = np.full((n, max(g.degree(v) for v in range(n))), n, dtype=np.int64)
+    for v in range(n):
+        pad[v, : g.degree(v)] = g.adj[v]
+    history = [SpreadRound(cof.copy(), uof.copy(), mass_m.copy(), mass_d.copy())]
+    score_ext = np.empty(n + 1)
+    settled = rounds
+    for t in range(1, rounds + 1):
+        score_ext[:n] = np.where(
+            mass_m > 0, MASS_DECAY_DENOM * np.log(np.maximum(mass_m, 1)) - mass_d, -np.inf
+        )
+        score_ext[n] = -np.inf
+        chosen = pad[ids, score_ext[pad].argmax(axis=1)]
+        upd = ~((uof >= 0) & center_mask[np.maximum(uof, 0)])
+        cof_ext, m_ext, d_ext = np.append(cof, -1), np.append(mass_m, 0), np.append(mass_d, 0)
+        new = (
+            np.where(upd, cof_ext[chosen], cof),
+            np.where(upd, chosen, uof),
+            np.where(upd, m_ext[chosen], mass_m),
+        )
+        new += (np.where(upd & (new[2] > 0), d_ext[chosen] + 1, np.where(upd, 0, mass_d)),)
+        changed = any(not np.array_equal(a, b) for a, b in zip(new, (cof, uof, mass_m, mass_d)))
+        cof, uof, mass_m, mass_d = new
+        history.append(SpreadRound(cof.copy(), uof.copy(), mass_m.copy(), mass_d.copy()))
+        if not changed:
+            settled = t - 1
+            break
+    reached = mass_m > 0
+    return ComponentMap(arms, rounds, settled, tuple(center_list), np.where(reached, cof, -1),
+                        np.where(reached, uof, -1), mass_m, np.where(reached, mass_d, 0), history)
+
+
+def _assert_same_map(got, want):
+    for name in ("arms", "rounds", "settled_round", "centers"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("center_of", "origin_of", "mass_m", "mass_d"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert len(got.history) == len(want.history)
+    for x, y in zip(got.history, want.history):
+        for name in ("center_of", "origin_of", "mass_m", "mass_d"):
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
+
+
+@pytest.mark.parametrize("arms", [2, 3, 10, 50])
+def test_propagation_equals_oracle(arms):
+    rng = np.random.default_rng(500 + arms)
+    cases = [(star_graph(9), {0}), (star_graph(9), {3, 7}), (path_graph(30), {0}),
+             (complete_graph(5), set(range(5)))]
+    for _ in range(40):
+        n = int(rng.integers(2, 70))
+        g = random_connected_graph(n, float(rng.choice([0.0, 0.05, 0.3])), rng)
+        size = int(rng.integers(1, min(n, 8) + 1))
+        cases.append((g, {int(c) for c in rng.choice(n, size=size, replace=False)}))
+    for g, centers in cases:
+        _assert_same_map(centers_to_components(g, centers, arms),
+                         _propagation_oracle(g, centers, arms))
+
+
+def _informed_greedy_oracle(g, arms):
+    """The informed greedy search in its first, quadratic form.
+
+    Pending nodes are a Python set, the next center is the set's maximum
+    by (closed degree, -id), and the two-hop test takes the minimum of one
+    full BFS per center on every pass.  compute_centers_informed keeps a
+    running mask instead and must elect the same centers in the same order.
+    """
+    n = g.node_count
+    clamp = np.minimum(np.array([g.closed_degree(v) for v in range(n)]), arms)
+    clamp_score = MASS_DECAY_DENOM * np.log(clamp)
+    pending = set(range(n))
+    centers = []
+    comp = None
+    while pending:
+        centers.append(max(pending, key=lambda v: (g.closed_degree(v), -v)))
+        comp = _propagation_oracle(g, centers, arms)
+        score = np.where(
+            comp.mass_m > 0,
+            MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d,
+            -np.inf,
+        )
+        near = np.minimum.reduce([g.distances_from(c) for c in centers]) <= 2
+        pending = {v for v in range(n) if score[v] < clamp_score[v] and not near[v]}
+    return tuple(centers), comp
+
+
+@pytest.mark.parametrize("arms", [2, 3, 10, 50])
+def test_informed_election_equals_quadratic_oracle(arms):
+    rng = np.random.default_rng(1000 + arms)
+    graphs = [star_graph(12), path_graph(40), complete_graph(9), random_connected_graph(300, 0.0, arms)]
+    for _ in range(30):
+        n = int(rng.integers(2, 90))
+        graphs.append(random_connected_graph(n, float(rng.choice([0.0, 0.03, 0.15, 0.5])), rng))
+    for g in graphs:
+        found = compute_centers_informed(g, arms)
+        centers, comp = _informed_greedy_oracle(g, arms)
+        assert found.centers == centers and found.iterations == len(centers)
+        got = json.dumps(partition_to_json(found.component_map.to_partition()))
+        assert got == json.dumps(partition_to_json(comp.to_partition()))
 
 
 def test_luby_singleton_and_empty():
@@ -359,6 +475,39 @@ def test_partition_json_round_trip():
     assert back == part
     with pytest.raises(ValueError):
         partition_from_json({**doc, "delay": doc["delay"][:-1]})
+
+
+def _json_doc():
+    g = random_connected_graph(14, 0.3, 6)
+    return json.loads(json.dumps(partition_to_json(_informed_partition(g, 5))))
+
+
+@pytest.mark.parametrize("center", [-1, 14])
+def test_partition_json_rejects_center_out_of_range(center):
+    doc = _json_doc()
+    with pytest.raises(ValueError, match="centers holds node"):
+        partition_from_json({**doc, "centers": doc["centers"] + [center]})
+
+
+@pytest.mark.parametrize("key", ["center_of", "origin_of"])
+@pytest.mark.parametrize("node", [-1, 14])
+def test_partition_json_rejects_pointer_out_of_range(key, node):
+    doc = _json_doc()
+    doc[key][3] = node
+    with pytest.raises(ValueError, match=f"{key} holds node {node} outside 0..13"):
+        partition_from_json(doc)
+
+
+@pytest.mark.parametrize("arms", [1, 0, -3])
+def test_partition_json_rejects_too_few_arms(arms):
+    with pytest.raises(ValueError, match="at least 2 arms"):
+        partition_from_json({**_json_doc(), "arms": arms})
+
+
+def test_partition_json_rejects_duplicate_centers():
+    doc = _json_doc()
+    with pytest.raises(ValueError, match="duplicate centers"):
+        partition_from_json({**doc, "centers": doc["centers"] + doc["centers"][:1]})
 
 
 def test_mass_floor_constant():

@@ -7,7 +7,7 @@ import pytest
 
 from coopmab import exp3, simulate
 from coopmab.graph import build_graph, path_graph, random_connected_graph, star_graph
-from coopmab.partition import Mass, centers_to_components, compute_centers_uninformed
+from coopmab.partition import Mass, Partition, centers_to_components, compute_centers_uninformed
 from coopmab.simulate import (
     RunResult,
     bernoulli_losses,
@@ -270,6 +270,70 @@ def test_sampler_never_plays_zero_arm_at_boundary():
     assert exp3.sample_action(p, 0.5) == 0
     assert exp3.sample_action(p, 0.5000001) == 2
     assert res.dist_history  # run completed
+
+
+class _RiggedDraws:
+    """Policy stream stand-in: serves preset uniform draws row by row, 0.5 after them."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.pos = 0
+
+    def random(self, shape):
+        out = np.full(shape, 0.5)
+        take = self.rows[self.pos:self.pos + shape[0]]
+        out[:len(take)] = take
+        self.pos += shape[0]
+        return out
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_sampler_fallback_matches_sample_action(monkeypatch):
+    # Two agents on an edge, center 0, arms 7: the uniform CDF ends at
+    # 0.9999999999999998, so the largest draw below 1 lands past it.  A huge
+    # mass makes the learning rate so large that every arm observed with a
+    # positive loss drops to probability exactly 0 the next round; a draw of
+    # 0.0 then counts a zero-probability arm 0.  Those cells take the fallback.
+    arms, horizon = 7, 3
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(np.full(arms, 1.0 / arms))[-1] < top
+    g = path_graph(2)
+    part = Partition(arms=arms, centers=(0,), center_of=(0, 0), origin_of=(0, 0),
+                     delay=(0, 1), mass_m=(10**12, 10**12), mass_d=(0, 1))
+    table = np.outer(10.0 ** -np.arange(1, 2 * horizon, 2), np.arange(1, arms + 1))
+    oracle = matrix_losses(table)  # distinct loss per arm and step
+    # Fallback cells (seed, agent) by round: (11, 1); (11, 0) and (22, 0);
+    # (22, 1).  None sits at the transpose of another, so a swapped batch
+    # index shows.
+    draws = {
+        11: [[0.05, top], [0.0, 0.5], [0.9, 0.3]],
+        22: [[0.05, 0.05], [0.0, 0.5], [0.9, 0.0]],
+    }
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RiggedDraws(draws[seed]))
+    sample_action = exp3.sample_action
+    calls = []
+
+    def spy(p, u):
+        calls.append(float(u))
+        return sample_action(p, u)
+
+    monkeypatch.setattr(exp3, "sample_action", spy)
+    singles = [run_informed(g, arms, horizon, oracle, seed, partition=part,
+                            record_distributions=True) for seed in draws]
+    assert sorted(calls) == [0.0, 0.0, 0.0, top]  # every rigged cell took the fallback
+    calls.clear()
+    batch = run_informed_batch(g, arms, horizon, [oracle, oracle], list(draws), partition=part)
+    assert sorted(calls) == [0.0, 0.0, 0.0, top]
+
+    for (seed, rows), single, batched in zip(draws.items(), singles, batch):
+        realized = np.zeros(2)
+        for t in range(horizon):
+            p = single.dist_history[t]
+            played = [sample_action(p[v], rows[t][v]) for v in range(2)]
+            realized += table[t][played]
+        assert single.realized_loss.tobytes() == realized.tobytes(), seed
+        assert batched.realized_loss.tobytes() == realized.tobytes(), seed
+        assert batched.digest == single.digest
 
 
 def test_regret_report_bounds_recompute():
