@@ -7,6 +7,7 @@ Exit codes: 0 success (and, for partition/validate, all checks passed),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -26,11 +27,11 @@ from .partition import (
 from .simulate import (
     LossOracle,
     RunResult,
+    _informed_runs,
     bernoulli_losses,
     degree_bound,
     individual_bound,
     matrix_losses,
-    run_informed,
     run_uninformed,
     switching_losses,
     uninformed_degree_bound,
@@ -116,43 +117,45 @@ class RunConfig:
         parse_adversary(self.adversary_spec, self.arms, self.adversary_seed)  # fail fast
 
 
-def _run_single(cfg: RunConfig, g: Graph, index: int, log_prefix: str | None) -> RunResult:
-    a_seed = cfg.adversary_seed + index
-    p_seed = cfg.policy_seed + index
-    oracle = parse_adversary(cfg.adversary_spec, cfg.arms, a_seed)
-    sink = None
-    try:
-        if log_prefix is not None:
-            sink = open(f"{log_prefix}-seed{index}.jsonl", "w", encoding="utf-8")
+def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None) -> list[RunResult]:
+    """The runs of seeds ``indices``: informed ones as one batch, uninformed one by one."""
+    oracles = [parse_adversary(cfg.adversary_spec, cfg.arms, cfg.adversary_seed + i)
+               for i in indices]
+    p_seeds = [cfg.policy_seed + i for i in indices]
+    with contextlib.ExitStack() as stack:
+        sinks = [None] * len(indices) if log_prefix is None else [
+            stack.enter_context(open(f"{log_prefix}-seed{i}.jsonl", "w", encoding="utf-8"))
+            for i in indices
+        ]
         if cfg.setting == "informed":
-            return run_informed(g, cfg.arms, cfg.horizon, oracle, p_seed,
-                                debug=cfg.debug_invariants, log_sink=sink)
-        return run_uninformed(g, cfg.arms, cfg.n_upper, cfg.horizon, oracle, p_seed,
-                              debug=cfg.debug_invariants, log_sink=sink)
-    finally:
-        if sink is not None:
-            sink.close()
+            return _informed_runs(g, cfg.arms, cfg.horizon, oracles, p_seeds,
+                                  debug=cfg.debug_invariants, log_sinks=sinks)
+        return [
+            run_uninformed(g, cfg.arms, cfg.n_upper, cfg.horizon, oracle, p_seed,
+                           debug=cfg.debug_invariants, log_sink=sink)
+            for oracle, p_seed, sink in zip(oracles, p_seeds, sinks)
+        ]
 
 
-def _pool_worker(payload) -> tuple[int, RunResult]:
-    cfg_fields, graph_path, index, log_prefix = payload
+def _pool_worker(payload) -> list[RunResult]:
+    cfg_fields, graph_path, indices, log_prefix = payload
     cfg = RunConfig(**cfg_fields)
     g = read_edge_list(graph_path)
-    return index, _run_single(cfg, g, index, log_prefix)
+    return _run_seeds(cfg, g, indices, log_prefix)
 
 
 def sweep(cfg: RunConfig, g: Graph, log_prefix: str | None = None) -> list[RunResult]:
-    """All seed runs, in seed order regardless of scheduling."""
-    if cfg.workers <= 1:
-        return [_run_single(cfg, g, i, log_prefix) for i in range(cfg.seeds)]
+    """All seed runs in seed order; --workers splits the seeds into contiguous chunks."""
+    workers = min(cfg.workers, cfg.seeds)
+    if workers <= 1:
+        return _run_seeds(cfg, g, range(cfg.seeds), log_prefix)
+    cuts = [cfg.seeds * w // workers for w in range(workers + 1)]
     payloads = [
-        (cfg.__dict__.copy(), cfg.graph_path, i, log_prefix) for i in range(cfg.seeds)
+        (cfg.__dict__.copy(), cfg.graph_path, range(a, b), log_prefix)
+        for a, b in zip(cuts, cuts[1:])
     ]
-    out: dict[int, RunResult] = {}
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for index, result in pool.map(_pool_worker, payloads):
-            out[index] = result
-    return [out[i] for i in range(cfg.seeds)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [res for chunk in pool.map(_pool_worker, payloads) for res in chunk]
 
 
 def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> list[dict]:
@@ -196,9 +199,11 @@ def write_csv(path: str, rows: list[dict]) -> None:
 
 def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: list[dict]) -> dict:
     n = g.node_count
+    by_agent: list[list[dict]] = [[] for _ in range(n)]
+    for r in rows:
+        by_agent[r["agent"]].append(r)  # keeps the rows' seed order
     per_agent = []
-    for v in range(n):
-        mine = [r for r in rows if r["agent"] == v]
+    for v, mine in enumerate(by_agent):
         mean_sr = float(np.mean([r["regret_semi"] for r in mine]))
         per_agent.append(
             {

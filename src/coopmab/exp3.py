@@ -151,10 +151,11 @@ def estimated_loss(event: ObservationEvent) -> float:
 
 def estimated_loss_vector(losses: np.ndarray, observe_probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Per-arm estimates in one shot; equals estimated_loss arm by arm."""
-    if np.any(observe_probs[observed] <= 0.0):
+    # observe_probs.min() spares the masked test in the usual all-positive case
+    if observe_probs.min() <= 0.0 and ((observe_probs <= 0.0) & observed).any():
         raise ZeroObservationProbabilityError("observed arm with zero observation probability")
-    safe = np.where(observed, observe_probs, 1.0)
-    return np.where(observed, losses / safe, 0.0)
+    out = np.zeros(np.broadcast(losses, observe_probs, observed).shape)
+    return np.divide(losses, observe_probs, out=out, where=observed)
 
 
 def sample_action(probs, draw: float) -> int:

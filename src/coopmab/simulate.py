@@ -8,12 +8,14 @@ update weights, producing their round-(t+1) distribution; every other agent
 stages its origin's round-t distribution to play at t+1.  Losses come from
 an oracle that is a pure function of (adversary seed, t, arm), so no policy
 can influence them.
+
+One kernel, ``_run_batch``, advances every run: any number of seeds that
+share a partition, in lockstep, with every center updated at once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -117,186 +119,6 @@ def switching_losses(switches: Sequence[tuple[int, int]], arms: int) -> LossOrac
     return LossOracle(kind="switch", arms=arms, switches=tuple(sw))
 
 
-class SimWorld:
-    """Mutable state of one run; advance_round() moves it one global step."""
-
-    def __init__(
-        self,
-        graph: Graph | None,
-        partition: Partition,
-        losses: np.ndarray,
-        policy_rng: np.random.Generator,
-        debug: bool = False,
-        check_weight_drift: bool = True,
-        log_sink: IO | None = None,
-        record_distributions: bool = False,
-    ):
-        self.partition = partition
-        n = partition.node_count
-        self.node_count = n
-        self.arms = partition.arms
-        self.losses = losses
-        self.policy_rng = policy_rng
-        self.debug = debug
-        self.check_weight_drift = check_weight_drift
-        self.log_sink = log_sink
-        self.record_distributions = record_distributions
-
-        self.t = 1  # next global step, 1-based
-        self.dists = np.full((n, self.arms), 1.0 / self.arms)
-        self.origin_idx = np.array(
-            [partition.origin_of[v] if partition.center_of[v] != v else v for v in range(n)]
-        )
-        self.roles = np.array([ROLE_CODES[partition.role(v)] for v in range(n)], dtype=np.int64)
-        self.role_names = [partition.role(v) for v in range(n)]
-        horizon_left = losses.shape[0]
-        self.center_members: list[tuple[int, np.ndarray]] = []
-        self.center_logw: dict[int, np.ndarray] = {}
-        self.center_rate: dict[int, float] = {}
-        for c in partition.centers:
-            nbrs = np.array(graph.closed_neighborhood(c)) if graph is not None else np.array([c])
-            self.center_members.append((c, nbrs))
-            self.center_rate[c] = exp3.learning_rate(partition.mass_value(c), self.arms, horizon_left)
-            self.center_logw[c] = np.zeros(self.arms)
-
-        self.realized = np.zeros(n)
-        self.semi = np.zeros(n)
-        self.arm_cum = np.zeros(self.arms)
-        self._rows = np.arange(n)
-        self._draw_buf = np.empty((0, n))
-        self._draw_ptr = 0
-        self.violations: list[str] = []
-        self.checkpoints: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.checkpoint_every = max(1, losses.shape[0] // 256)
-        self.dist_history: list[np.ndarray] = []
-
-        self.digest = hashlib.blake2b(digest_size=8)
-        header = np.array([n, self.arms, losses.shape[0]], dtype=np.int64)
-        self.digest.update(header.tobytes())
-        self.digest.update(self.roles.tobytes())
-
-    def set_center_horizon(self, horizon: int) -> None:
-        """Re-tune center learning rates for the true policy horizon."""
-        for c in self.partition.centers:
-            self.center_rate[c] = exp3.learning_rate(
-                self.partition.mass_value(c), self.arms, horizon
-            )
-            self.center_logw[c] = np.zeros(self.arms)
-
-    def _charge(self, actions: np.ndarray, loss_row: np.ndarray, semi_add: np.ndarray) -> None:
-        charged = loss_row[actions]
-        self.realized += charged
-        self.semi += semi_add
-        self.arm_cum += loss_row
-        # one update, same byte stream: step, then actions as int64, then losses
-        self.digest.update(
-            np.int64(self.t).tobytes()
-            + actions.astype(np.int64, copy=False).tobytes()
-            + charged.tobytes()
-        )
-        if self.log_sink is not None:
-            for v in range(self.node_count):
-                self.log_sink.write(
-                    json.dumps(
-                        {
-                            "t": self.t,
-                            "v": v,
-                            "action": int(actions[v]),
-                            "loss": float(charged[v]),
-                            "role": self.role_names[v],
-                        }
-                    )
-                    + "\n"
-                )
-        if self.t % self.checkpoint_every == 0 or self.t == self.losses.shape[0]:
-            self.checkpoints.append(
-                (self.t, self.realized.copy(), self.semi.copy(), self.arm_cum.copy())
-            )
-
-    def warmup_round(self) -> None:
-        """Uniform i.i.d. play while the partition protocol is still running."""
-        n, k = self.node_count, self.arms
-        actions = self.policy_rng.integers(0, k, size=n)
-        loss_row = self.losses[self.t - 1]
-        semi_add = np.full(n, loss_row.mean())
-        self._charge(actions, loss_row, semi_add)
-        self.t += 1
-
-    def sample_actions(self) -> np.ndarray:
-        """Inverse-CDF sample per agent, one uniform draw each, arms ascending."""
-        p = self.dists
-        n, k = p.shape
-        if self._draw_ptr >= self._draw_buf.shape[0]:
-            # block fill gives the same stream as one random(n) call per round
-            self._draw_buf = self.policy_rng.random((1024, n))
-            self._draw_ptr = 0
-        draws = self._draw_buf[self._draw_ptr]
-        self._draw_ptr += 1
-        cdf = np.cumsum(p, axis=1)
-        actions = (cdf < draws[:, None]).sum(axis=1)
-        clipped = np.minimum(actions, k - 1)
-        suspect = (actions >= k) | (p[self._rows, clipped] <= 0.0)
-        if suspect.any():
-            for v in np.flatnonzero(suspect):
-                actions[v] = exp3.sample_action(p[v], float(draws[v]))
-        return actions
-
-    def advance_round(self) -> None:
-        p = self.dists
-        if self.record_distributions:
-            self.dist_history.append(p.copy())
-        actions = self.sample_actions()
-        loss_row = self.losses[self.t - 1]
-        self._charge(actions, loss_row, p @ loss_row)
-
-        new_dists = p[self.origin_idx]  # relays stage the origin's round-t distribution
-        for c, nbrs in self.center_members:
-            sub = p[nbrs]
-            observe = 1.0 - np.prod(1.0 - sub, axis=0)
-            observed = np.zeros(self.arms, dtype=bool)
-            observed[actions[nbrs]] = True
-            est = exp3.estimated_loss_vector(loss_row, observe, observed)
-            lw = exp3.exp3_update_raw(self.center_logw[c], self.center_rate[c], est)
-            p_next = exp3.probs_from_log_weights(lw)
-            if self.debug:
-                self._audit_center(c, p[c], p_next, est, self.center_rate[c], observe)
-            self.center_logw[c] = lw
-            new_dists[c] = p_next
-        self.dists = new_dists
-        self.t += 1
-
-    def _audit_center(self, c, p_now, p_next, est, rate, observe) -> None:
-        tol = 1e-9
-        if np.any(observe <= 0.0):
-            # only a problem if the arm was actually estimated
-            bad = np.flatnonzero((est != 0.0) & (observe <= 0.0))
-            if bad.size:
-                self.violations.append(f"t={self.t} center {c}: estimate with zero observe prob")
-        per_arm = p_now * est
-        if np.any(per_arm > 1.0 + tol):
-            a = int(per_arm.argmax())
-            self.violations.append(
-                f"t={self.t} center {c}: p*estimate = {per_arm[a]:.12f} > 1 on arm {a}"
-            )
-        if not exp3.is_distribution(p_next, 1e-12):
-            self.violations.append(f"t={self.t} center {c}: update left an invalid distribution")
-        if self.check_weight_drift and rate <= 0.5 / self.arms + 1e-15:
-            lo = (1.0 - rate * est) * p_now
-            if np.any(p_next < lo * (1.0 - tol) - 1e-15):
-                a = int((lo - p_next).argmax())
-                self.violations.append(
-                    f"t={self.t} center {c}: arm {a} fell below one-step floor "
-                    f"({p_next[a]:.12e} < {lo[a]:.12e})"
-                )
-            hi = 2.0 * p_now
-            if np.any(p_next > hi * (1.0 + tol) + 1e-15):
-                a = int((p_next - hi).argmax())
-                self.violations.append(
-                    f"t={self.t} center {c}: arm {a} above one-step ceiling "
-                    f"({p_next[a]:.12e} > {hi[a]:.12e})"
-                )
-
-
 @dataclass
 class RunResult:
     """Outcome ledger of one simulation."""
@@ -332,14 +154,6 @@ class RunResult:
     luby_budget_exhaustions: int = 0
     short_horizon: bool = False
     dist_history: list = field(repr=False, default_factory=list)
-
-
-def _finish(world: SimWorld, setting, horizon, setup, n_upper, oracle, p_seed,
-            snapshot, exhaustions=0, short=False) -> RunResult:
-    return _result(setting, world.partition, world.realized, world.semi, world.arm_cum,
-                   world.digest.hexdigest(), world.checkpoints, horizon, setup, n_upper,
-                   oracle, p_seed, snapshot, violations=world.violations,
-                   dist_history=world.dist_history, exhaustions=exhaustions, short=short)
 
 
 def _result(setting, partition, realized, semi, arm_loss, digest, checkpoints, horizon,
@@ -407,6 +221,286 @@ def _check_run_args(g: Graph, arms: int, horizon: int, oracle: LossOracle) -> bo
     return short
 
 
+BATCH_ROWS = 128  # steps per block of losses, policy draws, digest records and log lines
+BATCH_CELLS = 1 << 16  # at most this many seed-agent-steps per block
+
+
+def _run_batch(
+    graph: Graph | None,
+    partition: Partition,
+    horizon: int,
+    oracles: Sequence[LossOracle],
+    rngs: Sequence[np.random.Generator],
+    policy_seeds: Sequence[int],
+    setting: str,
+    setup: int = 0,
+    short: bool = False,
+    debug: bool = False,
+    log_sinks: Sequence[IO | None] | None = None,
+    record_distributions: bool = False,
+    n_upper: int | None = None,
+    exhaustions: int = 0,
+) -> list[RunResult]:
+    """Play one run per (oracle, policy stream) on a shared partition, all seeds each round.
+
+    Global steps 1..setup are uniform warm-up play while the uninformed
+    election runs (one ``integers`` draw per agent); steps
+    setup+1..setup+horizon follow the protocol (one ``random`` draw per
+    agent).  The arithmetic is done on (seeds, agents, arms) arrays in a
+    fixed reduction order, so a seed's result does not depend on which
+    seeds share its batch.  Losses and policy draws are read, and digest
+    records and log lines written, one block of steps at a time.
+    """
+    seeds, n, k = len(oracles), partition.node_count, partition.arms
+    total = setup + horizon
+    origin_idx = np.array(
+        [partition.origin_of[v] if partition.center_of[v] != v else v for v in range(n)]
+    )
+    role_names = [partition.role(v) for v in range(n)]
+    roles = np.array([ROLE_CODES[r] for r in role_names], dtype=np.int64)
+    header = np.array([n, k, total], dtype=np.int64).tobytes() + roles.tobytes()
+    digests = [hashlib.blake2b(header, digest_size=8) for _ in range(seeds)]
+    record = np.dtype([("t", np.int64), ("a", np.int64, (n,)), ("c", np.float64, (n,))])
+    sinks = [None] * seeds if log_sinks is None else list(log_sinks)
+
+    # The centers' closed neighborhoods laid end to end: segment i, from
+    # starts[i], is center i's; slot maps each entry back to its center.
+    centers = np.array(partition.centers)
+    hoods = [graph.closed_neighborhood(c) if graph is not None else (c,) for c in centers]
+    flat = np.concatenate(hoods)
+    sizes = [len(h) for h in hoods]
+    starts = np.cumsum([0] + sizes[:-1])
+    slot = np.repeat(np.arange(len(hoods)), sizes)
+    rates = np.array([exp3.learning_rate(partition.mass_value(c), k, horizon) for c in centers])
+    rates = rates[:, None]
+    drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
+    logw = np.zeros((seeds, len(centers), k))
+
+    dists = np.full((seeds, n, k), 1.0 / k)
+    realized = np.zeros((seeds, n))
+    semi = np.zeros((seeds, n))
+    arm_cum = np.zeros((seeds, k))
+    checkpoints: list[list] = [[] for _ in range(seeds)]
+    violations: list[list[str]] = [[] for _ in range(seeds)]
+    history: list[list[np.ndarray]] = [[] for _ in range(seeds)]
+    every = max(1, total // 256)
+    # flat indices: of p[s, v, 0] in a (seeds, agents, arms) array, of
+    # loss_row[s, 0] in a (seeds, arms) one, of observed[s, slot[f], 0], and
+    # the rows of the centers when (seeds, agents, arms) is viewed as rows of arms
+    seed_col = np.arange(seeds)[:, None]
+    cell = (seed_col * n + np.arange(n)) * k
+    row_offset = seed_col * k
+    observed_cell = (seed_col * len(centers) + slot) * k
+    center_rows = (seed_col * n + centers).ravel()
+    block = max(1, min(BATCH_ROWS, BATCH_CELLS // (seeds * n)))
+    # one set of block buffers, reused: a block's rows are hashed and logged before the next
+    losses_buf = np.empty((block, seeds, k))
+    actions_buf = np.empty((block, seeds, n), dtype=np.int64)
+    draws_buf = np.empty((block, seeds, n))
+    charged_buf = np.empty((block, seeds, n))
+    rec_buf = np.empty(block, dtype=record)
+
+    for warm, first, last in ((True, 0, setup), (False, setup, total)):
+        if not warm:  # ledgers at the policy phase's start
+            snapshot = (realized.copy(), arm_cum.copy(), semi.copy())
+        for start in range(first, last, block):
+            stop = min(start + block, last)
+            losses = losses_buf[:stop - start]
+            actions_blk = actions_buf[:stop - start]
+            charged_blk = charged_buf[:stop - start]
+            for s in range(seeds):
+                losses[:, s] = oracles[s].rows(start, stop)
+            # row-major fills: the same streams as one call per step
+            if warm:
+                for s in range(seeds):
+                    actions_blk[:, s] = rngs[s].integers(0, k, size=(stop - start, n))
+                row_means = losses.mean(axis=2, keepdims=True)
+            else:
+                draws = draws_buf[:stop - start]
+                for s in range(seeds):
+                    draws[:, s] = rngs[s].random((stop - start, n))
+            for j in range(stop - start):
+                t = start + j + 1
+                loss_row = losses[j]
+                actions = actions_blk[j]
+                if warm:
+                    semi_add = row_means[j]
+                else:
+                    p = dists
+                    if record_distributions:
+                        for s in range(seeds):
+                            history[s].append(p[s].copy())
+                    # inverse-CDF sample per agent, arms ascending
+                    cdf = p.cumsum(axis=2)
+                    (cdf < draws[j, :, :, None]).sum(axis=2, out=actions)
+                    clipped = np.minimum(actions, k - 1)
+                    suspect = (actions >= k) | (p.take(cell + clipped) <= 0.0)
+                    if suspect.any():
+                        for s, v in zip(*np.nonzero(suspect)):
+                            actions[s, v] = exp3.sample_action(p[s, v], float(draws[j, s, v]))
+                    semi_add = np.matmul(p, loss_row[:, :, None])[:, :, 0]  # p @ loss_row
+                charged = loss_row.take(row_offset + actions, out=charged_blk[j])
+                realized += charged
+                semi += semi_add
+                arm_cum += loss_row
+                if t % every == 0 or t == total:
+                    for s in range(seeds):
+                        checkpoints[s].append(
+                            (t, realized[s].copy(), semi[s].copy(), arm_cum[s].copy())
+                        )
+                if warm:
+                    continue
+
+                # relays stage the origin's round-t distribution
+                new_dists = p.take(origin_idx, axis=1)
+                # every center at once: products over its closed neighborhood,
+                # taken member by member in ascending order
+                observe = 1.0 - np.multiply.reduceat(1.0 - p.take(flat, axis=1), starts, axis=1)
+                observed = np.zeros((seeds, len(centers), k), dtype=bool)
+                observed.put(observed_cell + actions.take(flat, axis=1), True)
+                est = exp3.estimated_loss_vector(loss_row[:, None], observe, observed)
+                # exp3_update_raw and probs_from_log_weights, row by row
+                if not np.isfinite(est).all():
+                    raise exp3.NonFiniteEstimateError("loss estimates must be finite")
+                lw = logw - rates * est
+                lw -= lw.max(axis=2, keepdims=True)
+                w = np.exp(lw)
+                p_next = w / w.sum(axis=2, keepdims=True)
+                if debug:
+                    _audit(violations, t, centers, p.take(centers, axis=1), p_next, est, rates,
+                           observe, drift)
+                new_dists.reshape(-1, k)[center_rows] = p_next.reshape(-1, k)
+                logw = lw
+                dists = new_dists
+
+            for s in range(seeds):
+                rec = rec_buf[:stop - start]
+                rec["t"] = np.arange(start + 1, stop + 1)
+                rec["a"] = actions_blk[:, s]
+                rec["c"] = charged_blk[:, s]
+                digests[s].update(rec.tobytes())  # step, actions as int64, losses; step by step
+                if sinks[s] is not None:
+                    _write_log(sinks[s], start + 1, actions_blk[:, s], charged_blk[:, s],
+                               role_names)
+
+    return [
+        _result(setting, partition, realized[s], semi[s], arm_cum[s], digests[s].hexdigest(),
+                checkpoints[s], horizon, setup, n_upper, oracles[s], policy_seeds[s],
+                tuple(ledger[s] for ledger in snapshot), violations=violations[s],
+                dist_history=history[s], exhaustions=exhaustions, short=short)
+        for s in range(seeds)
+    ]
+
+
+def _audit(violations, t, centers, p_now, p_next, est, rates, observe, drift) -> None:
+    """Append the debug audit's findings on round t's center updates, seed by seed.
+
+    Arrays are (seeds, centers, arms); ``drift`` marks the centers the
+    one-step floor and ceiling checks cover (rate <= 0.5/arms, horizon not short).
+    """
+    tol = 1e-9
+    zero_observe = ((est != 0.0) & (observe <= 0.0)).any(axis=2)
+    per_arm = p_now * est
+    over_one = (per_arm > 1.0 + tol).any(axis=2)
+    invalid = ~(
+        (p_next >= 0.0).all(axis=2)
+        & (p_next <= 1.0 + exp3.DISTRIBUTION_TOL).all(axis=2)
+        & (np.abs(p_next.sum(axis=2) - 1.0) <= exp3.DISTRIBUTION_TOL)
+    )
+    lo = (1.0 - rates * est) * p_now
+    hi = 2.0 * p_now
+    below = drift & (p_next < lo * (1.0 - tol) - 1e-15).any(axis=2)
+    above = drift & (p_next > hi * (1.0 + tol) + 1e-15).any(axis=2)
+    for s, i in zip(*np.nonzero(zero_observe | over_one | invalid | below | above)):
+        out, c = violations[s], int(centers[i])
+        if zero_observe[s, i]:
+            out.append(f"t={t} center {c}: estimate with zero observe prob")
+        if over_one[s, i]:
+            a = int(per_arm[s, i].argmax())
+            out.append(f"t={t} center {c}: p*estimate = {per_arm[s, i, a]:.12f} > 1 on arm {a}")
+        if invalid[s, i]:
+            out.append(f"t={t} center {c}: update left an invalid distribution")
+        if below[s, i]:
+            a = int((lo[s, i] - p_next[s, i]).argmax())
+            out.append(
+                f"t={t} center {c}: arm {a} fell below one-step floor "
+                f"({p_next[s, i, a]:.12e} < {lo[s, i, a]:.12e})"
+            )
+        if above[s, i]:
+            a = int((p_next[s, i] - hi[s, i]).argmax())
+            out.append(
+                f"t={t} center {c}: arm {a} above one-step ceiling "
+                f"({p_next[s, i, a]:.12e} > {hi[s, i, a]:.12e})"
+            )
+
+
+def _write_log(sink: IO, first_t: int, actions: np.ndarray, charged: np.ndarray,
+               role_names: list[str]) -> None:
+    """One JSON line per agent per step, steps from first_t on: t, v, action, loss, role."""
+    for t, (acts, losses) in enumerate(zip(actions, charged), first_t):
+        sink.write("".join(
+            f'{{"t": {t}, "v": {v}, "action": {a}, "loss": {x!r}, "role": "{role}"}}\n'
+            for v, (a, x, role) in enumerate(zip(acts.tolist(), losses.tolist(), role_names))
+        ))
+
+
+def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
+    """A caller's partition must fit the graph and the run: size, arms, relay edges."""
+    if partition.node_count != g.node_count:
+        raise ValueError(
+            f"partition covers {partition.node_count} nodes, graph has {g.node_count}"
+        )
+    if partition.arms != arms:
+        raise ValueError(f"partition is over {partition.arms} arms, run uses {arms}")
+    for v, (c, o) in enumerate(zip(partition.center_of, partition.origin_of)):
+        if c != v and o not in g.neighbors(v):
+            raise ValueError(f"relay {v} copies node {o}, which is not its neighbor")
+
+
+def _check_batch(arms: int, oracles: Sequence[LossOracle], policy_seeds: Sequence[int]) -> None:
+    if len(oracles) != len(policy_seeds) or not oracles:
+        raise ValueError(
+            f"need one oracle per policy seed, got {len(oracles)} and {len(policy_seeds)}"
+        )
+    if arms < 2:
+        raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
+    for oracle in oracles:
+        if oracle.arms != arms:
+            raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
+
+
+def _informed_runs(
+    g: Graph,
+    arms: int,
+    horizon: int,
+    oracles: Sequence[LossOracle],
+    policy_seeds: Sequence[int],
+    partition: Partition | None = None,
+    debug: bool = False,
+    log_sinks: Sequence[IO | None] | None = None,
+    record_distributions: bool = False,
+) -> list[RunResult]:
+    """Informed runs of many (oracle, policy seed) pairs on one election, seeds in lockstep."""
+    _check_batch(arms, oracles, policy_seeds)
+    short = _check_run_args(g, arms, horizon, oracles[0])
+    if partition is None:
+        partition = compute_centers_informed(g, arms).component_map.to_partition()
+    else:
+        _check_partition(g, arms, partition)
+    rngs = [np.random.default_rng(s) for s in policy_seeds]
+    sinks = [None] * len(oracles) if log_sinks is None else log_sinks
+    # at most BATCH_CELLS seed-agents per kernel call bound its (seeds, agents, arms) arrays
+    per_call = max(1, BATCH_CELLS // g.node_count)
+    return [
+        run
+        for a in range(0, len(oracles), per_call)
+        for run in _run_batch(g, partition, horizon, oracles[a:a + per_call],
+                              rngs[a:a + per_call], policy_seeds[a:a + per_call], "informed",
+                              short=short, debug=debug, log_sinks=sinks[a:a + per_call],
+                              record_distributions=record_distributions)
+    ]
+
+
 def run_informed(
     g: Graph,
     arms: int,
@@ -419,25 +513,25 @@ def run_informed(
     partition: Partition | None = None,
 ) -> RunResult:
     """Simulate with the graph known in advance: partitioning costs no steps."""
-    short = _check_run_args(g, arms, horizon, oracle)
-    if partition is None:
-        partition = compute_centers_informed(g, arms).component_map.to_partition()
-    losses = oracle.matrix(horizon)
-    world = SimWorld(
-        g,
-        partition,
-        losses,
-        np.random.default_rng(policy_seed),
-        debug=debug,
-        check_weight_drift=not short,
-        log_sink=log_sink,
-        record_distributions=record_distributions,
-    )
-    snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
-    for _ in range(horizon):
-        world.advance_round()
-    return _finish(world, "informed", horizon, 0, None, oracle, policy_seed, snapshot,
-                   short=short)
+    return _informed_runs(g, arms, horizon, [oracle], [policy_seed], partition, debug,
+                          [log_sink], record_distributions)[0]
+
+
+def run_informed_batch(
+    g: Graph,
+    arms: int,
+    horizon: int,
+    oracles: Sequence[LossOracle],
+    policy_seeds: Sequence[int],
+    partition: Partition | None = None,
+) -> list[RunResult]:
+    """run_informed for each (oracle, policy seed) pair, on one election, seeds in lockstep.
+
+    Each result equals run_informed(g, arms, horizon, oracle, seed,
+    partition=partition) bit for bit; the batch only shares the per-round
+    numpy calls between seeds.
+    """
+    return _informed_runs(g, arms, horizon, oracles, policy_seeds, partition)
 
 
 def run_uninformed(
@@ -462,203 +556,19 @@ def run_uninformed(
     short = _check_run_args(g, arms, horizon, oracle)
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
-    partition = election.final_map.to_partition()
-    setup = election.total_steps
-    losses = oracle.matrix(setup + horizon)
-    world = SimWorld(
-        g,
-        partition,
-        losses,
-        rng,
-        debug=debug,
-        check_weight_drift=not short,
-        log_sink=log_sink,
-        record_distributions=record_distributions,
-    )
-    world.set_center_horizon(horizon)
-    for _ in range(setup):
-        world.warmup_round()
-    assert world.t - 1 == setup, "warm-up step accounting drifted"
-    snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
-    for _ in range(horizon):
-        world.advance_round()
     exhaustions = sum(1 for call in election.luby_calls if call.result.exhausted)
-    return _finish(world, "uninformed", horizon, setup, n_upper, oracle, policy_seed,
-                   snapshot, exhaustions=exhaustions, short=short)
-
-
-def _solo_partition(arms: int) -> Partition:
-    """The one-agent partition the solo baselines run on."""
-    if arms < 2:
-        raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    return Partition(
-        arms=arms,
-        centers=(0,),
-        center_of=(0,),
-        origin_of=(0,),
-        delay=(0,),
-        mass_m=(1,),
-        mass_d=(0,),
-    )
+    return _run_batch(g, election.final_map.to_partition(), horizon, [oracle], [rng],
+                      [policy_seed], "uninformed", setup=election.total_steps, short=short,
+                      debug=debug, log_sinks=[log_sink],
+                      record_distributions=record_distributions, n_upper=n_upper,
+                      exhaustions=exhaustions)[0]
 
 
 def run_solo_exp3(
     arms: int, horizon: int, oracle: LossOracle, policy_seed: int
 ) -> RunResult:
     """Baseline: one agent, no neighbors, importance weights from its own play."""
-    solo = _solo_partition(arms)
-    if oracle.arms != arms:
-        raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
-    losses = oracle.matrix(horizon)
-    world = SimWorld(None, solo, losses, np.random.default_rng(policy_seed))
-    snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
-    for _ in range(horizon):
-        world.advance_round()
-    return _finish(world, "solo", horizon, 0, None, oracle, policy_seed, snapshot)
-
-
-BATCH_ROWS = 1024  # steps per block of losses, policy draws and digest records
-BATCH_CELLS = 1 << 18  # at most this many seed-agent-steps per block
-
-
-def _run_batch(
-    graph: Graph | None,
-    partition: Partition,
-    horizon: int,
-    oracles: Sequence[LossOracle],
-    policy_seeds: Sequence[int],
-    setting: str,
-    short: bool = False,
-) -> list[RunResult]:
-    """Play one run per (oracle, policy seed) on a shared partition, all seeds each round.
-
-    The arithmetic of SimWorld.advance_round on (seeds, agents, arms) arrays,
-    reduced in the same order, so every seed's result is bit-identical to
-    its own SimWorld run.  Losses and policy draws are read, and digest
-    records hashed, one block of steps at a time.
-    """
-    seeds, n, k = len(oracles), partition.node_count, partition.arms
-    rngs = [np.random.default_rng(s) for s in policy_seeds]
-    origin_idx = np.array(
-        [partition.origin_of[v] if partition.center_of[v] != v else v for v in range(n)]
-    )
-    roles = np.array([ROLE_CODES[partition.role(v)] for v in range(n)], dtype=np.int64)
-    header = np.array([n, k, horizon], dtype=np.int64).tobytes() + roles.tobytes()
-    digests = [hashlib.blake2b(header, digest_size=8) for _ in range(seeds)]
-    record = np.dtype([("t", np.int64), ("a", np.int64, (n,)), ("c", np.float64, (n,))])
-    centers = []
-    for c in partition.centers:
-        nbrs = np.array(graph.closed_neighborhood(c)) if graph is not None else np.array([c])
-        rate = exp3.learning_rate(partition.mass_value(c), k, horizon)
-        centers.append((c, nbrs, rate))
-    logw = [np.zeros((seeds, k)) for _ in centers]
-
-    dists = np.full((seeds, n, k), 1.0 / k)
-    realized = np.zeros((seeds, n))
-    semi = np.zeros((seeds, n))
-    arm_cum = np.zeros((seeds, k))
-    checkpoints: list[list] = [[] for _ in range(seeds)]
-    every = max(1, horizon // 256)
-    seed_col = np.arange(seeds)[:, None]
-    agent_row = np.arange(n)[None, :]
-    row_offset = seed_col * k  # flat index of each seed's loss row in a (seeds, arms) block
-    block = max(1, min(BATCH_ROWS, BATCH_CELLS // (seeds * n)))
-
-    for start in range(0, horizon, block):
-        stop = min(start + block, horizon)
-        losses = np.empty((stop - start, seeds, k))
-        draws = np.empty((stop - start, seeds, n))
-        for s in range(seeds):
-            losses[:, s] = oracles[s].rows(start, stop)
-            # row-major fill: the same stream SimWorld reads 1024 rows at a time
-            draws[:, s] = rngs[s].random((stop - start, n))
-        actions_blk = np.empty((stop - start, seeds, n), dtype=np.int64)
-        charged_blk = np.empty((stop - start, seeds, n))
-        for j in range(stop - start):
-            t = start + j + 1
-            p = dists
-            u = draws[j]
-            cdf = np.cumsum(p, axis=2)
-            actions = np.sum(cdf < u[:, :, None], axis=2, out=actions_blk[j])
-            clipped = np.minimum(actions, k - 1)
-            suspect = (actions >= k) | (p[seed_col, agent_row, clipped] <= 0.0)
-            if suspect.any():
-                for s, v in zip(*np.nonzero(suspect)):
-                    actions[s, v] = exp3.sample_action(p[s, v], float(u[s, v]))
-            loss_row = losses[j]
-            charged = np.take(loss_row, row_offset + actions, out=charged_blk[j])
-            realized += charged
-            semi += np.matmul(p, loss_row[:, :, None])[:, :, 0]  # p @ loss_row per seed
-            arm_cum += loss_row
-            if t % every == 0 or t == horizon:
-                for s in range(seeds):
-                    checkpoints[s].append(
-                        (t, realized[s].copy(), semi[s].copy(), arm_cum[s].copy())
-                    )
-
-            new_dists = p[:, origin_idx]
-            for i, (c, nbrs, rate) in enumerate(centers):
-                observe = 1.0 - np.prod(1.0 - p[:, nbrs], axis=1)
-                observed = np.zeros((seeds, k), dtype=bool)
-                observed[seed_col, actions[:, nbrs]] = True
-                est = exp3.estimated_loss_vector(loss_row, observe, observed)
-                # exp3_update_raw and probs_from_log_weights, row by row
-                if not np.isfinite(est).all():
-                    raise exp3.NonFiniteEstimateError("loss estimates must be finite")
-                lw = logw[i] - rate * est
-                lw -= lw.max(axis=1, keepdims=True)
-                w = np.exp(lw)
-                new_dists[:, c] = w / w.sum(axis=1, keepdims=True)
-                logw[i] = lw
-            dists = new_dists
-
-        for s in range(seeds):
-            rec = np.empty(stop - start, dtype=record)
-            rec["t"] = np.arange(start + 1, stop + 1)
-            rec["a"] = actions_blk[:, s]
-            rec["c"] = charged_blk[:, s]
-            digests[s].update(rec.tobytes())  # the bytes SimWorld hashes step by step
-
-    zero_n, zero_k = np.zeros(n), np.zeros(k)  # ledgers at the policy phase's start
-    return [
-        _result(setting, partition, realized[s], semi[s], arm_cum[s], digests[s].hexdigest(),
-                checkpoints[s], horizon, 0, None, oracles[s], policy_seeds[s],
-                (zero_n, zero_k, zero_n), short=short)
-        for s in range(seeds)
-    ]
-
-
-def _check_batch(arms: int, oracles: Sequence[LossOracle], policy_seeds: Sequence[int]) -> None:
-    if len(oracles) != len(policy_seeds) or not oracles:
-        raise ValueError(
-            f"need one oracle per policy seed, got {len(oracles)} and {len(policy_seeds)}"
-        )
-    if arms < 2:
-        raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    for oracle in oracles:
-        if oracle.arms != arms:
-            raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
-
-
-def run_informed_batch(
-    g: Graph,
-    arms: int,
-    horizon: int,
-    oracles: Sequence[LossOracle],
-    policy_seeds: Sequence[int],
-    partition: Partition | None = None,
-) -> list[RunResult]:
-    """run_informed for each (oracle, policy seed) pair, on one election, seeds in lockstep.
-
-    Each result equals run_informed(g, arms, horizon, oracle, seed,
-    partition=partition) bit for bit; the batch only shares the per-round
-    numpy calls between seeds.
-    """
-    _check_batch(arms, oracles, policy_seeds)
-    short = _check_run_args(g, arms, horizon, oracles[0])
-    if partition is None:
-        partition = compute_centers_informed(g, arms).component_map.to_partition()
-    return _run_batch(g, partition, horizon, oracles, policy_seeds, "informed", short)
+    return run_solo_exp3_batch(arms, horizon, [oracle], [policy_seed])[0]
 
 
 def run_solo_exp3_batch(
@@ -666,7 +576,10 @@ def run_solo_exp3_batch(
 ) -> list[RunResult]:
     """run_solo_exp3 for each (oracle, policy seed) pair, seeds in lockstep."""
     _check_batch(arms, oracles, policy_seeds)
-    return _run_batch(None, _solo_partition(arms), horizon, oracles, policy_seeds, "solo")
+    solo = Partition(arms=arms, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
+                     mass_m=(1,), mass_d=(0,))
+    rngs = [np.random.default_rng(s) for s in policy_seeds]
+    return _run_batch(None, solo, horizon, oracles, rngs, policy_seeds, "solo")
 
 
 @dataclass

@@ -1,12 +1,22 @@
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+import reference
 
-from coopmab.cli import CSV_COLUMNS, main, parse_adversary
-from coopmab.graph import format_edge_list, path_graph, star_graph
+from coopmab.cli import (
+    CSV_COLUMNS,
+    RunConfig,
+    main,
+    parse_adversary,
+    results_rows,
+    summary_doc,
+    sweep,
+)
+from coopmab.graph import format_edge_list, path_graph, read_edge_list, star_graph
 from coopmab.partition import Mass, partition_from_json
 
 
@@ -221,3 +231,65 @@ def test_exit_one_when_partition_report_fails(monkeypatch, star_file):
 
     monkeypatch.setattr(cli, "validate_partition", lambda g, p: FakeReport())
     assert main(["partition", "--graph", star_file, "--arms", "3"]) == 1
+
+
+def _config(path, setting, seeds, **over):
+    fields = dict(graph_path=path, arms=3, horizon=150, setting=setting, n_upper=12,
+                  adversary_spec="bernoulli:0.3,0.5,0.7", seeds=seeds, adversary_seed=5,
+                  policy_seed=20, debug_invariants=True, workers=1)
+    fields.update(over)
+    return RunConfig(**fields)
+
+
+@pytest.mark.parametrize("setting", ["informed", "uninformed"])
+def test_summary_per_agent_recomputes_from_rows(path_file, setting):
+    cfg = _config(path_file, setting, 3)
+    g = read_edge_list(path_file)
+    results = sweep(cfg, g)
+    rows = results_rows(cfg, g, results)
+    per_agent = summary_doc(cfg, g, results, rows)["per_agent"]
+    assert [a["agent"] for a in per_agent] == list(range(g.node_count))
+    for v, got in enumerate(per_agent):
+        mine = [r for r in rows if r["agent"] == v]
+        assert [r["seed"] for r in mine] == [0, 1, 2]
+        mean_semi = float(np.mean([r["regret_semi"] for r in mine]))
+        assert got == {
+            "agent": v,
+            "degree": mine[0]["degree"],
+            "mass_m": mine[0]["mass_m"],
+            "mass_d": mine[0]["mass_d"],
+            "delay": mine[0]["delay"],
+            "mean_regret": float(np.mean([r["regret"] for r in mine])),
+            "mean_regret_semi": mean_semi,
+            "bound_individual": mine[0]["bound_individual"],
+            "bound_degree": mine[0]["bound_degree"],
+            "within_individual": mean_semi <= mine[0]["bound_individual"],
+            "within_degree_bound": mean_semi <= mine[0]["bound_degree"],
+        }
+
+
+@pytest.mark.parametrize("setting", ["informed", "uninformed"])
+def test_sweep_equals_per_seed_reference_runs(tmp_path, path_file, setting):
+    # one batch, or contiguous chunks of seeds on two workers (seeds 0-1 and
+    # 2-4): each seed's result and log equal the per-seed reference simulator
+    g = read_edge_list(path_file)
+    for workers in (1, 2):
+        prefix = str(tmp_path / f"log{workers}")
+        cfg = _config(path_file, setting, 5, workers=workers)
+        results = sweep(cfg, g, prefix)
+        assert len(results) == 5
+        for i, res in enumerate(results):
+            oracle = parse_adversary(cfg.adversary_spec, cfg.arms, cfg.adversary_seed + i)
+            sink = io.StringIO()
+            if setting == "informed":
+                want = reference.run_informed(g, 3, 150, oracle, cfg.policy_seed + i,
+                                              debug=True, log_sink=sink)
+            else:
+                want = reference.run_uninformed(g, 3, 12, 150, oracle, cfg.policy_seed + i,
+                                                debug=True, log_sink=sink)
+            assert res.digest == want.digest
+            assert res.setup_steps == want.setup_steps
+            assert res.semi_loss.tobytes() == want.semi_loss.tobytes()
+            assert res.debug_violations == want.debug_violations == []
+            log = tmp_path / f"log{workers}-seed{i}.jsonl"
+            assert log.read_text(encoding="utf-8") == sink.getvalue()

@@ -1,14 +1,26 @@
+import dataclasses
 import io
 import json
 import math
+import types
 
 import numpy as np
 import pytest
+import reference
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from coopmab import exp3, simulate
 from coopmab.graph import build_graph, path_graph, random_connected_graph, star_graph
-from coopmab.partition import Mass, Partition, centers_to_components, compute_centers_uninformed
+from coopmab.partition import (
+    Mass,
+    Partition,
+    centers_to_components,
+    compute_centers_informed,
+    compute_centers_uninformed,
+)
 from coopmab.simulate import (
+    LossOracle,
     RunResult,
     bernoulli_losses,
     center_bound,
@@ -318,22 +330,26 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
         return sample_action(p, u)
 
     monkeypatch.setattr(exp3, "sample_action", spy)
-    singles = [run_informed(g, arms, horizon, oracle, seed, partition=part,
-                            record_distributions=True) for seed in draws]
+    singles = [reference.run_informed(g, arms, horizon, oracle, seed, partition=part,
+                                      record_distributions=True) for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]  # every rigged cell took the fallback
+    calls.clear()
+    kernel = [run_informed(g, arms, horizon, oracle, seed, partition=part) for seed in draws]
+    assert sorted(calls) == [0.0, 0.0, 0.0, top]
     calls.clear()
     batch = run_informed_batch(g, arms, horizon, [oracle, oracle], list(draws), partition=part)
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
 
-    for (seed, rows), single, batched in zip(draws.items(), singles, batch):
+    for (seed, rows), single, one, batched in zip(draws.items(), singles, kernel, batch):
         realized = np.zeros(2)
         for t in range(horizon):
             p = single.dist_history[t]
             played = [sample_action(p[v], rows[t][v]) for v in range(2)]
             realized += table[t][played]
         assert single.realized_loss.tobytes() == realized.tobytes(), seed
-        assert batched.realized_loss.tobytes() == realized.tobytes(), seed
-        assert batched.digest == single.digest
+        for run in (one, batched):
+            assert run.realized_loss.tobytes() == realized.tobytes(), seed
+            assert run.digest == single.digest
 
 
 def test_regret_report_bounds_recompute():
@@ -418,6 +434,9 @@ def _assert_same_run(batch: RunResult, single: RunResult) -> None:
             for (t0, *ledgers0), (t1, *ledgers1) in zip(a, b):
                 assert t0 == t1
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(ledgers0, ledgers1))
+        elif name == "dist_history":
+            assert len(a) == len(b)
+            assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
         elif isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
@@ -444,7 +463,7 @@ BATCH_CASES = [
 
 @pytest.mark.parametrize("seeds", [1, 3])
 @pytest.mark.parametrize("name,g,arms,kind", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
-@pytest.mark.parametrize("block", [simulate.BATCH_ROWS, 37])
+@pytest.mark.parametrize("block", [1024, 37])
 def test_batch_runs_equal_per_seed_runs(monkeypatch, name, g, arms, kind, seeds, block):
     # 1101 steps: not a multiple of either block size, of the 1024-row draw
     # refill, nor of the checkpoint spacing, so the last step is a checkpoint of its own
@@ -455,10 +474,23 @@ def test_batch_runs_equal_per_seed_runs(monkeypatch, name, g, arms, kind, seeds,
     batch = run_informed_batch(g, arms, horizon, oracles, policy_seeds)
     assert len(batch) == seeds
     for run, oracle, seed in zip(batch, oracles, policy_seeds):
-        _assert_same_run(run, run_informed(g, arms, horizon, oracle, seed))
+        _assert_same_run(run, reference.run_informed(g, arms, horizon, oracle, seed))
     solo = run_solo_exp3_batch(arms, horizon, oracles, policy_seeds)
     for run, oracle, seed in zip(solo, oracles, policy_seeds):
-        _assert_same_run(run, run_solo_exp3(arms, horizon, oracle, seed))
+        _assert_same_run(run, reference.run_solo_exp3(arms, horizon, oracle, seed))
+
+
+@pytest.mark.parametrize("name,g,arms,kind", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_uninformed_runs_equal_reference_runs(monkeypatch, name, g, arms, kind):
+    # the warm-up phase takes several blocks, and the checkpoint spacing
+    # follows setup + horizon, not the horizon alone
+    horizon = 1101
+    monkeypatch.setattr(simulate, "BATCH_ROWS", 37)
+    for oracle, seed in zip(_batch_oracles(kind, 2, arms, 4000), (11, 12)):
+        run = run_uninformed(g, arms, 2 * g.node_count, horizon, oracle, seed)
+        assert run.setup_steps > 37
+        _assert_same_run(run, reference.run_uninformed(g, arms, 2 * g.node_count, horizon,
+                                                       oracle, seed))
 
 
 def test_batch_takes_a_given_partition_and_checks_arguments():
@@ -468,7 +500,7 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
     batch = run_informed_batch(g, 3, 300, oracles, [5, 6], partition=part)
     for run, oracle, seed in zip(batch, oracles, (5, 6)):
         assert run.partition is part
-        _assert_same_run(run, run_informed(g, 3, 300, oracle, seed, partition=part))
+        _assert_same_run(run, reference.run_informed(g, 3, 300, oracle, seed, partition=part))
     with pytest.raises(ValueError):
         run_informed_batch(g, 3, 300, oracles, [5])  # one seed short
     with pytest.raises(ValueError):
@@ -477,3 +509,147 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
         run_solo_exp3_batch(2, 300, oracles, [5, 6])  # oracle arm count mismatch
     with pytest.raises(exp3.ArmsTooFewError):
         run_informed_batch(g, 1, 300, oracles, [5, 6])
+
+
+def _small_graph(kind: str, n: int, seed: int):
+    if kind == "star":
+        return star_graph(n - 1)
+    if kind == "path":
+        return path_graph(n)
+    return random_connected_graph(n, 0.4, seed)
+
+
+def _reweighed(part: Partition, mass: str) -> Partition:
+    """The partition with every mass as elected, inflated 10^6-fold, or decayed e^5-fold."""
+    if mass == "inflated":
+        return dataclasses.replace(part, mass_m=tuple(m * 10**6 for m in part.mass_m))
+    if mass == "decayed":
+        return dataclasses.replace(part, mass_d=tuple(d + 30 for d in part.mass_d))
+    return part
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["star", "path", "random"]),
+    n=st.integers(2, 7),
+    graph_seed=st.integers(0, 50),
+    arms=st.integers(2, 4),
+    horizon=st.integers(5, 70),
+    setting=st.sampled_from(["informed", "uninformed"]),
+    seeds=st.sampled_from([1, 3]),
+    mass=st.sampled_from(["elected", "inflated", "decayed"]),
+    block=st.sampled_from([3, 37, simulate.BATCH_ROWS]),
+    cells=st.sampled_from([14, simulate.BATCH_CELLS]),
+)
+# short horizons, where only the decayed masses bring the floor and ceiling checks in
+@example(kind="path", n=5, graph_seed=0, arms=4, horizon=10, setting="informed", seeds=1,
+         mass="decayed", block=37, cells=simulate.BATCH_CELLS)
+@example(kind="star", n=4, graph_seed=0, arms=3, horizon=6, setting="uninformed", seeds=3,
+         mass="decayed", block=3, cells=simulate.BATCH_CELLS)
+# three seeds in kernel calls of 14 // 7 = 2 seeds and 1
+@example(kind="random", n=7, graph_seed=3, arms=2, horizon=30, setting="informed", seeds=3,
+         mass="elected", block=37, cells=14)
+def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, horizon, setting,
+                                                    seeds, mass, block, cells):
+    # Every field, checkpoint, played distribution, log byte and audit message
+    # of the kernel equals the per-seed reference simulator.  Losses of 5.0 and
+    # -3.0, past what matrix_losses accepts, make the audit fire: at the first
+    # policy round every distribution is uniform, so a center's p*estimate on
+    # its own arm is at least 5/arms > 1.  Inflated masses give rates so large
+    # that arms drop to probability 0; decayed ones give rates small enough
+    # for the one-step floor and ceiling checks, short horizons included.  At
+    # 14 cells an informed batch splits into kernel calls of 14 // N seeds.
+    g = _small_graph(kind, n, graph_seed)
+    n_upper = 2 * g.node_count
+    policy_seeds = [40 + 9 * i for i in range(seeds)]
+    setups = [
+        compute_centers_uninformed(g, arms, n_upper, horizon, np.random.default_rng(s)).total_steps
+        if setting == "uninformed" else 0
+        for s in policy_seeds
+    ]
+    oracles = []
+    for i, setup in enumerate(setups):
+        rng = np.random.default_rng(graph_seed + 100 * i)
+        table = np.where(rng.random((setup + horizon, arms)) < 0.3, -3.0, 5.0)
+        table[setup] = 5.0
+        table.setflags(write=False)
+        oracles.append(LossOracle(kind="matrix", arms=arms, table=table))
+    kernel_logs = [io.StringIO() for _ in policy_seeds]
+    reference_logs = [io.StringIO() for _ in policy_seeds]
+    options = dict(debug=True, record_distributions=True)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BATCH_ROWS", block)
+        mp.setattr(simulate, "BATCH_CELLS", cells)
+        if setting == "informed":
+            part = _reweighed(compute_centers_informed(g, arms).component_map.to_partition(), mass)
+            runs = simulate._informed_runs(g, arms, horizon, oracles, policy_seeds, part,
+                                           log_sinks=kernel_logs, **options)
+            expected = [
+                reference.run_informed(g, arms, horizon, oracle, seed, partition=part,
+                                       log_sink=sink, **options)
+                for oracle, seed, sink in zip(oracles, policy_seeds, reference_logs)
+            ]
+        else:
+            def elect(*args):
+                election = compute_centers_uninformed(*args)
+                part = _reweighed(election.final_map.to_partition(), mass)
+                return types.SimpleNamespace(
+                    final_map=types.SimpleNamespace(to_partition=lambda: part),
+                    total_steps=election.total_steps, luby_calls=election.luby_calls)
+
+            mp.setattr(simulate, "compute_centers_uninformed", elect)
+            mp.setattr(reference, "compute_centers_uninformed", elect)
+            runs = [
+                run_uninformed(g, arms, n_upper, horizon, oracle, seed, log_sink=sink, **options)
+                for oracle, seed, sink in zip(oracles, policy_seeds, kernel_logs)
+            ]
+            expected = [
+                reference.run_uninformed(g, arms, n_upper, horizon, oracle, seed, log_sink=sink,
+                                         **options)
+                for oracle, seed, sink in zip(oracles, policy_seeds, reference_logs)
+            ]
+
+    for run, want, log, want_log, setup in zip(runs, expected, kernel_logs, reference_logs,
+                                               setups):
+        _assert_same_run(run, want)
+        assert run.setup_steps == setup
+        assert run.debug_violations
+        assert log.getvalue() == want_log.getvalue()
+        assert log.getvalue().count("\n") == g.node_count * (setup + horizon)
+
+
+def _relay_partition(arms: int, origin_of=(0, 0, 1, 2)) -> Partition:
+    """Path 0-1-2-3 with center 0; node v copies origin_of[v]."""
+    return Partition(arms=arms, centers=(0,), center_of=(0, 0, 0, 0), origin_of=origin_of,
+                     delay=(0, 1, 2, 3), mass_m=(4, 4, 4, 4), mass_d=(0, 1, 2, 3))
+
+
+def _informed_both(g, arms, part):
+    oracle = bernoulli_losses([0.4, 0.6, 0.5][:arms], 1)
+    yield lambda: run_informed(g, arms, 50, oracle, 2, partition=part)
+    yield lambda: run_informed_batch(g, arms, 50, [oracle, oracle], [2, 3], partition=part)
+
+
+def test_caller_partition_fits_the_graph():
+    part = _relay_partition(2)
+    for run in _informed_both(path_graph(4), 2, part):
+        run()  # a valid partition runs
+    for run in _informed_both(path_graph(5), 2, part):
+        with pytest.raises(ValueError, match="partition covers 4 nodes"):
+            run()
+
+
+def test_caller_partition_fits_the_arms():
+    part = _relay_partition(2)
+    for run in _informed_both(path_graph(4), 3, part):
+        with pytest.raises(ValueError, match="partition is over 2 arms"):
+            run()
+
+
+def test_caller_partition_relays_copy_a_neighbor():
+    part = _relay_partition(2, origin_of=(0, 0, 0, 2))  # node 2 is two hops from 0
+    for run in _informed_both(path_graph(4), 2, part):
+        with pytest.raises(ValueError, match="relay 2 copies node 0"):
+            run()
