@@ -99,11 +99,10 @@ class Graph:
         Built from the CSR arrays in O(N + M) numpy work on every call and
         not kept: a graph holds only O(N + M) arrays between elections.
         """
-        indptr, indices = self.csr
-        degree = np.diff(indptr)
-        pad = np.full((self.node_count, int(degree.max())), self.node_count, dtype=np.int64)
-        rows = np.repeat(np.arange(self.node_count), degree)
-        pad[rows, np.arange(indices.size) - indptr[rows]] = indices
+        degree = self.closed_degrees - 1
+        slots = np.arange(int(degree.max()))
+        pad = np.full((self.node_count, slots.size), self.node_count, dtype=np.int64)
+        pad[slots < degree[:, None]] = self.csr[1]  # row-major fill is CSR order
         return pad
 
     def distances_from(self, source: int) -> np.ndarray:
@@ -215,12 +214,6 @@ class InducedSubgraph:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
-
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        root = next(iter(self.nodes))
-        return len(self.distances_from(root)) == len(self.nodes)
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:

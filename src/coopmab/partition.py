@@ -148,6 +148,46 @@ class ComponentMap:
         )
 
 
+def _mass_table(arms: int) -> np.ndarray:
+    """Mass score 6 ln(m) - d as ``table[m] - d``; nil (m = 0) scores -inf.
+
+    Equal pairs get equal scores and distinct pairs are far apart, so an
+    argmax over scores is exact.
+    """
+    table = np.full(arms + 1, -np.inf)
+    table[1:] = MASS_DECAY_DENOM * np.log(np.arange(1, arms + 1))
+    return table
+
+
+def _padded_rows(g: Graph) -> np.ndarray:
+    """(N + 1, max degree) neighbor rows, ascending, padded with the sentinel N.
+
+    Row N belongs to the nil node N and holds only N.  The sentinel gathers
+    the nil column of a state, whose score is -inf.
+    """
+    pad = g.padded_neighbors()
+    return np.concatenate((pad, np.full((1, pad.shape[1]), g.node_count)))
+
+
+def _spread_round(prev, score, nbrs, own, is_center) -> np.ndarray:
+    """One synchronous round for the nodes whose padded neighbor rows are ``nbrs``.
+
+    ``prev`` is the whole (4, N + 1) state of the previous round (rows
+    center_of, origin_of, mass_m, mass_d; column N is the nil node),
+    ``score`` its mass scores and ``own`` the advanced nodes' columns of
+    it.  A node whose origin already is a center keeps its state; every
+    other node picks the neighbor of highest score (the first, lowest-id
+    one on ties, since rows are ascending), inherits its center pointer
+    and takes its mass one hop deeper unless that mass is nil.
+    """
+    best = score.take(nbrs).argmax(axis=1)
+    chosen = nbrs.take(np.arange(0, nbrs.size, nbrs.shape[1]) + best)  # flat index of each row's best
+    pick = prev.take(chosen, axis=1)
+    pick[1] = chosen
+    pick[3] += pick[2] > 0
+    return np.where(is_center.take(own[1]), own, pick)
+
+
 def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> ComponentMap:
     """Propagate center mass outward and let every node pick its origin.
 
@@ -171,42 +211,25 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
 
     rounds = spread_rounds(arms) + 1
-    clamp = degree_clamp(g, arms)
+    log_m = _mass_table(arms)
     # One (4, n + 1) state: rows are SpreadRound's center_of, origin_of,
-    # mass_m, mass_d.  Column n is a nil node that picks itself each round;
-    # the pad sentinel gathers it.  A nil mass always has depth 0.
+    # mass_m, mass_d.  Column n is a nil node that picks itself each round.
+    # A nil mass always has depth 0.
     state = np.zeros((4, n + 1), dtype=np.int64)
     state[:2] = -1
     state[:2, center_list] = center_list
     state[1, n] = n
-    state[2, center_list] = clamp[center_list]
+    state[2, center_list] = degree_clamp(g, arms)[center_list]
     is_center = np.zeros(n + 1, dtype=bool)  # origin -1 reads the False of slot n
     is_center[center_list] = True
-    # mass score 6 ln(m) - d by table; nil (m = 0) scores -inf.  Equal pairs
-    # get equal scores and distinct pairs are far apart, so argmax is exact.
-    log_m = np.full(arms + 1, -np.inf)
-    log_m[1:] = MASS_DECAY_DENOM * np.log(np.arange(1, arms + 1))
-
-    # padded adjacency: the sentinel n reads the -inf slot of score_ext.  Rows
-    # are ascending, so argmax's first-max rule is exactly the lowest-id tie-break.
-    pad = g.padded_neighbors()
-    flat_pad = pad.ravel()
-    row_start = np.arange(n) * pad.shape[1]
+    nbrs = _padded_rows(g)
 
     # a round never writes into an earlier state, so the history holds views
     history = [SpreadRound(*state[:, :n])]
-    score_ext = np.full(n + 1, -np.inf)
     settled = rounds
     for t in range(1, rounds + 1):
-        np.subtract(log_m[state[2, :n]], state[3, :n], out=score_ext[:n])
-        chosen = np.append(flat_pad[row_start + score_ext[pad].argmax(axis=1)], n)
-        # every node not frozen (origin already a center) takes its chosen
-        # neighbor's center and mass, one hop deeper unless that mass is nil
-        pick = state.take(chosen, axis=1)
-        pick[1] = chosen
-        pick[3] += pick[2] > 0
-        new = np.where(is_center[state[1]], state, pick)
-        changed = not np.array_equal(new, state)
+        new = _spread_round(state, log_m.take(state[2]) - state[3], nbrs, state, is_center)
+        changed = (new != state).any()
         state = new
         history.append(SpreadRound(*state[:, :n]))
         if not changed:
@@ -214,8 +237,6 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
             # stays fixed, so the remaining rounds are no-ops
             settled = t - 1
             break
-    else:
-        settled = rounds
 
     cof, uof, mass_m, mass_d = state[:, :n]
     reached = mass_m > 0
@@ -340,42 +361,138 @@ class InformedCenters:
     iterations: int
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``a``, which is sorted in place."""
+    x = a.ravel()
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+class _SpreadRounds:
+    """Every propagation round 0..rounds of a growing center set.
+
+    ``states[t]`` is the (4, N + 1) round-t state that centers_to_components
+    reaches for the centers added so far, the last round repeated past
+    settling, and ``scores[t]`` its mass scores.  The empty set starts it:
+    nil mass everywhere and, from round 1 on, every origin at the node's
+    first neighbor.
+    """
+
+    def __init__(self, g: Graph, arms: int):
+        n = g.node_count
+        self.rounds = rounds = spread_rounds(arms) + 1
+        self.clamp = degree_clamp(g, arms)
+        self.log_m = _mass_table(arms)
+        self.nbrs = _padded_rows(g)  # contiguous: take() on a strided view copies it whole
+        # rows [v, neighbors of v]: closed neighborhoods as candidate sets
+        self.closed = np.empty((n + 1, self.nbrs.shape[1] + 1), dtype=np.int64)
+        self.closed[:, 0] = np.arange(n + 1)
+        self.closed[:, 1:] = self.nbrs
+        self.is_center = np.zeros(n + 1, dtype=bool)
+        self.states = np.zeros((rounds + 1, 4, n + 1), dtype=np.int64)
+        self.states[:, :2] = -1
+        self.states[0, 1, n] = n
+        self.states[1:, 1] = self.nbrs[:, 0]
+        self.scores = np.full((rounds + 1, n + 1), -np.inf)
+        self._mark = np.zeros(n + 1, dtype=bool)
+
+    def add(self, c: int) -> np.ndarray:
+        """Make ``c`` a center; return the nodes whose final-round state changed.
+
+        A node's round-t state depends only on its own and its neighbors'
+        round-(t-1) states, so round t is redone only for the closed
+        neighborhood of D, the nodes whose round-(t-1) state changed
+        (D = {c} at round 0).  Once D repeats with the same states and no
+        node within two hops of D changes any more, every later round
+        only repeats D's states.
+        """
+        states, scores, rounds = self.states, self.scores, self.rounds
+        self.is_center[c] = True
+        m = self.clamp[c]
+        states[0, :, c] = (c, c, m, 0)
+        scores[0, c] = self.log_m[m]
+        changed = np.array([c])
+        for t in range(1, rounds + 1):
+            cand = _distinct(self.closed.take(changed, axis=0))
+            own, old = states[t - 1:t + 1].take(cand, axis=2)
+            nbrs = self.nbrs.take(cand, axis=0)
+            new = _spread_round(states[t - 1], scores[t - 1], nbrs, own, self.is_center)
+            diff = np.logical_or.reduce(new != old)
+            states[t][:, cand] = new
+            scores[t, cand] = self.log_m.take(new[2]) - new[3]
+            now = cand[diff]
+            if (t < rounds and now.size == changed.size and (now == changed).all()
+                    and not np.logical_or.reduce(new != own)[diff].any()
+                    and self._ring_settled(cand, now, t)):
+                states[t + 1:, :, now] = states[t].take(now, axis=1)
+                scores[t + 1:, now] = scores[t].take(now)
+                break
+            changed = now
+        return now
+
+    def _ring_settled(self, near: np.ndarray, core: np.ndarray, t: int) -> bool:
+        """No node within two hops of ``core`` but outside it changes from round t on.
+
+        ``near`` is core's closed neighborhood.  Those nodes are outside the
+        sets this update wrote at rounds t-1 and t, so their stored rounds
+        from t-1 on are still the previous center set's.
+        """
+        ring = _distinct(self.closed.take(near, axis=0))
+        self._mark[core] = True  # a scratch mask; np.setdiff1d costs O(N) here
+        ring = ring[~self._mark[ring]]
+        self._mark[core] = False
+        tail = self.states[t - 1:].take(ring, axis=2)
+        return bool((tail == tail[0]).all())
+
+
+def _greedy_centers(g: Graph, arms: int) -> list[int]:
+    """The informed greedy's centers in order of addition."""
+    spread = _SpreadRounds(g, arms)
+    closed, final = spread.closed, spread.scores[-1]
+    n = g.node_count
+    cdeg = np.zeros(n + 1, dtype=np.int64)
+    cdeg[:n] = g.closed_degrees
+    # score a node needs to be satisfied; -inf once a center is within two hops
+    target = np.full(n + 1, -np.inf)
+    target[:n] = spread.log_m.take(spread.clamp)
+    # closed degree while unsatisfied, else 0: argmax's first hit is the lowest id
+    key = cdeg.copy()
+    centers: list[int] = []
+    while True:
+        nxt = int(key.argmax())
+        if not key[nxt]:
+            return centers
+        if len(centers) == n:
+            raise AssertionError("center search failed to shrink the unsatisfied set")
+        centers.append(nxt)
+        ball = closed.take(closed[nxt], axis=0)
+        target[ball] = -np.inf
+        key[ball] = 0
+        moved = spread.add(nxt)
+        key[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
+
+
 def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
     """Greedily add the densest unsatisfied node until everyone is served.
 
     A node is satisfied once its mass reaches its own clamped closed degree
-    or a center sits within two hops.  Each pass re-propagates from the
-    grown center set; each pass adds exactly one center, so the loop ends
-    within node_count iterations.  Ties in closed degree go to the lowest id.
+    or a center sits within two hops.  Ties in closed degree go to the
+    lowest id.  Each added center updates every propagation round of the
+    grown set (``_SpreadRounds.add``), redoing only the nodes whose state
+    it can change, and only nodes whose final mass changed are re-scored.
+    Each pass adds exactly one center, so the loop ends within node_count
+    iterations; one final centers_to_components call builds the map.
     """
     n = g.node_count
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    cdeg = g.closed_degrees
-    clamp_score = MASS_DECAY_DENOM * np.log(degree_clamp(g, arms))
-    near = np.zeros(n, dtype=bool)  # a center within two hops
-    pending = np.arange(n)  # ascending, so argmax's first hit is the lowest id
-    centers: list[int] = []
-    comp = None
-    iterations = 0
-    while pending.size:
-        iterations += 1
-        if iterations > n:
-            raise AssertionError("center search failed to shrink the unsatisfied set")
-        nxt = int(pending[cdeg[pending].argmax()])
-        centers.append(nxt)
-        comp = centers_to_components(g, centers, arms)
-        score = np.where(
-            comp.mass_m > 0,
-            MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d,
-            -np.inf,
-        )
-        near[list(g.ball(nxt, 2))] = True
-        pending = np.flatnonzero((score < clamp_score) & ~near)
-    assert comp is not None
-    return InformedCenters(tuple(centers), comp, iterations)
+    centers = _greedy_centers(g, arms)
+    return InformedCenters(tuple(centers), centers_to_components(g, centers, arms), len(centers))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopmab.graph import (
     build_graph,
@@ -32,6 +34,7 @@ from coopmab.partition import (
     spread_history_violations,
     spread_rounds,
     validate_partition,
+    _SpreadRounds,
 )
 
 
@@ -286,6 +289,118 @@ def test_informed_election_equals_quadratic_oracle(arms):
         assert found.centers == centers and found.iterations == len(centers)
         got = json.dumps(partition_to_json(found.component_map.to_partition()))
         assert got == json.dumps(partition_to_json(comp.to_partition()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    density=st.sampled_from([0.0, 0.0, 0.04, 0.12, 0.5]),  # trees, sparse cycles, dense
+    seed=st.integers(0, 2**32 - 1),
+    arms=st.sampled_from([2, 3, 10, 50]),
+)
+def test_informed_election_equals_oracle_on_random_graphs(n, density, seed, arms):
+    g = random_connected_graph(n, density, seed)
+    found = compute_centers_informed(g, arms)
+    centers, comp = _informed_greedy_oracle(g, arms)
+    assert found.centers == centers and found.iterations == len(centers)
+    _assert_same_map(found.component_map, comp)
+
+
+def _blocking_graph():
+    """Hub 0 (clamp 10) with leaves 1..8, a path 0-9-10-11-12, and node 13
+    (clamp 5, leaves 14..16) beyond 12; node 17 hangs off 12."""
+    edges = [(0, v) for v in range(1, 9)] + [(0, 9), (9, 10), (10, 11), (11, 12), (12, 13),
+                                             (13, 14), (13, 15), (13, 16), (12, 17)]
+    return build_graph(18, edges)
+
+
+def test_informed_added_center_can_lower_mass():
+    # 0's mass reaches 13 only at depth 5, below 13's own clamp, so 13 is
+    # elected second.  Its neighbor 12 then freezes on 13 at round 1,
+    # before 0's larger mass (10, 4) arrives, and 17 inherits the drop.
+    g = _blocking_graph()
+    found = compute_centers_informed(g, 10)
+    assert found.centers == (0, 13)
+    centers, comp = _informed_greedy_oracle(g, 10)
+    assert found.centers == centers
+    _assert_same_map(found.component_map, comp)
+
+    spread = _SpreadRounds(g, 10)
+    spread.add(0)
+    before = spread.states[-1, 2:, :18].copy()
+    moved = spread.add(13)
+    after = spread.states[-1, 2:, :18]
+    assert {12, 17} <= set(moved.tolist())
+    assert (before[:, 12].tolist(), after[:, 12].tolist()) == ([10, 4], [5, 1])
+    assert (before[:, 17].tolist(), after[:, 17].tolist()) == ([10, 5], [5, 2])
+    for v in (12, 17):
+        assert Mass(*after[:, v].tolist()) < Mass(*before[:, v].tolist())
+        assert found.component_map.mass(v) == Mass(*after[:, v].tolist())
+
+
+def _informed_greedy_repropagating(g, arms):
+    """The informed greedy with one whole-graph centers_to_components per pass,
+    a running two-hop mask, and pending nodes re-scored from scratch."""
+    n = g.node_count
+    cdeg = g.closed_degrees
+    clamp_score = MASS_DECAY_DENOM * np.log(degree_clamp(g, arms))
+    near = np.zeros(n, dtype=bool)
+    pending = np.arange(n)
+    centers, comp = [], None
+    while pending.size:
+        nxt = int(pending[cdeg[pending].argmax()])
+        centers.append(nxt)
+        comp = centers_to_components(g, centers, arms)
+        score = np.where(comp.mass_m > 0,
+                         MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d, -np.inf)
+        near[list(g.ball(nxt, 2))] = True
+        pending = np.flatnonzero((score < clamp_score) & ~near)
+    return tuple(centers), comp
+
+
+def test_informed_election_large_tree_byte_identical():
+    g = random_connected_graph(1500, 0.0, 1500)
+    found = compute_centers_informed(g, 10)
+    centers, comp = _informed_greedy_repropagating(g, 10)
+    assert found.centers == centers and found.iterations == len(centers)
+    _assert_same_map(found.component_map, comp)
+    got = json.dumps(partition_to_json(found.component_map.to_partition()))
+    assert got == json.dumps(partition_to_json(comp.to_partition()))
+
+
+def _assert_rounds_match(spread, g, centers, arms):
+    n = g.node_count
+    hist = centers_to_components(g, centers, arms).history
+    for t in range(spread.rounds + 1):
+        h = hist[min(t, len(hist) - 1)]  # the last round repeats past settling
+        want = np.stack([h.center_of, h.origin_of, h.mass_m, h.mass_d])
+        assert spread.states[t, :, :n].tobytes() == want.tobytes(), (centers, t)
+        assert spread.states[t, :, n].tolist() == [-1, n, 0, 0]
+        score = np.where(want[2] > 0, MASS_DECAY_DENOM * np.log(np.maximum(want[2], 1)) - want[3],
+                         -np.inf)
+        assert spread.scores[t, :n].tobytes() == score.tobytes(), (centers, t)
+
+
+@pytest.mark.parametrize("arms", [2, 3, 10, 50])
+def test_spread_rounds_equal_history_after_every_center(arms):
+    rng = np.random.default_rng(2000 + arms)
+    graphs = [star_graph(9), path_graph(30), complete_graph(6), _blocking_graph()]
+    for _ in range(12):
+        n = int(rng.integers(2, 60))
+        graphs.append(random_connected_graph(n, float(rng.choice([0.0, 0.05, 0.3])), rng))
+    for g in graphs:
+        n = g.node_count
+        # the greedy's own order, then any center set in any order, adjacent centers included
+        orders = [list(compute_centers_informed(g, arms).centers),
+                  [int(v) for v in rng.permutation(n)[:int(rng.integers(1, min(n, 8) + 1))]]]
+        for order in orders:
+            spread = _SpreadRounds(g, arms)
+            for i, c in enumerate(order):
+                before = spread.states[-1].copy()
+                moved = spread.add(c)
+                _assert_rounds_match(spread, g, order[: i + 1], arms)
+                changed = np.flatnonzero((spread.states[-1] != before).any(axis=0))
+                assert moved.tolist() == changed.tolist()
 
 
 def test_luby_singleton_and_empty():
