@@ -99,10 +99,11 @@ class Graph:
         Built from the CSR arrays in O(N + M) numpy work on every call and
         not kept: a graph holds only O(N + M) arrays between elections.
         """
-        degree = self.closed_degrees - 1
-        slots = np.arange(int(degree.max()))
-        pad = np.full((self.node_count, slots.size), self.node_count, dtype=np.int64)
-        pad[slots < degree[:, None]] = self.csr[1]  # row-major fill is CSR order
+        indptr, indices = self.csr
+        degree = np.diff(indptr)
+        pad = np.full((self.node_count, int(degree.max())), self.node_count, dtype=np.int64)
+        rows = np.repeat(np.arange(self.node_count), degree)
+        pad[rows, np.arange(indices.size) - indptr[rows]] = indices
         return pad
 
     def distances_from(self, source: int) -> np.ndarray:

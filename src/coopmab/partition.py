@@ -225,24 +225,30 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
     nbrs = _padded_rows(g)
 
     # a round never writes into an earlier state, so the history holds views
-    history = [SpreadRound(*state[:, :n])]
+    states = [state]
     settled = rounds
     for t in range(1, rounds + 1):
         new = _spread_round(state, log_m.take(state[2]) - state[3], nbrs, state, is_center)
         changed = (new != state).any()
         state = new
-        history.append(SpreadRound(*state[:, :n]))
+        states.append(state)
         if not changed:
             # the update is a deterministic function of state: a fixed point
             # stays fixed, so the remaining rounds are no-ops
             settled = t - 1
             break
+    return _component_map(arms, center_list, states, settled)
 
-    cof, uof, mass_m, mass_d = state[:, :n]
+
+def _component_map(arms: int, center_list: list[int], states, settled: int) -> ComponentMap:
+    """The map whose history is ``states``, the (4, N + 1) rounds from round 0 on."""
+    n = states[0].shape[1] - 1
+    history = [SpreadRound(*s[:, :n]) for s in states]
+    cof, uof, mass_m, mass_d = states[-1][:, :n]
     reached = mass_m > 0
     return ComponentMap(
         arms=arms,
-        rounds=rounds,
+        rounds=spread_rounds(arms) + 1,
         settled_round=settled,
         centers=tuple(center_list),
         center_of=np.where(reached, cof, -1),
@@ -387,12 +393,10 @@ class _SpreadRounds:
         self.clamp = degree_clamp(g, arms)
         self.log_m = _mass_table(arms)
         self.nbrs = _padded_rows(g)  # contiguous: take() on a strided view copies it whole
-        # rows [v, neighbors of v]: closed neighborhoods as candidate sets
-        self.closed = np.empty((n + 1, self.nbrs.shape[1] + 1), dtype=np.int64)
-        self.closed[:, 0] = np.arange(n + 1)
-        self.closed[:, 1:] = self.nbrs
         self.is_center = np.zeros(n + 1, dtype=bool)
-        self.states = np.zeros((rounds + 1, 4, n + 1), dtype=np.int64)
+        # int32 holds every field (ids up to N, m up to arms, d up to rounds)
+        # at half the size; the rounds are widened to int64 only for the map
+        self.states = np.zeros((rounds + 1, 4, n + 1), dtype=np.int32)
         self.states[:, :2] = -1
         self.states[0, 1, n] = n
         self.states[1:, 1] = self.nbrs[:, 0]
@@ -416,7 +420,7 @@ class _SpreadRounds:
         scores[0, c] = self.log_m[m]
         changed = np.array([c])
         for t in range(1, rounds + 1):
-            cand = _distinct(self.closed.take(changed, axis=0))
+            cand = _distinct(np.concatenate((changed, self.nbrs.take(changed, axis=0).ravel())))
             own, old = states[t - 1:t + 1].take(cand, axis=2)
             nbrs = self.nbrs.take(cand, axis=0)
             new = _spread_round(states[t - 1], scores[t - 1], nbrs, own, self.is_center)
@@ -436,11 +440,12 @@ class _SpreadRounds:
     def _ring_settled(self, near: np.ndarray, core: np.ndarray, t: int) -> bool:
         """No node within two hops of ``core`` but outside it changes from round t on.
 
-        ``near`` is core's closed neighborhood.  Those nodes are outside the
-        sets this update wrote at rounds t-1 and t, so their stored rounds
-        from t-1 on are still the previous center set's.
+        ``near`` is core's closed neighborhood, so its neighbors include
+        every node within two hops of core outside it.  Those ring nodes
+        are outside the sets this update wrote at rounds t-1 and t, so
+        their stored rounds from t-1 on are still the previous center set's.
         """
-        ring = _distinct(self.closed.take(near, axis=0))
+        ring = _distinct(self.nbrs.take(near, axis=0))
         self._mark[core] = True  # a scratch mask; np.setdiff1d costs O(N) here
         ring = ring[~self._mark[ring]]
         self._mark[core] = False
@@ -448,10 +453,10 @@ class _SpreadRounds:
         return bool((tail == tail[0]).all())
 
 
-def _greedy_centers(g: Graph, arms: int) -> list[int]:
-    """The informed greedy's centers in order of addition."""
+def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], np.ndarray]:
+    """The informed greedy's centers in order of addition, and their rounds."""
     spread = _SpreadRounds(g, arms)
-    closed, final = spread.closed, spread.scores[-1]
+    nbrs, final = spread.nbrs, spread.scores[-1]
     n = g.node_count
     cdeg = np.zeros(n + 1, dtype=np.int64)
     cdeg[:n] = g.closed_degrees
@@ -464,11 +469,12 @@ def _greedy_centers(g: Graph, arms: int) -> list[int]:
     while True:
         nxt = int(key.argmax())
         if not key[nxt]:
-            return centers
+            return centers, spread.states
         if len(centers) == n:
             raise AssertionError("center search failed to shrink the unsatisfied set")
         centers.append(nxt)
-        ball = closed.take(closed[nxt], axis=0)
+        near = np.append(nbrs[nxt], nxt)
+        ball = np.concatenate((near, nbrs.take(near, axis=0).ravel()))
         target[ball] = -np.inf
         key[ball] = 0
         moved = spread.add(nxt)
@@ -484,15 +490,20 @@ def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
     grown set (``_SpreadRounds.add``), redoing only the nodes whose state
     it can change, and only nodes whose final mass changed are re-scored.
     Each pass adds exactly one center, so the loop ends within node_count
-    iterations; one final centers_to_components call builds the map.
+    iterations.  The kept rounds are centers_to_components' history for
+    the final set, the last round repeated, so they build the map: its
+    history runs up to the first round that equals the one before.
     """
     n = g.node_count
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    centers = _greedy_centers(g, arms)
-    return InformedCenters(tuple(centers), centers_to_components(g, centers, arms), len(centers))
+    centers, states = _greedy_centers(g, arms)
+    last = len(states) - 1
+    settled = next((t - 1 for t in range(1, last + 1) if (states[t] == states[t - 1]).all()), last)
+    comp = _component_map(arms, sorted(centers), states[:settled + 2].astype(np.int64), settled)
+    return InformedCenters(tuple(centers), comp, len(centers))
 
 
 @dataclass(frozen=True)

@@ -374,7 +374,7 @@ def _assert_rounds_match(spread, g, centers, arms):
     for t in range(spread.rounds + 1):
         h = hist[min(t, len(hist) - 1)]  # the last round repeats past settling
         want = np.stack([h.center_of, h.origin_of, h.mass_m, h.mass_d])
-        assert spread.states[t, :, :n].tobytes() == want.tobytes(), (centers, t)
+        assert (spread.states[t, :, :n] == want).all(), (centers, t)
         assert spread.states[t, :, n].tolist() == [-1, n, 0, 0]
         score = np.where(want[2] > 0, MASS_DECAY_DENOM * np.log(np.maximum(want[2], 1)) - want[3],
                          -np.inf)

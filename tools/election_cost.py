@@ -2,14 +2,14 @@
 
 Run from the root of a checkout (stdlib and numpy only):
 
-    python tools/election_cost.py                       # n = 1500, 3000, 10^4, 10^5
-    python tools/election_cost.py --sizes 1500 3000 --repeats 3 --out /tmp/cost.json
+    python tools/election_cost.py                 # writes BENCH_election.json
+    python tools/election_cost.py --out cost.json
 
-For each n, one seeded uniform random tree (``random_connected_graph(n,
-0.0, n)``) with K = 10 arms.  Each timing is the median of ``--repeats``
-runs of: the informed election, the uninformed election (n_upper = n,
-horizon 10^5, policy seed 0), and ``validate_partition`` on each
-election's partition.  Every size runs in a fresh child process, so its
+For each n in 1,500, 3,000, 10^4 and 10^5, one seeded uniform random tree
+(``random_connected_graph(n, 0.0, n)``) with K = 10 arms.  Each timing is
+the median of 3 runs of: the informed election, the uninformed election
+(n_upper = n, horizon 10^5, policy seed 0), and ``validate_partition`` on
+each election's partition.  Every size runs in a fresh child process, so its
 ``peak_rss_mb`` (the child's ``ru_maxrss``, graph included) is that size's
 alone; ``informed_peak_rss_mb`` is the same reading taken right after the
 informed runs, before anything else is allocated.  The result, with the
@@ -33,11 +33,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1_500, 3_000, 10_000, 100_000)
 ARMS = 10
 HORIZON = 100_000
+REPEATS = 3
 
 
-def _median_time(fn, repeats: int):
+def _median_time(fn):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         out = None  # the previous result is not kept alive through the next run
         t0 = time.perf_counter()
         out = fn()
@@ -45,7 +46,7 @@ def _median_time(fn, repeats: int):
     return statistics.median(times), out
 
 
-def measure(n: int, repeats: int) -> dict:
+def measure(n: int) -> dict:
     """Time one size in this process; the caller runs it in a fresh child."""
     import numpy as np
 
@@ -54,10 +55,10 @@ def measure(n: int, repeats: int) -> dict:
                                    validate_partition)
 
     g = random_connected_graph(n, 0.0, n)
-    informed_s, informed = _median_time(lambda: compute_centers_informed(g, ARMS), repeats)
+    informed_s, informed = _median_time(lambda: compute_centers_informed(g, ARMS))
     informed_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     uninformed_s, uninformed = _median_time(
-        lambda: compute_centers_uninformed(g, ARMS, n, HORIZON, np.random.default_rng(0)), repeats)
+        lambda: compute_centers_uninformed(g, ARMS, n, HORIZON, np.random.default_rng(0)))
     out = {
         "n": n,
         "informed_s": informed_s,
@@ -68,7 +69,7 @@ def measure(n: int, repeats: int) -> dict:
     }
     for name, part in (("informed", informed.component_map.to_partition()),
                        ("uninformed", uninformed.final_map.to_partition())):
-        out[f"validate_{name}_s"], report = _median_time(lambda: validate_partition(g, part), repeats)
+        out[f"validate_{name}_s"], report = _median_time(lambda: validate_partition(g, part))
         if not report.ok:
             raise SystemExit(f"n={n}: {name} partition fails validation: {report.lines()}")
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -88,22 +89,20 @@ def _cpu_model() -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_election.json")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
         sys.path.insert(0, str(ROOT / "src"))
-        print(json.dumps(measure(args.child, args.repeats)))
+        print(json.dumps(measure(args.child)))
         return 0
 
     import numpy as np
 
     rows = []
-    for n in args.sizes:
+    for n in SIZES:
         child = subprocess.run(
-            [sys.executable, __file__, "--child", str(n), "--repeats", str(args.repeats)],
+            [sys.executable, __file__, "--child", str(n)],
             check=True, capture_output=True, text=True)
         row = json.loads(child.stdout.strip().splitlines()[-1])
         rows.append(row)
@@ -112,10 +111,10 @@ def main(argv=None) -> int:
               f"uninformed {row['uninformed_s']:.3f} s, validate {row['validate_informed_s']:.3f} / "
               f"{row['validate_uninformed_s']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB", flush=True)
     doc = {
-        "what": "election and validation time on seeded uniform random trees, K=10, median of repeats",
+        "what": "election and validation time on seeded uniform random trees, K=10, median of 3",
         "arms": ARMS,
         "horizon": HORIZON,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "machine": {
             "nproc": os.cpu_count(),
             "cpu": _cpu_model(),
