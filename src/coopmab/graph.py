@@ -19,6 +19,20 @@ import numpy as np
 INDEPENDENCE_LIMIT = 30  # exhaustive independence_number() refuses larger graphs
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``a``, which is sorted in place.
+
+    A sort and a neighbor comparison: ``np.unique`` hashes integers, several
+    times slower on BFS frontiers.
+    """
+    x = a.ravel()
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 class GraphError(ValueError):
     """Base class for graph construction and parsing failures."""
 
@@ -127,7 +141,7 @@ class Graph:
         sources at once: O(N + M) however many sources there are.
         """
         n = self.node_count
-        frontier = np.unique(np.fromiter(sources, dtype=np.int64))
+        frontier = _distinct(np.fromiter(sources, dtype=np.int64))
         if frontier.size and not (0 <= frontier[0] and frontier[-1] < n):
             bad = frontier[(frontier < 0) | (frontier >= n)][0]
             raise NodeOutOfRangeError(f"node {bad} outside 0..{n - 1}")
@@ -142,7 +156,7 @@ class Graph:
             # flat CSR positions of every frontier node's neighbor range
             shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
             reached = indices[shift + np.arange(shift.size)]
-            frontier = np.unique(reached[dist[reached] < 0])
+            frontier = _distinct(reached[dist[reached] < 0])
             dist[frontier] = level
         return dist
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exp3 import ArmsTooFewError
-from .graph import Graph, induced_subgraph, is_r_independent
+from .graph import Graph, _distinct, induced_subgraph, is_r_independent
 
 MASS_DECAY_DENOM = 6  # one relay hop multiplies mass by exp(-1/6)
 
@@ -365,16 +365,6 @@ class InformedCenters:
     centers: tuple[int, ...]  # in order of addition
     component_map: ComponentMap
     iterations: int
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of ``a``, which is sorted in place."""
-    x = a.ravel()
-    x.sort()
-    keep = np.empty(x.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
 
 
 class _SpreadRounds:

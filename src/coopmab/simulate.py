@@ -24,7 +24,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import exp3
-from .graph import Graph, independence_number
+from .graph import Graph, _distinct, independence_number
 from .partition import (
     Partition,
     compute_centers_informed,
@@ -249,7 +249,10 @@ def _run_batch(
     agent).  The arithmetic is done on (seeds, agents, arms) arrays in a
     fixed reduction order, so a seed's result does not depend on which
     seeds share its batch.  Losses and policy draws are read, and digest
-    records and log lines written, one block of steps at a time.
+    records written, one block of steps at a time.  The debug audit runs
+    on the stashed center updates of several steps at once, and the log
+    writer on several steps of a block: each holds at most BATCH_CELLS / 64
+    center-arm cells or lines, or one step's when that is more.
     """
     seeds, n, k = len(oracles), partition.node_count, partition.arms
     total = setup + horizon
@@ -262,6 +265,13 @@ def _run_batch(
     digests = [hashlib.blake2b(header, digest_size=8) for _ in range(seeds)]
     record = np.dtype([("t", np.int64), ("a", np.int64, (n,)), ("c", np.float64, (n,))])
     sinks = [None] * seeds if log_sinks is None else list(log_sinks)
+    cells = BATCH_CELLS >> 6
+    if any(x is not None for x in sinks):  # steps per write; a line's fixed text (_log_lines)
+        lines = max(1, cells // n)
+        frags = [np.array(f, dtype=object) for f in (
+            [f', "v": {v}, "action": ' for v in range(n)],
+            [f', "role": "{r}"}}\n' for r in role_names],
+            [f'{a}, "loss": ' for a in range(k)])]
 
     # The centers' closed neighborhoods laid end to end: segment i, from
     # starts[i], is center i's; slot maps each entry back to its center.
@@ -275,6 +285,9 @@ def _run_batch(
     rates = rates[:, None]
     drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
     logw = np.zeros((seeds, len(centers), k))
+    if debug:  # p_now, p_next, est and observe of the steps not yet audited
+        chunk = max(1, cells // logw.size)
+        stash = np.empty((4, chunk * seeds) + logw.shape[1:])
 
     dists = np.full((seeds, n, k), 1.0 / k)
     realized = np.zeros((seeds, n))
@@ -355,7 +368,11 @@ def _run_batch(
                 new_dists = p.take(origin_idx, axis=1)
                 # every center at once: products over its closed neighborhood,
                 # taken member by member in ascending order
-                observe = 1.0 - np.multiply.reduceat(1.0 - p.take(flat, axis=1), starts, axis=1)
+                i = (t - setup - 1) % chunk if debug else 0
+                out = stash[:, i * seeds:(i + 1) * seeds] if debug else (None,) * 4
+                observe = np.subtract(
+                    1.0, np.multiply.reduceat(1.0 - p.take(flat, axis=1), starts, axis=1),
+                    out=out[3])
                 observed = np.zeros((seeds, len(centers), k), dtype=bool)
                 observed.put(observed_cell + actions.take(flat, axis=1), True)
                 est = exp3.estimated_loss_vector(loss_row[:, None], observe, observed)
@@ -365,10 +382,13 @@ def _run_batch(
                 lw = logw - rates * est
                 lw -= lw.max(axis=2, keepdims=True)
                 w = np.exp(lw)
-                p_next = w / w.sum(axis=2, keepdims=True)
+                p_next = np.divide(w, w.sum(axis=2, keepdims=True), out=out[1])
                 if debug:
-                    _audit(violations, t, centers, p.take(centers, axis=1), p_next, est, rates,
-                           observe, drift)
+                    p.take(centers, axis=1, out=out[0])
+                    out[2] = est
+                    if i == chunk - 1 or t == total:
+                        _audit(violations, t - i, centers, *stash[:, :(i + 1) * seeds], rates,
+                               drift)
                 new_dists.reshape(-1, k)[center_rows] = p_next.reshape(-1, k)
                 logw = lw
                 dists = new_dists
@@ -380,8 +400,9 @@ def _run_batch(
                 rec["c"] = charged_blk[:, s]
                 digests[s].update(rec.tobytes())  # step, actions as int64, losses; step by step
                 if sinks[s] is not None:
-                    _write_log(sinks[s], start + 1, actions_blk[:, s], charged_blk[:, s],
-                               role_names)
+                    for a in range(0, stop - start, lines):
+                        _log_lines(sinks[s], start + a + 1, actions_blk[a:a + lines, s],
+                                   charged_blk[a:a + lines, s], *frags)
 
     return [
         _result(setting, partition, realized[s], semi[s], arm_cum[s], digests[s].hexdigest(),
@@ -392,11 +413,12 @@ def _run_batch(
     ]
 
 
-def _audit(violations, t, centers, p_now, p_next, est, rates, observe, drift) -> None:
-    """Append the debug audit's findings on round t's center updates, seed by seed.
+def _audit(violations, t0, centers, p_now, p_next, est, observe, rates, drift) -> None:
+    """Append the debug audit's findings on the center updates of rounds t0, t0+1, ...
 
-    Arrays are (seeds, centers, arms); ``drift`` marks the centers the
-    one-step floor and ceiling checks cover (rate <= 0.5/arms, horizon not short).
+    Arrays are (rounds * seeds, centers, arms), seed fastest; ``drift`` marks
+    the centers the one-step floor and ceiling checks cover (rate <= 0.5/arms,
+    horizon not short).
     """
     tol = 1e-9
     zero_observe = ((est != 0.0) & (observe <= 0.0)).any(axis=2)
@@ -411,37 +433,44 @@ def _audit(violations, t, centers, p_now, p_next, est, rates, observe, drift) ->
     hi = 2.0 * p_now
     below = drift & (p_next < lo * (1.0 - tol) - 1e-15).any(axis=2)
     above = drift & (p_next > hi * (1.0 + tol) + 1e-15).any(axis=2)
-    for s, i in zip(*np.nonzero(zero_observe | over_one | invalid | below | above)):
-        out, c = violations[s], int(centers[i])
-        if zero_observe[s, i]:
-            out.append(f"t={t} center {c}: estimate with zero observe prob")
-        if over_one[s, i]:
-            a = int(per_arm[s, i].argmax())
-            out.append(f"t={t} center {c}: p*estimate = {per_arm[s, i, a]:.12f} > 1 on arm {a}")
-        if invalid[s, i]:
-            out.append(f"t={t} center {c}: update left an invalid distribution")
-        if below[s, i]:
-            a = int((lo[s, i] - p_next[s, i]).argmax())
-            out.append(
-                f"t={t} center {c}: arm {a} fell below one-step floor "
-                f"({p_next[s, i, a]:.12e} < {lo[s, i, a]:.12e})"
-            )
-        if above[s, i]:
-            a = int((p_next[s, i] - hi[s, i]).argmax())
-            out.append(
-                f"t={t} center {c}: arm {a} above one-step ceiling "
-                f"({p_next[s, i, a]:.12e} > {hi[s, i, a]:.12e})"
-            )
+    for r, i in zip(*np.nonzero(zero_observe | over_one | invalid | below | above)):
+        j, s = divmod(int(r), len(violations))
+        out, at = violations[s], f"t={t0 + j} center {centers[i]}: "
+        if zero_observe[r, i]:
+            out.append(at + "estimate with zero observe prob")
+        if over_one[r, i]:
+            a = int(per_arm[r, i].argmax())
+            out.append(at + f"p*estimate = {per_arm[r, i, a]:.12f} > 1 on arm {a}")
+        if invalid[r, i]:
+            out.append(at + "update left an invalid distribution")
+        if below[r, i]:
+            a = int((lo[r, i] - p_next[r, i]).argmax())
+            out.append(at + f"arm {a} fell below one-step floor "
+                       f"({p_next[r, i, a]:.12e} < {lo[r, i, a]:.12e})")
+        if above[r, i]:
+            a = int((p_next[r, i] - hi[r, i]).argmax())
+            out.append(at + f"arm {a} above one-step ceiling "
+                       f"({p_next[r, i, a]:.12e} > {hi[r, i, a]:.12e})")
 
 
-def _write_log(sink: IO, first_t: int, actions: np.ndarray, charged: np.ndarray,
-               role_names: list[str]) -> None:
-    """One JSON line per agent per step, steps from first_t on: t, v, action, loss, role."""
-    for t, (acts, losses) in enumerate(zip(actions, charged), first_t):
-        sink.write("".join(
-            f'{{"t": {t}, "v": {v}, "action": {a}, "loss": {x!r}, "role": "{role}"}}\n'
-            for v, (a, x, role) in enumerate(zip(acts.tolist(), losses.tolist(), role_names))
-        ))
+def _log_lines(sink: IO, first_t: int, actions, charged, agent_v, agent_role, arm_text) -> None:
+    """One JSON line per agent per step, steps from first_t on, built column by column.
+
+    A line is '{"t": T', agent_v[v], arm_text[action], the loss's repr and
+    agent_role[v]; each distinct bit pattern of the losses is formatted
+    once, so -0.0 keeps its sign.
+    """
+    bits = charged.view(np.int64)
+    seen = _distinct(np.array(bits))
+    losses = np.array(list(map(repr, seen.view(np.float64).tolist())), dtype=object)
+    cols = np.empty(actions.shape + (5,), dtype=object)
+    steps = [f'{{"t": {t}' for t in range(first_t, first_t + len(actions))]
+    cols[..., 0] = np.array(steps, dtype=object)[:, None]
+    cols[..., 1] = agent_v
+    cols[..., 2] = arm_text.take(actions)
+    cols[..., 3] = losses.take(seen.searchsorted(bits))
+    cols[..., 4] = agent_role
+    sink.write("".join(cols.ravel().tolist()))
 
 
 def _check_partition(g: Graph, arms: int, partition: Partition) -> None:

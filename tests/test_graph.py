@@ -162,6 +162,19 @@ def test_independence_number_vs_enumeration():
         assert independence_number(g) == best
 
 
+@pytest.mark.skipif(nx is None, reason="networkx is not installed")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.sampled_from([0.0, 0.05, 0.15, 0.4, 0.8, 1.0]),
+       st.integers(0, 2**31 - 1))
+def test_independence_number_equals_networkx_complement_clique(n, density, seed):
+    # an independent set of g is a clique of its complement
+    g = random_connected_graph(n, density, seed)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
+    assert independence_number(g) == nx.max_weight_clique(nx.complement(h), weight=None)[1]
+
+
 def test_parse_and_format_round_trip():
     g = random_connected_graph(10, 0.3, 21)
     assert parse_edge_list(format_edge_list(g)).adj == g.adj

@@ -620,6 +620,77 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         assert log.getvalue().count("\n") == g.node_count * (setup + horizon)
 
 
+# losses whose repr is easy to get wrong: signed zeros, subnormals and the
+# smallest normal, both sides of repr's switch to exponent form below 1e-4,
+# and sums that round
+EDGE_LOSSES = (-0.0, 0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+               9.999999999999999e-06, 1e-05, 1.0000000000000002e-05, 9.999999999999999e-05,
+               0.0001, 0.00010000000000000002, 0.1 + 0.2, 0.7 + 0.1, 1 / 3, 0.9999999999999999,
+               1.0)
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["star", "path", "random"]),
+    n=st.integers(2, 7),
+    arms=st.integers(2, 4),
+    horizon=st.integers(5, 60),
+    setting=st.sampled_from(["informed", "uninformed"]),
+    seeds=st.sampled_from([1, 3]),
+    values=st.lists(st.sampled_from(EDGE_LOSSES) | st.floats(0.0, 1.0), min_size=1, max_size=6),
+    block=st.sampled_from([3, 7, 37]),
+    cells=st.integers(64, 4096),
+)
+@example(kind="path", n=5, arms=3, horizon=40, setting="uninformed", seeds=1,
+         values=[5e-324, 1e-05, 0.1 + 0.2], block=37, cells=1000)
+@example(kind="star", n=4, arms=2, horizon=30, setting="informed", seeds=3,
+         values=[9.999999999999999e-05, 0.0001], block=7, cells=700)
+def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, setting, seeds, values,
+                                                  block, cells):
+    # Every loss at step 1 is -0.0 and at step 2 is 0.0, so the first log
+    # write holds both whenever it spans two steps; the log must still print
+    # each as json.dumps does.  At these budgets a log write holds at most 64
+    # lines and an audit at most 64 center-arm cells (or one step's), so both
+    # end mid-block.
+    g = _small_graph(kind, n, 7)
+    n_upper = 2 * g.node_count
+    policy_seeds = [70 + 3 * i for i in range(seeds)]
+    oracles = []
+    for i, p_seed in enumerate(policy_seeds):
+        setup = (compute_centers_uninformed(g, arms, n_upper, horizon,
+                                            np.random.default_rng(p_seed)).total_steps
+                 if setting == "uninformed" else 0)
+        rng = np.random.default_rng(i)
+        table = np.array(values)[rng.integers(0, len(values), (setup + horizon, arms))]
+        table[0], table[1] = -0.0, 0.0
+        oracles.append(matrix_losses(table))
+    kernel_logs = [io.StringIO() for _ in policy_seeds]
+    reference_logs = [io.StringIO() for _ in policy_seeds]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BATCH_ROWS", block)
+        mp.setattr(simulate, "BATCH_CELLS", cells)
+        if setting == "informed":
+            runs = simulate._informed_runs(g, arms, horizon, oracles, policy_seeds, debug=True,
+                                           log_sinks=kernel_logs)
+        else:
+            runs = [run_uninformed(g, arms, n_upper, horizon, oracle, p_seed, debug=True,
+                                   log_sink=sink)
+                    for oracle, p_seed, sink in zip(oracles, policy_seeds, kernel_logs)]
+    for run, oracle, p_seed, log, want_log in zip(runs, oracles, policy_seeds, kernel_logs,
+                                                   reference_logs):
+        if setting == "informed":
+            want = reference.run_informed(g, arms, horizon, oracle, p_seed, debug=True,
+                                          log_sink=want_log)
+        else:
+            want = reference.run_uninformed(g, arms, n_upper, horizon, oracle, p_seed,
+                                            debug=True, log_sink=want_log)
+        _assert_same_run(run, want)
+        assert log.getvalue() == want_log.getvalue()
+        assert '"loss": -0.0,' in log.getvalue() and '"loss": 0.0,' in log.getvalue()
+
+
 def _relay_partition(arms: int, origin_of=(0, 0, 1, 2)) -> Partition:
     """Path 0-1-2-3 with center 0; node v copies origin_of[v]."""
     return Partition(arms=arms, centers=(0,), center_of=(0, 0, 0, 0), origin_of=origin_of,
