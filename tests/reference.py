@@ -161,8 +161,14 @@ class SimWorld:
             observed = np.zeros(self.arms, dtype=bool)
             observed[actions[nbrs]] = True
             est = exp3.estimated_loss_vector(loss_row, observe, observed)
-            lw = exp3.exp3_update_raw(self.center_logw[c], self.center_rate[c], est)
-            p_next = exp3.probs_from_log_weights(lw)
+            # the exponential-weights step, written out here rather than
+            # taken from coopmab.exp3, so the kernel is checked against it
+            if not np.isfinite(est).all():
+                raise exp3.NonFiniteEstimateError("loss estimates must be finite")
+            lw = self.center_logw[c] - self.center_rate[c] * est
+            lw -= lw.max()
+            w = np.exp(lw)
+            p_next = w / w.sum()
             if self.debug:
                 self._audit_center(c, p[c], p_next, est, self.center_rate[c], observe)
             self.center_logw[c] = lw
@@ -226,7 +232,7 @@ def run_informed(
     short = _check_run_args(g, arms, horizon, oracle)
     if partition is None:
         partition = compute_centers_informed(g, arms).component_map.to_partition()
-    losses = oracle.matrix(horizon)
+    losses = oracle.rows(0, horizon)
     world = SimWorld(
         g,
         partition,
@@ -268,7 +274,7 @@ def run_uninformed(
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
     partition = election.final_map.to_partition()
     setup = election.total_steps
-    losses = oracle.matrix(setup + horizon)
+    losses = oracle.rows(0, setup + horizon)
     world = SimWorld(
         g,
         partition,
@@ -313,7 +319,7 @@ def run_solo_exp3(
     solo = _solo_partition(arms)
     if oracle.arms != arms:
         raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
-    losses = oracle.matrix(horizon)
+    losses = oracle.rows(0, horizon)
     world = SimWorld(None, solo, losses, np.random.default_rng(policy_seed))
     snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
     for _ in range(horizon):

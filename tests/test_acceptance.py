@@ -229,9 +229,9 @@ def test_criterion_5_estimator_unbiased(capsys):
     failures = []
     for q in (0.1, 0.5, 0.9):
         for loss in (0.3, 1.0):
-            scale = exp3.estimated_loss(
-                exp3.ObservationEvent(arm=0, observed=True, observe_prob=q, loss=loss)
-            )
+            scale = float(exp3.estimated_loss_vector(
+                np.array([loss]), np.array([q]), np.array([True])
+            )[0])
             assert scale == loss / q
             hits = rng.random(n) < q
             draws = np.where(hits, scale, 0.0)

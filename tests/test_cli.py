@@ -41,7 +41,7 @@ def test_parse_adversary_kinds(tmp_path):
     f = tmp_path / "m.csv"
     np.savetxt(f, table, delimiter=",")
     m = parse_adversary(f"matrix:{f}", 2, 0)
-    assert np.array_equal(m.matrix(2), table)
+    assert np.array_equal(m.rows(0, 2), table)
     s = parse_adversary("switch:arm0@0,arm2@100", 3, 0)
     assert s.switches == ((0, 0), (100, 2))
 

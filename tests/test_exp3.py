@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -5,21 +7,17 @@ import pytest
 
 from coopmab.exp3 import (
     ArmsTooFewError,
-    Exp3State,
     NonFiniteEstimateError,
-    ObservationEvent,
     ZeroObservationProbabilityError,
-    delayed_copy_advance,
-    estimated_loss,
     estimated_loss_vector,
-    exp3_update,
+    exp3_update_raw,
     is_distribution,
     learning_rate,
-    observation_probabilities,
-    observation_probability,
+    probs_from_log_weights,
     sample_action,
-    uniform_distribution,
 )
+from coopmab.graph import path_graph
+from coopmab.simulate import matrix_losses, run_informed
 
 
 def test_learning_rate_frozen_values():
@@ -49,75 +47,87 @@ def test_learning_rate_rejections():
 
 
 def test_fresh_state_is_uniform():
-    s = Exp3State.fresh(4, 0.01)
-    assert np.array_equal(s.probs(), uniform_distribution(4))
-    assert is_distribution(s.probs())
-    with pytest.raises(ArmsTooFewError):
-        Exp3State.fresh(1, 0.01)
+    p = probs_from_log_weights(np.zeros(4))
+    assert np.array_equal(p, np.full(4, 0.25))
+    assert is_distribution(p)
+    # rows of a batch are normalized one by one
+    rows = probs_from_log_weights(np.zeros((3, 2, 5)))
+    assert np.array_equal(rows, np.full((3, 2, 5), 0.2))
 
 
 def test_update_identity_and_monotonicity():
-    s = Exp3State.fresh(3, 0.05)
-    same = exp3_update(s, np.zeros(3))
-    assert np.allclose(same.probs(), s.probs())
+    lw = np.zeros(3)
+    same = exp3_update_raw(lw, 0.05, np.zeros(3))
+    assert np.allclose(probs_from_log_weights(same), probs_from_log_weights(lw))
 
-    s2 = Exp3State.fresh(2, 0.1)
-    nxt = exp3_update(s2, np.array([0.7, 0.0]))
-    p = nxt.probs()
+    p = probs_from_log_weights(exp3_update_raw(np.zeros(2), 0.1, np.array([0.7, 0.0])))
     assert p[0] < 0.5 < p[1]
 
 
 def test_update_frozen_example():
     # two arms, rate 0.1, estimates (1, 0): p(0) = e^-0.1 / (e^-0.1 + 1)
-    s = Exp3State.fresh(2, 0.1)
-    p = exp3_update(s, np.array([1.0, 0.0])).probs()
+    lw = exp3_update_raw(np.zeros(2), 0.1, np.array([1.0, 0.0]))
+    p = probs_from_log_weights(lw)
     assert p[0] == pytest.approx(0.47502081252106, abs=1e-14)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    # a batch takes one rate per row and renormalizes each row on its own
+    batch = exp3_update_raw(
+        np.array([[0.0, 0.0], [-3.0, -2.0]]), np.array([[0.1], [0.0]]),
+        np.array([[1.0, 0.0], [1.0, 0.0]]),
+    )
+    assert batch[1].tolist() == [-1.0, 0.0]
+    assert probs_from_log_weights(batch)[0].tolist() == p.tolist()
 
 
 def test_update_rejections():
-    s = Exp3State.fresh(3, 0.05)
+    lw = np.zeros(3)
     with pytest.raises(NonFiniteEstimateError):
-        exp3_update(s, np.array([1.0, np.inf, 0.0]))
+        exp3_update_raw(lw, 0.05, np.array([1.0, np.inf, 0.0]))
+    with pytest.raises(NonFiniteEstimateError):
+        exp3_update_raw(lw, 0.05, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ValueError):
-        exp3_update(s, np.zeros(4))
+        exp3_update_raw(lw, 0.05, np.zeros(4))
 
 
 def test_total_weight_never_grows():
     # losses are non-negative, so sum of p * exp(-rate * est) stays <= 1
     rng = np.random.default_rng(3)
-    s = Exp3State.fresh(6, 0.02)
+    rate, lw = 0.02, np.zeros(6)
     for _ in range(200):
         est = np.where(rng.random(6) < 0.4, rng.random(6) * 3.0, 0.0)
-        p = s.probs()
-        assert float(np.sum(p * np.exp(-s.learning_rate * est))) <= 1.0 + 1e-12
-        s = exp3_update(s, est)
-        assert is_distribution(s.probs())
+        p = probs_from_log_weights(lw)
+        assert float(np.sum(p * np.exp(-rate * est))) <= 1.0 + 1e-12
+        lw = exp3_update_raw(lw, rate, est)
+        assert is_distribution(probs_from_log_weights(lw))
 
 
 def test_observation_probability():
-    assert observation_probability([np.array([0.5, 0.5])], 0) == pytest.approx(0.5)
-    two = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
-    assert observation_probability(two, 1) == pytest.approx(0.75)
-    sure = [np.array([1.0, 0.0]), np.array([0.3, 0.7])]
-    assert observation_probability(sure, 0) == pytest.approx(1.0)
-    vec = observation_probabilities(two)
-    assert vec == pytest.approx([0.75, 0.75])
-    with pytest.raises(ValueError):
-        observation_probabilities([])
+    # Round 1 on an edge: both agents play uniform, so the center sees an arm
+    # with probability 1 - (1/2)^2 = 3/4 and its round-2 distribution divides
+    # the observed loss by 3/4.
+    sink = io.StringIO()
+    res = run_informed(path_graph(2), 2, 3, matrix_losses([[1.0, 0.0]] * 3), 0,
+                       log_sink=sink, record_distributions=True)
+    c = res.partition.centers[0]
+    played = {json.loads(line)["action"] for line in sink.getvalue().splitlines()[:2]}
+    assert 0 in played  # pinned by the seed: arm 0's loss is seen
+    rate = learning_rate(res.partition.mass_value(c), 2, 3)
+    want = math.exp(-rate / 0.75) / (math.exp(-rate / 0.75) + 1.0)
+    assert res.dist_history[1][c][0] == pytest.approx(want, abs=1e-15)
 
 
 def test_estimated_loss_cases():
-    assert estimated_loss(ObservationEvent(0, True, 0.5, 1.0)) == pytest.approx(2.0)
-    assert estimated_loss(ObservationEvent(0, False, 0.5, 1.0)) == 0.0
-    assert estimated_loss(ObservationEvent(2, True, 0.75, 0.3)) == pytest.approx(0.4)
+    est = estimated_loss_vector(
+        np.array([1.0, 1.0, 0.3]), np.array([0.5, 0.5, 0.75]), np.array([True, False, True])
+    )
+    assert est[0] == pytest.approx(2.0)
+    assert est[1] == 0.0
+    assert est[2] == pytest.approx(0.4)
     with pytest.raises(ZeroObservationProbabilityError):
-        estimated_loss(ObservationEvent(0, True, 0.0, 0.5))
-    with pytest.raises(ValueError):
-        estimated_loss(ObservationEvent(0, True, 0.5, 1.5))
+        estimated_loss_vector(np.array([0.5]), np.array([0.0]), np.array([True]))
 
 
-def test_estimated_loss_vector_matches_scalar():
+def test_estimated_loss_vector_matches_formula():
     rng = np.random.default_rng(11)
     for _ in range(50):
         k = int(rng.integers(2, 8))
@@ -126,8 +136,8 @@ def test_estimated_loss_vector_matches_scalar():
         observed = rng.random(k) < 0.5
         vec = estimated_loss_vector(losses, probs, observed)
         for i in range(k):
-            ev = ObservationEvent(i, bool(observed[i]), float(probs[i]), float(losses[i]))
-            assert vec[i] == pytest.approx(estimated_loss(ev), abs=1e-15)
+            want = losses[i] / probs[i] if observed[i] else 0.0
+            assert vec[i] == pytest.approx(want, abs=1e-15)
 
 
 def test_estimated_loss_vector_zero_prob_guard():
@@ -168,41 +178,3 @@ def test_sample_action_rejections():
         sample_action(np.full(3, 1 / 3), 1.0)
     with pytest.raises(ValueError):
         sample_action(np.full(3, 1 / 3), -0.1)
-
-
-def test_delayed_copy_advance():
-    k = 3
-    play, pipe = delayed_copy_advance((), None, arms=k)
-    assert np.array_equal(play, uniform_distribution(k))
-    assert pipe == ()
-    # one-step relay: what arrived last round is played this round
-    play2, pipe2 = delayed_copy_advance(pipe, np.array([0.2, 0.3, 0.5]))
-    assert np.array_equal(play2, np.array([0.2, 0.3, 0.5]))
-    assert pipe2 == ()
-    # staged items go first
-    play3, pipe3 = delayed_copy_advance((np.array([1.0, 0.0, 0.0]),), np.array([0.1, 0.1, 0.8]))
-    assert np.array_equal(play3, np.array([1.0, 0.0, 0.0]))
-    assert len(pipe3) == 1
-    with pytest.raises(ValueError):
-        delayed_copy_advance((), None)
-
-
-def test_delayed_copy_chain_relays_with_full_delay():
-    # hand-rolled two-hop relay: the source's round-t distribution is played
-    # by the far end exactly at round t+2
-    k = 2
-    rng = np.random.default_rng(5)
-    source = [np.array([1.0 - x, x]) for x in rng.random(6)]
-    mid_played = [uniform_distribution(k)]
-    far_played = [uniform_distribution(k)]
-    mid_pipe: tuple = ()
-    far_pipe: tuple = ()
-    for t in range(1, 6):
-        # messages from round t-1 arrive: each hop copies its upstream's play
-        mid_now, mid_pipe = delayed_copy_advance(mid_pipe, source[t - 1])
-        far_now, far_pipe = delayed_copy_advance(far_pipe, mid_played[t - 1])
-        mid_played.append(mid_now)
-        far_played.append(far_now)
-    for t in range(2, 6):
-        assert np.array_equal(far_played[t], source[t - 2])
-        assert np.array_equal(mid_played[t], source[t - 1])

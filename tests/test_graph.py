@@ -17,7 +17,6 @@ from coopmab.graph import (
     NodeOutOfRangeError,
     SelfLoopError,
     TooLargeError,
-    bfs_distance,
     build_graph,
     complete_graph,
     format_edge_list,
@@ -62,14 +61,14 @@ def test_build_rejections():
 
 def test_distances():
     p = path_graph(5)
-    assert bfs_distance(p, 0, 4) == 4
-    assert bfs_distance(p, 2, 2) == 0
+    assert p.distances_from(0)[4] == 4
+    assert p.distances_from(2)[2] == 0
     t = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert bfs_distance(t, 0, 2) == 1
+    assert t.distances_from(0)[2] == 1
     # symmetry on a few pairs
     g = random_connected_graph(15, 0.2, 3)
     for u, v in [(0, 14), (3, 7), (9, 2)]:
-        assert bfs_distance(g, u, v) == bfs_distance(g, v, u)
+        assert g.distances_from(u)[v] == g.distances_from(v)[u]
 
 
 def test_distances_from_matches_pointwise():
@@ -77,7 +76,7 @@ def test_distances_from_matches_pointwise():
     row = g.distances_from(4)
     assert not row.flags.writeable
     for v in range(20):
-        assert row[v] == bfs_distance(g, 4, v)
+        assert row[v] == g.distances_from(v)[4]  # each pair read from the other end
 
 
 def test_ball_matches_distances():
@@ -238,7 +237,7 @@ def test_triangle_inequality_sampled():
     rng = np.random.default_rng(0)
     for _ in range(60):
         u, v, w = (int(x) for x in rng.integers(0, 22, size=3))
-        assert bfs_distance(g, u, w) <= bfs_distance(g, u, v) + bfs_distance(g, v, w)
+        assert g.distances_from(u)[w] <= g.distances_from(u)[v] + g.distances_from(v)[w]
 
 
 def test_readme_graph_example_parses():

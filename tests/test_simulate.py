@@ -40,14 +40,14 @@ from coopmab.simulate import (
 
 def test_bernoulli_oracle_prefix_stable_and_bounded():
     oracle = bernoulli_losses([0.3, 0.7], 5)
-    a = oracle.matrix(50)
-    b = oracle.matrix(200)
+    a = oracle.rows(0, 50)
+    b = oracle.rows(0, 200)
     assert np.array_equal(a, b[:50])
     assert ((b == 0.0) | (b == 1.0)).all()
-    again = bernoulli_losses([0.3, 0.7], 5).matrix(200)
+    again = bernoulli_losses([0.3, 0.7], 5).rows(0, 200)
     assert np.array_equal(b, again)
     # long-run frequency near the mean
-    wide = bernoulli_losses([0.3, 0.7], 5).matrix(20000)
+    wide = bernoulli_losses([0.3, 0.7], 5).rows(0, 20000)
     assert wide[:, 0].mean() == pytest.approx(0.3, abs=0.02)
     with pytest.raises(ValueError):
         bernoulli_losses([0.3, 1.2], 5)
@@ -56,16 +56,16 @@ def test_bernoulli_oracle_prefix_stable_and_bounded():
 def test_matrix_oracle_validation():
     table = np.array([[0.0, 1.0], [0.5, 0.25]])
     oracle = matrix_losses(table)
-    assert np.array_equal(oracle.matrix(2), table)
+    assert np.array_equal(oracle.rows(0, 2), table)
     with pytest.raises(ValueError):
-        oracle.matrix(3)  # more steps than rows
+        oracle.rows(0, 3)  # more steps than rows
     with pytest.raises(ValueError):
         matrix_losses(np.array([[0.0, 2.0]]))
 
 
 def test_switch_oracle_semantics():
     oracle = switching_losses([(0, 0), (4, 2)], 3)
-    rows = oracle.matrix(6)
+    rows = oracle.rows(0, 6)
     assert np.array_equal(rows[:4, 0], np.zeros(4))
     assert np.array_equal(rows[:4, 1:], np.ones((4, 2)))
     assert np.array_equal(rows[4:, 2], np.zeros(2))
@@ -143,7 +143,7 @@ def test_center_weights_reconstructable_from_messages():
     for line in sink.getvalue().splitlines():
         rec = json.loads(line)
         actions[rec["t"] - 1, rec["v"]] = rec["action"]
-    losses = bernoulli_losses([0.3, 0.5, 0.7], 8).matrix(300)
+    losses = bernoulli_losses([0.3, 0.5, 0.7], 8).rows(0, 300)
 
     members = np.array(g.closed_neighborhood(0))
     rate = exp3.learning_rate(res.partition.mass_value(0), 3, 300)
@@ -192,7 +192,7 @@ def test_uninformed_run_timeline():
     assert res.total_steps == res.setup_steps + 500
     assert res.partition.centers == election.centers
     # warm-up charges the row mean to the semi ledger
-    warm = oracle.matrix(res.setup_steps).mean(axis=1).sum()
+    warm = oracle.rows(0, res.setup_steps).mean(axis=1).sum()
     semi_setup = res.semi_loss - res.policy_semi_loss
     assert np.allclose(semi_setup, warm)
 
@@ -208,7 +208,7 @@ def test_policy_slice_consistency():
     g = star_graph(4)
     oracle = bernoulli_losses([0.2, 0.5, 0.5], 6)
     res = run_uninformed(g, 3, 10, 400, oracle, 23)
-    losses = oracle.matrix(res.total_steps)
+    losses = oracle.rows(0, res.total_steps)
     policy_rows = losses[res.setup_steps:]
     assert res.policy_best_arm_loss == pytest.approx(policy_rows.sum(axis=0).min())
     assert np.allclose(
@@ -404,7 +404,7 @@ def test_switch_adversary_full_run():
     g = path_graph(4)
     oracle = switching_losses([(0, 1), (300, 0)], 2)
     res = run_informed(g, 2, 600, oracle, 3)
-    table = oracle.matrix(600)
+    table = oracle.rows(0, 600)
     assert res.arm_loss[0] == pytest.approx(table[:, 0].sum())
     assert res.best_arm in (0, 1)
 
@@ -419,7 +419,7 @@ def test_oracle_row_blocks_join_to_matrix(kind):
     }[kind]
     cuts = [0, 1, 250, 250, 333, 701, steps]
     joined = np.concatenate([oracle.rows(a, b) for a, b in zip(cuts, cuts[1:])])
-    whole = oracle.matrix(steps)
+    whole = oracle.rows(0, steps)
     assert joined.dtype == whole.dtype and joined.shape == whole.shape
     assert joined.tobytes() == whole.tobytes()
     with pytest.raises(ValueError):

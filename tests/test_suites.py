@@ -2,7 +2,7 @@ import pytest
 
 from coopmab.suites import SUITES, run_suite
 
-EXPECTED = {"graph-oracles", "exp3", "partition", "luby", "simulation"}
+EXPECTED = {"graph-oracles", "exp3"}
 
 
 def test_suite_registry():
@@ -22,6 +22,6 @@ def test_suite_passes(name):
 
 
 def test_suites_seeded_reports_are_stable():
-    a = run_suite("luby", 5)
-    b = run_suite("luby", 5)
+    a = run_suite("exp3", 5)
+    b = run_suite("exp3", 5)
     assert a.lines() == b.lines()
