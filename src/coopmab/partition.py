@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class ComponentMap:
     def mass(self, v: int) -> Mass:
         return Mass(int(self.mass_m[v]), int(self.mass_d[v]))
 
-    def center_pointer_after(self, k: int) -> np.ndarray:
-        """center_of as it stood after k update rounds (stable past settling)."""
-        return self.history[min(k, len(self.history) - 1)].center_of
-
     def fully_assigned(self) -> bool:
         return bool(np.all(self.center_of >= 0))
 
@@ -191,7 +187,8 @@ def _spread_round(prev, score, nbrs, own, is_center) -> np.ndarray:
 def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> ComponentMap:
     """Propagate center mass outward and let every node pick its origin.
 
-    Runs spread_rounds(arms) + 1 synchronous update rounds.  Per round,
+    Runs spread_rounds(arms) + 1 synchronous update rounds from the whole
+    center set (``_SpreadRounds.add`` from the empty set).  Per round,
     every node whose current origin is not a center re-selects the
     neighbor of maximum mass (ties to the lowest id), inherits that
     neighbor's center pointer, and takes its mass decayed by one hop.
@@ -209,54 +206,9 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
             raise ValueError(f"center {c} outside 0..{n - 1}")
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-
-    rounds = spread_rounds(arms) + 1
-    log_m = _mass_table(arms)
-    # One (4, n + 1) state: rows are SpreadRound's center_of, origin_of,
-    # mass_m, mass_d.  Column n is a nil node that picks itself each round.
-    # A nil mass always has depth 0.
-    state = np.zeros((4, n + 1), dtype=np.int64)
-    state[:2] = -1
-    state[:2, center_list] = center_list
-    state[1, n] = n
-    state[2, center_list] = degree_clamp(g, arms)[center_list]
-    is_center = np.zeros(n + 1, dtype=bool)  # origin -1 reads the False of slot n
-    is_center[center_list] = True
-    nbrs = _padded_rows(g)
-
-    # a round never writes into an earlier state, so the history holds views
-    states = [state]
-    settled = rounds
-    for t in range(1, rounds + 1):
-        new = _spread_round(state, log_m.take(state[2]) - state[3], nbrs, state, is_center)
-        changed = (new != state).any()
-        state = new
-        states.append(state)
-        if not changed:
-            # the update is a deterministic function of state: a fixed point
-            # stays fixed, so the remaining rounds are no-ops
-            settled = t - 1
-            break
-    return _component_map(arms, center_list, states, settled)
-
-
-def _component_map(arms: int, center_list: list[int], states, settled: int) -> ComponentMap:
-    """The map whose history is ``states``, the (4, N + 1) rounds from round 0 on."""
-    n = states[0].shape[1] - 1
-    history = [SpreadRound(*s[:, :n]) for s in states]
-    cof, uof, mass_m, mass_d = states[-1][:, :n]
-    reached = mass_m > 0
-    return ComponentMap(
-        arms=arms,
-        rounds=spread_rounds(arms) + 1,
-        settled_round=settled,
-        centers=tuple(center_list),
-        center_of=np.where(reached, cof, -1),
-        origin_of=np.where(reached, uof, -1),
-        mass_m=mass_m.copy(),
-        mass_d=np.where(reached, mass_d, 0),
-        history=history,
-    )
+    spread = _SpreadRounds(g, arms)
+    spread.add(np.array(center_list))
+    return spread.component_map()
 
 
 def spread_history_violations(g: Graph, comp: ComponentMap) -> list[str]:
@@ -370,15 +322,17 @@ class InformedCenters:
 class _SpreadRounds:
     """Every propagation round 0..rounds of a growing center set.
 
-    ``states[t]`` is the (4, N + 1) round-t state that centers_to_components
-    reaches for the centers added so far, the last round repeated past
-    settling, and ``scores[t]`` its mass scores.  The empty set starts it:
-    nil mass everywhere and, from round 1 on, every origin at the node's
-    first neighbor.
+    ``states[t]`` is the (4, N + 1) state after t synchronous rounds from
+    the centers added so far (rows center_of, origin_of, mass_m, mass_d;
+    column N is the nil node), the last round repeated past settling, and
+    ``scores[t]`` its mass scores.  Every round follows ``_spread_round``.
+    The empty set starts it: nil mass everywhere and, from round 1 on,
+    every origin at the node's first neighbor.
     """
 
     def __init__(self, g: Graph, arms: int):
         n = g.node_count
+        self.arms = arms
         self.rounds = rounds = spread_rounds(arms) + 1
         self.clamp = degree_clamp(g, arms)
         self.log_m = _mass_table(arms)
@@ -393,33 +347,35 @@ class _SpreadRounds:
         self.scores = np.full((rounds + 1, n + 1), -np.inf)
         self._mark = np.zeros(n + 1, dtype=bool)
 
-    def add(self, c: int) -> np.ndarray:
-        """Make ``c`` a center; return the nodes whose final-round state changed.
+    def add(self, new: np.ndarray) -> np.ndarray:
+        """Make ``new``, sorted distinct non-centers, centers; return the
+        nodes whose final-round state changed.
 
         A node's round-t state depends only on its own and its neighbors'
         round-(t-1) states, so round t is redone only for the closed
         neighborhood of D, the nodes whose round-(t-1) state changed
-        (D = {c} at round 0).  Once D repeats with the same states and no
-        node within two hops of D changes any more, every later round
+        (D = ``new`` at round 0).  Once D repeats with the same states and
+        no node within two hops of D changes any more, every later round
         only repeats D's states.
         """
         states, scores, rounds = self.states, self.scores, self.rounds
-        self.is_center[c] = True
-        m = self.clamp[c]
-        states[0, :, c] = (c, c, m, 0)
-        scores[0, c] = self.log_m[m]
-        changed = np.array([c])
+        self.is_center[new] = True
+        m = self.clamp.take(new)
+        states[0][:2, new] = new
+        states[0][2, new] = m
+        scores[0, new] = self.log_m.take(m)
+        changed = new
         for t in range(1, rounds + 1):
             cand = _distinct(np.concatenate((changed, self.nbrs.take(changed, axis=0).ravel())))
             own, old = states[t - 1:t + 1].take(cand, axis=2)
             nbrs = self.nbrs.take(cand, axis=0)
-            new = _spread_round(states[t - 1], scores[t - 1], nbrs, own, self.is_center)
-            diff = np.logical_or.reduce(new != old)
-            states[t][:, cand] = new
-            scores[t, cand] = self.log_m.take(new[2]) - new[3]
+            cur = _spread_round(states[t - 1], scores[t - 1], nbrs, own, self.is_center)
+            diff = np.logical_or.reduce(cur != old)
+            states[t][:, cand] = cur
+            scores[t, cand] = self.log_m.take(cur[2]) - cur[3]
             now = cand[diff]
             if (t < rounds and now.size == changed.size and (now == changed).all()
-                    and not np.logical_or.reduce(new != own)[diff].any()
+                    and not np.logical_or.reduce(cur != own)[diff].any()
                     and self._ring_settled(cand, now, t)):
                 states[t + 1:, :, now] = states[t].take(now, axis=1)
                 scores[t + 1:, now] = scores[t].take(now)
@@ -442,8 +398,36 @@ class _SpreadRounds:
         tail = self.states[t - 1:].take(ring, axis=2)
         return bool((tail == tail[0]).all())
 
+    def component_map(self) -> ComponentMap:
+        """The map of the centers added so far; no add may follow it.
 
-def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], np.ndarray]:
+        Its history is the kept rounds from round 0 up to the first round
+        that equals the one before (all of them if none does), and
+        ``settled_round`` the round before that repeat.  The arrays only
+        add reads are freed first, so they and the map's int64 copy are
+        never held at once.
+        """
+        states, last = self.states, self.rounds
+        del self.scores, self.nbrs
+        n = states.shape[2] - 1
+        settled = next((t - 1 for t in range(1, last + 1) if (states[t] == states[t - 1]).all()), last)
+        kept = states[:settled + 2].astype(np.int64)
+        cof, uof, mass_m, mass_d = kept[-1, :, :n]
+        reached = mass_m > 0
+        return ComponentMap(
+            arms=self.arms,
+            rounds=last,
+            settled_round=settled,
+            centers=tuple(np.flatnonzero(self.is_center).tolist()),
+            center_of=np.where(reached, cof, -1),
+            origin_of=np.where(reached, uof, -1),
+            mass_m=mass_m.copy(),
+            mass_d=np.where(reached, mass_d, 0),
+            history=[SpreadRound(*s[:, :n]) for s in kept],
+        )
+
+
+def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
     """The informed greedy's centers in order of addition, and their rounds."""
     spread = _SpreadRounds(g, arms)
     nbrs, final = spread.nbrs, spread.scores[-1]
@@ -459,7 +443,7 @@ def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], np.ndarray]:
     while True:
         nxt = int(key.argmax())
         if not key[nxt]:
-            return centers, spread.states
+            return centers, spread
         if len(centers) == n:
             raise AssertionError("center search failed to shrink the unsatisfied set")
         centers.append(nxt)
@@ -467,7 +451,7 @@ def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], np.ndarray]:
         ball = np.concatenate((near, nbrs.take(near, axis=0).ravel()))
         target[ball] = -np.inf
         key[ball] = 0
-        moved = spread.add(nxt)
+        moved = spread.add(np.array([nxt]))
         key[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
 
 
@@ -480,20 +464,15 @@ def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
     grown set (``_SpreadRounds.add``), redoing only the nodes whose state
     it can change, and only nodes whose final mass changed are re-scored.
     Each pass adds exactly one center, so the loop ends within node_count
-    iterations.  The kept rounds are centers_to_components' history for
-    the final set, the last round repeated, so they build the map: its
-    history runs up to the first round that equals the one before.
+    iterations.  The kept rounds build the returned map.
     """
     n = g.node_count
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    centers, states = _greedy_centers(g, arms)
-    last = len(states) - 1
-    settled = next((t - 1 for t in range(1, last + 1) if (states[t] == states[t - 1]).all()), last)
-    comp = _component_map(arms, sorted(centers), states[:settled + 2].astype(np.int64), settled)
-    return InformedCenters(tuple(centers), comp, len(centers))
+    centers, spread = _greedy_centers(g, arms)
+    return InformedCenters(tuple(centers), spread.component_map(), len(centers))
 
 
 @dataclass(frozen=True)
@@ -582,13 +561,14 @@ def compute_centers_uninformed(
     """Elect centers by descending clamped degree without global knowledge.
 
     Iteration t runs one two-hop MIS election among still-unsatisfied nodes
-    of clamped closed degree exactly arms - t, then re-propagates mass from
-    all centers so far.  A node is satisfied once its mass reaches its own
-    clamp or a center sits within two hops (equivalently: its center
-    pointer is set within two propagation rounds).  Every iteration is
-    charged the full synchronous budget, elections that finish early
-    included, because agents cannot detect global emptiness; one final
-    propagation pass publishes the partition and is charged on top.
+    of clamped closed degree exactly arms - t, then adds its joiners to
+    the propagation rounds of the centers so far (``_SpreadRounds.add``).
+    A node is satisfied once its mass reaches its own clamp or a center
+    sits within two hops (equivalently: its center pointer is set within
+    two propagation rounds).  Every iteration is charged the full
+    synchronous budget, elections that finish early included, because
+    agents cannot detect global emptiness; one final propagation pass
+    publishes the partition and is charged on top.
     """
     n = g.node_count
     if n < 2:
@@ -598,39 +578,28 @@ def compute_centers_uninformed(
     if n_upper < n:
         raise ValueError(f"n_upper={n_upper} below actual node count {n}")
     budget = mis_round_budget(n_upper, arms, horizon)
-    pass_rounds = spread_rounds(arms) + 1
-    clamp = degree_clamp(g, arms)
-    clamp_score = MASS_DECAY_DENOM * np.log(clamp)
+    spread = _SpreadRounds(g, arms)
+    pass_rounds = spread.rounds
+    target = spread.log_m.take(spread.clamp)  # score of a node's own clamp
 
     satisfied = np.zeros(n, dtype=bool)
-    center_mask = np.zeros(n, dtype=bool)
     calls: list[LubyCall] = []
     for t in range(arms):
-        bucket = np.flatnonzero(~satisfied & (clamp == arms - t))
+        bucket = np.flatnonzero(~satisfied & (spread.clamp == arms - t))
         outcome = luby_2mis(g, bucket.tolist(), budget, rng)
         calls.append(LubyCall(t, frozenset(int(v) for v in bucket), outcome))
-        for v in outcome.joined:
-            center_mask[v] = True
-        centers = np.flatnonzero(center_mask)
-        if centers.size:
-            comp = centers_to_components(g, centers.tolist(), arms)
-            score = np.where(
-                comp.mass_m > 0,
-                MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d,
-                -np.inf,
-            )
-            near = comp.center_pointer_after(2) >= 0
-            satisfied = (score >= clamp_score) | near
-        # with no centers yet nothing can be satisfied; the steps are still
+        # an iteration without joiners changes no round; its steps are still
         # charged below since the synchronous schedule runs regardless
+        if outcome.joined:
+            spread.add(np.array(sorted(outcome.joined)))
+            satisfied = (spread.scores[-1, :n] >= target) | (spread.states[2, 0, :n] >= 0)
 
-    centers = np.flatnonzero(center_mask)
-    if not centers.size:
+    if not spread.is_center.any():
         raise EmptyCenterSetError("no node won any election; partition impossible")
-    final_map = centers_to_components(g, centers.tolist(), arms)
+    final_map = spread.component_map()
     protocol_steps = arms * (4 * budget + pass_rounds)
     return UninformedElection(
-        centers=tuple(int(c) for c in centers),
+        centers=final_map.centers,
         final_map=final_map,
         luby_calls=calls,
         luby_round_budget=budget,

@@ -109,6 +109,9 @@ def switching_losses(switches: Sequence[tuple[int, int]], arms: int) -> LossOrac
     sw = sorted((int(s), int(a)) for s, a in switches)
     if not sw or sw[0][0] != 0:
         raise ValueError("first switch must start at step 0")
+    for (step, _), (nxt, _) in zip(sw, sw[1:]):
+        if step == nxt:
+            raise ValueError(f"two switches at step {step}")
     for _, arm in sw:
         if not 0 <= arm < arms:
             raise ValueError(f"switch arm {arm} outside 0..{arms - 1}")

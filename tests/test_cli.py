@@ -48,7 +48,8 @@ def test_parse_adversary_kinds(tmp_path):
 
 @pytest.mark.parametrize(
     "spec",
-    ["bernoulli", "bernoulli:0.4", "pareto:1", "switch:0@0", "switch:arm0_0"],
+    ["bernoulli", "bernoulli:0.4", "pareto:1", "switch:0@0", "switch:arm0_0",
+     "switch:arm2@0,arm1@0"],
 )
 def test_parse_adversary_rejects(spec):
     with pytest.raises(ValueError):
@@ -95,6 +96,8 @@ def test_usage_and_config_errors(tmp_path, star_file):
     assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",
                  "--adversary", "bernoulli:0.4,0.4,0.4", "--setting", "uninformed",
                  "--nbar", "2"]) == 2  # below the node count
+    assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",
+                 "--adversary", "switch:arm2@0,arm1@0"]) == 2  # two switches at one step
     assert main(["nonsense"]) == 2
 
 

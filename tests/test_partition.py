@@ -20,6 +20,7 @@ from coopmab.partition import (
     NIL_MASS,
     ComponentMap,
     EmptyCenterSetError,
+    LubyCall,
     Mass,
     SpreadRound,
     centers_to_components,
@@ -326,9 +327,9 @@ def test_informed_added_center_can_lower_mass():
     _assert_same_map(found.component_map, comp)
 
     spread = _SpreadRounds(g, 10)
-    spread.add(0)
+    spread.add(np.array([0]))
     before = spread.states[-1, 2:, :18].copy()
-    moved = spread.add(13)
+    moved = spread.add(np.array([13]))
     after = spread.states[-1, 2:, :18]
     assert {12, 17} <= set(moved.tolist())
     assert (before[:, 12].tolist(), after[:, 12].tolist()) == ([10, 4], [5, 1])
@@ -339,8 +340,8 @@ def test_informed_added_center_can_lower_mass():
 
 
 def _informed_greedy_repropagating(g, arms):
-    """The informed greedy with one whole-graph centers_to_components per pass,
-    a running two-hop mask, and pending nodes re-scored from scratch."""
+    """The informed greedy with one whole-graph propagation (the oracle's) per
+    pass, a running two-hop mask, and pending nodes re-scored from scratch."""
     n = g.node_count
     cdeg = g.closed_degrees
     clamp_score = MASS_DECAY_DENOM * np.log(degree_clamp(g, arms))
@@ -350,7 +351,7 @@ def _informed_greedy_repropagating(g, arms):
     while pending.size:
         nxt = int(pending[cdeg[pending].argmax()])
         centers.append(nxt)
-        comp = centers_to_components(g, centers, arms)
+        comp = _propagation_oracle(g, centers, arms)
         score = np.where(comp.mass_m > 0,
                          MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d, -np.inf)
         near[list(g.ball(nxt, 2))] = True
@@ -370,7 +371,7 @@ def test_informed_election_large_tree_byte_identical():
 
 def _assert_rounds_match(spread, g, centers, arms):
     n = g.node_count
-    hist = centers_to_components(g, centers, arms).history
+    hist = _propagation_oracle(g, centers, arms).history
     for t in range(spread.rounds + 1):
         h = hist[min(t, len(hist) - 1)]  # the last round repeats past settling
         want = np.stack([h.center_of, h.origin_of, h.mass_m, h.mass_d])
@@ -390,15 +391,26 @@ def test_spread_rounds_equal_history_after_every_center(arms):
         graphs.append(random_connected_graph(n, float(rng.choice([0.0, 0.05, 0.3])), rng))
     for g in graphs:
         n = g.node_count
-        # the greedy's own order, then any center set in any order, adjacent centers included
-        orders = [list(compute_centers_informed(g, arms).centers),
-                  [int(v) for v in rng.permutation(n)[:int(rng.integers(1, min(n, 8) + 1))]]]
-        for order in orders:
+        greedy = list(compute_centers_informed(g, arms).centers)
+        perm = [int(v) for v in rng.permutation(n)[:int(rng.integers(1, min(n, 8) + 1))]]
+        cuts = rng.choice(np.arange(1, len(perm)), size=min(2, len(perm) - 1), replace=False)
+        hub = int(rng.integers(n))
+        adds = [
+            [[c] for c in greedy],  # the greedy's own order, one center per call
+            [[c] for c in perm],  # any order, adjacent centers included
+            [greedy],  # the whole set in one call
+            [[int(x) for x in part] for part in np.split(perm, np.sort(cuts))],  # sets after sets
+            [greedy[:1], [hub, *g.adj[hub]]],  # adjacent centers in one call, after a center
+        ]
+        for batches in adds:
             spread = _SpreadRounds(g, arms)
-            for i, c in enumerate(order):
+            done = []
+            for batch in batches:
+                new = sorted(set(batch) - set(done))
                 before = spread.states[-1].copy()
-                moved = spread.add(c)
-                _assert_rounds_match(spread, g, order[: i + 1], arms)
+                moved = spread.add(np.array(new))
+                done += new
+                _assert_rounds_match(spread, g, done, arms)
                 changed = np.flatnonzero((spread.states[-1] != before).any(axis=0))
                 assert moved.tolist() == changed.tolist()
 
@@ -490,6 +502,67 @@ def test_uninformed_full_budget_charged_after_early_finish():
     assert len(el.luby_calls) == 4
     budget = mis_round_budget(10, 4, 500)
     assert el.protocol_steps == 4 * (4 * budget + spread_rounds(4) + 1)
+
+
+def _uninformed_repropagating(g, arms, n_upper, horizon, rng):
+    """The uninformed election with one from-scratch propagation (the oracle's)
+    after every iteration and one more for the final map; satisfied is
+    re-scored from each map's final masses and round-2 center pointers."""
+    n = g.node_count
+    budget = mis_round_budget(n_upper, arms, horizon)
+    clamp = degree_clamp(g, arms)
+    clamp_score = MASS_DECAY_DENOM * np.log(clamp)
+    satisfied = np.zeros(n, dtype=bool)
+    center_mask = np.zeros(n, dtype=bool)
+    calls = []
+    for t in range(arms):
+        bucket = np.flatnonzero(~satisfied & (clamp == arms - t))
+        outcome = luby_2mis(g, bucket.tolist(), budget, rng)
+        calls.append(LubyCall(t, frozenset(int(v) for v in bucket), outcome))
+        center_mask[sorted(outcome.joined)] = True
+        if center_mask.any():
+            comp = _propagation_oracle(g, np.flatnonzero(center_mask).tolist(), arms)
+            score = np.where(comp.mass_m > 0,
+                             MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d,
+                             -np.inf)
+            near = comp.history[min(2, len(comp.history) - 1)].center_of >= 0
+            satisfied = (score >= clamp_score) | near
+    centers = np.flatnonzero(center_mask).tolist()
+    return tuple(centers), calls, budget, _propagation_oracle(g, centers, arms)
+
+
+def _assert_uninformed_equals_repropagating(g, arms, seed):
+    n_upper, horizon = g.node_count + 3, 100_000
+    el = compute_centers_uninformed(g, arms, n_upper, horizon, np.random.default_rng(seed))
+    centers, calls, budget, comp = _uninformed_repropagating(
+        g, arms, n_upper, horizon, np.random.default_rng(seed))
+    assert el.centers == centers and el.luby_calls == calls
+    pass_rounds = spread_rounds(arms) + 1
+    protocol = arms * (4 * budget + pass_rounds)
+    assert (el.luby_round_budget, el.protocol_steps, el.final_pass_steps, el.total_steps) == (
+        budget, protocol, pass_rounds, protocol + pass_rounds)
+    _assert_same_map(el.final_map, comp)
+
+
+@pytest.mark.parametrize("arms", [2, 3, 5, 10, 50])
+def test_uninformed_election_equals_repropagating_oracle(arms):
+    rng = np.random.default_rng(3000 + arms)
+    for i in range(40):
+        n = int(rng.integers(2, 80))
+        g = random_connected_graph(n, float(rng.choice([0.0, 0.0, 0.04, 0.15, 0.5])), rng)
+        _assert_uninformed_equals_repropagating(g, arms, i)
+
+
+def test_uninformed_election_large_graphs_equal_repropagating_oracle():
+    _assert_uninformed_equals_repropagating(random_connected_graph(10_000, 0.0, 10_000), 10, 0)
+    # a uniform random tree plus as many distinct random chords as nodes
+    rng = np.random.default_rng(3)
+    edges = set(random_connected_graph(3000, 0.0, rng).edges())
+    while len(edges) < 2 * 3000 - 1:
+        u, v = sorted(int(x) for x in rng.integers(0, 3000, size=2))
+        if u != v:
+            edges.add((u, v))
+    _assert_uninformed_equals_repropagating(build_graph(3000, sorted(edges)), 10, 1)
 
 
 def test_uninformed_properties_on_randoms():

@@ -74,6 +74,10 @@ def test_switch_oracle_semantics():
         switching_losses([(3, 0)], 3)  # must start at step 0
     with pytest.raises(ValueError):
         switching_losses([(0, 7)], 3)
+    # two switches at one step have no order to favor either arm by
+    for dup in ([(0, 2), (0, 1)], [(0, 1), (0, 2)], [(0, 0), (5, 1), (5, 2)]):
+        with pytest.raises(ValueError, match="two switches at step"):
+            switching_losses(dup, 3)
 
 
 def test_zero_losses_zero_regret():
