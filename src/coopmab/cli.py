@@ -8,16 +8,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .exp3 import ArmsTooFewError
 from .graph import Graph, GraphError, read_edge_list
 from .partition import (
+    Mass,
     compute_centers_informed,
     compute_centers_uninformed,
     partition_to_json,
@@ -161,69 +163,103 @@ def sweep(cfg: RunConfig, g: Graph, log_prefix: str | None = None) -> list[RunRe
         return [res for chunk in pool.map(_pool_worker, payloads) for res in chunk]
 
 
-def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> list[dict]:
-    rows = []
-    for index, res in enumerate(results):
-        part = res.partition
-        for v in range(res.node_count):
-            closed = g.closed_degree(v)
-            if cfg.setting == "uninformed":
-                b12 = uninformed_degree_bound(closed, cfg.arms, cfg.n_upper, cfg.horizon)
-            else:
-                b12 = degree_bound(closed, cfg.arms, cfg.horizon)
-            rows.append(
-                {
-                    "seed": index,
-                    "agent": v,
-                    "degree": closed,
-                    "mass_m": part.mass_m[v],
-                    "mass_d": part.mass_d[v],
-                    "delay": part.delay[v],
-                    "regret": float(res.regret[v]),
-                    "regret_semi": float(res.semi_regret[v]),
-                    "bound_individual": individual_bound(part.mass_value(v), cfg.arms, cfg.horizon),
-                    "bound_degree": b12,
-                    "setup_steps": res.setup_steps,
-                }
-            )
-    rows.sort(key=lambda r: (r["seed"], r["agent"]))
-    return rows
+CHUNK_ROWS = 1024  # rows per write of the CSV, the summary's per_agent list and the stdout table
+# a per_agent entry as json.dump(..., indent=1) lays it out two levels deep, after
+# the comma that parts it from the one before
+_AGENT_ENTRY = "{}\n  {{\n" + ",\n".join(f'   "{key}": {{}}' for key in (
+    "agent", "degree", "mass_m", "mass_d", "delay", "mean_regret", "mean_regret_semi",
+    "bound_individual", "bound_degree", "within_individual", "within_degree_bound")) + "\n  }}"
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def write_csv(path: str, rows: list[dict]) -> None:
+def _json_float(text: str) -> str:
+    """A float's repr as the json module writes the float."""
+    return _JSON_NONFINITE.get(text, text)
+
+
+@dataclass
+class ResultColumns:
+    """A sweep's (seed, agent) rows as columns: seed s's come from results[s], agents ascending."""
+
+    results: list[RunResult]
+    degree: list[int]
+    bound_degree: list[float]
+    bound_individual: list[list[float]]  # one list per seed
+    text: dict[float, str]  # each bound's repr, made once per distinct value
+
+
+def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> ResultColumns:
+    """The rows' columns; each bound is computed once per distinct degree or mass."""
+    degree = [g.closed_degree(v) for v in range(g.node_count)]
+    if cfg.setting == "uninformed":
+        by_degree = {d: uninformed_degree_bound(d, cfg.arms, cfg.n_upper, cfg.horizon)
+                     for d in set(degree)}
+    else:
+        by_degree = {d: degree_bound(d, cfg.arms, cfg.horizon) for d in set(degree)}
+    masses = [list(zip(res.partition.mass_m, res.partition.mass_d)) for res in results]
+    by_mass = {md: individual_bound(Mass(*md).value(), cfg.arms, cfg.horizon)
+               for md in set().union(*masses)}
+    return ResultColumns(results, degree, [by_degree[d] for d in degree],
+                         [[by_mass[md] for md in seed_masses] for seed_masses in masses],
+                         {x: repr(x) for x in (*by_degree.values(), *by_mass.values())})
+
+
+def _chunks(lines: Iterator[str], count: int) -> Iterator[str]:
+    """The lines joined CHUNK_ROWS at a time; ``count`` is how many there are."""
+    for _ in range(0, count, CHUNK_ROWS):
+        yield "".join(islice(lines, CHUNK_ROWS))
+
+
+def write_csv(path: str, rows: ResultColumns) -> None:
+    """The rows as csv.writer writes them, floats as their repr."""
+    text, n = rows.text, len(rows.degree)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [repr(float(r[c])) if isinstance(r[c], float) else int(r[c]) for c in CSV_COLUMNS]
-            )
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for s, res in enumerate(rows.results):
+            part = res.partition
+            fh.writelines(_chunks((
+                f"{s},{v},{d},{m},{md},{dl},{r!r},{sr!r},{text[bi]},{text[bd]},{res.setup_steps}\r\n"
+                for v, d, m, md, dl, r, sr, bi, bd in zip(
+                    range(n), rows.degree, part.mass_m, part.mass_d, part.delay,
+                    res.regret.tolist(), res.semi_regret.tolist(), rows.bound_individual[s],
+                    rows.bound_degree)), n))
 
 
-def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: list[dict]) -> dict:
-    n = g.node_count
-    # rows run seed by seed, agents ascending: a C-contiguous (agents, seeds)
-    # array's row means sum pairwise in seed order, bit for bit np.mean's
-    regret, semi = (np.array([r[c] for r in rows]).reshape(-1, n).T.copy()
-                    for c in ("regret", "regret_semi"))
-    per_agent = []
-    for first, mean_r, mean_sr in zip(rows[:n], regret.mean(axis=1).tolist(),
-                                      semi.mean(axis=1).tolist()):
-        per_agent.append(
-            {
-                "agent": first["agent"],
-                "degree": first["degree"],
-                "mass_m": first["mass_m"],
-                "mass_d": first["mass_d"],
-                "delay": first["delay"],
-                "mean_regret": mean_r,
-                "mean_regret_semi": mean_sr,
-                "bound_individual": first["bound_individual"],
-                "bound_degree": first["bound_degree"],
-                "within_individual": mean_sr <= first["bound_individual"],
-                "within_degree_bound": mean_sr <= first["bound_degree"],
-            }
-        )
+@dataclass
+class PerAgent:
+    """The summary's per_agent list: seed 0's columns, each agent's regrets averaged over seeds."""
+
+    rows: ResultColumns
+    mean_regret: list[float]
+    mean_regret_semi: list[float]
+
+    def _columns(self):
+        r = self.rows
+        part = r.results[0].partition
+        return zip(range(len(r.degree)), r.degree, part.mass_m, part.mass_d, part.delay,
+                   self.mean_regret, self.mean_regret_semi, r.bound_individual[0], r.bound_degree)
+
+    def entries(self) -> Iterator[str]:
+        """Chunks of the entries' text, as json.dump(..., indent=1) writes them in the summary."""
+        text = self.rows.text
+        return _chunks((
+            _AGENT_ENTRY.format("," if v else "", v, d, m, md, dl, _json_float(repr(mr)),
+                                _json_float(repr(sr)), _json_float(text[bi]), _json_float(text[bd]),
+                                "true" if sr <= bi else "false", "true" if sr <= bd else "false")
+            for v, d, m, md, dl, mr, sr, bi, bd in self._columns()), len(self.rows.degree))
+
+    def table(self) -> Iterator[str]:
+        """Chunks of the stdout table, one line per agent."""
+        return _chunks((
+            f"  agent {v:>3} mass ({m},{md}) semi {sr:>10.2f} vs bounds {bi:>10.1f} / {bd:>12.1f}\n"
+            for v, _, m, md, _, _, sr, bi, bd in self._columns()), len(self.rows.degree))
+
+
+def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: ResultColumns) -> dict:
+    # a C-contiguous (agents, seeds) array's row means sum pairwise in seed
+    # order, bit for bit np.mean's over each agent's rows
+    regret, semi = (np.stack([getattr(res, name) for res in results], axis=1).mean(axis=1).tolist()
+                    for name in ("regret", "semi_regret"))
     per_seed = [
         {
             "seed": i,
@@ -240,7 +276,7 @@ def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: list[d
     return {
         "config": {
             "graph": cfg.graph_path,
-            "node_count": n,
+            "node_count": g.node_count,
             "arms": cfg.arms,
             "horizon": cfg.horizon,
             "setting": cfg.setting,
@@ -252,15 +288,26 @@ def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: list[d
             "debug_invariants": cfg.debug_invariants,
         },
         "per_seed": per_seed,
-        "per_agent": per_agent,
+        "per_agent": PerAgent(rows, regret, semi),
         "aggregate": {
-            "mean_regret": float(np.mean([r["regret"] for r in rows])),
-            "mean_regret_semi": float(np.mean([r["regret_semi"] for r in rows])),
+            # every row, seed by seed: np.mean's pairwise sum over one array
+            "mean_regret": float(np.mean(np.concatenate([res.regret for res in results]))),
+            "mean_regret_semi": float(np.mean(np.concatenate([res.semi_regret for res in results]))),
             "mean_policy_regret_semi": float(
                 np.mean([np.mean(res.policy_semi_regret) for res in results])
             ),
         },
     }
+
+
+def write_summary(path: str, doc: dict) -> None:
+    """The summary as json.dump(doc, fh, indent=1) and a newline write it, byte for byte."""
+    # no JSON text holds a raw newline inside a string, so the split is at the key
+    head, tail = json.dumps({**doc, "per_agent": []}, indent=1).split('\n "per_agent": []')
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '\n "per_agent": [')
+        fh.writelines(doc["per_agent"].entries())
+        fh.write("\n ]" + tail + "\n")
 
 
 def cmd_partition(args) -> int:
@@ -322,21 +369,15 @@ def cmd_simulate(args) -> int:
     doc = summary_doc(cfg, g, results, rows)
     if args.out:
         write_csv(f"{args.out}.csv", rows)
-        with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_summary(f"{args.out}.json", doc)
         print(f"wrote {args.out}.csv and {args.out}.json")
     agg = doc["aggregate"]
     print(
         f"{cfg.setting} sweep: {cfg.seeds} seed(s), mean regret {agg['mean_regret']:.2f}, "
         f"mean semi-expected regret {agg['mean_regret_semi']:.2f}"
     )
-    for row in doc["per_agent"]:
-        print(
-            f"  agent {row['agent']:>3} mass ({row['mass_m']},{row['mass_d']}) "
-            f"semi {row['mean_regret_semi']:>10.2f} vs bounds "
-            f"{row['bound_individual']:>10.1f} / {row['bound_degree']:>12.1f}"
-        )
+    for chunk in doc["per_agent"].table():
+        sys.stdout.write(chunk)
     violations = sum(len(res.debug_violations) for res in results)
     if violations:
         print(f"DEBUG INVARIANT VIOLATIONS: {violations}")

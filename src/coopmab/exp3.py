@@ -75,12 +75,16 @@ def exp3_update_raw(
     return lw
 
 
-def estimated_loss_vector(losses: np.ndarray, observe_probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
+def estimated_loss_vector(losses: np.ndarray, observe_probs: np.ndarray, observed: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Importance-weighted loss estimates: loss / observe_prob where observed, else 0."""
     # observe_probs.min() spares the masked test in the usual all-positive case
     if observe_probs.min() <= 0.0 and ((observe_probs <= 0.0) & observed).any():
         raise ZeroObservationProbabilityError("observed arm with zero observation probability")
-    out = np.zeros(np.broadcast(losses, observe_probs, observed).shape)
+    if out is None:
+        out = np.zeros(np.broadcast(losses, observe_probs, observed).shape)
+    else:
+        out.fill(0.0)
     return np.divide(losses, observe_probs, out=out, where=observed)
 
 

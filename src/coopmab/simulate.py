@@ -220,7 +220,7 @@ def _check_run_args(g: Graph, arms: int, horizon: int, oracle: LossOracle) -> bo
     return short
 
 
-BATCH_ROWS = 128  # steps per block of losses, policy draws, digest records and log lines
+BATCH_ROWS = 64  # steps per block of losses, policy draws, digest records and log lines
 BATCH_CELLS = 1 << 16  # at most this many seed-agent-steps per block
 
 
@@ -247,11 +247,15 @@ def _run_batch(
     setup+1..setup+horizon follow the protocol (one ``random`` draw per
     agent).  The arithmetic is done on (seeds, agents, arms) arrays in a
     fixed reduction order, so a seed's result does not depend on which
-    seeds share its batch.  Losses and policy draws are read, and digest
-    records written, one block of steps at a time.  The debug audit runs
-    on the stashed center updates of several steps at once, and the log
-    writer on several steps of a block: each holds at most BATCH_CELLS / 64
-    center-arm cells or lines, or one step's when that is more.
+    seeds share its batch.  Each agent carries its distribution's CDF: a
+    center computes it once per update, a relay copies it with the
+    distribution.  Losses and policy draws are read, charged losses
+    gathered, running totals advanced and digest records hashed one block of
+    steps at a time; the step loop runs only in the policy phase.  The
+    debug audit runs on the stashed center updates of several steps at
+    once, and the log writer on several steps of a block: each holds at
+    most BATCH_CELLS / 64 center-arm cells or lines, or one step's when
+    that is more.
     """
     seeds, n, k = len(oracles), partition.node_count, partition.arms
     total = setup + horizon
@@ -262,7 +266,6 @@ def _run_batch(
     roles = np.array([ROLE_CODES[r] for r in role_names], dtype=np.int64)
     header = np.array([n, k, total], dtype=np.int64).tobytes() + roles.tobytes()
     digests = [hashlib.blake2b(header, digest_size=8) for _ in range(seeds)]
-    record = np.dtype([("t", np.int64), ("a", np.int64, (n,)), ("c", np.float64, (n,))])
     sinks = [None] * seeds if log_sinks is None else list(log_sinks)
     cells = BATCH_CELLS >> 6
     if any(x is not None for x in sinks):  # steps per write; a line's fixed text (_log_lines)
@@ -288,83 +291,90 @@ def _run_batch(
         chunk = max(1, cells // logw.size)
         stash = np.empty((4, chunk * seeds) + logw.shape[1:])
 
-    dists = np.full((seeds, n, k), 1.0 / k)
-    realized = np.zeros((seeds, n))
-    semi = np.zeros((seeds, n))
-    arm_cum = np.zeros((seeds, k))
+    # Two buffers each for the distributions and their CDFs: a step reads
+    # one and writes the other.
+    dists = np.full((2, seeds, n, k), 1.0 / k)
+    cdfs = np.empty_like(dists)
+    np.cumsum(dists[0], axis=2, out=cdfs[0])
+    count = np.empty((seeds, n))
+    ones = np.ones(k)
     checkpoints: list[list] = [[] for _ in range(seeds)]
     violations: list[list[str]] = [[] for _ in range(seeds)]
     history: list[list[np.ndarray]] = [[] for _ in range(seeds)]
     every = max(1, total // 256)
-    # flat indices: of p[s, v, 0] in a (seeds, agents, arms) array, of
-    # loss_row[s, 0] in a (seeds, arms) one, of observed[s, slot[f], 0], and
-    # the rows of the centers when (seeds, agents, arms) is viewed as rows of arms
+    # flat indices: of observed[s, slot[f], 0], and the rows of the centers
+    # when (seeds, agents, arms) is viewed as rows of arms
     seed_col = np.arange(seeds)[:, None]
-    cell = (seed_col * n + np.arange(n)) * k
-    row_offset = seed_col * k
     observed_cell = (seed_col * len(centers) + slot) * k
     center_rows = (seed_col * n + centers).ravel()
     block = max(1, min(BATCH_ROWS, BATCH_CELLS // (seeds * n)))
-    # one set of block buffers, reused: a block's rows are hashed and logged before the next
-    losses_buf = np.empty((block, seeds, k))
-    actions_buf = np.empty((block, seeds, n), dtype=np.int64)
+    # Running totals: realized and semi-expected loss per agent, loss per
+    # arm.  Rows 1..m of `steps` and `losses` take a block's charges,
+    # expected losses and loss rows; the totals go into the row before a
+    # segment, and a sum over rows (step the outer axis) adds the segment
+    # one step at a time, as a per-step `+=` does.  (The two agent totals
+    # make the inner axis at least 2 long: numpy sums a reduction over a
+    # lone contiguous axis pairwise.)
+    totals = np.zeros((2, seeds, n))
+    arm_totals = np.zeros((seeds, k))
+    steps = np.empty((block + 1,) + totals.shape)
+    losses = np.empty((block + 1, seeds, k))
+    # digest records, one seed's block contiguous: the policy step writes
+    # actions straight into them, and they are hashed where they lie
+    record = np.empty((seeds, block), dtype=[("t", np.int64), ("a", np.int64, (n,)),
+                                             ("c", np.float64, (n,))])
     draws_buf = np.empty((block, seeds, n))
-    charged_buf = np.empty((block, seeds, n))
-    rec_buf = np.empty(block, dtype=record)
+    charged_buf = np.empty(seeds * block * n)
+    index_buf = draws_buf.reshape(-1).view(np.int64)  # used once a block's draws are spent
+    # flat index of losses[1 + j, s, 0]
+    loss_base = ((np.arange(1, block + 1) * seeds + seed_col) * k)[:, :, None]
+    cur = 0
 
     for warm, first, last in ((True, 0, setup), (False, setup, total)):
         if not warm:  # ledgers at the policy phase's start
-            snapshot = (realized.copy(), arm_cum.copy(), semi.copy())
+            snapshot = (totals[0].copy(), arm_totals.copy(), totals[1].copy())
         for start in range(first, last, block):
-            stop = min(start + block, last)
-            losses = losses_buf[:stop - start]
-            actions_blk = actions_buf[:stop - start]
-            charged_blk = charged_buf[:stop - start]
+            m = min(start + block, last) - start
+            actions = record["a"][:, :m]
             for s in range(seeds):
-                losses[:, s] = oracles[s].rows(start, stop)
+                losses[1:m + 1, s] = oracles[s].rows(start, start + m)
             # row-major fills: the same streams as one call per step
             if warm:
                 for s in range(seeds):
-                    actions_blk[:, s] = rngs[s].integers(0, k, size=(stop - start, n))
-                row_means = losses.mean(axis=2, keepdims=True)
+                    actions[s] = rngs[s].integers(0, k, size=(m, n))
+                steps[1:m + 1, 1] = losses[1:m + 1].mean(axis=2, keepdims=True)
             else:
-                draws = draws_buf[:stop - start]
+                draws = draws_buf[:m]
                 for s in range(seeds):
-                    draws[:, s] = rngs[s].random((stop - start, n))
-            for j in range(stop - start):
+                    draws[:, s] = rngs[s].random((m, n))
+            for j in range(0 if warm else m):
                 t = start + j + 1
-                loss_row = losses[j]
-                actions = actions_blk[j]
-                if warm:
-                    semi_add = row_means[j]
-                else:
-                    p = dists
-                    if record_distributions:
-                        for s in range(seeds):
-                            history[s].append(p[s].copy())
-                    # inverse-CDF sample per agent, arms ascending
-                    cdf = p.cumsum(axis=2)
-                    (cdf < draws[j, :, :, None]).sum(axis=2, out=actions)
-                    clipped = np.minimum(actions, k - 1)
-                    suspect = (actions >= k) | (p.take(cell + clipped) <= 0.0)
-                    if suspect.any():
-                        for s, v in zip(*np.nonzero(suspect)):
-                            actions[s, v] = exp3.sample_action(p[s, v], float(draws[j, s, v]))
-                    semi_add = np.matmul(p, loss_row[:, :, None])[:, :, 0]  # p @ loss_row
-                charged = loss_row.take(row_offset + actions, out=charged_blk[j])
-                realized += charged
-                semi += semi_add
-                arm_cum += loss_row
-                if t % every == 0 or t == total:
+                loss_row = losses[j + 1]
+                p, cdf = dists[cur], cdfs[cur]
+                if record_distributions:
                     for s in range(seeds):
-                        checkpoints[s].append(
-                            (t, realized[s].copy(), semi[s].copy(), arm_cum[s].copy())
-                        )
-                if warm:
-                    continue
+                        history[s].append(p[s].copy())
+                # inverse-CDF sample per agent, arms ascending: the action is
+                # the number of arms whose CDF lies below the draw.  As the CDF
+                # never falls, that arm has positive probability unless every
+                # arm lies below or the draw is 0; those cells take the fallback
+                # (p_new holds 1.0 where the CDF is below the draw until the
+                # relays' gather fills it; the row sums are exact small integers)
+                draw = draws[j]
+                p_new, cdf_new = dists[1 - cur], cdfs[1 - cur]
+                np.matmul(np.less(cdf, draw[:, :, None], out=p_new), ones, out=count)
+                actions[:, j] = count
+                suspect = (count >= k) | (draw == 0.0)
+                if suspect.any():
+                    for s, v in zip(*np.nonzero(suspect)):
+                        actions[s, j, v] = exp3.sample_action(p[s, v], float(draw[s, v]))
+                # p @ loss_row, the agent's expected loss
+                np.matmul(p, loss_row[:, :, None], out=steps[j + 1, 1].reshape(seeds, n, 1))
 
-                # relays stage the origin's round-t distribution
-                new_dists = p.take(origin_idx, axis=1)
+                # relays stage the origin's round-t distribution and its CDF
+                # (every index is in range; "clip" lets take write to out unbuffered)
+                p.take(origin_idx, axis=1, out=p_new, mode="clip")
+                cdf.take(origin_idx, axis=1, out=cdf_new, mode="clip")
                 # every center at once: products over its closed neighborhood,
                 # taken member by member in ascending order
                 i = (t - setup - 1) % chunk if debug else 0
@@ -373,35 +383,50 @@ def _run_batch(
                     1.0, np.multiply.reduceat(1.0 - p.take(flat, axis=1), starts, axis=1),
                     out=out[3])
                 observed = np.zeros((seeds, len(centers), k), dtype=bool)
-                observed.put(observed_cell + actions.take(flat, axis=1), True)
-                est = exp3.estimated_loss_vector(loss_row[:, None], observe, observed)
+                observed.put(observed_cell + actions[:, j].take(flat, axis=1), True)
+                est = exp3.estimated_loss_vector(loss_row[:, None], observe, observed, out=out[2])
                 lw = exp3.exp3_update_raw(logw, rates, est)
                 p_next = exp3.probs_from_log_weights(lw, out=out[1])
                 if debug:
                     p.take(centers, axis=1, out=out[0])
-                    out[2] = est
                     if i == chunk - 1 or t == total:
                         _audit(violations, t - i, centers, *stash[:, :(i + 1) * seeds], rates,
                                drift)
-                new_dists.reshape(-1, k)[center_rows] = p_next.reshape(-1, k)
+                p_new.reshape(-1, k)[center_rows] = p_next.reshape(-1, k)
+                cdf_new.reshape(-1, k)[center_rows] = p_next.cumsum(axis=2).reshape(-1, k)
                 logw = lw
-                dists = new_dists
+                cur = 1 - cur
 
+            # charged losses, one gather for the block: losses[1 + j, s, actions[s, j, v]]
+            index = index_buf[:seeds * m * n].reshape(seeds, m, n)
+            charged = charged_buf[:seeds * m * n].reshape(seeds, m, n)
+            losses.take(np.add(loss_base[:, :m], actions, out=index), out=charged, mode="clip")
+            record["c"][:, :m] = charged
+            record["t"][:, :m] = np.arange(start + 1, start + m + 1)
+            steps[1:m + 1, 0] = charged.transpose(1, 0, 2)
             for s in range(seeds):
-                rec = rec_buf[:stop - start]
-                rec["t"] = np.arange(start + 1, stop + 1)
-                rec["a"] = actions_blk[:, s]
-                rec["c"] = charged_blk[:, s]
-                digests[s].update(rec.tobytes())  # step, actions as int64, losses; step by step
+                digests[s].update(record[s, :m])  # step, actions as int64, losses; step by step
                 if sinks[s] is not None:
-                    for a in range(0, stop - start, lines):
-                        _log_lines(sinks[s], start + a + 1, actions_blk[a:a + lines, s],
-                                   charged_blk[a:a + lines, s], *frags)
+                    for a in range(0, m, lines):
+                        _log_lines(sinks[s], start + a + 1, actions[s, a:a + lines],
+                                   charged[s, a:a + lines], *frags)
+
+            # fold the block into the totals, cut at its checkpoint steps
+            lo = 0
+            for hi in (*range(every - start % every, m, every), m):
+                steps[lo], losses[lo] = totals, arm_totals
+                np.add.reduce(steps[lo:hi + 1], axis=0, out=totals)
+                np.add.reduce(losses[lo:hi + 1], axis=0, out=arm_totals)
+                if (start + hi) % every == 0 or start + hi == total:
+                    for s in range(seeds):
+                        checkpoints[s].append((start + hi, totals[0, s].copy(),
+                                               totals[1, s].copy(), arm_totals[s].copy()))
+                lo = hi
 
     return [
-        _result(setting, partition, realized[s], semi[s], arm_cum[s], digests[s].hexdigest(),
-                checkpoints[s], horizon, setup, n_upper, oracles[s], policy_seeds[s],
-                tuple(ledger[s] for ledger in snapshot), violations=violations[s],
+        _result(setting, partition, totals[0, s], totals[1, s], arm_totals[s],
+                digests[s].hexdigest(), checkpoints[s], horizon, setup, n_upper, oracles[s],
+                policy_seeds[s], tuple(x[s] for x in snapshot), violations=violations[s],
                 dist_history=history[s], exhaustions=exhaustions, short=short)
         for s in range(seeds)
     ]

@@ -15,9 +15,12 @@ from coopmab.cli import (
     results_rows,
     summary_doc,
     sweep,
+    write_csv,
+    write_summary,
 )
 from coopmab.graph import format_edge_list, path_graph, read_edge_list, star_graph
 from coopmab.partition import Mass, partition_from_json
+from coopmab.simulate import degree_bound, individual_bound, uninformed_degree_bound
 
 
 @pytest.fixture
@@ -244,14 +247,23 @@ def _config(path, setting, seeds, **over):
     return RunConfig(**fields)
 
 
+INT_COLUMNS = {"seed", "agent", "degree", "mass_m", "mass_d", "delay", "setup_steps"}
+
+
 @pytest.mark.parametrize("setting", ["informed", "uninformed"])
-def test_summary_per_agent_recomputes_from_rows(path_file, setting):
+def test_summary_per_agent_recomputes_from_rows(tmp_path, path_file, setting):
+    # the written JSON's per_agent entries, recomputed from the written CSV rows
     g = read_edge_list(path_file)
     for seeds in (1, 3, 4, 12):  # np.mean's pairwise summation blocks from 8 values on
-        cfg = _config(path_file, setting, seeds)
-        results = sweep(cfg, g)
-        rows = results_rows(cfg, g, results)
-        per_agent = summary_doc(cfg, g, results, rows)["per_agent"]
+        out = tmp_path / f"run{seeds}"
+        assert main(["simulate", "--graph", path_file, "--arms", "3", "--horizon", "150",
+                     "--setting", setting, "--nbar", "12", "--adversary", "bernoulli:0.3,0.5,0.7",
+                     "--seeds", str(seeds), "--adversary-seed", "5", "--policy-seed", "20",
+                     "--debug-invariants", "--out", str(out)]) == 0
+        with open(f"{out}.csv") as fh:  # a float's repr reads back as the same float
+            rows = [{c: int(x) if c in INT_COLUMNS else float(x) for c, x in r.items()}
+                    for r in csv.DictReader(fh)]
+        per_agent = json.loads((tmp_path / f"run{seeds}.json").read_text())["per_agent"]
         assert [a["agent"] for a in per_agent] == list(range(g.node_count))
         for v, got in enumerate(per_agent):
             mine = [r for r in rows if r["agent"] == v]
@@ -270,6 +282,96 @@ def test_summary_per_agent_recomputes_from_rows(path_file, setting):
                 "within_individual": mean_semi <= mine[0]["bound_individual"],
                 "within_degree_bound": mean_semi <= mine[0]["bound_degree"],
             }
+
+
+def _dict_rows(cfg, g, results) -> list[dict]:
+    """One dict per (seed, agent) row, as the CLI built them before it wrote from columns."""
+    rows = []
+    for index, res in enumerate(results):
+        part = res.partition
+        for v in range(res.node_count):
+            closed = g.closed_degree(v)
+            if cfg.setting == "uninformed":
+                b12 = uninformed_degree_bound(closed, cfg.arms, cfg.n_upper, cfg.horizon)
+            else:
+                b12 = degree_bound(closed, cfg.arms, cfg.horizon)
+            rows.append({
+                "seed": index, "agent": v, "degree": closed, "mass_m": part.mass_m[v],
+                "mass_d": part.mass_d[v], "delay": part.delay[v],
+                "regret": float(res.regret[v]), "regret_semi": float(res.semi_regret[v]),
+                "bound_individual": individual_bound(part.mass_value(v), cfg.arms, cfg.horizon),
+                "bound_degree": b12, "setup_steps": res.setup_steps,
+            })
+    return rows
+
+
+def _dict_per_agent(rows: list[dict], n: int) -> list[dict]:
+    per_agent = []
+    for v in range(n):
+        mine = [r for r in rows if r["agent"] == v]
+        first = mine[0]
+        mean_r = float(np.array([r["regret"] for r in mine]).mean())
+        mean_sr = float(np.array([r["regret_semi"] for r in mine]).mean())
+        per_agent.append({
+            "agent": v, "degree": first["degree"], "mass_m": first["mass_m"],
+            "mass_d": first["mass_d"], "delay": first["delay"], "mean_regret": mean_r,
+            "mean_regret_semi": mean_sr, "bound_individual": first["bound_individual"],
+            "bound_degree": first["bound_degree"],
+            "within_individual": mean_sr <= first["bound_individual"],
+            "within_degree_bound": mean_sr <= first["bound_degree"],
+        })
+    return per_agent
+
+
+# floats whose text is easy to get wrong: a signed zero, the smallest
+# subnormal, repr's exponent form, an integral value, and the non-finite
+# values the json module spells its own way
+EDGE_REGRETS = (-0.0, 5e-324, 1e16, 2.0, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")  # inf - inf in a mean over seeds
+@pytest.mark.parametrize("setting,seeds", [("informed", 3), ("uninformed", 2), ("informed", 1)])
+def test_column_writers_equal_csv_and_json_modules(tmp_path, setting, seeds):
+    # write_csv, write_summary and the stdout table, written from columns,
+    # are byte for byte what csv.writer, json.dump(indent=1) and one format
+    # per row make of dict rows
+    path = tmp_path / 'p\u00e4th "q".txt'
+    path.write_text(format_edge_list(path_graph(6)))
+    g = read_edge_list(str(path))
+    cfg = _config(str(path), setting, seeds, debug_invariants=False)
+    results = sweep(cfg, g)
+    for s, res in enumerate(results):  # edge values in both regret columns, each seed its own mix
+        res.regret[:] = [EDGE_REGRETS[(v + s) % 7] for v in range(g.node_count)]
+        res.semi_regret[:] = [EDGE_REGRETS[(v + 2 * s + 3) % 7] for v in range(g.node_count)]
+    rows = results_rows(cfg, g, results)
+    doc = summary_doc(cfg, g, results, rows)
+    write_csv(str(tmp_path / "cols.csv"), rows)
+    write_summary(str(tmp_path / "cols.json"), doc)
+
+    want_rows = _dict_rows(cfg, g, results)
+    with open(tmp_path / "dicts.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for r in want_rows:
+            writer.writerow([repr(r[c]) if isinstance(r[c], float) else r[c] for c in CSV_COLUMNS])
+    want_doc = dict(doc, per_agent=_dict_per_agent(want_rows, g.node_count))
+    with open(tmp_path / "dicts.json", "w", encoding="utf-8") as fh:
+        json.dump(want_doc, fh, indent=1)
+        fh.write("\n")
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "dicts.csv").read_bytes()
+    assert (tmp_path / "cols.json").read_bytes() == (tmp_path / "dicts.json").read_bytes()
+    csv_text = (tmp_path / "cols.csv").read_text(encoding="utf-8")
+    assert all(x in csv_text for x in (",-0.0,", ",5e-324,", ",1e+16,", ",2.0,", ",nan,"))
+    text = (tmp_path / "cols.json").read_text(encoding="utf-8")
+    assert '/p\\u00e4th \\"q\\".txt",' in text
+    per_agent = text[text.index('"per_agent"'):text.index('"aggregate"')]
+    assert all(x in per_agent for x in (": true", ": false", ": NaN"))
+    want_table = "".join(
+        f"  agent {r['agent']:>3} mass ({r['mass_m']},{r['mass_d']}) "
+        f"semi {r['mean_regret_semi']:>10.2f} vs bounds "
+        f"{r['bound_individual']:>10.1f} / {r['bound_degree']:>12.1f}\n"
+        for r in want_doc["per_agent"])
+    assert "".join(doc["per_agent"].table()) == want_table
 
 
 @pytest.mark.parametrize("setting", ["informed", "uninformed"])

@@ -497,6 +497,32 @@ def test_uninformed_runs_equal_reference_runs(monkeypatch, name, g, arms, kind):
                                                        oracle, seed))
 
 
+@pytest.mark.filterwarnings("ignore:horizon")
+@pytest.mark.parametrize("case", ["solo", "edge-informed", "edge-uninformed", "arms-300"])
+def test_kernel_equals_reference_where_sum_order_shows(case):
+    # Horizons of 2,304 steps and more space checkpoints 9 or more steps
+    # apart, so each ledger sum runs over more than 8 steps: there numpy
+    # sums a reduction over a lone contiguous axis pairwise, not step by
+    # step.  One seed of the one-agent solo run and of a two-agent run have
+    # the fewest cells per step.  With 300 arms, an action counted in 8 bits
+    # would wrap (300 reads as 44).
+    oracle = bernoulli_losses(np.linspace(0.2, 0.8, 3), 90)
+    if case == "solo":
+        run, want = (f.run_solo_exp3(3, 3000, oracle, 91) for f in (simulate, reference))
+    elif case == "edge-informed":
+        run, want = (f.run_informed(path_graph(2), 3, 2400, oracle, 92) for f in (simulate, reference))
+    elif case == "edge-uninformed":
+        run, want = (f.run_uninformed(path_graph(2), 3, 4, 2400, oracle, 93)
+                     for f in (simulate, reference))
+        assert run.setup_steps > 0
+    else:
+        means = np.random.default_rng(94).random(300)
+        run, want = (f.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96,
+                                    record_distributions=True) for f in (simulate, reference))
+    assert want.checkpoints[0][0] >= 9 or case == "arms-300"  # the checkpoint spacing
+    _assert_same_run(run, want)
+
+
 def test_batch_takes_a_given_partition_and_checks_arguments():
     g = path_graph(5)
     part = centers_to_components(g, {2}, 3).to_partition()
