@@ -20,6 +20,7 @@ from .exp3 import ArmsTooFewError
 from .graph import Graph, GraphError, read_edge_list
 from .partition import (
     Mass,
+    Partition,
     compute_centers_informed,
     compute_centers_uninformed,
     partition_to_json,
@@ -190,7 +191,7 @@ class ResultColumns:
 
 def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> ResultColumns:
     """The rows' columns; each bound is computed once per distinct degree or mass."""
-    degree = [g.closed_degree(v) for v in range(g.node_count)]
+    degree = g.closed_degrees.tolist()
     if cfg.setting == "uninformed":
         by_degree = {d: uninformed_degree_bound(d, cfg.arms, cfg.n_upper, cfg.horizon)
                      for d in set(degree)}
@@ -310,6 +311,15 @@ def write_summary(path: str, doc: dict) -> None:
         fh.write("\n ]" + tail + "\n")
 
 
+def write_partition(path: str, p: Partition) -> None:
+    """What json.dump(partition_to_json(p), fh, indent=1) and a newline write."""
+    fields = (f' "{key}": ' + (str(val) if isinstance(val, int) else
+                               "[\n  " + ",\n  ".join(map(str, val)) + "\n ]" if val else "[]")
+              for key, val in partition_to_json(p).items())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(fields) + "\n}\n")
+
+
 def cmd_partition(args) -> int:
     g = read_edge_list(args.graph)
     if args.setting == "informed":
@@ -341,9 +351,7 @@ def cmd_partition(args) -> int:
     for line in report.lines():
         print(line)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(partition_to_json(partition), fh, indent=1)
-            fh.write("\n")
+        write_partition(args.out, partition)
         print(f"partition written to {args.out}")
     return 0 if report.ok else 1
 

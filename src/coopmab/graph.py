@@ -8,7 +8,6 @@ the derived read-only arrays can be shared freely between threads.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -66,41 +65,71 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable undirected graph.
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)  # 0 token byte, 1 blank, 2 line end, 3 '#'
+_BYTE_CLASS[[9, 31, 32, 10, 35]] = 1, 1, 1, 2, 3  # blanks: str.split's that splitlines leaves
 
-    ``adj`` is the validated public form.  The array forms the elections
-    use (closed degrees, CSR) are derived from it once, on first use.
+
+def _bfs(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Hop distance to the nearest of the sorted distinct ``frontier`` nodes, -1 if none.
+
+    Level-synchronous over CSR arrays: O(N + M) however many sources there are.
+    """
+    dist = np.full(indptr.size - 1, -1, dtype=np.int64)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # flat CSR positions of every frontier node's neighbor range
+        shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        reached = indices[shift + np.arange(shift.size)]
+        frontier = _distinct(reached[dist[reached] < 0])
+        dist[frontier] = level
+    return dist
+
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Immutable undirected graph: ``csr`` is ``(indptr, indices)``, v's neighbors
+    are ``indices[indptr[v]:indptr[v + 1]]``, ascending.  Other forms derive from it.
     """
 
     node_count: int
-    adj: tuple[tuple[int, ...], ...]  # sorted neighbor tuples, no self entries
+    csr: tuple[np.ndarray, np.ndarray]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        indptr, indices = self.csr
+        return tuple(indices[indptr[v]:indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.closed_degrees[v]) - 1
 
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         """Neighbors of v plus v itself, ascending."""
-        return tuple(sorted((*self.adj[v], v)))
+        return tuple(sorted((*self.neighbors(v), v)))
 
     def closed_degree(self, v: int) -> int:
-        return len(self.adj[v]) + 1
+        return int(self.closed_degrees[v])
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u in range(self.node_count) for v in self.adj[u] if u < v)
+        return tuple(zip(*(side.tolist() for side in self.edge_arrays())))
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both endpoints of every edge, u < v, ascending by (u, v)."""
+        rows, indices = self.rows(), self.csr[1]
+        up = rows < indices
+        return rows[up], indices[up]
+
+    def rows(self) -> np.ndarray:
+        """The node whose neighbor each ``csr[1]`` entry is (ascending)."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.csr[0]))
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): v's neighbors are indices[indptr[v]:indptr[v + 1]], ascending."""
-        degree = np.fromiter(map(len, self.adj), dtype=np.int64, count=self.node_count)
-        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=int(indptr[-1]))
-        return _frozen(indptr), _frozen(indices)
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, no self entries."""
+        flat, cut = self.csr[1].tolist(), self.csr[0].tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(cut, cut[1:]))
 
     @cached_property
     def closed_degrees(self) -> np.ndarray:
@@ -110,60 +139,25 @@ class Graph:
     def padded_neighbors(self) -> np.ndarray:
         """(N, max degree) neighbor matrix, rows ascending, padded with the sentinel N.
 
-        Built from the CSR arrays in O(N + M) numpy work on every call and
-        not kept: a graph holds only O(N + M) arrays between elections.
+        Built on every call and not kept: a graph holds only its CSR arrays.
         """
-        indptr, indices = self.csr
-        degree = np.diff(indptr)
-        pad = np.full((self.node_count, int(degree.max())), self.node_count, dtype=np.int64)
-        rows = np.repeat(np.arange(self.node_count), degree)
+        rows, (indptr, indices) = self.rows(), self.csr
+        pad = np.full((self.node_count, int(self.closed_degrees.max()) - 1), self.node_count)
         pad[rows, np.arange(indices.size) - indptr[rows]] = indices
         return pad
 
-    def distances_from(self, source: int) -> np.ndarray:
-        """BFS distance from ``source`` to every node (-1 where unreachable)."""
-        dist = [-1] * self.node_count
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for w in self.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du
-                    queue.append(w)
-        return _frozen(np.array(dist, dtype=np.int64))
-
     def multi_source_distances(self, sources: Iterable[int]) -> np.ndarray:
-        """Hop distance from every node to its nearest source (-1 where unreachable).
-
-        One level-synchronous BFS over the CSR arrays, started from all
-        sources at once: O(N + M) however many sources there are.
-        """
+        """Hop distance from every node to its nearest source (-1 where unreachable)."""
         n = self.node_count
         frontier = _distinct(np.fromiter(sources, dtype=np.int64))
         if frontier.size and not (0 <= frontier[0] and frontier[-1] < n):
             bad = frontier[(frontier < 0) | (frontier >= n)][0]
             raise NodeOutOfRangeError(f"node {bad} outside 0..{n - 1}")
-        indptr, indices = self.csr
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[frontier] = 0
-        level = 0
-        while frontier.size:
-            level += 1
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            # flat CSR positions of every frontier node's neighbor range
-            shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-            reached = indices[shift + np.arange(shift.size)]
-            frontier = _distinct(reached[dist[reached] < 0])
-            dist[frontier] = level
-        return dist
+        return _bfs(*self.csr, frontier)
 
     def ball(self, v: int, radius: int) -> frozenset[int]:
         """All nodes within BFS distance ``radius`` of v (v included)."""
-        reached = {v}
-        frontier = [v]
+        reached, frontier = {v}, [v]
         for _ in range(radius):
             nxt = []
             for u in frontier:
@@ -178,75 +172,50 @@ class Graph:
 def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and build a simple connected undirected graph.
 
-    Raises NodeOutOfRangeError, SelfLoopError, DuplicateEdgeError, or
-    DisconnectedError; the checks run in that order.
+    Raises NodeOutOfRangeError, SelfLoopError or DuplicateEdgeError for the
+    first edge, in order, that fails one (checked in that order), then
+    DisconnectedError.
     """
-    if node_count < 1:
-        raise NodeOutOfRangeError(f"node_count must be >= 1, got {node_count}")
-    seen: set[tuple[int, int]] = set()
-    nbrs: list[set[int]] = [set() for _ in range(node_count)]
-    for u, v in edges:
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise NodeOutOfRangeError(f"edge ({u}, {v}) outside 0..{node_count - 1}")
-        if u == v:
-            raise SelfLoopError(f"self loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    g = Graph(node_count, tuple(tuple(sorted(s)) for s in nbrs))
-    if node_count > 1:
-        reach = int((g.distances_from(0) >= 0).sum())
-        if reach != node_count:
-            raise DisconnectedError(
-                f"graph is disconnected: {reach} of {node_count} nodes reachable from 0"
-            )
+    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+    return _graph_from_edges(node_count, pairs[:, 0], pairs[:, 1])
+
+
+def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
+    """build_graph on endpoint arrays; ``show(i)`` gives edge i's endpoints for a message."""
+    if n < 1:
+        raise NodeOutOfRangeError(f"node_count must be >= 1, got {n}")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    outside, loop = (lo < 0) | (hi >= n), lo == hi
+    key = np.where(outside | loop, -1 - np.arange(u.size), lo * n + hi)
+    order = np.sort(key * u.size + np.arange(u.size))  # by key, then file order
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:] % u.size] = order[1:] // u.size == order[:-1] // u.size
+    bad = outside | loop | repeat
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = show(i) if show else (int(u[i]), int(v[i]))
+        if outside[i]:
+            raise NodeOutOfRangeError(f"edge ({a}, {b}) outside 0..{n - 1}")
+        if loop[i]:
+            raise SelfLoopError(f"self loop at node {a}")
+        raise DuplicateEdgeError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+    key = np.sort(np.concatenate((key, hi * n + lo)))  # both directions, by (node, neighbor)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n))))
+    g = Graph(n, (_frozen(indptr), _frozen(key % n)))
+    if n > 1:
+        reach = int((g.multi_source_distances((0,)) >= 0).sum())
+        if reach != n:
+            raise DisconnectedError(f"graph is disconnected: {reach} of {n} nodes reachable from 0")
     return g
-
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """Node-induced view of a parent graph; may be disconnected."""
-
-    nodes: frozenset[int]
-    adj: dict[int, tuple[int, ...]]
-
-    def distances_from(self, source: int) -> dict[int, int]:
-        """BFS distances within the view; unreachable member nodes are absent."""
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-
-def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:
-    keep = frozenset(nodes)
-    for v in keep:
-        if not (0 <= v < g.node_count):
-            raise NodeOutOfRangeError(f"node {v} outside 0..{g.node_count - 1}")
-    adj = {v: tuple(w for w in g.adj[v] if w in keep) for v in keep}
-    return InducedSubgraph(keep, adj)
 
 
 def is_r_independent(g: Graph, nodes: Iterable[int], r: int) -> bool:
     """True iff all pairs in ``nodes`` are at distance > r in g."""
-    members = sorted(set(nodes))
-    for v in members:
-        if not (0 <= v < g.node_count):
-            raise NodeOutOfRangeError(f"node {v} outside 0..{g.node_count - 1}")
-    member_set = set(members)
-    for v in members:
-        near = g.ball(v, r) & member_set
-        if near != {v}:
-            return False
-    return True
+    members = set(nodes)
+    outside = sorted(v for v in members if not 0 <= v < g.node_count)
+    if outside:
+        raise NodeOutOfRangeError(f"node {outside[0]} outside 0..{g.node_count - 1}")
+    return all(g.ball(v, r) & members == {v} for v in members)
 
 
 def is_r_mis(g: Graph, candidate: Iterable[int], universe: Iterable[int], r: int) -> bool:
@@ -256,16 +225,9 @@ def is_r_mis(g: Graph, candidate: Iterable[int], universe: Iterable[int], r: int
     when their g-distance is at most r.  Maximal means no universe node can
     be added without breaking independence.
     """
-    cand = set(candidate)
-    univ = set(universe)
-    if not cand <= univ:
-        return False
-    if not is_r_independent(g, cand, r):
-        return False
-    for u in univ - cand:
-        if not (g.ball(u, r) & cand):
-            return False  # u could still be added
-    return True
+    cand, univ = set(candidate), set(universe)
+    return (cand <= univ and is_r_independent(g, cand, r)
+            and all(g.ball(u, r) & cand for u in univ - cand))
 
 
 def independence_number(g: Graph) -> int:
@@ -276,10 +238,7 @@ def independence_number(g: Graph) -> int:
     n = g.node_count
     if n > INDEPENDENCE_LIMIT:
         raise TooLargeError(f"independence_number limited to {INDEPENDENCE_LIMIT} nodes, got {n}")
-    open_mask = [0] * n
-    for u in range(n):
-        for w in g.adj[u]:
-            open_mask[u] |= 1 << w
+    open_mask = [sum(1 << w for w in nbrs) for nbrs in g.adj]
     best = 0
 
     def search(avail: int, size: int) -> None:
@@ -309,38 +268,57 @@ def independence_number(g: Graph) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format.
+    """Parse the plain edge-list format (README, "Graph files"), as arrays of bytes.
 
     First data line is ``N M``; the next M lines are ``u v`` with 0-based
-    endpoints.  ``#`` starts a comment (full-line or trailing).
+    endpoints.  ``#`` starts a comment (full-line or trailing).  Tokens
+    are ASCII decimal integers, ``-?[0-9]+``.
     """
-    rows: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append([str(lineno)] + body.split())
-    if not rows:
+    body = "\n" + "\n".join(text.splitlines()) + "\n"  # one line end per line, one byte per char
+    if not body.isascii():  # other whitespace turns blank; other non-ASCII chars fail their token
+        body = body.translate({ord(c): " " for c in set(body) if c.isspace() and c != "\n"})
+    raw = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    kind = _BYTE_CLASS.take(raw)
+    line_of = np.cumsum(kind == 2)  # the 1-based line of every byte
+    marks = np.cumsum(kind == 3)  # a byte after a '#' on its line is in a comment
+    tok = (kind == 0) & (marks == marks.take(np.flatnonzero(kind == 2)).take(line_of - 1))
+    edge = tok[1:] != tok[:-1]
+    starts = np.flatnonzero(edge & tok[1:]) + 1
+    ends = np.flatnonzero(edge & tok[:-1]) + 1
+    if not starts.size:
         raise EdgeListParseError("empty edge list: missing 'N M' header")
+    line = line_of.take(starts)  # 1-based line of each token
+    first = np.flatnonzero(np.append(True, line[1:] != line[:-1]))  # each data line's first token
+    count = np.append(first[1:], starts.size) - first
+    minus = (raw.take(starts) == 45) & (ends - starts > 1)
+    stray = tok & ((raw < 48) | (raw > 57))
+    stray[starts[minus]] = False
+    bad = np.logical_or.reduceat(stray, starts)
+    wrong = (count != 2) | np.logical_or.reduceat(bad, first)
 
-    def as_int(tok: str, lineno: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise EdgeListParseError(f"line {lineno}: expected integer, got {tok!r}") from None
+    def word(i: int) -> str:
+        return body[starts[i]:ends[i]]
 
-    header = rows[0]
-    if len(header) != 3:
-        raise EdgeListParseError(f"line {header[0]}: header must be 'N M'")
-    n = as_int(header[1], header[0])
-    m = as_int(header[2], header[0])
-    if len(rows) - 1 != m:
-        raise EdgeListParseError(f"header declares {m} edges but {len(rows) - 1} edge lines found")
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise EdgeListParseError(f"line {row[0]}: edge line must be 'u v'")
-        edges.append((as_int(row[1], row[0]), as_int(row[2], row[0])))
-    return build_graph(n, edges)
+    def fail(k: int, shape: str):
+        """Raise for data line k: a wrong token count, else its first bad token."""
+        i = first[k] + (count[k] == 2 and not bad[first[k]])
+        what = shape if count[k] != 2 else f"expected integer, got {word(i)!r}"
+        raise EdgeListParseError(f"line {line[i]}: {what}")
+
+    if wrong[0]:
+        fail(0, "header must be 'N M'")
+    n, m = int(word(0)), int(word(1))
+    if first.size - 1 != m:
+        raise EdgeListParseError(f"header declares {m} edges but {first.size - 1} edge lines found")
+    if wrong.any():
+        fail(int(wrong.argmax()), "edge line must be 'u v'")
+    value = np.zeros(starts.size, dtype=np.int64)  # saturates at 2**59, past any node id
+    for j in range(int((ends - starts).max()), 0, -1):  # every token's j-th last byte at once
+        at = ends - j
+        value = np.minimum(value * 10 + np.where(at >= starts + minus, raw.take(at) - 48, 0), 2**59)
+    value = np.where(minus, -value, value)
+    return _graph_from_edges(n, value[2::2], value[3::2],
+                             lambda e: (int(word(2 + 2 * e)), int(word(3 + 2 * e))))
 
 
 def read_edge_list(path) -> Graph:
@@ -349,9 +327,8 @@ def read_edge_list(path) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.node_count} {len(g.edges())}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+    u, v = g.edge_arrays()
+    return f"{g.node_count} {u.size}\n" + "".join(map("{} {}\n".format, u.tolist(), v.tolist()))
 
 
 def path_graph(n: int) -> Graph:
@@ -377,25 +354,18 @@ def random_connected_graph(n: int, extra_edge_prob: float = 0.0, rng=None) -> Gr
         raise NodeOutOfRangeError(f"need n >= 1, got {n}")
     if n == 1:
         return build_graph(1, [])
+    seq = rng.integers(0, n, size=n - 2)  # a Pruefer sequence; empty for n = 2
+    degree = (np.bincount(seq, minlength=n) + 1).tolist()
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
     edges: set[tuple[int, int]] = set()
-    if n == 2:
-        edges.add((0, 1))
-    else:
-        seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
-        for x in seq:
-            leaf = heapq.heappop(leaves)
-            edges.add((min(leaf, x), max(leaf, x)))
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(leaves, x)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        edges.add((min(u, v), max(u, v)))
+    for x in seq.tolist():
+        leaf = heapq.heappop(leaves)
+        edges.add((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.add((heapq.heappop(leaves), heapq.heappop(leaves)))  # the last two, smaller first
     if extra_edge_prob > 0.0:
         for u in range(n):
             for v in range(u + 1, n):

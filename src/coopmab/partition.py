@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Iterable
 
 import numpy as np
 
 from .exp3 import ArmsTooFewError
-from .graph import Graph, _distinct, induced_subgraph, is_r_independent
+from .graph import Graph, _bfs, _distinct
 
 MASS_DECAY_DENOM = 6  # one relay hop multiplies mass by exp(-1/6)
 
@@ -29,6 +30,7 @@ class EmptyCenterSetError(ValueError):
     pass
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Mass:
     """Exact component-quality pair; value() = m * exp(-d/6), nil is (0, 0)."""
@@ -65,15 +67,6 @@ class Mass:
             return a < b
         # distinct pairs cannot share a true score; keep the order total anyway
         return (self.m, -self.d) < (other.m, -other.d)
-
-    def __le__(self, other: "Mass") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Mass") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Mass") -> bool:
-        return other <= self
 
 
 NIL_MASS = Mass(0, 0)
@@ -131,16 +124,17 @@ class ComponentMap:
 
     def to_partition(self) -> "Partition":
         if not self.fully_assigned():
-            missing = [int(v) for v in np.flatnonzero(self.center_of < 0)]
+            missing = np.flatnonzero(self.center_of < 0).tolist()
             raise ValueError(f"nodes {missing} were never reached by any center")
+        depth = tuple(self.mass_d.tolist())
         return Partition(
             arms=self.arms,
             centers=tuple(sorted(self.centers)),
-            center_of=tuple(int(x) for x in self.center_of),
-            origin_of=tuple(int(x) for x in self.origin_of),
-            delay=tuple(int(x) for x in self.mass_d),
-            mass_m=tuple(int(x) for x in self.mass_m),
-            mass_d=tuple(int(x) for x in self.mass_d),
+            center_of=tuple(self.center_of.tolist()),
+            origin_of=tuple(self.origin_of.tolist()),
+            delay=depth,
+            mass_m=tuple(self.mass_m.tolist()),
+            mass_d=depth,
         )
 
 
@@ -187,12 +181,8 @@ def _spread_round(prev, score, nbrs, own, is_center) -> np.ndarray:
 def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> ComponentMap:
     """Propagate center mass outward and let every node pick its origin.
 
-    Runs spread_rounds(arms) + 1 synchronous update rounds from the whole
-    center set (``_SpreadRounds.add`` from the empty set).  Per round,
-    every node whose current origin is not a center re-selects the
-    neighbor of maximum mass (ties to the lowest id), inherits that
-    neighbor's center pointer, and takes its mass decayed by one hop.
-    Centers, and nodes whose origin already is a center, keep their state.
+    Runs spread_rounds(arms) + 1 synchronous rounds (``_spread_round``)
+    from the whole center set (``_SpreadRounds.add`` from the empty set).
     Nodes never reached report a nil assignment.
     """
     n = g.node_count
@@ -209,36 +199,6 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
     spread = _SpreadRounds(g, arms)
     spread.add(np.array(center_list))
     return spread.component_map()
-
-
-def spread_history_violations(g: Graph, comp: ComponentMap) -> list[str]:
-    """Internal-consistency audit of a propagation transcript.
-
-    Per node and round: mass never decreases; whenever the mass pair
-    changes at round t its depth equals t; and the center claimed at
-    round t is within t hops.
-    """
-    out: list[str] = []
-    hist = comp.history
-    dist: dict[int, np.ndarray] = {}  # BFS distances of each claimed center, once per call
-    for t in range(1, len(hist)):
-        prev, cur = hist[t - 1], hist[t]
-        for v in range(g.node_count):
-            a = Mass(int(prev.mass_m[v]), int(prev.mass_d[v]))
-            b = Mass(int(cur.mass_m[v]), int(cur.mass_d[v]))
-            if b < a:
-                out.append(f"round {t}: node {v} mass dropped {a} -> {b}")
-            if a != b:
-                if b.d != t:
-                    out.append(f"round {t}: node {v} changed to depth {b.d} != round")
-                c = int(cur.center_of[v])
-                if c < 0:
-                    continue
-                if c not in dist:
-                    dist[c] = g.distances_from(c)
-                if int(dist[c][v]) > t:
-                    out.append(f"round {t}: node {v} claims center {c} beyond {t} hops")
-    return out
 
 
 @dataclass(frozen=True)
@@ -508,12 +468,8 @@ def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTr
     while remaining and rounds < max_rounds:
         rounds += 1
         draws = {v: float(rng.random()) for v in sorted(remaining)}  # fixed draw order
-        winners = set()
-        for v in remaining:
-            rank_v = (draws[v], -v)
-            others = balls[v] & remaining
-            if all(rank_v > (draws[u], -u) for u in others if u != v):
-                winners.add(v)
+        winners = {v for v in remaining if all(
+            (draws[v], -v) > (draws[u], -u) for u in balls[v] & remaining if u != v)}
         joined |= winners
         if winners:
             remaining = {v for v in remaining if not (balls[v] & winners)}
@@ -587,7 +543,7 @@ def compute_centers_uninformed(
     for t in range(arms):
         bucket = np.flatnonzero(~satisfied & (spread.clamp == arms - t))
         outcome = luby_2mis(g, bucket.tolist(), budget, rng)
-        calls.append(LubyCall(t, frozenset(int(v) for v in bucket), outcome))
+        calls.append(LubyCall(t, frozenset(bucket.tolist()), outcome))
         # an iteration without joiners changes no round; its steps are still
         # charged below since the synchronous schedule runs regardless
         if outcome.joined:
@@ -633,121 +589,108 @@ class PartitionReport:
         return [c.line() for c in self.checks]
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """Lowest index where ``mask`` holds, or None."""
+    i = int(mask.argmax())
+    return i if mask[i] else None
+
+
+def _scores(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Mass(m, d).score() of every pair, bit for bit: math.log once per distinct m."""
+    distinct = _distinct(np.maximum(m, 1))
+    log = np.fromiter(map(math.log, distinct.tolist()), dtype=float, count=distinct.size)
+    return np.where(m > 0, MASS_DECAY_DENOM * log.take(distinct.searchsorted(m)) - d, -np.inf)
+
+
 def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     """Re-derive every structural property of a partition from scratch.
 
     The checks recompute distances and masses independently of however the
     partition was produced, so a buggy generator cannot vouch for itself.
+    Each is array work and reports its first witness in node order.
     """
     n = g.node_count
     if p.node_count != n:
         raise ValueError(f"partition covers {p.node_count} nodes, graph has {n}")
-    arms = p.arms
-    centers = set(p.centers)
-    clamp = degree_clamp(g, arms)
+    indices, rows, node = g.csr[1], g.rows(), np.arange(n)
+    cof, uof, delay, mass_m, mass_d = (np.array(x, dtype=np.int64) for x in (
+        p.center_of, p.origin_of, p.delay, p.mass_m, p.mass_d))
+    is_center = np.zeros(n, dtype=bool)
+    is_center[list(p.centers)] = True
+    clamp = degree_clamp(g, p.arms)
     checks: list[CheckResult] = []
 
     def add(name: str, witness: str | None) -> None:
         checks.append(CheckResult(name, witness is None, witness))
 
     # (a) every node is assigned to a real center; centers claim themselves
-    w = None
-    for v in range(n):
-        c = p.center_of[v]
-        if c not in centers:
-            w = f"node {v} assigned to non-center {c}"
-            break
-        if v in centers and (c != v or p.origin_of[v] != v or p.delay[v] != 0):
-            w = f"center {v} does not claim itself"
-            break
-    add("assignment-cover", w)
+    assigned = (cof >= 0) & (cof < n)
+    assigned[assigned] = is_center[cof[assigned]]
+    v = _first(~assigned | is_center & ((cof != node) | (uof != node) | (delay != 0)))
+    add("assignment-cover", None if v is None else f"node {v} assigned to non-center {cof[v]}"
+        if not assigned[v] else f"center {v} does not claim itself")
 
-    members: dict[int, set[int]] = {c: set() for c in centers}
-    for v in range(n):
-        if p.center_of[v] in members:
-            members[p.center_of[v]].add(v)
-
-    # (b) each component contains its center's closed neighborhood and is connected
-    w = None
-    comp_dist: dict[int, dict[int, int]] = {}
-    for c in sorted(centers):
-        part = members[c]
-        bad = [u for u in g.closed_neighborhood(c) if u not in part]
-        if bad:
-            w = f"neighbor {bad[0]} of center {c} assigned elsewhere"
-            break
-        view = induced_subgraph(g, part)
-        dists = view.distances_from(c)
-        comp_dist[c] = dists
-        if len(dists) != len(part):
-            w = f"component of center {c} is not connected"
-            break
-    add("component-closure-connectivity", w)
+    # (b) each component contains its center's closed neighborhood and is connected;
+    # a BFS over same-component edges gives each node its depth in its component
+    same = cof.take(rows) == cof.take(indices)
+    sub = np.concatenate(([0], np.cumsum(np.bincount(rows[same], minlength=n))))
+    depth = _bfs(sub, indices[same], np.flatnonzero(is_center & (cof == node)))
+    leaky = is_center & (cof != node)  # a center or a neighbor of it assigned elsewhere
+    leaky[rows[is_center.take(rows) & (cof.take(indices) != rows)]] = True
+    torn = np.zeros(n, dtype=bool)
+    torn[cof[assigned & (depth < 0)]] = True
+    c = _first(leaky | torn)
+    add("component-closure-connectivity", None if c is None else
+        f"neighbor {min(u for u in g.closed_neighborhood(c) if cof[u] != c)} of center {c} "
+        "assigned elsewhere" if leaky[c] else f"component of center {c} is not connected")
+    # (c) and (d) need every node in the component of a center
+    sound = c is None and bool(assigned.all())
+    broken = "skipped: component structure broken"
 
     # (c) mass pairs follow the decay recurrence with independently measured depth
-    w = None
-    if all(c in comp_dist for c in centers):
-        for v in range(n):
-            c = p.center_of[v]
-            want_m = int(clamp[c])
-            want_d = comp_dist[c].get(v)
-            if want_d is None:
-                w = f"node {v} unreachable inside its component"
-                break
-            if (p.mass_m[v], p.mass_d[v]) != (want_m, want_d) or p.delay[v] != want_d:
-                w = (
-                    f"node {v}: stored ({p.mass_m[v]}, {p.mass_d[v]}) delay {p.delay[v]}, "
-                    f"recomputed ({want_m}, {want_d})"
-                )
-                break
-    else:
-        w = "skipped: component structure broken"
+    w = broken
+    if sound:
+        want_m = clamp.take(cof)
+        v = _first((mass_m != want_m) | (mass_d != depth) | (delay != depth))
+        w = None if v is None else (
+            f"node {v}: stored ({mass_m[v]}, {mass_d[v]}) delay {delay[v]}, "
+            f"recomputed ({want_m[v]}, {depth[v]})")
     add("mass-recurrence", w)
 
     # (d) each relay's origin is a same-component neighbor one hop closer
-    w = None
-    if all(c in comp_dist for c in centers):
-        for v in range(n):
-            if v in centers:
-                continue
-            u = p.origin_of[v]
-            c = p.center_of[v]
-            if u not in g.adj[v]:
-                w = f"node {v}: origin {u} is not a neighbor"
-                break
-            if p.center_of[u] != c:
-                w = f"node {v}: origin {u} lives in another component"
-                break
-            du, dv = comp_dist[c].get(u), comp_dist[c].get(v)
-            if du is None or dv is None or du != dv - 1:
-                w = f"node {v}: origin depth {du} does not precede own depth {dv}"
-                break
-    else:
-        w = "skipped: component structure broken"
+    w = broken
+    if sound:
+        u = np.clip(uof, 0, n - 1)
+        edge = np.append(rows * n + indices, n * n)  # ascending, then a sentinel
+        near = (uof == u) & (edge.take(edge.searchsorted(node * n + u)) == node * n + u)
+        away = cof.take(u) != cof
+        late = depth.take(u) != depth - 1
+        v = _first(~is_center & (~near | away | late))
+        w = None if v is None else (
+            f"node {v}: origin {uof[v]} is not a neighbor" if not near[v] else
+            f"node {v}: origin {uof[v]} lives in another component" if away[v] else
+            f"node {v}: origin depth {depth[u[v]]} does not precede own depth {depth[v]}")
     add("origin-minimality", w)
 
-    # (e) centers are pairwise more than two hops apart
-    w = None
-    if not is_r_independent(g, centers, 2):
-        pairs = [
-            (a, b) for a in sorted(centers) for b in sorted(g.ball(a, 2) & centers) if a < b
-        ]
-        w = f"centers {pairs[0]} within two hops"
-    add("two-independence", w)
+    # (e) centers are pairwise more than two hops apart: no closed
+    #     neighborhood holds two centers
+    crowded = is_center + np.bincount(rows[is_center.take(indices)], minlength=n) > 1
+    crowded[rows[crowded.take(indices)]] = True  # now: some closed neighbor is crowded
+    a = _first(is_center & crowded)
+    add("two-independence", None if a is None else "centers {} within two hops".format(
+        (a, min(x for x in g.ball(a, 2) if x != a and is_center[x]))))
 
     # (f) every node's mass is at least exp(-1) of its own clamp,
-    #     checked in pair form: (clamp, 6) <= (m, d)
-    w = None
-    for v in range(n):
-        if not Mass(int(clamp[v]), MASS_DECAY_DENOM) <= p.mass(v):
-            w = f"node {v}: mass {p.mass(v)} below floor ({int(clamp[v])}, {MASS_DECAY_DENOM})"
-            break
-    add("mass-floor", w)
+    #     checked in pair form: (clamp, 6) <= (m, d); p.mass raises on a
+    #     pair that is no Mass (d < 0; m <= 0 scores -inf)
+    v = _first((mass_d < 0) | (_scores(mass_m, mass_d) < _scores(clamp, MASS_DECAY_DENOM)))
+    add("mass-floor", None if v is None else
+        f"node {v}: mass {p.mass(v)} below floor ({int(clamp[v])}, {MASS_DECAY_DENOM})")
 
     # (g) no node is farther than 6*ln(arms) - 1 hops from the center set
     w = None
-    dmin = min_center_distance(g, centers)
-    limit = MASS_DECAY_DENOM * math.log(arms) - 1.0
+    dmin = min_center_distance(g, p.centers)
+    limit = MASS_DECAY_DENOM * math.log(p.arms) - 1.0
     far = int(dmin.argmax())
     if float(dmin[far]) > limit:
         w = f"node {far} at distance {int(dmin[far])} > {limit:.2f} from all centers"

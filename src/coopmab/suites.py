@@ -38,9 +38,7 @@ def _reach_within(g: Graph, r: int) -> np.ndarray:
     """Boolean matrix: True where nodes are within distance r (matrix-power route)."""
     n = g.node_count
     a = np.eye(n, dtype=bool)
-    for u in range(n):
-        for w in g.adj[u]:
-            a[u, w] = True
+    a[g.rows(), g.csr[1]] = True
     reach = a.copy()
     for _ in range(r - 1):
         reach = reach @ a
@@ -76,7 +74,7 @@ def graph_oracle_suite(seed: int = 0) -> SuiteReport:
         reach = {r: _reach_within(g, r) for r in (1, 2)}
         for _ in range(12):
             size = int(rng.integers(1, n + 1))
-            sub = set(int(x) for x in rng.choice(n, size=size, replace=False))
+            sub = set(rng.choice(n, size=size, replace=False).tolist())
             for r in (1, 2):
                 if is_r_independent(g, sub, r) != _oracle_independent(reach[r], sub):
                     w = f"{r}-independence disagrees with reachability on {sorted(sub)}"
@@ -88,7 +86,7 @@ def graph_oracle_suite(seed: int = 0) -> SuiteReport:
         for r in (1, 2):
             # greedy over a shuffled order is maximal by construction
             order = list(rng.permutation(n))
-            univ = set(int(x) for x in rng.choice(n, size=max(1, n // 2), replace=False))
+            univ = set(rng.choice(n, size=max(1, n // 2), replace=False).tolist())
             taken: set[int] = set()
             for v in order:
                 if v in univ and not any(reach[r][v, u] for u in taken):
@@ -100,7 +98,7 @@ def graph_oracle_suite(seed: int = 0) -> SuiteReport:
             if taken and is_r_mis(g, set(sorted(taken)[:-1]), univ, r):
                 w = f"non-maximal set accepted at r={r}"
                 break
-            rand_sub = set(int(x) for x in rng.choice(n, size=max(1, n // 3), replace=False))
+            rand_sub = set(rng.choice(n, size=max(1, n // 3), replace=False).tolist())
             if is_r_mis(g, rand_sub, univ, r) != _oracle_mis(reach[r], rand_sub, univ):
                 w = f"r-MIS disagrees with reachability oracle on {sorted(rand_sub)}"
                 break

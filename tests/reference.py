@@ -1,4 +1,4 @@
-"""Test oracle: the per-seed simulator the seed-batched kernel replaced.
+"""Test oracles: the Python code the array implementations replaced.
 
 ``SimWorld`` advances one run one global step at a time, with a Python
 loop over centers; ``run_informed``, ``run_uninformed`` and
@@ -6,19 +6,52 @@ loop over centers; ``run_informed``, ``run_uninformed`` and
 in ``coopmab.simulate`` so that the differential tests in
 ``test_simulate.py`` compare the kernel with an independent implementation
 rather than with itself.
+
+``parse_edge_list`` and ``build_graph`` are the edge-list reader and the
+graph construction that went through per-edge Python sets, and
+``validate_partition`` the per-node partition validator, kept as they
+were in ``coopmab.graph`` and ``coopmab.partition`` for the differential
+tests in ``test_graph.py`` and ``test_partition.py``.  Two changes:
+``build_graph`` returns the neighbor tuples (``Graph.adj``) rather than a
+``Graph``, checking reachability with the per-node BFS ``Graph`` had, and
+``validate_partition`` runs checks (c) and (d) only when every node is
+assigned to a center and check (b) passed.  ``spread_history_violations``
+and ``induced_subgraph`` have no caller left in ``coopmab``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import IO, Iterable
 
 import numpy as np
 
 from coopmab import exp3
-from coopmab.graph import Graph
-from coopmab.partition import Partition, compute_centers_informed, compute_centers_uninformed
+from coopmab.graph import (
+    DisconnectedError,
+    DuplicateEdgeError,
+    EdgeListParseError,
+    Graph,
+    NodeOutOfRangeError,
+    SelfLoopError,
+    is_r_independent,
+)
+from coopmab.partition import (
+    MASS_DECAY_DENOM,
+    CheckResult,
+    ComponentMap,
+    Mass,
+    Partition,
+    PartitionReport,
+    compute_centers_informed,
+    compute_centers_uninformed,
+    degree_clamp,
+    min_center_distance,
+)
 from coopmab.simulate import ROLE_CODES, LossOracle, RunResult, _check_run_args, _result
 
 
@@ -325,3 +358,263 @@ def run_solo_exp3(
     for _ in range(horizon):
         world.advance_round()
     return _finish(world, "solo", horizon, 0, None, oracle, policy_seed, snapshot)
+
+
+def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Validate a simple connected undirected graph; return its sorted neighbor tuples.
+
+    Raises NodeOutOfRangeError, SelfLoopError, DuplicateEdgeError, or
+    DisconnectedError; the checks run in that order.
+    """
+    if node_count < 1:
+        raise NodeOutOfRangeError(f"node_count must be >= 1, got {node_count}")
+    seen: set[tuple[int, int]] = set()
+    nbrs: list[set[int]] = [set() for _ in range(node_count)]
+    for u, v in edges:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise NodeOutOfRangeError(f"edge ({u}, {v}) outside 0..{node_count - 1}")
+        if u == v:
+            raise SelfLoopError(f"self loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({key[0]}, {key[1]})")
+        seen.add(key)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in nbrs)
+    if node_count > 1:
+        dist = [-1] * node_count
+        dist[0] = 0
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        reach = sum(d >= 0 for d in dist)
+        if reach != node_count:
+            raise DisconnectedError(
+                f"graph is disconnected: {reach} of {node_count} nodes reachable from 0"
+            )
+    return adj
+
+
+def parse_edge_list(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse the plain edge-list format.
+
+    First data line is ``N M``; the next M lines are ``u v`` with 0-based
+    endpoints.  ``#`` starts a comment (full-line or trailing).
+    """
+    rows: list[list[str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append([str(lineno)] + body.split())
+    if not rows:
+        raise EdgeListParseError("empty edge list: missing 'N M' header")
+
+    def as_int(tok: str, lineno: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise EdgeListParseError(f"line {lineno}: expected integer, got {tok!r}") from None
+
+    header = rows[0]
+    if len(header) != 3:
+        raise EdgeListParseError(f"line {header[0]}: header must be 'N M'")
+    n = as_int(header[1], header[0])
+    m = as_int(header[2], header[0])
+    if len(rows) - 1 != m:
+        raise EdgeListParseError(f"header declares {m} edges but {len(rows) - 1} edge lines found")
+    edges = []
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise EdgeListParseError(f"line {row[0]}: edge line must be 'u v'")
+        edges.append((as_int(row[1], row[0]), as_int(row[2], row[0])))
+    return build_graph(n, edges)
+
+
+@dataclass(frozen=True)
+class InducedSubgraph:
+    """Node-induced view of a parent graph; may be disconnected."""
+
+    nodes: frozenset[int]
+    adj: dict[int, tuple[int, ...]]
+
+    def distances_from(self, source: int) -> dict[int, int]:
+        """BFS distances within the view; unreachable member nodes are absent."""
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in self.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
+
+
+def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:
+    keep = frozenset(nodes)
+    for v in keep:
+        if not (0 <= v < g.node_count):
+            raise NodeOutOfRangeError(f"node {v} outside 0..{g.node_count - 1}")
+    adj = {v: tuple(w for w in g.adj[v] if w in keep) for v in keep}
+    return InducedSubgraph(keep, adj)
+
+
+def spread_history_violations(g: Graph, comp: ComponentMap) -> list[str]:
+    """Internal-consistency audit of a propagation transcript.
+
+    Per node and round: mass never decreases; whenever the mass pair
+    changes at round t its depth equals t; and the center claimed at
+    round t is within t hops.
+    """
+    out: list[str] = []
+    hist = comp.history
+    dist: dict[int, np.ndarray] = {}  # BFS distances of each claimed center, once per call
+    for t in range(1, len(hist)):
+        prev, cur = hist[t - 1], hist[t]
+        for v in range(g.node_count):
+            a = Mass(int(prev.mass_m[v]), int(prev.mass_d[v]))
+            b = Mass(int(cur.mass_m[v]), int(cur.mass_d[v]))
+            if b < a:
+                out.append(f"round {t}: node {v} mass dropped {a} -> {b}")
+            if a != b:
+                if b.d != t:
+                    out.append(f"round {t}: node {v} changed to depth {b.d} != round")
+                c = int(cur.center_of[v])
+                if c < 0:
+                    continue
+                if c not in dist:
+                    dist[c] = g.multi_source_distances([c])
+                if int(dist[c][v]) > t:
+                    out.append(f"round {t}: node {v} claims center {c} beyond {t} hops")
+    return out
+
+
+def validate_partition(g: Graph, p: Partition) -> PartitionReport:
+    """Re-derive every structural property of a partition from scratch.
+
+    The checks recompute distances and masses independently of however the
+    partition was produced, so a buggy generator cannot vouch for itself.
+    """
+    n = g.node_count
+    if p.node_count != n:
+        raise ValueError(f"partition covers {p.node_count} nodes, graph has {n}")
+    arms = p.arms
+    centers = set(p.centers)
+    clamp = degree_clamp(g, arms)
+    checks: list[CheckResult] = []
+
+    def add(name: str, witness: str | None) -> None:
+        checks.append(CheckResult(name, witness is None, witness))
+
+    # (a) every node is assigned to a real center; centers claim themselves
+    w = None
+    for v in range(n):
+        c = p.center_of[v]
+        if c not in centers:
+            w = f"node {v} assigned to non-center {c}"
+            break
+        if v in centers and (c != v or p.origin_of[v] != v or p.delay[v] != 0):
+            w = f"center {v} does not claim itself"
+            break
+    add("assignment-cover", w)
+
+    members: dict[int, set[int]] = {c: set() for c in centers}
+    for v in range(n):
+        if p.center_of[v] in members:
+            members[p.center_of[v]].add(v)
+
+    # (b) each component contains its center's closed neighborhood and is connected
+    w = None
+    comp_dist: dict[int, dict[int, int]] = {}
+    for c in sorted(centers):
+        part = members[c]
+        bad = [u for u in g.closed_neighborhood(c) if u not in part]
+        if bad:
+            w = f"neighbor {bad[0]} of center {c} assigned elsewhere"
+            break
+        view = induced_subgraph(g, part)
+        dists = view.distances_from(c)
+        comp_dist[c] = dists
+        if len(dists) != len(part):
+            w = f"component of center {c} is not connected"
+            break
+    add("component-closure-connectivity", w)
+    # (c) and (d) read every node's component: a node assigned to a
+    # non-center has none, and neither has one past a failed (b)
+    sound = w is None and all(c in centers for c in p.center_of)
+
+    # (c) mass pairs follow the decay recurrence with independently measured depth
+    w = None
+    if sound:
+        for v in range(n):
+            c = p.center_of[v]
+            want_m = int(clamp[c])
+            want_d = comp_dist[c].get(v)
+            if want_d is None:
+                w = f"node {v} unreachable inside its component"
+                break
+            if (p.mass_m[v], p.mass_d[v]) != (want_m, want_d) or p.delay[v] != want_d:
+                w = (
+                    f"node {v}: stored ({p.mass_m[v]}, {p.mass_d[v]}) delay {p.delay[v]}, "
+                    f"recomputed ({want_m}, {want_d})"
+                )
+                break
+    else:
+        w = "skipped: component structure broken"
+    add("mass-recurrence", w)
+
+    # (d) each relay's origin is a same-component neighbor one hop closer
+    w = None
+    if sound:
+        for v in range(n):
+            if v in centers:
+                continue
+            u = p.origin_of[v]
+            c = p.center_of[v]
+            if u not in g.adj[v]:
+                w = f"node {v}: origin {u} is not a neighbor"
+                break
+            if p.center_of[u] != c:
+                w = f"node {v}: origin {u} lives in another component"
+                break
+            du, dv = comp_dist[c].get(u), comp_dist[c].get(v)
+            if du is None or dv is None or du != dv - 1:
+                w = f"node {v}: origin depth {du} does not precede own depth {dv}"
+                break
+    else:
+        w = "skipped: component structure broken"
+    add("origin-minimality", w)
+
+    # (e) centers are pairwise more than two hops apart
+    w = None
+    if not is_r_independent(g, centers, 2):
+        pairs = [
+            (a, b) for a in sorted(centers) for b in sorted(g.ball(a, 2) & centers) if a < b
+        ]
+        w = f"centers {pairs[0]} within two hops"
+    add("two-independence", w)
+
+    # (f) every node's mass is at least exp(-1) of its own clamp,
+    #     checked in pair form: (clamp, 6) <= (m, d)
+    w = None
+    for v in range(n):
+        if not Mass(int(clamp[v]), MASS_DECAY_DENOM) <= p.mass(v):
+            w = f"node {v}: mass {p.mass(v)} below floor ({int(clamp[v])}, {MASS_DECAY_DENOM})"
+            break
+    add("mass-floor", w)
+
+    # (g) no node is farther than 6*ln(arms) - 1 hops from the center set
+    w = None
+    dmin = min_center_distance(g, centers)
+    limit = MASS_DECAY_DENOM * math.log(arms) - 1.0
+    far = int(dmin.argmax())
+    if float(dmin[far]) > limit:
+        w = f"node {far} at distance {int(dmin[far])} > {limit:.2f} from all centers"
+    add("center-eccentricity", w)
+
+    return PartitionReport(checks)

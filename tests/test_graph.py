@@ -10,10 +10,14 @@ try:
 except ImportError:  # an optional, test-only oracle
     nx = None
 
+import reference
+from reference import induced_subgraph
+
 from coopmab.graph import (
     DisconnectedError,
     DuplicateEdgeError,
     EdgeListParseError,
+    GraphError,
     NodeOutOfRangeError,
     SelfLoopError,
     TooLargeError,
@@ -21,7 +25,6 @@ from coopmab.graph import (
     complete_graph,
     format_edge_list,
     independence_number,
-    induced_subgraph,
     is_r_independent,
     is_r_mis,
     parse_edge_list,
@@ -61,22 +64,21 @@ def test_build_rejections():
 
 def test_distances():
     p = path_graph(5)
-    assert p.distances_from(0)[4] == 4
-    assert p.distances_from(2)[2] == 0
+    assert p.multi_source_distances([0])[4] == 4
+    assert p.multi_source_distances([2])[2] == 0
     t = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert t.distances_from(0)[2] == 1
+    assert t.multi_source_distances([0])[2] == 1
     # symmetry on a few pairs
     g = random_connected_graph(15, 0.2, 3)
     for u, v in [(0, 14), (3, 7), (9, 2)]:
-        assert g.distances_from(u)[v] == g.distances_from(v)[u]
+        assert g.multi_source_distances([u])[v] == g.multi_source_distances([v])[u]
 
 
 def test_distances_from_matches_pointwise():
     g = random_connected_graph(20, 0.15, 5)
-    row = g.distances_from(4)
-    assert not row.flags.writeable
+    row = g.multi_source_distances([4])
     for v in range(20):
-        assert row[v] == g.distances_from(v)[4]  # each pair read from the other end
+        assert row[v] == g.multi_source_distances([v])[4]  # each pair read from the other end
 
 
 def test_ball_matches_distances():
@@ -84,7 +86,7 @@ def test_ball_matches_distances():
     for v in (0, 5, 17):
         for r in (1, 2, 3):
             ball = g.ball(v, r)
-            expect = frozenset(np.flatnonzero(g.distances_from(v) <= r).tolist())
+            expect = frozenset(np.flatnonzero(g.multi_source_distances([v]) <= r).tolist())
             assert ball == expect
 
 
@@ -206,6 +208,92 @@ def test_parse_semantic_errors():
         parse_edge_list("2 2\n0 1\n0 1\n")
 
 
+# tokens the reader and its oracle both reject, then some both accept
+_BAD_TOKENS = ["x", "1.5", "-", "--1", "1-2", "0x1", "1e3", "", "\x00", "ä"]
+_ODD_TOKENS = ["007", "-0", "-1", "99999999999999999999999", "-99999999999999999999999",
+               "18446744073709551617", "-18446744073709551615"]  # 1 and 1 modulo 2**64
+
+
+@st.composite
+def _edge_texts(draw):
+    """Edge-list texts with comments, blank lines, CRLF or CR line ends, tabs, wrong
+    token counts and edges that are out of range, self loops, repeats or disconnected."""
+    n = draw(st.integers(-1, 9))
+    top = max(n, 1)
+    node, wide = st.integers(0, top - 1), st.integers(-2, top + 1)
+    # a random tree (connected) or a path over some of the nodes, then extra pairs
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, top)] if draw(st.booleans()) else [
+        (i, i + 1) for i in range(draw(st.integers(0, top - 1)))]
+    pairs += draw(st.lists(st.tuples(node, node), max_size=4))
+    if draw(st.booleans()):
+        pairs = list(dict.fromkeys((u, v) for u, v in pairs if u != v))  # often a simple graph
+    pairs += draw(st.lists(st.tuples(wide, wide), max_size=1))
+    pairs = [(v, u) if flip else (u, v) for (u, v), flip in zip(
+        draw(st.permutations(pairs)), draw(st.lists(st.booleans(), min_size=len(pairs))))]
+    rows = [[str(n), str(len(pairs) + draw(st.sampled_from([0] * 12 + [1, -1])))]]
+    rows += [[str(u), str(v)] for u, v in pairs]
+    for k, row in enumerate(rows):
+        change = draw(st.sampled_from(["keep"] * 60 + ["append", "pop", "bad", "odd"]))
+        if change == "append":
+            row.append(draw(st.sampled_from(["0", "x"])))
+        elif change == "pop":
+            row.pop()
+        elif change == "bad":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+        elif change == "odd" and k:  # a huge N would have the oracle fill memory
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", " \t# 1 2", "#"]), max_size=2))
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(row)
+                     + draw(st.sampled_from(["", " ", "  # note", "#x 1 2", "\t", "# ä"])))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _read_both(text):
+    """(adj, error) from the array reader and from the oracle."""
+    out = []
+    for read in (lambda t: parse_edge_list(t).adj, reference.parse_edge_list):
+        try:
+            out.append((read(text), None))
+        except GraphError as exc:
+            out.append((None, (type(exc), str(exc))))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_texts())
+def test_reader_equals_oracle_on_generated_texts(text):
+    ours, oracle = _read_both(text)
+    assert ours == oracle
+
+
+@pytest.mark.parametrize("text", [
+    "2 1\x0b0 1\n",  # the line ends str.splitlines knows
+    "2 1\x0c0 1\x1c", "2 1\x1d0 1\x1e", "2 1\x850 1", "2 1\u20280 1\u2029",
+    "2\xa01\n0\u20031\n", "2\x1f1\n0\u30001\n",  # the blanks str.split knows
+    "# \u00e9t\u00e9 \ud55c\n2 1\n0 1 # \u2603\n",  # non-ASCII comments
+    "2 1\n0 1\u200b\n",  # a zero-width space is no blank
+    "3 2\n0 1\n1 2\n2 0\n", "3 2\n0 1\n0 1 2\n", "3 2\n0 0\n5 5\n",
+    "3 2\n0 1\n1 0\n", "4 2\n0 1\n2 3\n", "0 0\n", "-1 0\n", "1 0\n", "1 1\n0 0\n",
+    "2 1\n0 18446744073709551617\n", "2 1\n00000000000000000000000 01\n",  # past int64
+])
+def test_reader_equals_oracle_on_edge_cases(text):
+    ours, oracle = _read_both(text)
+    assert ours == oracle
+
+
+@pytest.mark.parametrize("token", ["+0", "1_0", "\u0661", "\uff11", "\u0967", "+1_0"])
+def test_reader_takes_only_ascii_decimal_tokens(token):
+    int(token)  # the oracle's int() reads every one of these
+    for text, line in ((f"12 1\n0 {token}\n", 2), (f"{token} 0\n", 1)):
+        with pytest.raises(EdgeListParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == f"line {line}: expected integer, got {token!r}"
+
+
 def test_read_edge_list(tmp_path):
     g = star_graph(4)
     path = tmp_path / "g.txt"
@@ -226,7 +314,7 @@ def test_random_connected_graph_properties():
     for seed in (0, 1, 2):
         g = random_connected_graph(25, 0.1, seed)
         assert g.node_count == 25
-        assert (g.distances_from(0) < 25).all()  # connected
+        assert (g.multi_source_distances([0]) < 25).all()  # connected
     a = random_connected_graph(12, 0.4, 7)
     b = random_connected_graph(12, 0.4, 7)
     assert a.adj == b.adj
@@ -237,7 +325,8 @@ def test_triangle_inequality_sampled():
     rng = np.random.default_rng(0)
     for _ in range(60):
         u, v, w = (int(x) for x in rng.integers(0, 22, size=3))
-        assert g.distances_from(u)[w] <= g.distances_from(u)[v] + g.distances_from(v)[w]
+        du, dv = g.multi_source_distances([u]), g.multi_source_distances([v])
+        assert du[w] <= du[v] + dv[w]
 
 
 def test_readme_graph_example_parses():
@@ -295,7 +384,7 @@ def test_multi_source_bfs_equals_minimum_of_single_sources(case):
     g = _kernel_graph(kind, n, seed)
     got = g.multi_source_distances(sources)
     assert got.dtype == np.int64
-    assert np.array_equal(got, np.minimum.reduce([g.distances_from(s) for s in sources]))
+    assert np.array_equal(got, np.minimum.reduce([g.multi_source_distances([s]) for s in sources]))
 
 
 @pytest.mark.skipif(nx is None, reason="networkx is not installed")

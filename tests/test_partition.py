@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import math
 
@@ -5,6 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import reference
+from reference import spread_history_violations
+
+from coopmab.cli import write_partition
 
 from coopmab.graph import (
     build_graph,
@@ -32,7 +39,6 @@ from coopmab.partition import (
     mis_round_budget,
     partition_from_json,
     partition_to_json,
-    spread_history_violations,
     spread_rounds,
     validate_partition,
     _SpreadRounds,
@@ -254,8 +260,8 @@ def _informed_greedy_oracle(g, arms):
     """The informed greedy search in its first, quadratic form.
 
     Pending nodes are a Python set, the next center is the set's maximum
-    by (closed degree, -id), and the two-hop test takes the minimum of one
-    full BFS per center on every pass.  compute_centers_informed keeps a
+    by (closed degree, -id), and the two-hop test runs one multi-source BFS
+    from all centers on every pass.  compute_centers_informed keeps a
     running mask instead and must elect the same centers in the same order.
     """
     n = g.node_count
@@ -272,7 +278,7 @@ def _informed_greedy_oracle(g, arms):
             MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d,
             -np.inf,
         )
-        near = np.minimum.reduce([g.distances_from(c) for c in centers]) <= 2
+        near = g.multi_source_distances(centers) <= 2
         pending = {v for v in range(n) if score[v] < clamp_score[v] and not near[v]}
     return tuple(centers), comp
 
@@ -653,6 +659,134 @@ def test_validator_catches_bad_origin():
         mass_d=part.mass_d,
     )
     assert "origin-minimality" in _failing_names(g, bad)
+
+
+def test_validator_reports_relay_assigned_to_its_origin():
+    # a relay pointed at its non-center origin: (c) used to read that origin's
+    # component and raise KeyError; now the checks that need components skip
+    g = random_connected_graph(60, 0.0, 0)
+    part = _informed_partition(g, 10)
+    relay = next(v for v in range(60) if part.center_of[v] != v
+                 and part.origin_of[v] not in part.centers)
+    center_of = list(part.center_of)
+    center_of[relay] = part.origin_of[relay]
+    bad = dataclasses.replace(part, center_of=tuple(center_of))
+    lines = validate_partition(g, bad).lines()
+    assert lines == reference.validate_partition(g, bad).lines()
+    assert lines[0] == ("FAIL  assignment-cover  "
+                        f"(node {relay} assigned to non-center {part.origin_of[relay]})")
+    assert lines[2:4] == [f"FAIL  {name}  (skipped: component structure broken)"
+                          for name in ("mass-recurrence", "origin-minimality")]
+
+
+def test_validator_skips_depth_checks_after_a_torn_last_component():
+    # a leaf moved into the highest center's component, away from it: (b) fails on
+    # that center, the last one (b) looks at, and (c) and (d) are skipped
+    g = random_connected_graph(60, 0.0, 0)
+    part = _informed_partition(g, 10)
+    last = max(part.centers)
+    leaf = next(v for v in range(60) if g.degree(v) == 1 and part.delay[v] >= 2
+                and part.center_of[g.neighbors(v)[0]] != last)
+    center_of = list(part.center_of)
+    center_of[leaf] = last
+    bad = dataclasses.replace(part, center_of=tuple(center_of))
+    lines = validate_partition(g, bad).lines()
+    assert lines == reference.validate_partition(g, bad).lines()
+    assert lines[1] == ("FAIL  component-closure-connectivity  "
+                        f"(component of center {last} is not connected)")
+    assert lines[2:4] == [f"FAIL  {name}  (skipped: component structure broken)"
+                          for name in ("mass-recurrence", "origin-minimality")]
+
+
+@pytest.mark.parametrize("kind", ["away", "late"])
+def test_validator_reports_origin_in_the_wrong_place(kind):
+    # a relay's origin moved to another neighbor one hop closer to its own
+    # center but in another component, or in its component but no closer
+    g = random_connected_graph(60, 0.05, 2)
+    part = _informed_partition(g, 10)
+    cof, delay = part.center_of, part.delay
+    want = (True, -1) if kind == "away" else (False, 0)  # (other component, depth step)
+    v, u = next((v, u) for v in range(60) if cof[v] != v for u in g.neighbors(v)
+                if (cof[u] != cof[v], delay[u] - delay[v]) == want)
+    origin_of = list(part.origin_of)
+    origin_of[v] = u
+    bad = dataclasses.replace(part, origin_of=tuple(origin_of))
+    lines = validate_partition(g, bad).lines()
+    assert lines == reference.validate_partition(g, bad).lines()
+    assert lines[3] == "FAIL  origin-minimality  ({})".format(
+        f"node {v}: origin {u} lives in another component" if kind == "away" else
+        f"node {v}: origin depth {delay[u]} does not precede own depth {delay[v]}")
+
+
+_FIELDS = ["center_of", "component", "origin_of", "delay", "mass_m", "mass_d", "centers", "arms"]
+
+
+def _mutated(part, field, node, value):
+    """``part`` with one field changed at ``node``: an id field to another node, the
+    center to node ``value``'s ("component"), a count to ``value``, the center set
+    with ``node`` toggled, or the arms."""
+    n = part.node_count
+    if field == "arms":
+        return dataclasses.replace(part, arms=2 + abs(value))
+    if field == "centers":
+        return dataclasses.replace(part, centers=tuple(sorted(set(part.centers) ^ {node % n})))
+    if field == "component":
+        field, value = "center_of", part.center_of[value % n]
+    column = list(getattr(part, field))
+    column[node % n] = value % n if field in ("center_of", "origin_of") else value
+    return dataclasses.replace(part, **{field: tuple(column)})
+
+
+def _lines_or_error(validate, g, part):
+    try:
+        return validate(g, part).lines()
+    except ValueError as exc:  # a pair that is no Mass, or no center at all
+        return type(exc), str(exc)
+
+
+def _assert_validators_agree(g, part, path):
+    assert _lines_or_error(validate_partition, g, part) == _lines_or_error(
+        reference.validate_partition, g, part)
+    write_partition(path, part)
+    buf = io.StringIO()
+    json.dump(partition_to_json(part), buf, indent=1)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == buf.getvalue() + "\n"
+
+
+def _elected(g, arms, setting, seed):
+    if setting == "informed":
+        return compute_centers_informed(g, arms).component_map
+    return compute_centers_uninformed(
+        g, arms, g.node_count + 3, 100_000, np.random.default_rng(seed)).final_map
+
+
+@pytest.mark.parametrize("setting", ["informed", "uninformed"])
+@settings(max_examples=210, deadline=None)
+@given(n=st.integers(2, 40), density=st.sampled_from([0.0, 0.0, 0.05, 0.15, 0.4]),
+       seed=st.integers(0, 2**32 - 1), arms=st.sampled_from([2, 3, 5, 10]),
+       mutations=st.lists(st.tuples(st.sampled_from(_FIELDS), st.integers(0, 39),
+                                    st.integers(-1, 12)), min_size=2, max_size=2))
+def test_validator_equals_oracle(tmp_path_factory, setting, n, density, seed, arms, mutations):
+    g = random_connected_graph(n, density, seed)
+    comp = _elected(g, arms, setting, seed)
+    if not comp.fully_assigned():  # an exhausted election; no partition to check
+        return
+    part = comp.to_partition()
+    path = tmp_path_factory.mktemp("partition") / "p.json"
+    for case in [part] + [_mutated(part, *m) for m in mutations]:
+        _assert_validators_agree(g, case, path)
+
+
+@pytest.mark.parametrize("setting", ["informed", "uninformed"])
+def test_validator_equals_oracle_on_large_tree(tmp_path, setting):
+    g = random_connected_graph(10_000, 0.0, 10_000)
+    part = _elected(g, 10, setting, 0).to_partition()
+    assert validate_partition(g, part).ok
+    rng = np.random.default_rng(7)
+    for field in _FIELDS:
+        case = _mutated(part, field, int(rng.integers(10_000)), int(rng.integers(-1, 13)))
+        _assert_validators_agree(g, case, tmp_path / "p.json")
 
 
 def test_partition_json_round_trip():
