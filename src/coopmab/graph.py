@@ -72,7 +72,7 @@ _BYTE_CLASS[[9, 31, 32, 10, 35]] = 1, 1, 1, 2, 3  # blanks: str.split's that spl
 def _bfs(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Hop distance to the nearest of the sorted distinct ``frontier`` nodes, -1 if none.
 
-    Level-synchronous over CSR arrays: O(N + M) however many sources there are.
+    Level-synchronous over CSR arrays: O(N + M) for any number of sources.
     """
     dist = np.full(indptr.size - 1, -1, dtype=np.int64)
     dist[frontier] = 0
@@ -187,9 +187,11 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     outside, loop = (lo < 0) | (hi >= n), lo == hi
     key = np.where(outside | loop, -1 - np.arange(u.size), lo * n + hi)
-    order = np.sort(key * u.size + np.arange(u.size))  # by key, then file order
     repeat = np.zeros(u.size, dtype=bool)
-    repeat[order[1:] % u.size] = order[1:] // u.size == order[:-1] // u.size
+    same = np.sort(key)
+    if (same[1:] == same[:-1]).any():  # all but the first edge of each key repeat one
+        repeat[:] = True
+        repeat[np.unique(key, return_index=True)[1]] = False
     bad = outside | loop | repeat
     if bad.any():
         i = int(bad.argmax())
@@ -202,10 +204,9 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
     key = np.sort(np.concatenate((key, hi * n + lo)))  # both directions, by (node, neighbor)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n))))
     g = Graph(n, (_frozen(indptr), _frozen(key % n)))
-    if n > 1:
-        reach = int((g.multi_source_distances((0,)) >= 0).sum())
-        if reach != n:
-            raise DisconnectedError(f"graph is disconnected: {reach} of {n} nodes reachable from 0")
+    reach = int((g.multi_source_distances((0,)) >= 0).sum())
+    if reach != n:
+        raise DisconnectedError(f"graph is disconnected: {reach} of {n} nodes reachable from 0")
     return g
 
 
