@@ -29,11 +29,11 @@ from .partition import (
 from .simulate import (
     LossOracle,
     RunResult,
-    _informed_runs,
     bernoulli_losses,
     degree_bound,
     individual_bound,
     matrix_losses,
+    run_informed_batch,
     run_uninformed,
     switching_losses,
     uninformed_degree_bound,
@@ -71,7 +71,7 @@ def parse_adversary(spec: str, arms: int, seed: int) -> LossOracle:
             raise ValueError(f"bernoulli spec has {len(means)} means, run uses {arms} arms")
         return bernoulli_losses(means, seed)
     if kind == "matrix":
-        table = np.atleast_2d(np.loadtxt(rest, delimiter=",", dtype=float))
+        table = np.loadtxt(rest, delimiter=",", dtype=float, ndmin=2)
         if table.shape[1] != arms:
             raise ValueError(f"loss table has {table.shape[1]} columns, run uses {arms} arms")
         return matrix_losses(table)
@@ -109,6 +109,8 @@ class RunConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.seeds < 1:
             raise ValueError(f"need at least one seed, got {self.seeds}")
+        if self.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {self.workers}")
         if self.setting == "uninformed":
             if self.n_upper is None:
                 raise ValueError("uninformed runs need --nbar (known upper bound on N)")
@@ -130,8 +132,8 @@ def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None)
             for i in indices
         ]
         if cfg.setting == "informed":
-            return _informed_runs(g, cfg.arms, cfg.horizon, oracles, p_seeds,
-                                  debug=cfg.debug_invariants, log_sinks=sinks)
+            return run_informed_batch(g, cfg.arms, cfg.horizon, oracles, p_seeds,
+                                      debug=cfg.debug_invariants, log_sinks=sinks)
         return [
             run_uninformed(g, cfg.arms, cfg.n_upper, cfg.horizon, oracle, p_seed,
                            debug=cfg.debug_invariants, log_sink=sink)

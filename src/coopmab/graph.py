@@ -1,4 +1,4 @@
-"""Undirected communication graphs: construction, BFS distances, r-independence.
+"""Undirected communication graphs: construction, BFS distances, edge-list files.
 
 Nodes are dense integers 0..N-1.  Graphs are validated once at build time
 (simple, undirected, connected) and immutable afterwards, so views and
@@ -11,11 +11,9 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-INDEPENDENCE_LIMIT = 30  # exhaustive independence_number() refuses larger graphs
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -49,10 +47,6 @@ class NodeOutOfRangeError(GraphError):
 
 
 class DisconnectedError(GraphError):
-    pass
-
-
-class TooLargeError(GraphError):
     pass
 
 
@@ -208,64 +202,6 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
     if reach != n:
         raise DisconnectedError(f"graph is disconnected: {reach} of {n} nodes reachable from 0")
     return g
-
-
-def is_r_independent(g: Graph, nodes: Iterable[int], r: int) -> bool:
-    """True iff all pairs in ``nodes`` are at distance > r in g."""
-    members = set(nodes)
-    outside = sorted(v for v in members if not 0 <= v < g.node_count)
-    if outside:
-        raise NodeOutOfRangeError(f"node {outside[0]} outside 0..{g.node_count - 1}")
-    return all(g.ball(v, r) & members == {v} for v in members)
-
-
-def is_r_mis(g: Graph, candidate: Iterable[int], universe: Iterable[int], r: int) -> bool:
-    """True iff ``candidate`` is a maximal r-independent subset of ``universe``.
-
-    Distances are measured in the full graph g: two universe nodes conflict
-    when their g-distance is at most r.  Maximal means no universe node can
-    be added without breaking independence.
-    """
-    cand, univ = set(candidate), set(universe)
-    return (cand <= univ and is_r_independent(g, cand, r)
-            and all(g.ball(u, r) & cand for u in univ - cand))
-
-
-def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size by branch and bound.
-
-    Exhaustive, so refuses graphs above INDEPENDENCE_LIMIT nodes.
-    """
-    n = g.node_count
-    if n > INDEPENDENCE_LIMIT:
-        raise TooLargeError(f"independence_number limited to {INDEPENDENCE_LIMIT} nodes, got {n}")
-    open_mask = [sum(1 << w for w in nbrs) for nbrs in g.adj]
-    best = 0
-
-    def search(avail: int, size: int) -> None:
-        nonlocal best
-        if avail == 0:
-            if size > best:
-                best = size
-            return
-        if size + avail.bit_count() <= best:
-            return
-        # pivot on the densest available vertex; excluding it only helps if
-        # it still has available neighbors
-        pivot, pivot_deg = -1, -1
-        m = avail
-        while m:
-            v = (m & -m).bit_length() - 1
-            d = (open_mask[v] & avail).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-            m &= m - 1
-        search(avail & ~(open_mask[pivot] | (1 << pivot)), size + 1)
-        if pivot_deg > 0:
-            search(avail & ~(1 << pivot), size)
-
-    search((1 << n) - 1, 0)
-    return best
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -24,7 +24,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import exp3
-from .graph import Graph, _distinct, independence_number
+from .graph import Graph, _distinct
 from .partition import (
     Partition,
     compute_centers_informed,
@@ -201,15 +201,26 @@ def _result(setting, partition, realized, semi, arm_loss, digest, checkpoints, h
     )
 
 
-def _check_run_args(g: Graph, arms: int, horizon: int, oracle: LossOracle) -> bool:
-    if g.node_count < 2:
+def _check_run_args(g: Graph | None, arms: int, horizon: int, oracles: Sequence[LossOracle],
+                    policy_seeds: Sequence[int]) -> bool:
+    """Check the arguments of a run in any setting; ``g`` is None for solo runs.
+
+    Returns whether the horizon is below arms^2*ln(arms), where the regret
+    guarantees do not apply; such a horizon is also warned about.
+    """
+    if len(oracles) != len(policy_seeds) or not oracles:
+        raise ValueError(
+            f"need one oracle per policy seed, got {len(oracles)} and {len(policy_seeds)}"
+        )
+    if g is not None and g.node_count < 2:
         raise ValueError(f"need at least 2 agents, got {g.node_count}")
     if arms < 2:
         raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if oracle.arms != arms:
-        raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
+    for oracle in oracles:
+        if oracle.arms != arms:
+            raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
     short = horizon < arms * arms * math.log(arms)
     if short:
         warnings.warn(
@@ -505,19 +516,7 @@ def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
             raise ValueError(f"relay {v} copies node {o}, which is not its neighbor")
 
 
-def _check_batch(arms: int, oracles: Sequence[LossOracle], policy_seeds: Sequence[int]) -> None:
-    if len(oracles) != len(policy_seeds) or not oracles:
-        raise ValueError(
-            f"need one oracle per policy seed, got {len(oracles)} and {len(policy_seeds)}"
-        )
-    if arms < 2:
-        raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    for oracle in oracles:
-        if oracle.arms != arms:
-            raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
-
-
-def _informed_runs(
+def run_informed_batch(
     g: Graph,
     arms: int,
     horizon: int,
@@ -528,9 +527,13 @@ def _informed_runs(
     log_sinks: Sequence[IO | None] | None = None,
     record_distributions: bool = False,
 ) -> list[RunResult]:
-    """Informed runs of many (oracle, policy seed) pairs on one election, seeds in lockstep."""
-    _check_batch(arms, oracles, policy_seeds)
-    short = _check_run_args(g, arms, horizon, oracles[0])
+    """run_informed for each (oracle, policy seed) pair, on one election, seeds in lockstep.
+
+    Each result equals run_informed(g, arms, horizon, oracle, seed, ...)
+    with the same options bit for bit; the batch only shares the
+    per-round numpy calls between seeds.
+    """
+    short = _check_run_args(g, arms, horizon, oracles, policy_seeds)
     if partition is None:
         partition = compute_centers_informed(g, arms).component_map.to_partition()
     else:
@@ -561,25 +564,8 @@ def run_informed(
     partition: Partition | None = None,
 ) -> RunResult:
     """Simulate with the graph known in advance: partitioning costs no steps."""
-    return _informed_runs(g, arms, horizon, [oracle], [policy_seed], partition, debug,
-                          [log_sink], record_distributions)[0]
-
-
-def run_informed_batch(
-    g: Graph,
-    arms: int,
-    horizon: int,
-    oracles: Sequence[LossOracle],
-    policy_seeds: Sequence[int],
-    partition: Partition | None = None,
-) -> list[RunResult]:
-    """run_informed for each (oracle, policy seed) pair, on one election, seeds in lockstep.
-
-    Each result equals run_informed(g, arms, horizon, oracle, seed,
-    partition=partition) bit for bit; the batch only shares the per-round
-    numpy calls between seeds.
-    """
-    return _informed_runs(g, arms, horizon, oracles, policy_seeds, partition)
+    return run_informed_batch(g, arms, horizon, [oracle], [policy_seed], partition, debug,
+                              [log_sink], record_distributions)[0]
 
 
 def run_uninformed(
@@ -601,7 +587,7 @@ def run_uninformed(
     the best fixed arm over the whole played timeline (policy-phase-only
     variant included in the result).
     """
-    short = _check_run_args(g, arms, horizon, oracle)
+    short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
     exhaustions = sum(1 for call in election.luby_calls if call.result.exhausted)
@@ -623,70 +609,16 @@ def run_solo_exp3_batch(
     arms: int, horizon: int, oracles: Sequence[LossOracle], policy_seeds: Sequence[int]
 ) -> list[RunResult]:
     """run_solo_exp3 for each (oracle, policy seed) pair, seeds in lockstep."""
-    _check_batch(arms, oracles, policy_seeds)
+    short = _check_run_args(None, arms, horizon, oracles, policy_seeds)
     solo = Partition(arms=arms, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
                      mass_m=(1,), mass_d=(0,))
     rngs = [np.random.default_rng(s) for s in policy_seeds]
-    return _run_batch(None, solo, horizon, oracles, rngs, policy_seeds, "solo")
-
-
-@dataclass
-class AgentReportRow:
-    agent: int
-    role: str
-    closed_degree: int
-    mass_m: int
-    mass_d: int
-    delay: int
-    realized_regret: float
-    semi_regret: float
-    bound_center: float | None
-    bound_individual: float
-    bound_degree: float
-
-
-@dataclass
-class RegretReport:
-    rows: list[AgentReportRow]
-    mean_regret: float
-    mean_semi_regret: float
-    harmonic_degree_sum: float
-    alpha: int | None
-    alpha_reference: float | None
-    caro_wei_ok: bool | None
-
-    def lines(self) -> list[str]:
-        out = [
-            f"{'agent':>5} {'role':>8} {'|N(v)|':>6} {'mass':>10} {'delay':>5} "
-            f"{'regret':>12} {'semi':>12} {'bound7':>12} {'bound12':>14}"
-        ]
-        for r in self.rows:
-            out.append(
-                f"{r.agent:>5} {r.role:>8} {r.closed_degree:>6} "
-                f"({r.mass_m:>3},{r.mass_d:>3}) {r.delay:>5} "
-                f"{r.realized_regret:>12.2f} {r.semi_regret:>12.2f} "
-                f"{r.bound_individual:>12.1f} {r.bound_degree:>14.1f}"
-            )
-        out.append(
-            f"mean regret {self.mean_regret:.2f}, mean semi {self.mean_semi_regret:.2f}, "
-            f"sum 1/|N(v)| = {self.harmonic_degree_sum:.4f}"
-        )
-        if self.alpha is not None:
-            out.append(
-                f"independence number {self.alpha}, average-regret reference "
-                f"{self.alpha_reference:.1f}, harmonic sum within alpha: {self.caro_wei_ok}"
-            )
-        return out
+    return _run_batch(None, solo, horizon, oracles, rngs, policy_seeds, "solo", short=short)
 
 
 def individual_bound(mass_value: float, arms: int, horizon: int) -> float:
     """7 * sqrt(ln(arms) * (arms / mass) * horizon): per-agent guarantee."""
     return 7.0 * math.sqrt(math.log(arms) * (arms / mass_value) * horizon)
-
-
-def center_bound(mass_value: float, arms: int, horizon: int) -> float:
-    """4 * sqrt(ln(arms) * (arms / mass) * horizon): tighter form at centers."""
-    return 4.0 * math.sqrt(math.log(arms) * (arms / mass_value) * horizon)
 
 
 def degree_bound(closed_degree: int, arms: int, horizon: int) -> float:
@@ -698,54 +630,3 @@ def uninformed_degree_bound(closed_degree: int, arms: int, n_upper: int, horizon
     """Degree-only form plus the price of electing centers online."""
     setup_price = arms * math.log(arms * arms * n_upper * horizon)
     return 12.0 * (setup_price + math.sqrt(math.log(arms) * (1.0 + arms / closed_degree) * horizon)) + 1.0
-
-
-def regret_report(result: RunResult, g: Graph | None = None) -> RegretReport:
-    """Per-agent regret next to every bound the run's mass structure implies."""
-    arms, horizon = result.arms, result.horizon
-    part = result.partition
-    rows = []
-    harmonic = 0.0
-    for v in range(result.node_count):
-        if part is not None and g is not None:
-            closed = g.closed_degree(v)
-        else:
-            closed = 1  # solo baseline
-        harmonic += 1.0 / closed
-        mass_value = part.mass_value(v) if part is not None else 1.0
-        role = part.role(v) if part is not None else "center"
-        if result.setting == "uninformed":
-            b12 = uninformed_degree_bound(closed, arms, result.n_upper, horizon)
-        else:
-            b12 = degree_bound(closed, arms, horizon)
-        rows.append(
-            AgentReportRow(
-                agent=v,
-                role=role,
-                closed_degree=closed,
-                mass_m=part.mass_m[v] if part is not None else 1,
-                mass_d=part.mass_d[v] if part is not None else 0,
-                delay=part.delay[v] if part is not None else 0,
-                realized_regret=float(result.regret[v]),
-                semi_regret=float(result.semi_regret[v]),
-                bound_center=center_bound(mass_value, arms, horizon) if role == "center" else None,
-                bound_individual=individual_bound(mass_value, arms, horizon),
-                bound_degree=b12,
-            )
-        )
-    alpha = None
-    alpha_ref = None
-    caro_wei = None
-    if g is not None and g.node_count <= 30:
-        alpha = independence_number(g)
-        alpha_ref = math.sqrt((1.0 + arms * alpha / g.node_count) * horizon)
-        caro_wei = harmonic <= alpha + 1e-9
-    return RegretReport(
-        rows=rows,
-        mean_regret=float(np.mean(result.regret)),
-        mean_semi_regret=float(np.mean(result.semi_regret)),
-        harmonic_degree_sum=harmonic,
-        alpha=alpha,
-        alpha_reference=alpha_ref,
-        caro_wei_ok=caro_wei,
-    )

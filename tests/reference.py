@@ -7,6 +7,12 @@ in ``coopmab.simulate`` so that the differential tests in
 ``test_simulate.py`` compare the kernel with an independent implementation
 rather than with itself.
 
+``is_r_independent``, ``is_r_mis`` and ``independence_number`` check
+r-independence, r-maximality and the independence number on small
+graphs; ``reach_within``, ``oracle_independent`` and ``oracle_mis`` judge
+the first two through boolean reachability matrices instead, for the
+sweep in ``test_graph.py``.  No ``coopmab`` code calls any of them.
+
 ``parse_edge_list`` and ``build_graph`` are the edge-list reader and the
 graph construction that went through per-edge Python sets, and
 ``validate_partition`` the per-node partition validator, kept as they
@@ -36,9 +42,9 @@ from coopmab.graph import (
     DuplicateEdgeError,
     EdgeListParseError,
     Graph,
+    GraphError,
     NodeOutOfRangeError,
     SelfLoopError,
-    is_r_independent,
 )
 from coopmab.partition import (
     MASS_DECAY_DENOM,
@@ -262,7 +268,7 @@ def run_informed(
     partition: Partition | None = None,
 ) -> RunResult:
     """Simulate with the graph known in advance: partitioning costs no steps."""
-    short = _check_run_args(g, arms, horizon, oracle)
+    short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
     if partition is None:
         partition = compute_centers_informed(g, arms).component_map.to_partition()
     losses = oracle.rows(0, horizon)
@@ -302,7 +308,7 @@ def run_uninformed(
     the best fixed arm over the whole played timeline (policy-phase-only
     variant included in the result).
     """
-    short = _check_run_args(g, arms, horizon, oracle)
+    short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
     partition = election.final_map.to_partition()
@@ -332,8 +338,6 @@ def run_uninformed(
 
 def _solo_partition(arms: int) -> Partition:
     """The one-agent partition the solo baselines run on."""
-    if arms < 2:
-        raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
     return Partition(
         arms=arms,
         centers=(0,),
@@ -349,15 +353,103 @@ def run_solo_exp3(
     arms: int, horizon: int, oracle: LossOracle, policy_seed: int
 ) -> RunResult:
     """Baseline: one agent, no neighbors, importance weights from its own play."""
+    short = _check_run_args(None, arms, horizon, [oracle], [policy_seed])
     solo = _solo_partition(arms)
-    if oracle.arms != arms:
-        raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
     losses = oracle.rows(0, horizon)
     world = SimWorld(None, solo, losses, np.random.default_rng(policy_seed))
     snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
     for _ in range(horizon):
         world.advance_round()
-    return _finish(world, "solo", horizon, 0, None, oracle, policy_seed, snapshot)
+    return _finish(world, "solo", horizon, 0, None, oracle, policy_seed, snapshot, short=short)
+
+
+INDEPENDENCE_LIMIT = 30  # exhaustive independence_number() refuses larger graphs
+
+
+class TooLargeError(GraphError):
+    pass
+
+
+def is_r_independent(g: Graph, nodes: Iterable[int], r: int) -> bool:
+    """True iff all pairs in ``nodes`` are at distance > r in g."""
+    members = set(nodes)
+    outside = sorted(v for v in members if not 0 <= v < g.node_count)
+    if outside:
+        raise NodeOutOfRangeError(f"node {outside[0]} outside 0..{g.node_count - 1}")
+    return all(g.ball(v, r) & members == {v} for v in members)
+
+
+def is_r_mis(g: Graph, candidate: Iterable[int], universe: Iterable[int], r: int) -> bool:
+    """True iff ``candidate`` is a maximal r-independent subset of ``universe``.
+
+    Distances are measured in the full graph g: two universe nodes conflict
+    when their g-distance is at most r.  Maximal means no universe node can
+    be added without breaking independence.
+    """
+    cand, univ = set(candidate), set(universe)
+    return (cand <= univ and is_r_independent(g, cand, r)
+            and all(g.ball(u, r) & cand for u in univ - cand))
+
+
+def independence_number(g: Graph) -> int:
+    """Exact maximum independent set size by branch and bound.
+
+    Exhaustive, so refuses graphs above INDEPENDENCE_LIMIT nodes.
+    """
+    n = g.node_count
+    if n > INDEPENDENCE_LIMIT:
+        raise TooLargeError(f"independence_number limited to {INDEPENDENCE_LIMIT} nodes, got {n}")
+    open_mask = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    best = 0
+
+    def search(avail: int, size: int) -> None:
+        nonlocal best
+        if avail == 0:
+            if size > best:
+                best = size
+            return
+        if size + avail.bit_count() <= best:
+            return
+        # pivot on the densest available vertex; excluding it only helps if
+        # it still has available neighbors
+        pivot, pivot_deg = -1, -1
+        m = avail
+        while m:
+            v = (m & -m).bit_length() - 1
+            d = (open_mask[v] & avail).bit_count()
+            if d > pivot_deg:
+                pivot, pivot_deg = v, d
+            m &= m - 1
+        search(avail & ~(open_mask[pivot] | (1 << pivot)), size + 1)
+        if pivot_deg > 0:
+            search(avail & ~(1 << pivot), size)
+
+    search((1 << n) - 1, 0)
+    return best
+
+
+def reach_within(g: Graph, r: int) -> np.ndarray:
+    """Boolean matrix: True where nodes are within distance r (matrix-power route)."""
+    n = g.node_count
+    a = np.eye(n, dtype=bool)
+    a[g.rows(), g.csr[1]] = True
+    reach = a.copy()
+    for _ in range(r - 1):
+        reach = reach @ a
+    return reach
+
+
+def oracle_independent(reach: np.ndarray, nodes: set[int]) -> bool:
+    members = sorted(nodes)
+    return not any(
+        reach[u, w] for i, u in enumerate(members) for w in members[i + 1 :]
+    )
+
+
+def oracle_mis(reach: np.ndarray, cand: set[int], univ: set[int]) -> bool:
+    if not cand <= univ or not oracle_independent(reach, cand):
+        return False
+    return all(any(reach[u, w] for w in cand) for u in univ - cand)
 
 
 def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:

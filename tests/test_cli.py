@@ -82,7 +82,7 @@ def test_partition_uninformed_subcommand(path_file, capsys):
     assert "setup steps charged:" in stdout
 
 
-def test_usage_and_config_errors(tmp_path, star_file):
+def test_usage_and_config_errors(tmp_path, star_file, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 2\n0 1\n")
     assert main(["partition", "--graph", str(bad), "--arms", "3"]) == 2
@@ -101,6 +101,15 @@ def test_usage_and_config_errors(tmp_path, star_file):
                  "--nbar", "2"]) == 2  # below the node count
     assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",
                  "--adversary", "switch:arm2@0,arm1@0"]) == 2  # two switches at one step
+    column = tmp_path / "column.csv"  # two steps of one arm, not one step of two arms
+    column.write_text("0.5\n0.25\n")
+    capsys.readouterr()
+    assert main(["simulate", "--graph", star_file, "--arms", "2", "--horizon", "2",
+                 "--adversary", f"matrix:{column}"]) == 2
+    assert "1 columns" in capsys.readouterr().err
+    assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",
+                 "--adversary", "bernoulli:0.4,0.4,0.4", "--workers", "0"]) == 2
+    assert main(["validate", "graph-oracles"]) == 2  # a test under tests/, not a suite
     assert main(["nonsense"]) == 2
 
 

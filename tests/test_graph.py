@@ -11,7 +11,16 @@ except ImportError:  # an optional, test-only oracle
     nx = None
 
 import reference
-from reference import induced_subgraph
+from reference import (
+    TooLargeError,
+    independence_number,
+    induced_subgraph,
+    is_r_independent,
+    is_r_mis,
+    oracle_independent,
+    oracle_mis,
+    reach_within,
+)
 
 from coopmab.graph import (
     DisconnectedError,
@@ -20,13 +29,9 @@ from coopmab.graph import (
     GraphError,
     NodeOutOfRangeError,
     SelfLoopError,
-    TooLargeError,
     build_graph,
     complete_graph,
     format_edge_list,
-    independence_number,
-    is_r_independent,
-    is_r_mis,
     parse_edge_list,
     path_graph,
     random_connected_graph,
@@ -140,6 +145,38 @@ def test_r_mis_examples():
     assert is_r_mis(p, set(), set(), 2)
     # not a subset of the universe
     assert not is_r_mis(p, {0, 3}, {0, 1}, 2)
+
+
+def test_r_checkers_equal_reachability_oracle():
+    # 30 random connected graphs (2..16 nodes, mixed density): 12 random
+    # subsets each against the independence oracle; per r, a greedy-built
+    # maximal set must be accepted, the same set minus one member rejected,
+    # and a random subset judged as the oracle judges it
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        n = int(rng.integers(2, 17))
+        g = random_connected_graph(n, float(rng.random()) * 0.5, rng)
+        reach = {r: reach_within(g, r) for r in (1, 2)}
+        for _ in range(12):
+            size = int(rng.integers(1, n + 1))
+            sub = set(rng.choice(n, size=size, replace=False).tolist())
+            for r in (1, 2):
+                assert is_r_independent(g, sub, r) == oracle_independent(reach[r], sub), (r, sub)
+        for r in (1, 2):
+            # greedy over a shuffled order is maximal by construction
+            order = list(rng.permutation(n))
+            univ = set(rng.choice(n, size=max(1, n // 2), replace=False).tolist())
+            taken: set[int] = set()
+            for v in order:
+                if v in univ and not any(reach[r][v, u] for u in taken):
+                    taken.add(v)
+            assert is_r_mis(g, taken, univ, r), (r, taken, univ)
+            # dropping one member re-opens room for it, so maximality must fail
+            if taken:
+                assert not is_r_mis(g, set(sorted(taken)[:-1]), univ, r), (r, taken)
+            rand_sub = set(rng.choice(n, size=max(1, n // 3), replace=False).tolist())
+            assert is_r_mis(g, rand_sub, univ, r) == oracle_mis(reach[r], rand_sub, univ), (
+                r, rand_sub, univ)
 
 
 def test_independence_number_examples():

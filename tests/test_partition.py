@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import spread_history_violations
+from reference import is_r_independent, is_r_mis, spread_history_violations
 
 from coopmab.cli import write_partition
 
 from coopmab.graph import (
     build_graph,
     complete_graph,
-    is_r_independent,
-    is_r_mis,
     path_graph,
     random_connected_graph,
     star_graph,

@@ -23,11 +23,9 @@ from coopmab.simulate import (
     LossOracle,
     RunResult,
     bernoulli_losses,
-    center_bound,
     degree_bound,
     individual_bound,
     matrix_losses,
-    regret_report,
     run_informed,
     run_informed_batch,
     run_solo_exp3,
@@ -272,8 +270,6 @@ def test_solo_baseline():
     assert res.node_count == 1
     assert res.partition.mass(0) == Mass(1, 0)
     assert np.isfinite(res.regret).all()
-    rep = regret_report(res)
-    assert rep.rows[0].closed_degree == 1
 
 
 def test_sampler_never_plays_zero_arm_at_boundary():
@@ -356,44 +352,9 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
             assert run.digest == single.digest
 
 
-def test_regret_report_bounds_recompute():
-    g = star_graph(5)
-    oracle = bernoulli_losses([0.4] + [0.5] * 3, 2)
-    res = run_informed(g, 4, 1000, oracle, 31)
-    rep = regret_report(res, g)
-    for row in rep.rows:
-        mass_value = Mass(row.mass_m, row.mass_d).value()
-        assert row.bound_individual == pytest.approx(
-            7 * math.sqrt(math.log(4) * (4 / mass_value) * 1000)
-        )
-        assert row.bound_degree == pytest.approx(
-            12 * math.sqrt(math.log(4) * (1 + 4 / row.closed_degree) * 1000)
-        )
-        if row.role == "center":
-            assert row.bound_center == pytest.approx(
-                4 * math.sqrt(math.log(4) * (4 / mass_value) * 1000)
-            )
-    assert rep.alpha == 5  # the five leaves
-    assert rep.caro_wei_ok
-    assert rep.harmonic_degree_sum == pytest.approx(1 / 6 + 5 / 2)
-    assert rep.alpha_reference == pytest.approx(math.sqrt((1 + 4 * 5 / 6) * 1000))
-
-
-def test_regret_report_zero_loss_run():
-    g = path_graph(3)
-    res = run_informed(g, 2, 50, matrix_losses(np.zeros((50, 2))), 0)
-    rep = regret_report(res, g)
-    assert rep.mean_regret == 0.0
-    assert rep.mean_semi_regret == 0.0
-    assert all(r.realized_regret == 0.0 for r in rep.rows)
-
-
 def test_bound_helpers_are_plain_formulas():
     assert individual_bound(10.0, 10, 100_000) == pytest.approx(
         7 * math.sqrt(math.log(10) * 100_000)
-    )
-    assert center_bound(10.0, 10, 100_000) == pytest.approx(
-        4 * math.sqrt(math.log(10) * 100_000)
     )
     assert degree_bound(11, 10, 100_000) == pytest.approx(
         12 * math.sqrt(math.log(10) * (1 + 10 / 11) * 100_000)
@@ -523,6 +484,18 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
     _assert_same_run(run, want)
 
 
+def test_solo_short_horizon_equals_reference():
+    # 5 steps is below 3^2 ln 3: a solo run warns and flags the short
+    # horizon as the graph runs do, and so does the reference
+    oracle = bernoulli_losses([0.2, 0.5, 0.8], 97)
+    with pytest.warns(RuntimeWarning, match="horizon 5"):
+        run = run_solo_exp3(3, 5, oracle, 98)
+    with pytest.warns(RuntimeWarning, match="horizon 5"):
+        want = reference.run_solo_exp3(3, 5, oracle, 98)
+    assert run.short_horizon
+    _assert_same_run(run, want)
+
+
 def test_batch_takes_a_given_partition_and_checks_arguments():
     g = path_graph(5)
     part = centers_to_components(g, {2}, 3).to_partition()
@@ -537,6 +510,8 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
         run_informed_batch(g, 3, 300, [], [])
     with pytest.raises(ValueError):
         run_solo_exp3_batch(2, 300, oracles, [5, 6])  # oracle arm count mismatch
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        run_solo_exp3_batch(3, 0, oracles, [5, 6])
     with pytest.raises(exp3.ArmsTooFewError):
         run_informed_batch(g, 1, 300, oracles, [5, 6])
 
@@ -614,8 +589,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
             part = _reweighed(compute_centers_informed(g, arms).component_map.to_partition(), mass)
-            runs = simulate._informed_runs(g, arms, horizon, oracles, policy_seeds, part,
-                                           log_sinks=kernel_logs, **options)
+            runs = run_informed_batch(g, arms, horizon, oracles, policy_seeds, part,
+                                      log_sinks=kernel_logs, **options)
             expected = [
                 reference.run_informed(g, arms, horizon, oracle, seed, partition=part,
                                        log_sink=sink, **options)
@@ -702,8 +677,8 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
         mp.setattr(simulate, "BATCH_ROWS", block)
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
-            runs = simulate._informed_runs(g, arms, horizon, oracles, policy_seeds, debug=True,
-                                           log_sinks=kernel_logs)
+            runs = run_informed_batch(g, arms, horizon, oracles, policy_seeds, debug=True,
+                                      log_sinks=kernel_logs)
         else:
             runs = [run_uninformed(g, arms, n_upper, horizon, oracle, p_seed, debug=True,
                                    log_sink=sink)

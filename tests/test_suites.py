@@ -2,7 +2,7 @@ import pytest
 
 from coopmab.suites import SUITES, run_suite
 
-EXPECTED = {"graph-oracles", "exp3"}
+EXPECTED = {"exp3"}
 
 
 def test_suite_registry():
