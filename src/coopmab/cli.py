@@ -10,7 +10,8 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -118,12 +119,18 @@ class RunConfig:
                 raise ValueError(
                     f"--nbar {self.n_upper} is below the actual node count {g.node_count}"
                 )
-        parse_adversary(self.adversary_spec, self.arms, self.adversary_seed)  # fail fast
+        self.adversary  # fail fast
+
+    @cached_property
+    def adversary(self) -> LossOracle:
+        """Seed 0's loss oracle; parsed once, so a matrix file is read once."""
+        return parse_adversary(self.adversary_spec, self.arms, self.adversary_seed)
 
 
 def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None) -> list[RunResult]:
     """The runs of seeds ``indices``: informed ones as one batch, uninformed one by one."""
-    oracles = [parse_adversary(cfg.adversary_spec, cfg.arms, cfg.adversary_seed + i)
+    base = cfg.adversary  # only a bernoulli oracle reads its seed
+    oracles = [replace(base, seed=cfg.adversary_seed + i) if base.kind == "bernoulli" else base
                for i in indices]
     p_seeds = [cfg.policy_seed + i for i in indices]
     with contextlib.ExitStack() as stack:
@@ -142,10 +149,8 @@ def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None)
 
 
 def _pool_worker(payload) -> list[RunResult]:
-    cfg_fields, graph_path, indices, log_prefix = payload
-    cfg = RunConfig(**cfg_fields)
-    g = read_edge_list(graph_path)
-    return _run_seeds(cfg, g, indices, log_prefix)
+    cfg, indices, log_prefix = payload
+    return _run_seeds(cfg, read_edge_list(cfg.graph_path), indices, log_prefix)
 
 
 def sweep(cfg: RunConfig, g: Graph, log_prefix: str | None = None) -> list[RunResult]:
@@ -154,10 +159,7 @@ def sweep(cfg: RunConfig, g: Graph, log_prefix: str | None = None) -> list[RunRe
     if workers <= 1:
         return _run_seeds(cfg, g, range(cfg.seeds), log_prefix)
     cuts = [cfg.seeds * w // workers for w in range(workers + 1)]
-    payloads = [
-        (cfg.__dict__.copy(), cfg.graph_path, range(a, b), log_prefix)
-        for a, b in zip(cuts, cuts[1:])
-    ]
+    payloads = [(cfg, range(a, b), log_prefix) for a, b in zip(cuts, cuts[1:])]
     # imported here, not at the top, so that a one-worker call never loads it:
     # loaded before the package's modules, it raised a CLI call's peak RSS by 0.8 MB
     from concurrent.futures import ProcessPoolExecutor
@@ -337,7 +339,7 @@ def cmd_partition(args) -> int:
             g, args.arms, args.nbar, args.horizon, np.random.default_rng(args.policy_seed)
         )
         comp = election.final_map
-        exhausted = sum(1 for c in election.luby_calls if c.result.exhausted)
+        exhausted = election.exhaustions
         setup_note = (
             f"setup steps charged: {election.total_steps} "
             f"(protocol {election.protocol_steps} + final pass {election.final_pass_steps}; "

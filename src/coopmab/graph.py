@@ -119,11 +119,12 @@ class Graph:
         """The node whose neighbor each ``csr[1]`` entry is (ascending)."""
         return np.repeat(np.arange(self.node_count), np.diff(self.csr[0]))
 
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuples, no self entries."""
-        flat, cut = self.csr[1].tolist(), self.csr[0].tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(cut, cut[1:]))
+    def are_adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Whether each (u[i], v[i]) is an edge; ids outside 0..N-1 are on none."""
+        n = self.node_count
+        key = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
+        edge = np.append(self.rows() * n + self.csr[1], n * n)  # ascending, then a sentinel
+        return edge.take(edge.searchsorted(key)) == key
 
     @cached_property
     def closed_degrees(self) -> np.ndarray:
@@ -131,12 +132,13 @@ class Graph:
         return _frozen(np.diff(self.csr[0]) + 1)
 
     def padded_neighbors(self) -> np.ndarray:
-        """(N, max degree) neighbor matrix, rows ascending, padded with the sentinel N.
+        """(N + 1, max degree) neighbor rows, ascending, padded with the sentinel N.
 
-        Built on every call and not kept: a graph holds only its CSR arrays.
+        Row N, a nil node's, holds only N.  Built on every call and not kept:
+        a graph holds only its CSR arrays.
         """
-        rows, (indptr, indices) = self.rows(), self.csr
-        pad = np.full((self.node_count, int(self.closed_degrees.max()) - 1), self.node_count)
+        n, rows, (indptr, indices) = self.node_count, self.rows(), self.csr
+        pad = np.full((n + 1, int(self.closed_degrees.max()) - 1), n)
         pad[rows, np.arange(indices.size) - indptr[rows]] = indices
         return pad
 
@@ -148,19 +150,6 @@ class Graph:
             bad = frontier[(frontier < 0) | (frontier >= n)][0]
             raise NodeOutOfRangeError(f"node {bad} outside 0..{n - 1}")
         return _bfs(*self.csr, frontier)
-
-    def ball(self, v: int, radius: int) -> frozenset[int]:
-        """All nodes within BFS distance ``radius`` of v (v included)."""
-        reached, frontier = {v}, [v]
-        for _ in range(radius):
-            nxt = []
-            for u in frontier:
-                for w in self.adj[u]:
-                    if w not in reached:
-                        reached.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return frozenset(reached)
 
 
 def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:

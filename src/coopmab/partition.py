@@ -149,16 +149,6 @@ def _mass_table(arms: int) -> np.ndarray:
     return table
 
 
-def _padded_rows(g: Graph) -> np.ndarray:
-    """(N + 1, max degree) neighbor rows, ascending, padded with the sentinel N.
-
-    Row N belongs to the nil node N and holds only N.  The sentinel gathers
-    the nil column of a state, whose score is -inf.
-    """
-    pad = g.padded_neighbors()
-    return np.concatenate((pad, np.full((1, pad.shape[1]), g.node_count)))
-
-
 def _spread_round(prev, score, nbrs, own, is_center) -> np.ndarray:
     """One synchronous round for the nodes whose padded neighbor rows are ``nbrs``.
 
@@ -296,7 +286,7 @@ class _SpreadRounds:
         self.rounds = rounds = spread_rounds(arms) + 1
         self.clamp = degree_clamp(g, arms)
         self.log_m = _mass_table(arms)
-        self.nbrs = _padded_rows(g)  # contiguous: take() on a strided view copies it whole
+        self.nbrs = g.padded_neighbors()  # contiguous: take() on a strided view copies it whole
         self.is_center = np.zeros(n + 1, dtype=bool)
         # int32 holds every field (ids up to N, m up to arms, d up to rounds)
         # at half the size; the rounds are widened to int64 only for the map
@@ -448,32 +438,38 @@ class LubyTranscript:
 def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTranscript:
     """Randomized maximal two-hop independent set over ``universe``.
 
-    Per round each remaining participant draws uniform [0,1) and joins iff
-    it strictly beats every other participant within two hops in the full
-    graph (float ties, probability zero, go to the lowest id).  Joiners
-    knock every participant within two hops out of the running.  The
-    joined set is two-hop independent unconditionally; it is maximal
-    unless the round budget runs out first, which the transcript records.
+    Per round the remaining participants draw uniform [0,1) in ascending id
+    order, and one joins iff it strictly beats every other participant
+    within two hops in the full graph (float ties, probability zero, go to
+    the lowest id).  Joiners knock every participant within two hops out.
+    The joined set is two-hop independent; it is maximal unless the round
+    budget runs out first, which the transcript records.
     """
-    active = sorted(set(int(v) for v in universe))
-    for v in active:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node {v} outside 0..{g.node_count - 1}")
+    n, (indptr, indices) = g.node_count, g.csr
+    remaining = _distinct(np.fromiter(universe, dtype=np.int64))
+    bad = remaining[(remaining < 0) | (remaining >= n)]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} outside 0..{n - 1}")
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-    balls = {v: g.ball(v, 2) for v in active}  # built once per call, dropped after
-    joined: set[int] = set()
-    remaining = set(active)
-    rounds = 0
-    while remaining and rounds < max_rounds:
+
+    def two_hop_max(x: np.ndarray) -> np.ndarray:  # a closed-neighborhood maximum, twice
+        for _ in range(2 if indices.size else 0):  # a one-node graph has no neighbor segments
+            x = np.maximum(x, np.maximum.reduceat(x.take(indices), indptr[:-1]))
+        return x
+
+    joined, rounds = np.zeros(n, dtype=bool), 0
+    while remaining.size and rounds < max_rounds:
         rounds += 1
-        draws = {v: float(rng.random()) for v in sorted(remaining)}  # fixed draw order
-        winners = {v for v in remaining if all(
-            (draws[v], -v) > (draws[u], -u) for u in balls[v] & remaining if u != v)}
-        joined |= winners
-        if winners:
-            remaining = {v for v in remaining if not (balls[v] & winners)}
-    return LubyTranscript(rounds, frozenset(joined), 4 * rounds, exhausted=bool(remaining))
+        draws = rng.random(remaining.size)
+        # (draw, -id) as one integer, equal draws equal; non-participants 0
+        key = np.zeros(n, dtype=np.int64)
+        key[remaining] = (np.sort(draws).searchsorted(draws) + 1) * n + (n - 1 - remaining)
+        joined[remaining[two_hop_max(key).take(remaining) == key.take(remaining)]] = True
+        # no one left is within two hops of an earlier round's joiner
+        remaining = remaining[~two_hop_max(joined).take(remaining)]
+    return LubyTranscript(rounds, frozenset(np.flatnonzero(joined).tolist()), 4 * rounds,
+                          exhausted=bool(remaining.size))
 
 
 def mis_round_budget(n_upper: int, arms: int, horizon: int) -> int:
@@ -509,6 +505,7 @@ class UninformedElection:
     protocol_steps: int  # arms * (4 * budget + spread_rounds + 1)
     final_pass_steps: int  # one extra propagation to publish the partition
     total_steps: int
+    exhaustions: int  # elections whose budget ran out with participants undecided
 
 
 def compute_centers_uninformed(
@@ -562,6 +559,7 @@ def compute_centers_uninformed(
         protocol_steps=protocol_steps,
         final_pass_steps=pass_rounds,
         total_steps=protocol_steps + pass_rounds,
+        exhaustions=sum(call.result.exhausted for call in calls),
     )
 
 
@@ -660,9 +658,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     # (d) each relay's origin is a same-component neighbor one hop closer
     w = broken
     if sound:
-        u = np.clip(uof, 0, n - 1)
-        edge = np.append(rows * n + indices, n * n)  # ascending, then a sentinel
-        near = (uof == u) & (edge.take(edge.searchsorted(node * n + u)) == node * n + u)
+        u, near = np.clip(uof, 0, n - 1), g.are_adjacent(node, uof)
         away = cof.take(u) != cof
         late = depth.take(u) != depth - 1
         v = _first(~is_center & (~near | away | late))
@@ -677,8 +673,12 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     crowded = is_center + np.bincount(rows[is_center.take(indices)], minlength=n) > 1
     crowded[rows[crowded.take(indices)]] = True  # now: some closed neighbor is crowded
     a = _first(is_center & crowded)
-    add("two-independence", None if a is None else "centers {} within two hops".format(
-        (a, min(x for x in g.ball(a, 2) if x != a and is_center[x]))))
+    if a is not None:  # and the lowest other center within two hops of it
+        near = node == a
+        for _ in range(2):
+            near[indices[near.take(rows)]] = True
+        b = _first(near & is_center & (node != a))
+    add("two-independence", None if a is None else f"centers {(a, b)} within two hops")
 
     # (f) every node's mass is at least exp(-1) of its own clamp,
     #     checked in pair form: (clamp, 6) <= (m, d); p.mass raises on a

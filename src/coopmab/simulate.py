@@ -27,6 +27,7 @@ from . import exp3
 from .graph import Graph, _distinct
 from .partition import (
     Partition,
+    _first,
     compute_centers_informed,
     compute_centers_uninformed,
 )
@@ -504,16 +505,21 @@ def _log_lines(sink: IO, first_t: int, actions, charged, agent_v, agent_role, ar
 
 
 def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
-    """A caller's partition must fit the graph and the run: size, arms, relay edges."""
-    if partition.node_count != g.node_count:
-        raise ValueError(
-            f"partition covers {partition.node_count} nodes, graph has {g.node_count}"
-        )
+    """A caller's partition must fit the graph and the run: size, arms, centers, relays."""
+    n = g.node_count
+    if partition.node_count != n:
+        raise ValueError(f"partition covers {partition.node_count} nodes, graph has {n}")
     if partition.arms != arms:
         raise ValueError(f"partition is over {partition.arms} arms, run uses {arms}")
-    for v, (c, o) in enumerate(zip(partition.center_of, partition.origin_of)):
-        if c != v and o not in g.neighbors(v):
-            raise ValueError(f"relay {v} copies node {o}, which is not its neighbor")
+    node, cof, uof, delay = map(np.array, (range(n), partition.center_of, partition.origin_of,
+                                           partition.delay))
+    if np.flatnonzero(cof == node).tolist() != sorted(partition.centers):
+        raise ValueError(f"centers {sorted(partition.centers)} are not the self-claiming nodes")
+    u, apart = np.clip(uof, 0, n - 1), ~g.are_adjacent(node, uof)
+    v = _first((cof != node) & (apart | (delay.take(u) != delay - 1)))
+    if v is not None:
+        raise ValueError(f"relay {v} copies node {uof[v]}, which is not its neighbor" if apart[v]
+                         else f"relay {v} copies node {uof[v]}, not one delay step earlier")
 
 
 def run_informed_batch(
@@ -590,12 +596,11 @@ def run_uninformed(
     short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
-    exhaustions = sum(1 for call in election.luby_calls if call.result.exhausted)
     return _run_batch(g, election.final_map.to_partition(), horizon, [oracle], [rng],
                       [policy_seed], "uninformed", setup=election.total_steps, short=short,
                       debug=debug, log_sinks=[log_sink],
                       record_distributions=record_distributions, n_upper=n_upper,
-                      exhaustions=exhaustions)[0]
+                      exhaustions=election.exhaustions)[0]
 
 
 def run_solo_exp3(

@@ -7,19 +7,24 @@ in ``coopmab.simulate`` so that the differential tests in
 ``test_simulate.py`` compare the kernel with an independent implementation
 rather than with itself.
 
-``is_r_independent``, ``is_r_mis`` and ``independence_number`` check
-r-independence, r-maximality and the independence number on small
-graphs; ``reach_within``, ``oracle_independent`` and ``oracle_mis`` judge
-the first two through boolean reachability matrices instead, for the
-sweep in ``test_graph.py``.  No ``coopmab`` code calls any of them.
+``adjacency`` gives a graph's neighbor tuples and ``ball`` the nodes
+within r hops of one node, by a per-node Python BFS.  ``luby_2mis`` is
+the two-hop election that builds one ``ball`` per participant, kept as
+it was in ``coopmab.partition`` for the differential test in
+``test_partition.py``.  ``is_r_independent``, ``is_r_mis`` and
+``independence_number`` check r-independence, r-maximality and the
+independence number on small graphs; ``reach_within``,
+``oracle_independent`` and ``oracle_mis`` judge the first two through
+boolean reachability matrices instead, for the sweep in
+``test_graph.py``.  No ``coopmab`` code calls any of them.
 
 ``parse_edge_list`` and ``build_graph`` are the edge-list reader and the
 graph construction that went through per-edge Python sets, and
 ``validate_partition`` the per-node partition validator, kept as they
 were in ``coopmab.graph`` and ``coopmab.partition`` for the differential
 tests in ``test_graph.py`` and ``test_partition.py``.  Two changes:
-``build_graph`` returns the neighbor tuples (``Graph.adj``) rather than a
-``Graph``, checking reachability with the per-node BFS ``Graph`` had, and
+``build_graph`` returns the neighbor tuples (as ``adjacency`` does) rather
+than a ``Graph``, checking reachability with the per-node BFS ``Graph`` had, and
 ``validate_partition`` runs checks (c) and (d) only when every node is
 assigned to a center and check (b) passed.  ``spread_history_violations``
 and ``induced_subgraph`` have no caller left in ``coopmab``.
@@ -50,6 +55,7 @@ from coopmab.partition import (
     MASS_DECAY_DENOM,
     CheckResult,
     ComponentMap,
+    LubyTranscript,
     Mass,
     Partition,
     PartitionReport,
@@ -363,6 +369,56 @@ def run_solo_exp3(
     return _finish(world, "solo", horizon, 0, None, oracle, policy_seed, snapshot, short=short)
 
 
+def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every node's sorted neighbor tuple, no self entries: what ``build_graph`` returns."""
+    return tuple(g.neighbors(v) for v in range(g.node_count))
+
+
+def ball(g: Graph, v: int, radius: int) -> frozenset[int]:
+    """All nodes within BFS distance ``radius`` of v (v included)."""
+    reached, frontier = {v}, [v]
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in reached:
+                    reached.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(reached)
+
+
+def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTranscript:
+    """Randomized maximal two-hop independent set over ``universe``.
+
+    Per round each remaining participant draws uniform [0,1) and joins iff
+    it strictly beats every other participant within two hops in the full
+    graph (float ties, probability zero, go to the lowest id).  Joiners
+    knock every participant within two hops out of the running.  The
+    joined set is two-hop independent unconditionally; it is maximal
+    unless the round budget runs out first, which the transcript records.
+    """
+    active = sorted(set(int(v) for v in universe))
+    for v in active:
+        if not 0 <= v < g.node_count:
+            raise ValueError(f"node {v} outside 0..{g.node_count - 1}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+    balls = {v: ball(g, v, 2) for v in active}  # built once per call, dropped after
+    joined: set[int] = set()
+    remaining = set(active)
+    rounds = 0
+    while remaining and rounds < max_rounds:
+        rounds += 1
+        draws = {v: float(rng.random()) for v in sorted(remaining)}  # fixed draw order
+        winners = {v for v in remaining if all(
+            (draws[v], -v) > (draws[u], -u) for u in balls[v] & remaining if u != v)}
+        joined |= winners
+        if winners:
+            remaining = {v for v in remaining if not (balls[v] & winners)}
+    return LubyTranscript(rounds, frozenset(joined), 4 * rounds, exhausted=bool(remaining))
+
+
 INDEPENDENCE_LIMIT = 30  # exhaustive independence_number() refuses larger graphs
 
 
@@ -376,7 +432,7 @@ def is_r_independent(g: Graph, nodes: Iterable[int], r: int) -> bool:
     outside = sorted(v for v in members if not 0 <= v < g.node_count)
     if outside:
         raise NodeOutOfRangeError(f"node {outside[0]} outside 0..{g.node_count - 1}")
-    return all(g.ball(v, r) & members == {v} for v in members)
+    return all(ball(g, v, r) & members == {v} for v in members)
 
 
 def is_r_mis(g: Graph, candidate: Iterable[int], universe: Iterable[int], r: int) -> bool:
@@ -388,7 +444,7 @@ def is_r_mis(g: Graph, candidate: Iterable[int], universe: Iterable[int], r: int
     """
     cand, univ = set(candidate), set(universe)
     return (cand <= univ and is_r_independent(g, cand, r)
-            and all(g.ball(u, r) & cand for u in univ - cand))
+            and all(ball(g, u, r) & cand for u in univ - cand))
 
 
 def independence_number(g: Graph) -> int:
@@ -399,7 +455,7 @@ def independence_number(g: Graph) -> int:
     n = g.node_count
     if n > INDEPENDENCE_LIMIT:
         raise TooLargeError(f"independence_number limited to {INDEPENDENCE_LIMIT} nodes, got {n}")
-    open_mask = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    open_mask = [sum(1 << w for w in nbrs) for nbrs in adjacency(g)]
     best = 0
 
     def search(avail: int, size: int) -> None:
@@ -552,7 +608,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:
     for v in keep:
         if not (0 <= v < g.node_count):
             raise NodeOutOfRangeError(f"node {v} outside 0..{g.node_count - 1}")
-    adj = {v: tuple(w for w in g.adj[v] if w in keep) for v in keep}
+    adj = {v: tuple(w for w in g.neighbors(v) if w in keep) for v in keep}
     return InducedSubgraph(keep, adj)
 
 
@@ -668,7 +724,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
                 continue
             u = p.origin_of[v]
             c = p.center_of[v]
-            if u not in g.adj[v]:
+            if u not in g.neighbors(v):
                 w = f"node {v}: origin {u} is not a neighbor"
                 break
             if p.center_of[u] != c:
@@ -686,7 +742,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     w = None
     if not is_r_independent(g, centers, 2):
         pairs = [
-            (a, b) for a in sorted(centers) for b in sorted(g.ball(a, 2) & centers) if a < b
+            (a, b) for a in sorted(centers) for b in sorted(ball(g, a, 2) & centers) if a < b
         ]
         w = f"centers {pairs[0]} within two hops"
     add("two-independence", w)

@@ -18,6 +18,7 @@ from coopmab.cli import (
     write_csv,
     write_summary,
 )
+from coopmab import partition
 from coopmab.graph import format_edge_list, path_graph, read_edge_list, star_graph
 from coopmab.partition import Mass, partition_from_json
 from coopmab.simulate import degree_bound, individual_bound, uninformed_degree_bound
@@ -72,7 +73,7 @@ def test_partition_subcommand(star_file, tmp_path, capsys):
     assert part.mass(1) == Mass(3, 1)
 
 
-def test_partition_uninformed_subcommand(path_file, capsys):
+def test_partition_uninformed_subcommand(path_file, capsys, monkeypatch, tmp_path):
     code = main(
         ["partition", "--graph", path_file, "--arms", "3", "--setting", "uninformed",
          "--nbar", "12", "--horizon", "1000"]
@@ -80,6 +81,18 @@ def test_partition_uninformed_subcommand(path_file, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "setup steps charged:" in stdout
+    assert "WARNING" not in stdout
+
+    monkeypatch.setattr(partition, "mis_round_budget", lambda *args: 1)  # elections run out
+    long_path = tmp_path / "path30.txt"
+    long_path.write_text(format_edge_list(path_graph(30)))
+    el = partition.compute_centers_uninformed(path_graph(30), 3, 30, 100, np.random.default_rng(0))
+    assert el.exhaustions == sum(call.result.exhausted for call in el.luby_calls) > 0
+    assert main(["partition", "--graph", str(long_path), "--arms", "3", "--setting", "uninformed",
+                 "--nbar", "30", "--horizon", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("setup steps charged:")
+    assert lines[3] == f"WARNING: {el.exhaustions} election(s) exhausted their round budget"
 
 
 def test_usage_and_config_errors(tmp_path, star_file, capsys):
@@ -134,6 +147,32 @@ def test_simulate_zero_matrix(tmp_path, star_file):
     assert len(rows) == 5
     assert all(float(r["regret"]) == 0.0 for r in rows)
     assert all(float(r["regret_semi"]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_file_read_once(tmp_path, star_file, monkeypatch, workers):
+    f = tmp_path / "m.csv"
+    np.savetxt(f, np.random.default_rng(3).random((60, 3)), delimiter=",")
+    args = ["simulate", "--graph", star_file, "--arms", "3", "--horizon", "60", "--seeds", "3",
+            "--adversary", f"matrix:{f}"]
+    want = tmp_path / "want"
+    assert main(args + ["--out", str(want)]) == 0
+    calls = tmp_path / "calls"  # a file, so that calls in worker processes count too
+    calls.write_text("")
+    real = np.loadtxt
+
+    def counted(*a, **kw):
+        with open(calls, "a") as fh:
+            fh.write("call\n")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    got = tmp_path / "got"
+    assert main(args + ["--out", str(got), "--workers", str(workers)]) == 0
+    # by the config check; the seeds and the workers reuse its table
+    assert calls.read_text().splitlines() == ["call"]
+    for ext in (".csv", ".json"):
+        assert (tmp_path / f"got{ext}").read_bytes() == (tmp_path / f"want{ext}").read_bytes()
 
 
 def test_simulate_csv_deterministic(tmp_path, star_file):

@@ -13,6 +13,7 @@ except ImportError:  # an optional, test-only oracle
 import reference
 from reference import (
     TooLargeError,
+    adjacency,
     independence_number,
     induced_subgraph,
     is_r_independent,
@@ -90,7 +91,7 @@ def test_ball_matches_distances():
     g = random_connected_graph(18, 0.2, 9)
     for v in (0, 5, 17):
         for r in (1, 2, 3):
-            ball = g.ball(v, r)
+            ball = reference.ball(g, v, r)
             expect = frozenset(np.flatnonzero(g.multi_source_distances([v]) <= r).tolist())
             assert ball == expect
 
@@ -215,7 +216,7 @@ def test_independence_number_equals_networkx_complement_clique(n, density, seed)
 
 def test_parse_and_format_round_trip():
     g = random_connected_graph(10, 0.3, 21)
-    assert parse_edge_list(format_edge_list(g)).adj == g.adj
+    assert adjacency(parse_edge_list(format_edge_list(g))) == adjacency(g)
 
     text = "# header comment\n3 2\n0 1  # trailing note\n1 2\n"
     g2 = parse_edge_list(text)
@@ -292,7 +293,7 @@ def _edge_texts(draw):
 def _read_both(text):
     """(adj, error) from the array reader and from the oracle."""
     out = []
-    for read in (lambda t: parse_edge_list(t).adj, reference.parse_edge_list):
+    for read in (lambda t: adjacency(parse_edge_list(t)), reference.parse_edge_list):
         try:
             out.append((read(text), None))
         except GraphError as exc:
@@ -335,7 +336,7 @@ def test_read_edge_list(tmp_path):
     g = star_graph(4)
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(g))
-    assert read_edge_list(path).adj == g.adj
+    assert adjacency(read_edge_list(path)) == adjacency(g)
 
 
 def test_generators():
@@ -354,7 +355,7 @@ def test_random_connected_graph_properties():
         assert (g.multi_source_distances([0]) < 25).all()  # connected
     a = random_connected_graph(12, 0.4, 7)
     b = random_connected_graph(12, 0.4, 7)
-    assert a.adj == b.adj
+    assert adjacency(a) == adjacency(b)
 
 
 def test_triangle_inequality_sampled():
@@ -371,8 +372,8 @@ def test_readme_graph_example_parses():
     section = readme.split("## Graph files", 1)[1]
     block = section.split("```", 2)[1]  # the first fenced block of the section
     g = parse_edge_list(block)
-    assert g.adj == star_graph(3).adj
-    assert parse_edge_list(format_edge_list(g)).adj == g.adj
+    assert adjacency(g) == adjacency(star_graph(3))
+    assert adjacency(parse_edge_list(format_edge_list(g))) == adjacency(g)
 
 
 def test_array_forms_match_adjacency():
@@ -382,10 +383,12 @@ def test_array_forms_match_adjacency():
         pad = g.padded_neighbors()
         assert indptr.tolist() == np.cumsum([0] + [g.degree(v) for v in range(n)]).tolist()
         assert g.closed_degrees.tolist() == [g.closed_degree(v) for v in range(n)]
-        assert pad.shape == (n, max(g.degree(v) for v in range(n)))
+        assert pad.shape == (n + 1, max(g.degree(v) for v in range(n)))
+        assert (pad[n] == n).all()  # the nil node's row
+        want = reference.build_graph(n, g.edges())  # neighbor tuples from per-edge sets
         for v in range(n):
-            assert tuple(indices[indptr[v]:indptr[v + 1]]) == g.adj[v]
-            assert tuple(pad[v, : g.degree(v)]) == g.adj[v]
+            assert tuple(indices[indptr[v]:indptr[v + 1]]) == g.neighbors(v) == want[v]
+            assert tuple(pad[v, : g.degree(v)]) == want[v]
             assert (pad[v, g.degree(v):] == n).all()
         for a in (indptr, indices, g.closed_degrees):
             assert not a.flags.writeable

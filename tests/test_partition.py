@@ -198,7 +198,7 @@ def _propagation_oracle(g, centers, arms):
     uof = np.where(center_mask, ids, -1).astype(np.int64)
     pad = np.full((n, max(g.degree(v) for v in range(n))), n, dtype=np.int64)
     for v in range(n):
-        pad[v, : g.degree(v)] = g.adj[v]
+        pad[v, : g.degree(v)] = g.neighbors(v)
     history = [SpreadRound(cof.copy(), uof.copy(), mass_m.copy(), mass_d.copy())]
     score_ext = np.empty(n + 1)
     settled = rounds
@@ -358,7 +358,7 @@ def _informed_greedy_repropagating(g, arms):
         comp = _propagation_oracle(g, centers, arms)
         score = np.where(comp.mass_m > 0,
                          MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d, -np.inf)
-        near[list(g.ball(nxt, 2))] = True
+        near[list(reference.ball(g, nxt, 2))] = True
         pending = np.flatnonzero((score < clamp_score) & ~near)
     return tuple(centers), comp
 
@@ -404,7 +404,7 @@ def test_spread_rounds_equal_history_after_every_center(arms):
             [[c] for c in perm],  # any order, adjacent centers included
             [greedy],  # the whole set in one call
             [[int(x) for x in part] for part in np.split(perm, np.sort(cuts))],  # sets after sets
-            [greedy[:1], [hub, *g.adj[hub]]],  # adjacent centers in one call, after a center
+            [greedy[:1], [hub, *g.neighbors(hub)]],  # adjacent centers in one call, after a center
         ]
         for batches in adds:
             spread = _SpreadRounds(g, arms)
@@ -460,6 +460,38 @@ def test_luby_deterministic_and_budgeted():
     assert tight.rounds_used == 1
     # one round on a long path almost surely leaves participants stranded
     assert tight.exhausted
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["path", "star", "clique", "random"]), n=st.integers(1, 80),
+       density=st.sampled_from([0.0, 0.05, 0.2]), graph_seed=st.integers(0, 2**32 - 1),
+       share=st.floats(0.0, 1.0), budget=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_luby_equals_per_ball_oracle(kind, n, density, graph_seed, share, budget, seed):
+    g = {"path": lambda: path_graph(n), "star": lambda: star_graph(n - 1),
+         "clique": lambda: complete_graph(n),
+         "random": lambda: random_connected_graph(n, density, graph_seed)}[kind]()
+    pick = np.random.default_rng(graph_seed)
+    universe = np.flatnonzero(pick.random(n) < share).tolist()
+    pick.shuffle(universe)  # any order: both sort it
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = luby_2mis(g, universe, budget, got_rng)
+    assert got == reference.luby_2mis(g, universe, budget, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class _TiedDraws:
+    """A generator stand-in whose every draw is 0.5: each pair of participants ties."""
+
+    def random(self, size=None):
+        return 0.5 if size is None else np.full(size, 0.5)
+
+
+def test_luby_ties_go_to_the_lowest_id():
+    for g in (path_graph(12), star_graph(6), complete_graph(5), random_connected_graph(40, 0.1, 8)):
+        tr = luby_2mis(g, range(g.node_count), 12, _TiedDraws())
+        assert tr == reference.luby_2mis(g, range(g.node_count), 12, _TiedDraws())
+        assert min(tr.joined) == 0
+    assert luby_2mis(path_graph(12), range(12), 12, _TiedDraws()).joined == {0, 3, 6, 9}
 
 
 def test_mis_round_budget_value():
@@ -521,7 +553,7 @@ def _uninformed_repropagating(g, arms, n_upper, horizon, rng):
     calls = []
     for t in range(arms):
         bucket = np.flatnonzero(~satisfied & (clamp == arms - t))
-        outcome = luby_2mis(g, bucket.tolist(), budget, rng)
+        outcome = reference.luby_2mis(g, bucket.tolist(), budget, rng)
         calls.append(LubyCall(t, frozenset(int(v) for v in bucket), outcome))
         center_mask[sorted(outcome.joined)] = True
         if center_mask.any():

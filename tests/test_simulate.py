@@ -602,7 +602,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
                 part = _reweighed(election.final_map.to_partition(), mass)
                 return types.SimpleNamespace(
                     final_map=types.SimpleNamespace(to_partition=lambda: part),
-                    total_steps=election.total_steps, luby_calls=election.luby_calls)
+                    total_steps=election.total_steps, luby_calls=election.luby_calls,
+                    exhaustions=election.exhaustions)
 
             mp.setattr(simulate, "compute_centers_uninformed", elect)
             mp.setattr(reference, "compute_centers_uninformed", elect)
@@ -728,4 +729,20 @@ def test_caller_partition_relays_copy_a_neighbor():
     part = _relay_partition(2, origin_of=(0, 0, 0, 2))  # node 2 is two hops from 0
     for run in _informed_both(path_graph(4), 2, part):
         with pytest.raises(ValueError, match="relay 2 copies node 0"):
+            run()
+
+
+def test_caller_partition_lists_the_self_claiming_nodes():
+    claims = dataclasses.replace(_relay_partition(2), center_of=(0, 0, 2, 0))  # 2 is unlisted
+    twice = dataclasses.replace(_relay_partition(2), centers=(0, 0))
+    for part in (claims, twice):
+        for run in _informed_both(path_graph(4), 2, part):
+            with pytest.raises(ValueError, match="are not the self-claiming nodes"):
+                run()
+
+
+def test_caller_partition_relays_copy_one_delay_earlier():
+    part = _relay_partition(2, origin_of=(0, 0, 3, 2))  # relays 2 and 3 copy each other
+    for run in _informed_both(path_graph(4), 2, part):
+        with pytest.raises(ValueError, match="relay 2 copies node 3, not one delay step earlier"):
             run()
