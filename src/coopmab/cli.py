@@ -201,7 +201,8 @@ def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> ResultCo
                      for d in set(degree)}
     else:
         by_degree = {d: degree_bound(d, cfg.arms, cfg.horizon) for d in set(degree)}
-    masses = [list(zip(res.partition.mass_m, res.partition.mass_d)) for res in results]
+    masses = [list(zip(res.partition.mass_m.tolist(), res.partition.mass_d.tolist()))
+              for res in results]
     by_mass = {md: individual_bound(Mass(*md).value(), cfg.arms, cfg.horizon)
                for md in set().union(*masses)}
     return ResultColumns(results, degree, [by_degree[d] for d in degree],
@@ -225,9 +226,9 @@ def write_csv(path: str, rows: ResultColumns) -> None:
             fh.writelines(_chunks((
                 f"{s},{v},{d},{m},{md},{dl},{r!r},{sr!r},{text[bi]},{text[bd]},{res.setup_steps}\r\n"
                 for v, d, m, md, dl, r, sr, bi, bd in zip(
-                    range(n), rows.degree, part.mass_m, part.mass_d, part.delay,
-                    res.regret.tolist(), res.semi_regret.tolist(), rows.bound_individual[s],
-                    rows.bound_degree)), n))
+                    range(n), rows.degree, part.mass_m.tolist(), part.mass_d.tolist(),
+                    part.delay.tolist(), res.regret.tolist(), res.semi_regret.tolist(),
+                    rows.bound_individual[s], rows.bound_degree)), n))
 
 
 @dataclass
@@ -241,8 +242,9 @@ class PerAgent:
     def _columns(self):
         r = self.rows
         part = r.results[0].partition
-        return zip(range(len(r.degree)), r.degree, part.mass_m, part.mass_d, part.delay,
-                   self.mean_regret, self.mean_regret_semi, r.bound_individual[0], r.bound_degree)
+        return zip(range(len(r.degree)), r.degree, part.mass_m.tolist(), part.mass_d.tolist(),
+                   part.delay.tolist(), self.mean_regret, self.mean_regret_semi,
+                   r.bound_individual[0], r.bound_degree)
 
     def entries(self) -> Iterator[str]:
         """Chunks of the entries' text, as json.dump(..., indent=1) writes them in the summary."""
@@ -348,7 +350,7 @@ def cmd_partition(args) -> int:
     partition = comp.to_partition()
     report = validate_partition(g, partition)
     print(f"graph {args.graph}: {g.node_count} nodes, arms {args.arms}, setting {args.setting}")
-    print(f"centers: {list(partition.centers)}")
+    print(f"centers: {partition.centers.tolist()}")
     print(setup_note)
     if exhausted:
         print(f"WARNING: {exhausted} election(s) exhausted their round budget")

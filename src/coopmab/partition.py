@@ -116,9 +116,6 @@ class ComponentMap:
     mass_d: np.ndarray
     history: list[SpreadRound] = field(repr=False, default_factory=list)
 
-    def mass(self, v: int) -> Mass:
-        return Mass(int(self.mass_m[v]), int(self.mass_d[v]))
-
     def fully_assigned(self) -> bool:
         return bool(np.all(self.center_of >= 0))
 
@@ -126,16 +123,9 @@ class ComponentMap:
         if not self.fully_assigned():
             missing = np.flatnonzero(self.center_of < 0).tolist()
             raise ValueError(f"nodes {missing} were never reached by any center")
-        depth = tuple(self.mass_d.tolist())
-        return Partition(
-            arms=self.arms,
-            centers=tuple(sorted(self.centers)),
-            center_of=tuple(self.center_of.tolist()),
-            origin_of=tuple(self.origin_of.tolist()),
-            delay=depth,
-            mass_m=tuple(self.mass_m.tolist()),
-            mass_d=depth,
-        )
+        return Partition(arms=self.arms, centers=sorted(self.centers), center_of=self.center_of,
+                         origin_of=self.origin_of, delay=self.mass_d, mass_m=self.mass_m,
+                         mass_d=self.mass_d)
 
 
 def _mass_table(arms: int) -> np.ndarray:
@@ -191,45 +181,43 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Compon
     return spread.component_map()
 
 
-@dataclass(frozen=True)
+PARTITION_COLUMNS = ("centers", "center_of", "origin_of", "delay", "mass_m", "mass_d")
+
+
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Final per-node component assignment used by the simulator."""
+    """Final component assignment used by the simulator, as read-only int64 columns.
+
+    ``centers`` lists the center ids, the other five one entry per node; each
+    is copied from whatever int sequence is passed.
+    """
 
     arms: int
-    centers: tuple[int, ...]
-    center_of: tuple[int, ...]
-    origin_of: tuple[int, ...]
-    delay: tuple[int, ...]
-    mass_m: tuple[int, ...]
-    mass_d: tuple[int, ...]
+    centers: np.ndarray
+    center_of: np.ndarray
+    origin_of: np.ndarray
+    delay: np.ndarray
+    mass_m: np.ndarray
+    mass_d: np.ndarray
+
+    def __post_init__(self):
+        for name in PARTITION_COLUMNS:
+            col = np.array(getattr(self, name), dtype=np.int64)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    def __reduce__(self):
+        # rebuilt through __post_init__: numpy unpickles an array writeable
+        return Partition, (self.arms, *(getattr(self, name) for name in PARTITION_COLUMNS))
 
     @property
     def node_count(self) -> int:
         return len(self.center_of)
 
-    def mass(self, v: int) -> Mass:
-        return Mass(self.mass_m[v], self.mass_d[v])
-
-    def mass_value(self, v: int) -> float:
-        return self.mass(v).value()
-
-    def role(self, v: int) -> str:
-        if self.center_of[v] == v:
-            return "center"
-        return "adjacent" if self.delay[v] == 1 else "simple"
-
 
 def partition_to_json(p: Partition) -> dict:
-    return {
-        "node_count": p.node_count,
-        "arms": p.arms,
-        "centers": list(p.centers),
-        "center_of": list(p.center_of),
-        "origin_of": list(p.origin_of),
-        "delay": list(p.delay),
-        "mass_m": list(p.mass_m),
-        "mass_d": list(p.mass_d),
-    }
+    return {"node_count": p.node_count, "arms": p.arms,
+            **{name: getattr(p, name).tolist() for name in PARTITION_COLUMNS}}
 
 
 def partition_from_json(doc: dict) -> Partition:
@@ -244,14 +232,14 @@ def partition_from_json(doc: dict) -> Partition:
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
     arrays = {}
-    for key in ("center_of", "origin_of", "delay", "mass_m", "mass_d"):
+    for key in PARTITION_COLUMNS[1:]:  # the per-node columns
         vals = [int(x) for x in doc[key]]
         if len(vals) != n:
             raise ValueError(f"field {key} has {len(vals)} entries, expected {n}")
-        arrays[key] = tuple(vals)
-    centers = tuple(int(c) for c in doc["centers"])
+        arrays[key] = vals
+    centers = [int(c) for c in doc["centers"]]
     if len(set(centers)) != len(centers):
-        raise ValueError(f"duplicate centers in {list(centers)}")
+        raise ValueError(f"duplicate centers in {centers}")
     for key, ids in (("centers", centers), ("center_of", arrays["center_of"]),
                      ("origin_of", arrays["origin_of"])):
         bad = [v for v in ids if not 0 <= v < n]
@@ -266,7 +254,6 @@ class InformedCenters:
 
     centers: tuple[int, ...]  # in order of addition
     component_map: ComponentMap
-    iterations: int
 
 
 class _SpreadRounds:
@@ -422,16 +409,15 @@ def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
     centers, spread = _greedy_centers(g, arms)
-    return InformedCenters(tuple(centers), spread.component_map(), len(centers))
+    return InformedCenters(tuple(centers), spread.component_map())
 
 
 @dataclass(frozen=True)
 class LubyTranscript:
     """One randomized two-hop independent-set election."""
 
-    rounds_used: int
+    rounds_used: int  # each executed round costs 4 message sub-steps
     joined: frozenset[int]
-    step_cost: int  # 4 message sub-steps per executed round
     exhausted: bool  # budget ran out with undecided participants left
 
 
@@ -468,7 +454,7 @@ def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTr
         joined[remaining[two_hop_max(key).take(remaining) == key.take(remaining)]] = True
         # no one left is within two hops of an earlier round's joiner
         remaining = remaining[~two_hop_max(joined).take(remaining)]
-    return LubyTranscript(rounds, frozenset(np.flatnonzero(joined).tolist()), 4 * rounds,
+    return LubyTranscript(rounds, frozenset(np.flatnonzero(joined).tolist()),
                           exhausted=bool(remaining.size))
 
 
@@ -489,7 +475,6 @@ def mis_round_budget(n_upper: int, arms: int, horizon: int) -> int:
 
 @dataclass(frozen=True)
 class LubyCall:
-    iteration: int
     universe: frozenset[int]
     result: LubyTranscript
 
@@ -500,7 +485,7 @@ class UninformedElection:
 
     centers: tuple[int, ...]
     final_map: ComponentMap
-    luby_calls: list[LubyCall]
+    luby_calls: list[LubyCall]  # call t is iteration t's election
     luby_round_budget: int
     protocol_steps: int  # arms * (4 * budget + spread_rounds + 1)
     final_pass_steps: int  # one extra propagation to publish the partition
@@ -540,7 +525,7 @@ def compute_centers_uninformed(
     for t in range(arms):
         bucket = np.flatnonzero(~satisfied & (spread.clamp == arms - t))
         outcome = luby_2mis(g, bucket.tolist(), budget, rng)
-        calls.append(LubyCall(t, frozenset(bucket.tolist()), outcome))
+        calls.append(LubyCall(frozenset(bucket.tolist()), outcome))
         # an iteration without joiners changes no round; its steps are still
         # charged below since the synchronous schedule runs regardless
         if outcome.joined:
@@ -611,10 +596,9 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     if p.node_count != n:
         raise ValueError(f"partition covers {p.node_count} nodes, graph has {n}")
     indices, rows, node = g.csr[1], g.rows(), np.arange(n)
-    cof, uof, delay, mass_m, mass_d = (np.array(x, dtype=np.int64) for x in (
-        p.center_of, p.origin_of, p.delay, p.mass_m, p.mass_d))
+    cof, uof, delay, mass_m, mass_d = p.center_of, p.origin_of, p.delay, p.mass_m, p.mass_d
     is_center = np.zeros(n, dtype=bool)
-    is_center[list(p.centers)] = True
+    is_center[p.centers] = True
     clamp = degree_clamp(g, p.arms)
     checks: list[CheckResult] = []
 
@@ -681,11 +665,11 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     add("two-independence", None if a is None else f"centers {(a, b)} within two hops")
 
     # (f) every node's mass is at least exp(-1) of its own clamp,
-    #     checked in pair form: (clamp, 6) <= (m, d); p.mass raises on a
-    #     pair that is no Mass (d < 0; m <= 0 scores -inf)
+    #     checked in pair form: (clamp, 6) <= (m, d); a pair that is no
+    #     Mass fails (d < 0; m <= 0 scores -inf)
     v = _first((mass_d < 0) | (_scores(mass_m, mass_d) < _scores(clamp, MASS_DECAY_DENOM)))
-    add("mass-floor", None if v is None else
-        f"node {v}: mass {p.mass(v)} below floor ({int(clamp[v])}, {MASS_DECAY_DENOM})")
+    add("mass-floor", None if v is None else f"node {v}: mass Mass(m={mass_m[v]}, "
+        f"d={mass_d[v]}) below floor ({int(clamp[v])}, {MASS_DECAY_DENOM})")
 
     # (g) no node is farther than 6*ln(arms) - 1 hops from the center set
     w = None

@@ -26,13 +26,14 @@ import numpy as np
 from . import exp3
 from .graph import Graph, _distinct
 from .partition import (
+    Mass,
     Partition,
     _first,
     compute_centers_informed,
     compute_centers_uninformed,
 )
 
-ROLE_CODES = {"center": 0, "adjacent": 1, "simple": 2}
+ROLE_CODES = ("center", "adjacent", "simple")  # a role's code is its index
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def matrix_losses(table) -> LossOracle:
     arr = np.array(table, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError(f"loss table must be steps x arms with arms >= 2, got {arr.shape}")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
         raise ValueError("loss table entries must lie in [0, 1]")
     arr.setflags(write=False)
     return LossOracle(kind="matrix", arms=arr.shape[1], table=arr)
@@ -271,31 +272,32 @@ def _run_batch(
     """
     seeds, n, k = len(oracles), partition.node_count, partition.arms
     total = setup + horizon
-    origin_idx = np.array(
-        [partition.origin_of[v] if partition.center_of[v] != v else v for v in range(n)]
-    )
-    role_names = [partition.role(v) for v in range(n)]
-    roles = np.array([ROLE_CODES[r] for r in role_names], dtype=np.int64)
+    node, centers = np.arange(n), partition.centers
+    is_center = partition.center_of == node
+    origin_idx = np.where(is_center, node, partition.origin_of)
+    # 0 a center, 1 a relay one delay step from its center, 2 any other relay
+    roles = np.where(is_center, 0, 2 - (partition.delay == 1))
     header = np.array([n, k, total], dtype=np.int64).tobytes() + roles.tobytes()
     digests = [hashlib.blake2b(header, digest_size=8) for _ in range(seeds)]
     sinks = [None] * seeds if log_sinks is None else list(log_sinks)
     cells = BATCH_CELLS >> 6
     if any(x is not None for x in sinks):  # steps per write; a line's fixed text (_log_lines)
         lines = max(1, cells // n)
-        frags = [np.array(f, dtype=object) for f in (
+        agent_v, role_text, arm_text = (np.array(f, dtype=object) for f in (
             [f', "v": {v}, "action": ' for v in range(n)],
-            [f', "role": "{r}"}}\n' for r in role_names],
-            [f'{a}, "loss": ' for a in range(k)])]
+            [f', "role": "{r}"}}\n' for r in ROLE_CODES],
+            [f'{a}, "loss": ' for a in range(k)]))
+        frags = agent_v, role_text.take(roles), arm_text
 
     # The centers' closed neighborhoods laid end to end: segment i, from
     # starts[i], is center i's; slot maps each entry back to its center.
-    centers = np.array(partition.centers)
     hoods = [graph.closed_neighborhood(c) if graph is not None else (c,) for c in centers]
     flat = np.concatenate(hoods)
     sizes = [len(h) for h in hoods]
     starts = np.cumsum([0] + sizes[:-1])
     slot = np.repeat(np.arange(len(hoods)), sizes)
-    rates = np.array([exp3.learning_rate(partition.mass_value(c), k, horizon) for c in centers])
+    masses = zip(partition.mass_m.take(centers).tolist(), partition.mass_d.take(centers).tolist())
+    rates = np.array([exp3.learning_rate(Mass(m, d).value(), k, horizon) for m, d in masses])
     rates = rates[:, None]
     drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
     logw = np.zeros((seeds, len(centers), k))
@@ -511,10 +513,10 @@ def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
         raise ValueError(f"partition covers {partition.node_count} nodes, graph has {n}")
     if partition.arms != arms:
         raise ValueError(f"partition is over {partition.arms} arms, run uses {arms}")
-    node, cof, uof, delay = map(np.array, (range(n), partition.center_of, partition.origin_of,
-                                           partition.delay))
-    if np.flatnonzero(cof == node).tolist() != sorted(partition.centers):
-        raise ValueError(f"centers {sorted(partition.centers)} are not the self-claiming nodes")
+    node, cof, uof, delay = np.arange(n), partition.center_of, partition.origin_of, partition.delay
+    centers = sorted(partition.centers.tolist())
+    if np.flatnonzero(cof == node).tolist() != centers:
+        raise ValueError(f"centers {centers} are not the self-claiming nodes")
     u, apart = np.clip(uof, 0, n - 1), ~g.are_adjacent(node, uof)
     v = _first((cof != node) & (apart | (delay.take(u) != delay - 1)))
     if v is not None:

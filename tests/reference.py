@@ -5,7 +5,9 @@ loop over centers; ``run_informed``, ``run_uninformed`` and
 ``run_solo_exp3`` drive it one seed per call.  The code is kept as it was
 in ``coopmab.simulate`` so that the differential tests in
 ``test_simulate.py`` compare the kernel with an independent implementation
-rather than with itself.
+rather than with itself.  It shares no table with the kernel: ``role``,
+``ROLES`` (the digest's role codes) and ``mass_value`` derive each node's
+role and each center's mass from the partition's columns here.
 
 ``adjacency`` gives a graph's neighbor tuples and ``ball`` the nodes
 within r hops of one node, by a per-node Python BFS.  ``luby_2mis`` is
@@ -26,8 +28,10 @@ tests in ``test_graph.py`` and ``test_partition.py``.  Two changes:
 ``build_graph`` returns the neighbor tuples (as ``adjacency`` does) rather
 than a ``Graph``, checking reachability with the per-node BFS ``Graph`` had, and
 ``validate_partition`` runs checks (c) and (d) only when every node is
-assigned to a center and check (b) passed.  ``spread_history_violations``
-and ``induced_subgraph`` have no caller left in ``coopmab``.
+assigned to a center and check (b) passed, and its mass-floor check fails
+a stored pair that is no ``Mass`` (m <= 0 or d < 0) instead of raising.
+``spread_history_violations`` and ``induced_subgraph`` have no caller
+left in ``coopmab``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from coopmab.graph import (
 )
 from coopmab.partition import (
     MASS_DECAY_DENOM,
+    PARTITION_COLUMNS,
     CheckResult,
     ComponentMap,
     LubyTranscript,
@@ -64,7 +69,33 @@ from coopmab.partition import (
     degree_clamp,
     min_center_distance,
 )
-from coopmab.simulate import ROLE_CODES, LossOracle, RunResult, _check_run_args, _result
+from coopmab.simulate import LossOracle, RunResult, _check_run_args, _result
+
+ROLES = ("center", "adjacent", "simple")  # the digest header's role codes, by index
+
+
+def role(p: Partition, v: int) -> str:
+    """Node v's role: a center, a relay one delay step from its center, or another relay."""
+    if p.center_of[v] == v:
+        return "center"
+    return "adjacent" if p.delay[v] == 1 else "simple"
+
+
+def mass(p: Partition, v: int) -> Mass:
+    return Mass(int(p.mass_m[v]), int(p.mass_d[v]))
+
+
+def mass_value(p: Partition, v: int) -> float:
+    """m * exp(-d/6) of node v's stored pair."""
+    return int(p.mass_m[v]) * math.exp(-int(p.mass_d[v]) / MASS_DECAY_DENOM)
+
+
+def assert_same_partition(a: Partition, b: Partition) -> None:
+    """Equal arms, and each column equal in dtype, length and values."""
+    assert a.arms == b.arms
+    for name in PARTITION_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tolist() == y.tolist(), name
 
 
 class SimWorld:
@@ -95,18 +126,19 @@ class SimWorld:
         self.t = 1  # next global step, 1-based
         self.dists = np.full((n, self.arms), 1.0 / self.arms)
         self.origin_idx = np.array(
-            [partition.origin_of[v] if partition.center_of[v] != v else v for v in range(n)]
+            [int(partition.origin_of[v]) if partition.center_of[v] != v else v for v in range(n)]
         )
-        self.roles = np.array([ROLE_CODES[partition.role(v)] for v in range(n)], dtype=np.int64)
-        self.role_names = [partition.role(v) for v in range(n)]
+        self.role_names = [role(partition, v) for v in range(n)]
+        self.roles = np.array([ROLES.index(r) for r in self.role_names], dtype=np.int64)
         horizon_left = losses.shape[0]
         self.center_members: list[tuple[int, np.ndarray]] = []
         self.center_logw: dict[int, np.ndarray] = {}
         self.center_rate: dict[int, float] = {}
-        for c in partition.centers:
+        for c in partition.centers.tolist():
             nbrs = np.array(graph.closed_neighborhood(c)) if graph is not None else np.array([c])
             self.center_members.append((c, nbrs))
-            self.center_rate[c] = exp3.learning_rate(partition.mass_value(c), self.arms, horizon_left)
+            self.center_rate[c] = exp3.learning_rate(mass_value(partition, c), self.arms,
+                                                     horizon_left)
             self.center_logw[c] = np.zeros(self.arms)
 
         self.realized = np.zeros(n)
@@ -127,9 +159,9 @@ class SimWorld:
 
     def set_center_horizon(self, horizon: int) -> None:
         """Re-tune center learning rates for the true policy horizon."""
-        for c in self.partition.centers:
+        for c in self.partition.centers.tolist():
             self.center_rate[c] = exp3.learning_rate(
-                self.partition.mass_value(c), self.arms, horizon
+                mass_value(self.partition, c), self.arms, horizon
             )
             self.center_logw[c] = np.zeros(self.arms)
 
@@ -416,7 +448,7 @@ def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTr
         joined |= winners
         if winners:
             remaining = {v for v in remaining if not (balls[v] & winners)}
-    return LubyTranscript(rounds, frozenset(joined), 4 * rounds, exhausted=bool(remaining))
+    return LubyTranscript(rounds, frozenset(joined), exhausted=bool(remaining))
 
 
 INDEPENDENCE_LIMIT = 30  # exhaustive independence_number() refuses larger graphs
@@ -652,7 +684,9 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     if p.node_count != n:
         raise ValueError(f"partition covers {p.node_count} nodes, graph has {n}")
     arms = p.arms
-    centers = set(p.centers)
+    centers = set(p.centers.tolist())
+    center_of, origin_of, delay, mass_m, mass_d = (
+        x.tolist() for x in (p.center_of, p.origin_of, p.delay, p.mass_m, p.mass_d))
     clamp = degree_clamp(g, arms)
     checks: list[CheckResult] = []
 
@@ -662,19 +696,19 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     # (a) every node is assigned to a real center; centers claim themselves
     w = None
     for v in range(n):
-        c = p.center_of[v]
+        c = center_of[v]
         if c not in centers:
             w = f"node {v} assigned to non-center {c}"
             break
-        if v in centers and (c != v or p.origin_of[v] != v or p.delay[v] != 0):
+        if v in centers and (c != v or origin_of[v] != v or delay[v] != 0):
             w = f"center {v} does not claim itself"
             break
     add("assignment-cover", w)
 
     members: dict[int, set[int]] = {c: set() for c in centers}
     for v in range(n):
-        if p.center_of[v] in members:
-            members[p.center_of[v]].add(v)
+        if center_of[v] in members:
+            members[center_of[v]].add(v)
 
     # (b) each component contains its center's closed neighborhood and is connected
     w = None
@@ -694,21 +728,21 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     add("component-closure-connectivity", w)
     # (c) and (d) read every node's component: a node assigned to a
     # non-center has none, and neither has one past a failed (b)
-    sound = w is None and all(c in centers for c in p.center_of)
+    sound = w is None and all(c in centers for c in center_of)
 
     # (c) mass pairs follow the decay recurrence with independently measured depth
     w = None
     if sound:
         for v in range(n):
-            c = p.center_of[v]
+            c = center_of[v]
             want_m = int(clamp[c])
             want_d = comp_dist[c].get(v)
             if want_d is None:
                 w = f"node {v} unreachable inside its component"
                 break
-            if (p.mass_m[v], p.mass_d[v]) != (want_m, want_d) or p.delay[v] != want_d:
+            if (mass_m[v], mass_d[v]) != (want_m, want_d) or delay[v] != want_d:
                 w = (
-                    f"node {v}: stored ({p.mass_m[v]}, {p.mass_d[v]}) delay {p.delay[v]}, "
+                    f"node {v}: stored ({mass_m[v]}, {mass_d[v]}) delay {delay[v]}, "
                     f"recomputed ({want_m}, {want_d})"
                 )
                 break
@@ -722,12 +756,12 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
         for v in range(n):
             if v in centers:
                 continue
-            u = p.origin_of[v]
-            c = p.center_of[v]
+            u = origin_of[v]
+            c = center_of[v]
             if u not in g.neighbors(v):
                 w = f"node {v}: origin {u} is not a neighbor"
                 break
-            if p.center_of[u] != c:
+            if center_of[u] != c:
                 w = f"node {v}: origin {u} lives in another component"
                 break
             du, dv = comp_dist[c].get(u), comp_dist[c].get(v)
@@ -748,11 +782,14 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     add("two-independence", w)
 
     # (f) every node's mass is at least exp(-1) of its own clamp,
-    #     checked in pair form: (clamp, 6) <= (m, d)
+    #     checked in pair form: (clamp, 6) <= (m, d); a pair that is no
+    #     Mass (m <= 0 or d < 0) fails
     w = None
     for v in range(n):
-        if not Mass(int(clamp[v]), MASS_DECAY_DENOM) <= p.mass(v):
-            w = f"node {v}: mass {p.mass(v)} below floor ({int(clamp[v])}, {MASS_DECAY_DENOM})"
+        m, d = mass_m[v], mass_d[v]
+        if m <= 0 or d < 0 or not Mass(int(clamp[v]), MASS_DECAY_DENOM) <= Mass(m, d):
+            w = (f"node {v}: mass Mass(m={m}, d={d}) below floor "
+                 f"({int(clamp[v])}, {MASS_DECAY_DENOM})")
             break
     add("mass-floor", w)
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import independence_number, is_r_independent, is_r_mis
+from reference import independence_number, is_r_independent, is_r_mis, mass, mass_value
 
 from coopmab import cli, exp3
 from coopmab.graph import (
@@ -110,7 +110,7 @@ def test_criterion_2_uninformed_partition_sweep(capsys):
 
     for idx, (g, arms, _n_upper, election) in enumerate(_elections()):
         part = election.final_map.to_partition()
-        if not is_r_independent(g, part.centers, 2):
+        if not is_r_independent(g, part.centers.tolist(), 2):
             independence_failures.append(idx)
         all_maximal = True
         for call in election.luby_calls:
@@ -125,7 +125,7 @@ def test_criterion_2_uninformed_partition_sweep(capsys):
             conditional_runs += 1
             floor = {v: Mass(min(g.closed_degree(v), arms), MASS_DECAY_DENOM)
                      for v in range(g.node_count)}
-            if any(part.mass(v) < floor[v] for v in range(g.node_count)):
+            if any(mass(part, v) < floor[v] for v in range(g.node_count)):
                 floor_failures.append(idx)
 
     # top up with standalone elections until the pooled sample is large enough
@@ -252,16 +252,16 @@ def test_criterion_6_star_regret_bounds(capsys):
     semis = [r.semi_regret for r in runs]
     part = runs[-1].partition
     mean_semi = np.mean(semis, axis=0)
-    hub = part.centers[0]
-    assert part.mass(hub) == Mass(arms, 0) and g.closed_degree(hub) == 11
+    hub = int(part.centers[0])
+    assert mass(part, hub) == Mass(arms, 0) and g.closed_degree(hub) == 11
 
-    hub_bound = 4.0 * math.sqrt(math.log(arms) * (arms / part.mass_value(hub)) * horizon)
+    hub_bound = 4.0 * math.sqrt(math.log(arms) * (arms / mass_value(part, hub)) * horizon)
     assert hub_bound == pytest.approx(4.0 * math.sqrt(math.log(arms) * horizon), rel=1e-12)
     leaf_failures = []
     for v in range(g.node_count):
         if v == hub:
             continue
-        b7 = individual_bound(part.mass_value(v), arms, horizon)
+        b7 = individual_bound(mass_value(part, v), arms, horizon)
         b12 = degree_bound(g.closed_degree(v), arms, horizon)
         assert b7 == pytest.approx(
             7.0 * math.sqrt(math.log(arms) * (arms / (arms * math.exp(-1 / 6))) * horizon),
@@ -278,7 +278,7 @@ def test_criterion_6_star_regret_bounds(capsys):
     detail = (
         f"{seeds} seeds: hub mean semi-regret {mean_semi[hub]:.1f} <= {hub_bound:.1f} "
         f"(ratio {mean_semi[hub] / hub_bound:.2f}), worst leaf {worst_leaf:.1f} <= "
-        f"{individual_bound(part.mass_value(1), arms, horizon):.1f}, {elapsed:.1f}s"
+        f"{individual_bound(mass_value(part, 1), arms, horizon):.1f}, {elapsed:.1f}s"
     )
     _verdict(capsys, 6, ok, detail)
 

@@ -69,8 +69,8 @@ def test_partition_subcommand(star_file, tmp_path, capsys):
     assert stdout.count("PASS") == 7
     doc = json.loads(out.read_text())
     part = partition_from_json(doc)
-    assert part.centers == (0,)
-    assert part.mass(1) == Mass(3, 1)
+    assert part.centers.tolist() == [0]
+    assert reference.mass(part, 1) == Mass(3, 1)
 
 
 def test_partition_uninformed_subcommand(path_file, capsys, monkeypatch, tmp_path):
@@ -124,6 +124,22 @@ def test_usage_and_config_errors(tmp_path, star_file, capsys):
                  "--adversary", "bernoulli:0.4,0.4,0.4", "--workers", "0"]) == 2
     assert main(["validate", "graph-oracles"]) == 2  # a test under tests/, not a suite
     assert main(["nonsense"]) == 2
+
+
+def test_simulate_rejects_nan_in_matrix(tmp_path, capsys):
+    # the NaN is on arm 9 of the one step played: every policy seed must stop
+    # before the run, not only those whose draws make the estimate NaN
+    edge = tmp_path / "edge.txt"
+    edge.write_text("2 1\n0 1\n")
+    table = tmp_path / "nan.csv"
+    table.write_text(",".join(["0.5"] * 9 + ["nan"]) + "\n")
+    for seed in range(1, 6):
+        capsys.readouterr()
+        assert main(["simulate", "--graph", str(edge), "--arms", "10", "--horizon", "1",
+                     "--adversary", f"matrix:{table}", "--policy-seed", str(seed),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "loss table entries must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_validate_subcommand(capsys):
@@ -344,10 +360,11 @@ def _dict_rows(cfg, g, results) -> list[dict]:
             else:
                 b12 = degree_bound(closed, cfg.arms, cfg.horizon)
             rows.append({
-                "seed": index, "agent": v, "degree": closed, "mass_m": part.mass_m[v],
-                "mass_d": part.mass_d[v], "delay": part.delay[v],
+                "seed": index, "agent": v, "degree": closed, "mass_m": int(part.mass_m[v]),
+                "mass_d": int(part.mass_d[v]), "delay": int(part.delay[v]),
                 "regret": float(res.regret[v]), "regret_semi": float(res.semi_regret[v]),
-                "bound_individual": individual_bound(part.mass_value(v), cfg.arms, cfg.horizon),
+                "bound_individual": individual_bound(reference.mass_value(part, v), cfg.arms,
+                                                     cfg.horizon),
                 "bound_degree": b12, "setup_steps": res.setup_steps,
             })
     return rows

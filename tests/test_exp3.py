@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from coopmab.exp3 import (
     ArmsTooFewError,
@@ -111,7 +112,7 @@ def test_observation_probability():
     c = res.partition.centers[0]
     played = {json.loads(line)["action"] for line in sink.getvalue().splitlines()[:2]}
     assert 0 in played  # pinned by the seed: arm 0's loss is seen
-    rate = learning_rate(res.partition.mass_value(c), 2, 3)
+    rate = learning_rate(reference.mass_value(res.partition, c), 2, 3)
     want = math.exp(-rate / 0.75) / (math.exp(-rate / 0.75) + 1.0)
     assert res.dist_history[1][c][0] == pytest.approx(want, abs=1e-15)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import resource
 import statistics
 import subprocess
@@ -34,6 +33,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from _machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1_500, 3_000, 10_000, 100_000)
@@ -101,17 +102,6 @@ def measure(n: int, work: str) -> dict:
     return out
 
 
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_election.json")
@@ -124,8 +114,6 @@ def main(argv=None) -> int:
         sys.path.insert(0, src)
         print(json.dumps(measure(int(n), work)))
         return 0
-
-    import numpy as np
 
     checkouts = {"this": ROOT}
     if args.baseline is not None:
@@ -151,12 +139,7 @@ def main(argv=None) -> int:
         "arms": ARMS,
         "horizon": HORIZON,
         "repeats": REPEATS,
-        "machine": {
-            "nproc": os.cpu_count(),
-            "cpu": _cpu_model(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "checkouts": list(checkouts),
         "results": results,
     }

@@ -37,13 +37,14 @@ import contextlib
 import io
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from _machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
@@ -209,17 +210,6 @@ def _graphs(work: str) -> list[tuple[int, str]]:
     return out
 
 
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
@@ -227,8 +217,6 @@ def main(argv=None) -> int:
                         help="another checkout whose src/ runs every case as well")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-
     checkouts = {"this": ROOT}
     if args.baseline is not None:
         checkouts = {"baseline": args.baseline.resolve(), **checkouts}
@@ -248,12 +236,7 @@ def main(argv=None) -> int:
         "what": "coopmab simulate seed-rounds/s by phase, median of 5 in-process ops per case",
         "config": {"arms": ARMS, "horizon": HORIZON, "seeds": SEEDS, "repeats": REPEATS,
                    "adversary_seed": ADVERSARY_SEED, "policy_seed": POLICY_SEED},
-        "machine": {
-            "nproc": os.cpu_count(),
-            "cpu": _cpu_model(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "checkouts": list(checkouts),
         "results": results,
     }

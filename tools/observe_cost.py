@@ -23,12 +23,13 @@ import contextlib
 import io
 import json
 import os
-import platform
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from _machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
@@ -45,17 +46,6 @@ def _cases():
         ("path-40", path_graph(40), 4, 600),
         ("mesh-3000", random_connected_graph(3000, chord, 3000), 10, 240),
     ]
-
-
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def measure(name: str, g, arms: int, horizon: int, work: str) -> dict:
@@ -108,8 +98,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_observe.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-
     rows = []
     with tempfile.TemporaryDirectory() as work:
         for name, g, arms, horizon in _cases():
@@ -125,12 +113,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "adversary_seed": ADVERSARY_SEED,
         "policy_seed": POLICY_SEED,
-        "machine": {
-            "nproc": os.cpu_count(),
-            "cpu": _cpu_model(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "graphs": rows,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
