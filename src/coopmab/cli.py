@@ -329,7 +329,7 @@ def write_partition(path: str, p: Partition) -> None:
 def cmd_partition(args) -> int:
     g = read_edge_list(args.graph)
     if args.setting == "informed":
-        comp = compute_centers_informed(g, args.arms).component_map
+        partition = compute_centers_informed(g, args.arms)
         setup_note = "setup steps charged: 0 (graph known in advance)"
         exhausted = 0
     else:
@@ -340,14 +340,13 @@ def cmd_partition(args) -> int:
         election = compute_centers_uninformed(
             g, args.arms, args.nbar, args.horizon, np.random.default_rng(args.policy_seed)
         )
-        comp = election.final_map
+        partition = election.partition
         exhausted = election.exhaustions
         setup_note = (
             f"setup steps charged: {election.total_steps} "
             f"(protocol {election.protocol_steps} + final pass {election.final_pass_steps}; "
             f"election round budget {election.luby_round_budget})"
         )
-    partition = comp.to_partition()
     report = validate_partition(g, partition)
     print(f"graph {args.graph}: {g.node_count} nodes, arms {args.arms}, setting {args.setting}")
     print(f"centers: {partition.centers.tolist()}")

@@ -14,8 +14,7 @@ per round, every node sees only its neighbors' previous-round state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import total_ordering
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +29,6 @@ class EmptyCenterSetError(ValueError):
     pass
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Mass:
     """Exact component-quality pair; value() = m * exp(-d/6), nil is (0, 0)."""
@@ -44,32 +42,8 @@ class Mass:
         if self.m == 0 and self.d != 0:
             raise ValueError("nil mass is canonically (0, 0)")
 
-    @property
-    def is_nil(self) -> bool:
-        return self.m == 0
-
     def value(self) -> float:
         return 0.0 if self.m == 0 else self.m * math.exp(-self.d / MASS_DECAY_DENOM)
-
-    def score(self) -> float:
-        # 6*ln(m) - d orders masses like value() but stays in a range where
-        # float64 is exact far beyond any gap two distinct pairs can have
-        return -math.inf if self.m == 0 else MASS_DECAY_DENOM * math.log(self.m) - self.d
-
-    def decayed(self) -> "Mass":
-        return Mass(self.m, self.d + 1) if self.m else NIL_MASS
-
-    def __lt__(self, other: "Mass") -> bool:
-        if (self.m, self.d) == (other.m, other.d):
-            return False
-        a, b = self.score(), other.score()
-        if a != b:
-            return a < b
-        # distinct pairs cannot share a true score; keep the order total anyway
-        return (self.m, -self.d) < (other.m, -other.d)
-
-
-NIL_MASS = Mass(0, 0)
 
 
 def degree_clamp(g: Graph, arms: int) -> np.ndarray:
@@ -90,42 +64,6 @@ def min_center_distance(g: Graph, centers: Iterable[int]) -> np.ndarray:
     if not sources:
         raise EmptyCenterSetError("no centers given")
     return g.multi_source_distances(sources)
-
-
-@dataclass(frozen=True)
-class SpreadRound:
-    """Snapshot of the propagation state after one synchronous round."""
-
-    center_of: np.ndarray  # -1 while unreached
-    origin_of: np.ndarray  # raw protocol pointer, -1 while never selected
-    mass_m: np.ndarray
-    mass_d: np.ndarray
-
-
-@dataclass
-class ComponentMap:
-    """Result of mass propagation from a fixed center set."""
-
-    arms: int
-    rounds: int  # update rounds the protocol is charged for
-    settled_round: int  # state stopped changing after this many updates
-    centers: tuple[int, ...]
-    center_of: np.ndarray  # -1 = nil (node reports no assignment)
-    origin_of: np.ndarray  # -1 = nil
-    mass_m: np.ndarray
-    mass_d: np.ndarray
-    history: list[SpreadRound] = field(repr=False, default_factory=list)
-
-    def fully_assigned(self) -> bool:
-        return bool(np.all(self.center_of >= 0))
-
-    def to_partition(self) -> "Partition":
-        if not self.fully_assigned():
-            missing = np.flatnonzero(self.center_of < 0).tolist()
-            raise ValueError(f"nodes {missing} were never reached by any center")
-        return Partition(arms=self.arms, centers=sorted(self.centers), center_of=self.center_of,
-                         origin_of=self.origin_of, delay=self.mass_d, mass_m=self.mass_m,
-                         mass_d=self.mass_d)
 
 
 def _mass_table(arms: int) -> np.ndarray:
@@ -158,29 +96,6 @@ def _spread_round(prev, score, nbrs, own, is_center) -> np.ndarray:
     return np.where(is_center.take(own[1]), own, pick)
 
 
-def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> ComponentMap:
-    """Propagate center mass outward and let every node pick its origin.
-
-    Runs spread_rounds(arms) + 1 synchronous rounds (``_spread_round``)
-    from the whole center set (``_SpreadRounds.add`` from the empty set).
-    Nodes never reached report a nil assignment.
-    """
-    n = g.node_count
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    center_list = sorted(set(int(c) for c in centers))
-    if not center_list:
-        raise EmptyCenterSetError("center set must be non-empty")
-    for c in center_list:
-        if not 0 <= c < n:
-            raise ValueError(f"center {c} outside 0..{n - 1}")
-    if arms < 2:
-        raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    spread = _SpreadRounds(g, arms)
-    spread.add(np.array(center_list))
-    return spread.component_map()
-
-
 PARTITION_COLUMNS = ("centers", "center_of", "origin_of", "delay", "mass_m", "mass_d")
 
 
@@ -189,7 +104,8 @@ class Partition:
     """Final component assignment used by the simulator, as read-only int64 columns.
 
     ``centers`` lists the center ids, the other five one entry per node; each
-    is copied from whatever int sequence is passed.
+    is copied from whatever int sequence is passed.  Raises ValueError if a
+    per-node column's length differs from ``center_of``'s.
     """
 
     arms: int
@@ -205,6 +121,11 @@ class Partition:
             col = np.array(getattr(self, name), dtype=np.int64)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
+        n = len(self.center_of)
+        for name in PARTITION_COLUMNS[2:]:
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"column {name} has {len(getattr(self, name))} entries, "
+                                 f"center_of has {n}")
 
     def __reduce__(self):
         # rebuilt through __post_init__: numpy unpickles an array writeable
@@ -248,14 +169,6 @@ def partition_from_json(doc: dict) -> Partition:
     return Partition(arms=arms, centers=centers, **arrays)
 
 
-@dataclass
-class InformedCenters:
-    """Greedy center search outcome (offline: graph known in advance)."""
-
-    centers: tuple[int, ...]  # in order of addition
-    component_map: ComponentMap
-
-
 class _SpreadRounds:
     """Every propagation round 0..rounds of a growing center set.
 
@@ -276,7 +189,7 @@ class _SpreadRounds:
         self.nbrs = g.padded_neighbors()  # contiguous: take() on a strided view copies it whole
         self.is_center = np.zeros(n + 1, dtype=bool)
         # int32 holds every field (ids up to N, m up to arms, d up to rounds)
-        # at half the size; the rounds are widened to int64 only for the map
+        # at half the size of int64
         self.states = np.zeros((rounds + 1, 4, n + 1), dtype=np.int32)
         self.states[:, :2] = -1
         self.states[0, 1, n] = n
@@ -335,33 +248,19 @@ class _SpreadRounds:
         tail = self.states[t - 1:].take(ring, axis=2)
         return bool((tail == tail[0]).all())
 
-    def component_map(self) -> ComponentMap:
-        """The map of the centers added so far; no add may follow it.
+    def partition(self) -> Partition:
+        """The partition of the centers added so far, read off the last round.
 
-        Its history is the kept rounds from round 0 up to the first round
-        that equals the one before (all of them if none does), and
-        ``settled_round`` the round before that repeat.  The arrays only
-        add reads are freed first, so they and the map's int64 copy are
-        never held at once.
+        Every round past settling repeats the settled state, so the last
+        round holds it.  Raises ValueError if some node has no center.
         """
-        states, last = self.states, self.rounds
-        del self.scores, self.nbrs
-        n = states.shape[2] - 1
-        settled = next((t - 1 for t in range(1, last + 1) if (states[t] == states[t - 1]).all()), last)
-        kept = states[:settled + 2].astype(np.int64)
-        cof, uof, mass_m, mass_d = kept[-1, :, :n]
-        reached = mass_m > 0
-        return ComponentMap(
-            arms=self.arms,
-            rounds=last,
-            settled_round=settled,
-            centers=tuple(np.flatnonzero(self.is_center).tolist()),
-            center_of=np.where(reached, cof, -1),
-            origin_of=np.where(reached, uof, -1),
-            mass_m=mass_m.copy(),
-            mass_d=np.where(reached, mass_d, 0),
-            history=[SpreadRound(*s[:, :n]) for s in kept],
-        )
+        n = self.states.shape[2] - 1
+        cof, uof, mass_m, mass_d = self.states[-1, :, :n]
+        missing = np.flatnonzero(mass_m == 0).tolist()  # nil mass: no center reached it
+        if missing:
+            raise ValueError(f"nodes {missing} were never reached by any center")
+        return Partition(arms=self.arms, centers=np.flatnonzero(self.is_center[:n]),
+                         center_of=cof, origin_of=uof, delay=mass_d, mass_m=mass_m, mass_d=mass_d)
 
 
 def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
@@ -392,7 +291,7 @@ def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
         key[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
 
 
-def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
+def compute_centers_informed(g: Graph, arms: int) -> Partition:
     """Greedily add the densest unsatisfied node until everyone is served.
 
     A node is satisfied once its mass reaches its own clamped closed degree
@@ -401,15 +300,14 @@ def compute_centers_informed(g: Graph, arms: int) -> InformedCenters:
     grown set (``_SpreadRounds.add``), redoing only the nodes whose state
     it can change, and only nodes whose final mass changed are re-scored.
     Each pass adds exactly one center, so the loop ends within node_count
-    iterations.  The kept rounds build the returned map.
+    iterations.  The last round gives the returned partition.
     """
     n = g.node_count
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if arms < 2:
         raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    centers, spread = _greedy_centers(g, arms)
-    return InformedCenters(tuple(centers), spread.component_map())
+    return _greedy_centers(g, arms)[1].partition()
 
 
 @dataclass(frozen=True)
@@ -483,14 +381,18 @@ class LubyCall:
 class UninformedElection:
     """Distributed center election when agents know only an upper bound on N."""
 
-    centers: tuple[int, ...]
-    final_map: ComponentMap
+    partition: Partition
     luby_calls: list[LubyCall]  # call t is iteration t's election
     luby_round_budget: int
     protocol_steps: int  # arms * (4 * budget + spread_rounds + 1)
     final_pass_steps: int  # one extra propagation to publish the partition
     total_steps: int
     exhaustions: int  # elections whose budget ran out with participants undecided
+
+    @property
+    def centers(self) -> np.ndarray:
+        # bench/spans.py counts len(result.centers) of either election's result
+        return self.partition.centers
 
 
 def compute_centers_uninformed(
@@ -534,11 +436,9 @@ def compute_centers_uninformed(
 
     if not spread.is_center.any():
         raise EmptyCenterSetError("no node won any election; partition impossible")
-    final_map = spread.component_map()
     protocol_steps = arms * (4 * budget + pass_rounds)
     return UninformedElection(
-        centers=final_map.centers,
-        final_map=final_map,
+        partition=spread.partition(),
         luby_calls=calls,
         luby_round_budget=budget,
         protocol_steps=protocol_steps,
@@ -579,7 +479,7 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def _scores(m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Mass(m, d).score() of every pair, bit for bit: math.log once per distinct m."""
+    """6 ln(m) - d of every pair, -inf where m <= 0, from math.log once per distinct m."""
     distinct = _distinct(np.maximum(m, 1))
     log = np.fromiter(map(math.log, distinct.tolist()), dtype=float, count=distinct.size)
     return np.where(m > 0, MASS_DECAY_DENOM * log.take(distinct.searchsorted(m)) - d, -np.inf)

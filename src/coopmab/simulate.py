@@ -543,7 +543,7 @@ def run_informed_batch(
     """
     short = _check_run_args(g, arms, horizon, oracles, policy_seeds)
     if partition is None:
-        partition = compute_centers_informed(g, arms).component_map.to_partition()
+        partition = compute_centers_informed(g, arms)
     else:
         _check_partition(g, arms, partition)
     rngs = [np.random.default_rng(s) for s in policy_seeds]
@@ -598,7 +598,7 @@ def run_uninformed(
     short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
-    return _run_batch(g, election.final_map.to_partition(), horizon, [oracle], [rng],
+    return _run_batch(g, election.partition, horizon, [oracle], [rng],
                       [policy_seed], "uninformed", setup=election.total_steps, short=short,
                       debug=debug, log_sinks=[log_sink],
                       record_distributions=record_distributions, n_upper=n_upper,

@@ -32,6 +32,12 @@ assigned to a center and check (b) passed, and its mass-floor check fails
 a stored pair that is no ``Mass`` (m <= 0 or d < 0) instead of raising.
 ``spread_history_violations`` and ``induced_subgraph`` have no caller
 left in ``coopmab``.
+
+``OrderedMass`` is the mass pair with the order and score that
+``coopmab.partition.Mass`` once had.  ``SpreadMap`` is the record a
+propagation once returned: its columns, its kept rounds and its settle
+round; ``spread_map`` reads one off a ``_SpreadRounds``' ``states``, and
+``centers_to_components`` propagates a whole center set into one.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import IO, Iterable
 
 import numpy as np
@@ -59,11 +66,12 @@ from coopmab.partition import (
     MASS_DECAY_DENOM,
     PARTITION_COLUMNS,
     CheckResult,
-    ComponentMap,
+    EmptyCenterSetError,
     LubyTranscript,
     Mass,
     Partition,
     PartitionReport,
+    _SpreadRounds,
     compute_centers_informed,
     compute_centers_uninformed,
     degree_clamp,
@@ -81,8 +89,28 @@ def role(p: Partition, v: int) -> str:
     return "adjacent" if p.delay[v] == 1 else "simple"
 
 
-def mass(p: Partition, v: int) -> Mass:
-    return Mass(int(p.mass_m[v]), int(p.mass_d[v]))
+@total_ordering
+@dataclass(frozen=True)
+class OrderedMass(Mass):
+    """A ``Mass`` ordered as its value m * exp(-d/6), exactly, nil lowest."""
+
+    def score(self) -> float:
+        # 6*ln(m) - d orders masses like value() but stays in a range where
+        # float64 is exact far beyond any gap two distinct pairs can have
+        return -math.inf if self.m == 0 else MASS_DECAY_DENOM * math.log(self.m) - self.d
+
+    def __lt__(self, other: "OrderedMass") -> bool:
+        if (self.m, self.d) == (other.m, other.d):
+            return False
+        a, b = self.score(), other.score()
+        if a != b:
+            return a < b
+        # distinct pairs cannot share a true score; keep the order total anyway
+        return (self.m, -self.d) < (other.m, -other.d)
+
+
+def mass(p: Partition, v: int) -> OrderedMass:
+    return OrderedMass(int(p.mass_m[v]), int(p.mass_d[v]))
 
 
 def mass_value(p: Partition, v: int) -> float:
@@ -308,7 +336,7 @@ def run_informed(
     """Simulate with the graph known in advance: partitioning costs no steps."""
     short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
     if partition is None:
-        partition = compute_centers_informed(g, arms).component_map.to_partition()
+        partition = compute_centers_informed(g, arms)
     losses = oracle.rows(0, horizon)
     world = SimWorld(
         g,
@@ -349,7 +377,7 @@ def run_uninformed(
     short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
-    partition = election.final_map.to_partition()
+    partition = election.partition
     setup = election.total_steps
     losses = oracle.rows(0, setup + horizon)
     world = SimWorld(
@@ -644,7 +672,67 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(keep, adj)
 
 
-def spread_history_violations(g: Graph, comp: ComponentMap) -> list[str]:
+@dataclass
+class SpreadMap:
+    """A propagation from a fixed center set: its settled columns and kept rounds.
+
+    ``history[t]`` is the (4, N) state after t rounds (rows center_of,
+    origin_of, mass_m, mass_d), from round 0 up to the first round equal
+    to the one before (all rounds if none is); ``settled_round`` is the
+    round before that repeat.  An unreached node's center_of and origin_of
+    are -1 and its mass pair (0, 0).
+    """
+
+    arms: int
+    rounds: int  # update rounds the protocol is charged for
+    settled_round: int
+    centers: tuple[int, ...]
+    center_of: np.ndarray
+    origin_of: np.ndarray
+    mass_m: np.ndarray
+    mass_d: np.ndarray
+    history: list[np.ndarray]
+
+    def fully_assigned(self) -> bool:
+        return bool(np.all(self.center_of >= 0))
+
+    def to_partition(self) -> Partition:
+        if not self.fully_assigned():
+            missing = np.flatnonzero(self.center_of < 0).tolist()
+            raise ValueError(f"nodes {missing} were never reached by any center")
+        return Partition(arms=self.arms, centers=sorted(self.centers), center_of=self.center_of,
+                         origin_of=self.origin_of, delay=self.mass_d, mass_m=self.mass_m,
+                         mass_d=self.mass_d)
+
+
+def spread_map(spread: _SpreadRounds) -> SpreadMap:
+    """The record of the centers added to ``spread`` so far, read off its ``states``."""
+    states, last = spread.states, spread.rounds
+    n = states.shape[2] - 1
+    settled = next((t - 1 for t in range(1, last + 1) if (states[t] == states[t - 1]).all()), last)
+    kept = states[:settled + 2, :, :n].astype(np.int64)
+    cof, uof, mass_m, mass_d = kept[-1]
+    reached = mass_m > 0
+    return SpreadMap(spread.arms, last, settled, tuple(np.flatnonzero(spread.is_center).tolist()),
+                     np.where(reached, cof, -1), np.where(reached, uof, -1), mass_m.copy(),
+                     np.where(reached, mass_d, 0), list(kept))
+
+
+def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> SpreadMap:
+    """Propagate center mass outward from the whole center set at once.
+
+    Runs spread_rounds(arms) + 1 synchronous rounds (``_SpreadRounds.add``
+    from the empty set).  Nodes never reached report a nil assignment.
+    """
+    center_list = sorted(set(int(c) for c in centers))
+    if not center_list:
+        raise EmptyCenterSetError("center set must be non-empty")
+    spread = _SpreadRounds(g, arms)
+    spread.add(np.array(center_list))
+    return spread_map(spread)
+
+
+def spread_history_violations(g: Graph, comp: SpreadMap) -> list[str]:
     """Internal-consistency audit of a propagation transcript.
 
     Per node and round: mass never decreases; whenever the mass pair
@@ -657,14 +745,14 @@ def spread_history_violations(g: Graph, comp: ComponentMap) -> list[str]:
     for t in range(1, len(hist)):
         prev, cur = hist[t - 1], hist[t]
         for v in range(g.node_count):
-            a = Mass(int(prev.mass_m[v]), int(prev.mass_d[v]))
-            b = Mass(int(cur.mass_m[v]), int(cur.mass_d[v]))
+            a = OrderedMass(int(prev[2, v]), int(prev[3, v]))
+            b = OrderedMass(int(cur[2, v]), int(cur[3, v]))
             if b < a:
                 out.append(f"round {t}: node {v} mass dropped {a} -> {b}")
             if a != b:
                 if b.d != t:
                     out.append(f"round {t}: node {v} changed to depth {b.d} != round")
-                c = int(cur.center_of[v])
+                c = int(cur[0, v])
                 if c < 0:
                     continue
                 if c not in dist:
@@ -787,7 +875,8 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     w = None
     for v in range(n):
         m, d = mass_m[v], mass_d[v]
-        if m <= 0 or d < 0 or not Mass(int(clamp[v]), MASS_DECAY_DENOM) <= Mass(m, d):
+        floor = OrderedMass(int(clamp[v]), MASS_DECAY_DENOM)
+        if m <= 0 or d < 0 or not floor <= OrderedMass(m, d):
             w = (f"node {v}: mass Mass(m={m}, d={d}) below floor "
                  f"({int(clamp[v])}, {MASS_DECAY_DENOM})")
             break

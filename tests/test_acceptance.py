@@ -11,7 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from reference import independence_number, is_r_independent, is_r_mis, mass, mass_value
+from reference import (
+    OrderedMass,
+    independence_number,
+    is_r_independent,
+    is_r_mis,
+    mass,
+    mass_value,
+)
 
 from coopmab import cli, exp3
 from coopmab.graph import (
@@ -24,7 +31,6 @@ from coopmab.graph import (
 )
 from coopmab.partition import (
     MASS_DECAY_DENOM,
-    Mass,
     compute_centers_informed,
     compute_centers_uninformed,
     luby_2mis,
@@ -87,7 +93,7 @@ def test_criterion_1_informed_partition_sweep(capsys):
     failures = []
     for idx, g in enumerate(_graphs()):
         for arms in SWEEP_ARMS:
-            part = compute_centers_informed(g, arms).component_map.to_partition()
+            part = compute_centers_informed(g, arms)
             report = validate_partition(g, part)
             if not report.ok:
                 bad = [c.name for c in report.checks if not c.passed]
@@ -109,7 +115,7 @@ def test_criterion_2_uninformed_partition_sweep(capsys):
     fail_prob_var = 0.0
 
     for idx, (g, arms, _n_upper, election) in enumerate(_elections()):
-        part = election.final_map.to_partition()
+        part = election.partition
         if not is_r_independent(g, part.centers.tolist(), 2):
             independence_failures.append(idx)
         all_maximal = True
@@ -123,7 +129,7 @@ def test_criterion_2_uninformed_partition_sweep(capsys):
                 all_maximal = False
         if all_maximal:
             conditional_runs += 1
-            floor = {v: Mass(min(g.closed_degree(v), arms), MASS_DECAY_DENOM)
+            floor = {v: OrderedMass(min(g.closed_degree(v), arms), MASS_DECAY_DENOM)
                      for v in range(g.node_count)}
             if any(mass(part, v) < floor[v] for v in range(g.node_count)):
                 floor_failures.append(idx)
@@ -253,7 +259,7 @@ def test_criterion_6_star_regret_bounds(capsys):
     part = runs[-1].partition
     mean_semi = np.mean(semis, axis=0)
     hub = int(part.centers[0])
-    assert mass(part, hub) == Mass(arms, 0) and g.closed_degree(hub) == 11
+    assert mass(part, hub) == OrderedMass(arms, 0) and g.closed_degree(hub) == 11
 
     hub_bound = 4.0 * math.sqrt(math.log(arms) * (arms / mass_value(part, hub)) * horizon)
     assert hub_bound == pytest.approx(4.0 * math.sqrt(math.log(arms) * horizon), rel=1e-12)

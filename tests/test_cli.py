@@ -20,7 +20,7 @@ from coopmab.cli import (
 )
 from coopmab import partition
 from coopmab.graph import format_edge_list, path_graph, read_edge_list, star_graph
-from coopmab.partition import Mass, partition_from_json
+from coopmab.partition import partition_from_json
 from coopmab.simulate import degree_bound, individual_bound, uninformed_degree_bound
 
 
@@ -70,7 +70,7 @@ def test_partition_subcommand(star_file, tmp_path, capsys):
     doc = json.loads(out.read_text())
     part = partition_from_json(doc)
     assert part.centers.tolist() == [0]
-    assert reference.mass(part, 1) == Mass(3, 1)
+    assert reference.mass(part, 1) == reference.OrderedMass(3, 1)
 
 
 def test_partition_uninformed_subcommand(path_file, capsys, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import is_r_independent, is_r_mis, spread_history_violations
+from reference import (
+    OrderedMass,
+    centers_to_components,
+    is_r_independent,
+    is_r_mis,
+    spread_history_violations,
+    spread_map,
+)
 
 from coopmab.cli import write_partition
 
@@ -23,14 +31,10 @@ from coopmab.graph import (
 )
 from coopmab.partition import (
     MASS_DECAY_DENOM,
-    NIL_MASS,
-    ComponentMap,
     EmptyCenterSetError,
     LubyCall,
     Mass,
     Partition,
-    SpreadRound,
-    centers_to_components,
     compute_centers_informed,
     compute_centers_uninformed,
     degree_clamp,
@@ -41,17 +45,18 @@ from coopmab.partition import (
     partition_to_json,
     spread_rounds,
     validate_partition,
+    _greedy_centers,
     _SpreadRounds,
 )
 
 
+NIL_MASS = OrderedMass(0, 0)
+
+
 def test_mass_basics():
-    assert NIL_MASS.is_nil and NIL_MASS.value() == 0.0
-    m = Mass(3, 2)
-    assert m.value() == pytest.approx(3 * math.exp(-2 / 6))
-    assert m.score() == pytest.approx(6 * math.log(3) - 2)
-    assert m.decayed() == Mass(3, 3)
-    assert NIL_MASS.decayed() == NIL_MASS
+    assert Mass(0, 0).value() == 0.0 and NIL_MASS.score() == -math.inf
+    assert Mass(3, 2).value() == pytest.approx(3 * math.exp(-2 / 6))
+    assert OrderedMass(3, 2).score() == pytest.approx(6 * math.log(3) - 2)
     with pytest.raises(ValueError):
         Mass(-1, 0)
     with pytest.raises(ValueError):
@@ -59,18 +64,18 @@ def test_mass_basics():
 
 
 def test_mass_ordering():
-    assert NIL_MASS < Mass(2, 100)
-    assert Mass(2, 0) < Mass(3, 0)
-    assert Mass(3, 1) < Mass(3, 0)
+    assert NIL_MASS < OrderedMass(2, 100)
+    assert OrderedMass(2, 0) < OrderedMass(3, 0)
+    assert OrderedMass(3, 1) < OrderedMass(3, 0)
     # deeper copy of a bigger component can still beat a small center
-    assert Mass(2, 0) < Mass(10, 9)
-    assert not Mass(5, 2) < Mass(5, 2)
-    assert Mass(5, 2) <= Mass(5, 2)
+    assert OrderedMass(2, 0) < OrderedMass(10, 9)
+    assert not OrderedMass(5, 2) < OrderedMass(5, 2)
+    assert OrderedMass(5, 2) <= OrderedMass(5, 2)
     # pair order must agree with the real-valued mass on random pairs
     rng = np.random.default_rng(2)
     for _ in range(300):
-        a = Mass(int(rng.integers(1, 11)), int(rng.integers(0, 40)))
-        b = Mass(int(rng.integers(1, 11)), int(rng.integers(0, 40)))
+        a = OrderedMass(int(rng.integers(1, 11)), int(rng.integers(0, 40)))
+        b = OrderedMass(int(rng.integers(1, 11)), int(rng.integers(0, 40)))
         if a.value() != b.value():
             assert (a < b) == (a.value() < b.value())
 
@@ -107,16 +112,16 @@ def test_spread_all_centers():
     comp = centers_to_components(g, range(9), 5)
     for v in range(9):
         assert comp.center_of[v] == v and comp.origin_of[v] == v
-        assert reference.mass(comp, v) == Mass(min(g.closed_degree(v), 5), 0)
+        assert reference.mass(comp, v) == OrderedMass(min(g.closed_degree(v), 5), 0)
 
 
 def test_spread_star():
     g = star_graph(5)
     comp = centers_to_components(g, {0}, 10)
-    assert reference.mass(comp, 0) == Mass(6, 0)
+    assert reference.mass(comp, 0) == OrderedMass(6, 0)
     for leaf in range(1, 6):
         assert comp.origin_of[leaf] == 0
-        assert reference.mass(comp, leaf) == Mass(6, 1)
+        assert reference.mass(comp, leaf) == OrderedMass(6, 1)
 
 
 def test_spread_requires_centers_and_marks_unreached():
@@ -130,8 +135,13 @@ def test_spread_requires_centers_and_marks_unreached():
     assert comp.center_of[10] == -1 and comp.center_of[11] == -1
     assert reference.mass(comp, 11) == NIL_MASS
     assert not comp.fully_assigned()
-    with pytest.raises(ValueError):
+    unreached = "nodes [10, 11] were never reached by any center"
+    with pytest.raises(ValueError, match=re.escape(unreached)):
         comp.to_partition()
+    spread = _SpreadRounds(long, 2)
+    spread.add(np.array([0]))
+    with pytest.raises(ValueError, match=re.escape(unreached)):
+        spread.partition()
 
 
 def test_spread_history_audit_clean_on_randoms():
@@ -141,7 +151,7 @@ def test_spread_history_audit_clean_on_randoms():
         g = random_connected_graph(n, float(rng.uniform(0, 0.4)), rng)
         arms = int(rng.choice([2, 5, 10]))
         centers = compute_centers_informed(g, arms).centers
-        comp = centers_to_components(g, centers, arms)
+        comp = centers_to_components(g, centers.tolist(), arms)
         assert spread_history_violations(g, comp) == []
         assert 0 <= comp.settled_round <= comp.rounds
 
@@ -156,22 +166,20 @@ def test_spread_tie_break_lowest_id():
 
 def test_informed_star():
     g = star_graph(10)  # hub 0 plus 10 leaves, N = K + 1 for K = 10
-    found = compute_centers_informed(g, 10)
-    assert found.centers == (0,)
-    part = found.component_map.to_partition()
+    part = compute_centers_informed(g, 10)
+    assert part.centers.tolist() == [0]
     assert reference.role(part, 0) == "center"
     assert all(reference.role(part, v) == "adjacent" for v in range(1, 11))
 
 
 def test_informed_clique_and_edge():
-    assert compute_centers_informed(complete_graph(6), 10).centers == (0,)
-    assert compute_centers_informed(build_graph(2, [(0, 1)]), 2).centers == (0,)
+    assert compute_centers_informed(complete_graph(6), 10).centers.tolist() == [0]
+    assert compute_centers_informed(build_graph(2, [(0, 1)]), 2).centers.tolist() == [0]
 
 
 def test_informed_path_adds_far_end():
-    found = compute_centers_informed(path_graph(5), 5)
-    assert found.centers == (1, 4)
-    assert len(found.centers) == 2
+    assert _greedy_centers(path_graph(5), 5)[0] == [1, 4]
+    assert compute_centers_informed(path_graph(5), 5).centers.tolist() == [1, 4]
 
 
 def test_informed_terminates_within_node_count():
@@ -181,7 +189,7 @@ def test_informed_terminates_within_node_count():
         g = random_connected_graph(n, float(rng.uniform(0, 0.5)), rng)
         found = compute_centers_informed(g, 5)
         assert len(found.centers) <= n
-        assert is_r_independent(g, set(found.centers), 2)
+        assert is_r_independent(g, set(found.centers.tolist()), 2)
 
 
 def _propagation_oracle(g, centers, arms):
@@ -201,7 +209,7 @@ def _propagation_oracle(g, centers, arms):
     pad = np.full((n, max(g.degree(v) for v in range(n))), n, dtype=np.int64)
     for v in range(n):
         pad[v, : g.degree(v)] = g.neighbors(v)
-    history = [SpreadRound(cof.copy(), uof.copy(), mass_m.copy(), mass_d.copy())]
+    history = [np.stack([cof, uof, mass_m, mass_d])]
     score_ext = np.empty(n + 1)
     settled = rounds
     for t in range(1, rounds + 1):
@@ -220,16 +228,17 @@ def _propagation_oracle(g, centers, arms):
         new += (np.where(upd & (new[2] > 0), d_ext[chosen] + 1, np.where(upd, 0, mass_d)),)
         changed = any(not np.array_equal(a, b) for a, b in zip(new, (cof, uof, mass_m, mass_d)))
         cof, uof, mass_m, mass_d = new
-        history.append(SpreadRound(cof.copy(), uof.copy(), mass_m.copy(), mass_d.copy()))
+        history.append(np.stack([cof, uof, mass_m, mass_d]))
         if not changed:
             settled = t - 1
             break
     reached = mass_m > 0
-    return ComponentMap(arms, rounds, settled, tuple(center_list), np.where(reached, cof, -1),
-                        np.where(reached, uof, -1), mass_m, np.where(reached, mass_d, 0), history)
+    return reference.SpreadMap(arms, rounds, settled, tuple(center_list),
+                               np.where(reached, cof, -1), np.where(reached, uof, -1), mass_m,
+                               np.where(reached, mass_d, 0), history)
 
 
-def _assert_same_map(got, want):
+def _assert_same_record(got, want):
     for name in ("arms", "rounds", "settled_round", "centers"):
         assert getattr(got, name) == getattr(want, name), name
     for name in ("center_of", "origin_of", "mass_m", "mass_d"):
@@ -237,8 +246,13 @@ def _assert_same_map(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert len(got.history) == len(want.history)
     for x, y in zip(got.history, want.history):
-        for name in ("center_of", "origin_of", "mass_m", "mass_d"):
-            assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _assert_same_map(part, spread, want):
+    """An election's partition and its propagation rounds equal the oracle's record."""
+    reference.assert_same_partition(part, want.to_partition())
+    _assert_same_record(spread_map(spread), want)
 
 
 @pytest.mark.parametrize("arms", [2, 3, 10, 50])
@@ -252,8 +266,8 @@ def test_propagation_equals_oracle(arms):
         size = int(rng.integers(1, min(n, 8) + 1))
         cases.append((g, {int(c) for c in rng.choice(n, size=size, replace=False)}))
     for g, centers in cases:
-        _assert_same_map(centers_to_components(g, centers, arms),
-                         _propagation_oracle(g, centers, arms))
+        _assert_same_record(centers_to_components(g, centers, arms),
+                            _propagation_oracle(g, centers, arms))
 
 
 def _informed_greedy_oracle(g, arms):
@@ -283,6 +297,11 @@ def _informed_greedy_oracle(g, arms):
     return tuple(centers), comp
 
 
+def _informed(g, arms):
+    """The informed election's partition, then the greedy's addition order and rounds."""
+    return compute_centers_informed(g, arms), *_greedy_centers(g, arms)
+
+
 @pytest.mark.parametrize("arms", [2, 3, 10, 50])
 def test_informed_election_equals_quadratic_oracle(arms):
     rng = np.random.default_rng(1000 + arms)
@@ -291,10 +310,10 @@ def test_informed_election_equals_quadratic_oracle(arms):
         n = int(rng.integers(2, 90))
         graphs.append(random_connected_graph(n, float(rng.choice([0.0, 0.03, 0.15, 0.5])), rng))
     for g in graphs:
-        found = compute_centers_informed(g, arms)
+        part, order, _ = _informed(g, arms)
         centers, comp = _informed_greedy_oracle(g, arms)
-        assert found.centers == centers
-        got = json.dumps(partition_to_json(found.component_map.to_partition()))
+        assert tuple(order) == centers
+        got = json.dumps(partition_to_json(part))
         assert got == json.dumps(partition_to_json(comp.to_partition()))
 
 
@@ -307,10 +326,10 @@ def test_informed_election_equals_quadratic_oracle(arms):
 )
 def test_informed_election_equals_oracle_on_random_graphs(n, density, seed, arms):
     g = random_connected_graph(n, density, seed)
-    found = compute_centers_informed(g, arms)
+    part, order, spread = _informed(g, arms)
     centers, comp = _informed_greedy_oracle(g, arms)
-    assert found.centers == centers
-    _assert_same_map(found.component_map, comp)
+    assert tuple(order) == centers
+    _assert_same_map(part, spread, comp)
 
 
 def _blocking_graph():
@@ -326,11 +345,11 @@ def test_informed_added_center_can_lower_mass():
     # elected second.  Its neighbor 12 then freezes on 13 at round 1,
     # before 0's larger mass (10, 4) arrives, and 17 inherits the drop.
     g = _blocking_graph()
-    found = compute_centers_informed(g, 10)
-    assert found.centers == (0, 13)
+    part, order, found = _informed(g, 10)
+    assert order == [0, 13]
     centers, comp = _informed_greedy_oracle(g, 10)
-    assert found.centers == centers
-    _assert_same_map(found.component_map, comp)
+    assert tuple(order) == centers
+    _assert_same_map(part, found, comp)
 
     spread = _SpreadRounds(g, 10)
     spread.add(np.array([0]))
@@ -341,8 +360,8 @@ def test_informed_added_center_can_lower_mass():
     assert (before[:, 12].tolist(), after[:, 12].tolist()) == ([10, 4], [5, 1])
     assert (before[:, 17].tolist(), after[:, 17].tolist()) == ([10, 5], [5, 2])
     for v in (12, 17):
-        assert Mass(*after[:, v].tolist()) < Mass(*before[:, v].tolist())
-        assert reference.mass(found.component_map, v) == Mass(*after[:, v].tolist())
+        assert OrderedMass(*after[:, v].tolist()) < OrderedMass(*before[:, v].tolist())
+        assert reference.mass(part, v) == OrderedMass(*after[:, v].tolist())
 
 
 def _informed_greedy_repropagating(g, arms):
@@ -367,11 +386,11 @@ def _informed_greedy_repropagating(g, arms):
 
 def test_informed_election_large_tree_byte_identical():
     g = random_connected_graph(1500, 0.0, 1500)
-    found = compute_centers_informed(g, 10)
+    part, order, spread = _informed(g, 10)
     centers, comp = _informed_greedy_repropagating(g, 10)
-    assert found.centers == centers
-    _assert_same_map(found.component_map, comp)
-    got = json.dumps(partition_to_json(found.component_map.to_partition()))
+    assert tuple(order) == centers
+    _assert_same_map(part, spread, comp)
+    got = json.dumps(partition_to_json(part))
     assert got == json.dumps(partition_to_json(comp.to_partition()))
 
 
@@ -379,8 +398,7 @@ def _assert_rounds_match(spread, g, centers, arms):
     n = g.node_count
     hist = _propagation_oracle(g, centers, arms).history
     for t in range(spread.rounds + 1):
-        h = hist[min(t, len(hist) - 1)]  # the last round repeats past settling
-        want = np.stack([h.center_of, h.origin_of, h.mass_m, h.mass_d])
+        want = hist[min(t, len(hist) - 1)]  # the last round repeats past settling
         assert (spread.states[t, :, :n] == want).all(), (centers, t)
         assert spread.states[t, :, n].tolist() == [-1, n, 0, 0]
         score = np.where(want[2] > 0, MASS_DECAY_DENOM * np.log(np.maximum(want[2], 1)) - want[3],
@@ -397,7 +415,7 @@ def test_spread_rounds_equal_history_after_every_center(arms):
         graphs.append(random_connected_graph(n, float(rng.choice([0.0, 0.05, 0.3])), rng))
     for g in graphs:
         n = g.node_count
-        greedy = list(compute_centers_informed(g, arms).centers)
+        greedy = _greedy_centers(g, arms)[0]
         perm = [int(v) for v in rng.permutation(n)[:int(rng.integers(1, min(n, 8) + 1))]]
         cuts = rng.choice(np.arange(1, len(perm)), size=min(2, len(perm) - 1), replace=False)
         hub = int(rng.integers(n))
@@ -504,9 +522,8 @@ def test_mis_round_budget_value():
 def test_uninformed_edge_graph():
     g = build_graph(2, [(0, 1)])
     el = compute_centers_uninformed(g, 2, 2, 1000, np.random.default_rng(0))
-    assert len(el.centers) == 1
-    part = el.final_map.to_partition()
-    assert validate_partition(g, part).ok
+    assert len(el.partition.centers) == 1
+    assert validate_partition(g, el.partition).ok
 
 
 def test_uninformed_star_hub_first_iteration():
@@ -514,7 +531,7 @@ def test_uninformed_star_hub_first_iteration():
     # then center-adjacent and never join
     g = star_graph(6)
     el = compute_centers_uninformed(g, 5, 7, 1000, np.random.default_rng(4))
-    assert el.centers == (0,)
+    assert el.partition.centers.tolist() == [0]
     assert el.luby_calls[0].universe == frozenset({0})
     assert all(not c.result.joined for c in el.luby_calls[1:])
 
@@ -563,7 +580,7 @@ def _uninformed_repropagating(g, arms, n_upper, horizon, rng):
             score = np.where(comp.mass_m > 0,
                              MASS_DECAY_DENOM * np.log(np.maximum(comp.mass_m, 1)) - comp.mass_d,
                              -np.inf)
-            near = comp.history[min(2, len(comp.history) - 1)].center_of >= 0
+            near = comp.history[min(2, len(comp.history) - 1)][0] >= 0
             satisfied = (score >= clamp_score) | near
     centers = np.flatnonzero(center_mask).tolist()
     return tuple(centers), calls, budget, _propagation_oracle(g, centers, arms)
@@ -574,12 +591,17 @@ def _assert_uninformed_equals_repropagating(g, arms, seed):
     el = compute_centers_uninformed(g, arms, n_upper, horizon, np.random.default_rng(seed))
     centers, calls, budget, comp = _uninformed_repropagating(
         g, arms, n_upper, horizon, np.random.default_rng(seed))
-    assert el.centers == centers and el.luby_calls == calls
+    assert tuple(el.partition.centers.tolist()) == centers and el.luby_calls == calls
     pass_rounds = spread_rounds(arms) + 1
     protocol = arms * (4 * budget + pass_rounds)
     assert (el.luby_round_budget, el.protocol_steps, el.final_pass_steps, el.total_steps) == (
         budget, protocol, pass_rounds, protocol + pass_rounds)
-    _assert_same_map(el.final_map, comp)
+    # the rounds of the election's joiners, added call by call as the election adds them
+    spread = _SpreadRounds(g, arms)
+    for call in el.luby_calls:
+        if call.result.joined:
+            spread.add(np.array(sorted(call.result.joined)))
+    _assert_same_map(el.partition, spread, comp)
 
 
 @pytest.mark.parametrize("arms", [2, 3, 5, 10, 50])
@@ -612,9 +634,8 @@ def test_uninformed_properties_on_randoms():
         el = compute_centers_uninformed(
             g, arms, 2 * n, 100_000, np.random.default_rng(int(rng.integers(2**31)))
         )
-        assert is_r_independent(g, set(el.centers), 2)
-        part = el.final_map.to_partition()
-        report = validate_partition(g, part)
+        assert is_r_independent(g, set(el.partition.centers.tolist()), 2)
+        report = validate_partition(g, el.partition)
         assert report.ok, report.lines()
 
 
@@ -623,8 +644,7 @@ def test_validator_passes_informed_outputs():
     for _ in range(10):
         n = int(rng.integers(2, 40))
         g = random_connected_graph(n, float(rng.uniform(0, 0.5)), rng)
-        part = compute_centers_informed(g, 5).component_map.to_partition()
-        report = validate_partition(g, part)
+        report = validate_partition(g, compute_centers_informed(g, 5))
         assert report.ok
         assert {c.name for c in report.checks} == {
             "assignment-cover",
@@ -635,10 +655,6 @@ def test_validator_passes_informed_outputs():
             "mass-floor",
             "center-eccentricity",
         }
-
-
-def _informed_partition(g, arms):
-    return compute_centers_informed(g, arms).component_map.to_partition()
 
 
 def _failing_names(g, part):
@@ -659,7 +675,7 @@ def test_validator_catches_adjacent_centers():
 
 def test_validator_catches_corrupt_mass_pair():
     g = path_graph(5)
-    part = _informed_partition(g, 5)
+    part = compute_centers_informed(g, 5)
     mass_d = list(part.mass_d)
     victim = next(v for v in range(5) if part.delay[v] == 1)
     mass_d[victim] += 1
@@ -697,7 +713,7 @@ def test_validator_reports_relay_assigned_to_its_origin():
     # a relay pointed at its non-center origin: (c) used to read that origin's
     # component and raise KeyError; now the checks that need components skip
     g = random_connected_graph(60, 0.0, 0)
-    part = _informed_partition(g, 10)
+    part = compute_centers_informed(g, 10)
     relay = next(v for v in range(60) if part.center_of[v] != v
                  and part.origin_of[v] not in part.centers)
     center_of = list(part.center_of)
@@ -715,7 +731,7 @@ def test_validator_skips_depth_checks_after_a_torn_last_component():
     # a leaf moved into the highest center's component, away from it: (b) fails on
     # that center, the last one (b) looks at, and (c) and (d) are skipped
     g = random_connected_graph(60, 0.0, 0)
-    part = _informed_partition(g, 10)
+    part = compute_centers_informed(g, 10)
     last = max(part.centers)
     leaf = next(v for v in range(60) if g.degree(v) == 1 and part.delay[v] >= 2
                 and part.center_of[g.neighbors(v)[0]] != last)
@@ -735,7 +751,7 @@ def test_validator_reports_origin_in_the_wrong_place(kind):
     # a relay's origin moved to another neighbor one hop closer to its own
     # center but in another component, or in its component but no closer
     g = random_connected_graph(60, 0.05, 2)
-    part = _informed_partition(g, 10)
+    part = compute_centers_informed(g, 10)
     cof, delay = part.center_of, part.delay
     want = (True, -1) if kind == "away" else (False, 0)  # (other component, depth step)
     v, u = next((v, u) for v in range(60) if cof[v] != v for u in g.neighbors(v)
@@ -788,9 +804,9 @@ def _assert_validators_agree(g, part, path):
 
 def _elected(g, arms, setting, seed):
     if setting == "informed":
-        return compute_centers_informed(g, arms).component_map
+        return compute_centers_informed(g, arms)
     return compute_centers_uninformed(
-        g, arms, g.node_count + 3, 100_000, np.random.default_rng(seed)).final_map
+        g, arms, g.node_count + 3, 100_000, np.random.default_rng(seed)).partition
 
 
 @pytest.mark.parametrize("setting", ["informed", "uninformed"])
@@ -802,10 +818,11 @@ def _elected(g, arms, setting, seed):
 @example(n=5, density=0.0, seed=0, arms=5, mutations=[("mass_d", 1, -1), ("mass_m", 1, -2)])
 def test_validator_equals_oracle(tmp_path_factory, setting, n, density, seed, arms, mutations):
     g = random_connected_graph(n, density, seed)
-    comp = _elected(g, arms, setting, seed)
-    if not comp.fully_assigned():  # an exhausted election; no partition to check
+    try:
+        part = _elected(g, arms, setting, seed)
+    except ValueError as exc:  # an exhausted election left nodes unreached; nothing to check
+        assert "never reached by any center" in str(exc)
         return
-    part = comp.to_partition()
     path = tmp_path_factory.mktemp("partition") / "p.json"
     for case in [part] + [_mutated(part, *m) for m in mutations]:
         _assert_validators_agree(g, case, path)
@@ -816,7 +833,7 @@ def test_validator_reports_a_mass_pair_below_the_floor(tmp_path, m, d):
     # center 1 of the path's partition stores (3, 0); a negative field fails the
     # floor check with a witness, as the nil pair does
     g = path_graph(5)
-    doc = partition_to_json(_informed_partition(g, 5))
+    doc = partition_to_json(compute_centers_informed(g, 5))
     assert (doc["centers"], doc["mass_m"][1], doc["mass_d"][1]) == ([1, 4], 3, 0)
     doc["mass_m"][1], doc["mass_d"][1] = m, d
     part = partition_from_json(doc)
@@ -828,7 +845,7 @@ def test_validator_reports_a_mass_pair_below_the_floor(tmp_path, m, d):
 @pytest.mark.parametrize("setting", ["informed", "uninformed"])
 def test_validator_equals_oracle_on_large_tree(tmp_path, setting):
     g = random_connected_graph(10_000, 0.0, 10_000)
-    part = _elected(g, 10, setting, 0).to_partition()
+    part = _elected(g, 10, setting, 0)
     assert validate_partition(g, part).ok
     rng = np.random.default_rng(7)
     for field in _FIELDS:
@@ -842,24 +859,26 @@ def test_partition_columns_are_read_only_int64(form):
             "delay": [0, 1, 2], "mass_m": [2, 2, 2], "mass_d": [0, 1, 2]}
     given_cols = {name: form(col) for name, col in cols.items()}
     built = Partition(arms=3, **given_cols)
-    comp = centers_to_components(path_graph(3), {0}, 3)
-    for part in (built, comp.to_partition(), partition_from_json(partition_to_json(built)),
+    spread = _SpreadRounds(path_graph(3), 3)
+    spread.add(np.array([0]))
+    elected = spread.partition()
+    for part in (built, elected, partition_from_json(partition_to_json(built)),
                  pickle.loads(pickle.dumps(built))):  # as --workers returns it
         for name, col in cols.items():
             got = getattr(part, name)
             assert got.dtype == np.int64 and got.tolist() == col, name
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 1
-    # the columns are copies: neither the caller's arrays nor the map's are shared
+    # the columns are copies: neither the caller's arrays nor the rounds are shared
     if isinstance(given_cols["mass_m"], np.ndarray):
         given_cols["mass_m"][0] = 7
-    comp.mass_m[0] = 7
-    assert built.mass_m[0] == 2 and comp.to_partition().mass_m[0] == 7
+    spread.states[-1, 2, 0] = 7
+    assert built.mass_m[0] == 2 and elected.mass_m[0] == 2 and spread.partition().mass_m[0] == 7
 
 
 def test_partition_json_round_trip():
     g = random_connected_graph(14, 0.3, 6)
-    part = _informed_partition(g, 5)
+    part = compute_centers_informed(g, 5)
     doc = json.loads(json.dumps(partition_to_json(part)))
     back = partition_from_json(doc)
     reference.assert_same_partition(back, part)
@@ -869,7 +888,7 @@ def test_partition_json_round_trip():
 
 def _json_doc():
     g = random_connected_graph(14, 0.3, 6)
-    return json.loads(json.dumps(partition_to_json(_informed_partition(g, 5))))
+    return json.loads(json.dumps(partition_to_json(compute_centers_informed(g, 5))))
 
 
 @pytest.mark.parametrize("center", [-1, 14])
@@ -903,7 +922,7 @@ def test_partition_json_rejects_duplicate_centers():
 def test_mass_floor_constant():
     # e^{-1} * clamp in pair form is (clamp, 6); every assigned node beats it
     g = random_connected_graph(25, 0.2, 9)
-    part = _informed_partition(g, 10)
+    part = compute_centers_informed(g, 10)
     clamp = degree_clamp(g, 10)
     for v in range(25):
-        assert Mass(int(clamp[v]), MASS_DECAY_DENOM) <= reference.mass(part, v)
+        assert OrderedMass(int(clamp[v]), MASS_DECAY_DENOM) <= reference.mass(part, v)

@@ -2,7 +2,6 @@ import dataclasses
 import io
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -12,13 +11,7 @@ from hypothesis import strategies as st
 
 from coopmab import exp3, simulate
 from coopmab.graph import build_graph, path_graph, random_connected_graph, star_graph
-from coopmab.partition import (
-    Mass,
-    Partition,
-    centers_to_components,
-    compute_centers_informed,
-    compute_centers_uninformed,
-)
+from coopmab.partition import Partition, compute_centers_informed, compute_centers_uninformed
 from coopmab.simulate import (
     LossOracle,
     RunResult,
@@ -130,8 +123,7 @@ def test_adversary_oblivious_to_policy_seed():
 
 def test_relay_causality_on_path():
     g = path_graph(5)
-    comp = centers_to_components(g, {2}, 4)
-    part = comp.to_partition()
+    part = reference.centers_to_components(g, {2}, 4).to_partition()
     oracle = bernoulli_losses([0.2, 0.4, 0.6, 0.8], 1)
     res = run_informed(g, 4, 60, oracle, 5, record_distributions=True, partition=part)
     hist = res.dist_history  # hist[t-1] = distributions played at round t
@@ -203,7 +195,7 @@ def test_uninformed_run_timeline():
     election = compute_centers_uninformed(g, 2, 8, 500, np.random.default_rng(19))
     assert res.setup_steps == election.total_steps
     assert res.total_steps == res.setup_steps + 500
-    assert tuple(res.partition.centers.tolist()) == election.centers
+    reference.assert_same_partition(res.partition, election.partition)
     # warm-up charges the row mean to the semi ledger
     warm = oracle.rows(0, res.setup_steps).mean(axis=1).sum()
     semi_setup = res.semi_loss - res.policy_semi_loss
@@ -279,7 +271,7 @@ def test_solo_baseline():
     oracle = bernoulli_losses([0.3, 0.5, 0.5], 12)
     res = run_solo_exp3(3, 2000, oracle, 9)
     assert res.node_count == 1
-    assert reference.mass(res.partition, 0) == Mass(1, 0)
+    assert reference.mass(res.partition, 0) == reference.OrderedMass(1, 0)
     assert np.isfinite(res.regret).all()
 
 
@@ -511,7 +503,7 @@ def test_solo_short_horizon_equals_reference():
 
 def test_batch_takes_a_given_partition_and_checks_arguments():
     g = path_graph(5)
-    part = centers_to_components(g, {2}, 3).to_partition()
+    part = reference.centers_to_components(g, {2}, 3).to_partition()
     oracles = [bernoulli_losses([0.2, 0.5, 0.8], 1), bernoulli_losses([0.2, 0.5, 0.8], 2)]
     batch = run_informed_batch(g, 3, 300, oracles, [5, 6], partition=part)
     for run, oracle, seed in zip(batch, oracles, (5, 6)):
@@ -527,6 +519,35 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
         run_solo_exp3_batch(3, 0, oracles, [5, 6])
     with pytest.raises(exp3.ArmsTooFewError):
         run_informed_batch(g, 1, 300, oracles, [5, 6])
+
+
+# one center at either end of a 4-node path, so its relays sit 1, 2 and 3 steps away
+_PATH_END = {0: dict(centers=(0,), center_of=(0, 0, 0, 0), origin_of=(0, 0, 1, 2),
+                     delay=(0, 1, 2, 3), mass_m=(2, 2, 2, 2), mass_d=(0, 1, 2, 3)),
+             3: dict(centers=(3,), center_of=(3, 3, 3, 3), origin_of=(1, 2, 3, 3),
+                     delay=(3, 2, 1, 0), mass_m=(2, 2, 2, 2), mass_d=(3, 2, 1, 0))}
+
+
+@pytest.mark.parametrize("center, column", [(0, "mass_m"), (0, "delay"), (0, "origin_of"),
+                                            (3, "mass_m")])
+def test_partition_rejects_a_short_column(center, column):
+    # unchecked, the short mass_m runs (only the center's entry is read) and the other
+    # cases fail inside numpy, with an IndexError or a broadcast error
+    cols = dict(_PATH_END[center])
+    assert run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
+                        partition=Partition(arms=2, **cols)).node_count == 4
+    cols[column] = cols[column][:2]
+    with pytest.raises(ValueError, match=f"column {column} has 2 entries, center_of has 4"):
+        run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
+                     partition=Partition(arms=2, **cols))
+
+
+@pytest.mark.parametrize("m, d", [(-1, 0), (2, -1)])
+def test_run_rejects_a_negative_center_mass(m, d):
+    cols = dict(_PATH_END[0], mass_m=(m, 2, 2, 2), mass_d=(d, 1, 2, 3))
+    with pytest.raises(ValueError, match="mass fields must be non-negative"):
+        run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
+                     partition=Partition(arms=2, **cols))
 
 
 def _small_graph(kind: str, n: int, seed: int):
@@ -601,7 +622,7 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         mp.setattr(simulate, "BATCH_ROWS", block)
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
-            part = _reweighed(compute_centers_informed(g, arms).component_map.to_partition(), mass)
+            part = _reweighed(compute_centers_informed(g, arms), mass)
             runs = run_informed_batch(g, arms, horizon, oracles, policy_seeds, part,
                                       log_sinks=kernel_logs, **options)
             expected = [
@@ -612,11 +633,7 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         else:
             def elect(*args):
                 election = compute_centers_uninformed(*args)
-                part = _reweighed(election.final_map.to_partition(), mass)
-                return types.SimpleNamespace(
-                    final_map=types.SimpleNamespace(to_partition=lambda: part),
-                    total_steps=election.total_steps, luby_calls=election.luby_calls,
-                    exhaustions=election.exhaustions)
+                return dataclasses.replace(election, partition=_reweighed(election.partition, mass))
 
             mp.setattr(simulate, "compute_centers_uninformed", elect)
             mp.setattr(reference, "compute_centers_uninformed", elect)

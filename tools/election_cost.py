@@ -17,8 +17,10 @@ informed partition's JSON as ``coopmab partition --out`` writes it
 alone; ``informed_peak_rss_mb`` is the same reading taken right after the
 informed runs, before anything else is allocated.  With ``--baseline``,
 every size also runs on that checkout's ``src/``, right before this one's,
-so both see the same moment of the machine.  The result, with the machine
-it ran on, goes to ``BENCH_election.json``.
+so both see the same moment of the machine; its elections must return
+their partitions as this one's do (``compute_centers_informed`` a
+``Partition``, ``compute_centers_uninformed`` one in ``.partition``).
+The result, with the machine it ran on, goes to ``BENCH_election.json``.
 """
 
 from __future__ import annotations
@@ -53,18 +55,6 @@ def _median_time(fn):
     return statistics.median(times), out
 
 
-def _write_partition(part, path: str) -> None:
-    """The partition JSON as ``coopmab partition --out`` writes it, in either checkout."""
-    from coopmab import cli
-
-    if hasattr(cli, "write_partition"):
-        cli.write_partition(path, part)
-    else:  # a checkout from before the column writer
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cli.partition_to_json(part), fh, indent=1)
-            fh.write("\n")
-
-
 def measure(n: int, work: str) -> dict:
     """Time one size in this process; the caller runs it in a fresh child."""
     import numpy as np
@@ -88,16 +78,17 @@ def measure(n: int, work: str) -> dict:
         "informed_centers": len(informed.centers),
         "informed_peak_rss_mb": informed_rss,
         "uninformed_s": uninformed_s,
-        "uninformed_centers": len(uninformed.centers),
+        "uninformed_centers": len(uninformed.partition.centers),
     }
-    parts = {"informed": informed.component_map.to_partition(),
-             "uninformed": uninformed.final_map.to_partition()}
+    parts = {"informed": informed, "uninformed": uninformed.partition}
     for name, part in parts.items():
         out[f"validate_{name}_s"], report = _median_time(lambda: validate_partition(g, part))
         if not report.ok:
             raise SystemExit(f"n={n}: {name} partition fails validation: {report.lines()}")
+    from coopmab.cli import write_partition  # late: informed_peak_rss_mb leaves it out
+
     out["write_s"], _ = _median_time(
-        lambda: _write_partition(parts["informed"], os.path.join(work, "partition.json")))
+        lambda: write_partition(os.path.join(work, "partition.json"), parts["informed"]))
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
