@@ -92,20 +92,6 @@ class Graph:
     node_count: int
     csr: tuple[np.ndarray, np.ndarray]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        indptr, indices = self.csr
-        return tuple(indices[indptr[v]:indptr[v + 1]].tolist())
-
-    def degree(self, v: int) -> int:
-        return int(self.closed_degrees[v]) - 1
-
-    def closed_neighborhood(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v plus v itself, ascending."""
-        return tuple(sorted((*self.neighbors(v), v)))
-
-    def closed_degree(self, v: int) -> int:
-        return int(self.closed_degrees[v])
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*(side.tolist() for side in self.edge_arrays())))
 
@@ -128,7 +114,7 @@ class Graph:
 
     @cached_property
     def closed_degrees(self) -> np.ndarray:
-        """closed_degree(v) for every node."""
+        """Every node's closed-neighborhood size, |N(v)| = degree + 1."""
         return _frozen(np.diff(self.csr[0]) + 1)
 
     def padded_neighbors(self) -> np.ndarray:
@@ -263,10 +249,6 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def random_connected_graph(n: int, extra_edge_prob: float = 0.0, rng=None) -> Graph:

@@ -495,7 +495,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     n = g.node_count
     if p.node_count != n:
         raise ValueError(f"partition covers {p.node_count} nodes, graph has {n}")
-    indices, rows, node = g.csr[1], g.rows(), np.arange(n)
+    (indptr, indices), rows, node = g.csr, g.rows(), np.arange(n)
     cof, uof, delay, mass_m, mass_d = p.center_of, p.origin_of, p.delay, p.mass_m, p.mass_d
     is_center = np.zeros(n, dtype=bool)
     is_center[p.centers] = True
@@ -522,9 +522,12 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     torn = np.zeros(n, dtype=bool)
     torn[cof[assigned & (depth < 0)]] = True
     c = _first(leaky | torn)
+    if c is not None and leaky[c]:  # the lowest member of N(c) assigned elsewhere
+        hood = np.append(indices[indptr[c]:indptr[c + 1]], c)
+        u = hood[cof.take(hood) != c].min()
     add("component-closure-connectivity", None if c is None else
-        f"neighbor {min(u for u in g.closed_neighborhood(c) if cof[u] != c)} of center {c} "
-        "assigned elsewhere" if leaky[c] else f"component of center {c} is not connected")
+        f"neighbor {u} of center {c} assigned elsewhere" if leaky[c]
+        else f"component of center {c} is not connected")
     # (c) and (d) need every node in the component of a center
     sound = c is None and bool(assigned.all())
     broken = "skipped: component structure broken"

@@ -24,7 +24,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import exp3
-from .graph import Graph, _distinct
+from .graph import Graph, _distinct, build_graph
 from .partition import (
     Mass,
     Partition,
@@ -203,9 +203,9 @@ def _result(setting, partition, realized, semi, arm_loss, digest, checkpoints, h
     )
 
 
-def _check_run_args(g: Graph | None, arms: int, horizon: int, oracles: Sequence[LossOracle],
-                    policy_seeds: Sequence[int]) -> bool:
-    """Check the arguments of a run in any setting; ``g`` is None for solo runs.
+def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle],
+                    policy_seeds: Sequence[int], log_sinks: Sequence | None = None) -> bool:
+    """Check the arguments of a run in any setting.
 
     Returns whether the horizon is below arms^2*ln(arms), where the regret
     guarantees do not apply; such a horizon is also warned about.
@@ -214,8 +214,9 @@ def _check_run_args(g: Graph | None, arms: int, horizon: int, oracles: Sequence[
         raise ValueError(
             f"need one oracle per policy seed, got {len(oracles)} and {len(policy_seeds)}"
         )
-    if g is not None and g.node_count < 2:
-        raise ValueError(f"need at least 2 agents, got {g.node_count}")
+    if log_sinks is not None and len(log_sinks) != len(oracles):
+        raise ValueError(f"need one log sink per seed, got {len(log_sinks)} for "
+                         f"{len(oracles)} seeds")
     if arms < 2:
         raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
     if horizon < 1:
@@ -238,7 +239,7 @@ BATCH_CELLS = 1 << 16  # at most this many seed-agent-steps per block
 
 
 def _run_batch(
-    graph: Graph | None,
+    graph: Graph,
     partition: Partition,
     horizon: int,
     oracles: Sequence[LossOracle],
@@ -272,6 +273,8 @@ def _run_batch(
     """
     seeds, n, k = len(oracles), partition.node_count, partition.arms
     total = setup + horizon
+    for oracle in oracles:  # a loss table shorter than the run fails here, not midway
+        oracle.rows(total - 1, total)
     node, centers = np.arange(n), partition.centers
     is_center = partition.center_of == node
     origin_idx = np.where(is_center, node, partition.origin_of)
@@ -289,13 +292,17 @@ def _run_batch(
             [f'{a}, "loss": ' for a in range(k)]))
         frags = agent_v, role_text.take(roles), arm_text
 
-    # The centers' closed neighborhoods laid end to end: segment i, from
-    # starts[i], is center i's; slot maps each entry back to its center.
-    hoods = [graph.closed_neighborhood(c) if graph is not None else (c,) for c in centers]
-    flat = np.concatenate(hoods)
-    sizes = [len(h) for h in hoods]
-    starts = np.cumsum([0] + sizes[:-1])
-    slot = np.repeat(np.arange(len(hoods)), sizes)
+    # The centers' closed neighborhoods laid end to end, members ascending:
+    # segment i, from starts[i], is centers[i]'s; slot maps each entry back to
+    # its center.  CSR neighbors (gathered as in graph._bfs) and the centers,
+    # keyed slot * n + member, sort into that layout.
+    indptr, indices = graph.csr
+    sizes, own = graph.closed_degrees.take(centers), np.arange(centers.size)
+    starts = np.cumsum(sizes) - sizes
+    nbr = np.repeat(own, sizes - 1)  # the slot of each neighbor entry
+    at = np.arange(nbr.size) + (indptr.take(centers) - starts + own).take(nbr)
+    keys = np.sort(np.concatenate((nbr * n + indices.take(at), own * n + centers)))
+    slot, flat = keys // n, keys % n
     masses = zip(partition.mass_m.take(centers).tolist(), partition.mass_d.take(centers).tolist())
     rates = np.array([exp3.learning_rate(Mass(m, d).value(), k, horizon) for m, d in masses])
     rates = rates[:, None]
@@ -541,7 +548,7 @@ def run_informed_batch(
     with the same options bit for bit; the batch only shares the
     per-round numpy calls between seeds.
     """
-    short = _check_run_args(g, arms, horizon, oracles, policy_seeds)
+    short = _check_run_args(arms, horizon, oracles, policy_seeds, log_sinks)
     if partition is None:
         partition = compute_centers_informed(g, arms)
     else:
@@ -595,7 +602,7 @@ def run_uninformed(
     the best fixed arm over the whole played timeline (policy-phase-only
     variant included in the result).
     """
-    short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
+    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
     return _run_batch(g, election.partition, horizon, [oracle], [rng],
@@ -615,12 +622,16 @@ def run_solo_exp3(
 def run_solo_exp3_batch(
     arms: int, horizon: int, oracles: Sequence[LossOracle], policy_seeds: Sequence[int]
 ) -> list[RunResult]:
-    """run_solo_exp3 for each (oracle, policy seed) pair, seeds in lockstep."""
-    short = _check_run_args(None, arms, horizon, oracles, policy_seeds)
+    """run_solo_exp3 for each (oracle, policy seed) pair, seeds in lockstep.
+
+    A run on the one-node graph: the agent's closed neighborhood is itself.
+    """
+    short = _check_run_args(arms, horizon, oracles, policy_seeds)
     solo = Partition(arms=arms, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
                      mass_m=(1,), mass_d=(0,))
     rngs = [np.random.default_rng(s) for s in policy_seeds]
-    return _run_batch(None, solo, horizon, oracles, rngs, policy_seeds, "solo", short=short)
+    return _run_batch(build_graph(1, ()), solo, horizon, oracles, rngs, policy_seeds, "solo",
+                      short=short)
 
 
 def individual_bound(mass_value: float, arms: int, horizon: int) -> float:

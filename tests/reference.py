@@ -9,13 +9,16 @@ rather than with itself.  It shares no table with the kernel: ``role``,
 ``ROLES`` (the digest's role codes) and ``mass_value`` derive each node's
 role and each center's mass from the partition's columns here.
 
-``adjacency`` gives a graph's neighbor tuples and ``ball`` the nodes
-within r hops of one node, by a per-node Python BFS.  ``luby_2mis`` is
-the two-hop election that builds one ``ball`` per participant, kept as
-it was in ``coopmab.partition`` for the differential test in
-``test_partition.py``.  ``is_r_independent``, ``is_r_mis`` and
-``independence_number`` check r-independence, r-maximality and the
-independence number on small graphs; ``reach_within``,
+``neighbors``, ``degree`` and ``closed_neighborhood`` read one node's
+neighbors off a graph's CSR arrays, as ``Graph`` once did per node, and
+``complete_graph`` builds a clique.  ``adjacency`` gives a graph's
+neighbor tuples and ``ball`` the nodes within r hops of one node, by a
+per-node Python BFS.  ``luby_2mis`` is the two-hop election that builds
+one ``ball`` per participant, kept as it was in ``coopmab.partition``
+for the differential test in ``test_partition.py``.
+``is_r_independent``, ``is_r_mis`` and ``independence_number`` check
+r-independence, r-maximality and the independence number on small
+graphs; ``reach_within``,
 ``oracle_independent`` and ``oracle_mis`` judge the first two through
 boolean reachability matrices instead, for the sweep in
 ``test_graph.py``.  No ``coopmab`` code calls any of them.
@@ -52,6 +55,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+import coopmab.graph
 from coopmab import exp3
 from coopmab.graph import (
     DisconnectedError,
@@ -163,7 +167,7 @@ class SimWorld:
         self.center_logw: dict[int, np.ndarray] = {}
         self.center_rate: dict[int, float] = {}
         for c in partition.centers.tolist():
-            nbrs = np.array(graph.closed_neighborhood(c)) if graph is not None else np.array([c])
+            nbrs = np.array(closed_neighborhood(graph, c) if graph is not None else [c])
             self.center_members.append((c, nbrs))
             self.center_rate[c] = exp3.learning_rate(mass_value(partition, c), self.arms,
                                                      horizon_left)
@@ -334,7 +338,7 @@ def run_informed(
     partition: Partition | None = None,
 ) -> RunResult:
     """Simulate with the graph known in advance: partitioning costs no steps."""
-    short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
+    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     if partition is None:
         partition = compute_centers_informed(g, arms)
     losses = oracle.rows(0, horizon)
@@ -374,7 +378,7 @@ def run_uninformed(
     the best fixed arm over the whole played timeline (policy-phase-only
     variant included in the result).
     """
-    short = _check_run_args(g, arms, horizon, [oracle], [policy_seed])
+    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
     partition = election.partition
@@ -419,7 +423,7 @@ def run_solo_exp3(
     arms: int, horizon: int, oracle: LossOracle, policy_seed: int
 ) -> RunResult:
     """Baseline: one agent, no neighbors, importance weights from its own play."""
-    short = _check_run_args(None, arms, horizon, [oracle], [policy_seed])
+    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     solo = _solo_partition(arms)
     losses = oracle.rows(0, horizon)
     world = SimWorld(None, solo, losses, np.random.default_rng(policy_seed))
@@ -429,9 +433,28 @@ def run_solo_exp3(
     return _finish(world, "solo", horizon, 0, None, oracle, policy_seed, snapshot, short=short)
 
 
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    """v's neighbors, ascending: its row of the CSR arrays."""
+    indptr, indices = g.csr
+    return tuple(indices[indptr[v]:indptr[v + 1]].tolist())
+
+
+def degree(g: Graph, v: int) -> int:
+    return len(neighbors(g, v))
+
+
+def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
+    """Neighbors of v plus v itself, ascending."""
+    return tuple(sorted((*neighbors(g, v), v)))
+
+
+def complete_graph(n: int) -> Graph:
+    return coopmab.graph.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every node's sorted neighbor tuple, no self entries: what ``build_graph`` returns."""
-    return tuple(g.neighbors(v) for v in range(g.node_count))
+    return tuple(neighbors(g, v) for v in range(g.node_count))
 
 
 def ball(g: Graph, v: int, radius: int) -> frozenset[int]:
@@ -440,7 +463,7 @@ def ball(g: Graph, v: int, radius: int) -> frozenset[int]:
     for _ in range(radius):
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in neighbors(g, u):
                 if w not in reached:
                     reached.add(w)
                     nxt.append(w)
@@ -668,7 +691,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:
     for v in keep:
         if not (0 <= v < g.node_count):
             raise NodeOutOfRangeError(f"node {v} outside 0..{g.node_count - 1}")
-    adj = {v: tuple(w for w in g.neighbors(v) if w in keep) for v in keep}
+    adj = {v: tuple(w for w in neighbors(g, v) if w in keep) for v in keep}
     return InducedSubgraph(keep, adj)
 
 
@@ -803,7 +826,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
     comp_dist: dict[int, dict[int, int]] = {}
     for c in sorted(centers):
         part = members[c]
-        bad = [u for u in g.closed_neighborhood(c) if u not in part]
+        bad = [u for u in closed_neighborhood(g, c) if u not in part]
         if bad:
             w = f"neighbor {bad[0]} of center {c} assigned elsewhere"
             break
@@ -846,7 +869,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
                 continue
             u = origin_of[v]
             c = center_of[v]
-            if u not in g.neighbors(v):
+            if u not in neighbors(g, v):
                 w = f"node {v}: origin {u} is not a neighbor"
                 break
             if center_of[u] != c:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from reference import (
     OrderedMass,
+    complete_graph,
     independence_number,
     is_r_independent,
     is_r_mis,
@@ -23,7 +24,6 @@ from reference import (
 from coopmab import cli, exp3
 from coopmab.graph import (
     Graph,
-    complete_graph,
     format_edge_list,
     path_graph,
     random_connected_graph,
@@ -129,7 +129,7 @@ def test_criterion_2_uninformed_partition_sweep(capsys):
                 all_maximal = False
         if all_maximal:
             conditional_runs += 1
-            floor = {v: OrderedMass(min(g.closed_degree(v), arms), MASS_DECAY_DENOM)
+            floor = {v: OrderedMass(min(g.closed_degrees[v], arms), MASS_DECAY_DENOM)
                      for v in range(g.node_count)}
             if any(mass(part, v) < floor[v] for v in range(g.node_count)):
                 floor_failures.append(idx)
@@ -259,7 +259,7 @@ def test_criterion_6_star_regret_bounds(capsys):
     part = runs[-1].partition
     mean_semi = np.mean(semis, axis=0)
     hub = int(part.centers[0])
-    assert mass(part, hub) == OrderedMass(arms, 0) and g.closed_degree(hub) == 11
+    assert mass(part, hub) == OrderedMass(arms, 0) and g.closed_degrees[hub] == 11
 
     hub_bound = 4.0 * math.sqrt(math.log(arms) * (arms / mass_value(part, hub)) * horizon)
     assert hub_bound == pytest.approx(4.0 * math.sqrt(math.log(arms) * horizon), rel=1e-12)
@@ -268,7 +268,7 @@ def test_criterion_6_star_regret_bounds(capsys):
         if v == hub:
             continue
         b7 = individual_bound(mass_value(part, v), arms, horizon)
-        b12 = degree_bound(g.closed_degree(v), arms, horizon)
+        b12 = degree_bound(g.closed_degrees[v], arms, horizon)
         assert b7 == pytest.approx(
             7.0 * math.sqrt(math.log(arms) * (arms / (arms * math.exp(-1 / 6))) * horizon),
             rel=1e-12,
@@ -323,7 +323,7 @@ def test_criterion_8_average_regret_reference(capsys):
         n = int(rng.integers(4, 31))
         g = random_connected_graph(n, float(rng.uniform(0.0, 0.4)), rng)
         alpha = independence_number(g)
-        harmonic = sum(1.0 / g.closed_degree(v) for v in range(n))
+        harmonic = sum(1.0 / g.closed_degrees[v] for v in range(n))
         if harmonic > alpha + 1e-9:
             harmonic_failures.append(i)
         r = run_informed(g, arms, horizon, bernoulli_losses(means, 500 + i), 9500 + i)

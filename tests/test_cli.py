@@ -20,7 +20,7 @@ from coopmab.cli import (
 )
 from coopmab import partition
 from coopmab.graph import format_edge_list, path_graph, read_edge_list, star_graph
-from coopmab.partition import partition_from_json
+from coopmab.partition import compute_centers_uninformed, partition_from_json
 from coopmab.simulate import degree_bound, individual_bound, uninformed_degree_bound
 
 
@@ -140,6 +140,26 @@ def test_simulate_rejects_nan_in_matrix(tmp_path, capsys):
                      "--out", str(tmp_path / "run")]) == 2
         assert "loss table entries must lie in [0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("setting", ["informed", "uninformed"])
+def test_short_loss_table_fails_at_the_run_length(tmp_path, capsys, setting):
+    # 10 rows for a 100-step policy phase, after the uninformed run's setup
+    # steps: the error names all the steps the run needs, and comes before any
+    # log line or output file is written
+    g = path_graph(3)
+    graph, table = tmp_path / "path.txt", tmp_path / "short.csv"
+    graph.write_text(format_edge_list(g))
+    np.savetxt(table, np.full((10, 2), 0.5), delimiter=",")
+    total = 100 + (compute_centers_uninformed(g, 2, 3, 100, np.random.default_rng(10_000))
+                   .total_steps if setting == "uninformed" else 0)
+    capsys.readouterr()
+    assert main(["simulate", "--graph", str(graph), "--arms", "2", "--horizon", "100",
+                 "--setting", setting, "--nbar", "3", "--adversary", f"matrix:{table}",
+                 "--out", str(tmp_path / "run"), "--log", str(tmp_path / "log")]) == 2
+    assert f"loss table has 10 rows, run needs {total}\n" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
+    assert (tmp_path / "log-seed0.jsonl").read_text() == ""
 
 
 def test_validate_subcommand(capsys):
@@ -354,7 +374,7 @@ def _dict_rows(cfg, g, results) -> list[dict]:
     for index, res in enumerate(results):
         part = res.partition
         for v in range(res.node_count):
-            closed = g.closed_degree(v)
+            closed = int(g.closed_degrees[v])
             if cfg.setting == "uninformed":
                 b12 = uninformed_degree_bound(closed, cfg.arms, cfg.n_upper, cfg.horizon)
             else:

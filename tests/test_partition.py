@@ -14,6 +14,7 @@ import reference
 from reference import (
     OrderedMass,
     centers_to_components,
+    complete_graph,
     is_r_independent,
     is_r_mis,
     spread_history_violations,
@@ -24,7 +25,6 @@ from coopmab.cli import write_partition
 
 from coopmab.graph import (
     build_graph,
-    complete_graph,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -112,7 +112,7 @@ def test_spread_all_centers():
     comp = centers_to_components(g, range(9), 5)
     for v in range(9):
         assert comp.center_of[v] == v and comp.origin_of[v] == v
-        assert reference.mass(comp, v) == OrderedMass(min(g.closed_degree(v), 5), 0)
+        assert reference.mass(comp, v) == OrderedMass(min(g.closed_degrees[v], 5), 0)
 
 
 def test_spread_star():
@@ -198,7 +198,7 @@ def _propagation_oracle(g, centers, arms):
     n = g.node_count
     center_list = sorted(set(centers))
     rounds = spread_rounds(arms) + 1
-    clamp = np.minimum(np.array([g.closed_degree(v) for v in range(n)]), arms)
+    clamp = np.minimum(np.array([g.closed_degrees[v] for v in range(n)]), arms)
     center_mask = np.zeros(n, dtype=bool)
     center_mask[center_list] = True
     ids = np.arange(n)
@@ -206,9 +206,9 @@ def _propagation_oracle(g, centers, arms):
     mass_d = np.zeros(n, dtype=np.int64)
     cof = np.where(center_mask, ids, -1).astype(np.int64)
     uof = np.where(center_mask, ids, -1).astype(np.int64)
-    pad = np.full((n, max(g.degree(v) for v in range(n))), n, dtype=np.int64)
+    pad = np.full((n, max(reference.degree(g, v) for v in range(n))), n, dtype=np.int64)
     for v in range(n):
-        pad[v, : g.degree(v)] = g.neighbors(v)
+        pad[v, : reference.degree(g, v)] = reference.neighbors(g, v)
     history = [np.stack([cof, uof, mass_m, mass_d])]
     score_ext = np.empty(n + 1)
     settled = rounds
@@ -279,13 +279,13 @@ def _informed_greedy_oracle(g, arms):
     running mask instead and must elect the same centers in the same order.
     """
     n = g.node_count
-    clamp = np.minimum(np.array([g.closed_degree(v) for v in range(n)]), arms)
+    clamp = np.minimum(np.array([g.closed_degrees[v] for v in range(n)]), arms)
     clamp_score = MASS_DECAY_DENOM * np.log(clamp)
     pending = set(range(n))
     centers = []
     comp = None
     while pending:
-        centers.append(max(pending, key=lambda v: (g.closed_degree(v), -v)))
+        centers.append(max(pending, key=lambda v: (g.closed_degrees[v], -v)))
         comp = _propagation_oracle(g, centers, arms)
         score = np.where(
             comp.mass_m > 0,
@@ -424,7 +424,7 @@ def test_spread_rounds_equal_history_after_every_center(arms):
             [[c] for c in perm],  # any order, adjacent centers included
             [greedy],  # the whole set in one call
             [[int(x) for x in part] for part in np.split(perm, np.sort(cuts))],  # sets after sets
-            [greedy[:1], [hub, *g.neighbors(hub)]],  # adjacent centers in one call, after a center
+            [greedy[:1], [hub, *reference.neighbors(g, hub)]],  # adjacent centers in one call, after a center
         ]
         for batches in adds:
             spread = _SpreadRounds(g, arms)
@@ -733,8 +733,8 @@ def test_validator_skips_depth_checks_after_a_torn_last_component():
     g = random_connected_graph(60, 0.0, 0)
     part = compute_centers_informed(g, 10)
     last = max(part.centers)
-    leaf = next(v for v in range(60) if g.degree(v) == 1 and part.delay[v] >= 2
-                and part.center_of[g.neighbors(v)[0]] != last)
+    leaf = next(v for v in range(60) if reference.degree(g, v) == 1 and part.delay[v] >= 2
+                and part.center_of[reference.neighbors(g, v)[0]] != last)
     center_of = list(part.center_of)
     center_of[leaf] = last
     bad = dataclasses.replace(part, center_of=tuple(center_of))
@@ -754,7 +754,7 @@ def test_validator_reports_origin_in_the_wrong_place(kind):
     part = compute_centers_informed(g, 10)
     cof, delay = part.center_of, part.delay
     want = (True, -1) if kind == "away" else (False, 0)  # (other component, depth step)
-    v, u = next((v, u) for v in range(60) if cof[v] != v for u in g.neighbors(v)
+    v, u = next((v, u) for v in range(60) if cof[v] != v for u in reference.neighbors(g, v)
                 if (cof[u] != cof[v], delay[u] - delay[v]) == want)
     origin_of = list(part.origin_of)
     origin_of[v] = u

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from coopmab import exp3, simulate
 from coopmab.graph import build_graph, path_graph, random_connected_graph, star_graph
-from coopmab.partition import Partition, compute_centers_informed, compute_centers_uninformed
+from coopmab.partition import (
+    Partition,
+    compute_centers_informed,
+    compute_centers_uninformed,
+    partition_from_json,
+    partition_to_json,
+)
 from coopmab.simulate import (
     LossOracle,
     RunResult,
@@ -150,7 +156,7 @@ def test_center_weights_reconstructable_from_messages():
         actions[rec["t"] - 1, rec["v"]] = rec["action"]
     losses = bernoulli_losses([0.3, 0.5, 0.7], 8).rows(0, 300)
 
-    members = np.array(g.closed_neighborhood(0))
+    members = np.array(reference.closed_neighborhood(g, 0))
     rate = exp3.learning_rate(reference.mass_value(res.partition, 0), 3, 300)
     lw = np.zeros(3)
     for t in range(1, 301):
@@ -521,6 +527,17 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
         run_informed_batch(g, 1, 300, oracles, [5, 6])
 
 
+@pytest.mark.parametrize("sinks", [1, 3])
+def test_batch_needs_one_log_sink_per_seed(sinks):
+    # unchecked, one sink ends in an IndexError after seed 0's lines are written,
+    # and a third sink is never written to
+    logs = [io.StringIO() for _ in range(sinks)]
+    oracles = [bernoulli_losses([0.3, 0.6], 1), bernoulli_losses([0.3, 0.6], 2)]
+    with pytest.raises(ValueError, match=f"need one log sink per seed, got {sinks} for 2 seeds"):
+        run_informed_batch(star_graph(3), 2, 20, oracles, [5, 6], log_sinks=logs)
+    assert [log.getvalue() for log in logs] == [""] * sinks
+
+
 # one center at either end of a 4-node path, so its relays sit 1, 2 and 3 steps away
 _PATH_END = {0: dict(centers=(0,), center_of=(0, 0, 0, 0), origin_of=(0, 0, 1, 2),
                      delay=(0, 1, 2, 3), mass_m=(2, 2, 2, 2), mass_d=(0, 1, 2, 3)),
@@ -558,8 +575,12 @@ def _small_graph(kind: str, n: int, seed: int):
     return random_connected_graph(n, 0.4, seed)
 
 
-def _reweighed(part: Partition, mass: str) -> Partition:
-    """The partition with every mass as elected, inflated 10^6-fold, or decayed e^5-fold."""
+def _reweighed(part: Partition, mass: str, order: str) -> Partition:
+    """The partition with every mass as elected, inflated 10^6-fold, or decayed e^5-fold,
+    and its centers as elected (ascending) or read from a document that lists them in
+    descending order."""
+    if order == "descending":
+        part = partition_from_json({**partition_to_json(part), "centers": part.centers[::-1]})
     if mass == "inflated":
         return dataclasses.replace(part, mass_m=tuple(m * 10**6 for m in part.mass_m))
     if mass == "decayed":
@@ -578,19 +599,25 @@ def _reweighed(part: Partition, mass: str) -> Partition:
     setting=st.sampled_from(["informed", "uninformed"]),
     seeds=st.sampled_from([1, 3]),
     mass=st.sampled_from(["elected", "inflated", "decayed"]),
+    order=st.sampled_from(["ascending", "descending"]),
     block=st.sampled_from([3, 37, simulate.BATCH_ROWS]),
     cells=st.sampled_from([14, simulate.BATCH_CELLS]),
 )
 # short horizons, where only the decayed masses bring the floor and ceiling checks in
 @example(kind="path", n=5, graph_seed=0, arms=4, horizon=10, setting="informed", seeds=1,
-         mass="decayed", block=37, cells=simulate.BATCH_CELLS)
+         mass="decayed", order="ascending", block=37, cells=simulate.BATCH_CELLS)
 @example(kind="star", n=4, graph_seed=0, arms=3, horizon=6, setting="uninformed", seeds=3,
-         mass="decayed", block=3, cells=simulate.BATCH_CELLS)
+         mass="decayed", order="ascending", block=3, cells=simulate.BATCH_CELLS)
 # three seeds in kernel calls of 14 // 7 = 2 seeds and 1
 @example(kind="random", n=7, graph_seed=3, arms=2, horizon=30, setting="informed", seeds=3,
-         mass="elected", block=37, cells=14)
+         mass="elected", order="ascending", block=37, cells=14)
+# centers [4, 1] and [6, 3, 0]: the kernel's segments follow the partition's order
+@example(kind="path", n=7, graph_seed=0, arms=3, horizon=20, setting="informed", seeds=3,
+         mass="elected", order="descending", block=37, cells=simulate.BATCH_CELLS)
+@example(kind="path", n=7, graph_seed=0, arms=3, horizon=20, setting="uninformed", seeds=1,
+         mass="elected", order="descending", block=37, cells=simulate.BATCH_CELLS)
 def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, horizon, setting,
-                                                    seeds, mass, block, cells):
+                                                    seeds, mass, order, block, cells):
     # Every field, checkpoint, played distribution, log byte and audit message
     # of the kernel equals the per-seed reference simulator.  Losses of 5.0 and
     # -3.0, past what matrix_losses accepts, make the audit fire: at the first
@@ -599,6 +626,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
     # that arms drop to probability 0; decayed ones give rates small enough
     # for the one-step floor and ceiling checks, short horizons included.  At
     # 14 cells an informed batch splits into kernel calls of 14 // N seeds.
+    # A caller's partition may list its centers in any order; descending
+    # ones must give the reference's results too.
     g = _small_graph(kind, n, graph_seed)
     n_upper = 2 * g.node_count
     policy_seeds = [40 + 9 * i for i in range(seeds)]
@@ -622,7 +651,7 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         mp.setattr(simulate, "BATCH_ROWS", block)
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
-            part = _reweighed(compute_centers_informed(g, arms), mass)
+            part = _reweighed(compute_centers_informed(g, arms), mass, order)
             runs = run_informed_batch(g, arms, horizon, oracles, policy_seeds, part,
                                       log_sinks=kernel_logs, **options)
             expected = [
@@ -633,7 +662,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         else:
             def elect(*args):
                 election = compute_centers_uninformed(*args)
-                return dataclasses.replace(election, partition=_reweighed(election.partition, mass))
+                return dataclasses.replace(election,
+                                           partition=_reweighed(election.partition, mass, order))
 
             mp.setattr(simulate, "compute_centers_uninformed", elect)
             mp.setattr(reference, "compute_centers_uninformed", elect)
