@@ -268,30 +268,18 @@ def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: Result
     regret, semi = (np.stack([getattr(res, name) for res in results], axis=1).mean(axis=1).tolist()
                     for name in ("regret", "semi_regret"))
     per_seed = [
-        {
-            "seed": i,
-            "adversary_seed": cfg.adversary_seed + i,
-            "policy_seed": cfg.policy_seed + i,
-            "digest": res.digest,
-            "setup_steps": res.setup_steps,
-            "best_arm": res.best_arm,
-            "luby_budget_exhaustions": res.luby_budget_exhaustions,
-            "debug_violations": len(res.debug_violations),
-        }
+        {"seed": i, "adversary_seed": cfg.adversary_seed + i, "policy_seed": cfg.policy_seed + i,
+         "digest": res.digest, "setup_steps": res.setup_steps, "best_arm": res.best_arm,
+         "luby_budget_exhaustions": res.luby_budget_exhaustions,
+         "debug_violations": len(res.debug_violations)}
         for i, res in enumerate(results)
     ]
     return {
         "config": {
-            "graph": cfg.graph_path,
-            "node_count": g.node_count,
-            "arms": cfg.arms,
-            "horizon": cfg.horizon,
-            "setting": cfg.setting,
-            "n_upper": cfg.n_upper,
-            "adversary": cfg.adversary_spec,
-            "seeds": cfg.seeds,
-            "adversary_seed_base": cfg.adversary_seed,
-            "policy_seed_base": cfg.policy_seed,
+            "graph": cfg.graph_path, "node_count": g.node_count, "arms": cfg.arms,
+            "horizon": cfg.horizon, "setting": cfg.setting, "n_upper": cfg.n_upper,
+            "adversary": cfg.adversary_spec, "seeds": cfg.seeds,
+            "adversary_seed_base": cfg.adversary_seed, "policy_seed_base": cfg.policy_seed,
             "debug_invariants": cfg.debug_invariants,
         },
         "per_seed": per_seed,
@@ -362,19 +350,11 @@ def cmd_partition(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = RunConfig(
-        graph_path=args.graph,
-        arms=args.arms,
-        horizon=args.horizon,
-        setting=args.setting,
-        n_upper=args.nbar,
-        adversary_spec=args.adversary,
-        seeds=args.seeds,
-        adversary_seed=args.adversary_seed,
-        policy_seed=args.policy_seed,
-        debug_invariants=args.debug_invariants,
-        workers=args.workers,
-    )
+    cfg = RunConfig(graph_path=args.graph, arms=args.arms, horizon=args.horizon,
+                    setting=args.setting, n_upper=args.nbar, adversary_spec=args.adversary,
+                    seeds=args.seeds, adversary_seed=args.adversary_seed,
+                    policy_seed=args.policy_seed, debug_invariants=args.debug_invariants,
+                    workers=args.workers)
     g = read_edge_list(args.graph)
     cfg.check(g)
     results = sweep(cfg, g, args.log)

@@ -1,10 +1,9 @@
 """Exponential-weights bandit engine with cooperative importance weighting.
 
-Weights live in log space and are renormalized (max log-weight subtracted)
-on every update, so horizons of 1e5+ steps never overflow.  A loss estimate
-for arm i is loss / observe_prob when some closed-neighborhood member played
-i this round, else 0; observe_prob is one minus the probability that nobody
-in the neighborhood drew the arm.
+Weights live in log space, renormalized (max log-weight subtracted) on
+every update, so long horizons never overflow.  Arm i's loss estimate is
+loss / observe_prob when a closed-neighborhood member played i this
+round, else 0; observe_prob = 1 - P(nobody in the neighborhood drew i).
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ def exp3_update_raw(
 def estimated_loss_vector(losses: np.ndarray, observe_probs: np.ndarray, observed: np.ndarray,
                           out: np.ndarray | None = None) -> np.ndarray:
     """Importance-weighted loss estimates: loss / observe_prob where observed, else 0."""
-    # observe_probs.min() spares the masked test in the usual all-positive case
-    if observe_probs.min() <= 0.0 and ((observe_probs <= 0.0) & observed).any():
+    # the minimum spares the masked test when every prob is positive
+    if np.minimum.reduce(observe_probs, None) <= 0.0 and ((observe_probs <= 0.0) & observed).any():
         raise ZeroObservationProbabilityError("observed arm with zero observation probability")
     if out is None:
         out = np.zeros(np.broadcast(losses, observe_probs, observed).shape)

@@ -274,9 +274,11 @@ def random_connected_graph(n: int, extra_edge_prob: float = 0.0, rng=None) -> Gr
         if degree[x] == 1:
             heapq.heappush(leaves, x)
     edges.add((heapq.heappop(leaves), heapq.heappop(leaves)))  # the last two, smaller first
-    if extra_edge_prob > 0.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) not in edges and rng.random() < extra_edge_prob:
-                    edges.add((u, v))
+    if extra_edge_prob > 0.0:  # one draw per non-tree pair, (u, v) ascending, row by row
+        later = [[] for _ in range(n)]  # each node's tree neighbors above it
+        for a, b in edges:
+            later[a].append(b)
+        for u in range(n - 1):
+            free = np.setdiff1d(np.arange(u + 1, n), later[u])
+            edges.update((u, v) for v in free[rng.random(free.size) < extra_edge_prob].tolist())
     return build_graph(n, sorted(edges))

@@ -1,14 +1,12 @@
 """Center election and component construction on communication graphs.
 
-Agents are grouped into components, each owning one center that runs the
-learning algorithm while everyone else relays the center's distribution.
-The quality of a node's component is its mass: a pair (m, d) standing for
-the real number m * exp(-d/6), where m is the center's clamped closed
-degree and d the node's hop distance from it.  Pairs are kept exact so
-mass comparisons never suffer float round-off on the recurrence itself.
+Each component has one center that runs the learning algorithm; everyone
+else relays its distribution.  A node's mass is a pair (m, d) standing for
+m * exp(-d/6), m the center's clamped closed degree and d the node's hop
+distance from it, kept exact so comparisons never suffer round-off.
 
-Everything here is a centrally simulated synchronous message protocol:
-per round, every node sees only its neighbors' previous-round state.
+Everything here simulates a synchronous message protocol centrally: per
+round, every node sees only its neighbors' previous-round state.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """Synchronous simulation of cooperative bandit play against oblivious losses.
 
-Timing model, per global step t: every agent plays its round-t distribution,
-losses land, and messages carrying (action, loss, distribution actually
-played at t) reach all neighbors at the end of the step.  Centers fold the
-neighborhood's round-t distributions into importance-weighted estimates and
-update weights, producing their round-(t+1) distribution; every other agent
-stages its origin's round-t distribution to play at t+1.  Losses come from
-an oracle that is a pure function of (adversary seed, t, arm), so no policy
-can influence them.
+Per global step t: every agent plays its round-t distribution, losses
+land, and messages (action, loss, distribution played at t) reach all
+neighbors at the step's end.  Centers fold them into importance-weighted
+estimates and update to their round-(t+1) distribution; every other agent
+stages its origin's round-t distribution to play at t+1.  Losses are a
+pure function of (adversary seed, t, arm), so no policy can move them.
 
 One kernel, ``_run_batch``, advances every run: any number of seeds that
 share a partition, in lockstep, with every center updated at once.
@@ -17,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import IO, Sequence
@@ -162,58 +161,33 @@ def _result(setting, partition, realized, semi, arm_loss, digest, checkpoints, h
             exhaustions=0, short=False) -> RunResult:
     realized_0, arm_0, semi_0 = snapshot
     best = int(arm_loss.argmin())  # argmin's first-hit rule = lowest-index tie-break
-    best_loss = float(arm_loss[best])
-    pol_realized = realized - realized_0
-    pol_semi = semi - semi_0
-    pol_arm = arm_loss - arm_0
+    pol_realized, pol_semi, pol_arm = realized - realized_0, semi - semi_0, arm_loss - arm_0
     pol_best = int(pol_arm.argmin())
-    pol_best_loss = float(pol_arm[pol_best])
+    best_loss, pol_best_loss = float(arm_loss[best]), float(pol_arm[pol_best])
     return RunResult(
-        setting=setting,
-        node_count=partition.node_count,
-        arms=partition.arms,
-        horizon=horizon,
-        setup_steps=setup,
-        total_steps=setup + horizon,
-        n_upper=n_upper,
-        partition=partition,
-        adversary=oracle.describe(),
-        adversary_seed=int(oracle.seed),
-        policy_seed=p_seed,
-        realized_loss=realized,
-        semi_loss=semi,
-        arm_loss=arm_loss,
-        best_arm=best,
-        best_arm_loss=best_loss,
-        regret=realized - best_loss,
-        semi_regret=semi - best_loss,
-        policy_realized_loss=pol_realized,
-        policy_semi_loss=pol_semi,
-        policy_arm_loss=pol_arm,
-        policy_best_arm=pol_best,
-        policy_best_arm_loss=pol_best_loss,
-        policy_regret=pol_realized - pol_best_loss,
-        policy_semi_regret=pol_semi - pol_best_loss,
-        digest=digest,
-        checkpoints=checkpoints,
+        setting=setting, node_count=partition.node_count, arms=partition.arms, horizon=horizon,
+        setup_steps=setup, total_steps=setup + horizon, n_upper=n_upper, partition=partition,
+        adversary=oracle.describe(), adversary_seed=int(oracle.seed), policy_seed=p_seed,
+        realized_loss=realized, semi_loss=semi, arm_loss=arm_loss, best_arm=best,
+        best_arm_loss=best_loss, regret=realized - best_loss, semi_regret=semi - best_loss,
+        policy_realized_loss=pol_realized, policy_semi_loss=pol_semi, policy_arm_loss=pol_arm,
+        policy_best_arm=pol_best, policy_best_arm_loss=pol_best_loss,
+        policy_regret=pol_realized - pol_best_loss, policy_semi_regret=pol_semi - pol_best_loss,
+        digest=digest, checkpoints=checkpoints,
         debug_violations=[] if violations is None else violations,
-        luby_budget_exhaustions=exhaustions,
-        short_horizon=short,
+        luby_budget_exhaustions=exhaustions, short_horizon=short,
         dist_history=[] if dist_history is None else dist_history,
     )
 
 
 def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle],
                     policy_seeds: Sequence[int], log_sinks: Sequence | None = None) -> bool:
-    """Check the arguments of a run in any setting.
-
-    Returns whether the horizon is below arms^2*ln(arms), where the regret
-    guarantees do not apply; such a horizon is also warned about.
+    """Check a run's arguments in any setting; return (and warn) whether the
+    horizon is below arms^2*ln(arms), where the regret guarantees do not apply.
     """
     if len(oracles) != len(policy_seeds) or not oracles:
-        raise ValueError(
-            f"need one oracle per policy seed, got {len(oracles)} and {len(policy_seeds)}"
-        )
+        raise ValueError(f"need one oracle per policy seed, got {len(oracles)} and "
+                         f"{len(policy_seeds)}")
     if log_sinks is not None and len(log_sinks) != len(oracles):
         raise ValueError(f"need one log sink per seed, got {len(log_sinks)} for "
                          f"{len(oracles)} seeds")
@@ -226,11 +200,9 @@ def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle],
             raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
     short = horizon < arms * arms * math.log(arms)
     if short:
-        warnings.warn(
-            f"horizon {horizon} is below arms^2*ln(arms); regret guarantees do not apply",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        up = 3 + (sys._getframe(2).f_globals is globals())  # skip a one-seed wrapper
+        warnings.warn(f"horizon {horizon} is below arms^2*ln(arms); regret guarantees do not "
+                      "apply", RuntimeWarning, stacklevel=up)
     return short
 
 
@@ -238,22 +210,11 @@ BATCH_ROWS = 64  # steps per block of losses, policy draws, digest records and l
 BATCH_CELLS = 1 << 16  # at most this many seed-agent-steps per block
 
 
-def _run_batch(
-    graph: Graph,
-    partition: Partition,
-    horizon: int,
-    oracles: Sequence[LossOracle],
-    rngs: Sequence[np.random.Generator],
-    policy_seeds: Sequence[int],
-    setting: str,
-    setup: int = 0,
-    short: bool = False,
-    debug: bool = False,
-    log_sinks: Sequence[IO | None] | None = None,
-    record_distributions: bool = False,
-    n_upper: int | None = None,
-    exhaustions: int = 0,
-) -> list[RunResult]:
+def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequence[LossOracle],
+               rngs: Sequence[np.random.Generator], policy_seeds: Sequence[int], setting: str,
+               setup: int = 0, short: bool = False, debug: bool = False,
+               log_sinks: Sequence[IO | None] | None = None, record_distributions: bool = False,
+               n_upper: int | None = None, exhaustions: int = 0) -> list[RunResult]:
     """Play one run per (oracle, policy stream) on a shared partition, all seeds each round.
 
     Global steps 1..setup are uniform warm-up play while the uninformed
@@ -261,15 +222,15 @@ def _run_batch(
     setup+1..setup+horizon follow the protocol (one ``random`` draw per
     agent).  The arithmetic is done on (seeds, agents, arms) arrays in a
     fixed reduction order, so a seed's result does not depend on which
-    seeds share its batch.  Each agent carries its distribution's CDF: a
-    center computes it once per update, a relay copies it with the
-    distribution.  Losses and policy draws are read, charged losses
-    gathered, running totals advanced and digest records hashed one block of
-    steps at a time; the step loop runs only in the policy phase.  The
-    debug audit runs on the stashed center updates of several steps at
-    once, and the log writer on several steps of a block: each holds at
-    most BATCH_CELLS / 64 center-arm cells or lines, or one step's when
-    that is more.
+    seeds share its batch.  Agents' distributions and CDFs share a buffer:
+    one take stages every relay, one row assignment writes every center,
+    and the exp3 step writes into scratch made when the policy phase
+    starts.  Once per block of steps, losses and draws are read, charged
+    losses gathered, totals advanced and digest records hashed, and draws
+    are checked for zeros and log-weights for non-finite values (before
+    any hashing or logging).  The debug audit and the log writer take
+    several steps at once, at most BATCH_CELLS / 64 center-arm cells or
+    lines each, or one step's if more.
     """
     seeds, n, k = len(oracles), partition.node_count, partition.arms
     total = setup + horizon
@@ -304,38 +265,33 @@ def _run_batch(
     keys = np.sort(np.concatenate((nbr * n + indices.take(at), own * n + centers)))
     slot, flat = keys // n, keys % n
     masses = zip(partition.mass_m.take(centers).tolist(), partition.mass_d.take(centers).tolist())
-    rates = np.array([exp3.learning_rate(Mass(m, d).value(), k, horizon) for m, d in masses])
-    rates = rates[:, None]
+    rates = np.array([[exp3.learning_rate(Mass(m, d).value(), k, horizon)] for m, d in masses])
     drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
     logw = np.zeros((seeds, len(centers), k))
-    if debug:  # p_now, p_next, est and observe of the steps not yet audited
-        chunk = max(1, cells // logw.size)
-        stash = np.empty((4, chunk * seeds) + logw.shape[1:])
+    chunk = max(1, cells // logw.size) if debug else 1  # steps per audit
 
-    # Two buffers each for the distributions and their CDFs: a step reads
-    # one and writes the other.
-    dists = np.full((2, seeds, n, k), 1.0 / k)
-    cdfs = np.empty_like(dists)
-    np.cumsum(dists[0], axis=2, out=cdfs[0])
+    # two buffers of every agent's distribution and CDF: a step reads one, writes the other
+    state = np.empty((2, 2, seeds, n, k))
+    state[0, 0] = 1.0 / k
+    np.cumsum(state[0, 0], axis=2, out=state[0, 1])
+    views = [(x, x[0], x[1], x.reshape(-1, k)) for x in state]  # x, p, CDF, arm rows
     count = np.empty((seeds, n))
     ones = np.ones(k)
     checkpoints: list[list] = [[] for _ in range(seeds)]
     violations: list[list[str]] = [[] for _ in range(seeds)]
     history: list[list[np.ndarray]] = [[] for _ in range(seeds)]
     every = max(1, total // 256)
-    # flat indices: of observed[s, slot[f], 0], and the rows of the centers
-    # when (seeds, agents, arms) is viewed as rows of arms
+    # flat indices of observed[s, slot[f], 0]; center rows of a state buffer's arm rows
     seed_col = np.arange(seeds)[:, None]
     observed_cell = (seed_col * len(centers) + slot) * k
-    center_rows = (seed_col * n + centers).ravel()
+    center_rows = ((seed_col * n + centers).ravel() + [[0], [seeds * n]]).ravel()
     block = max(1, min(BATCH_ROWS, BATCH_CELLS // (seeds * n)))
     # Running totals: realized and semi-expected loss per agent, loss per
     # arm.  Rows 1..m of `steps` and `losses` take a block's charges,
-    # expected losses and loss rows; the totals go into the row before a
-    # segment, and a sum over rows (step the outer axis) adds the segment
-    # one step at a time, as a per-step `+=` does.  (The two agent totals
-    # make the inner axis at least 2 long: numpy sums a reduction over a
-    # lone contiguous axis pairwise.)
+    # expected losses and loss rows; with the totals in the row before a
+    # segment, a sum over rows adds the segment step by step, as a per-step
+    # `+=` does (two agent totals keep the inner axis 2 long or more: numpy
+    # sums a lone contiguous axis pairwise).
     totals = np.zeros((2, seeds, n))
     arm_totals = np.zeros((seeds, k))
     steps = np.empty((block + 1,) + totals.shape)
@@ -349,11 +305,18 @@ def _run_batch(
     index_buf = draws_buf.reshape(-1).view(np.int64)  # used once a block's draws are spent
     # flat index of losses[1 + j, s, 0]
     loss_base = ((np.arange(1, block + 1) * seeds + seed_col) * k)[:, :, None]
-    cur = 0
 
     for warm, first, last in ((True, 0, setup), (False, setup, total)):
-        if not warm:  # ledgers at the policy phase's start
+        if not warm:  # ledgers at the policy phase's start; step scratch
             snapshot = (totals[0].copy(), arm_totals.copy(), totals[1].copy())
+            stash = np.empty((4, chunk * seeds) + logw.shape[1:])  # p_now, p_next, est, observe
+            p_now, p_out, est, observe = stash
+            gathered, observed = np.empty((seeds, flat.size, k)), np.empty(logw.shape, bool)
+            fresh, row = np.empty((2,) + logw.shape), np.empty(logw.shape[:2] + (1,))
+            # the centers' new distribution and CDF; the CDF's rows are scratch until then
+            (p_next, work), fresh_rows = fresh, fresh.reshape(-1, k)
+            expected, draw_col = steps[1:, 1, ..., None], draws_buf[..., None]  # per step j
+            loss_col, loss_rows = losses[1:, ..., None], losses[1:, :, None]
         for start in range(first, last, block):
             m = min(start + block, last) - start
             actions = record["a"][:, :m]
@@ -368,55 +331,56 @@ def _run_batch(
                 draws = draws_buf[:m]
                 for s in range(seeds):
                     draws[:, s] = rngs[s].random((m, n))
+                zero_draw = not draws.all()  # some draw is exactly 0
             for j in range(0 if warm else m):
-                t = start + j + 1
-                loss_row = losses[j + 1]
-                p, cdf = dists[cur], cdfs[cur]
+                (now, p, cdf, _), (new, p_new, _, new_rows) = views
+                act = actions[:, j]
                 if record_distributions:
                     for s in range(seeds):
                         history[s].append(p[s].copy())
-                # inverse-CDF sample per agent, arms ascending: the action is
-                # the number of arms whose CDF lies below the draw.  As the CDF
-                # never falls, that arm has positive probability unless every
-                # arm lies below or the draw is 0; those cells take the fallback
-                # (p_new holds 1.0 where the CDF is below the draw until the
-                # relays' gather fills it; the row sums are exact small integers)
-                draw = draws[j]
-                p_new, cdf_new = dists[1 - cur], cdfs[1 - cur]
-                np.matmul(np.less(cdf, draw[:, :, None], out=p_new), ones, out=count)
-                actions[:, j] = count
-                suspect = (count >= k) | (draw == 0.0)
-                if suspect.any():
-                    for s, v in zip(*np.nonzero(suspect)):
-                        actions[s, j, v] = exp3.sample_action(p[s, v], float(draw[s, v]))
-                # p @ loss_row, the agent's expected loss
-                np.matmul(p, loss_row[:, :, None], out=steps[j + 1, 1].reshape(seeds, n, 1))
+                # inverse-CDF sample, arms ascending: the action is the number
+                # of arms whose CDF lies below the draw (exact small sums in
+                # p_new until the relays' take fills it).  That arm has positive
+                # probability unless every arm lies below or the draw is 0;
+                # those cells take the fallback.
+                np.matmul(np.less(cdf, draw_col[j], out=p_new), ones, out=count)
+                act[...] = count
+                if np.maximum.reduce(count, axis=None) >= k or zero_draw and not draws[j].all():
+                    draw = draws[j]
+                    for s, v in zip(*np.nonzero((count >= k) | (draw == 0.0))):
+                        act[s, v] = exp3.sample_action(p[s, v], float(draw[s, v]))
+                np.matmul(p, loss_col[j], out=expected[j])  # p @ loss row, the expected loss
 
-                # relays stage the origin's round-t distribution and its CDF
-                # (every index is in range; "clip" lets take write to out unbuffered)
-                p.take(origin_idx, axis=1, out=p_new, mode="clip")
-                cdf.take(origin_idx, axis=1, out=cdf_new, mode="clip")
-                # every center at once: products over its closed neighborhood,
-                # taken member by member in ascending order
-                i = (t - setup - 1) % chunk if debug else 0
-                out = stash[:, i * seeds:(i + 1) * seeds] if debug else (None,) * 4
-                observe = np.subtract(
-                    1.0, np.multiply.reduceat(1.0 - p.take(flat, axis=1), starts, axis=1),
-                    out=out[3])
-                observed = np.zeros((seeds, len(centers), k), dtype=bool)
-                observed.put(observed_cell + actions[:, j].take(flat, axis=1), True)
-                est = exp3.estimated_loss_vector(loss_row[:, None], observe, observed, out=out[2])
-                lw = exp3.exp3_update_raw(logw, rates, est)
-                p_next = exp3.probs_from_log_weights(lw, out=out[1])
+                # relays stage the origin's round-t distribution and CDF ("clip"
+                # lets take write to out unbuffered; every index is in range)
+                now.take(origin_idx, axis=2, out=new, mode="clip")
                 if debug:
-                    p.take(centers, axis=1, out=out[0])
+                    t, i = start + j + 1, (start + j - setup) % chunk
+                    p_now, p_out, est, observe = stash[:, i * seeds:(i + 1) * seeds]
+                # each center: products over its closed neighborhood, members ascending
+                p.take(flat, axis=1, out=gathered, mode="clip")
+                np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=1,
+                                     out=observe)
+                np.subtract(1.0, observe, out=observe)
+                observed.fill(False)
+                observed.put(observed_cell + act.take(flat, axis=1), True)
+                exp3.estimated_loss_vector(loss_rows[j], observe, observed, out=est)
+                # exp3_update_raw and probs_from_log_weights in place, guard below
+                logw -= np.multiply(rates, est, out=work)
+                logw -= np.maximum.reduce(logw, axis=2, keepdims=True, out=row)
+                np.exp(logw, out=work)
+                np.divide(work, np.add.reduce(work, axis=2, keepdims=True, out=row), out=p_next)
+                np.add.accumulate(p_next, axis=2, out=work)
+                if debug:
+                    p.take(centers, axis=1, out=p_now)
+                    p_out[...] = p_next
                     if i == chunk - 1 or t == total:
                         _audit(violations, t - i, centers, *stash[:, :(i + 1) * seeds], rates,
                                drift)
-                p_new.reshape(-1, k)[center_rows] = p_next.reshape(-1, k)
-                cdf_new.reshape(-1, k)[center_rows] = p_next.cumsum(axis=2).reshape(-1, k)
-                logw = lw
-                cur = 1 - cur
+                new_rows[center_rows] = fresh_rows
+                views.reverse()
+            if not (warm or np.isfinite(logw).all()):
+                raise exp3.NonFiniteEstimateError("loss estimates must be finite")
 
             # charged losses, one gather for the block: losses[1 + j, s, actions[s, j, v]]
             index = index_buf[:seeds * m * n].reshape(seeds, m, n)
@@ -531,17 +495,10 @@ def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
                          else f"relay {v} copies node {uof[v]}, not one delay step earlier")
 
 
-def run_informed_batch(
-    g: Graph,
-    arms: int,
-    horizon: int,
-    oracles: Sequence[LossOracle],
-    policy_seeds: Sequence[int],
-    partition: Partition | None = None,
-    debug: bool = False,
-    log_sinks: Sequence[IO | None] | None = None,
-    record_distributions: bool = False,
-) -> list[RunResult]:
+def run_informed_batch(g: Graph, arms: int, horizon: int, oracles: Sequence[LossOracle],
+                       policy_seeds: Sequence[int], partition: Partition | None = None,
+                       debug: bool = False, log_sinks: Sequence[IO | None] | None = None,
+                       record_distributions: bool = False) -> list[RunResult]:
     """run_informed for each (oracle, policy seed) pair, on one election, seeds in lockstep.
 
     Each result equals run_informed(g, arms, horizon, oracle, seed, ...)
@@ -567,40 +524,24 @@ def run_informed_batch(
     ]
 
 
-def run_informed(
-    g: Graph,
-    arms: int,
-    horizon: int,
-    oracle: LossOracle,
-    policy_seed: int,
-    debug: bool = False,
-    log_sink: IO | None = None,
-    record_distributions: bool = False,
-    partition: Partition | None = None,
-) -> RunResult:
+def run_informed(g: Graph, arms: int, horizon: int, oracle: LossOracle, policy_seed: int,
+                 debug: bool = False, log_sink: IO | None = None,
+                 record_distributions: bool = False, partition: Partition | None = None
+                 ) -> RunResult:
     """Simulate with the graph known in advance: partitioning costs no steps."""
     return run_informed_batch(g, arms, horizon, [oracle], [policy_seed], partition, debug,
                               [log_sink], record_distributions)[0]
 
 
-def run_uninformed(
-    g: Graph,
-    arms: int,
-    n_upper: int,
-    horizon: int,
-    oracle: LossOracle,
-    policy_seed: int,
-    debug: bool = False,
-    log_sink: IO | None = None,
-    record_distributions: bool = False,
-) -> RunResult:
+def run_uninformed(g: Graph, arms: int, n_upper: int, horizon: int, oracle: LossOracle,
+                   policy_seed: int, debug: bool = False, log_sink: IO | None = None,
+                   record_distributions: bool = False) -> RunResult:
     """Simulate the full uninformed protocol: elect centers while playing uniform.
 
-    The policy RNG stream is consumed in a fixed order: first the election
-    protocol's draws, then one uniform action per agent per setup step, then
-    the policy phase.  Losses accrue from step 1; regret is reported against
-    the best fixed arm over the whole played timeline (policy-phase-only
-    variant included in the result).
+    The policy stream serves the election's draws, then one uniform action
+    per agent per setup step, then the policy phase.  Losses accrue from
+    step 1; regret is against the best fixed arm over the whole timeline
+    (the policy phase's alone is in the result too).
     """
     short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
@@ -612,16 +553,13 @@ def run_uninformed(
                       exhaustions=election.exhaustions)[0]
 
 
-def run_solo_exp3(
-    arms: int, horizon: int, oracle: LossOracle, policy_seed: int
-) -> RunResult:
+def run_solo_exp3(arms: int, horizon: int, oracle: LossOracle, policy_seed: int) -> RunResult:
     """Baseline: one agent, no neighbors, importance weights from its own play."""
     return run_solo_exp3_batch(arms, horizon, [oracle], [policy_seed])[0]
 
 
-def run_solo_exp3_batch(
-    arms: int, horizon: int, oracles: Sequence[LossOracle], policy_seeds: Sequence[int]
-) -> list[RunResult]:
+def run_solo_exp3_batch(arms: int, horizon: int, oracles: Sequence[LossOracle],
+                        policy_seeds: Sequence[int]) -> list[RunResult]:
     """run_solo_exp3 for each (oracle, policy seed) pair, seeds in lockstep.
 
     A run on the one-node graph: the agent's closed neighborhood is itself.

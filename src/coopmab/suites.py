@@ -1,11 +1,9 @@
 """Randomized self-check suites, runnable from the CLI as ``coopmab validate``.
 
-Each suite re-derives expected behavior through an independent route
-(one-step bounds, empirical frequencies) and compares the library
-against it on a seeded batch of random instances.  Only the properties
-no unit test already checks live here.  Instance counts are fixed per
-suite and stated in the docstrings, so a suite is a reproducible
-function of its seed.
+Each suite re-derives expected behavior by an independent route (one-step
+bounds, empirical frequencies) on a seeded batch of random instances, for
+properties no unit test checks.  Instance counts are fixed, so a suite is
+a reproducible function of its seed.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ role and each center's mass from the partition's columns here.
 
 ``neighbors``, ``degree`` and ``closed_neighborhood`` read one node's
 neighbors off a graph's CSR arrays, as ``Graph`` once did per node, and
-``complete_graph`` builds a clique.  ``adjacency`` gives a graph's
+``complete_graph`` builds a clique.  ``random_connected_graph_edges``
+draws the random graph's extra edges one scalar draw at a time, as
+``coopmab.graph.random_connected_graph`` once did.  ``adjacency`` gives a graph's
 neighbor tuples and ``ball`` the nodes within r hops of one node, by a
 per-node Python BFS.  ``luby_2mis`` is the two-hop election that builds
 one ``ball`` per participant, kept as it was in ``coopmab.partition``
@@ -46,6 +48,7 @@ round; ``spread_map`` reads one off a ``_SpreadRounds``' ``states``, and
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 from collections import deque
@@ -450,6 +453,35 @@ def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
 
 def complete_graph(n: int) -> Graph:
     return coopmab.graph.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def random_connected_graph_edges(n: int, extra_edge_prob: float, rng) -> list[tuple[int, int]]:
+    """The sorted edges ``coopmab.graph.random_connected_graph`` builds, drawn as it once did.
+
+    A Pruefer tree, then one scalar ``rng.random()`` per non-tree pair in a
+    Python double loop over (u, v), u < v, ascending.
+    """
+    rng = np.random.default_rng(rng)
+    if n == 1:
+        return []
+    seq = rng.integers(0, n, size=n - 2)
+    degree = (np.bincount(seq, minlength=n) + 1).tolist()
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges: set[tuple[int, int]] = set()
+    for x in seq.tolist():
+        leaf = heapq.heappop(leaves)
+        edges.add((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.add((heapq.heappop(leaves), heapq.heappop(leaves)))
+    if extra_edge_prob > 0.0:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in edges and rng.random() < extra_edge_prob:
+                    edges.add((u, v))
+    return sorted(edges)
 
 
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:

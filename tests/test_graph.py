@@ -357,6 +357,19 @@ def test_random_connected_graph_properties():
     assert adjacency(a) == adjacency(b)
 
 
+def test_random_connected_graph_equals_scalar_draws():
+    # the extra edges come from one vector draw; the scalar loop it
+    # replaced drew the same stream, so edges and generator state agree
+    # (sizes and densities as the tests draw graphs: n <= 80, p <= 0.5)
+    for n in (1, 2, 3, 5, 9, 12, 18, 25, 40, 80):
+        for prob in (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5):
+            for seed in (0, 7, 43):
+                rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+                g = random_connected_graph(n, prob, rng)
+                assert list(g.edges()) == reference.random_connected_graph_edges(n, prob, old)
+                assert rng.bit_generator.state == old.bit_generator.state, (n, prob, seed)
+
+
 def test_triangle_inequality_sampled():
     g = random_connected_graph(22, 0.15, 13)
     rng = np.random.default_rng(0)

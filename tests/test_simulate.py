@@ -250,6 +250,74 @@ def test_short_horizon_warns():
     assert res.short_horizon
 
 
+def test_short_horizon_warning_points_at_the_caller():
+    # each entry point reports the warning at the line that called it, so
+    # the default filter shows one warning per calling line
+    g, oracle = path_graph(3), bernoulli_losses([0.5] * 10, 1)
+    calls = {
+        "run_informed": lambda: run_informed(g, 10, 5, oracle, 1),
+        "run_informed_batch": lambda: run_informed_batch(g, 10, 5, [oracle], [1]),
+        "run_uninformed": lambda: run_uninformed(g, 10, 3, 5, oracle, 1),
+        "run_solo_exp3": lambda: run_solo_exp3(10, 5, oracle, 1),
+        "run_solo_exp3_batch": lambda: run_solo_exp3_batch(10, 5, [oracle], [1]),
+    }
+    for name, call in calls.items():
+        with pytest.warns(RuntimeWarning, match="horizon 5") as record:
+            call()
+        assert [w.filename for w in record] == [__file__], name
+
+
+def _logged_steps(sink) -> list[int]:
+    return sorted({json.loads(line)["t"] for line in sink.getvalue().splitlines()})
+
+
+# the kernel steps on to the block's end before it checks, so numpy may warn
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_kernel_raises_on_a_non_finite_estimate(monkeypatch, bad, seeds):
+    # A loss table the oracle constructors would reject: the loss at step 3
+    # makes the played arm's estimate non-finite.  The run raises before it
+    # hashes or logs the block that holds step 3 (steps 3-4 of 2-step blocks).
+    monkeypatch.setattr(simulate, "BATCH_ROWS", 2)
+    table = np.full((6, 2), 0.5)
+    oracles = [LossOracle(kind="matrix", arms=2, table=table)] * seeds
+    table = table.copy()
+    table[2] = bad
+    oracles[-1] = LossOracle(kind="matrix", arms=2, table=table)
+    sinks = [io.StringIO() for _ in range(seeds)]
+    with pytest.raises(exp3.NonFiniteEstimateError):
+        if seeds == 1:
+            run_informed(path_graph(3), 2, 6, oracles[0], 4, log_sink=sinks[0])
+        else:
+            run_informed_batch(path_graph(3), 2, 6, oracles, [4, 5], log_sinks=sinks)
+    assert [_logged_steps(sink) for sink in sinks] == [[1, 2]] * seeds
+
+
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_kernel_raises_on_an_observed_arm_with_zero_probability(monkeypatch, seeds):
+    # One agent, 2 arms, step size 20.  Step 1 plays arm 0 at loss 1, so arm
+    # 0's log-weight falls to -40 and its probability to about 4e-18, which
+    # 1 - (1 - p) rounds to an observation probability of 0.  Step 2 plays
+    # arm 1; step 3's draw of 1e-18 lands in arm 0.  The run raises before
+    # it hashes or logs the block that holds step 3.
+    monkeypatch.setattr(simulate, "BATCH_ROWS", 2)
+    monkeypatch.setattr(exp3, "learning_rate", lambda mass, arms, horizon: 20.0)
+    draws = {4: [[0.1], [0.5], [1e-18]], 5: [[0.1], [0.5], [0.5]]}
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RiggedDraws(draws[seed]))
+    oracle = matrix_losses(np.tile([1.0, 0.0], (6, 1)))
+    one = build_graph(1, ())
+    solo = Partition(arms=2, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
+                     mass_m=(1,), mass_d=(0,))
+    sinks = [io.StringIO() for _ in range(seeds)]
+    with pytest.raises(exp3.ZeroObservationProbabilityError):
+        if seeds == 1:
+            run_informed(one, 2, 6, oracle, 4, log_sink=sinks[0], partition=solo)
+        else:
+            run_informed_batch(one, 2, 6, [oracle] * 2, [5, 4], solo, log_sinks=sinks)
+    assert [_logged_steps(sink) for sink in sinks] == [[1, 2]] * seeds
+
+
 def test_checkpoints_cover_run():
     g = path_graph(3)
     oracle = bernoulli_losses([0.5, 0.5], 1)

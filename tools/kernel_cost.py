@@ -24,10 +24,18 @@ program by wrapping its functions:
 - other: from the op's start to the sweep's (graph parsing, checks).
 
 Each case runs in its own process: one untimed op, then five timed ops;
-the figures are medians.  Peak RSS is the maximum resident set of a
-fresh process that imports the package and runs one op.  With
+the figures are medians.  Peak RSS is the maximum resident set (VmHWM)
+of a fresh process that imports the package and runs one op.  With
 ``--baseline``, every case also runs on that checkout's ``src/``, right
 before this one's, so both see the same moment of the machine.
+
+Two more rows time the policy step itself, in microseconds per step, by
+calling the kernel from Python (no CLI, no output): one seed of
+``run_solo_exp3_batch`` and 20 seeds of ``run_informed_batch`` on the
+11-node clique (one center, ten relays), each K = 10 and 20,000 steps,
+the same Bernoulli means.  Each runs in three processes per checkout,
+the checkouts alternating, each process one untimed call and five timed
+ones; the figure is the median of the fifteen.
 """
 
 from __future__ import annotations
@@ -51,14 +59,23 @@ REPEATS = 5
 ARMS, HORIZON, SEEDS = 10, 2000, 2
 ADVERSARY_SEED, POLICY_SEED = 21, 22
 PHASES = ("election", "warmup", "policy", "digest", "output", "other")
+STEP_CASES = {"solo": (1, 20_000), "clique-11": (20, 20_000)}  # seeds, steps
+STEP_ROUNDS = 3  # processes per checkout and step case
 
+# VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork and exec, so a
+# child would report this process's resident set when that is larger.
 FRESH_OP = """\
 import contextlib, io, resource, sys
 sys.path.insert(0, sys.argv[1])
 import coopmab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = coopmab.cli.main(sys.argv[2:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak)
 """
 
 
@@ -105,7 +122,9 @@ class Probe:
         rows = simulate.LossOracle.rows
 
         def timed_rows(oracle, start, stop):
-            if probe.phase == "warmup" and start >= probe.setup:  # the first policy block
+            # the first policy block starts at the set-up's end (the kernel first
+            # reads the run's last row, to check the table's length)
+            if probe.phase == "warmup" and start == probe.setup:
                 probe.switch("policy")
             return rows(oracle, start, stop)
 
@@ -173,6 +192,30 @@ def worker(src: str, graph: str, nodes: int, setting: str) -> dict:
     }
 
 
+def step_worker(src: str, case: str) -> dict:
+    """Median microseconds per policy step of REPEATS kernel calls of one step case."""
+    sys.path.insert(0, src)
+    from coopmab import graph, simulate
+
+    seeds, steps = STEP_CASES[case]
+    means = [0.35] + [0.5] * (ARMS - 1)
+    args = (ARMS, steps, [simulate.bernoulli_losses(means, ADVERSARY_SEED + i)
+                          for i in range(seeds)], [POLICY_SEED + i for i in range(seeds)])
+    if case == "solo":
+        run = simulate.run_solo_exp3_batch
+    else:
+        clique = graph.build_graph(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
+        run, args = simulate.run_informed_batch, (clique, *args)
+    run(*args)
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run(*args)
+        runs.append((time.perf_counter() - t0) / steps * 1e6)
+    return {"case": case, "seeds": seeds, "steps": steps, "arms": ARMS,
+            "us_per_step": statistics.median(runs), "runs_us_per_step": runs}
+
+
 def _subprocess(args: list[str]) -> str:
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
@@ -221,6 +264,19 @@ def main(argv=None) -> int:
     if args.baseline is not None:
         checkouts = {"baseline": args.baseline.resolve(), **checkouts}
     results: dict[str, list[dict]] = {name: [] for name in checkouts}
+    per_step: dict[str, list[dict]] = {name: [] for name in checkouts}
+    for case in STEP_CASES:
+        rows: dict[str, list[dict]] = {name: [] for name in checkouts}
+        for _ in range(STEP_ROUNDS):  # checkouts alternate, so both see the machine's swings
+            for name, root in checkouts.items():
+                rows[name].append(json.loads(_subprocess(
+                    [str(Path(__file__).resolve()), "--step-worker", str(root / "src"), case])))
+        for name, got in rows.items():
+            runs = [x for row in got for x in row["runs_us_per_step"]]
+            row = {**got[0], "us_per_step": statistics.median(runs), "runs_us_per_step": runs}
+            per_step[name].append(row)
+            print(f"{name} {case}: {row['seeds']} seed(s), {row['us_per_step']:.1f} us per step",
+                  flush=True)
     with tempfile.TemporaryDirectory() as work:
         for nodes, graph in _graphs(work):
             for setting in ("informed", "uninformed"):
@@ -233,18 +289,23 @@ def main(argv=None) -> int:
                           + ", ".join(f"{p} {row['phases_s'][p]:.3f}" for p in PHASES)
                           + f"), peak {row['peak_rss_mb']:.1f} MB", flush=True)
     doc = {
-        "what": "coopmab simulate seed-rounds/s by phase, median of 5 in-process ops per case",
+        "what": "coopmab simulate seed-rounds/s by phase, median of 5 in-process ops per case; "
+                "per_step: microseconds per policy step of the kernel called from Python",
         "config": {"arms": ARMS, "horizon": HORIZON, "seeds": SEEDS, "repeats": REPEATS,
                    "adversary_seed": ADVERSARY_SEED, "policy_seed": POLICY_SEED},
         "machine": machine(),
         "checkouts": list(checkouts),
         "results": results,
+        "per_step": per_step,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 1 and sys.argv[1] == "--step-worker":
+        print(json.dumps(step_worker(*sys.argv[2:4])))
+        sys.exit(0)
     if len(sys.argv) > 1 and sys.argv[1] == "--worker":
         src, graph, nodes, setting = sys.argv[2:6]
         print(json.dumps(worker(src, graph, int(nodes), setting)))
