@@ -112,6 +112,8 @@ class RunConfig:
             raise ValueError(f"need at least one seed, got {self.seeds}")
         if self.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {self.workers}")
+        _check_seed("--adversary-seed", self.adversary_seed)
+        _check_seed("--policy-seed", self.policy_seed)
         if self.setting == "uninformed":
             if self.n_upper is None:
                 raise ValueError("uninformed runs need --nbar (known upper bound on N)")
@@ -125,6 +127,11 @@ class RunConfig:
     def adversary(self) -> LossOracle:
         """Seed 0's loss oracle; parsed once, so a matrix file is read once."""
         return parse_adversary(self.adversary_spec, self.arms, self.adversary_seed)
+
+
+def _check_seed(flag: str, seed: int) -> None:
+    if seed < 0:  # numpy's seeding would fail later, naming no flag
+        raise ValueError(f"{flag} must be >= 0, got {seed}")
 
 
 def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None) -> list[RunResult]:
@@ -315,6 +322,7 @@ def write_partition(path: str, p: Partition) -> None:
 
 
 def cmd_partition(args) -> int:
+    _check_seed("--policy-seed", args.policy_seed)
     g = read_edge_list(args.graph)
     if args.setting == "informed":
         partition = compute_centers_informed(g, args.arms)

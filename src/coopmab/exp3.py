@@ -24,7 +24,7 @@ class ZeroObservationProbabilityError(ValueError):
 
 
 class NonFiniteEstimateError(ValueError):
-    pass
+    """Raised only by the simulation kernel's once-per-block log-weight check."""
 
 
 def is_distribution(probs, tol: float = DISTRIBUTION_TOL) -> bool:
@@ -53,24 +53,27 @@ def learning_rate(mass_value: float, arms: int, horizon: int) -> float:
     return 0.5 * math.sqrt(math.log(arms) * mass_value / (arms * horizon))
 
 
-def probs_from_log_weights(log_weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Distributions over the last axis: exp of the log-weights, normalized."""
-    w = np.exp(log_weights)
-    return np.divide(w, w.sum(axis=-1, keepdims=True), out=out)
+def probs_from_log_weights(log_weights: np.ndarray, out=None, work=None, row=None) -> np.ndarray:
+    """Distributions over the last axis: exp of the log-weights, normalized.
+
+    ``out``, ``work`` and ``row`` are as in ``exp3_update_raw``."""
+    w = np.exp(log_weights, out=work)
+    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True, out=row), out=out)
 
 
-def exp3_update_raw(
-    log_weights: np.ndarray, learning_rate: float | np.ndarray, estimates: np.ndarray
-) -> np.ndarray:
+def exp3_update_raw(log_weights: np.ndarray, learning_rate: float | np.ndarray,
+                    estimates: np.ndarray, out=None, work=None, row=None) -> np.ndarray:
     """Multiply each weight by exp(-rate * estimate), then renormalize.
 
     Works row by row over the last axis (arms); ``learning_rate`` broadcasts
-    against ``estimates``.  Callers own shape checks.
+    against ``estimates``.  Optional arrays, made when omitted: ``out``
+    takes the result (it may be ``log_weights``), ``work`` (its shape) and
+    ``row`` (last axis 1) are scratch.  Callers own shape checks and
+    finiteness: a non-finite estimate leaves a non-finite log-weight, which
+    the simulation kernel checks once per block.
     """
-    if not np.isfinite(estimates).all():
-        raise NonFiniteEstimateError("loss estimates must be finite")
-    lw = log_weights - learning_rate * estimates
-    lw -= lw.max(axis=-1, keepdims=True)
+    lw = np.subtract(log_weights, np.multiply(learning_rate, estimates, out=work), out=out)
+    lw -= np.maximum.reduce(lw, axis=-1, keepdims=True, out=row)
     return lw
 
 
@@ -80,10 +83,8 @@ def estimated_loss_vector(losses: np.ndarray, observe_probs: np.ndarray, observe
     # the minimum spares the masked test when every prob is positive
     if np.minimum.reduce(observe_probs, None) <= 0.0 and ((observe_probs <= 0.0) & observed).any():
         raise ZeroObservationProbabilityError("observed arm with zero observation probability")
-    if out is None:
-        out = np.zeros(np.broadcast(losses, observe_probs, observed).shape)
-    else:
-        out.fill(0.0)
+    out = np.empty(np.broadcast(losses, observe_probs, observed).shape) if out is None else out
+    out.fill(0.0)
     return np.divide(losses, observe_probs, out=out, where=observed)
 
 

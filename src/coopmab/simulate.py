@@ -77,13 +77,6 @@ class LossOracle:
             return out
         raise ValueError(f"unknown oracle kind {self.kind!r}")
 
-    def describe(self) -> str:
-        if self.kind == "bernoulli":
-            return "bernoulli:" + ",".join(f"{m:g}" for m in self.means)
-        if self.kind == "matrix":
-            return f"matrix:{self.table.shape[0]}x{self.table.shape[1]}"
-        return "switch:" + ",".join(f"arm{a}@{s}" for s, a in self.switches)
-
 
 def bernoulli_losses(means: Sequence[float], seed: int) -> LossOracle:
     means = tuple(float(m) for m in means)
@@ -121,63 +114,38 @@ def switching_losses(switches: Sequence[tuple[int, int]], arms: int) -> LossOrac
 
 @dataclass
 class RunResult:
-    """Outcome ledger of one simulation."""
+    """Ledgers of a run: realized and semi-expected (p . loss) loss per agent, loss per arm."""
 
-    setting: str
-    node_count: int
-    arms: int
-    horizon: int
+    partition: Partition
     setup_steps: int
     total_steps: int
-    n_upper: int | None
-    partition: Partition | None
-    adversary: str
-    adversary_seed: int
-    policy_seed: int
     realized_loss: np.ndarray
     semi_loss: np.ndarray
     arm_loss: np.ndarray
-    best_arm: int
-    best_arm_loss: float
-    regret: np.ndarray
-    semi_regret: np.ndarray
-    policy_realized_loss: np.ndarray
-    policy_semi_loss: np.ndarray
-    policy_arm_loss: np.ndarray
-    policy_best_arm: int
-    policy_best_arm_loss: float
-    policy_regret: np.ndarray
-    policy_semi_regret: np.ndarray
+    policy_start: tuple[np.ndarray, np.ndarray, np.ndarray]  # the three, after the warm-up
     digest: str
-    checkpoints: list = field(repr=False, default_factory=list)
-    debug_violations: list[str] = field(default_factory=list)
+    checkpoints: list = field(repr=False)
+    debug_violations: list[str]
     luby_budget_exhaustions: int = 0
     short_horizon: bool = False
-    dist_history: list = field(repr=False, default_factory=list)
 
+    @property
+    def best_arm(self) -> int:
+        return int(self.arm_loss.argmin())  # argmin's first-hit rule = lowest-index tie-break
 
-def _result(setting, partition, realized, semi, arm_loss, digest, checkpoints, horizon,
-            setup, n_upper, oracle, p_seed, snapshot, violations=None, dist_history=None,
-            exhaustions=0, short=False) -> RunResult:
-    realized_0, arm_0, semi_0 = snapshot
-    best = int(arm_loss.argmin())  # argmin's first-hit rule = lowest-index tie-break
-    pol_realized, pol_semi, pol_arm = realized - realized_0, semi - semi_0, arm_loss - arm_0
-    pol_best = int(pol_arm.argmin())
-    best_loss, pol_best_loss = float(arm_loss[best]), float(pol_arm[pol_best])
-    return RunResult(
-        setting=setting, node_count=partition.node_count, arms=partition.arms, horizon=horizon,
-        setup_steps=setup, total_steps=setup + horizon, n_upper=n_upper, partition=partition,
-        adversary=oracle.describe(), adversary_seed=int(oracle.seed), policy_seed=p_seed,
-        realized_loss=realized, semi_loss=semi, arm_loss=arm_loss, best_arm=best,
-        best_arm_loss=best_loss, regret=realized - best_loss, semi_regret=semi - best_loss,
-        policy_realized_loss=pol_realized, policy_semi_loss=pol_semi, policy_arm_loss=pol_arm,
-        policy_best_arm=pol_best, policy_best_arm_loss=pol_best_loss,
-        policy_regret=pol_realized - pol_best_loss, policy_semi_regret=pol_semi - pol_best_loss,
-        digest=digest, checkpoints=checkpoints,
-        debug_violations=[] if violations is None else violations,
-        luby_budget_exhaustions=exhaustions, short_horizon=short,
-        dist_history=[] if dist_history is None else dist_history,
-    )
+    @property
+    def regret(self) -> np.ndarray:
+        return self.realized_loss - float(self.arm_loss[self.best_arm])
+
+    @property
+    def semi_regret(self) -> np.ndarray:
+        return self.semi_loss - float(self.arm_loss[self.best_arm])
+
+    @property
+    def policy_semi_regret(self) -> np.ndarray:
+        """Semi regret of the policy phase alone, against that phase's best arm."""
+        arm = self.arm_loss - self.policy_start[2]
+        return (self.semi_loss - self.policy_start[1]) - float(arm[arm.argmin()])
 
 
 def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle],
@@ -211,10 +179,9 @@ BATCH_CELLS = 1 << 16  # at most this many seed-agent-steps per block
 
 
 def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequence[LossOracle],
-               rngs: Sequence[np.random.Generator], policy_seeds: Sequence[int], setting: str,
-               setup: int = 0, short: bool = False, debug: bool = False,
-               log_sinks: Sequence[IO | None] | None = None, record_distributions: bool = False,
-               n_upper: int | None = None, exhaustions: int = 0) -> list[RunResult]:
+               rngs: Sequence[np.random.Generator], setup: int = 0, short: bool = False,
+               debug: bool = False, log_sinks: Sequence[IO | None] | None = None,
+               exhaustions: int = 0) -> list[RunResult]:
     """Play one run per (oracle, policy stream) on a shared partition, all seeds each round.
 
     Global steps 1..setup are uniform warm-up play while the uninformed
@@ -224,10 +191,10 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
     fixed reduction order, so a seed's result does not depend on which
     seeds share its batch.  Agents' distributions and CDFs share a buffer:
     one take stages every relay, one row assignment writes every center,
-    and the exp3 step writes into scratch made when the policy phase
-    starts.  Once per block of steps, losses and draws are read, charged
-    losses gathered, totals advanced and digest records hashed, and draws
-    are checked for zeros and log-weights for non-finite values (before
+    and exp3's update and normalization write into scratch made when the
+    policy phase starts.  Once per block of steps, losses and draws are
+    read, charged losses gathered, totals advanced and digest records
+    hashed, and draws are checked for zeros and log-weights for non-finite values (before
     any hashing or logging).  The debug audit and the log writer take
     several steps at once, at most BATCH_CELLS / 64 center-arm cells or
     lines each, or one step's if more.
@@ -275,11 +242,9 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
     state[0, 0] = 1.0 / k
     np.cumsum(state[0, 0], axis=2, out=state[0, 1])
     views = [(x, x[0], x[1], x.reshape(-1, k)) for x in state]  # x, p, CDF, arm rows
-    count = np.empty((seeds, n))
-    ones = np.ones(k)
+    count, ones = np.empty((seeds, n)), np.ones(k)
     checkpoints: list[list] = [[] for _ in range(seeds)]
     violations: list[list[str]] = [[] for _ in range(seeds)]
-    history: list[list[np.ndarray]] = [[] for _ in range(seeds)]
     every = max(1, total // 256)
     # flat indices of observed[s, slot[f], 0]; center rows of a state buffer's arm rows
     seed_col = np.arange(seeds)[:, None]
@@ -292,10 +257,8 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
     # segment, a sum over rows adds the segment step by step, as a per-step
     # `+=` does (two agent totals keep the inner axis 2 long or more: numpy
     # sums a lone contiguous axis pairwise).
-    totals = np.zeros((2, seeds, n))
-    arm_totals = np.zeros((seeds, k))
-    steps = np.empty((block + 1,) + totals.shape)
-    losses = np.empty((block + 1, seeds, k))
+    totals, arm_totals = np.zeros((2, seeds, n)), np.zeros((seeds, k))
+    steps, losses = np.empty((block + 1,) + totals.shape), np.empty((block + 1, seeds, k))
     # digest records, one seed's block contiguous: the policy step writes
     # actions straight into them, and they are hashed where they lie
     record = np.empty((seeds, block), dtype=[("t", np.int64), ("a", np.int64, (n,)),
@@ -308,7 +271,7 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
 
     for warm, first, last in ((True, 0, setup), (False, setup, total)):
         if not warm:  # ledgers at the policy phase's start; step scratch
-            snapshot = (totals[0].copy(), arm_totals.copy(), totals[1].copy())
+            start_ledgers = (totals[0].copy(), totals[1].copy(), arm_totals.copy())
             stash = np.empty((4, chunk * seeds) + logw.shape[1:])  # p_now, p_next, est, observe
             p_now, p_out, est, observe = stash
             gathered, observed = np.empty((seeds, flat.size, k)), np.empty(logw.shape, bool)
@@ -335,9 +298,6 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
             for j in range(0 if warm else m):
                 (now, p, cdf, _), (new, p_new, _, new_rows) = views
                 act = actions[:, j]
-                if record_distributions:
-                    for s in range(seeds):
-                        history[s].append(p[s].copy())
                 # inverse-CDF sample, arms ascending: the action is the number
                 # of arms whose CDF lies below the draw (exact small sums in
                 # p_new until the relays' take fills it).  That arm has positive
@@ -365,11 +325,8 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
                 observed.fill(False)
                 observed.put(observed_cell + act.take(flat, axis=1), True)
                 exp3.estimated_loss_vector(loss_rows[j], observe, observed, out=est)
-                # exp3_update_raw and probs_from_log_weights in place, guard below
-                logw -= np.multiply(rates, est, out=work)
-                logw -= np.maximum.reduce(logw, axis=2, keepdims=True, out=row)
-                np.exp(logw, out=work)
-                np.divide(work, np.add.reduce(work, axis=2, keepdims=True, out=row), out=p_next)
+                exp3.exp3_update_raw(logw, rates, est, logw, work, row)  # finiteness: below
+                exp3.probs_from_log_weights(logw, p_next, work, row)
                 np.add.accumulate(p_next, axis=2, out=work)
                 if debug:
                     p.take(centers, axis=1, out=p_now)
@@ -409,10 +366,9 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
                 lo = hi
 
     return [
-        _result(setting, partition, totals[0, s], totals[1, s], arm_totals[s],
-                digests[s].hexdigest(), checkpoints[s], horizon, setup, n_upper, oracles[s],
-                policy_seeds[s], tuple(x[s] for x in snapshot), violations=violations[s],
-                dist_history=history[s], exhaustions=exhaustions, short=short)
+        RunResult(partition, setup, total, totals[0, s], totals[1, s], arm_totals[s],
+                  tuple(x[s] for x in start_ledgers), digests[s].hexdigest(), checkpoints[s],
+                  violations[s], exhaustions, short)
         for s in range(seeds)
     ]
 
@@ -497,8 +453,7 @@ def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
 
 def run_informed_batch(g: Graph, arms: int, horizon: int, oracles: Sequence[LossOracle],
                        policy_seeds: Sequence[int], partition: Partition | None = None,
-                       debug: bool = False, log_sinks: Sequence[IO | None] | None = None,
-                       record_distributions: bool = False) -> list[RunResult]:
+                       debug: bool = False, log_sinks: Sequence | None = None) -> list[RunResult]:
     """run_informed for each (oracle, policy seed) pair, on one election, seeds in lockstep.
 
     Each result equals run_informed(g, arms, horizon, oracle, seed, ...)
@@ -518,39 +473,34 @@ def run_informed_batch(g: Graph, arms: int, horizon: int, oracles: Sequence[Loss
         run
         for a in range(0, len(oracles), per_call)
         for run in _run_batch(g, partition, horizon, oracles[a:a + per_call],
-                              rngs[a:a + per_call], policy_seeds[a:a + per_call], "informed",
-                              short=short, debug=debug, log_sinks=sinks[a:a + per_call],
-                              record_distributions=record_distributions)
+                              rngs[a:a + per_call], short=short, debug=debug,
+                              log_sinks=sinks[a:a + per_call])
     ]
 
 
 def run_informed(g: Graph, arms: int, horizon: int, oracle: LossOracle, policy_seed: int,
                  debug: bool = False, log_sink: IO | None = None,
-                 record_distributions: bool = False, partition: Partition | None = None
-                 ) -> RunResult:
+                 partition: Partition | None = None) -> RunResult:
     """Simulate with the graph known in advance: partitioning costs no steps."""
     return run_informed_batch(g, arms, horizon, [oracle], [policy_seed], partition, debug,
-                              [log_sink], record_distributions)[0]
+                              [log_sink])[0]
 
 
 def run_uninformed(g: Graph, arms: int, n_upper: int, horizon: int, oracle: LossOracle,
-                   policy_seed: int, debug: bool = False, log_sink: IO | None = None,
-                   record_distributions: bool = False) -> RunResult:
+                   policy_seed: int, debug: bool = False, log_sink: IO | None = None) -> RunResult:
     """Simulate the full uninformed protocol: elect centers while playing uniform.
 
     The policy stream serves the election's draws, then one uniform action
     per agent per setup step, then the policy phase.  Losses accrue from
     step 1; regret is against the best fixed arm over the whole timeline
-    (the policy phase's alone is in the result too).
+    (the result derives the policy phase's semi regret too).
     """
     short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
     return _run_batch(g, election.partition, horizon, [oracle], [rng],
-                      [policy_seed], "uninformed", setup=election.total_steps, short=short,
-                      debug=debug, log_sinks=[log_sink],
-                      record_distributions=record_distributions, n_upper=n_upper,
-                      exhaustions=election.exhaustions)[0]
+                      setup=election.total_steps, short=short, debug=debug,
+                      log_sinks=[log_sink], exhaustions=election.exhaustions)[0]
 
 
 def run_solo_exp3(arms: int, horizon: int, oracle: LossOracle, policy_seed: int) -> RunResult:
@@ -568,8 +518,7 @@ def run_solo_exp3_batch(arms: int, horizon: int, oracles: Sequence[LossOracle],
     solo = Partition(arms=arms, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
                      mass_m=(1,), mass_d=(0,))
     rngs = [np.random.default_rng(s) for s in policy_seeds]
-    return _run_batch(build_graph(1, ()), solo, horizon, oracles, rngs, policy_seeds, "solo",
-                      short=short)
+    return _run_batch(build_graph(1, ()), solo, horizon, oracles, rngs, short=short)
 
 
 def individual_bound(mass_value: float, arms: int, horizon: int) -> float:

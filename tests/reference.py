@@ -2,12 +2,15 @@
 
 ``SimWorld`` advances one run one global step at a time, with a Python
 loop over centers; ``run_informed``, ``run_uninformed`` and
-``run_solo_exp3`` drive it one seed per call.  The code is kept as it was
-in ``coopmab.simulate`` so that the differential tests in
-``test_simulate.py`` compare the kernel with an independent implementation
-rather than with itself.  It shares no table with the kernel: ``role``,
-``ROLES`` (the digest's role codes) and ``mass_value`` derive each node's
-role and each center's mass from the partition's columns here.
+``run_solo_exp3`` drive it one seed per call, and return a ``ReferenceRun``:
+a ``RunResult`` that also holds the played distributions when asked to
+record them.  ``assert_same_run`` compares two runs field by field.  The
+code is kept as it was in ``coopmab.simulate`` so that the differential
+tests in ``test_simulate.py`` compare the kernel with an independent
+implementation rather than with itself.  It shares no table with the
+kernel: ``role``, ``ROLES`` (the digest's role codes) and ``mass_value``
+derive each node's role and each center's mass from the partition's
+columns here.
 
 ``neighbors``, ``degree`` and ``closed_neighborhood`` read one node's
 neighbors off a graph's CSR arrays, as ``Graph`` once did per node, and
@@ -52,7 +55,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import IO, Iterable
 
@@ -84,7 +87,7 @@ from coopmab.partition import (
     degree_clamp,
     min_center_distance,
 )
-from coopmab.simulate import LossOracle, RunResult, _check_run_args, _result
+from coopmab.simulate import LossOracle, RunResult, _check_run_args
 
 ROLES = ("center", "adjacent", "simple")  # the digest header's role codes, by index
 
@@ -321,12 +324,45 @@ class SimWorld:
 
 
 
-def _finish(world: SimWorld, setting, horizon, setup, n_upper, oracle, p_seed,
-            snapshot, exhaustions=0, short=False) -> RunResult:
-    return _result(setting, world.partition, world.realized, world.semi, world.arm_cum,
-                   world.digest.hexdigest(), world.checkpoints, horizon, setup, n_upper,
-                   oracle, p_seed, snapshot, violations=world.violations,
-                   dist_history=world.dist_history, exhaustions=exhaustions, short=short)
+@dataclass
+class ReferenceRun(RunResult):
+    """A reference run's result; ``dist_history[t - 1]`` holds every agent's
+    distribution played at policy step t when the run records them."""
+
+    dist_history: list = field(repr=False, default_factory=list)
+
+
+def _finish(world: SimWorld, setup, snapshot, exhaustions=0, short=False) -> ReferenceRun:
+    return ReferenceRun(world.partition, setup, world.t - 1, world.realized, world.semi,
+                        world.arm_cum, snapshot, world.digest.hexdigest(), world.checkpoints,
+                        world.violations, exhaustions, short, world.dist_history)
+
+
+def _ledgers(world: SimWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return world.realized.copy(), world.semi.copy(), world.arm_cum.copy()
+
+
+def assert_same_run(run: RunResult, want: RunResult, each_step: bool = False) -> None:
+    """Every ``RunResult`` field equal: arrays, also inside checkpoints and
+    ``policy_start``, in dtype, shape and bytes.  With ``each_step``, ``run``
+    must hold a checkpoint per step (runs under 512 steps do), so the semi
+    ledger compares every agent's p . loss at every step."""
+    if each_step:
+        assert [c[0] for c in run.checkpoints] == list(range(1, run.total_steps + 1))
+    for name in RunResult.__dataclass_fields__:
+        a, b = getattr(run, name), getattr(want, name)
+        if name == "partition":
+            assert_same_partition(a, b)
+        else:
+            assert _same(a, b), name
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def run_informed(
@@ -339,7 +375,7 @@ def run_informed(
     log_sink: IO | None = None,
     record_distributions: bool = False,
     partition: Partition | None = None,
-) -> RunResult:
+) -> ReferenceRun:
     """Simulate with the graph known in advance: partitioning costs no steps."""
     short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     if partition is None:
@@ -355,11 +391,10 @@ def run_informed(
         log_sink=log_sink,
         record_distributions=record_distributions,
     )
-    snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
+    snapshot = _ledgers(world)
     for _ in range(horizon):
         world.advance_round()
-    return _finish(world, "informed", horizon, 0, None, oracle, policy_seed, snapshot,
-                   short=short)
+    return _finish(world, 0, snapshot, short=short)
 
 
 def run_uninformed(
@@ -372,7 +407,7 @@ def run_uninformed(
     debug: bool = False,
     log_sink: IO | None = None,
     record_distributions: bool = False,
-) -> RunResult:
+) -> ReferenceRun:
     """Simulate the full uninformed protocol: elect centers while playing uniform.
 
     The policy RNG stream is consumed in a fixed order: first the election
@@ -401,12 +436,11 @@ def run_uninformed(
     for _ in range(setup):
         world.warmup_round()
     assert world.t - 1 == setup, "warm-up step accounting drifted"
-    snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
+    snapshot = _ledgers(world)
     for _ in range(horizon):
         world.advance_round()
     exhaustions = sum(1 for call in election.luby_calls if call.result.exhausted)
-    return _finish(world, "uninformed", horizon, setup, n_upper, oracle, policy_seed,
-                   snapshot, exhaustions=exhaustions, short=short)
+    return _finish(world, setup, snapshot, exhaustions=exhaustions, short=short)
 
 
 def _solo_partition(arms: int) -> Partition:
@@ -424,16 +458,16 @@ def _solo_partition(arms: int) -> Partition:
 
 def run_solo_exp3(
     arms: int, horizon: int, oracle: LossOracle, policy_seed: int
-) -> RunResult:
+) -> ReferenceRun:
     """Baseline: one agent, no neighbors, importance weights from its own play."""
     short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     solo = _solo_partition(arms)
     losses = oracle.rows(0, horizon)
     world = SimWorld(None, solo, losses, np.random.default_rng(policy_seed))
-    snapshot = (world.realized.copy(), world.arm_cum.copy(), world.semi.copy())
+    snapshot = _ledgers(world)
     for _ in range(horizon):
         world.advance_round()
-    return _finish(world, "solo", horizon, 0, None, oracle, policy_seed, snapshot, short=short)
+    return _finish(world, 0, snapshot, short=short)
 
 
 def neighbors(g: Graph, v: int) -> tuple[int, ...]:

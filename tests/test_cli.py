@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -160,6 +161,26 @@ def test_short_loss_table_fails_at_the_run_length(tmp_path, capsys, setting):
     assert f"loss table has 10 rows, run needs {total}\n" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
     assert (tmp_path / "log-seed0.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--adversary-seed", "-1"], "--adversary-seed"),
+    (["simulate", "--policy-seed", "-5"], "--policy-seed"),
+    (["partition", "--setting", "uninformed", "--nbar", "5", "--policy-seed", "-1"],
+     "--policy-seed"),
+])
+def test_negative_seed_is_rejected_by_flag_before_any_file(tmp_path, star_file, capsys, argv,
+                                                         flag):
+    # unchecked, numpy's seeding fails mid-run with a message that names no
+    # flag, after the log file is opened
+    command, *rest = argv
+    extra = (["--adversary", "bernoulli:0.4,0.5", "--horizon", "10",
+              "--log", str(tmp_path / "lg"), "--out", str(tmp_path / "run")]
+             if command == "simulate" else ["--out", str(tmp_path / "part.json")])
+    assert main([command, "--graph", star_file, "--arms", "2", *rest, *extra]) == 2
+    value = rest[rest.index(flag) + 1]
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got {value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["star.txt"]
 
 
 def test_validate_subcommand(capsys):
@@ -373,7 +394,7 @@ def _dict_rows(cfg, g, results) -> list[dict]:
     rows = []
     for index, res in enumerate(results):
         part = res.partition
-        for v in range(res.node_count):
+        for v in range(res.partition.node_count):
             closed = int(g.closed_degrees[v])
             if cfg.setting == "uninformed":
                 b12 = uninformed_degree_bound(closed, cfg.arms, cfg.n_upper, cfg.horizon)
@@ -424,10 +445,15 @@ def test_column_writers_equal_csv_and_json_modules(tmp_path, setting, seeds):
     path.write_text(format_edge_list(path_graph(6)))
     g = read_edge_list(str(path))
     cfg = _config(str(path), setting, seeds, debug_invariants=False)
-    results = sweep(cfg, g)
-    for s, res in enumerate(results):  # edge values in both regret columns, each seed its own mix
-        res.regret[:] = [EDGE_REGRETS[(v + s) % 7] for v in range(g.node_count)]
-        res.semi_regret[:] = [EDGE_REGRETS[(v + 2 * s + 3) % 7] for v in range(g.node_count)]
+    # edge values in both regret columns, each seed its own mix: with every
+    # arm's loss 0.0, a regret is its loss ledger minus 0.0, bit for bit
+    results = [
+        dataclasses.replace(
+            res, arm_loss=np.zeros(cfg.arms),
+            realized_loss=np.array([EDGE_REGRETS[(v + s) % 7] for v in range(g.node_count)]),
+            semi_loss=np.array([EDGE_REGRETS[(v + 2 * s + 3) % 7] for v in range(g.node_count)]))
+        for s, res in enumerate(sweep(cfg, g))
+    ]
     rows = results_rows(cfg, g, results)
     doc = summary_doc(cfg, g, results, rows)
     write_csv(str(tmp_path / "cols.csv"), rows)

@@ -8,7 +8,6 @@ import reference
 
 from coopmab.exp3 import (
     ArmsTooFewError,
-    NonFiniteEstimateError,
     ZeroObservationProbabilityError,
     estimated_loss_vector,
     exp3_update_raw,
@@ -80,14 +79,29 @@ def test_update_frozen_example():
     assert probs_from_log_weights(batch)[0].tolist() == p.tolist()
 
 
+def test_buffered_calls_equal_allocating_calls():
+    # the kernel's call form: (seeds, centers, arms) arrays, one rate per
+    # center, the update in place and both steps writing into scratch; the
+    # results equal the allocating calls bit for bit
+    rng = np.random.default_rng(5)
+    shape = (4, 50, 10)
+    lw = rng.normal(size=shape)
+    lw -= lw.max(axis=2, keepdims=True)
+    rates = rng.uniform(0.01, 0.5, size=(shape[1], 1))
+    est = np.where(rng.random(shape) < 0.5, rng.random(shape) * 4.0, 0.0)
+    want = exp3_update_raw(lw, rates, est)
+    want_p = probs_from_log_weights(want)
+    work, row, p = np.empty(shape), np.empty(shape[:2] + (1,)), np.empty(shape)
+    assert exp3_update_raw(lw, rates, est, lw, work, row) is lw
+    assert probs_from_log_weights(lw, p, work, row) is p
+    assert lw.tobytes() == want.tobytes() and p.tobytes() == want_p.tobytes()
+
+
 def test_update_rejections():
-    lw = np.zeros(3)
-    with pytest.raises(NonFiniteEstimateError):
-        exp3_update_raw(lw, 0.05, np.array([1.0, np.inf, 0.0]))
-    with pytest.raises(NonFiniteEstimateError):
-        exp3_update_raw(lw, 0.05, np.array([1.0, np.nan, 0.0]))
+    # a non-finite estimate is the kernel's to catch, once per block
+    # (test_simulate.py::test_kernel_raises_on_a_non_finite_estimate)
     with pytest.raises(ValueError):
-        exp3_update_raw(lw, 0.05, np.zeros(4))
+        exp3_update_raw(np.zeros(3), 0.05, np.zeros(4))
 
 
 def test_total_weight_never_grows():
@@ -106,15 +120,16 @@ def test_observation_probability():
     # Round 1 on an edge: both agents play uniform, so the center sees an arm
     # with probability 1 - (1/2)^2 = 3/4 and its round-2 distribution divides
     # the observed loss by 3/4.
-    sink = io.StringIO()
-    res = run_informed(path_graph(2), 2, 3, matrix_losses([[1.0, 0.0]] * 3), 0,
-                       log_sink=sink, record_distributions=True)
+    sink, oracle = io.StringIO(), matrix_losses([[1.0, 0.0]] * 3)
+    res = run_informed(path_graph(2), 2, 3, oracle, 0, log_sink=sink)
+    ref = reference.run_informed(path_graph(2), 2, 3, oracle, 0, record_distributions=True)
+    reference.assert_same_run(res, ref, each_step=True)
     c = res.partition.centers[0]
     played = {json.loads(line)["action"] for line in sink.getvalue().splitlines()[:2]}
     assert 0 in played  # pinned by the seed: arm 0's loss is seen
     rate = learning_rate(reference.mass_value(res.partition, c), 2, 3)
     want = math.exp(-rate / 0.75) / (math.exp(-rate / 0.75) + 1.0)
-    assert res.dist_history[1][c][0] == pytest.approx(want, abs=1e-15)
+    assert ref.dist_history[1][c][0] == pytest.approx(want, abs=1e-15)
 
 
 def test_estimated_loss_cases():

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,8 +102,10 @@ def test_dominant_arm_is_learned():
     g = star_graph(4)
     table = np.ones((4000, 3))
     table[:, 0] = 0.0
-    res = run_informed(g, 3, 4000, matrix_losses(table), 11, record_distributions=True)
-    final = res.dist_history[-1]
+    res = run_informed(g, 3, 4000, matrix_losses(table), 11)
+    want = reference.run_informed(g, 3, 4000, matrix_losses(table), 11, record_distributions=True)
+    reference.assert_same_run(res, want)
+    final = want.dist_history[-1]
     assert (final[:, 0] > 0.9).all()
     assert (res.regret <= 0.25 * 4000).all()
 
@@ -131,8 +134,10 @@ def test_relay_causality_on_path():
     g = path_graph(5)
     part = reference.centers_to_components(g, {2}, 4).to_partition()
     oracle = bernoulli_losses([0.2, 0.4, 0.6, 0.8], 1)
-    res = run_informed(g, 4, 60, oracle, 5, record_distributions=True, partition=part)
-    hist = res.dist_history  # hist[t-1] = distributions played at round t
+    res = run_informed(g, 4, 60, oracle, 5, partition=part)
+    want = reference.run_informed(g, 4, 60, oracle, 5, record_distributions=True, partition=part)
+    reference.assert_same_run(res, want, each_step=True)
+    hist = want.dist_history  # hist[t-1] = distributions played at round t
     uniform = np.full(4, 0.25)
     for v in range(5):
         d = part.delay[v]
@@ -149,7 +154,9 @@ def test_center_weights_reconstructable_from_messages():
     g = star_graph(3)
     oracle = bernoulli_losses([0.3, 0.5, 0.7], 8)
     sink = io.StringIO()
-    res = run_informed(g, 3, 300, oracle, 21, record_distributions=True, log_sink=sink)
+    res = run_informed(g, 3, 300, oracle, 21, log_sink=sink)
+    want = reference.run_informed(g, 3, 300, oracle, 21, record_distributions=True)
+    reference.assert_same_run(res, want, each_step=True)
     actions = np.zeros((300, 4), dtype=int)
     for line in sink.getvalue().splitlines():
         rec = json.loads(line)
@@ -160,7 +167,7 @@ def test_center_weights_reconstructable_from_messages():
     rate = exp3.learning_rate(reference.mass_value(res.partition, 0), 3, 300)
     lw = np.zeros(3)
     for t in range(1, 301):
-        played = res.dist_history[t - 1]
+        played = want.dist_history[t - 1]
         assert np.array_equal(played[0], exp3.probs_from_log_weights(lw))
         observe = 1.0 - np.prod(1.0 - played[members], axis=0)
         observed = np.zeros(3, dtype=bool)
@@ -204,7 +211,7 @@ def test_uninformed_run_timeline():
     reference.assert_same_partition(res.partition, election.partition)
     # warm-up charges the row mean to the semi ledger
     warm = oracle.rows(0, res.setup_steps).mean(axis=1).sum()
-    semi_setup = res.semi_loss - res.policy_semi_loss
+    semi_setup = res.policy_start[1]  # the semi ledger where the policy phase starts
     assert np.allclose(semi_setup, warm)
 
 
@@ -212,7 +219,15 @@ def test_uninformed_zero_losses():
     g = path_graph(4)
     res = run_uninformed(g, 2, 8, 300, matrix_losses(np.zeros((5000, 2))), 1)
     assert np.array_equal(res.regret, np.zeros(4))
-    assert np.array_equal(res.policy_regret, np.zeros(4))
+    assert np.array_equal(_policy_phase(res)[2], np.zeros(4))
+
+
+def _policy_phase(res: RunResult):
+    """The policy phase's realized loss, best-arm loss and regret, from the run's ledgers."""
+    realized, _, arm = res.policy_start
+    realized, arm = res.realized_loss - realized, res.arm_loss - arm
+    best = float(arm[arm.argmin()])
+    return realized, best, realized - best
 
 
 def test_policy_slice_consistency():
@@ -221,12 +236,11 @@ def test_policy_slice_consistency():
     res = run_uninformed(g, 3, 10, 400, oracle, 23)
     losses = oracle.rows(0, res.total_steps)
     policy_rows = losses[res.setup_steps:]
-    assert res.policy_best_arm_loss == pytest.approx(policy_rows.sum(axis=0).min())
-    assert np.allclose(
-        res.policy_regret, res.policy_realized_loss - res.policy_best_arm_loss
-    )
+    realized, best_loss, regret = _policy_phase(res)
+    assert best_loss == pytest.approx(policy_rows.sum(axis=0).min())
+    assert np.allclose(regret, realized - best_loss)
     # full-timeline regret uses the best arm over setup + policy steps
-    assert res.best_arm_loss == pytest.approx(losses.sum(axis=0).min())
+    assert res.arm_loss[res.best_arm] == pytest.approx(losses.sum(axis=0).min())
 
 
 def test_run_argument_validation():
@@ -341,10 +355,30 @@ def test_checkpoints_cover_run():
         assert t0 == t1 and np.array_equal(r0, r1) and np.array_equal(s0, s1)
 
 
+def test_run_memory_does_not_grow_with_the_horizon():
+    # Traced peak of a run at 8T steps against T steps, T = 512: the
+    # checkpoints stay about 256 however long the run, and nothing else
+    # the kernel keeps grows with T.  Copying every agent's distribution at
+    # every step (11 agents, 10 arms) would add about 4 MB here.  An
+    # untraced first run warms numpy's lazily built state up.
+    g, arms, horizon = star_graph(10), 10, 512
+    oracle = bernoulli_losses(np.linspace(0.2, 0.8, arms), 1)
+    run_informed(g, arms, horizon, oracle, 2)
+    peaks = []
+    for steps in (horizon, 8 * horizon):
+        tracemalloc.start()
+        try:
+            run_informed(g, arms, steps, oracle, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
 def test_solo_baseline():
     oracle = bernoulli_losses([0.3, 0.5, 0.5], 12)
     res = run_solo_exp3(3, 2000, oracle, 9)
-    assert res.node_count == 1
+    assert res.partition.node_count == 1
     assert reference.mass(res.partition, 0) == reference.OrderedMass(1, 0)
     assert np.isfinite(res.regret).all()
 
@@ -353,12 +387,14 @@ def test_sampler_never_plays_zero_arm_at_boundary():
     g = build_graph(2, [(0, 1)])
     oracle = matrix_losses(np.zeros((3, 3)))
     with pytest.warns(RuntimeWarning):  # horizon intentionally tiny
-        res = run_informed(g, 3, 1, oracle, 0, record_distributions=True, partition=None)
+        res = run_informed(g, 3, 1, oracle, 0, partition=None)
+        want = reference.run_informed(g, 3, 1, oracle, 0, record_distributions=True)
     # direct check on the fallback: rig a world-like row with a zero arm
     p = np.array([0.5, 0.0, 0.5])
     assert exp3.sample_action(p, 0.5) == 0
     assert exp3.sample_action(p, 0.5000001) == 2
-    assert res.dist_history  # run completed
+    assert want.dist_history  # run completed
+    reference.assert_same_run(res, want, each_step=True)
 
 
 class _RiggedDraws:
@@ -427,6 +463,7 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
         for run in (one, batched):
             assert run.realized_loss.tobytes() == realized.tobytes(), seed
             assert run.digest == single.digest
+            reference.assert_same_run(run, single, each_step=True)
 
 
 def test_bound_helpers_are_plain_formulas():
@@ -468,26 +505,6 @@ def test_oracle_row_blocks_join_to_matrix(kind):
         oracle.rows(5, 4)
 
 
-def _assert_same_run(batch: RunResult, single: RunResult) -> None:
-    for name in RunResult.__dataclass_fields__:
-        a, b = getattr(batch, name), getattr(single, name)
-        if name == "checkpoints":
-            assert len(a) == len(b)
-            for (t0, *ledgers0), (t1, *ledgers1) in zip(a, b):
-                assert t0 == t1
-                assert all(x.tobytes() == y.tobytes() for x, y in zip(ledgers0, ledgers1))
-        elif name == "partition":
-            reference.assert_same_partition(a, b)
-        elif name == "dist_history":
-            assert len(a) == len(b)
-            assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
-        elif isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
-        else:
-            assert a == b, name
-
-
 def _batch_oracles(kind, seeds, arms, steps):
     if kind == "bernoulli":
         return [bernoulli_losses(np.linspace(0.3, 0.7, arms), 60 + i) for i in range(seeds)]
@@ -518,10 +535,10 @@ def test_batch_runs_equal_per_seed_runs(monkeypatch, name, g, arms, kind, seeds,
     batch = run_informed_batch(g, arms, horizon, oracles, policy_seeds)
     assert len(batch) == seeds
     for run, oracle, seed in zip(batch, oracles, policy_seeds):
-        _assert_same_run(run, reference.run_informed(g, arms, horizon, oracle, seed))
+        reference.assert_same_run(run, reference.run_informed(g, arms, horizon, oracle, seed))
     solo = run_solo_exp3_batch(arms, horizon, oracles, policy_seeds)
     for run, oracle, seed in zip(solo, oracles, policy_seeds):
-        _assert_same_run(run, reference.run_solo_exp3(arms, horizon, oracle, seed))
+        reference.assert_same_run(run, reference.run_solo_exp3(arms, horizon, oracle, seed))
 
 
 @pytest.mark.parametrize("name,g,arms,kind", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
@@ -533,8 +550,8 @@ def test_uninformed_runs_equal_reference_runs(monkeypatch, name, g, arms, kind):
     for oracle, seed in zip(_batch_oracles(kind, 2, arms, 4000), (11, 12)):
         run = run_uninformed(g, arms, 2 * g.node_count, horizon, oracle, seed)
         assert run.setup_steps > 37
-        _assert_same_run(run, reference.run_uninformed(g, arms, 2 * g.node_count, horizon,
-                                                       oracle, seed))
+        want = reference.run_uninformed(g, arms, 2 * g.node_count, horizon, oracle, seed)
+        reference.assert_same_run(run, want)
 
 
 @pytest.mark.filterwarnings("ignore:horizon")
@@ -557,10 +574,10 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
         assert run.setup_steps > 0
     else:
         means = np.random.default_rng(94).random(300)
-        run, want = (f.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96,
-                                    record_distributions=True) for f in (simulate, reference))
+        run, want = (f.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96)
+                     for f in (simulate, reference))
     assert want.checkpoints[0][0] >= 9 or case == "arms-300"  # the checkpoint spacing
-    _assert_same_run(run, want)
+    reference.assert_same_run(run, want, each_step=case == "arms-300")
 
 
 def test_solo_short_horizon_equals_reference():
@@ -572,7 +589,7 @@ def test_solo_short_horizon_equals_reference():
     with pytest.warns(RuntimeWarning, match="horizon 5"):
         want = reference.run_solo_exp3(3, 5, oracle, 98)
     assert run.short_horizon
-    _assert_same_run(run, want)
+    reference.assert_same_run(run, want)
 
 
 def test_batch_takes_a_given_partition_and_checks_arguments():
@@ -582,7 +599,8 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
     batch = run_informed_batch(g, 3, 300, oracles, [5, 6], partition=part)
     for run, oracle, seed in zip(batch, oracles, (5, 6)):
         assert run.partition is part
-        _assert_same_run(run, reference.run_informed(g, 3, 300, oracle, seed, partition=part))
+        want = reference.run_informed(g, 3, 300, oracle, seed, partition=part)
+        reference.assert_same_run(run, want)
     with pytest.raises(ValueError):
         run_informed_batch(g, 3, 300, oracles, [5])  # one seed short
     with pytest.raises(ValueError):
@@ -620,7 +638,7 @@ def test_partition_rejects_a_short_column(center, column):
     # cases fail inside numpy, with an IndexError or a broadcast error
     cols = dict(_PATH_END[center])
     assert run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
-                        partition=Partition(arms=2, **cols)).node_count == 4
+                        partition=Partition(arms=2, **cols)).partition.node_count == 4
     cols[column] = cols[column][:2]
     with pytest.raises(ValueError, match=f"column {column} has 2 entries, center_of has 4"):
         run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
@@ -713,7 +731,7 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         oracles.append(LossOracle(kind="matrix", arms=arms, table=table))
     kernel_logs = [io.StringIO() for _ in policy_seeds]
     reference_logs = [io.StringIO() for _ in policy_seeds]
-    options = dict(debug=True, record_distributions=True)
+    options = dict(debug=True)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "BATCH_ROWS", block)
@@ -747,7 +765,7 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
 
     for run, want, log, want_log, setup in zip(runs, expected, kernel_logs, reference_logs,
                                                setups):
-        _assert_same_run(run, want)
+        reference.assert_same_run(run, want, each_step=True)  # setup + horizon < 512
         assert run.setup_steps == setup
         assert run.debug_violations
         assert log.getvalue() == want_log.getvalue()
@@ -820,7 +838,7 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
         else:
             want = reference.run_uninformed(g, arms, n_upper, horizon, oracle, p_seed,
                                             debug=True, log_sink=want_log)
-        _assert_same_run(run, want)
+        reference.assert_same_run(run, want)
         assert log.getvalue() == want_log.getvalue()
         assert '"loss": -0.0,' in log.getvalue() and '"loss": 0.0,' in log.getvalue()
 
