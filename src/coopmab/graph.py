@@ -170,13 +170,17 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
         if loop[i]:
             raise SelfLoopError(f"self loop at node {a}")
         raise DuplicateEdgeError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
-    key = np.sort(np.concatenate((key, hi * n + lo)))  # both directions, by (node, neighbor)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n))))
-    g = Graph(n, (_frozen(indptr), _frozen(key % n)))
-    reach = int((g.multi_source_distances((0,)) >= 0).sum())
+    size = n
+    if u.size < n - 1:  # too few edges to connect n nodes: BFS over 0 and the named ones
+        named = _distinct(np.concatenate(([0], lo, hi)))
+        size, lo, hi = named.size, named.searchsorted(lo), named.searchsorted(hi)
+    key = np.sort(np.concatenate((lo * size + hi, hi * size + lo)))  # by (node, neighbor)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(key // size, minlength=size))))
+    csr = _frozen(indptr), _frozen(key % size)
+    reach = int((_bfs(*csr, np.zeros(1, np.int64)) >= 0).sum())
     if reach != n:
         raise DisconnectedError(f"graph is disconnected: {reach} of {n} nodes reachable from 0")
-    return g
+    return Graph(n, csr)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -176,6 +176,7 @@ def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle],
 
 BATCH_ROWS = 64  # steps per block of losses, policy draws, digest records and log lines
 BATCH_CELLS = 1 << 16  # at most this many seed-agent-steps per block
+CHECKPOINT_CELLS = 1 << 18  # ledger snapshot cells per seed, at most (or one snapshot)
 
 
 def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequence[LossOracle],
@@ -189,15 +190,10 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
     setup+1..setup+horizon follow the protocol (one ``random`` draw per
     agent).  The arithmetic is done on (seeds, agents, arms) arrays in a
     fixed reduction order, so a seed's result does not depend on which
-    seeds share its batch.  Agents' distributions and CDFs share a buffer:
-    one take stages every relay, one row assignment writes every center,
-    and exp3's update and normalization write into scratch made when the
-    policy phase starts.  Once per block of steps, losses and draws are
-    read, charged losses gathered, totals advanced and digest records
-    hashed, and draws are checked for zeros and log-weights for non-finite values (before
-    any hashing or logging).  The debug audit and the log writer take
-    several steps at once, at most BATCH_CELLS / 64 center-arm cells or
-    lines each, or one step's if more.
+    seeds share its batch.  Per block of steps, draws are checked for zeros
+    and log-weights for non-finite values before any hashing or logging.
+    The debug audit and the log writer take several steps at once, at most
+    BATCH_CELLS / 64 center-arm cells or lines each, or one step's if more.
     """
     seeds, n, k = len(oracles), partition.node_count, partition.arms
     total = setup + horizon
@@ -235,6 +231,7 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
     rates = np.array([[exp3.learning_rate(Mass(m, d).value(), k, horizon)] for m, d in masses])
     drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
     logw = np.zeros((seeds, len(centers), k))
+    step_rates = np.broadcast_to(rates, logw.shape).copy()  # full shape: no ufunc buffering
     chunk = max(1, cells // logw.size) if debug else 1  # steps per audit
 
     # two buffers of every agent's distribution and CDF: a step reads one, writes the other
@@ -243,9 +240,9 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
     np.cumsum(state[0, 0], axis=2, out=state[0, 1])
     views = [(x, x[0], x[1], x.reshape(-1, k)) for x in state]  # x, p, CDF, arm rows
     count, ones = np.empty((seeds, n)), np.ones(k)
-    checkpoints: list[list] = [[] for _ in range(seeds)]
     violations: list[list[str]] = [[] for _ in range(seeds)]
-    every = max(1, total // 256)
+    # ledger snapshots, about 256 and at most CHECKPOINT_CELLS cells a seed (_checkpoints)
+    every = max(1, total // 256, -(-total // max(1, CHECKPOINT_CELLS // (2 * n + k))))
     # flat indices of observed[s, slot[f], 0]; center rows of a state buffer's arm rows
     seed_col = np.arange(seeds)[:, None]
     observed_cell = (seed_col * len(centers) + slot) * k
@@ -257,7 +254,9 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
     # segment, a sum over rows adds the segment step by step, as a per-step
     # `+=` does (two agent totals keep the inner axis 2 long or more: numpy
     # sums a lone contiguous axis pairwise).
-    totals, arm_totals = np.zeros((2, seeds, n)), np.zeros((seeds, k))
+    ledgers, cut = np.zeros(seeds * (2 * n + k)), 2 * seeds * n  # one array: one copy a snapshot
+    totals, arm_totals = ledgers[:cut].reshape(2, seeds, n), ledgers[cut:].reshape(seeds, k)
+    snaps = np.empty((-(-total // every), ledgers.size))
     steps, losses = np.empty((block + 1,) + totals.shape), np.empty((block + 1, seeds, k))
     # digest records, one seed's block contiguous: the policy step writes
     # actions straight into them, and they are hashed where they lie
@@ -325,7 +324,7 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
                 observed.fill(False)
                 observed.put(observed_cell + act.take(flat, axis=1), True)
                 exp3.estimated_loss_vector(loss_rows[j], observe, observed, out=est)
-                exp3.exp3_update_raw(logw, rates, est, logw, work, row)  # finiteness: below
+                exp3.exp3_update_raw(logw, step_rates, est, logw, work, row)  # finiteness: below
                 exp3.probs_from_log_weights(logw, p_next, work, row)
                 np.add.accumulate(p_next, axis=2, out=work)
                 if debug:
@@ -360,17 +359,28 @@ def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequen
                 np.add.reduce(steps[lo:hi + 1], axis=0, out=totals)
                 np.add.reduce(losses[lo:hi + 1], axis=0, out=arm_totals)
                 if (start + hi) % every == 0 or start + hi == total:
-                    for s in range(seeds):
-                        checkpoints[s].append((start + hi, totals[0, s].copy(),
-                                               totals[1, s].copy(), arm_totals[s].copy()))
+                    snaps[(start + hi - 1) // every] = ledgers
                 lo = hi
 
+    checkpoints = _checkpoints(snaps, every, total, seeds, n, k)
     return [
         RunResult(partition, setup, total, totals[0, s], totals[1, s], arm_totals[s],
                   tuple(x[s] for x in start_ledgers), digests[s].hexdigest(), checkpoints[s],
                   violations[s], exhaustions, short)
         for s in range(seeds)
     ]
+
+
+def _checkpoints(snaps, every, total, seeds, n, k) -> list[list]:
+    """Each seed's checkpoints (t, realized, semi, arm), views into ``snaps``.
+
+    Row c of ``snaps`` holds the ledgers at step min((c + 1) * every, total):
+    realized then semi loss per seed and agent, then loss per seed and arm.
+    """
+    totals = snaps[:, :2 * seeds * n].reshape(-1, 2, seeds, n)
+    arms = snaps[:, 2 * seeds * n:].reshape(-1, seeds, k)
+    times = [min(t, total) for t in range(every, total + every, every)]
+    return [[(t, *totals[c, :, s], arms[c, s]) for c, t in enumerate(times)] for s in range(seeds)]
 
 
 def _audit(violations, t0, centers, p_now, p_next, est, observe, rates, drift) -> None:

@@ -62,7 +62,7 @@ from typing import IO, Iterable
 import numpy as np
 
 import coopmab.graph
-from coopmab import exp3
+from coopmab import exp3, simulate
 from coopmab.graph import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -187,7 +187,9 @@ class SimWorld:
         self._draw_ptr = 0
         self.violations: list[str] = []
         self.checkpoints: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.checkpoint_every = max(1, losses.shape[0] // 256)
+        # about 256 snapshots a run, at most CHECKPOINT_CELLS ledger cells (or one snapshot)
+        fit = max(1, simulate.CHECKPOINT_CELLS // (2 * n + self.arms))
+        self.checkpoint_every = max(1, losses.shape[0] // 256, -(-losses.shape[0] // fit))
         self.dist_history: list[np.ndarray] = []
 
         self.digest = hashlib.blake2b(digest_size=8)

@@ -104,6 +104,11 @@ def test_usage_and_config_errors(tmp_path, star_file, capsys):
     disc = tmp_path / "disc.txt"
     disc.write_text("4 2\n0 1\n2 3\n")
     assert main(["partition", "--graph", str(disc), "--arms", "3"]) == 2
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000000000 0\n")
+    capsys.readouterr()
+    assert main(["partition", "--graph", str(huge), "--arms", "3"]) == 2
+    assert "1 of 1000000000000000 nodes reachable" in capsys.readouterr().err
 
     assert main(["validate", "no-such-suite"]) == 2
     assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",

@@ -67,6 +67,16 @@ def test_build_rejections():
         build_graph(2, [(-1, 0)])
 
 
+@pytest.mark.parametrize("edges,reach", [((), 1), (((0, 1), (5, 7)), 2)])
+def test_huge_node_count_with_few_edges_is_disconnected(edges, reach):
+    # N - 1 edges or fewer cannot connect N nodes: the error comes before
+    # any N-sized array (an array of 10^15 int64s cannot be allocated)
+    n = 10**15
+    with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {reach} of {n} nodes "
+                                               "reachable from 0$"):
+        build_graph(n, edges)
+
+
 def test_distances():
     p = path_graph(5)
     assert p.multi_source_distances([0])[4] == 4

@@ -355,6 +355,35 @@ def test_checkpoints_cover_run():
         assert t0 == t1 and np.array_equal(r0, r1) and np.array_equal(s0, s1)
 
 
+def _capped_star(arms):
+    # 2,000 agents, one center: a snapshot holds 4,000 + arms ledger cells,
+    # so CHECKPOINT_CELLS, not the horizon, spaces the snapshots
+    g = star_graph(1999)
+    return g, reference.centers_to_components(g, {0}, arms).to_partition()
+
+
+def test_capped_snapshots_equal_reference():
+    g, part = _capped_star(3)
+    oracle = bernoulli_losses([0.3, 0.5, 0.7], 5)
+    run = run_informed(g, 3, 600, oracle, 6, partition=part)
+    assert [c[0] for c in run.checkpoints[:2]] == [10, 20]  # 600 // 256 alone gives 2
+    reference.assert_same_run(run, reference.run_informed(g, 3, 600, oracle, 6, partition=part))
+
+
+def test_snapshot_cells_per_seed_within_the_cap():
+    # 654 steps: 65 snapshots of 4,003 cells fit the cap, and spacing them
+    # ceil(654 * 4,003 / cap) = 10 steps apart would make 66.  Each seed's
+    # snapshots equal its one-seed run's, whichever seeds share the call.
+    g, part = _capped_star(3)
+    oracles = [bernoulli_losses([0.3, 0.5, 0.7], 7 + i) for i in range(3)]
+    batch = run_informed_batch(g, 3, 654, oracles, [8, 9, 10], part)
+    for run, oracle, seed in zip(batch, oracles, (8, 9, 10)):
+        cells = sum(r.size + s.size + a.size for _, r, s, a in run.checkpoints)
+        assert simulate.CHECKPOINT_CELLS - 6 * 4003 < cells <= simulate.CHECKPOINT_CELLS
+        assert run.checkpoints[-1][0] == 654
+        reference.assert_same_run(run, run_informed(g, 3, 654, oracle, seed, partition=part))
+
+
 def test_run_memory_does_not_grow_with_the_horizon():
     # Traced peak of a run at 8T steps against T steps, T = 512: the
     # checkpoints stay about 256 however long the run, and nothing else

@@ -29,6 +29,12 @@ of a fresh process that imports the package and runs one op.  With
 ``--baseline``, every case also runs on that checkout's ``src/``, right
 before this one's, so both see the same moment of the machine.
 
+One more case reads peak RSS alone: N = 20,000 (a seeded uniform random
+tree, no chords), informed, the same K, horizon and seeds, one fresh
+process per checkout.  At that size the ledger snapshots a run keeps
+(``RunResult.checkpoints``) are the largest allocation; their cap shows
+there.
+
 Two more rows time the policy step itself, in microseconds per step, by
 calling the kernel from Python (no CLI, no output): one seed of
 ``run_solo_exp3_batch`` and 20 seeds of ``run_informed_batch`` on the
@@ -61,6 +67,7 @@ ADVERSARY_SEED, POLICY_SEED = 21, 22
 PHASES = ("election", "warmup", "policy", "digest", "output", "other")
 STEP_CASES = {"solo": (1, 20_000), "clique-11": (20, 20_000)}  # seeds, steps
 STEP_ROUNDS = 3  # processes per checkout and step case
+PEAK_NODES = 20_000  # the peak-RSS-only case's tree, run informed
 
 # VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork and exec, so a
 # child would report this process's resident set when that is larger.
@@ -224,26 +231,34 @@ def _subprocess(args: list[str]) -> str:
     return proc.stdout
 
 
-def measure(src: str, graph: str, nodes: int, setting: str) -> dict:
-    row = json.loads(_subprocess([str(Path(__file__).resolve()), "--worker", src, graph,
-                                  str(nodes), setting]))
+def fresh_peak(src: str, graph: str, nodes: int, setting: str) -> float:
+    """Peak RSS in MB (VmHWM) of a fresh process that runs one op of the case."""
     with tempfile.TemporaryDirectory() as work:
         code, rss_kb = _subprocess(
             ["-c", FRESH_OP, src, *_argv(graph, nodes, setting, os.path.join(work, "run"))]
         ).split()[-2:]
     if code != "0":
         raise SystemExit(f"fresh op exit code {code}")
-    row["peak_rss_mb"] = int(rss_kb) / 1024.0
+    return int(rss_kb) / 1024.0
+
+
+def measure(src: str, graph: str, nodes: int, setting: str) -> dict:
+    row = json.loads(_subprocess([str(Path(__file__).resolve()), "--worker", src, graph,
+                                  str(nodes), setting]))
+    row["peak_rss_mb"] = fresh_peak(src, graph, nodes, setting)
     return row
 
 
 def _graphs(work: str) -> list[tuple[int, str]]:
+    """The timed cases' graph files, then the peak-RSS-only case's tree."""
     from coopmab.graph import format_edge_list, random_connected_graph, star_graph
 
     out = []
-    for nodes in (11, 200, 3000):
+    for nodes in (11, 200, 3000, PEAK_NODES):
         if nodes == 11:
             g = star_graph(10)
+        elif nodes == PEAK_NODES:
+            g = random_connected_graph(nodes, 0.0, nodes)
         else:  # about N chords beside the tree's N - 1 edges
             g = random_connected_graph(nodes, nodes / ((nodes - 1) * (nodes - 2) / 2), nodes)
         path = os.path.join(work, f"graph-{nodes}.txt")
@@ -265,6 +280,7 @@ def main(argv=None) -> int:
         checkouts = {"baseline": args.baseline.resolve(), **checkouts}
     results: dict[str, list[dict]] = {name: [] for name in checkouts}
     per_step: dict[str, list[dict]] = {name: [] for name in checkouts}
+    peak_only: dict[str, list[dict]] = {name: [] for name in checkouts}
     for case in STEP_CASES:
         rows: dict[str, list[dict]] = {name: [] for name in checkouts}
         for _ in range(STEP_ROUNDS):  # checkouts alternate, so both see the machine's swings
@@ -278,7 +294,12 @@ def main(argv=None) -> int:
             print(f"{name} {case}: {row['seeds']} seed(s), {row['us_per_step']:.1f} us per step",
                   flush=True)
     with tempfile.TemporaryDirectory() as work:
-        for nodes, graph in _graphs(work):
+        *timed, (nodes, graph) = _graphs(work)
+        for name, root in checkouts.items():
+            peak = fresh_peak(str(root / "src"), graph, nodes, "informed")
+            peak_only[name].append({"nodes": nodes, "setting": "informed", "peak_rss_mb": peak})
+            print(f"{name} N={nodes} informed: peak {peak:.1f} MB", flush=True)
+        for nodes, graph in timed:
             for setting in ("informed", "uninformed"):
                 for name, root in checkouts.items():
                     row = {"nodes": nodes, "setting": setting,
@@ -290,13 +311,15 @@ def main(argv=None) -> int:
                           + f"), peak {row['peak_rss_mb']:.1f} MB", flush=True)
     doc = {
         "what": "coopmab simulate seed-rounds/s by phase, median of 5 in-process ops per case; "
-                "per_step: microseconds per policy step of the kernel called from Python",
+                "per_step: microseconds per policy step of the kernel called from Python; "
+                "peak_only: fresh-process peak RSS of one op",
         "config": {"arms": ARMS, "horizon": HORIZON, "seeds": SEEDS, "repeats": REPEATS,
                    "adversary_seed": ADVERSARY_SEED, "policy_seed": POLICY_SEED},
         "machine": machine(),
         "checkouts": list(checkouts),
         "results": results,
         "per_step": per_step,
+        "peak_only": peak_only,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
