@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -27,19 +27,10 @@ from .partition import (
     partition_to_json,
     validate_partition,
 )
-from .simulate import (
-    LossOracle,
-    RunResult,
-    bernoulli_losses,
-    degree_bound,
-    individual_bound,
-    matrix_losses,
-    run_informed_batch,
-    run_uninformed,
-    switching_losses,
-    uninformed_degree_bound,
-)
 from .suites import SUITES, run_suite
+
+if TYPE_CHECKING:  # the simulator is imported where a sweep needs it: `partition` never loads it
+    from .simulate import LossOracle, RunResult
 
 CSV_COLUMNS = [
     "seed",
@@ -63,6 +54,8 @@ def parse_adversary(spec: str, arms: int, seed: int) -> LossOracle:
     (steps x arms values in [0,1]), ``switch:arm0@0,arm3@50000`` (favored
     arm gets loss 0, the rest 1, switching at the given steps).
     """
+    from .simulate import bernoulli_losses, matrix_losses, switching_losses
+
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"adversary spec {spec!r} missing ':'")
@@ -135,7 +128,9 @@ def _check_seed(flag: str, seed: int) -> None:
 
 
 def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None) -> list[RunResult]:
-    """The runs of seeds ``indices``: informed ones as one batch, uninformed one by one."""
+    """The runs of seeds ``indices`` as lanes of one call; uninformed seeds elect their own."""
+    from .simulate import run_informed_batch, run_lanes, uninformed_lane
+
     base = cfg.adversary  # only a bernoulli oracle reads its seed
     oracles = [replace(base, seed=cfg.adversary_seed + i) if base.kind == "bernoulli" else base
                for i in indices]
@@ -148,11 +143,9 @@ def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None)
         if cfg.setting == "informed":
             return run_informed_batch(g, cfg.arms, cfg.horizon, oracles, p_seeds,
                                       debug=cfg.debug_invariants, log_sinks=sinks)
-        return [
-            run_uninformed(g, cfg.arms, cfg.n_upper, cfg.horizon, oracle, p_seed,
-                           debug=cfg.debug_invariants, log_sink=sink)
-            for oracle, p_seed, sink in zip(oracles, p_seeds, sinks)
-        ]
+        lanes = [uninformed_lane(g, cfg.arms, cfg.n_upper, cfg.horizon, *lane)
+                 for lane in zip(oracles, p_seeds, sinks)]
+        return run_lanes(lanes, cfg.horizon, cfg.debug_invariants)
 
 
 def _pool_worker(payload) -> list[RunResult]:
@@ -202,6 +195,8 @@ class ResultColumns:
 
 def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> ResultColumns:
     """The rows' columns; each bound is computed once per distinct degree or mass."""
+    from .simulate import degree_bound, individual_bound, uninformed_degree_bound
+
     degree = g.closed_degrees.tolist()
     if cfg.setting == "uninformed":
         by_degree = {d: uninformed_degree_bound(d, cfg.arms, cfg.n_upper, cfg.horizon)

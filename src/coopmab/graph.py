@@ -155,7 +155,10 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
         raise NodeOutOfRangeError(f"node_count must be >= 1, got {n}")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     outside, loop = (lo < 0) | (hi >= n), lo == hi
-    key = np.where(outside | loop, -1 - np.arange(u.size), lo * n + hi)
+    # ids compacted to 0 and the named nodes, ascending, so no key overflows at any n
+    named = _distinct(np.concatenate(([0], lo, hi)))
+    size, lo, hi = named.size, named.searchsorted(lo), named.searchsorted(hi)
+    key = np.where(outside | loop, -1 - np.arange(u.size), lo * size + hi)
     repeat = np.zeros(u.size, dtype=bool)
     same = np.sort(key)
     if (same[1:] == same[:-1]).any():  # all but the first edge of each key repeat one
@@ -170,11 +173,9 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
         if loop[i]:
             raise SelfLoopError(f"self loop at node {a}")
         raise DuplicateEdgeError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
-    size = n
-    if u.size < n - 1:  # too few edges to connect n nodes: BFS over 0 and the named ones
-        named = _distinct(np.concatenate(([0], lo, hi)))
-        size, lo, hi = named.size, named.searchsorted(lo), named.searchsorted(hi)
-    key = np.sort(np.concatenate((lo * size + hi, hi * size + lo)))  # by (node, neighbor)
+    # by (node, neighbor) over the compacted ids: the graph's CSR if every node is named,
+    # else a smaller one whose BFS still counts the nodes reachable from 0
+    key = np.sort(np.concatenate((key, hi * size + lo)))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(key // size, minlength=size))))
     csr = _frozen(indptr), _frozen(key % size)
     reach = int((_bfs(*csr, np.zeros(1, np.int64)) >= 0).sum())

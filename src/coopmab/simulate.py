@@ -5,10 +5,12 @@ land, and messages (action, loss, distribution played at t) reach all
 neighbors at the step's end.  Centers fold them into importance-weighted
 estimates and update to their round-(t+1) distribution; every other agent
 stages its origin's round-t distribution to play at t+1.  Losses are a
-pure function of (adversary seed, t, arm), so no policy can move them.
+pure function of (adversary seed, t, arm), so no policy can move them;
+their processes live in ``coopmab.losses`` and are exported here too.
 
-One kernel, ``_run_batch``, advances every run: any number of seeds that
-share a partition, in lockstep, with every center updated at once.
+One kernel, ``_run_batch``, advances every run: any list of lanes (a lane
+is one run: graph, partition, oracle, policy stream, log sink) on one flat
+agent axis, in lockstep, with every center updated at once.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import exp3
 from .graph import Graph, _distinct, build_graph
+from .losses import LossOracle, bernoulli_losses, matrix_losses, switching_losses  # noqa: F401
 from .partition import (
     Mass,
     Partition,
@@ -33,83 +36,6 @@ from .partition import (
 )
 
 ROLE_CODES = ("center", "adjacent", "simple")  # a role's code is its index
-
-
-@dataclass(frozen=True)
-class LossOracle:
-    """Oblivious loss process: the full matrix depends only on its own seed."""
-
-    kind: str
-    arms: int
-    seed: int = 0
-    means: tuple[float, ...] | None = None
-    table: np.ndarray | None = None
-    switches: tuple[tuple[int, int], ...] | None = None
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Losses for global steps start+1..stop, shape (stop - start, arms), values in [0, 1].
-
-        Regenerated from scratch on every call and a pure function of the
-        step numbers: rows(a, c) is rows(a, b) followed by rows(b, c).
-        """
-        if not 0 <= start <= stop:
-            raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
-        steps = stop - start
-        if self.kind == "bernoulli":
-            rng = np.random.default_rng(self.seed)
-            # PCG64 spends one 64-bit output per double: skip the earlier rows
-            rng.bit_generator.advance(start * self.arms)
-            draws = rng.random((steps, self.arms))
-            return (draws < np.asarray(self.means)).astype(float)
-        if self.kind == "matrix":
-            if self.table.shape[0] < stop:
-                raise ValueError(
-                    f"loss table has {self.table.shape[0]} rows, run needs {stop}"
-                )
-            return np.array(self.table[start:stop], dtype=float)
-        if self.kind == "switch":
-            favored = np.zeros(steps, dtype=np.int64)
-            for first, arm in self.switches:
-                if first < stop:
-                    favored[max(first - start, 0):] = arm
-            out = np.ones((steps, self.arms))
-            out[np.arange(steps), favored] = 0.0
-            return out
-        raise ValueError(f"unknown oracle kind {self.kind!r}")
-
-
-def bernoulli_losses(means: Sequence[float], seed: int) -> LossOracle:
-    means = tuple(float(m) for m in means)
-    if len(means) < 2:
-        raise exp3.ArmsTooFewError(f"need at least 2 means, got {len(means)}")
-    if any(not 0.0 <= m <= 1.0 for m in means):
-        raise ValueError(f"means must lie in [0, 1], got {means}")
-    return LossOracle(kind="bernoulli", arms=len(means), seed=seed, means=means)
-
-
-def matrix_losses(table) -> LossOracle:
-    arr = np.array(table, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ValueError(f"loss table must be steps x arms with arms >= 2, got {arr.shape}")
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
-        raise ValueError("loss table entries must lie in [0, 1]")
-    arr.setflags(write=False)
-    return LossOracle(kind="matrix", arms=arr.shape[1], table=arr)
-
-
-def switching_losses(switches: Sequence[tuple[int, int]], arms: int) -> LossOracle:
-    if arms < 2:
-        raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    sw = sorted((int(s), int(a)) for s, a in switches)
-    if not sw or sw[0][0] != 0:
-        raise ValueError("first switch must start at step 0")
-    for (step, _), (nxt, _) in zip(sw, sw[1:]):
-        if step == nxt:
-            raise ValueError(f"two switches at step {step}")
-    for _, arm in sw:
-        if not 0 <= arm < arms:
-            raise ValueError(f"switch arm {arm} outside 0..{arms - 1}")
-    return LossOracle(kind="switch", arms=arms, switches=tuple(sw))
 
 
 @dataclass
@@ -124,10 +50,18 @@ class RunResult:
     arm_loss: np.ndarray
     policy_start: tuple[np.ndarray, np.ndarray, np.ndarray]  # the three, after the warm-up
     digest: str
-    checkpoints: list = field(repr=False)
+    snapshots: np.ndarray = field(repr=False)  # (checkpoints, 2N + K): the three per row
     debug_violations: list[str]
     luby_budget_exhaustions: int = 0
     short_horizon: bool = False
+
+    @property
+    def checkpoints(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """(t, realized, semi, arm) at every snapshot step, views into ``snapshots``."""
+        n, total = self.realized_loss.size, self.total_steps
+        every = _snapshot_every(total, n, self.arm_loss.size)
+        return [(min(t, total), row[:n], row[n:2 * n], row[2 * n:])
+                for t, row in zip(range(every, total + every, every), self.snapshots)]
 
     @property
     def best_arm(self) -> int:
@@ -148,17 +82,26 @@ class RunResult:
         return (self.semi_loss - self.policy_start[1]) - float(arm[arm.argmin()])
 
 
-def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle],
-                    policy_seeds: Sequence[int], log_sinks: Sequence | None = None) -> bool:
-    """Check a run's arguments in any setting; return (and warn) whether the
-    horizon is below arms^2*ln(arms), where the regret guarantees do not apply.
+@dataclass(frozen=True, eq=False)
+class Lane:
+    """One run: graph, partition, loss oracle, policy stream and log sink.  ``setup``
+    uniform warm-up steps (the uninformed election's) precede the policy phase.  A
+    run draws from ``rng`` and writes to ``log_sink``, so a lane plays once."""
+
+    graph: Graph
+    partition: Partition
+    oracle: LossOracle
+    rng: np.random.Generator
+    log_sink: IO | None = None
+    setup: int = 0
+    exhaustions: int = 0  # the election's, copied into the result
+
+
+def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle]) -> bool:
+    """Check a run's arms, horizon and oracles; return (and warn, at the first caller
+    outside this module) whether the horizon is below arms^2*ln(arms), where the
+    regret guarantees do not apply.
     """
-    if len(oracles) != len(policy_seeds) or not oracles:
-        raise ValueError(f"need one oracle per policy seed, got {len(oracles)} and "
-                         f"{len(policy_seeds)}")
-    if log_sinks is not None and len(log_sinks) != len(oracles):
-        raise ValueError(f"need one log sink per seed, got {len(log_sinks)} for "
-                         f"{len(oracles)} seeds")
     if arms < 2:
         raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
     if horizon < 1:
@@ -168,227 +111,236 @@ def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle],
             raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
     short = horizon < arms * arms * math.log(arms)
     if short:
-        up = 3 + (sys._getframe(2).f_globals is globals())  # skip a one-seed wrapper
+        up, frame = 2, sys._getframe(1)
+        while frame.f_globals is globals():
+            up, frame = up + 1, frame.f_back
         warnings.warn(f"horizon {horizon} is below arms^2*ln(arms); regret guarantees do not "
                       "apply", RuntimeWarning, stacklevel=up)
     return short
 
 
 BATCH_ROWS = 64  # steps per block of losses, policy draws, digest records and log lines
-BATCH_CELLS = 1 << 16  # at most this many seed-agent-steps per block
-CHECKPOINT_CELLS = 1 << 18  # ledger snapshot cells per seed, at most (or one snapshot)
+BATCH_CELLS = 1 << 16  # at most this many agents per kernel call, agent-steps per block
+CHECKPOINT_CELLS = 1 << 18  # ledger snapshot cells per lane, at most (or one snapshot)
 
 
-def _run_batch(graph: Graph, partition: Partition, horizon: int, oracles: Sequence[LossOracle],
-               rngs: Sequence[np.random.Generator], setup: int = 0, short: bool = False,
-               debug: bool = False, log_sinks: Sequence[IO | None] | None = None,
-               exhaustions: int = 0) -> list[RunResult]:
-    """Play one run per (oracle, policy stream) on a shared partition, all seeds each round.
+def _snapshot_every(total: int, n: int, k: int) -> int:
+    """Steps between a lane's ledger snapshots: about 256 a run, at most CHECKPOINT_CELLS cells."""
+    return max(1, total // 256, -(-total // max(1, CHECKPOINT_CELLS // (2 * n + k))))
 
-    Global steps 1..setup are uniform warm-up play while the uninformed
-    election runs (one ``integers`` draw per agent); steps
+
+def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
+               debug: bool = False) -> list[RunResult]:
+    """Play the lanes in lockstep on one flat agent axis, every center updated at once.
+
+    Lane l's agents are off[l]..off[l + 1] - 1 of the axis: its segments,
+    origins and center rows carry that offset, and each agent reads its
+    lane's loss row.  Global steps 1..setup are uniform warm-up play while
+    the uninformed election runs (one ``integers`` draw per agent); steps
     setup+1..setup+horizon follow the protocol (one ``random`` draw per
-    agent).  The arithmetic is done on (seeds, agents, arms) arrays in a
-    fixed reduction order, so a seed's result does not depend on which
-    seeds share its batch.  Per block of steps, draws are checked for zeros
-    and log-weights for non-finite values before any hashing or logging.
-    The debug audit and the log writer take several steps at once, at most
-    BATCH_CELLS / 64 center-arm cells or lines each, or one step's if more.
+    agent).  Every sum runs within a lane in a fixed order, so a lane's
+    result does not depend on which lanes share the call.  Per block of
+    steps, draws are checked for zeros and log-weights for non-finite values
+    before any hashing or logging.  The debug audit and the log writer take
+    several steps at once, at most BATCH_CELLS / 64 center-arm cells or
+    lines each, or one step's if more.
     """
-    seeds, n, k = len(oracles), partition.node_count, partition.arms
+    k, setup = lanes[0].partition.arms, lanes[0].setup
     total = setup + horizon
-    for oracle in oracles:  # a loss table shorter than the run fails here, not midway
-        oracle.rows(total - 1, total)
-    node, centers = np.arange(n), partition.centers
-    is_center = partition.center_of == node
-    origin_idx = np.where(is_center, node, partition.origin_of)
-    # 0 a center, 1 a relay one delay step from its center, 2 any other relay
-    roles = np.where(is_center, 0, 2 - (partition.delay == 1))
-    header = np.array([n, k, total], dtype=np.int64).tobytes() + roles.tobytes()
-    digests = [hashlib.blake2b(header, digest_size=8) for _ in range(seeds)]
-    sinks = [None] * seeds if log_sinks is None else list(log_sinks)
+    for lane in lanes:  # a loss table shorter than the run fails here, not midway
+        lane.oracle.rows(total - 1, total)
+    sizes = [lane.partition.node_count for lane in lanes]
+    off = np.cumsum([0, *sizes]).tolist()
+    a = off[-1]
+    # Per lane, offset by off[l]: origins, roles (0 a center, 1 a relay one
+    # delay step from its center, 2 any other relay), and the centers' closed
+    # neighborhoods laid end to end, members ascending.  CSR neighbors
+    # (gathered as in graph._bfs) and the centers, keyed slot * n + member,
+    # sort into that layout.
+    origin, roles, local, segs, members, masses = ([] for _ in range(6))
+    for lane, o in zip(lanes, off):
+        part, (indptr, indices) = lane.partition, lane.graph.csr
+        n, c = part.node_count, part.centers
+        node, size, own = np.arange(n), lane.graph.closed_degrees.take(c), np.arange(c.size)
+        is_center = part.center_of == node
+        origin.append(o + np.where(is_center, node, part.origin_of))
+        roles.append(np.where(is_center, 0, 2 - (part.delay == 1)))
+        nbr = np.repeat(own, size - 1)  # the slot of each neighbor entry
+        at = np.arange(nbr.size) + (indptr.take(c) - np.cumsum(size) + size + own).take(nbr)
+        keys = np.sort(np.concatenate((nbr * n + indices.take(at), own * n + c)))
+        members.append(o + keys % n)
+        local.append(c)
+        segs.append(size)
+        masses += zip(part.mass_m.take(c).tolist(), part.mass_d.take(c).tolist())
+    origin_idx, local, seg, flat = map(np.concatenate, (origin, local, segs, members))
+    center_lane = np.repeat(np.arange(len(lanes)), list(map(len, segs)))
+    centers, starts = local + np.take(off, center_lane), np.cumsum(seg) - seg
+    slot_cell = np.repeat(np.arange(centers.size), seg) * k  # flat index of observed[slot, 0]
+    fresh_at = np.concatenate((centers, centers + a))  # center rows of a state buffer's arm rows
+    digests = [hashlib.blake2b(np.array([n, k, total], dtype=np.int64).tobytes() + r.tobytes(),
+                               digest_size=8) for n, r in zip(sizes, roles)]
     cells = BATCH_CELLS >> 6
-    if any(x is not None for x in sinks):  # steps per write; a line's fixed text (_log_lines)
-        lines = max(1, cells // n)
-        agent_v, role_text, arm_text = (np.array(f, dtype=object) for f in (
-            [f', "v": {v}, "action": ' for v in range(n)],
-            [f', "role": "{r}"}}\n' for r in ROLE_CODES],
-            [f'{a}, "loss": ' for a in range(k)]))
-        frags = agent_v, role_text.take(roles), arm_text
-
-    # The centers' closed neighborhoods laid end to end, members ascending:
-    # segment i, from starts[i], is centers[i]'s; slot maps each entry back to
-    # its center.  CSR neighbors (gathered as in graph._bfs) and the centers,
-    # keyed slot * n + member, sort into that layout.
-    indptr, indices = graph.csr
-    sizes, own = graph.closed_degrees.take(centers), np.arange(centers.size)
-    starts = np.cumsum(sizes) - sizes
-    nbr = np.repeat(own, sizes - 1)  # the slot of each neighbor entry
-    at = np.arange(nbr.size) + (indptr.take(centers) - starts + own).take(nbr)
-    keys = np.sort(np.concatenate((nbr * n + indices.take(at), own * n + centers)))
-    slot, flat = keys // n, keys % n
-    masses = zip(partition.mass_m.take(centers).tolist(), partition.mass_d.take(centers).tolist())
+    role_text, arm_text = (np.array(f, dtype=object) for f in (
+        [f', "role": "{r}"}}\n' for r in ROLE_CODES], [f'{x}, "loss": ' for x in range(k)]))
+    # for a lane with a sink: steps per write and a line's fixed text (_log_lines)
+    logs = [lane.log_sink is not None and (lane.log_sink, max(1, cells // n), np.array(
+        [f', "v": {v}, "action": ' for v in range(n)], dtype=object), role_text.take(r), arm_text)
+        for lane, n, r in zip(lanes, sizes, roles)]
     rates = np.array([[exp3.learning_rate(Mass(m, d).value(), k, horizon)] for m, d in masses])
     drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
-    logw = np.zeros((seeds, len(centers), k))
+    logw = np.zeros((centers.size, k))
     step_rates = np.broadcast_to(rates, logw.shape).copy()  # full shape: no ufunc buffering
     chunk = max(1, cells // logw.size) if debug else 1  # steps per audit
 
     # two buffers of every agent's distribution and CDF: a step reads one, writes the other
-    state = np.empty((2, 2, seeds, n, k))
+    state = np.empty((2, 2, a, k))
     state[0, 0] = 1.0 / k
-    np.cumsum(state[0, 0], axis=2, out=state[0, 1])
-    views = [(x, x[0], x[1], x.reshape(-1, k)) for x in state]  # x, p, CDF, arm rows
-    count, ones = np.empty((seeds, n)), np.ones(k)
-    violations: list[list[str]] = [[] for _ in range(seeds)]
-    # ledger snapshots, about 256 and at most CHECKPOINT_CELLS cells a seed (_checkpoints)
-    every = max(1, total // 256, -(-total // max(1, CHECKPOINT_CELLS // (2 * n + k))))
-    # flat indices of observed[s, slot[f], 0]; center rows of a state buffer's arm rows
-    seed_col = np.arange(seeds)[:, None]
-    observed_cell = (seed_col * len(centers) + slot) * k
-    center_rows = ((seed_col * n + centers).ravel() + [[0], [seeds * n]]).ravel()
-    block = max(1, min(BATCH_ROWS, BATCH_CELLS // (seeds * n)))
+    np.cumsum(state[0, 0], axis=1, out=state[0, 1])
+    count, ones = np.empty(a), np.ones(k)
+    violations: list[list[str]] = [[] for _ in lanes]
+    block = max(1, min(BATCH_ROWS, BATCH_CELLS // a))
     # Running totals: realized and semi-expected loss per agent, loss per
-    # arm.  Rows 1..m of `steps` and `losses` take a block's charges,
-    # expected losses and loss rows; with the totals in the row before a
-    # segment, a sum over rows adds the segment step by step, as a per-step
-    # `+=` does (two agent totals keep the inner axis 2 long or more: numpy
-    # sums a lone contiguous axis pairwise).
-    ledgers, cut = np.zeros(seeds * (2 * n + k)), 2 * seeds * n  # one array: one copy a snapshot
-    totals, arm_totals = ledgers[:cut].reshape(2, seeds, n), ledgers[cut:].reshape(seeds, k)
-    snaps = np.empty((-(-total // every), ledgers.size))
-    steps, losses = np.empty((block + 1,) + totals.shape), np.empty((block + 1, seeds, k))
-    # digest records, one seed's block contiguous: the policy step writes
-    # actions straight into them, and they are hashed where they lie
-    record = np.empty((seeds, block), dtype=[("t", np.int64), ("a", np.int64, (n,)),
-                                             ("c", np.float64, (n,))])
-    draws_buf = np.empty((block, seeds, n))
-    charged_buf = np.empty(seeds * block * n)
-    index_buf = draws_buf.reshape(-1).view(np.int64)  # used once a block's draws are spent
-    # flat index of losses[1 + j, s, 0]
-    loss_base = ((np.arange(1, block + 1) * seeds + seed_col) * k)[:, :, None]
+    # lane and arm.  Rows 1..m of `steps` and `losses` take a block's
+    # charges, expected losses and loss rows; with the totals in the row
+    # before a segment, a sum over rows adds the segment step by step, as a
+    # per-step `+=` does (two agent totals keep the inner axis 2 long or
+    # more: numpy sums a lone contiguous axis pairwise).
+    totals, arm_totals = np.zeros((2, a)), np.zeros((len(lanes), k))
 
-    for warm, first, last in ((True, 0, setup), (False, setup, total)):
+    def ledger(tot, arm, l):  # lane l's realized and semi loss per agent and loss per arm
+        return tot[0, off[l]:off[l + 1]], tot[1, off[l]:off[l + 1]], arm[l]
+
+    every = [_snapshot_every(total, n, k) for n in sizes]
+    snaps = [np.empty((-(-total // e), 2 * n + k)) for e, n in zip(every, sizes)]
+    steps, losses = np.empty((block + 1, 2, a)), np.empty((block + 1, len(lanes), k))
+    # a step's actions overwrite the draws they were sampled with; after the
+    # step loop they become their flat index into losses (see below)
+    draws_buf = np.empty((block, a))
+    actions = draws_buf.view(np.int64)
+    # flat index of losses[1 + j, lane of v, 0]: a lane's row plus a step's
+    lane_cell = np.repeat(np.arange(len(lanes)) * k, sizes)
+    step_cell = np.arange(1, block + 1)[:, None] * losses[0].size
+    # a lane's digest records (step, actions as int64, losses), one block at a time
+    records = [np.empty(block, dtype=[("t", np.int64), ("a", np.int64, (n,)),
+                                      ("c", np.float64, (n,))]) for n in sizes]
+    # p @ loss row, the expected loss: one (lanes, n, k) @ (lanes, k, 1) product
+    # per run of consecutive lanes with equal n
+    cut = [l for l in range(1, len(lanes)) if sizes[l] != sizes[l - 1]]
+    products = [[(x[0, off[l0]:off[l1]].reshape(-1, sizes[l0], k), losses[1:, l0:l1, :, None],
+                  steps[1:, 1, off[l0]:off[l1]].reshape(block, -1, sizes[l0], 1))
+                 for l0, l1 in zip([0, *cut], [*cut, len(lanes)])] for x in state]
+    views = [(x, x[0], x[1], x.reshape(-1, k), mm) for x, mm in zip(state, products)]
+
+    for warm, begin, end in ((True, 0, setup), (False, setup, total)):
         if not warm:  # ledgers at the policy phase's start; step scratch
-            start_ledgers = (totals[0].copy(), totals[1].copy(), arm_totals.copy())
-            stash = np.empty((4, chunk * seeds) + logw.shape[1:])  # p_now, p_next, est, observe
-            p_now, p_out, est, observe = stash
-            gathered, observed = np.empty((seeds, flat.size, k)), np.empty(logw.shape, bool)
-            fresh, row = np.empty((2,) + logw.shape), np.empty(logw.shape[:2] + (1,))
+            start_ledgers = totals.copy(), arm_totals.copy()
+            stash = np.empty((4, chunk) + logw.shape)  # p_now, p_next, est, observe
+            p_now, p_out, est, observe = stash[:, 0]
+            gathered, observed = np.empty((flat.size, k)), np.empty(logw.shape, bool)
+            fresh, row = np.empty((2,) + logw.shape), np.empty((centers.size, 1))
             # the centers' new distribution and CDF; the CDF's rows are scratch until then
             (p_next, work), fresh_rows = fresh, fresh.reshape(-1, k)
-            expected, draw_col = steps[1:, 1, ..., None], draws_buf[..., None]  # per step j
-            loss_col, loss_rows = losses[1:, ..., None], losses[1:, :, None]
-        for start in range(first, last, block):
-            m = min(start + block, last) - start
-            actions = record["a"][:, :m]
-            for s in range(seeds):
-                losses[1:m + 1, s] = oracles[s].rows(start, start + m)
-            # row-major fills: the same streams as one call per step
-            if warm:
-                for s in range(seeds):
-                    actions[s] = rngs[s].integers(0, k, size=(m, n))
-                steps[1:m + 1, 1] = losses[1:m + 1].mean(axis=2, keepdims=True)
-            else:
-                draws = draws_buf[:m]
-                for s in range(seeds):
-                    draws[:, s] = rngs[s].random((m, n))
+            center_loss, draw_col = np.empty((block,) + logw.shape), draws_buf[..., None]
+        for start in range(begin, end, block):
+            m = min(start + block, end) - start
+            draws = draws_buf[:m]
+            for l, (lane, lo, hi) in enumerate(zip(lanes, off, off[1:])):
+                losses[1:m + 1, l] = lane.oracle.rows(start, start + m)
+                # row-major fills: the same streams as one call per step
+                if warm:
+                    actions[:m, lo:hi] = lane.rng.integers(0, k, size=(m, hi - lo))
+                    steps[1:m + 1, 1, lo:hi] = losses[1:m + 1, l].mean(axis=1, keepdims=True)
+                else:
+                    draws[:, lo:hi] = lane.rng.random((m, hi - lo))
+            if not warm:
                 zero_draw = not draws.all()  # some draw is exactly 0
+                losses[1:m + 1].take(center_lane, axis=1, out=center_loss[:m])
             for j in range(0 if warm else m):
-                (now, p, cdf, _), (new, p_new, _, new_rows) = views
-                act = actions[:, j]
+                (now, p, cdf, _, mm), (new, p_new, _, new_rows, _) = views
+                act = actions[j]
                 # inverse-CDF sample, arms ascending: the action is the number
                 # of arms whose CDF lies below the draw (exact small sums in
                 # p_new until the relays' take fills it).  That arm has positive
                 # probability unless every arm lies below or the draw is 0;
                 # those cells take the fallback.
                 np.matmul(np.less(cdf, draw_col[j], out=p_new), ones, out=count)
-                act[...] = count
                 if np.maximum.reduce(count, axis=None) >= k or zero_draw and not draws[j].all():
                     draw = draws[j]
-                    for s, v in zip(*np.nonzero((count >= k) | (draw == 0.0))):
-                        act[s, v] = exp3.sample_action(p[s, v], float(draw[s, v]))
-                np.matmul(p, loss_col[j], out=expected[j])  # p @ loss row, the expected loss
+                    for v in np.flatnonzero((count >= k) | (draw == 0.0)).tolist():
+                        count[v] = exp3.sample_action(p[v], float(draw[v]))
+                act[...] = count
+                for p_run, loss_run, expected in mm:
+                    np.matmul(p_run, loss_run[j], out=expected[j])
 
                 # relays stage the origin's round-t distribution and CDF ("clip"
                 # lets take write to out unbuffered; every index is in range)
-                now.take(origin_idx, axis=2, out=new, mode="clip")
+                now.take(origin_idx, axis=1, out=new, mode="clip")
                 if debug:
                     t, i = start + j + 1, (start + j - setup) % chunk
-                    p_now, p_out, est, observe = stash[:, i * seeds:(i + 1) * seeds]
+                    p_now, p_out, est, observe = stash[:, i]
                 # each center: products over its closed neighborhood, members ascending
-                p.take(flat, axis=1, out=gathered, mode="clip")
-                np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=1,
+                p.take(flat, axis=0, out=gathered, mode="clip")
+                np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=0,
                                      out=observe)
                 np.subtract(1.0, observe, out=observe)
                 observed.fill(False)
-                observed.put(observed_cell + act.take(flat, axis=1), True)
-                exp3.estimated_loss_vector(loss_rows[j], observe, observed, out=est)
+                observed.put(slot_cell + act.take(flat), True)
+                exp3.estimated_loss_vector(center_loss[j], observe, observed, out=est)
                 exp3.exp3_update_raw(logw, step_rates, est, logw, work, row)  # finiteness: below
                 exp3.probs_from_log_weights(logw, p_next, work, row)
-                np.add.accumulate(p_next, axis=2, out=work)
+                np.add.accumulate(p_next, axis=1, out=work)
                 if debug:
-                    p.take(centers, axis=1, out=p_now)
+                    p.take(centers, axis=0, out=p_now)
                     p_out[...] = p_next
                     if i == chunk - 1 or t == total:
-                        _audit(violations, t - i, centers, *stash[:, :(i + 1) * seeds], rates,
+                        _audit(violations, t - i, local, center_lane, *stash[:, :i + 1], rates,
                                drift)
-                new_rows[center_rows] = fresh_rows
+                new_rows[fresh_at] = fresh_rows
                 views.reverse()
             if not (warm or np.isfinite(logw).all()):
                 raise exp3.NonFiniteEstimateError("loss estimates must be finite")
 
-            # charged losses, one gather for the block: losses[1 + j, s, actions[s, j, v]]
-            index = index_buf[:seeds * m * n].reshape(seeds, m, n)
-            charged = charged_buf[:seeds * m * n].reshape(seeds, m, n)
-            losses.take(np.add(loss_base[:, :m], actions, out=index), out=charged, mode="clip")
-            record["c"][:, :m] = charged
-            record["t"][:, :m] = np.arange(start + 1, start + m + 1)
-            steps[1:m + 1, 0] = charged.transpose(1, 0, 2)
-            for s in range(seeds):
-                digests[s].update(record[s, :m])  # step, actions as int64, losses; step by step
-                if sinks[s] is not None:
-                    for a in range(0, m, lines):
-                        _log_lines(sinks[s], start + a + 1, actions[s, a:a + lines],
-                                   charged[s, a:a + lines], *frags)
+            # charged losses, one gather for the block: losses[1 + j, lane of v, actions[j, v]],
+            # through the actions' flat index, made in place once the records hold them
+            for record, lo, hi in zip(records, off, off[1:]):
+                record["a"][:m] = actions[:m, lo:hi]
+            index, charged = actions[:m], steps[1:m + 1, 0]
+            losses.take(np.add(np.add(index, lane_cell, out=index), step_cell[:m], out=index),
+                        out=charged, mode="clip")
+            for digest, record, log, lo, hi in zip(digests, records, logs, off, off[1:]):
+                rec = record[:m]
+                rec["t"], rec["c"] = np.arange(start + 1, start + m + 1), charged[:, lo:hi]
+                digest.update(rec)  # step by step
+                if log:
+                    sink, lines, *frags = log
+                    for s in range(0, m, lines):
+                        _log_lines(sink, start + s + 1, rec["a"][s:s + lines],
+                                   rec["c"][s:s + lines], *frags)
 
-            # fold the block into the totals, cut at its checkpoint steps
+            # fold the block into the totals, cut at each lane's checkpoint steps
             lo = 0
-            for hi in (*range(every - start % every, m, every), m):
+            for hi in sorted({h for e in set(every) for h in range(e - start % e, m, e)} | {m}):
                 steps[lo], losses[lo] = totals, arm_totals
                 np.add.reduce(steps[lo:hi + 1], axis=0, out=totals)
                 np.add.reduce(losses[lo:hi + 1], axis=0, out=arm_totals)
-                if (start + hi) % every == 0 or start + hi == total:
-                    snaps[(start + hi - 1) // every] = ledgers
+                t = start + hi
+                for l, (snap, e) in enumerate(zip(snaps, every)):
+                    if t % e == 0 or t == total:
+                        np.concatenate(ledger(totals, arm_totals, l), out=snap[(t - 1) // e])
                 lo = hi
 
-    checkpoints = _checkpoints(snaps, every, total, seeds, n, k)
-    return [
-        RunResult(partition, setup, total, totals[0, s], totals[1, s], arm_totals[s],
-                  tuple(x[s] for x in start_ledgers), digests[s].hexdigest(), checkpoints[s],
-                  violations[s], exhaustions, short)
-        for s in range(seeds)
-    ]
+    return [RunResult(lane.partition, setup, total, *ledger(totals, arm_totals, l),
+                      ledger(*start_ledgers, l), digest.hexdigest(), snap, found, lane.exhaustions,
+                      short)
+            for l, (lane, digest, snap, found) in enumerate(zip(lanes, digests, snaps, violations))]
 
 
-def _checkpoints(snaps, every, total, seeds, n, k) -> list[list]:
-    """Each seed's checkpoints (t, realized, semi, arm), views into ``snaps``.
-
-    Row c of ``snaps`` holds the ledgers at step min((c + 1) * every, total):
-    realized then semi loss per seed and agent, then loss per seed and arm.
-    """
-    totals = snaps[:, :2 * seeds * n].reshape(-1, 2, seeds, n)
-    arms = snaps[:, 2 * seeds * n:].reshape(-1, seeds, k)
-    times = [min(t, total) for t in range(every, total + every, every)]
-    return [[(t, *totals[c, :, s], arms[c, s]) for c, t in enumerate(times)] for s in range(seeds)]
-
-
-def _audit(violations, t0, centers, p_now, p_next, est, observe, rates, drift) -> None:
+def _audit(violations, t0, centers, lane_of, p_now, p_next, est, observe, rates, drift) -> None:
     """Append the debug audit's findings on the center updates of rounds t0, t0+1, ...
 
-    Arrays are (rounds * seeds, centers, arms), seed fastest; ``drift`` marks
-    the centers the one-step floor and ceiling checks cover (rate <= 0.5/arms,
-    horizon not short).
+    Arrays are (rounds, centers, arms); center i is node ``centers[i]`` of
+    lane ``lane_of[i]``, and ``drift`` marks the centers the one-step floor
+    and ceiling checks cover (rate <= 0.5/arms, horizon not short).
     """
     tol = 1e-9
     zero_observe = ((est != 0.0) & (observe <= 0.0)).any(axis=2)
@@ -404,8 +356,7 @@ def _audit(violations, t0, centers, p_now, p_next, est, observe, rates, drift) -
     below = drift & (p_next < lo * (1.0 - tol) - 1e-15).any(axis=2)
     above = drift & (p_next > hi * (1.0 + tol) + 1e-15).any(axis=2)
     for r, i in zip(*np.nonzero(zero_observe | over_one | invalid | below | above)):
-        j, s = divmod(int(r), len(violations))
-        out, at = violations[s], f"t={t0 + j} center {centers[i]}: "
+        out, at = violations[lane_of[i]], f"t={t0 + r} center {centers[i]}: "
         if zero_observe[r, i]:
             out.append(at + "estimate with zero observe prob")
         if over_one[r, i]:
@@ -461,31 +412,67 @@ def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
                          else f"relay {v} copies node {uof[v]}, not one delay step earlier")
 
 
+def run_lanes(lanes: Sequence[Lane], horizon: int, debug: bool = False) -> list[RunResult]:
+    """Play every lane for its setup steps and ``horizon`` policy steps; one result each.
+
+    Lanes share arms and setup length.  Consecutive lanes share a kernel call
+    of at most BATCH_CELLS agents (a larger lane runs alone), and each result
+    equals its lane's run alone, bit for bit.
+    """
+    if not lanes:
+        raise ValueError("need at least one lane")
+    arms, setup = lanes[0].partition.arms, lanes[0].setup
+    short = _check_run_args(arms, horizon, [lane.oracle for lane in lanes])
+    for lane in lanes:
+        _check_partition(lane.graph, arms, lane.partition)
+    if any(lane.setup != setup for lane in lanes):
+        raise ValueError(f"lanes need one setup length, got {sorted({x.setup for x in lanes})}")
+    calls, agents = [], BATCH_CELLS
+    for lane in lanes:
+        agents += lane.partition.node_count
+        if agents > BATCH_CELLS:  # a new call
+            calls.append([])
+            agents = lane.partition.node_count
+        calls[-1].append(lane)
+    return [run for call in calls for run in _run_batch(call, horizon, short, debug)]
+
+
+def uninformed_lane(g: Graph, arms: int, n_upper: int, horizon: int, oracle: LossOracle,
+                    policy_seed: int, log_sink: IO | None = None) -> Lane:
+    """A lane of the full uninformed protocol: the policy stream elects the centers,
+    plays one uniform action per agent per setup step, then the policy phase.  The
+    setup length depends only on (arms, n_upper, horizon)."""
+    rng = np.random.default_rng(policy_seed)
+    election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
+    return Lane(g, election.partition, oracle, rng, log_sink, election.total_steps,
+                election.exhaustions)
+
+
+def solo_lane(arms: int, oracle: LossOracle, policy_seed: int) -> Lane:
+    """A solo Exp3 lane: the one-node graph, whose agent's closed neighborhood is itself."""
+    solo = Partition(arms=arms, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
+                     mass_m=(1,), mass_d=(0,))
+    return Lane(build_graph(1, ()), solo, oracle, np.random.default_rng(policy_seed))
+
+
 def run_informed_batch(g: Graph, arms: int, horizon: int, oracles: Sequence[LossOracle],
                        policy_seeds: Sequence[int], partition: Partition | None = None,
                        debug: bool = False, log_sinks: Sequence | None = None) -> list[RunResult]:
-    """run_informed for each (oracle, policy seed) pair, on one election, seeds in lockstep.
-
-    Each result equals run_informed(g, arms, horizon, oracle, seed, ...)
-    with the same options bit for bit; the batch only shares the
-    per-round numpy calls between seeds.
-    """
-    short = _check_run_args(arms, horizon, oracles, policy_seeds, log_sinks)
+    """run_informed for each (oracle, policy seed) pair, as lanes on one election."""
+    if len(oracles) != len(policy_seeds) or not oracles:
+        raise ValueError(f"need one oracle per policy seed, got {len(oracles)} and "
+                         f"{len(policy_seeds)}")
+    if log_sinks is not None and len(log_sinks) != len(oracles):
+        raise ValueError(f"need one log sink per seed, got {len(log_sinks)} for "
+                         f"{len(oracles)} seeds")
     if partition is None:
         partition = compute_centers_informed(g, arms)
-    else:
+    else:  # here, so that a partition over other arms is named before the oracles
         _check_partition(g, arms, partition)
-    rngs = [np.random.default_rng(s) for s in policy_seeds]
-    sinks = [None] * len(oracles) if log_sinks is None else log_sinks
-    # at most BATCH_CELLS seed-agents per kernel call bound its (seeds, agents, arms) arrays
-    per_call = max(1, BATCH_CELLS // g.node_count)
-    return [
-        run
-        for a in range(0, len(oracles), per_call)
-        for run in _run_batch(g, partition, horizon, oracles[a:a + per_call],
-                              rngs[a:a + per_call], short=short, debug=debug,
-                              log_sinks=sinks[a:a + per_call])
-    ]
+    return run_lanes([Lane(g, partition, oracle, np.random.default_rng(seed), sink)
+                      for oracle, seed, sink in zip(oracles, policy_seeds,
+                                                    log_sinks or [None] * len(oracles))],
+                     horizon, debug)
 
 
 def run_informed(g: Graph, arms: int, horizon: int, oracle: LossOracle, policy_seed: int,
@@ -498,37 +485,14 @@ def run_informed(g: Graph, arms: int, horizon: int, oracle: LossOracle, policy_s
 
 def run_uninformed(g: Graph, arms: int, n_upper: int, horizon: int, oracle: LossOracle,
                    policy_seed: int, debug: bool = False, log_sink: IO | None = None) -> RunResult:
-    """Simulate the full uninformed protocol: elect centers while playing uniform.
-
-    The policy stream serves the election's draws, then one uniform action
-    per agent per setup step, then the policy phase.  Losses accrue from
-    step 1; regret is against the best fixed arm over the whole timeline
-    (the result derives the policy phase's semi regret too).
-    """
-    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
-    rng = np.random.default_rng(policy_seed)
-    election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
-    return _run_batch(g, election.partition, horizon, [oracle], [rng],
-                      setup=election.total_steps, short=short, debug=debug,
-                      log_sinks=[log_sink], exhaustions=election.exhaustions)[0]
+    """Simulate the uninformed protocol (uninformed_lane); losses accrue from step 1."""
+    lane = uninformed_lane(g, arms, n_upper, horizon, oracle, policy_seed, log_sink)
+    return run_lanes([lane], horizon, debug)[0]
 
 
 def run_solo_exp3(arms: int, horizon: int, oracle: LossOracle, policy_seed: int) -> RunResult:
     """Baseline: one agent, no neighbors, importance weights from its own play."""
-    return run_solo_exp3_batch(arms, horizon, [oracle], [policy_seed])[0]
-
-
-def run_solo_exp3_batch(arms: int, horizon: int, oracles: Sequence[LossOracle],
-                        policy_seeds: Sequence[int]) -> list[RunResult]:
-    """run_solo_exp3 for each (oracle, policy seed) pair, seeds in lockstep.
-
-    A run on the one-node graph: the agent's closed neighborhood is itself.
-    """
-    short = _check_run_args(arms, horizon, oracles, policy_seeds)
-    solo = Partition(arms=arms, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
-                     mass_m=(1,), mass_d=(0,))
-    rngs = [np.random.default_rng(s) for s in policy_seeds]
-    return _run_batch(build_graph(1, ()), solo, horizon, oracles, rngs, short=short)
+    return run_lanes([solo_lane(arms, oracle, policy_seed)], horizon)[0]
 
 
 def individual_bound(mass_value: float, arms: int, horizon: int) -> float:

@@ -4,7 +4,8 @@
 loop over centers; ``run_informed``, ``run_uninformed`` and
 ``run_solo_exp3`` drive it one seed per call, and return a ``ReferenceRun``:
 a ``RunResult`` that also holds the played distributions when asked to
-record them.  ``assert_same_run`` compares two runs field by field.  The
+record them; ``run_lane`` plays any partition after any number of
+warm-up steps.  ``assert_same_run`` compares two runs field by field.  The
 code is kept as it was in ``coopmab.simulate`` so that the differential
 tests in ``test_simulate.py`` compare the kernel with an independent
 implementation rather than with itself.  It shares no table with the
@@ -335,8 +336,10 @@ class ReferenceRun(RunResult):
 
 
 def _finish(world: SimWorld, setup, snapshot, exhaustions=0, short=False) -> ReferenceRun:
+    # the snapshots as one (checkpoints, 2N + K) block of ledger rows, as RunResult holds them
+    rows = np.array([np.concatenate(c[1:]) for c in world.checkpoints])
     return ReferenceRun(world.partition, setup, world.t - 1, world.realized, world.semi,
-                        world.arm_cum, snapshot, world.digest.hexdigest(), world.checkpoints,
+                        world.arm_cum, snapshot, world.digest.hexdigest(), rows,
                         world.violations, exhaustions, short, world.dist_history)
 
 
@@ -367,6 +370,41 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def run_lane(
+    g: Graph | None,
+    partition: Partition,
+    oracle: LossOracle,
+    policy_rng: np.random.Generator,
+    setup: int,
+    horizon: int,
+    debug: bool = False,
+    log_sink: IO | None = None,
+    record_distributions: bool = False,
+    exhaustions: int = 0,
+) -> ReferenceRun:
+    """One run: ``setup`` steps of uniform warm-up play, then ``horizon`` policy
+    steps, centers tuned for the policy horizon.  Losses accrue from step 1."""
+    short = _check_run_args(partition.arms, horizon, [oracle])
+    world = SimWorld(
+        g,
+        partition,
+        oracle.rows(0, setup + horizon),
+        policy_rng,
+        debug=debug,
+        check_weight_drift=not short,
+        log_sink=log_sink,
+        record_distributions=record_distributions,
+    )
+    world.set_center_horizon(horizon)
+    for _ in range(setup):
+        world.warmup_round()
+    assert world.t - 1 == setup, "warm-up step accounting drifted"
+    snapshot = _ledgers(world)
+    for _ in range(horizon):
+        world.advance_round()
+    return _finish(world, setup, snapshot, exhaustions=exhaustions, short=short)
+
+
 def run_informed(
     g: Graph,
     arms: int,
@@ -379,24 +417,10 @@ def run_informed(
     partition: Partition | None = None,
 ) -> ReferenceRun:
     """Simulate with the graph known in advance: partitioning costs no steps."""
-    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     if partition is None:
         partition = compute_centers_informed(g, arms)
-    losses = oracle.rows(0, horizon)
-    world = SimWorld(
-        g,
-        partition,
-        losses,
-        np.random.default_rng(policy_seed),
-        debug=debug,
-        check_weight_drift=not short,
-        log_sink=log_sink,
-        record_distributions=record_distributions,
-    )
-    snapshot = _ledgers(world)
-    for _ in range(horizon):
-        world.advance_round()
-    return _finish(world, 0, snapshot, short=short)
+    return run_lane(g, partition, oracle, np.random.default_rng(policy_seed), 0, horizon, debug,
+                    log_sink, record_distributions)
 
 
 def run_uninformed(
@@ -418,31 +442,11 @@ def run_uninformed(
     the best fixed arm over the whole played timeline (policy-phase-only
     variant included in the result).
     """
-    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
     rng = np.random.default_rng(policy_seed)
     election = compute_centers_uninformed(g, arms, n_upper, horizon, rng)
-    partition = election.partition
-    setup = election.total_steps
-    losses = oracle.rows(0, setup + horizon)
-    world = SimWorld(
-        g,
-        partition,
-        losses,
-        rng,
-        debug=debug,
-        check_weight_drift=not short,
-        log_sink=log_sink,
-        record_distributions=record_distributions,
-    )
-    world.set_center_horizon(horizon)
-    for _ in range(setup):
-        world.warmup_round()
-    assert world.t - 1 == setup, "warm-up step accounting drifted"
-    snapshot = _ledgers(world)
-    for _ in range(horizon):
-        world.advance_round()
     exhaustions = sum(1 for call in election.luby_calls if call.result.exhausted)
-    return _finish(world, setup, snapshot, exhaustions=exhaustions, short=short)
+    return run_lane(g, election.partition, oracle, rng, election.total_steps, horizon, debug,
+                    log_sink, record_distributions, exhaustions)
 
 
 def _solo_partition(arms: int) -> Partition:
@@ -462,14 +466,8 @@ def run_solo_exp3(
     arms: int, horizon: int, oracle: LossOracle, policy_seed: int
 ) -> ReferenceRun:
     """Baseline: one agent, no neighbors, importance weights from its own play."""
-    short = _check_run_args(arms, horizon, [oracle], [policy_seed])
-    solo = _solo_partition(arms)
-    losses = oracle.rows(0, horizon)
-    world = SimWorld(None, solo, losses, np.random.default_rng(policy_seed))
-    snapshot = _ledgers(world)
-    for _ in range(horizon):
-        world.advance_round()
-    return _finish(world, 0, snapshot, short=short)
+    return run_lane(None, _solo_partition(arms), oracle, np.random.default_rng(policy_seed), 0,
+                    horizon)
 
 
 def neighbors(g: Graph, v: int) -> tuple[int, ...]:

@@ -41,11 +41,13 @@ from coopmab.partition import (
 from coopmab.simulate import (
     bernoulli_losses,
     degree_bound,
+    Lane,
     individual_bound,
     run_informed,
     run_informed_batch,
-    run_solo_exp3_batch,
+    run_lanes,
     run_uninformed,
+    solo_lane,
     switching_losses,
 )
 
@@ -295,11 +297,14 @@ def test_criterion_7_cooperation_beats_solo(capsys):
     g = complete_graph(arms + 1)
     means = [0.4] + [0.5] * (arms - 1)
     oracles = [bernoulli_losses(means, 100 + i) for i in range(seeds)]
-    # batched runs equal run_informed / run_solo_exp3 seed by seed, bit for bit
-    runs = run_informed_batch(g, arms, horizon, oracles, [9000 + i for i in range(seeds)])
-    clique = [float(r.semi_regret[r.partition.centers[0]]) for r in runs]
-    solos = run_solo_exp3_batch(arms, horizon, oracles, [7000 + i for i in range(seeds)])
-    solo = [float(s.semi_regret[0]) for s in solos]
+    # the clique and solo runs as lanes of one kernel call; each equals run_informed /
+    # run_solo_exp3 seed by seed, bit for bit
+    part = compute_centers_informed(g, arms)
+    lanes = [Lane(g, part, oracle, np.random.default_rng(9000 + i)) for i, oracle in enumerate(oracles)]
+    lanes += [solo_lane(arms, oracle, 7000 + i) for i, oracle in enumerate(oracles)]
+    runs = run_lanes(lanes, horizon)
+    clique = [float(r.semi_regret[r.partition.centers[0]]) for r in runs[:seeds]]
+    solo = [float(s.semi_regret[0]) for s in runs[seeds:]]
     clique_mean = float(np.mean(clique))
     solo_mean = float(np.mean(solo))
     ratio = clique_mean / solo_mean
@@ -318,7 +323,7 @@ def test_criterion_8_average_regret_reference(capsys):
     means = [0.3, 0.5, 0.5, 0.5, 0.5]
     rng = np.random.default_rng(808)
     harmonic_failures = []
-    ratios = []
+    lanes, alphas = [], []
     for i in range(20):
         n = int(rng.integers(4, 31))
         g = random_connected_graph(n, float(rng.uniform(0.0, 0.4)), rng)
@@ -326,8 +331,12 @@ def test_criterion_8_average_regret_reference(capsys):
         harmonic = sum(1.0 / g.closed_degrees[v] for v in range(n))
         if harmonic > alpha + 1e-9:
             harmonic_failures.append(i)
-        r = run_informed(g, arms, horizon, bernoulli_losses(means, 500 + i), 9500 + i)
-        alpha_reference = math.sqrt((1.0 + arms * alpha / g.node_count) * horizon)
+        part = compute_centers_informed(g, arms)
+        lanes.append(Lane(g, part, bernoulli_losses(means, 500 + i), np.random.default_rng(9500 + i)))
+        alphas.append(alpha)
+    ratios = []
+    for lane, alpha, r in zip(lanes, alphas, run_lanes(lanes, horizon)):  # one kernel call
+        alpha_reference = math.sqrt((1.0 + arms * alpha / lane.graph.node_count) * horizon)
         ratios.append(float(np.mean(r.semi_regret)) / alpha_reference)
     detail = (
         f"20 graphs: harmonic-sum <= independence-number failures {len(harmonic_failures)}; "

@@ -109,6 +109,11 @@ def test_usage_and_config_errors(tmp_path, star_file, capsys):
     capsys.readouterr()
     assert main(["partition", "--graph", str(huge), "--arms", "3"]) == 2
     assert "1 of 1000000000000000 nodes reachable" in capsys.readouterr().err
+    wide = tmp_path / "wide.txt"  # edge keys lo * N + hi would wrap in int64 here
+    wide.write_text("1099511627776 2\n16777216 16777217\n0 16777217\n")
+    assert main(["partition", "--graph", str(wide), "--arms", "3"]) == 2
+    assert capsys.readouterr().err == ("error: graph is disconnected: 3 of 1099511627776 nodes "
+                                       "reachable from 0\n")
 
     assert main(["validate", "no-such-suite"]) == 2
     assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",

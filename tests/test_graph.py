@@ -67,14 +67,17 @@ def test_build_rejections():
         build_graph(2, [(-1, 0)])
 
 
-@pytest.mark.parametrize("edges,reach", [((), 1), (((0, 1), (5, 7)), 2)])
+@pytest.mark.parametrize("edges,reach", [((), 1), (((0, 1), (5, 7)), 2),
+                                         (((2**24, 2**24 + 1), (0, 2**24 + 1)), 3)])
 def test_huge_node_count_with_few_edges_is_disconnected(edges, reach):
     # N - 1 edges or fewer cannot connect N nodes: the error comes before
-    # any N-sized array (an array of 10^15 int64s cannot be allocated)
-    n = 10**15
-    with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {reach} of {n} nodes "
-                                               "reachable from 0$"):
-        build_graph(n, edges)
+    # any N-sized array (an array of 10^15 int64s cannot be allocated).  At
+    # N = 2^40, an edge key lo * N + hi in int64 would wrap: (2^24, 2^24 + 1)
+    # and (0, 2^24 + 1) would share one and read as a duplicate edge.
+    for n in (10**15, 2**40):
+        with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {reach} of {n} "
+                                                   "nodes reachable from 0$"):
+            build_graph(n, edges)
 
 
 def test_distances():

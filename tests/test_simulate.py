@@ -20,6 +20,7 @@ from coopmab.partition import (
     partition_to_json,
 )
 from coopmab.simulate import (
+    Lane,
     LossOracle,
     RunResult,
     bernoulli_losses,
@@ -28,11 +29,13 @@ from coopmab.simulate import (
     matrix_losses,
     run_informed,
     run_informed_batch,
+    run_lanes,
     run_solo_exp3,
-    run_solo_exp3_batch,
     run_uninformed,
+    solo_lane,
     switching_losses,
     uninformed_degree_bound,
+    uninformed_lane,
 )
 
 
@@ -273,7 +276,7 @@ def test_short_horizon_warning_points_at_the_caller():
         "run_informed_batch": lambda: run_informed_batch(g, 10, 5, [oracle], [1]),
         "run_uninformed": lambda: run_uninformed(g, 10, 3, 5, oracle, 1),
         "run_solo_exp3": lambda: run_solo_exp3(10, 5, oracle, 1),
-        "run_solo_exp3_batch": lambda: run_solo_exp3_batch(10, 5, [oracle], [1]),
+        "run_lanes": lambda: run_lanes([solo_lane(10, oracle, 1)], 5),
     }
     for name, call in calls.items():
         with pytest.warns(RuntimeWarning, match="horizon 5") as record:
@@ -565,7 +568,7 @@ def test_batch_runs_equal_per_seed_runs(monkeypatch, name, g, arms, kind, seeds,
     assert len(batch) == seeds
     for run, oracle, seed in zip(batch, oracles, policy_seeds):
         reference.assert_same_run(run, reference.run_informed(g, arms, horizon, oracle, seed))
-    solo = run_solo_exp3_batch(arms, horizon, oracles, policy_seeds)
+    solo = run_lanes([solo_lane(arms, o, s) for o, s in zip(oracles, policy_seeds)], horizon)
     for run, oracle, seed in zip(solo, oracles, policy_seeds):
         reference.assert_same_run(run, reference.run_solo_exp3(arms, horizon, oracle, seed))
 
@@ -584,14 +587,15 @@ def test_uninformed_runs_equal_reference_runs(monkeypatch, name, g, arms, kind):
 
 
 @pytest.mark.filterwarnings("ignore:horizon")
-@pytest.mark.parametrize("case", ["solo", "edge-informed", "edge-uninformed", "arms-300"])
+@pytest.mark.parametrize("case", ["solo", "edge-informed", "edge-uninformed", "arms-300", "mixed"])
 def test_kernel_equals_reference_where_sum_order_shows(case):
     # Horizons of 2,304 steps and more space checkpoints 9 or more steps
     # apart, so each ledger sum runs over more than 8 steps: there numpy
     # sums a reduction over a lone contiguous axis pairwise, not step by
     # step.  One seed of the one-agent solo run and of a two-agent run have
     # the fewest cells per step.  With 300 arms, an action counted in 8 bits
-    # would wrap (300 reads as 44).
+    # would wrap (300 reads as 44).  The mixed case runs one-, two- and
+    # four-agent lanes in one kernel call.
     oracle = bernoulli_losses(np.linspace(0.2, 0.8, 3), 90)
     if case == "solo":
         run, want = (f.run_solo_exp3(3, 3000, oracle, 91) for f in (simulate, reference))
@@ -601,12 +605,142 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
         run, want = (f.run_uninformed(path_graph(2), 3, 4, 2400, oracle, 93)
                      for f in (simulate, reference))
         assert run.setup_steps > 0
+    elif case == "mixed":
+        edge, star = path_graph(2), star_graph(3)
+        lanes = [solo_lane(3, oracle, 91), *(Lane(g, compute_centers_informed(g, 3), oracle,
+                                                  np.random.default_rng(seed))
+                                             for g, seed in ((edge, 92), (star, 97), (edge, 98)))]
+        runs = run_lanes(lanes, 2400)
+        wants = [reference.run_solo_exp3(3, 2400, oracle, 91),
+                 *(reference.run_informed(g, 3, 2400, oracle, seed)
+                   for g, seed in ((edge, 92), (star, 97), (edge, 98)))]
+        for run, want in zip(runs, wants):
+            reference.assert_same_run(run, want)
+        run, want = runs[0], wants[0]
     else:
         means = np.random.default_rng(94).random(300)
         run, want = (f.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96)
                      for f in (simulate, reference))
     assert want.checkpoints[0][0] >= 9 or case == "arms-300"  # the checkpoint spacing
     reference.assert_same_run(run, want, each_step=case == "arms-300")
+
+
+def _lane_graph(kind: str, n: int, seed: int):
+    return build_graph(1, ()) if kind == "solo" else _small_graph(kind, n, seed)
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shapes=st.lists(st.tuples(st.sampled_from(["star", "path", "random", "solo"]),
+                              st.integers(2, 7)), min_size=1, max_size=5),
+    arms=st.integers(2, 4),
+    horizon=st.integers(5, 60),
+    setting=st.sampled_from(["informed", "uninformed"]),
+    block=st.sampled_from([3, 37, simulate.BATCH_ROWS]),
+    cells=st.sampled_from([9, simulate.BATCH_CELLS]),
+)
+# equal n side by side (one product over both lanes), then other sizes
+@example(shapes=[("star", 4), ("path", 4), ("solo", 2), ("random", 6), ("solo", 2)], arms=3,
+         horizon=40, setting="informed", block=37, cells=simulate.BATCH_CELLS)
+@example(shapes=[("solo", 2), ("path", 5), ("path", 5), ("star", 3)], arms=2, horizon=30,
+         setting="uninformed", block=3, cells=simulate.BATCH_CELLS)
+def test_lanes_of_one_call_equal_their_runs_alone(shapes, arms, horizon, setting, block, cells):
+    # Lanes of different sizes, the one-node graph's included, share kernel
+    # calls (at 9 cells, several calls).  Each lane's result, log bytes and
+    # audit messages equal its run alone and the reference's.  Losses of 5.0
+    # and -3.0 make the audit fire, as in the test above.  Uninformed lanes
+    # share n_upper, so their elections charge one setup length; a one-node
+    # lane plays that many warm-up steps too.
+    n_upper = 16
+    setup = 0 if setting == "informed" else compute_centers_uninformed(
+        path_graph(2), arms, n_upper, horizon, np.random.default_rng(0)).total_steps
+    graphs = [_lane_graph(kind, n, i) for i, (kind, n) in enumerate(shapes)]
+    oracles = []
+    for i in range(len(shapes)):
+        table = np.where(np.random.default_rng(i).random((setup + horizon, arms)) < 0.3, -3.0, 5.0)
+        table[setup] = 5.0
+        table.setflags(write=False)
+        oracles.append(LossOracle(kind="matrix", arms=arms, table=table))
+
+    def lane(i, sink):
+        g, oracle, seed = graphs[i], oracles[i], 50 + 7 * i
+        if g.node_count == 1:
+            return dataclasses.replace(solo_lane(arms, oracle, seed), log_sink=sink, setup=setup)
+        if setting == "uninformed":
+            return uninformed_lane(g, arms, n_upper, horizon, oracle, seed, sink)
+        return Lane(g, compute_centers_informed(g, arms), oracle, np.random.default_rng(seed), sink)
+
+    logs = [[io.StringIO() for _ in shapes] for _ in range(3)]  # one call, alone, reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BATCH_ROWS", block)
+        mp.setattr(simulate, "BATCH_CELLS", cells)
+        runs = run_lanes([lane(i, sink) for i, sink in enumerate(logs[0])], horizon, debug=True)
+        alone = [run_lanes([lane(i, sink)], horizon, debug=True)[0]
+                 for i, sink in enumerate(logs[1])]
+    for i, (run, one) in enumerate(zip(runs, alone)):
+        ln = lane(i, logs[2][i])
+        want = reference.run_lane(ln.graph, ln.partition, ln.oracle, ln.rng, setup, horizon,
+                                  debug=True, log_sink=ln.log_sink, exhaustions=ln.exhaustions)
+        assert run.setup_steps == setup and run.debug_violations
+        reference.assert_same_run(run, one, each_step=True)  # setup + horizon < 512
+        reference.assert_same_run(run, want, each_step=True)
+        assert logs[0][i].getvalue() == logs[1][i].getvalue() == logs[2][i].getvalue()
+        assert logs[0][i].getvalue().count("\n") == graphs[i].node_count * (setup + horizon)
+
+
+def test_run_lanes_packs_consecutive_lanes_into_kernel_calls(monkeypatch):
+    # at 10 agents a call: lanes of 4, 4 | 4 | 12 (alone, past the cap) | 1
+    calls = []
+
+    def spy(lanes, *args):
+        calls.append([lane.partition.node_count for lane in lanes])
+        return batch(lanes, *args)
+
+    batch = simulate._run_batch
+    monkeypatch.setattr(simulate, "_run_batch", spy)
+    monkeypatch.setattr(simulate, "BATCH_CELLS", 10)
+    oracle = bernoulli_losses([0.3, 0.6], 4)
+    graphs = [path_graph(4), star_graph(3), path_graph(4), path_graph(12)]
+    lanes = [Lane(g, compute_centers_informed(g, 2), oracle, np.random.default_rng(i))
+             for i, g in enumerate(graphs)] + [solo_lane(2, oracle, 4)]
+    runs = run_lanes(lanes, 30)
+    assert calls == [[4, 4], [4], [12], [1]]
+    for run, g, seed in zip(runs, graphs, range(4)):
+        reference.assert_same_run(run, reference.run_informed(g, 2, 30, oracle, seed))
+    reference.assert_same_run(runs[-1], reference.run_solo_exp3(2, 30, oracle, 4))
+
+
+def test_run_lanes_checks_its_lanes():
+    oracle = bernoulli_losses([0.3, 0.6], 4)
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="need at least one lane"):
+        run_lanes([], 30)
+    with pytest.raises(ValueError, match=r"lanes need one setup length, got \[0, 5\]"):
+        run_lanes([solo_lane(2, oracle, 1), dataclasses.replace(solo_lane(2, oracle, 2), setup=5)],
+                  30)
+    with pytest.raises(ValueError, match="oracle is over 2 arms, run uses 3"):
+        run_lanes([solo_lane(3, bernoulli_losses([0.3, 0.6, 0.5], 4), 1), solo_lane(2, oracle, 1)],
+                  30)
+    bad = _relay_partition(2, origin_of=(0, 0, 0, 2))  # node 2 is two hops from 0
+    with pytest.raises(ValueError, match="relay 2 copies node 0, which is not its neighbor"):
+        run_lanes([solo_lane(2, oracle, 1), Lane(g, bad, oracle, np.random.default_rng(1))], 30)
+
+
+def test_snapshot_spacing_follows_each_lanes_own_size():
+    # In one call, the 2,000-agent star's snapshots are capped (every 11
+    # steps, as in the test above) while the 3-node path's come every 2
+    # steps, as each would alone.
+    g, part = _capped_star(3)
+    oracle = bernoulli_losses([0.3, 0.5, 0.7], 7)
+    small = path_graph(3)
+    lanes = [Lane(g, part, oracle, np.random.default_rng(8)),
+             Lane(small, compute_centers_informed(small, 3), oracle, np.random.default_rng(9))]
+    big, path = run_lanes(lanes, 654)
+    assert [c[0] for c in big.checkpoints[:2]] == [11, 22]
+    assert [c[0] for c in path.checkpoints[:2]] == [2, 4]
+    reference.assert_same_run(big, run_informed(g, 3, 654, oracle, 8, partition=part))
+    reference.assert_same_run(path, reference.run_informed(small, 3, 654, oracle, 9))
 
 
 def test_solo_short_horizon_equals_reference():
@@ -635,9 +769,9 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
     with pytest.raises(ValueError):
         run_informed_batch(g, 3, 300, [], [])
     with pytest.raises(ValueError):
-        run_solo_exp3_batch(2, 300, oracles, [5, 6])  # oracle arm count mismatch
+        run_lanes([solo_lane(2, oracles[0], 5)], 300)  # oracle arm count mismatch
     with pytest.raises(ValueError, match="horizon must be >= 1"):
-        run_solo_exp3_batch(3, 0, oracles, [5, 6])
+        run_lanes([solo_lane(3, oracle, 5) for oracle in oracles], 0)
     with pytest.raises(exp3.ArmsTooFewError):
         run_informed_batch(g, 1, 300, oracles, [5, 6])
 

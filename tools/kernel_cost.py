@@ -18,7 +18,8 @@ program by wrapping its functions:
 - election: ``compute_centers_informed`` or ``compute_centers_uninformed``;
 - warm-up: from the election's end to the first loss block of the policy
   phase (uniform play while the election runs; uninformed only);
-- policy: from there to the sweep's end (or the next seed's election);
+- policy: from there to the sweep's end (where the program elects a
+  seed's partition between two seeds' runs, to that election);
 - digest: blake2b ``update`` calls, taken out of warm-up and policy;
 - output: from the sweep's end to the op's end (rows, CSV, JSON, table);
 - other: from the op's start to the sweep's (graph parsing, checks).
@@ -32,16 +33,31 @@ before this one's, so both see the same moment of the machine.
 One more case reads peak RSS alone: N = 20,000 (a seeded uniform random
 tree, no chords), informed, the same K, horizon and seeds, one fresh
 process per checkout.  At that size the ledger snapshots a run keeps
-(``RunResult.checkpoints``) are the largest allocation; their cap shows
+(``RunResult.snapshots``) are the largest allocation; their cap shows
 there.
 
-Two more rows time the policy step itself, in microseconds per step, by
-calling the kernel from Python (no CLI, no output): one seed of
-``run_solo_exp3_batch`` and 20 seeds of ``run_informed_batch`` on the
-11-node clique (one center, ten relays), each K = 10 and 20,000 steps,
-the same Bernoulli means.  Each runs in three processes per checkout,
-the checkouts alternating, each process one untimed call and five timed
-ones; the figure is the median of the fifteen.
+Four more rows time the kernel itself, in microseconds per step of a
+run, by calling it from Python (no CLI, no output), each run's runs as
+the lanes of one ``run_lanes`` call:
+
+- ``solo``: one solo Exp3 run, K = 10, 20,000 steps;
+- ``clique-11``: 20 seeds on the 11-node clique (one center, ten relays),
+  K = 10, 20,000 steps;
+- ``crit8-20``: acceptance criterion 8's 20 random graphs of 4 to 30
+  nodes, one seed each, K = 5, 10,000 steps (partitions elected before
+  the clock starts);
+- ``uninformed-4``: 4 seeds of the uninformed protocol on the 11-node
+  star, K = 10, n_upper 11, horizon 2,000; a step is one of the run's
+  set-up steps plus the horizon, and each seed's election is timed.
+
+The rows other than crit8-20 draw the Bernoulli means above; crit8-20
+has criterion 8's (arm 0 at 0.3, the rest 0.5).  A checkout without
+``run_lanes`` runs each row through the entry points it has: the solo
+and clique seeds as one batch call each, the 20 graphs as 20
+``run_informed`` calls and the uninformed seeds as 4 ``run_uninformed``
+calls.  Each row runs in three processes per checkout, the checkouts
+alternating, each process one untimed call and five timed ones; the
+figure is the median of the fifteen.
 """
 
 from __future__ import annotations
@@ -65,7 +81,8 @@ REPEATS = 5
 ARMS, HORIZON, SEEDS = 10, 2000, 2
 ADVERSARY_SEED, POLICY_SEED = 21, 22
 PHASES = ("election", "warmup", "policy", "digest", "output", "other")
-STEP_CASES = {"solo": (1, 20_000), "clique-11": (20, 20_000)}  # seeds, steps
+STEP_CASES = {"solo": (1, 20_000), "clique-11": (20, 20_000), "crit8-20": (20, 10_000),
+              "uninformed-4": (4, 2_000)}  # runs, policy steps
 STEP_ROUNDS = 3  # processes per checkout and step case
 PEAK_NODES = 20_000  # the peak-RSS-only case's tree, run informed
 
@@ -199,27 +216,58 @@ def worker(src: str, graph: str, nodes: int, setting: str) -> dict:
     }
 
 
-def step_worker(src: str, case: str) -> dict:
-    """Median microseconds per policy step of REPEATS kernel calls of one step case."""
-    sys.path.insert(0, src)
-    from coopmab import graph, simulate
+def _step_runs(case: str):
+    """(arms, steps per run, a call that plays the case's runs) in the imported package."""
+    import numpy as np
+    from coopmab import graph, partition, simulate
 
-    seeds, steps = STEP_CASES[case]
-    means = [0.35] + [0.5] * (ARMS - 1)
-    args = (ARMS, steps, [simulate.bernoulli_losses(means, ADVERSARY_SEED + i)
-                          for i in range(seeds)], [POLICY_SEED + i for i in range(seeds)])
+    seeds, horizon = STEP_CASES[case]
+    arms, means = (5, [0.3] + [0.5] * 4) if case == "crit8-20" else (ARMS, [0.35] + [0.5] * 9)
+    oracles = [simulate.bernoulli_losses(means, ADVERSARY_SEED + i) for i in range(seeds)]
+    pairs = list(zip(oracles, [POLICY_SEED + i for i in range(seeds)]))
+    lanes = getattr(simulate, "run_lanes", None)  # else: the entry points before lanes
     if case == "solo":
-        run = simulate.run_solo_exp3_batch
-    else:
+        if lanes:
+            return arms, horizon, lambda: lanes([simulate.solo_lane(arms, *p) for p in pairs],
+                                                horizon)
+        return arms, horizon, lambda: simulate.run_solo_exp3_batch(arms, horizon, *zip(*pairs))
+    if case == "clique-11":
         clique = graph.build_graph(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
-        run, args = simulate.run_informed_batch, (clique, *args)
-    run(*args)
+        return arms, horizon, lambda: simulate.run_informed_batch(clique, arms, horizon,
+                                                                  *zip(*pairs))
+    if case == "crit8-20":  # criterion 8's draws of the graphs
+        rng, graphs = np.random.default_rng(808), []
+        for _ in range(seeds):
+            n = int(rng.integers(4, 31))
+            graphs.append(graph.random_connected_graph(n, float(rng.uniform(0.0, 0.4)), rng))
+        runs = [(g, partition.compute_centers_informed(g, arms), *p) for g, p in zip(graphs, pairs)]
+        if lanes:
+            return arms, horizon, lambda: lanes(
+                [simulate.Lane(g, part, o, np.random.default_rng(s)) for g, part, o, s in runs],
+                horizon)
+        return arms, horizon, lambda: [simulate.run_informed(g, arms, horizon, o, s, partition=part)
+                                       for g, part, o, s in runs]
+    star, n_upper = graph.star_graph(10), 11
+    setup = partition.compute_centers_uninformed(star, arms, n_upper, horizon,
+                                                 np.random.default_rng(0)).total_steps
+    if lanes:
+        return arms, setup + horizon, lambda: lanes(
+            [simulate.uninformed_lane(star, arms, n_upper, horizon, *p) for p in pairs], horizon)
+    return arms, setup + horizon, lambda: [
+        simulate.run_uninformed(star, arms, n_upper, horizon, *p) for p in pairs]
+
+
+def step_worker(src: str, case: str) -> dict:
+    """Median microseconds per step of a run over REPEATS calls of one step case."""
+    sys.path.insert(0, src)
+    arms, steps, run = _step_runs(case)
+    run()
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        run(*args)
+        run()
         runs.append((time.perf_counter() - t0) / steps * 1e6)
-    return {"case": case, "seeds": seeds, "steps": steps, "arms": ARMS,
+    return {"case": case, "seeds": STEP_CASES[case][0], "steps": steps, "arms": arms,
             "us_per_step": statistics.median(runs), "runs_us_per_step": runs}
 
 

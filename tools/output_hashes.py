@@ -16,6 +16,9 @@ in a temporary directory that is removed afterwards:
 - ``mesh-informed`` and ``mesh-uninformed``: a seeded 400-node random graph
   (a random tree plus 400 chords), K = 5, a ``matrix:`` adversary of 2,000
   seeded rows, 3 and 2 seeds, ``--workers 2``;
+- ``mesh-uninformed-serial``: the same graph and table, uninformed, 3
+  seeds on one worker (one kernel call of three lanes), with
+  ``--debug-invariants``;
 - ``partition-informed`` and ``partition-uninformed``: ``partition --out``
   on the same graph.
 
@@ -77,6 +80,9 @@ def _runs(work: Path) -> list[tuple[str, list[str]]]:
         ("mesh-informed", [*sim_mesh, "--seeds", "3", "--out", "mesh-informed"]),
         ("mesh-uninformed", [*sim_mesh, "--setting", "uninformed", "--nbar", "400",
                              "--seeds", "2", "--out", "mesh-uninformed"]),
+        ("mesh-uninformed-serial", [*sim_mesh, "--setting", "uninformed", "--nbar", "400",
+                                    "--seeds", "3", "--workers", "1", "--debug-invariants",
+                                    "--out", "mesh-uninformed-serial"]),
         ("partition-informed", ["partition", *mesh, "--out", "partition-informed.json"]),
         ("partition-uninformed", ["partition", *mesh, "--setting", "uninformed",
                                   "--nbar", "400", "--horizon", "300",
