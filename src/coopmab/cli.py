@@ -20,10 +20,10 @@ import numpy as np
 from .exp3 import ArmsTooFewError
 from .graph import Graph, GraphError, read_edge_list
 from .partition import (
-    Mass,
     Partition,
     compute_centers_informed,
     compute_centers_uninformed,
+    mass_value,
     partition_to_json,
     validate_partition,
 )
@@ -205,7 +205,7 @@ def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> ResultCo
         by_degree = {d: degree_bound(d, cfg.arms, cfg.horizon) for d in set(degree)}
     masses = [list(zip(res.partition.mass_m.tolist(), res.partition.mass_d.tolist()))
               for res in results]
-    by_mass = {md: individual_bound(Mass(*md).value(), cfg.arms, cfg.horizon)
+    by_mass = {md: individual_bound(mass_value(*md), cfg.arms, cfg.horizon)
                for md in set().union(*masses)}
     return ResultColumns(results, degree, [by_degree[d] for d in degree],
                          [[by_mass[md] for md in seed_masses] for seed_masses in masses],

@@ -27,21 +27,13 @@ class EmptyCenterSetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Mass:
-    """Exact component-quality pair; value() = m * exp(-d/6), nil is (0, 0)."""
-
-    m: int
-    d: int
-
-    def __post_init__(self):
-        if self.m < 0 or self.d < 0:
-            raise ValueError(f"mass fields must be non-negative, got ({self.m}, {self.d})")
-        if self.m == 0 and self.d != 0:
-            raise ValueError("nil mass is canonically (0, 0)")
-
-    def value(self) -> float:
-        return 0.0 if self.m == 0 else self.m * math.exp(-self.d / MASS_DECAY_DENOM)
+def mass_value(m: int, d: int) -> float:
+    """m * exp(-d/6) of a mass pair; nil, (0, 0), is worth 0.0."""
+    if m < 0 or d < 0:
+        raise ValueError(f"mass fields must be non-negative, got ({m}, {d})")
+    if m == 0 and d != 0:
+        raise ValueError("nil mass is canonically (0, 0)")
+    return m * math.exp(-d / MASS_DECAY_DENOM)
 
 
 def degree_clamp(g: Graph, arms: int) -> np.ndarray:
@@ -64,33 +56,36 @@ def min_center_distance(g: Graph, centers: Iterable[int]) -> np.ndarray:
     return g.multi_source_distances(sources)
 
 
-def _mass_table(arms: int) -> np.ndarray:
-    """Mass score 6 ln(m) - d as ``table[m] - d``; nil (m = 0) scores -inf.
+def _mass_keys(top: int, rounds: int) -> tuple[np.ndarray, ...]:
+    """Integer keys of the mass pairs (m, d), m <= top and d <= rounds.
 
-    Equal pairs get equal scores and distinct pairs are far apart, so an
-    argmax over scores is exact.
+    ``key[m, d]`` ranks the pairs from 1 by 6 ln(m) - d, as m * exp(-d/6)
+    orders them (distinct pairs' scores lie far apart); nil is 0.
+    ``deeper[key]`` is one hop deeper and ``pair[:, key]`` is (m, d).
     """
-    table = np.full(arms + 1, -np.inf)
-    table[1:] = MASS_DECAY_DENOM * np.log(np.arange(1, arms + 1))
-    return table
+    score = MASS_DECAY_DENOM * np.log(np.arange(1, top + 1))[:, None] - np.arange(rounds + 1)
+    key = np.zeros((top + 1, rounds + 1), dtype=np.int32)
+    key[1:] = np.sort(score, axis=None).searchsorted(score) + 1
+    out = np.zeros((3, score.size + 1), dtype=np.int32)  # deeper, then pair
+    out[0, key[:, :-1]] = key[:, 1:]
+    out[1:, key[1:]] = np.indices(key.shape)[:, 1:]
+    return key, out[0], out[1:]
 
 
-def _spread_round(prev, score, nbrs, own, is_center) -> np.ndarray:
+def _spread_round(prev, deeper, nbrs, own, is_center) -> np.ndarray:
     """One synchronous round for the nodes whose padded neighbor rows are ``nbrs``.
 
-    ``prev`` is the whole (4, N + 1) state of the previous round (rows
-    center_of, origin_of, mass_m, mass_d; column N is the nil node),
-    ``score`` its mass scores and ``own`` the advanced nodes' columns of
-    it.  A node whose origin already is a center keeps its state; every
-    other node picks the neighbor of highest score (the first, lowest-id
-    one on ties, since rows are ascending), inherits its center pointer
-    and takes its mass one hop deeper unless that mass is nil.
+    ``prev`` is the whole previous round of ``_SpreadRounds.states`` and
+    ``own`` the advanced nodes' columns of it.  A node whose origin already
+    is a center keeps its state; every other node picks the neighbor of
+    highest key (the first, lowest-id one on ties, since rows are
+    ascending), inherits its center pointer and takes its mass one hop deeper.
     """
-    best = score.take(nbrs).argmax(axis=1)
+    best = prev[2].take(nbrs).argmax(axis=1)
     chosen = nbrs.take(np.arange(0, nbrs.size, nbrs.shape[1]) + best)  # flat index of each row's best
     pick = prev.take(chosen, axis=1)
     pick[1] = chosen
-    pick[3] += pick[2] > 0
+    pick[2] = deeper.take(pick[2])
     return np.where(is_center.take(own[1]), own, pick)
 
 
@@ -170,12 +165,11 @@ def partition_from_json(doc: dict) -> Partition:
 class _SpreadRounds:
     """Every propagation round 0..rounds of a growing center set.
 
-    ``states[t]`` is the (4, N + 1) state after t synchronous rounds from
-    the centers added so far (rows center_of, origin_of, mass_m, mass_d;
-    column N is the nil node), the last round repeated past settling, and
-    ``scores[t]`` its mass scores.  Every round follows ``_spread_round``.
-    The empty set starts it: nil mass everywhere and, from round 1 on,
-    every origin at the node's first neighbor.
+    ``states[t]`` is the (3, N + 1) state after t ``_spread_round`` rounds
+    from the centers added so far (rows center_of, origin_of, mass key;
+    column N is the nil node), the last round repeated past settling.  The
+    empty set starts it: nil mass everywhere and, from round 1 on, every
+    origin at the node's first neighbor.
     """
 
     def __init__(self, g: Graph, arms: int):
@@ -183,16 +177,15 @@ class _SpreadRounds:
         self.arms = arms
         self.rounds = rounds = spread_rounds(arms) + 1
         self.clamp = degree_clamp(g, arms)
-        self.log_m = _mass_table(arms)
+        key, self.deeper, self.pair = _mass_keys(int(self.clamp.max()), rounds)
+        self.center_key = key[:, 0].take(self.clamp)  # each node's mass as a center
         self.nbrs = g.padded_neighbors()  # contiguous: take() on a strided view copies it whole
         self.is_center = np.zeros(n + 1, dtype=bool)
-        # int32 holds every field (ids up to N, m up to arms, d up to rounds)
-        # at half the size of int64
-        self.states = np.zeros((rounds + 1, 4, n + 1), dtype=np.int32)
+        # int32: ids up to N, keys up to arms * (rounds + 1)
+        self.states = np.zeros((rounds + 1, 3, n + 1), dtype=np.int32)
         self.states[:, :2] = -1
         self.states[0, 1, n] = n
         self.states[1:, 1] = self.nbrs[:, 0]
-        self.scores = np.full((rounds + 1, n + 1), -np.inf)
         self._mark = np.zeros(n + 1, dtype=bool)
 
     def add(self, new: np.ndarray) -> np.ndarray:
@@ -206,27 +199,23 @@ class _SpreadRounds:
         no node within two hops of D changes any more, every later round
         only repeats D's states.
         """
-        states, scores, rounds = self.states, self.scores, self.rounds
+        states, rounds = self.states, self.rounds
         self.is_center[new] = True
-        m = self.clamp.take(new)
         states[0][:2, new] = new
-        states[0][2, new] = m
-        scores[0, new] = self.log_m.take(m)
+        states[0][2, new] = self.center_key.take(new)
         changed = new
         for t in range(1, rounds + 1):
             cand = _distinct(np.concatenate((changed, self.nbrs.take(changed, axis=0).ravel())))
             own, old = states[t - 1:t + 1].take(cand, axis=2)
             nbrs = self.nbrs.take(cand, axis=0)
-            cur = _spread_round(states[t - 1], scores[t - 1], nbrs, own, self.is_center)
+            cur = _spread_round(states[t - 1], self.deeper, nbrs, own, self.is_center)
             diff = np.logical_or.reduce(cur != old)
             states[t][:, cand] = cur
-            scores[t, cand] = self.log_m.take(cur[2]) - cur[3]
             now = cand[diff]
             if (t < rounds and now.size == changed.size and (now == changed).all()
                     and not np.logical_or.reduce(cur != own)[diff].any()
                     and self._ring_settled(cand, now, t)):
                 states[t + 1:, :, now] = states[t].take(now, axis=1)
-                scores[t + 1:, now] = scores[t].take(now)
                 break
             changed = now
         return now
@@ -253,10 +242,11 @@ class _SpreadRounds:
         round holds it.  Raises ValueError if some node has no center.
         """
         n = self.states.shape[2] - 1
-        cof, uof, mass_m, mass_d = self.states[-1, :, :n]
-        missing = np.flatnonzero(mass_m == 0).tolist()  # nil mass: no center reached it
+        cof, uof, key = self.states[-1, :, :n]
+        missing = np.flatnonzero(key == 0).tolist()  # nil mass: no center reached it
         if missing:
             raise ValueError(f"nodes {missing} were never reached by any center")
+        mass_m, mass_d = self.pair.take(key, axis=1)
         return Partition(arms=self.arms, centers=np.flatnonzero(self.is_center[:n]),
                          center_of=cof, origin_of=uof, delay=mass_d, mass_m=mass_m, mass_d=mass_d)
 
@@ -264,29 +254,26 @@ class _SpreadRounds:
 def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
     """The informed greedy's centers in order of addition, and their rounds."""
     spread = _SpreadRounds(g, arms)
-    nbrs, final = spread.nbrs, spread.scores[-1]
+    nbrs, final = spread.nbrs, spread.states[-1, 2]
     n = g.node_count
-    cdeg = np.zeros(n + 1, dtype=np.int64)
-    cdeg[:n] = g.closed_degrees
-    # score a node needs to be satisfied; -inf once a center is within two hops
-    target = np.full(n + 1, -np.inf)
-    target[:n] = spread.log_m.take(spread.clamp)
+    cdeg = np.append(g.closed_degrees, 0)
+    # key that satisfies a node; nil once a center is within two hops
+    target = np.append(spread.center_key, 0)
     # closed degree while unsatisfied, else 0: argmax's first hit is the lowest id
-    key = cdeg.copy()
+    unsat = cdeg.copy()
     centers: list[int] = []
     while True:
-        nxt = int(key.argmax())
-        if not key[nxt]:
+        nxt = int(unsat.argmax())
+        if not unsat[nxt]:
             return centers, spread
         if len(centers) == n:
             raise AssertionError("center search failed to shrink the unsatisfied set")
         centers.append(nxt)
         near = np.append(nbrs[nxt], nxt)
         ball = np.concatenate((near, nbrs.take(near, axis=0).ravel()))
-        target[ball] = -np.inf
-        key[ball] = 0
+        target[ball] = unsat[ball] = 0
         moved = spread.add(np.array([nxt]))
-        key[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
+        unsat[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
 
 
 def compute_centers_informed(g: Graph, arms: int) -> Partition:
@@ -418,7 +405,6 @@ def compute_centers_uninformed(
     budget = mis_round_budget(n_upper, arms, horizon)
     spread = _SpreadRounds(g, arms)
     pass_rounds = spread.rounds
-    target = spread.log_m.take(spread.clamp)  # score of a node's own clamp
 
     satisfied = np.zeros(n, dtype=bool)
     calls: list[LubyCall] = []
@@ -430,7 +416,8 @@ def compute_centers_uninformed(
         # charged below since the synchronous schedule runs regardless
         if outcome.joined:
             spread.add(np.array(sorted(outcome.joined)))
-            satisfied = (spread.scores[-1, :n] >= target) | (spread.states[2, 0, :n] >= 0)
+            satisfied = ((spread.states[-1, 2, :n] >= spread.center_key)
+                         | (spread.states[2, 0, :n] >= 0))
 
     if not spread.is_center.any():
         raise EmptyCenterSetError("no node won any election; partition impossible")
@@ -567,7 +554,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
 
     # (f) every node's mass is at least exp(-1) of its own clamp,
     #     checked in pair form: (clamp, 6) <= (m, d); a pair that is no
-    #     Mass fails (d < 0; m <= 0 scores -inf)
+    #     mass fails (d < 0; m <= 0 scores -inf)
     v = _first((mass_d < 0) | (_scores(mass_m, mass_d) < _scores(clamp, MASS_DECAY_DENOM)))
     add("mass-floor", None if v is None else f"node {v}: mass Mass(m={mass_m[v]}, "
         f"d={mass_d[v]}) below floor ({int(clamp[v])}, {MASS_DECAY_DENOM})")

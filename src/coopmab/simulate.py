@@ -28,11 +28,11 @@ from . import exp3
 from .graph import Graph, _distinct, build_graph
 from .losses import LossOracle, bernoulli_losses, matrix_losses, switching_losses  # noqa: F401
 from .partition import (
-    Mass,
     Partition,
     _first,
     compute_centers_informed,
     compute_centers_uninformed,
+    mass_value,
 )
 
 ROLE_CODES = ("center", "adjacent", "simple")  # a role's code is its index
@@ -147,8 +147,9 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
     """
     k, setup = lanes[0].partition.arms, lanes[0].setup
     total = setup + horizon
-    for lane in lanes:  # a loss table shorter than the run fails here, not midway
-        lane.oracle.rows(total - 1, total)
+    oracles = {id(lane.oracle): lane.oracle for lane in lanes}  # each read once a block
+    for oracle in oracles.values():  # a loss table shorter than the run fails here, not midway
+        oracle.rows(total - 1, total)
     sizes = [lane.partition.node_count for lane in lanes]
     off = np.cumsum([0, *sizes]).tolist()
     a = off[-1]
@@ -186,7 +187,7 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
     logs = [lane.log_sink is not None and (lane.log_sink, max(1, cells // n), np.array(
         [f', "v": {v}, "action": ' for v in range(n)], dtype=object), role_text.take(r), arm_text)
         for lane, n, r in zip(lanes, sizes, roles)]
-    rates = np.array([[exp3.learning_rate(Mass(m, d).value(), k, horizon)] for m, d in masses])
+    rates = np.array([[exp3.learning_rate(mass_value(m, d), k, horizon)] for m, d in masses])
     drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
     logw = np.zeros((centers.size, k))
     step_rates = np.broadcast_to(rates, logw.shape).copy()  # full shape: no ufunc buffering
@@ -244,8 +245,9 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
         for start in range(begin, end, block):
             m = min(start + block, end) - start
             draws = draws_buf[:m]
+            rows = {i: o.rows(start, start + m) for i, o in oracles.items()}
             for l, (lane, lo, hi) in enumerate(zip(lanes, off, off[1:])):
-                losses[1:m + 1, l] = lane.oracle.rows(start, start + m)
+                losses[1:m + 1, l] = rows[id(lane.oracle)]
                 # row-major fills: the same streams as one call per step
                 if warm:
                     actions[:m, lo:hi] = lane.rng.integers(0, k, size=(m, hi - lo))

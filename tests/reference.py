@@ -38,14 +38,15 @@ tests in ``test_graph.py`` and ``test_partition.py``.  Two changes:
 than a ``Graph``, checking reachability with the per-node BFS ``Graph`` had, and
 ``validate_partition`` runs checks (c) and (d) only when every node is
 assigned to a center and check (b) passed, and its mass-floor check fails
-a stored pair that is no ``Mass`` (m <= 0 or d < 0) instead of raising.
+a stored pair that is no mass (m <= 0 or d < 0) instead of raising.
 ``spread_history_violations`` and ``induced_subgraph`` have no caller
 left in ``coopmab``.
 
 ``OrderedMass`` is the mass pair with the order and score that
 ``coopmab.partition.Mass`` once had.  ``SpreadMap`` is the record a
 propagation once returned: its columns, its kept rounds and its settle
-round; ``spread_map`` reads one off a ``_SpreadRounds``' ``states``, and
+round; ``decoded_rounds`` turns a ``_SpreadRounds``' mass keys back into
+(m, d) rows, ``spread_map`` reads a record off them, and
 ``centers_to_components`` propagates a whole center set into one.
 """
 
@@ -63,6 +64,7 @@ from typing import IO, Iterable
 import numpy as np
 
 import coopmab.graph
+import coopmab.partition
 from coopmab import exp3, simulate
 from coopmab.graph import (
     DisconnectedError,
@@ -79,7 +81,6 @@ from coopmab.partition import (
     CheckResult,
     EmptyCenterSetError,
     LubyTranscript,
-    Mass,
     Partition,
     PartitionReport,
     _SpreadRounds,
@@ -102,8 +103,17 @@ def role(p: Partition, v: int) -> str:
 
 @total_ordering
 @dataclass(frozen=True)
-class OrderedMass(Mass):
-    """A ``Mass`` ordered as its value m * exp(-d/6), exactly, nil lowest."""
+class OrderedMass:
+    """A mass pair ordered as its value m * exp(-d/6), exactly, nil lowest."""
+
+    m: int
+    d: int
+
+    def __post_init__(self):
+        self.value()  # raises on a pair that is no mass
+
+    def value(self) -> float:
+        return coopmab.partition.mass_value(self.m, self.d)
 
     def score(self) -> float:
         # 6*ln(m) - d orders masses like value() but stays in a range where
@@ -794,12 +804,18 @@ class SpreadMap:
                          mass_d=self.mass_d)
 
 
+def decoded_rounds(spread: _SpreadRounds) -> np.ndarray:
+    """``spread.states`` as int64 rows center_of, origin_of, mass_m, mass_d per round."""
+    cof, uof, key = spread.states.astype(np.int64).transpose(1, 0, 2)
+    return np.stack((cof, uof, *spread.pair.take(key, axis=1)), axis=1)
+
+
 def spread_map(spread: _SpreadRounds) -> SpreadMap:
     """The record of the centers added to ``spread`` so far, read off its ``states``."""
-    states, last = spread.states, spread.rounds
+    states, last = decoded_rounds(spread), spread.rounds
     n = states.shape[2] - 1
     settled = next((t - 1 for t in range(1, last + 1) if (states[t] == states[t - 1]).all()), last)
-    kept = states[:settled + 2, :, :n].astype(np.int64)
+    kept = states[:settled + 2, :, :n]
     cof, uof, mass_m, mass_d = kept[-1]
     reached = mass_m > 0
     return SpreadMap(spread.arms, last, settled, tuple(np.flatnonzero(spread.is_center).tolist()),
@@ -960,7 +976,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
 
     # (f) every node's mass is at least exp(-1) of its own clamp,
     #     checked in pair form: (clamp, 6) <= (m, d); a pair that is no
-    #     Mass (m <= 0 or d < 0) fails
+    #     mass (m <= 0 or d < 0) fails
     w = None
     for v in range(n):
         m, d = mass_m[v], mass_d[v]

@@ -33,12 +33,12 @@ from coopmab.partition import (
     MASS_DECAY_DENOM,
     EmptyCenterSetError,
     LubyCall,
-    Mass,
     Partition,
     compute_centers_informed,
     compute_centers_uninformed,
     degree_clamp,
     luby_2mis,
+    mass_value,
     min_center_distance,
     mis_round_budget,
     partition_from_json,
@@ -46,6 +46,7 @@ from coopmab.partition import (
     spread_rounds,
     validate_partition,
     _greedy_centers,
+    _mass_keys,
     _SpreadRounds,
 )
 
@@ -54,13 +55,13 @@ NIL_MASS = OrderedMass(0, 0)
 
 
 def test_mass_basics():
-    assert Mass(0, 0).value() == 0.0 and NIL_MASS.score() == -math.inf
-    assert Mass(3, 2).value() == pytest.approx(3 * math.exp(-2 / 6))
+    assert mass_value(0, 0) == 0.0 and NIL_MASS.score() == -math.inf
+    assert mass_value(3, 2) == pytest.approx(3 * math.exp(-2 / 6))
     assert OrderedMass(3, 2).score() == pytest.approx(6 * math.log(3) - 2)
     with pytest.raises(ValueError):
-        Mass(-1, 0)
+        mass_value(-1, 0)
     with pytest.raises(ValueError):
-        Mass(0, 3)  # nil is canonically (0, 0)
+        mass_value(0, 3)  # nil is canonically (0, 0)
 
 
 def test_mass_ordering():
@@ -84,6 +85,31 @@ def test_spread_rounds_values():
     assert spread_rounds(2) == 8
     assert spread_rounds(5) == 19
     assert spread_rounds(10) == 27
+
+
+@pytest.mark.parametrize("arms", [2, 3, 10, 100, 1000, 10_000, 100_000])
+def test_mass_keys_order_pairs_as_their_scores(arms):
+    # every pair (m, d) with m up to the largest clamp (10^4 at most here)
+    # and d up to the round budget, against the float score 6 ln(m) - d
+    rounds, top = spread_rounds(arms) + 1, min(arms, 10_000)
+    key, deeper, (m_of, d_of) = _mass_keys(top, rounds)
+    assert key.shape == (top + 1, rounds + 1) and key.dtype == np.int32
+    log = np.array([math.log(m) for m in range(1, top + 1)])
+    score = (MASS_DECAY_DENOM * log[:, None] - np.arange(rounds + 1)).ravel()
+    keys = key[1:].ravel()
+    # distinct keys 1..pairs, nil 0, and scores strictly rising with the key
+    assert not key[0].any() and np.sort(keys).tolist() == list(range(1, keys.size + 1))
+    assert (np.diff(score[keys.argsort()]) > 0).all()
+    m, d = np.mgrid[0:top + 1, 0:rounds + 1]
+    assert (m_of[key] == m).all() and (d_of[key] == np.where(m > 0, d, 0)).all()
+    # one hop deeper: (m, d) to (m, d + 1), nil to nil
+    assert (deeper[key[:, :-1]] == key[:, 1:]).all() and deeper[0] == 0
+    # stored keys: one center at the end of a path reaches depth t at round
+    # t and no deeper, the deepest being the last round's
+    spread = _SpreadRounds(path_graph(rounds + 3), arms)
+    spread.add(np.array([0]))
+    t, v = np.ogrid[:rounds + 1, :rounds + 3]
+    assert (spread.pair[1].take(spread.states[:, 2, :-1]) == np.where(v <= t, v, 0)).all()
 
 
 def test_degree_clamp_and_center_distance():
@@ -353,9 +379,9 @@ def test_informed_added_center_can_lower_mass():
 
     spread = _SpreadRounds(g, 10)
     spread.add(np.array([0]))
-    before = spread.states[-1, 2:, :18].copy()
+    before = reference.decoded_rounds(spread)[-1, 2:, :18]
     moved = spread.add(np.array([13]))
-    after = spread.states[-1, 2:, :18]
+    after = reference.decoded_rounds(spread)[-1, 2:, :18]
     assert {12, 17} <= set(moved.tolist())
     assert (before[:, 12].tolist(), after[:, 12].tolist()) == ([10, 4], [5, 1])
     assert (before[:, 17].tolist(), after[:, 17].tolist()) == ([10, 5], [5, 2])
@@ -397,13 +423,11 @@ def test_informed_election_large_tree_byte_identical():
 def _assert_rounds_match(spread, g, centers, arms):
     n = g.node_count
     hist = _propagation_oracle(g, centers, arms).history
+    states = reference.decoded_rounds(spread)
     for t in range(spread.rounds + 1):
         want = hist[min(t, len(hist) - 1)]  # the last round repeats past settling
-        assert (spread.states[t, :, :n] == want).all(), (centers, t)
-        assert spread.states[t, :, n].tolist() == [-1, n, 0, 0]
-        score = np.where(want[2] > 0, MASS_DECAY_DENOM * np.log(np.maximum(want[2], 1)) - want[3],
-                         -np.inf)
-        assert spread.scores[t, :n].tobytes() == score.tobytes(), (centers, t)
+        assert (states[t, :, :n] == want).all(), (centers, t)
+        assert states[t, :, n].tolist() == [-1, n, 0, 0]
 
 
 @pytest.mark.parametrize("arms", [2, 3, 10, 50])
@@ -872,8 +896,8 @@ def test_partition_columns_are_read_only_int64(form):
     # the columns are copies: neither the caller's arrays nor the rounds are shared
     if isinstance(given_cols["mass_m"], np.ndarray):
         given_cols["mass_m"][0] = 7
-    spread.states[-1, 2, 0] = 7
-    assert built.mass_m[0] == 2 and elected.mass_m[0] == 2 and spread.partition().mass_m[0] == 7
+    spread.states[-1, 2, 0] = spread.center_key[1]  # (3, 0), node 1's mass as a center
+    assert built.mass_m[0] == 2 and elected.mass_m[0] == 2 and spread.partition().mass_m[0] == 3
 
 
 def test_partition_json_round_trip():

@@ -711,6 +711,28 @@ def test_run_lanes_packs_consecutive_lanes_into_kernel_calls(monkeypatch):
     reference.assert_same_run(runs[-1], reference.run_solo_exp3(2, 30, oracle, 4))
 
 
+def test_lanes_sharing_an_oracle_read_it_once_per_block(monkeypatch):
+    # lanes 1, 2 and 3 share one oracle object and lane 0 has its own: each
+    # 16-step block reads two oracles, and every lane plays its own losses
+    reads, rows = [], simulate.LossOracle.rows
+
+    def spy(oracle, start, stop):
+        reads.append(stop - start)
+        return rows(oracle, start, stop)
+
+    monkeypatch.setattr(simulate.LossOracle, "rows", spy)
+    monkeypatch.setattr(simulate, "BATCH_ROWS", 16)
+    shared, own = bernoulli_losses([0.3, 0.6, 0.5], 4), bernoulli_losses([0.7, 0.2, 0.5], 5)
+    cases = [(path_graph(5), own), (path_graph(4), shared), (star_graph(3), shared)]
+    lanes = [Lane(g, compute_centers_informed(g, 3), oracle, np.random.default_rng(i))
+             for i, (g, oracle) in enumerate(cases)] + [solo_lane(3, shared, 9)]
+    runs = run_lanes(lanes, 64)
+    assert reads == [1] * 2 + [16] * 8  # the length check per oracle, then two reads a block
+    for i, (run, (g, oracle)) in enumerate(zip(runs, cases)):
+        reference.assert_same_run(run, reference.run_informed(g, 3, 64, oracle, i))
+    reference.assert_same_run(runs[-1], reference.run_solo_exp3(3, 64, shared, 9))
+
+
 def test_run_lanes_checks_its_lanes():
     oracle = bernoulli_losses([0.3, 0.6], 4)
     g = path_graph(4)

@@ -51,13 +51,10 @@ the lanes of one ``run_lanes`` call:
   set-up steps plus the horizon, and each seed's election is timed.
 
 The rows other than crit8-20 draw the Bernoulli means above; crit8-20
-has criterion 8's (arm 0 at 0.3, the rest 0.5).  A checkout without
-``run_lanes`` runs each row through the entry points it has: the solo
-and clique seeds as one batch call each, the 20 graphs as 20
-``run_informed`` calls and the uninformed seeds as 4 ``run_uninformed``
-calls.  Each row runs in three processes per checkout, the checkouts
-alternating, each process one untimed call and five timed ones; the
-figure is the median of the fifteen.
+has criterion 8's (arm 0 at 0.3, the rest 0.5).  Each row runs in three
+processes per checkout, the checkouts alternating, each process one
+untimed call and five timed ones; the figure is the median of the
+fifteen.
 """
 
 from __future__ import annotations
@@ -225,12 +222,9 @@ def _step_runs(case: str):
     arms, means = (5, [0.3] + [0.5] * 4) if case == "crit8-20" else (ARMS, [0.35] + [0.5] * 9)
     oracles = [simulate.bernoulli_losses(means, ADVERSARY_SEED + i) for i in range(seeds)]
     pairs = list(zip(oracles, [POLICY_SEED + i for i in range(seeds)]))
-    lanes = getattr(simulate, "run_lanes", None)  # else: the entry points before lanes
+    lanes = simulate.run_lanes
     if case == "solo":
-        if lanes:
-            return arms, horizon, lambda: lanes([simulate.solo_lane(arms, *p) for p in pairs],
-                                                horizon)
-        return arms, horizon, lambda: simulate.run_solo_exp3_batch(arms, horizon, *zip(*pairs))
+        return arms, horizon, lambda: lanes([simulate.solo_lane(arms, *p) for p in pairs], horizon)
     if case == "clique-11":
         clique = graph.build_graph(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
         return arms, horizon, lambda: simulate.run_informed_batch(clique, arms, horizon,
@@ -241,20 +235,13 @@ def _step_runs(case: str):
             n = int(rng.integers(4, 31))
             graphs.append(graph.random_connected_graph(n, float(rng.uniform(0.0, 0.4)), rng))
         runs = [(g, partition.compute_centers_informed(g, arms), *p) for g, p in zip(graphs, pairs)]
-        if lanes:
-            return arms, horizon, lambda: lanes(
-                [simulate.Lane(g, part, o, np.random.default_rng(s)) for g, part, o, s in runs],
-                horizon)
-        return arms, horizon, lambda: [simulate.run_informed(g, arms, horizon, o, s, partition=part)
-                                       for g, part, o, s in runs]
+        return arms, horizon, lambda: lanes(
+            [simulate.Lane(g, part, o, np.random.default_rng(s)) for g, part, o, s in runs], horizon)
     star, n_upper = graph.star_graph(10), 11
     setup = partition.compute_centers_uninformed(star, arms, n_upper, horizon,
                                                  np.random.default_rng(0)).total_steps
-    if lanes:
-        return arms, setup + horizon, lambda: lanes(
-            [simulate.uninformed_lane(star, arms, n_upper, horizon, *p) for p in pairs], horizon)
-    return arms, setup + horizon, lambda: [
-        simulate.run_uninformed(star, arms, n_upper, horizon, *p) for p in pairs]
+    return arms, setup + horizon, lambda: lanes(
+        [simulate.uninformed_lane(star, arms, n_upper, horizon, *p) for p in pairs], horizon)
 
 
 def step_worker(src: str, case: str) -> dict:
