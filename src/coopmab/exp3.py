@@ -79,9 +79,13 @@ def exp3_update_raw(log_weights: np.ndarray, learning_rate: float | np.ndarray,
 
 def estimated_loss_vector(losses: np.ndarray, observe_probs: np.ndarray, observed: np.ndarray,
                           out: np.ndarray | None = None) -> np.ndarray:
-    """Importance-weighted loss estimates: loss / observe_prob where observed, else 0."""
-    # the minimum spares the masked test when every prob is positive
-    if np.minimum.reduce(observe_probs, None) <= 0.0 and ((observe_probs <= 0.0) & observed).any():
+    """Importance-weighted loss estimates: loss / observe_prob where observed, else 0.
+
+    Observation probabilities lie in [0, 1]; a zero one on an observed arm
+    raises ``ZeroObservationProbabilityError`` before any division."""
+    # a count of the nonzero probs (cheaper than a ufunc reduce) spares the masked test
+    if np.count_nonzero(observe_probs) < observe_probs.size and (
+            (observe_probs <= 0.0) & observed).any():
         raise ZeroObservationProbabilityError("observed arm with zero observation probability")
     out = np.empty(np.broadcast(losses, observe_probs, observed).shape) if out is None else out
     out.fill(0.0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,8 +24,9 @@ class LossOracle:
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Losses for global steps start+1..stop, shape (stop - start, arms), values in [0, 1].
 
-        Regenerated from scratch on every call and a pure function of the
-        step numbers: rows(a, c) is rows(a, b) followed by rows(b, c).
+        A pure function of the step numbers (a Bernoulli oracle re-seeds and
+        skips ahead on every call): rows(a, c) is rows(a, b) followed by
+        rows(b, c).  ``stream`` reads the steps in order more cheaply.
         """
         if not 0 <= start <= stop:
             raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
@@ -51,6 +52,22 @@ class LossOracle:
             out[np.arange(steps), favored] = 0.0
             return out
         raise ValueError(f"unknown oracle kind {self.kind!r}")
+
+    def stream(self, stop: int) -> Callable[[int], np.ndarray]:
+        """A reader of steps 1..stop: each call read(m) returns the next m rows, so its
+        blocks, joined, equal rows(0, stop) bit for bit.  A table shorter than the
+        run fails here.  A Bernoulli reader draws on from one generator."""
+        self.rows(stop - 1, stop)
+        if self.kind == "bernoulli":
+            rng, means = np.random.default_rng(self.seed), np.asarray(self.means)
+            return lambda m: (rng.random((m, self.arms)) < means).astype(float)
+        done = 0
+
+        def read(m: int) -> np.ndarray:
+            nonlocal done
+            done += m
+            return self.rows(done - m, done)
+        return read
 
 
 def bernoulli_losses(means: Sequence[float], seed: int) -> LossOracle:

@@ -29,7 +29,7 @@ from .graph import Graph, _distinct, build_graph
 from .losses import LossOracle, bernoulli_losses, matrix_losses, switching_losses  # noqa: F401
 from .partition import (
     Partition,
-    _first,
+    _check_partition,
     compute_centers_informed,
     compute_centers_uninformed,
     mass_value,
@@ -129,6 +129,18 @@ def _snapshot_every(total: int, n: int, k: int) -> int:
     return max(1, total // 256, -(-total // max(1, CHECKPOINT_CELLS // (2 * n + k))))
 
 
+def _cdf_floor(k: int) -> float:
+    """A floor under the last CDF entry of any distribution the kernel samples from.
+
+    Only a draw of 0 or above that entry takes the sampler's fallback.  The
+    entry sums p = w / S in order, w >= 0, S = np.add.reduce(w).  With
+    u = 2^-53, S = sum(w)(1 + e), |e| <= (k - 1)u; a quotient loses a factor
+    1 - u (or 2^-1075 if subnormal) and the running sum (k - 1)u of its total.
+    So the entry is >= 1 - 2ku - O(k^2 u^2) > 1 - 4ku, as is the uniform start's.
+    """
+    return 1.0 - 4 * k * 2.0 ** -53
+
+
 def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
                debug: bool = False) -> list[RunResult]:
     """Play the lanes in lockstep on one flat agent axis, every center updated at once.
@@ -140,16 +152,17 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
     setup+1..setup+horizon follow the protocol (one ``random`` draw per
     agent).  Every sum runs within a lane in a fixed order, so a lane's
     result does not depend on which lanes share the call.  Per block of
-    steps, draws are checked for zeros and log-weights for non-finite values
-    before any hashing or logging.  The debug audit and the log writer take
-    several steps at once, at most BATCH_CELLS / 64 center-arm cells or
-    lines each, or one step's if more.
+    steps, the steps that may need the sampler's fallback are found, and
+    log-weights are checked for non-finite values before any hashing or
+    logging.  The debug audit and the log writer take several steps at
+    once, at most BATCH_CELLS / 64 center-arm cells or lines each, or one
+    step's if more.
     """
     k, setup = lanes[0].partition.arms, lanes[0].setup
     total = setup + horizon
-    oracles = {id(lane.oracle): lane.oracle for lane in lanes}  # each read once a block
-    for oracle in oracles.values():  # a loss table shorter than the run fails here, not midway
-        oracle.rows(total - 1, total)
+    # a stream per distinct oracle, read once a block; a short loss table fails here
+    oracles = {id(lane.oracle): lane.oracle for lane in lanes}
+    streams = {i: oracle.stream(total) for i, oracle in oracles.items()}
     sizes = [lane.partition.node_count for lane in lanes]
     off = np.cumsum([0, *sizes]).tolist()
     a = off[-1]
@@ -192,6 +205,7 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
     logw = np.zeros((centers.size, k))
     step_rates = np.broadcast_to(rates, logw.shape).copy()  # full shape: no ufunc buffering
     chunk = max(1, cells // logw.size) if debug else 1  # steps per audit
+    top = _cdf_floor(k)  # only steps with a draw of 0 or above it test for the fallback
 
     # two buffers of every agent's distribution and CDF: a step reads one, writes the other
     state = np.empty((2, 2, a, k))
@@ -227,10 +241,9 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
     # p @ loss row, the expected loss: one (lanes, n, k) @ (lanes, k, 1) product
     # per run of consecutive lanes with equal n
     cut = [l for l in range(1, len(lanes)) if sizes[l] != sizes[l - 1]]
-    products = [[(x[0, off[l0]:off[l1]].reshape(-1, sizes[l0], k), losses[1:, l0:l1, :, None],
-                  steps[1:, 1, off[l0]:off[l1]].reshape(block, -1, sizes[l0], 1))
-                 for l0, l1 in zip([0, *cut], [*cut, len(lanes)])] for x in state]
-    views = [(x, x[0], x[1], x.reshape(-1, k), mm) for x, mm in zip(state, products)]
+    runs = list(zip([0, *cut], [*cut, len(lanes)]))
+    views = [(x, x[0], x[1], x.reshape(-1, k),
+              [x[0, off[l0]:off[l1]].reshape(-1, sizes[l0], k) for l0, l1 in runs]) for x in state]
 
     for warm, begin, end in ((True, 0, setup), (False, setup, total)):
         if not warm:  # ledgers at the policy phase's start; step scratch
@@ -238,14 +251,20 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
             stash = np.empty((4, chunk) + logw.shape)  # p_now, p_next, est, observe
             p_now, p_out, est, observe = stash[:, 0]
             gathered, observed = np.empty((flat.size, k)), np.empty(logw.shape, bool)
+            seen, true = np.empty(flat.size, np.int64), np.ones(1, bool)
             fresh, row = np.empty((2,) + logw.shape), np.empty((centers.size, 1))
             # the centers' new distribution and CDF; the CDF's rows are scratch until then
             (p_next, work), fresh_rows = fresh, fresh.reshape(-1, k)
-            center_loss, draw_col = np.empty((block,) + logw.shape), draws_buf[..., None]
+            center_loss = np.empty((block,) + logw.shape)
+            # per step: views of its actions, draws (also as a column), center losses and,
+            # per run of lanes, loss rows and expected losses
+            per_row = list(zip(actions, draws_buf, draws_buf[..., None], center_loss, zip(*(
+                zip(losses[1:, l0:l1, :, None], steps[1:, 1, off[l0]:off[l1]].reshape(
+                    block, -1, sizes[l0], 1)) for l0, l1 in runs))))
         for start in range(begin, end, block):
             m = min(start + block, end) - start
             draws = draws_buf[:m]
-            rows = {i: o.rows(start, start + m) for i, o in oracles.items()}
+            rows = {i: read(m) for i, read in streams.items()}
             for l, (lane, lo, hi) in enumerate(zip(lanes, off, off[1:])):
                 losses[1:m + 1, l] = rows[id(lane.oracle)]
                 # row-major fills: the same streams as one call per step
@@ -254,25 +273,23 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
                     steps[1:m + 1, 1, lo:hi] = losses[1:m + 1, l].mean(axis=1, keepdims=True)
                 else:
                     draws[:, lo:hi] = lane.rng.random((m, hi - lo))
-            if not warm:
-                zero_draw = not draws.all()  # some draw is exactly 0
+            if not warm:  # the steps where a draw is 0 or above `top`
+                rare = ((draws.min(axis=1) == 0.0) | (draws.max(axis=1) > top)).tolist()
                 losses[1:m + 1].take(center_lane, axis=1, out=center_loss[:m])
             for j in range(0 if warm else m):
                 (now, p, cdf, _, mm), (new, p_new, _, new_rows, _) = views
-                act = actions[j]
+                act, draw, draw_col, loss_row, expect = per_row[j]
                 # inverse-CDF sample, arms ascending: the action is the number
                 # of arms whose CDF lies below the draw (exact small sums in
-                # p_new until the relays' take fills it).  That arm has positive
-                # probability unless every arm lies below or the draw is 0;
-                # those cells take the fallback.
-                np.matmul(np.less(cdf, draw_col[j], out=p_new), ones, out=count)
-                if np.maximum.reduce(count, axis=None) >= k or zero_draw and not draws[j].all():
-                    draw = draws[j]
+                # p_new until the relays' take fills it), an arm of positive
+                # probability unless every arm lies below or the draw is 0
+                np.matmul(np.less(cdf, draw_col, out=p_new), ones, out=count)
+                if rare[j]:
                     for v in np.flatnonzero((count >= k) | (draw == 0.0)).tolist():
                         count[v] = exp3.sample_action(p[v], float(draw[v]))
                 act[...] = count
-                for p_run, loss_run, expected in mm:
-                    np.matmul(p_run, loss_run[j], out=expected[j])
+                for p_run, (loss_run, expected) in zip(mm, expect):
+                    np.matmul(p_run, loss_run, out=expected)
 
                 # relays stage the origin's round-t distribution and CDF ("clip"
                 # lets take write to out unbuffered; every index is in range)
@@ -286,8 +303,9 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
                                      out=observe)
                 np.subtract(1.0, observe, out=observe)
                 observed.fill(False)
-                observed.put(slot_cell + act.take(flat), True)
-                exp3.estimated_loss_vector(center_loss[j], observe, observed, out=est)
+                act.take(flat, out=seen, mode="clip")
+                observed.put(np.add(seen, slot_cell, out=seen), true)
+                exp3.estimated_loss_vector(loss_row, observe, observed, out=est)
                 exp3.exp3_update_raw(logw, step_rates, est, logw, work, row)  # finiteness: below
                 exp3.probs_from_log_weights(logw, p_next, work, row)
                 np.add.accumulate(p_next, axis=1, out=work)
@@ -394,24 +412,6 @@ def _log_lines(sink: IO, first_t: int, actions, charged, agent_v, agent_role, ar
     cols[..., 3] = losses.take(seen.searchsorted(bits))
     cols[..., 4] = agent_role
     sink.write("".join(cols.ravel().tolist()))
-
-
-def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
-    """A caller's partition must fit the graph and the run: size, arms, centers, relays."""
-    n = g.node_count
-    if partition.node_count != n:
-        raise ValueError(f"partition covers {partition.node_count} nodes, graph has {n}")
-    if partition.arms != arms:
-        raise ValueError(f"partition is over {partition.arms} arms, run uses {arms}")
-    node, cof, uof, delay = np.arange(n), partition.center_of, partition.origin_of, partition.delay
-    centers = sorted(partition.centers.tolist())
-    if np.flatnonzero(cof == node).tolist() != centers:
-        raise ValueError(f"centers {centers} are not the self-claiming nodes")
-    u, apart = np.clip(uof, 0, n - 1), ~g.are_adjacent(node, uof)
-    v = _first((cof != node) & (apart | (delay.take(u) != delay - 1)))
-    if v is not None:
-        raise ValueError(f"relay {v} copies node {uof[v]}, which is not its neighbor" if apart[v]
-                         else f"relay {v} copies node {uof[v]}, not one delay step earlier")
 
 
 def run_lanes(lanes: Sequence[Lane], horizon: int, debug: bool = False) -> list[RunResult]:

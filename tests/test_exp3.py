@@ -116,6 +116,29 @@ def test_total_weight_never_grows():
         assert is_distribution(probs_from_log_weights(lw))
 
 
+def test_update_sandwich_on_random_states():
+    # 400 random steps (the ``validate`` exp3 suite's first check, seed 0): the
+    # next distribution is valid, total weight never grows, each arm stays
+    # within the one-step floor (1 - rate*est)*p and ceiling 2p at rate <=
+    # 1/(2*arms), with estimates kept at p*estimate <= 1 as in real runs.
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        k = int(rng.integers(2, 12))
+        rate = 0.5 / (k * float(rng.uniform(1.0, 4.0)))
+        lw = rng.normal(0.0, 1.0, size=k)
+        lw -= lw.max()
+        p = probs_from_log_weights(lw)
+        est = rng.random(k) * np.where(rng.random(k) < 0.5, 0.0, 1.0) / np.maximum(p, 0.2)
+        est = np.minimum(est, 1.0 / np.maximum(p, 1e-9))
+        q = probs_from_log_weights(exp3_update_raw(lw, rate, est))
+        assert is_distribution(q), k
+        assert float(np.dot(p, np.exp(-rate * est))) <= 1.0 + 1e-12
+        assert not np.any(p * est > 1.0 + 1e-9)
+        lo = (1.0 - rate * est) * p
+        assert not np.any(q < lo * (1 - 1e-9) - 1e-15), k
+        assert not np.any(q > 2.0 * p * (1 + 1e-9) + 1e-15), k
+
+
 def test_observation_probability():
     # Round 1 on an edge: both agents play uniform, so the center sees an arm
     # with probability 1 - (1/2)^2 = 3/4 and its round-2 distribution divides
@@ -185,6 +208,18 @@ def test_sample_action_skips_zero_arms():
     seen = {sample_action(p, d) for d in np.linspace(0.0, 0.999, 1000)}
     assert seen == {0, 2}
     assert sample_action(p, 0.5) == 0  # boundary lands on the lower positive arm
+
+
+def test_sample_action_frequencies():
+    # 2e4 seeded uniform draws (the ``validate`` exp3 suite's second check):
+    # the zero arm is never played, and each arm's frequency lies within 5
+    # standard errors of its probability
+    p = np.array([0.1, 0.0, 0.5, 0.4])
+    draws = np.random.default_rng(1).random(20_000)
+    counts = np.bincount([sample_action(p, float(d)) for d in draws], minlength=4)
+    freq = counts / counts.sum()
+    assert counts[1] == 0
+    assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / counts.sum()) + 1e-12), freq
 
 
 def test_sample_action_rejections():

@@ -498,6 +498,70 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
             reference.assert_same_run(run, single, each_step=True)
 
 
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 10**4), spread=st.sampled_from([0.0, 1.0, 36.0, 40.0, 745.0, 1e4, np.inf]),
+       share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(k=10**4, spread=1.0, share=0.0, seed=1)
+@example(k=10**4, spread=36.0, share=0.5, seed=2)
+@example(k=2, spread=np.inf, share=0.0, seed=3)
+def test_last_cdf_entry_stays_above_the_fallback_floor(k, spread, share, seed):
+    # Log-weights as an update leaves them (row max 0): a share of the arms at
+    # 0 and the rest spread down to -spread, in eight rows at once as the
+    # kernel's centers; and the uniform start.  The sampler's fallback is
+    # tested only where a draw exceeds the floor, so no row's last CDF entry
+    # may lie below it.
+    rng = np.random.default_rng(seed)
+    lw = np.where(rng.random((8, k)) < share, 0.0, -spread * (1.0 - rng.random((8, k))))
+    lw[np.arange(8), rng.integers(0, k, 8)] = 0.0
+    cdf = np.add.accumulate(exp3.probs_from_log_weights(lw), axis=1)
+    floor = simulate._cdf_floor(k)
+    assert cdf[:, -1].min() >= floor
+    assert np.cumsum(np.full(k, 1.0 / k))[-1] >= floor
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_fallback_on_rare_draws_inside_a_block_matches_reference(monkeypatch):
+    # Two agents on an edge, center 0, 7 arms, 4-step blocks over 8 steps.
+    # Step 1 charges arm 0 alone and both agents play it, so a huge learning
+    # rate drops arm 0 to probability exactly 0 at the center from step 2,
+    # and at the relay from step 3; no other loss, so the rest stay uniform.
+    # At step 2 the relay still plays the uniform start, whose CDF ends at
+    # 1 - 2^-52, so its draw of 1 - 2^-53 lies above every arm; at step 3 both
+    # draws of 0 land on arm 0; at step 6 the center's draw of 1 - 2^-53 is
+    # above the floor but within its CDF, and the relay's 0 lands on arm 0.
+    # Those steps are inside their blocks.  Seed 5 draws no rare value.
+    monkeypatch.setattr(simulate, "BATCH_ROWS", 4)
+    arms, horizon, top = 7, 8, 1.0 - 2.0 ** -53
+    g = path_graph(2)
+    part = Partition(arms=arms, centers=(0,), center_of=(0, 0), origin_of=(0, 0),
+                     delay=(0, 1), mass_m=(10**12, 10**12), mass_d=(0, 1))
+    table = np.zeros((horizon, arms))
+    table[0, 0] = 1.0
+    oracle = matrix_losses(table)
+    draws = {4: [[0.05, 0.05], [0.5, top], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5], [top, 0.0]],
+             5: [[0.05, 0.05]]}
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RiggedDraws(draws[seed]))
+    sample_action, calls = exp3.sample_action, []
+
+    def spy(p, u):
+        calls.append(float(u))
+        return sample_action(p, u)
+
+    monkeypatch.setattr(exp3, "sample_action", spy)
+    want = [reference.run_informed(g, arms, horizon, oracle, seed, partition=part,
+                                   record_distributions=True) for seed in draws]
+    assert sorted(calls) == [0.0, 0.0, 0.0, top]
+    assert want[0].dist_history[1][1, 0] > 0.0 == want[0].dist_history[2][1, 0]
+    for play in (lambda: [run_informed(g, arms, horizon, oracle, s, partition=part) for s in draws],
+                 lambda: run_informed_batch(g, arms, horizon, [oracle] * 2, list(draws), part)):
+        calls.clear()
+        runs = play()
+        assert sorted(calls) == [0.0, 0.0, 0.0, top]
+        for run, one in zip(runs, want):
+            assert run.digest == one.digest
+            reference.assert_same_run(run, one, each_step=True)
+
+
 def test_bound_helpers_are_plain_formulas():
     assert individual_bound(10.0, 10, 100_000) == pytest.approx(
         7 * math.sqrt(math.log(10) * 100_000)
@@ -520,14 +584,18 @@ def test_switch_adversary_full_run():
     assert res.best_arm in (0, 1)
 
 
-@pytest.mark.parametrize("kind", ["bernoulli", "switch", "matrix"])
-def test_oracle_row_blocks_join_to_matrix(kind):
-    steps = 1000
-    oracle = {
+def _oracle_of_kind(kind, steps):
+    return {
         "bernoulli": bernoulli_losses([0.3, 0.5, 0.7], 4),
         "switch": switching_losses([(0, 1), (250, 2), (700, 0)], 3),
         "matrix": matrix_losses(np.random.default_rng(4).random((steps, 3))),
     }[kind]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "switch", "matrix"])
+def test_oracle_row_blocks_join_to_matrix(kind):
+    steps = 1000
+    oracle = _oracle_of_kind(kind, steps)
     cuts = [0, 1, 250, 250, 333, 701, steps]
     joined = np.concatenate([oracle.rows(a, b) for a, b in zip(cuts, cuts[1:])])
     whole = oracle.rows(0, steps)
@@ -535,6 +603,30 @@ def test_oracle_row_blocks_join_to_matrix(kind):
     assert joined.tobytes() == whole.tobytes()
     with pytest.raises(ValueError):
         oracle.rows(5, 4)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "switch", "matrix"])
+@pytest.mark.parametrize("setup", [0, 37, 64, 130])
+def test_oracle_stream_blocks_join_to_rows(kind, setup):
+    # The kernel's reads: 64-row blocks of the warm-up, then of a policy
+    # phase that starts at `setup` (mid-block unless a multiple of 64), with
+    # a few random cuts besides.  Joined, the blocks equal rows bit for bit.
+    steps = 1000
+    oracle = _oracle_of_kind(kind, steps)
+    cuts = sorted({0, steps, *range(0, setup, 64), *range(setup, steps, 64),
+                   *np.random.default_rng(setup).integers(1, steps, 6).tolist()})
+    read = oracle.stream(steps)
+    joined = np.concatenate([read(b - a) for a, b in zip(cuts, cuts[1:])])
+    whole = oracle.rows(0, steps)
+    assert joined.dtype == whole.dtype and joined.shape == whole.shape
+    assert joined.tobytes() == whole.tobytes()
+
+
+def test_oracle_stream_checks_the_table_length():
+    oracle = matrix_losses(np.zeros((5, 2)))
+    assert oracle.stream(5)(5).shape == (5, 2)
+    with pytest.raises(ValueError, match="loss table has 5 rows, run needs 6"):
+        oracle.stream(6)
 
 
 def _batch_oracles(kind, seeds, arms, steps):
@@ -713,21 +805,27 @@ def test_run_lanes_packs_consecutive_lanes_into_kernel_calls(monkeypatch):
 
 def test_lanes_sharing_an_oracle_read_it_once_per_block(monkeypatch):
     # lanes 1, 2 and 3 share one oracle object and lane 0 has its own: each
-    # 16-step block reads two oracles, and every lane plays its own losses
-    reads, rows = [], simulate.LossOracle.rows
+    # 16-step block reads two oracles' streams, and every lane plays its own losses
+    made, reads, stream = [], [], simulate.LossOracle.stream
 
-    def spy(oracle, start, stop):
-        reads.append(stop - start)
-        return rows(oracle, start, stop)
+    def spy(oracle, stop):
+        made.append((oracle.seed, stop))
+        read = stream(oracle, stop)
 
-    monkeypatch.setattr(simulate.LossOracle, "rows", spy)
+        def spied(m):
+            reads.append((oracle.seed, m))
+            return read(m)
+        return spied
+
+    monkeypatch.setattr(simulate.LossOracle, "stream", spy)
     monkeypatch.setattr(simulate, "BATCH_ROWS", 16)
     shared, own = bernoulli_losses([0.3, 0.6, 0.5], 4), bernoulli_losses([0.7, 0.2, 0.5], 5)
     cases = [(path_graph(5), own), (path_graph(4), shared), (star_graph(3), shared)]
     lanes = [Lane(g, compute_centers_informed(g, 3), oracle, np.random.default_rng(i))
              for i, (g, oracle) in enumerate(cases)] + [solo_lane(3, shared, 9)]
     runs = run_lanes(lanes, 64)
-    assert reads == [1] * 2 + [16] * 8  # the length check per oracle, then two reads a block
+    assert made == [(5, 64), (4, 64)]  # one stream per oracle
+    assert reads == [(5, 16), (4, 16)] * 4  # then two reads a block
     for i, (run, (g, oracle)) in enumerate(zip(runs, cases)):
         reference.assert_same_run(run, reference.run_informed(g, 3, 64, oracle, i))
     reference.assert_same_run(runs[-1], reference.run_solo_exp3(3, 64, shared, 9))

@@ -36,13 +36,15 @@ process per checkout.  At that size the ledger snapshots a run keeps
 (``RunResult.snapshots``) are the largest allocation; their cap shows
 there.
 
-Four more rows time the kernel itself, in microseconds per step of a
+Five more rows time the kernel itself, in microseconds per step of a
 run, by calling it from Python (no CLI, no output), each run's runs as
 the lanes of one ``run_lanes`` call:
 
 - ``solo``: one solo Exp3 run, K = 10, 20,000 steps;
 - ``clique-11``: 20 seeds on the 11-node clique (one center, ten relays),
   K = 10, 20,000 steps;
+- ``star-4``: 4 seeds on the 11-node star, K = 10, 2,000 steps (the shape
+  of the benchmark's star-sweep op);
 - ``crit8-20``: acceptance criterion 8's 20 random graphs of 4 to 30
   nodes, one seed each, K = 5, 10,000 steps (partitions elected before
   the clock starts);
@@ -78,8 +80,8 @@ REPEATS = 5
 ARMS, HORIZON, SEEDS = 10, 2000, 2
 ADVERSARY_SEED, POLICY_SEED = 21, 22
 PHASES = ("election", "warmup", "policy", "digest", "output", "other")
-STEP_CASES = {"solo": (1, 20_000), "clique-11": (20, 20_000), "crit8-20": (20, 10_000),
-              "uninformed-4": (4, 2_000)}  # runs, policy steps
+STEP_CASES = {"solo": (1, 20_000), "clique-11": (20, 20_000), "star-4": (4, 2_000),
+              "crit8-20": (20, 10_000), "uninformed-4": (4, 2_000)}  # runs, policy steps
 STEP_ROUNDS = 3  # processes per checkout and step case
 PEAK_NODES = 20_000  # the peak-RSS-only case's tree, run informed
 
@@ -140,16 +142,34 @@ class Probe:
 
         for name in ("compute_centers_informed", "compute_centers_uninformed"):
             setattr(simulate, name, election(getattr(simulate, name)))
-        rows = simulate.LossOracle.rows
+        oracle_class = simulate.LossOracle
 
-        def timed_rows(oracle, start, stop):
-            # the first policy block starts at the set-up's end (the kernel first
-            # reads the run's last row, to check the table's length)
+        def policy_at(start) -> None:  # the first policy block starts at the set-up's end
             if probe.phase == "warmup" and start == probe.setup:
                 probe.switch("policy")
-            return rows(oracle, start, stop)
 
-        simulate.LossOracle.rows = timed_rows
+        if hasattr(oracle_class, "stream"):  # the kernel reads a stream per oracle, in blocks
+            stream = oracle_class.stream
+
+            def timed_stream(oracle, stop):
+                read, done = stream(oracle, stop), 0
+
+                def timed_read(m):
+                    nonlocal done
+                    policy_at(done)
+                    done += m
+                    return read(m)
+                return timed_read
+
+            oracle_class.stream = timed_stream
+        else:  # a checkout whose kernel calls rows per block (after one length check)
+            rows = oracle_class.rows
+
+            def timed_rows(oracle, start, stop):
+                policy_at(start)
+                return rows(oracle, start, stop)
+
+            oracle_class.rows = timed_rows
 
         class TimedHash:
             def __init__(self, *args, **kwargs):
@@ -225,10 +245,10 @@ def _step_runs(case: str):
     lanes = simulate.run_lanes
     if case == "solo":
         return arms, horizon, lambda: lanes([simulate.solo_lane(arms, *p) for p in pairs], horizon)
-    if case == "clique-11":
-        clique = graph.build_graph(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
-        return arms, horizon, lambda: simulate.run_informed_batch(clique, arms, horizon,
-                                                                  *zip(*pairs))
+    if case in ("clique-11", "star-4"):
+        g = graph.star_graph(10) if case == "star-4" else graph.build_graph(
+            11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
+        return arms, horizon, lambda: simulate.run_informed_batch(g, arms, horizon, *zip(*pairs))
     if case == "crit8-20":  # criterion 8's draws of the graphs
         rng, graphs = np.random.default_rng(808), []
         for _ in range(seeds):
