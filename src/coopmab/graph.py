@@ -83,6 +83,26 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.nd
     return dist
 
 
+def _reach(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """How many of nodes 0..n-1 the edges (u[i], v[i]) join to node 0.
+
+    Hooking with pointer jumping (Shiloach and Vishkin, J. Algorithms 1982),
+    so the rounds do not grow with the diameter as BFS levels do.  Each round
+    points every root that an edge joins to a smaller root at one such root,
+    jumps every pointer to its root and drops the edges within one tree.
+    Pointers only fall, so node 0 stays a root.
+    """
+    parent, a, b = np.arange(n), u, v
+    while u.size:
+        parent[np.maximum(a, b)] = np.minimum(a, b)
+        while not ((up := parent.take(parent)) == parent).all():
+            parent = up
+        a, b = parent.take(u), parent.take(v)
+        cross = np.flatnonzero(a != b)
+        u, v, a, b = u.take(cross), v.take(cross), a.take(cross), b.take(cross)
+    return int((parent == 0).sum())
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph: ``csr`` is ``(indptr, indices)``, v's neighbors
@@ -173,15 +193,13 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray, show=None) -> Graph:
         if loop[i]:
             raise SelfLoopError(f"self loop at node {a}")
         raise DuplicateEdgeError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
-    # by (node, neighbor) over the compacted ids: the graph's CSR if every node is named,
-    # else a smaller one whose BFS still counts the nodes reachable from 0
-    key = np.sort(np.concatenate((key, hi * size + lo)))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(key // size, minlength=size))))
-    csr = _frozen(indptr), _frozen(key % size)
-    reach = int((_bfs(*csr, np.zeros(1, np.int64)) >= 0).sum())
+    reach = _reach(size, lo, hi)  # of the compacted ids, so of the named nodes
     if reach != n:
         raise DisconnectedError(f"graph is disconnected: {reach} of {n} nodes reachable from 0")
-    return Graph(n, csr)
+    # every node is named, so by (node, neighbor) the compacted ids give the graph's CSR
+    key = np.sort(np.concatenate((key, hi * size + lo)))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(key // size, minlength=size))))
+    return Graph(n, (_frozen(indptr), _frozen(key % size)))
 
 
 def parse_edge_list(text: str) -> Graph:

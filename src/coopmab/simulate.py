@@ -16,6 +16,7 @@ agent axis, in lockstep, with every center updated at once.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import sys
 import warnings
@@ -154,9 +155,9 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
     result does not depend on which lanes share the call.  Per block of
     steps, the steps that may need the sampler's fallback are found, and
     log-weights are checked for non-finite values before any hashing or
-    logging.  The debug audit and the log writer take several steps at
-    once, at most BATCH_CELLS / 64 center-arm cells or lines each, or one
-    step's if more.
+    logging.  The debug audit takes several steps at once, at most
+    BATCH_CELLS / 64 center-arm cells, or one step's if more; the log
+    writer takes a block.
     """
     k, setup = lanes[0].partition.arms, lanes[0].setup
     total = setup + horizon
@@ -193,18 +194,16 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
     fresh_at = np.concatenate((centers, centers + a))  # center rows of a state buffer's arm rows
     digests = [hashlib.blake2b(np.array([n, k, total], dtype=np.int64).tobytes() + r.tobytes(),
                                digest_size=8) for n, r in zip(sizes, roles)]
-    cells = BATCH_CELLS >> 6
-    role_text, arm_text = (np.array(f, dtype=object) for f in (
-        [f', "role": "{r}"}}\n' for r in ROLE_CODES], [f'{x}, "loss": ' for x in range(k)]))
-    # for a lane with a sink: steps per write and a line's fixed text (_log_lines)
-    logs = [lane.log_sink is not None and (lane.log_sink, max(1, cells // n), np.array(
-        [f', "v": {v}, "action": ' for v in range(n)], dtype=object), role_text.take(r), arm_text)
-        for lane, n, r in zip(lanes, sizes, roles)]
+    for lane, r in zip(lanes, roles):  # log v2's header: every agent's role, once
+        if lane.log_sink is not None:
+            lane.log_sink.write(json.dumps({"version": 2, "role": np.take(ROLE_CODES, r).tolist()})
+                                + "\n")
+    arm_text = np.array([f"{x}, " for x in range(k)] + [f"{x}]}}\n" for x in range(k)], "S")
     rates = np.array([[exp3.learning_rate(mass_value(m, d), k, horizon)] for m, d in masses])
     drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
     logw = np.zeros((centers.size, k))
     step_rates = np.broadcast_to(rates, logw.shape).copy()  # full shape: no ufunc buffering
-    chunk = max(1, cells // logw.size) if debug else 1  # steps per audit
+    chunk = max(1, (BATCH_CELLS >> 6) // logw.size) if debug else 1  # steps per audit
     top = _cdf_floor(k)  # only steps with a draw of 0 or above it test for the fallback
 
     # two buffers of every agent's distribution and CDF: a step reads one, writes the other
@@ -249,7 +248,8 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
         if not warm:  # ledgers at the policy phase's start; step scratch
             start_ledgers = totals.copy(), arm_totals.copy()
             stash = np.empty((4, chunk) + logw.shape)  # p_now, p_next, est, observe
-            p_now, p_out, est, observe = stash[:, 0]
+            slots = [tuple(stash[:, i]) for i in range(chunk)]  # each audited step's views
+            p_now, p_out, est, observe = slots[0]
             gathered, observed = np.empty((flat.size, k)), np.empty(logw.shape, bool)
             seen, true = np.empty(flat.size, np.int64), np.ones(1, bool)
             fresh, row = np.empty((2,) + logw.shape), np.empty((centers.size, 1))
@@ -296,7 +296,7 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
                 now.take(origin_idx, axis=1, out=new, mode="clip")
                 if debug:
                     t, i = start + j + 1, (start + j - setup) % chunk
-                    p_now, p_out, est, observe = stash[:, i]
+                    p_now, p_out, est, observe = slots[i]
                 # each center: products over its closed neighborhood, members ascending
                 p.take(flat, axis=0, out=gathered, mode="clip")
                 np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=0,
@@ -327,15 +327,13 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
             index, charged = actions[:m], steps[1:m + 1, 0]
             losses.take(np.add(np.add(index, lane_cell, out=index), step_cell[:m], out=index),
                         out=charged, mode="clip")
-            for digest, record, log, lo, hi in zip(digests, records, logs, off, off[1:]):
+            for l, (digest, record, lane) in enumerate(zip(digests, records, lanes)):
                 rec = record[:m]
-                rec["t"], rec["c"] = np.arange(start + 1, start + m + 1), charged[:, lo:hi]
+                rec["t"] = np.arange(start + 1, start + m + 1)
+                rec["c"] = charged[:, off[l]:off[l + 1]]
                 digest.update(rec)  # step by step
-                if log:
-                    sink, lines, *frags = log
-                    for s in range(0, m, lines):
-                        _log_lines(sink, start + s + 1, rec["a"][s:s + lines],
-                                   rec["c"][s:s + lines], *frags)
+                if lane.log_sink is not None:
+                    _log_lines(lane.log_sink, start + 1, rec["a"], losses[1:m + 1, l], arm_text)
 
             # fold the block into the totals, cut at each lane's checkpoint steps
             lo = 0
@@ -394,24 +392,26 @@ def _audit(violations, t0, centers, lane_of, p_now, p_next, est, observe, rates,
                        f"({p_next[r, i, a]:.12e} > {hi[r, i, a]:.12e})")
 
 
-def _log_lines(sink: IO, first_t: int, actions, charged, agent_v, agent_role, arm_text) -> None:
-    """One JSON line per agent per step, steps from first_t on, built column by column.
+def _log_lines(sink: IO, first_t: int, actions, loss_rows, arm_text) -> None:
+    """Log v2's line json.dumps({"t": t, "loss": loss_rows[i], "action": actions[i]}) for each
+    step t = first_t + i.
 
-    A line is '{"t": T', agent_v[v], arm_text[action], the loss's repr and
-    agent_role[v]; each distinct bit pattern of the losses is formatted
+    arm_text[a] is action a's text and separator, arm_text[K + a] the last
+    agent's and the line end, NUL-padded: one take and one translate write
+    every action's.  Each distinct bit pattern of the losses is formatted
     once, so -0.0 keeps its sign.
     """
-    bits = charged.view(np.int64)
+    bits = loss_rows.view(np.int64)
     seen = _distinct(np.array(bits))
-    losses = np.array(list(map(repr, seen.view(np.float64).tolist())), dtype=object)
-    cols = np.empty(actions.shape + (5,), dtype=object)
-    steps = [f'{{"t": {t}' for t in range(first_t, first_t + len(actions))]
-    cols[..., 0] = np.array(steps, dtype=object)[:, None]
-    cols[..., 1] = agent_v
-    cols[..., 2] = arm_text.take(actions)
-    cols[..., 3] = losses.take(seen.searchsorted(bits))
-    cols[..., 4] = agent_role
-    sink.write("".join(cols.ravel().tolist()))
+    values = seen.view(np.float64)
+    text = np.array(list(map(repr if np.isfinite(values).all() else json.dumps, values.tolist())),
+                    object)
+    heads = [f'{{"t": {t}, "loss": [{", ".join(row)}], "action": ['
+             for t, row in enumerate(text.take(seen.searchsorted(bits)).tolist(), first_t)]
+    at = actions.copy()
+    at[:, -1] += arm_text.size // 2
+    acts = arm_text.take(at).tobytes().translate(None, b"\0").decode()
+    sink.write("".join(map(str.__add__, heads, acts.splitlines(True))))
 
 
 def run_lanes(lanes: Sequence[Lane], horizon: int, debug: bool = False) -> list[RunResult]:

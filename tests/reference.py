@@ -5,7 +5,10 @@ loop over centers; ``run_informed``, ``run_uninformed`` and
 ``run_solo_exp3`` drive it one seed per call, and return a ``ReferenceRun``:
 a ``RunResult`` that also holds the played distributions when asked to
 record them; ``run_lane`` plays any partition after any number of
-warm-up steps.  ``assert_same_run`` compares two runs field by field.  The
+warm-up steps.  ``assert_same_run`` compares two runs field by field.
+With a log sink, the world writes log v2 through ``json.dumps``: a header
+of every agent's role, then one line per step of its loss row and every
+agent's action; ``log_records`` decodes one into per-agent records.  The
 code is kept as it was in ``coopmab.simulate`` so that the differential
 tests in ``test_simulate.py`` compare the kernel with an independent
 implementation rather than with itself.  It shares no table with the
@@ -207,6 +210,8 @@ class SimWorld:
         header = np.array([n, self.arms, losses.shape[0]], dtype=np.int64)
         self.digest.update(header.tobytes())
         self.digest.update(self.roles.tobytes())
+        if log_sink is not None:  # log v2: each agent's role once, then one line per step
+            log_sink.write(json.dumps({"version": 2, "role": self.role_names}) + "\n")
 
     def set_center_horizon(self, horizon: int) -> None:
         """Re-tune center learning rates for the true policy horizon."""
@@ -228,19 +233,8 @@ class SimWorld:
             + charged.tobytes()
         )
         if self.log_sink is not None:
-            for v in range(self.node_count):
-                self.log_sink.write(
-                    json.dumps(
-                        {
-                            "t": self.t,
-                            "v": v,
-                            "action": int(actions[v]),
-                            "loss": float(charged[v]),
-                            "role": self.role_names[v],
-                        }
-                    )
-                    + "\n"
-                )
+            self.log_sink.write(json.dumps({"t": self.t, "loss": loss_row.tolist(),
+                                            "action": actions.tolist()}) + "\n")
         if self.t % self.checkpoint_every == 0 or self.t == self.losses.shape[0]:
             self.checkpoints.append(
                 (self.t, self.realized.copy(), self.semi.copy(), self.arm_cum.copy())
@@ -370,6 +364,15 @@ def assert_same_run(run: RunResult, want: RunResult, each_step: bool = False) ->
             assert_same_partition(a, b)
         else:
             assert _same(a, b), name
+
+
+def log_records(text: str) -> list[tuple[int, int, int, float, str]]:
+    """(t, v, action, loss, role) per agent per step, read from a log v2's lines."""
+    header, *steps = map(json.loads, text.splitlines())
+    assert header.keys() == {"version", "role"} and header["version"] == 2
+    roles = header["role"]
+    return [(rec["t"], v, a, rec["loss"][a], roles[v])
+            for rec in steps for v, a in enumerate(rec["action"])]
 
 
 def _same(a, b) -> bool:

@@ -311,9 +311,9 @@ def test_simulate_log_files(tmp_path, star_file):
         rows = list(csv.DictReader(fh))
     for seed in (0, 1):
         totals = np.zeros(5)
-        for line in open(f"{log}-seed{seed}.jsonl"):
-            rec = json.loads(line)
-            totals[rec["v"]] += rec["loss"]
+        with open(f"{log}-seed{seed}.jsonl", encoding="utf-8") as fh:
+            for _, v, _, loss, _ in reference.log_records(fh.read()):
+                totals[v] += loss
         mine = [row for row in rows if row["seed"] == str(seed)]
         # regret = realized - best fixed arm, one shared best-arm total per seed
         best_totals = {
@@ -520,3 +520,20 @@ def test_sweep_equals_per_seed_reference_runs(tmp_path, path_file, setting):
             assert res.debug_violations == want.debug_violations == []
             log = tmp_path / f"log{workers}-seed{i}.jsonl"
             assert log.read_text(encoding="utf-8") == sink.getvalue()
+
+
+@pytest.mark.parametrize("setting", ["informed", "uninformed"])
+def test_sweep_logs_hold_a_header_then_every_step_in_order(tmp_path, path_file, setting):
+    # seeds as lanes of one kernel call, or chunks of seeds on two workers:
+    # each seed's log is one v2 header, then one line per step 1..setup+horizon
+    g = read_edge_list(path_file)
+    for workers in (1, 2):
+        prefix = str(tmp_path / f"log{workers}")
+        results = sweep(_config(path_file, setting, 5, workers=workers), g, prefix)
+        for i, res in enumerate(results):
+            with open(f"{prefix}-seed{i}.jsonl", encoding="utf-8") as fh:
+                header, *steps = map(json.loads, fh)
+            roles = [reference.role(res.partition, v) for v in range(g.node_count)]
+            assert header == {"version": 2, "role": roles}
+            assert [rec["t"] for rec in steps] == list(range(1, res.total_steps + 1))
+            assert {(len(rec["loss"]), len(rec["action"])) for rec in steps} == {(3, g.node_count)}

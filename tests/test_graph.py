@@ -23,6 +23,7 @@ from reference import (
     reach_within,
 )
 
+from coopmab import graph
 from coopmab.graph import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -78,6 +79,44 @@ def test_huge_node_count_with_few_edges_is_disconnected(edges, reach):
         with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {reach} of {n} "
                                                    "nodes reachable from 0$"):
             build_graph(n, edges)
+
+
+@pytest.mark.parametrize("cut", [None, 0, 7_000, 19_998])
+def test_shuffled_long_path_reach(cut):
+    # A 20,000-node path in a random label order, whole or without its
+    # cut-th edge: 20,000 BFS levels, but node 0's side is counted in a
+    # number of hooking rounds that does not grow with the path.
+    n = 20_000
+    order = np.random.default_rng(3).permutation(n).tolist()
+    edges = list(zip(order[:-1], order[1:]))
+    if cut is None:
+        g = build_graph(n, edges)
+        assert g.edges() == tuple(sorted((min(e), max(e)) for e in edges))
+        return
+    side = order[:cut + 1] if 0 in order[:cut + 1] else order[cut + 1:]
+    with pytest.raises(DisconnectedError, match=f"^graph is disconnected: {len(side)} of {n} "
+                                               "nodes reachable from 0$"):
+        build_graph(n, edges[:cut] + edges[cut + 1:])
+
+
+def test_reach_equals_a_python_bfs_on_random_edge_sets():
+    # connected or not, many components or few: _reach counts node 0's component
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        u, v = np.sort(rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2)), axis=1).T
+        key = np.unique((u * n + v)[u < v])
+        u, v = key // n, key % n
+        nbrs = {x: set() for x in range(n)}
+        for a, b in zip(u.tolist(), v.tolist()):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        seen, todo = {0}, [0]
+        while todo:
+            for y in nbrs[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        assert graph._reach(n, u, v) == len(seen), seed
 
 
 def test_distances():

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import json
 import math
 import tracemalloc
 
@@ -161,9 +160,8 @@ def test_center_weights_reconstructable_from_messages():
     want = reference.run_informed(g, 3, 300, oracle, 21, record_distributions=True)
     reference.assert_same_run(res, want, each_step=True)
     actions = np.zeros((300, 4), dtype=int)
-    for line in sink.getvalue().splitlines():
-        rec = json.loads(line)
-        actions[rec["t"] - 1, rec["v"]] = rec["action"]
+    for t, v, action, _, _ in reference.log_records(sink.getvalue()):
+        actions[t - 1, v] = action
     losses = bernoulli_losses([0.3, 0.5, 0.7], 8).rows(0, 300)
 
     members = np.array(reference.closed_neighborhood(g, 0))
@@ -193,13 +191,12 @@ def test_run_log_matches_ledger():
     res = run_informed(g, 2, 150, oracle, 7, log_sink=sink)
     totals = np.zeros(4)
     seen_roles = {}
-    count = 0
-    for line in sink.getvalue().splitlines():
-        rec = json.loads(line)
-        totals[rec["v"]] += rec["loss"]
-        seen_roles[rec["v"]] = rec["role"]
-        count += 1
-    assert count == 150 * 4
+    records, table = reference.log_records(sink.getvalue()), oracle.rows(0, 150)
+    assert [(t, v) for t, v, *_ in records] == [(t, v) for t in range(1, 151) for v in range(4)]
+    for t, v, action, loss, role in records:
+        assert loss == table[t - 1, action]
+        totals[v] += loss
+        seen_roles[v] = role
     assert np.allclose(totals, res.realized_loss)
     assert seen_roles == {v: reference.role(res.partition, v) for v in range(4)}
 
@@ -285,7 +282,7 @@ def test_short_horizon_warning_points_at_the_caller():
 
 
 def _logged_steps(sink) -> list[int]:
-    return sorted({json.loads(line)["t"] for line in sink.getvalue().splitlines()})
+    return sorted({t for t, *_ in reference.log_records(sink.getvalue())})
 
 
 # the kernel steps on to the block's end before it checks, so numpy may warn
@@ -778,7 +775,7 @@ def test_lanes_of_one_call_equal_their_runs_alone(shapes, arms, horizon, setting
         reference.assert_same_run(run, one, each_step=True)  # setup + horizon < 512
         reference.assert_same_run(run, want, each_step=True)
         assert logs[0][i].getvalue() == logs[1][i].getvalue() == logs[2][i].getvalue()
-        assert logs[0][i].getvalue().count("\n") == graphs[i].node_count * (setup + horizon)
+        assert logs[0][i].getvalue().count("\n") == 1 + setup + horizon
 
 
 def test_run_lanes_packs_consecutive_lanes_into_kernel_calls(monkeypatch):
@@ -1052,7 +1049,7 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         assert run.setup_steps == setup
         assert run.debug_violations
         assert log.getvalue() == want_log.getvalue()
-        assert log.getvalue().count("\n") == g.node_count * (setup + horizon)
+        assert log.getvalue().count("\n") == 1 + setup + horizon
 
 
 # losses whose repr is easy to get wrong: signed zeros, subnormals and the
@@ -1085,9 +1082,8 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
                                                   block, cells):
     # Every loss at step 1 is -0.0 and at step 2 is 0.0, so the first log
     # write holds both whenever it spans two steps; the log must still print
-    # each as json.dumps does.  At these budgets a log write holds at most 64
-    # lines and an audit at most 64 center-arm cells (or one step's), so both
-    # end mid-block.
+    # each as json.dumps does.  At these budgets an audit holds at most 64
+    # center-arm cells (or one step's), so it ends mid-block.
     g = _small_graph(kind, n, 7)
     n_upper = 2 * g.node_count
     policy_seeds = [70 + 3 * i for i in range(seeds)]
@@ -1123,7 +1119,9 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
                                             debug=True, log_sink=want_log)
         reference.assert_same_run(run, want)
         assert log.getvalue() == want_log.getvalue()
-        assert '"loss": -0.0,' in log.getvalue() and '"loss": 0.0,' in log.getvalue()
+        step1, step2 = log.getvalue().splitlines()[1:3]
+        assert step1.startswith('{"t": 1, "loss": [' + ", ".join(["-0.0"] * arms) + "]")
+        assert step2.startswith('{"t": 2, "loss": [' + ", ".join(["0.0"] * arms) + "]")
 
 
 def _relay_partition(arms: int, origin_of=(0, 0, 1, 2)) -> Partition:

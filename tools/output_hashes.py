@@ -25,8 +25,12 @@ in a temporary directory that is removed afterwards:
 The graph and loss-table files are written by this script, not by the
 checkout, so both sides of a comparison read the same inputs.  Each output
 file (CSV, summary JSON, JSONL log, partition JSON) and each run's stdout
-gets one ``sha256  name`` line, in name order.  A run that exits nonzero
-stops the script with exit status 1.
+gets one ``sha256  name`` line, in name order.  Each JSONL log also gets a
+``name.records`` line: the sha256 of its per-agent records (t, v, action,
+loss, role), read from either log format, one line per agent per step or
+log v2 (a header of roles, then one line per step).  So a change of log
+format alone changes the ``.jsonl`` lines and keeps the ``.records`` ones.
+A run that exits nonzero stops the script with exit status 1.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -57,6 +62,20 @@ def _mesh_text(n: int, chords: int, seed: int) -> str:
         if u != v:
             edges.add((u, v))
     return _edge_text(n, edges)
+
+
+def _records(text: str) -> str:
+    """sha256 of a log's (t, v, action, loss, role) records, one text line each."""
+    lines, roles = [], None
+    for rec in map(json.loads, text.splitlines()):
+        if "version" in rec:  # log v2's header
+            roles = rec["role"]
+        elif roles is None:  # one agent's record
+            lines.append(f'{rec["t"]} {rec["v"]} {rec["action"]} {rec["loss"]!r} {rec["role"]}\n')
+        else:  # one step's: every agent's action, the step's loss row
+            t, loss = rec["t"], rec["loss"]
+            lines += [f"{t} {v} {a} {loss[a]!r} {roles[v]}\n" for v, a in enumerate(rec["action"])]
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def _runs(work: Path) -> list[tuple[str, list[str]]]:
@@ -124,6 +143,8 @@ def main(argv=None) -> int:
         for path in work.iterdir():
             if path.name not in inputs:
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+                if path.suffix == ".jsonl":
+                    digests[f"{path.name}.records"] = _records(path.read_text(encoding="utf-8"))
     for name in sorted(digests):
         print(f"{digests[name]}  {name}")
     return 0
