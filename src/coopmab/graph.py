@@ -86,15 +86,17 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.nd
 def _reach(n: int, u: np.ndarray, v: np.ndarray) -> int:
     """How many of nodes 0..n-1 the edges (u[i], v[i]) join to node 0.
 
-    Hooking with pointer jumping (Shiloach and Vishkin, J. Algorithms 1982),
-    so the rounds do not grow with the diameter as BFS levels do.  Each round
-    points every root that an edge joins to a smaller root at one such root,
-    jumps every pointer to its root and drops the edges within one tree.
-    Pointers only fall, so node 0 stays a root.
+    Hooking with pointer jumping (Shiloach and Vishkin, J. Algorithms 1982).
+    Each round points every root that an edge joins to a smaller root at the
+    smallest such root, jumps every pointer to its root and drops the edges
+    within one tree.  Pointers only fall, so node 0 stays a root.  A root
+    left alone in its tree with an edge to another tree has a smaller root
+    across it, so it hooks the next round: the roots with a cross edge halve
+    every two rounds, and the rounds are O(log n) on any graph.
     """
     parent, a, b = np.arange(n), u, v
     while u.size:
-        parent[np.maximum(a, b)] = np.minimum(a, b)
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while not ((up := parent.take(parent)) == parent).all():
             parent = up
         a, b = parent.take(u), parent.take(v)

@@ -399,13 +399,12 @@ def _log_lines(sink: IO, first_t: int, actions, loss_rows, arm_text) -> None:
     arm_text[a] is action a's text and separator, arm_text[K + a] the last
     agent's and the line end, NUL-padded: one take and one translate write
     every action's.  Each distinct bit pattern of the losses is formatted
-    once, so -0.0 keeps its sign.
+    once, by one json.dumps, so -0.0 keeps its sign.
     """
     bits = loss_rows.view(np.int64)
     seen = _distinct(np.array(bits))
     values = seen.view(np.float64)
-    text = np.array(list(map(repr if np.isfinite(values).all() else json.dumps, values.tolist())),
-                    object)
+    text = np.array(json.dumps(values.tolist())[1:-1].split(", "), object)
     heads = [f'{{"t": {t}, "loss": [{", ".join(row)}], "action": ['
              for t, row in enumerate(text.take(seen.searchsorted(bits)).tolist(), first_t)]
     at = actions.copy()

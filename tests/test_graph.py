@@ -99,6 +99,47 @@ def test_shuffled_long_path_reach(cut):
         build_graph(n, edges[:cut] + edges[cut + 1:])
 
 
+def _hook_rounds(monkeypatch, n, u, v) -> tuple[int, int]:
+    """graph._reach(n, u, v) and its number of hooking rounds, one np.maximum call each."""
+    calls = []
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def maximum(self, *args):
+            calls.append(None)
+            return np.maximum(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(graph, "np", CountedNumpy())
+        return graph._reach(n, u, v), len(calls)
+
+
+@pytest.mark.parametrize("shape", ["star-ascending", "star-descending", "shuffled-path"])
+def test_reach_rounds_are_logarithmic(monkeypatch, shape):
+    # 10^5 nodes.  The stars' hub has the largest id.  With its edges in
+    # ascending leaf order, a hook to whichever smaller root an edge names
+    # last would take one leaf per round, 10^5 rounds; the other shapes
+    # check the bound in other orders.  Without the last edge, the node it
+    # alone joined is cut off.
+    n = 100_000
+    if shape == "shuffled-path":
+        order = np.random.default_rng(5).permutation(n)
+        u, v, alone = order[:-1], order[1:], order[-1]
+    else:
+        u, v = np.arange(n - 1), np.full(n - 1, n - 1)
+        if shape == "star-descending":
+            u = u[::-1].copy()
+        alone = u[-1]
+    reach, rounds = _hook_rounds(monkeypatch, n, u, v)
+    assert reach == n
+    assert rounds <= 2 * n.bit_length(), rounds
+    reach, rounds = _hook_rounds(monkeypatch, n, u[:-1], v[:-1])
+    assert reach == (1 if alone == 0 else n - 1)
+    assert rounds <= 2 * n.bit_length(), rounds
+
+
 def test_reach_equals_a_python_bfs_on_random_edge_sets():
     # connected or not, many components or few: _reach counts node 0's component
     for seed in range(300):

@@ -1124,6 +1124,28 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
         assert step2.startswith('{"t": 2, "loss": [' + ", ".join(["0.0"] * arms) + "]")
 
 
+# The oracle constructors take losses in [0, 1] only, and a policy step
+# raises on a non-finite estimate, but a hand-built table's warm-up losses
+# reach the log as they are: json.dumps prints them, as the reference does.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_log_prints_non_finite_warm_up_losses_as_json_dumps():
+    g, arms, n_upper, horizon = path_graph(4), 2, 8, 20
+    setup = compute_centers_uninformed(g, arms, n_upper, horizon,
+                                       np.random.default_rng(3)).total_steps
+    table = np.full((setup + horizon, arms), 0.5)
+    table[0], table[1] = (np.inf, -np.inf), (np.nan, -0.0)
+    oracle = LossOracle(kind="matrix", arms=arms, table=table)
+    log, want_log = io.StringIO(), io.StringIO()
+    run = run_uninformed(g, arms, n_upper, horizon, oracle, 3, debug=True, log_sink=log)
+    want = reference.run_uninformed(g, arms, n_upper, horizon, oracle, 3, debug=True,
+                                    log_sink=want_log)
+    reference.assert_same_run(run, want)
+    assert log.getvalue() == want_log.getvalue()
+    step1, step2 = log.getvalue().splitlines()[1:3]
+    assert step1.startswith('{"t": 1, "loss": [Infinity, -Infinity], ')
+    assert step2.startswith('{"t": 2, "loss": [NaN, -0.0], ')
+
+
 def _relay_partition(arms: int, origin_of=(0, 0, 1, 2)) -> Partition:
     """Path 0-1-2-3 with center 0; node v copies origin_of[v]."""
     return Partition(arms=arms, centers=(0,), center_of=(0, 0, 0, 0), origin_of=origin_of,
