@@ -1,7 +1,7 @@
-"""Command-line harness: partition graphs, run seed sweeps, self-validate.
+"""Command-line harness: partition graphs and run seed sweeps.
 
-Exit codes: 0 success (and, for partition/validate, all checks passed),
-1 a check or reported invariant failed, 2 configuration or input errors.
+Exit codes: 0 success (and, for partition, all checks passed), 1 a check
+or reported invariant failed, 2 configuration or input errors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .partition import (
     partition_to_json,
     validate_partition,
 )
-from .suites import SUITES, run_suite
 
 if TYPE_CHECKING:  # the simulator is imported where a sweep needs it: `partition` never loads it
     from .simulate import LossOracle, RunResult
@@ -384,13 +383,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    report = run_suite(args.suite, args.seed)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
-
-
 def make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="coopmab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -423,11 +415,6 @@ def make_parser() -> argparse.ArgumentParser:
                      help="audit every center update; nonzero exit on any violation")
     sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(func=cmd_simulate)
-
-    val = sub.add_parser("validate", help="run a randomized self-check suite")
-    val.add_argument("suite", choices=sorted(SUITES))
-    val.add_argument("--seed", type=int, default=0)
-    val.set_defaults(func=cmd_validate)
     return top
 
 

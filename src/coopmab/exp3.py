@@ -27,17 +27,6 @@ class NonFiniteEstimateError(ValueError):
     """Raised only by the simulation kernel's once-per-block log-weight check."""
 
 
-def is_distribution(probs, tol: float = DISTRIBUTION_TOL) -> bool:
-    p = np.asarray(probs, dtype=float)
-    return bool(
-        p.ndim == 1
-        and p.size >= 2
-        and np.all(p >= 0.0)
-        and np.all(p <= 1.0 + tol)
-        and abs(float(p.sum()) - 1.0) <= tol
-    )
-
-
 def learning_rate(mass_value: float, arms: int, horizon: int) -> float:
     """Step size (1/2) * sqrt(ln(arms) * mass / (arms * horizon)).
 
@@ -116,3 +105,42 @@ def sample_action(probs, draw: float) -> int:
             raise ValueError("not a distribution: all arms have probability 0")
         i = int(positive[-1])
     return i
+
+
+def _audit(violations, t0, centers, lane_of, p_now, p_next, est, observe, rates, drift) -> None:
+    """Append the debug audit's findings on the center updates of rounds t0, t0+1, ...
+
+    Arrays are (rounds, centers, arms); center i is node ``centers[i]`` of
+    lane ``lane_of[i]``, and ``drift`` marks the centers the one-step floor
+    and ceiling checks cover (rate <= 0.5/arms, horizon not short).
+    """
+    tol = 1e-9
+    zero_observe = ((est != 0.0) & (observe <= 0.0)).any(axis=2)
+    per_arm = p_now * est
+    over_one = (per_arm > 1.0 + tol).any(axis=2)
+    invalid = ~(
+        (p_next >= 0.0).all(axis=2)
+        & (p_next <= 1.0 + DISTRIBUTION_TOL).all(axis=2)
+        & (np.abs(p_next.sum(axis=2) - 1.0) <= DISTRIBUTION_TOL)
+    )
+    lo = (1.0 - rates * est) * p_now
+    hi = 2.0 * p_now
+    below = drift & (p_next < lo * (1.0 - tol) - 1e-15).any(axis=2)
+    above = drift & (p_next > hi * (1.0 + tol) + 1e-15).any(axis=2)
+    for r, i in zip(*np.nonzero(zero_observe | over_one | invalid | below | above)):
+        out, at = violations[lane_of[i]], f"t={t0 + r} center {centers[i]}: "
+        if zero_observe[r, i]:
+            out.append(at + "estimate with zero observe prob")
+        if over_one[r, i]:
+            a = int(per_arm[r, i].argmax())
+            out.append(at + f"p*estimate = {per_arm[r, i, a]:.12f} > 1 on arm {a}")
+        if invalid[r, i]:
+            out.append(at + "update left an invalid distribution")
+        if below[r, i]:
+            a = int((lo[r, i] - p_next[r, i]).argmax())
+            out.append(at + f"arm {a} fell below one-step floor "
+                       f"({p_next[r, i, a]:.12e} < {lo[r, i, a]:.12e})")
+        if above[r, i]:
+            a = int((p_next[r, i] - hi[r, i]).argmax())
+            out.append(at + f"arm {a} above one-step ceiling "
+                       f"({p_next[r, i, a]:.12e} > {hi[r, i, a]:.12e})")

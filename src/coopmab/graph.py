@@ -63,6 +63,18 @@ _BYTE_CLASS = np.zeros(256, dtype=np.uint8)  # 0 token byte, 1 blank, 2 line end
 _BYTE_CLASS[[9, 31, 32, 10, 35]] = 1, 1, 1, 2, 3  # blanks: str.split's that splitlines leaves
 
 
+def _neighbors(indptr, indices, nodes):
+    """Every neighbor of ``nodes``, node after node (each one's ascending), and their degrees.
+
+    One gather: entry i of the result sits at CSR position i plus its
+    node's range start less the entries of the nodes before it.
+    """
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return indices[at + np.arange(at.size)], counts
+
+
 def _bfs(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Hop distance to the nearest of the sorted distinct ``frontier`` nodes, -1 if none.
 
@@ -73,11 +85,7 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.nd
     level = 0
     while frontier.size:
         level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # flat CSR positions of every frontier node's neighbor range
-        shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        reached = indices[shift + np.arange(shift.size)]
+        reached = _neighbors(indptr, indices, frontier)[0]
         frontier = _distinct(reached[dist[reached] < 0])
         dist[frontier] = level
     return dist

@@ -20,13 +20,14 @@ import json
 import math
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
 
 from . import exp3
-from .graph import Graph, _distinct, build_graph
+from .graph import Graph, _distinct, _neighbors, build_graph
 from .losses import LossOracle, bernoulli_losses, matrix_losses, switching_losses  # noqa: F401
 from .partition import (
     Partition,
@@ -144,252 +145,236 @@ def _cdf_floor(k: int) -> float:
 
 def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
                debug: bool = False) -> list[RunResult]:
-    """Play the lanes in lockstep on one flat agent axis, every center updated at once.
+    """Play the lanes in lockstep on one flat agent axis (``_layout``), every center at once.
 
-    Lane l's agents are off[l]..off[l + 1] - 1 of the axis: its segments,
-    origins and center rows carry that offset, and each agent reads its
-    lane's loss row.  Global steps 1..setup are uniform warm-up play while
-    the uninformed election runs (one ``integers`` draw per agent); steps
-    setup+1..setup+horizon follow the protocol (one ``random`` draw per
-    agent).  Every sum runs within a lane in a fixed order, so a lane's
-    result does not depend on which lanes share the call.  Per block of
-    steps, the steps that may need the sampler's fallback are found, and
-    log-weights are checked for non-finite values before any hashing or
-    logging.  The debug audit takes several steps at once, at most
-    BATCH_CELLS / 64 center-arm cells, or one step's if more; the log
-    writer takes a block.
-    """
-    k, setup = lanes[0].partition.arms, lanes[0].setup
+    Steps 1..setup are uniform play while the uninformed election runs, the
+    rest follow the protocol: only they go through the ``play`` stage.  Each
+    lane's sums run in a fixed order, whatever lanes share the call."""
+    setup = lanes[0].setup
     total = setup + horizon
-    # a stream per distinct oracle, read once a block; a short loss table fails here
-    oracles = {id(lane.oracle): lane.oracle for lane in lanes}
-    streams = {i: oracle.stream(total) for i, oracle in oracles.items()}
-    sizes = [lane.partition.node_count for lane in lanes]
+    run = _Kernel(lanes, _layout(lanes, horizon), total, short, debug)
+    for begin, end, stages in ((0, setup, (run.read, run.charge, run.fold)),
+                               (setup, total, (run.read, run.play, run.charge, run.fold))):
+        # the ledgers at the phase's start: the policy phase's are kept
+        policy_start = [[x.copy() for x in ledger] for ledger in run.ledgers]
+        for start in range(begin, end, run.block):
+            for stage in stages:
+                stage(start, min(start + run.block, end) - start)
+    return [RunResult(lane.partition, setup, total, *ledger, tuple(first), digest.hexdigest(),
+                      snap, found, lane.exhaustions, short)
+            for lane, ledger, first, digest, snap, found
+            in zip(lanes, run.ledgers, policy_start, run.digests, run.snaps, run.violations)]
+
+
+_Layout = namedtuple("_Layout", "arms off sizes origin roles centers nodes center_lane members "
+                     "starts rates runs")
+
+
+def _layout(lanes: Sequence[Lane], horizon: int) -> _Layout:
+    """The lanes' index arrays on one flat agent axis, lane l's agents at off[l]..off[l + 1] - 1.
+
+    Per agent: ``origin``, whose distribution it plays.  Per lane: ``sizes``
+    and ``roles`` (0 a center, 1 a relay one delay step from its center, 2
+    any other relay).  Per center, lane by lane in partition order: its
+    agent, node, lane, rate (a column) and closed neighborhood, ``members``
+    from ``starts`` on, ascending (sorted by slot * n + member).  ``runs``:
+    (first, end) of each run of lanes of equal size."""
+    k, sizes = lanes[0].partition.arms, [lane.partition.node_count for lane in lanes]
     off = np.cumsum([0, *sizes]).tolist()
-    a = off[-1]
-    # Per lane, offset by off[l]: origins, roles (0 a center, 1 a relay one
-    # delay step from its center, 2 any other relay), and the centers' closed
-    # neighborhoods laid end to end, members ascending.  CSR neighbors
-    # (gathered as in graph._bfs) and the centers, keyed slot * n + member,
-    # sort into that layout.
-    origin, roles, local, segs, members, masses = ([] for _ in range(6))
+    origin, roles, members, segs, masses = ([] for _ in range(5))
     for lane, o in zip(lanes, off):
-        part, (indptr, indices) = lane.partition, lane.graph.csr
+        part = lane.partition
         n, c = part.node_count, part.centers
-        node, size, own = np.arange(n), lane.graph.closed_degrees.take(c), np.arange(c.size)
+        node, own = np.arange(n), np.arange(c.size)
         is_center = part.center_of == node
         origin.append(o + np.where(is_center, node, part.origin_of))
         roles.append(np.where(is_center, 0, 2 - (part.delay == 1)))
-        nbr = np.repeat(own, size - 1)  # the slot of each neighbor entry
-        at = np.arange(nbr.size) + (indptr.take(c) - np.cumsum(size) + size + own).take(nbr)
-        keys = np.sort(np.concatenate((nbr * n + indices.take(at), own * n + c)))
+        neighbors, degrees = _neighbors(*lane.graph.csr, c)
+        keys = np.sort(np.concatenate((np.repeat(own, degrees) * n + neighbors, own * n + c)))
         members.append(o + keys % n)
-        local.append(c)
-        segs.append(size)
+        segs.append(degrees + 1)
         masses += zip(part.mass_m.take(c).tolist(), part.mass_d.take(c).tolist())
-    origin_idx, local, seg, flat = map(np.concatenate, (origin, local, segs, members))
-    center_lane = np.repeat(np.arange(len(lanes)), list(map(len, segs)))
-    centers, starts = local + np.take(off, center_lane), np.cumsum(seg) - seg
-    slot_cell = np.repeat(np.arange(centers.size), seg) * k  # flat index of observed[slot, 0]
-    fresh_at = np.concatenate((centers, centers + a))  # center rows of a state buffer's arm rows
-    digests = [hashlib.blake2b(np.array([n, k, total], dtype=np.int64).tobytes() + r.tobytes(),
-                               digest_size=8) for n, r in zip(sizes, roles)]
-    for lane, r in zip(lanes, roles):  # log v2's header: every agent's role, once
-        if lane.log_sink is not None:
-            lane.log_sink.write(json.dumps({"version": 2, "role": np.take(ROLE_CODES, r).tolist()})
-                                + "\n")
-    arm_text = np.array([f"{x}, " for x in range(k)] + [f"{x}]}}\n" for x in range(k)], "S")
+    center_lane = np.repeat(np.arange(len(lanes)), [x.size for x in segs])
+    nodes, seg = np.concatenate([lane.partition.centers for lane in lanes]), np.concatenate(segs)
     rates = np.array([[exp3.learning_rate(mass_value(m, d), k, horizon)] for m, d in masses])
-    drift = (not short) & (rates[:, 0] <= 0.5 / k + 1e-15)  # centers the drift audit covers
-    logw = np.zeros((centers.size, k))
-    step_rates = np.broadcast_to(rates, logw.shape).copy()  # full shape: no ufunc buffering
-    chunk = max(1, (BATCH_CELLS >> 6) // logw.size) if debug else 1  # steps per audit
-    top = _cdf_floor(k)  # only steps with a draw of 0 or above it test for the fallback
-
-    # two buffers of every agent's distribution and CDF: a step reads one, writes the other
-    state = np.empty((2, 2, a, k))
-    state[0, 0] = 1.0 / k
-    np.cumsum(state[0, 0], axis=1, out=state[0, 1])
-    count, ones = np.empty(a), np.ones(k)
-    violations: list[list[str]] = [[] for _ in lanes]
-    block = max(1, min(BATCH_ROWS, BATCH_CELLS // a))
-    # Running totals: realized and semi-expected loss per agent, loss per
-    # lane and arm.  Rows 1..m of `steps` and `losses` take a block's
-    # charges, expected losses and loss rows; with the totals in the row
-    # before a segment, a sum over rows adds the segment step by step, as a
-    # per-step `+=` does (two agent totals keep the inner axis 2 long or
-    # more: numpy sums a lone contiguous axis pairwise).
-    totals, arm_totals = np.zeros((2, a)), np.zeros((len(lanes), k))
-
-    def ledger(tot, arm, l):  # lane l's realized and semi loss per agent and loss per arm
-        return tot[0, off[l]:off[l + 1]], tot[1, off[l]:off[l + 1]], arm[l]
-
-    every = [_snapshot_every(total, n, k) for n in sizes]
-    snaps = [np.empty((-(-total // e), 2 * n + k)) for e, n in zip(every, sizes)]
-    steps, losses = np.empty((block + 1, 2, a)), np.empty((block + 1, len(lanes), k))
-    # a step's actions overwrite the draws they were sampled with; after the
-    # step loop they become their flat index into losses (see below)
-    draws_buf = np.empty((block, a))
-    actions = draws_buf.view(np.int64)
-    # flat index of losses[1 + j, lane of v, 0]: a lane's row plus a step's
-    lane_cell = np.repeat(np.arange(len(lanes)) * k, sizes)
-    step_cell = np.arange(1, block + 1)[:, None] * losses[0].size
-    # a lane's digest records (step, actions as int64, losses), one block at a time
-    records = [np.empty(block, dtype=[("t", np.int64), ("a", np.int64, (n,)),
-                                      ("c", np.float64, (n,))]) for n in sizes]
-    # p @ loss row, the expected loss: one (lanes, n, k) @ (lanes, k, 1) product
-    # per run of consecutive lanes with equal n
     cut = [l for l in range(1, len(lanes)) if sizes[l] != sizes[l - 1]]
-    runs = list(zip([0, *cut], [*cut, len(lanes)]))
-    views = [(x, x[0], x[1], x.reshape(-1, k),
-              [x[0, off[l0]:off[l1]].reshape(-1, sizes[l0], k) for l0, l1 in runs]) for x in state]
-
-    for warm, begin, end in ((True, 0, setup), (False, setup, total)):
-        if not warm:  # ledgers at the policy phase's start; step scratch
-            start_ledgers = totals.copy(), arm_totals.copy()
-            stash = np.empty((4, chunk) + logw.shape)  # p_now, p_next, est, observe
-            slots = [tuple(stash[:, i]) for i in range(chunk)]  # each audited step's views
-            p_now, p_out, est, observe = slots[0]
-            gathered, observed = np.empty((flat.size, k)), np.empty(logw.shape, bool)
-            seen, true = np.empty(flat.size, np.int64), np.ones(1, bool)
-            fresh, row = np.empty((2,) + logw.shape), np.empty((centers.size, 1))
-            # the centers' new distribution and CDF; the CDF's rows are scratch until then
-            (p_next, work), fresh_rows = fresh, fresh.reshape(-1, k)
-            center_loss = np.empty((block,) + logw.shape)
-            # per step: views of its actions, draws (also as a column), center losses and,
-            # per run of lanes, loss rows and expected losses
-            per_row = list(zip(actions, draws_buf, draws_buf[..., None], center_loss, zip(*(
-                zip(losses[1:, l0:l1, :, None], steps[1:, 1, off[l0]:off[l1]].reshape(
-                    block, -1, sizes[l0], 1)) for l0, l1 in runs))))
-        for start in range(begin, end, block):
-            m = min(start + block, end) - start
-            draws = draws_buf[:m]
-            rows = {i: read(m) for i, read in streams.items()}
-            for l, (lane, lo, hi) in enumerate(zip(lanes, off, off[1:])):
-                losses[1:m + 1, l] = rows[id(lane.oracle)]
-                # row-major fills: the same streams as one call per step
-                if warm:
-                    actions[:m, lo:hi] = lane.rng.integers(0, k, size=(m, hi - lo))
-                    steps[1:m + 1, 1, lo:hi] = losses[1:m + 1, l].mean(axis=1, keepdims=True)
-                else:
-                    draws[:, lo:hi] = lane.rng.random((m, hi - lo))
-            if not warm:  # the steps where a draw is 0 or above `top`
-                rare = ((draws.min(axis=1) == 0.0) | (draws.max(axis=1) > top)).tolist()
-                losses[1:m + 1].take(center_lane, axis=1, out=center_loss[:m])
-            for j in range(0 if warm else m):
-                (now, p, cdf, _, mm), (new, p_new, _, new_rows, _) = views
-                act, draw, draw_col, loss_row, expect = per_row[j]
-                # inverse-CDF sample, arms ascending: the action is the number
-                # of arms whose CDF lies below the draw (exact small sums in
-                # p_new until the relays' take fills it), an arm of positive
-                # probability unless every arm lies below or the draw is 0
-                np.matmul(np.less(cdf, draw_col, out=p_new), ones, out=count)
-                if rare[j]:
-                    for v in np.flatnonzero((count >= k) | (draw == 0.0)).tolist():
-                        count[v] = exp3.sample_action(p[v], float(draw[v]))
-                act[...] = count
-                for p_run, (loss_run, expected) in zip(mm, expect):
-                    np.matmul(p_run, loss_run, out=expected)
-
-                # relays stage the origin's round-t distribution and CDF ("clip"
-                # lets take write to out unbuffered; every index is in range)
-                now.take(origin_idx, axis=1, out=new, mode="clip")
-                if debug:
-                    t, i = start + j + 1, (start + j - setup) % chunk
-                    p_now, p_out, est, observe = slots[i]
-                # each center: products over its closed neighborhood, members ascending
-                p.take(flat, axis=0, out=gathered, mode="clip")
-                np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=0,
-                                     out=observe)
-                np.subtract(1.0, observe, out=observe)
-                observed.fill(False)
-                act.take(flat, out=seen, mode="clip")
-                observed.put(np.add(seen, slot_cell, out=seen), true)
-                exp3.estimated_loss_vector(loss_row, observe, observed, out=est)
-                exp3.exp3_update_raw(logw, step_rates, est, logw, work, row)  # finiteness: below
-                exp3.probs_from_log_weights(logw, p_next, work, row)
-                np.add.accumulate(p_next, axis=1, out=work)
-                if debug:
-                    p.take(centers, axis=0, out=p_now)
-                    p_out[...] = p_next
-                    if i == chunk - 1 or t == total:
-                        _audit(violations, t - i, local, center_lane, *stash[:, :i + 1], rates,
-                               drift)
-                new_rows[fresh_at] = fresh_rows
-                views.reverse()
-            if not (warm or np.isfinite(logw).all()):
-                raise exp3.NonFiniteEstimateError("loss estimates must be finite")
-
-            # charged losses, one gather for the block: losses[1 + j, lane of v, actions[j, v]],
-            # through the actions' flat index, made in place once the records hold them
-            for record, lo, hi in zip(records, off, off[1:]):
-                record["a"][:m] = actions[:m, lo:hi]
-            index, charged = actions[:m], steps[1:m + 1, 0]
-            losses.take(np.add(np.add(index, lane_cell, out=index), step_cell[:m], out=index),
-                        out=charged, mode="clip")
-            for l, (digest, record, lane) in enumerate(zip(digests, records, lanes)):
-                rec = record[:m]
-                rec["t"] = np.arange(start + 1, start + m + 1)
-                rec["c"] = charged[:, off[l]:off[l + 1]]
-                digest.update(rec)  # step by step
-                if lane.log_sink is not None:
-                    _log_lines(lane.log_sink, start + 1, rec["a"], losses[1:m + 1, l], arm_text)
-
-            # fold the block into the totals, cut at each lane's checkpoint steps
-            lo = 0
-            for hi in sorted({h for e in set(every) for h in range(e - start % e, m, e)} | {m}):
-                steps[lo], losses[lo] = totals, arm_totals
-                np.add.reduce(steps[lo:hi + 1], axis=0, out=totals)
-                np.add.reduce(losses[lo:hi + 1], axis=0, out=arm_totals)
-                t = start + hi
-                for l, (snap, e) in enumerate(zip(snaps, every)):
-                    if t % e == 0 or t == total:
-                        np.concatenate(ledger(totals, arm_totals, l), out=snap[(t - 1) // e])
-                lo = hi
-
-    return [RunResult(lane.partition, setup, total, *ledger(totals, arm_totals, l),
-                      ledger(*start_ledgers, l), digest.hexdigest(), snap, found, lane.exhaustions,
-                      short)
-            for l, (lane, digest, snap, found) in enumerate(zip(lanes, digests, snaps, violations))]
+    return _Layout(k, off, sizes, np.concatenate(origin), roles, nodes + np.take(off, center_lane),
+                   nodes, center_lane, np.concatenate(members), np.cumsum(seg) - seg, rates,
+                   list(zip([0, *cut], [*cut, len(lanes)])))
 
 
-def _audit(violations, t0, centers, lane_of, p_now, p_next, est, observe, rates, drift) -> None:
-    """Append the debug audit's findings on the center updates of rounds t0, t0+1, ...
+class _Kernel:
+    """A kernel call's buffers and running totals.  Its methods are the stages a block of at
+    most ``block`` steps goes through: ``read``, ``play``, ``charge`` and ``fold``."""
 
-    Arrays are (rounds, centers, arms); center i is node ``centers[i]`` of
-    lane ``lane_of[i]``, and ``drift`` marks the centers the one-step floor
-    and ceiling checks cover (rate <= 0.5/arms, horizon not short).
-    """
-    tol = 1e-9
-    zero_observe = ((est != 0.0) & (observe <= 0.0)).any(axis=2)
-    per_arm = p_now * est
-    over_one = (per_arm > 1.0 + tol).any(axis=2)
-    invalid = ~(
-        (p_next >= 0.0).all(axis=2)
-        & (p_next <= 1.0 + exp3.DISTRIBUTION_TOL).all(axis=2)
-        & (np.abs(p_next.sum(axis=2) - 1.0) <= exp3.DISTRIBUTION_TOL)
-    )
-    lo = (1.0 - rates * est) * p_now
-    hi = 2.0 * p_now
-    below = drift & (p_next < lo * (1.0 - tol) - 1e-15).any(axis=2)
-    above = drift & (p_next > hi * (1.0 + tol) + 1e-15).any(axis=2)
-    for r, i in zip(*np.nonzero(zero_observe | over_one | invalid | below | above)):
-        out, at = violations[lane_of[i]], f"t={t0 + r} center {centers[i]}: "
-        if zero_observe[r, i]:
-            out.append(at + "estimate with zero observe prob")
-        if over_one[r, i]:
-            a = int(per_arm[r, i].argmax())
-            out.append(at + f"p*estimate = {per_arm[r, i, a]:.12f} > 1 on arm {a}")
-        if invalid[r, i]:
-            out.append(at + "update left an invalid distribution")
-        if below[r, i]:
-            a = int((lo[r, i] - p_next[r, i]).argmax())
-            out.append(at + f"arm {a} fell below one-step floor "
-                       f"({p_next[r, i, a]:.12e} < {lo[r, i, a]:.12e})")
-        if above[r, i]:
-            a = int((p_next[r, i] - hi[r, i]).argmax())
-            out.append(at + f"arm {a} above one-step ceiling "
-                       f"({p_next[r, i, a]:.12e} > {hi[r, i, a]:.12e})")
+    def __init__(self, lanes, lay, total, short, debug):
+        k, off, sizes, a = lay.arms, lay.off, lay.sizes, lay.off[-1]
+        self.lanes, self.lay, self.total, self.debug = lanes, lay, total, debug
+        self.setup = lanes[0].setup
+        # a stream per distinct oracle, read once a block; a short loss table fails here
+        oracles = {id(lane.oracle): lane.oracle for lane in lanes}
+        self.streams = {i: oracle.stream(total) for i, oracle in oracles.items()}
+        self.digests = [hashlib.blake2b(np.array([n, k, total], np.int64).tobytes() + r.tobytes(),
+                                        digest_size=8) for n, r in zip(sizes, lay.roles)]
+        for sink, r in zip((lane.log_sink for lane in lanes), lay.roles):
+            if sink is not None:  # log v2's header: every agent's role, once
+                sink.write(json.dumps({"version": 2, "role": np.take(ROLE_CODES, r).tolist()})
+                           + "\n")
+        self.arm_text = np.array([f"{x}{end}" for end in (", ", "]}\n") for x in range(k)], "S")
+        self.block = block = max(1, min(BATCH_ROWS, BATCH_CELLS // a))
+        # Running totals: realized and semi-expected loss per agent, loss per
+        # lane and arm.  Rows 1..m of `steps` and `losses` take a block's
+        # charges, expected losses and loss rows; with the totals in the row
+        # before a segment, a sum over rows adds the segment step by step, as a
+        # per-step `+=` does (two agent totals keep the inner axis 2 long or
+        # more: numpy sums a lone contiguous axis pairwise).
+        self.totals, self.arm_totals = np.zeros((2, a)), np.zeros((len(lanes), k))
+        # each lane's realized and semi loss per agent and loss per arm, views of the totals
+        self.ledgers = [(self.totals[0, lo:hi], self.totals[1, lo:hi], self.arm_totals[l])
+                        for l, (lo, hi) in enumerate(zip(off, off[1:]))]
+        self.every = [_snapshot_every(total, n, k) for n in sizes]
+        self.snaps = [np.empty((-(-total // e), 2 * n + k)) for e, n in zip(self.every, sizes)]
+        self.steps, self.losses = np.empty((block + 1, 2, a)), np.empty((block + 1, len(lanes), k))
+        # a step's actions overwrite the draws they were sampled with; `charge`
+        # makes them their flat index into losses
+        self.draws = np.empty((block, a))
+        self.actions = self.draws.view(np.int64)
+        # flat index of losses[1 + j, lane of v, 0]: a lane's row plus a step's
+        self.lane_cell = np.repeat(np.arange(len(lanes)) * k, sizes)
+        self.step_cell = np.arange(1, block + 1)[:, None] * self.losses[0].size
+        # a lane's digest records (step, actions as int64, losses), one block at a time
+        self.records = [np.empty(block, dtype=[("t", np.int64), ("a", np.int64, (n,)),
+                                               ("c", np.float64, (n,))]) for n in sizes]
+        # two buffers of every agent's distribution and CDF: a step reads one, writes the other
+        state = np.empty((2, 2, a, k))
+        state[0, 0] = 1.0 / k
+        np.cumsum(state[0, 0], axis=1, out=state[0, 1])
+        views = [(x, x[0], x[1], x.reshape(-1, k), [x[0, off[l0]:off[l1]].reshape(
+            -1, sizes[l0], k) for l0, l1 in lay.runs]) for x in state]
+        c, h, cells = lay.centers.size, lay.members.size, (lay.centers.size, k)
+        self.drift = (not short) & (lay.rates[:, 0] <= 0.5 / k + 1e-15)  # the drift audit's
+        self.chunk = max(1, (BATCH_CELLS >> 6) // (c * k)) if debug else 1  # steps per audit
+        self.stash = np.empty((4, self.chunk) + cells)  # p_now, p_next, est, observe
+        self.slots = [tuple(self.stash[:, i]) for i in range(self.chunk)]  # a step's views
+        self.violations: list[list[str]] = [[] for _ in lanes]
+        # `play`'s state and scratch, named there: the log-weights, the rates in full
+        # shape (no ufunc buffering), the flat index of observed[slot, 0] per member, the
+        # center rows of a state buffer's arm rows, and the centers' new distribution and
+        # CDF (the CDF's rows are scratch until then)
+        fresh = np.empty((2,) + cells)
+        self.scratch = (views, np.zeros(cells), np.broadcast_to(lay.rates, cells).copy(),
+                        lay.origin, lay.members, lay.starts,
+                        k * np.repeat(np.arange(c), np.diff(lay.starts, append=h)),
+                        np.concatenate((lay.centers, lay.centers + a)), *fresh,
+                        fresh.reshape(-1, k), np.empty((c, 1)), np.empty(a), np.ones(k),
+                        np.empty((h, k)), np.empty(cells, bool), np.empty(h, np.int64),
+                        np.ones(1, bool))
+        self.center_loss = np.empty((block,) + cells)
+        # per step: views of its actions, draws (also as a column), center losses and, per run
+        # of lanes, loss rows and expected losses p @ loss row (one (lanes, n, k) @ (lanes, k, 1))
+        self.per_row = list(zip(self.actions, self.draws, self.draws[..., None], self.center_loss,
+                                zip(*(zip(self.losses[1:, l0:l1, :, None], self.steps[
+                                    1:, 1, off[l0]:off[l1]].reshape(block, -1, sizes[l0], 1))
+                                      for l0, l1 in lay.runs))))
+
+    def read(self, start, m):
+        """The block's loss rows and each agent's draws: in the warm-up a uniform action, whose
+        expected loss is the row's mean; after it a uniform draw in [0, 1) to sample with."""
+        rows = {i: read(m) for i, read in self.streams.items()}
+        k, off, losses = self.lay.arms, self.lay.off, self.losses
+        for l, (lane, lo, hi) in enumerate(zip(self.lanes, off, off[1:])):
+            losses[1:m + 1, l] = rows[id(lane.oracle)]
+            # row-major fills: the same streams as one call per step
+            if start < self.setup:
+                self.actions[:m, lo:hi] = lane.rng.integers(0, k, size=(m, hi - lo))
+                self.steps[1:m + 1, 1, lo:hi] = losses[1:m + 1, l].mean(axis=1, keepdims=True)
+            else:
+                self.draws[:m, lo:hi] = lane.rng.random((m, hi - lo))
+
+    def play(self, start, m):
+        """The block's steps: agents sample, centers update, relays stage their origin's play."""
+        (views, logw, rates, origin, flat, starts, slot_cell, fresh_at, p_next, work, fresh_rows,
+         row, count, ones, gathered, observed, seen, true) = self.scratch
+        lay, draws, per_row, k, debug, chunk = (self.lay, self.draws[:m], self.per_row,
+                                                self.lay.arms, self.debug, self.chunk)
+        p_now, p_out, est, observe = self.slots[0]
+        # the steps where a draw is 0 or above the CDF floor
+        rare = ((draws.min(axis=1) == 0.0) | (draws.max(axis=1) > _cdf_floor(k))).tolist()
+        self.losses[1:m + 1].take(lay.center_lane, axis=1, out=self.center_loss[:m])
+        for j in range(m):
+            (now, p, cdf, _, mm), (new, p_new, _, new_rows, _) = views
+            act, draw, draw_col, loss_row, expect = per_row[j]
+            # inverse-CDF sample, arms ascending: the action is the number
+            # of arms whose CDF lies below the draw (exact small sums in
+            # p_new until the relays' take fills it), an arm of positive
+            # probability unless every arm lies below or the draw is 0
+            np.matmul(np.less(cdf, draw_col, out=p_new), ones, out=count)
+            if rare[j]:
+                for v in np.flatnonzero((count >= k) | (draw == 0.0)).tolist():
+                    count[v] = exp3.sample_action(p[v], float(draw[v]))
+            act[...] = count
+            for p_run, (loss_run, expected) in zip(mm, expect):
+                np.matmul(p_run, loss_run, out=expected)
+            # relays stage the origin's round-t distribution and CDF ("clip"
+            # lets take write to out unbuffered; every index is in range)
+            now.take(origin, axis=1, out=new, mode="clip")
+            if debug:
+                t, i = start + j + 1, (start + j - self.setup) % chunk
+                p_now, p_out, est, observe = self.slots[i]
+            # each center: products over its closed neighborhood, members ascending
+            p.take(flat, axis=0, out=gathered, mode="clip")
+            np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=0,
+                                 out=observe)
+            np.subtract(1.0, observe, out=observe)
+            observed.fill(False)
+            act.take(flat, out=seen, mode="clip")
+            observed.put(np.add(seen, slot_cell, out=seen), true)
+            exp3.estimated_loss_vector(loss_row, observe, observed, out=est)
+            exp3.exp3_update_raw(logw, rates, est, logw, work, row)  # finiteness: below
+            exp3.probs_from_log_weights(logw, p_next, work, row)
+            np.add.accumulate(p_next, axis=1, out=work)
+            if debug:
+                p.take(lay.centers, axis=0, out=p_now)
+                p_out[...] = p_next
+                if i == chunk - 1 or t == self.total:
+                    exp3._audit(self.violations, t - i, lay.nodes, lay.center_lane,
+                                *self.stash[:, :i + 1], lay.rates, self.drift)
+            new_rows[fresh_at] = fresh_rows
+            views.reverse()
+        if not np.isfinite(logw).all():
+            raise exp3.NonFiniteEstimateError("loss estimates must be finite")
+
+    def charge(self, start, m):
+        """Charge each agent its action's loss; hash each lane's records and log its lines."""
+        off, actions, charged = self.lay.off, self.actions[:m], self.steps[1:m + 1, 0]
+        for record, lo, hi in zip(self.records, off, off[1:]):
+            record["a"][:m] = actions[:, lo:hi]
+        # one gather for the block, losses[1 + j, lane of v, actions[j, v]], through the
+        # actions' flat index, made in place once the records hold them
+        self.losses.take(np.add(np.add(actions, self.lane_cell, out=actions), self.step_cell[:m],
+                                out=actions), out=charged, mode="clip")
+        for l, (digest, record, lane) in enumerate(zip(self.digests, self.records, self.lanes)):
+            rec = record[:m]
+            rec["t"] = np.arange(start + 1, start + m + 1)
+            rec["c"] = charged[:, off[l]:off[l + 1]]
+            digest.update(rec)  # step by step
+            if lane.log_sink is not None:
+                _log_lines(lane.log_sink, start + 1, rec["a"], self.losses[1:m + 1, l],
+                           self.arm_text)
+
+    def fold(self, start, m):
+        """Fold the block into the totals, cut at each lane's snapshot steps."""
+        steps, losses, totals, arm_totals = self.steps, self.losses, self.totals, self.arm_totals
+        lo = 0
+        for hi in sorted({h for e in set(self.every) for h in range(e - start % e, m, e)} | {m}):
+            steps[lo], losses[lo] = totals, arm_totals
+            np.add.reduce(steps[lo:hi + 1], axis=0, out=totals)
+            np.add.reduce(losses[lo:hi + 1], axis=0, out=arm_totals)
+            t = start + hi
+            for l, (snap, e) in enumerate(zip(self.snaps, self.every)):
+                if t % e == 0 or t == self.total:
+                    np.concatenate(self.ledgers[l], out=snap[(t - 1) // e])
+            lo = hi
 
 
 def _log_lines(sink: IO, first_t: int, actions, loss_rows, arm_text) -> None:

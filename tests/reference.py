@@ -43,7 +43,8 @@ than a ``Graph``, checking reachability with the per-node BFS ``Graph`` had, and
 assigned to a center and check (b) passed, and its mass-floor check fails
 a stored pair that is no mass (m <= 0 or d < 0) instead of raising.
 ``spread_history_violations`` and ``induced_subgraph`` have no caller
-left in ``coopmab``.
+left in ``coopmab``, and ``is_distribution`` (a 1-D vector over two or more
+arms, each in [0, 1 + tol], summing to 1 within tol) is only the tests'.
 
 ``OrderedMass`` is the mass pair with the order and score that
 ``coopmab.partition.Mass`` once had.  ``SpreadMap`` is the record a
@@ -95,6 +96,17 @@ from coopmab.partition import (
 from coopmab.simulate import LossOracle, RunResult, _check_run_args
 
 ROLES = ("center", "adjacent", "simple")  # the digest header's role codes, by index
+
+
+def is_distribution(probs, tol: float = exp3.DISTRIBUTION_TOL) -> bool:
+    p = np.asarray(probs, dtype=float)
+    return bool(
+        p.ndim == 1
+        and p.size >= 2
+        and np.all(p >= 0.0)
+        and np.all(p <= 1.0 + tol)
+        and abs(float(p.sum()) - 1.0) <= tol
+    )
 
 
 def role(p: Partition, v: int) -> str:
@@ -311,7 +323,7 @@ class SimWorld:
             self.violations.append(
                 f"t={self.t} center {c}: p*estimate = {per_arm[a]:.12f} > 1 on arm {a}"
             )
-        if not exp3.is_distribution(p_next, 1e-12):
+        if not is_distribution(p_next, 1e-12):
             self.violations.append(f"t={self.t} center {c}: update left an invalid distribution")
         if self.check_weight_drift and rate <= 0.5 / self.arms + 1e-15:
             lo = (1.0 - rate * est) * p_now

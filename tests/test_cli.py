@@ -115,7 +115,6 @@ def test_usage_and_config_errors(tmp_path, star_file, capsys):
     assert capsys.readouterr().err == ("error: graph is disconnected: 3 of 1099511627776 nodes "
                                        "reachable from 0\n")
 
-    assert main(["validate", "no-such-suite"]) == 2
     assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",
                  "--adversary", "bernoulli:0.4"]) == 2  # wrong arity
     assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",
@@ -133,7 +132,6 @@ def test_usage_and_config_errors(tmp_path, star_file, capsys):
     assert "1 columns" in capsys.readouterr().err
     assert main(["simulate", "--graph", star_file, "--arms", "3", "--horizon", "10",
                  "--adversary", "bernoulli:0.4,0.4,0.4", "--workers", "0"]) == 2
-    assert main(["validate", "graph-oracles"]) == 2  # a test under tests/, not a suite
     assert main(["nonsense"]) == 2
 
 
@@ -191,12 +189,6 @@ def test_negative_seed_is_rejected_by_flag_before_any_file(tmp_path, star_file, 
     value = rest[rest.index(flag) + 1]
     assert capsys.readouterr().err == f"error: {flag} must be >= 0, got {value}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["star.txt"]
-
-
-def test_validate_subcommand(capsys):
-    code = main(["validate", "exp3", "--seed", "5"])
-    assert code == 0
-    assert "PASS" in capsys.readouterr().out
 
 
 def test_simulate_zero_matrix(tmp_path, star_file):

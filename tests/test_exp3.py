@@ -11,7 +11,6 @@ from coopmab.exp3 import (
     ZeroObservationProbabilityError,
     estimated_loss_vector,
     exp3_update_raw,
-    is_distribution,
     learning_rate,
     probs_from_log_weights,
     sample_action,
@@ -49,7 +48,7 @@ def test_learning_rate_rejections():
 def test_fresh_state_is_uniform():
     p = probs_from_log_weights(np.zeros(4))
     assert np.array_equal(p, np.full(4, 0.25))
-    assert is_distribution(p)
+    assert reference.is_distribution(p)
     # rows of a batch are normalized one by one
     rows = probs_from_log_weights(np.zeros((3, 2, 5)))
     assert np.array_equal(rows, np.full((3, 2, 5), 0.2))
@@ -113,11 +112,11 @@ def test_total_weight_never_grows():
         p = probs_from_log_weights(lw)
         assert float(np.sum(p * np.exp(-rate * est))) <= 1.0 + 1e-12
         lw = exp3_update_raw(lw, rate, est)
-        assert is_distribution(probs_from_log_weights(lw))
+        assert reference.is_distribution(probs_from_log_weights(lw))
 
 
 def test_update_sandwich_on_random_states():
-    # 400 random steps (the ``validate`` exp3 suite's first check, seed 0): the
+    # 400 random steps (seed 0): the
     # next distribution is valid, total weight never grows, each arm stays
     # within the one-step floor (1 - rate*est)*p and ceiling 2p at rate <=
     # 1/(2*arms), with estimates kept at p*estimate <= 1 as in real runs.
@@ -131,7 +130,7 @@ def test_update_sandwich_on_random_states():
         est = rng.random(k) * np.where(rng.random(k) < 0.5, 0.0, 1.0) / np.maximum(p, 0.2)
         est = np.minimum(est, 1.0 / np.maximum(p, 1e-9))
         q = probs_from_log_weights(exp3_update_raw(lw, rate, est))
-        assert is_distribution(q), k
+        assert reference.is_distribution(q), k
         assert float(np.dot(p, np.exp(-rate * est))) <= 1.0 + 1e-12
         assert not np.any(p * est > 1.0 + 1e-9)
         lo = (1.0 - rate * est) * p
@@ -211,7 +210,7 @@ def test_sample_action_skips_zero_arms():
 
 
 def test_sample_action_frequencies():
-    # 2e4 seeded uniform draws (the ``validate`` exp3 suite's second check):
+    # 2e4 seeded uniform draws:
     # the zero arm is never played, and each arm's frequency lies within 5
     # standard errors of its probability
     p = np.array([0.1, 0.0, 0.5, 0.4])

@@ -160,6 +160,21 @@ def test_reach_equals_a_python_bfs_on_random_edge_sets():
         assert graph._reach(n, u, v) == len(seen), seed
 
 
+def test_neighbors_equal_a_python_loop_over_csr():
+    # any node list, repeats and the empty list too, in the given order
+    cases = [(build_graph(1, ()), [0]), (build_graph(1, ()), [0, 0]), (build_graph(1, ()), [])]
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(int(rng.integers(2, 30)), float(rng.uniform(0.0, 0.5)), rng)
+        cases.append((g, rng.integers(0, g.node_count, int(rng.integers(0, 12))).tolist()))
+    for g, nodes in cases:
+        indptr, indices = g.csr
+        want = [indices[indptr[v]:indptr[v + 1]].tolist() for v in nodes]
+        got, degrees = graph._neighbors(indptr, indices, np.array(nodes, dtype=np.int64))
+        assert got.tolist() == [x for row in want for x in row], nodes
+        assert degrees.tolist() == [len(row) for row in want], nodes
+
+
 def test_distances():
     p = path_graph(5)
     assert p.multi_source_distances([0])[4] == 4

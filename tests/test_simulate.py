@@ -15,6 +15,7 @@ from coopmab.partition import (
     Partition,
     compute_centers_informed,
     compute_centers_uninformed,
+    mass_value,
     partition_from_json,
     partition_to_json,
 )
@@ -776,6 +777,59 @@ def test_lanes_of_one_call_equal_their_runs_alone(shapes, arms, horizon, setting
         reference.assert_same_run(run, want, each_step=True)
         assert logs[0][i].getvalue() == logs[1][i].getvalue() == logs[2][i].getvalue()
         assert logs[0][i].getvalue().count("\n") == 1 + setup + horizon
+
+
+def _lanes(*specs):
+    """A lane per (graph, setting) on one oracle, K = 3; "solo" for a solo lane."""
+    oracle, lanes = bernoulli_losses([0.3, 0.6, 0.5], 4), []
+    for i, (g, setting) in enumerate(specs):
+        if setting == "solo":
+            lanes.append(solo_lane(3, oracle, i))
+        elif setting == "informed":
+            lanes.append(Lane(g, compute_centers_informed(g, 3), oracle, np.random.default_rng(i)))
+        else:
+            lanes.append(uninformed_lane(g, 3, g.node_count, 200, oracle, i))
+    return lanes
+
+
+@pytest.mark.parametrize("specs", [
+    [(None, "solo")],  # one node: no neighbor entries
+    [(star_graph(6), "informed")],
+    [(path_graph(9), "uninformed")],  # relays at delay 1 and beyond
+    [(path_graph(4), "informed"), (star_graph(3), "uninformed"), (None, "solo")],
+])
+def test_layout_of_segments_origins_and_runs(specs):
+    lanes = _lanes(*specs)
+    lay = simulate._layout(lanes, 200)
+    sizes = [lane.partition.node_count for lane in lanes]
+    assert (lay.arms, lay.sizes, lay.off) == (3, sizes, np.cumsum([0, *sizes]).tolist())
+    # centers lane by lane in partition order, each segment its closed neighborhood
+    want = [(l, c) for l, lane in enumerate(lanes) for c in lane.partition.centers.tolist()]
+    assert list(zip(lay.center_lane.tolist(), lay.nodes.tolist())) == want
+    ends = [*lay.starts[1:].tolist(), lay.members.size]
+    for i, (l, c) in enumerate(want):
+        (indptr, indices), o = lanes[l].graph.csr, lay.off[l]
+        hood = sorted([c, *indices[indptr[c]:indptr[c + 1]].tolist()])
+        assert lay.centers[i] == o + c
+        assert lay.members[lay.starts[i]:ends[i]].tolist() == [o + x for x in hood]
+        part = lanes[l].partition
+        mass = mass_value(int(part.mass_m[c]), int(part.mass_d[c]))
+        assert lay.rates[i, 0] == exp3.learning_rate(mass, 3, 200)
+    assert lay.rates.shape == (len(want), 1)
+    for l, lane in enumerate(lanes):
+        part, o, g = lane.partition, lay.off[l], lane.graph
+        for v in range(part.node_count):
+            origin, role = int(lay.origin[o + v]) - o, int(lay.roles[l][v])
+            if part.center_of[v] == v:
+                assert (origin, role) == (v, 0)
+            else:
+                assert origin == part.origin_of[v] and g.are_adjacent(np.array([v]),
+                                                                      np.array([origin]))[0]
+                assert role == (1 if part.delay[v] == 1 else 2)
+    # maximal runs of equal sizes, covering the lanes in order
+    assert [l for l0, l1 in lay.runs for l in range(l0, l1)] == list(range(len(lanes)))
+    assert all(len({sizes[l] for l in range(l0, l1)}) == 1 for l0, l1 in lay.runs)
+    assert all(sizes[l1 - 1] != sizes[l1] for _, l1 in lay.runs[:-1])
 
 
 def test_run_lanes_packs_consecutive_lanes_into_kernel_calls(monkeypatch):
