@@ -12,7 +12,6 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -107,12 +106,7 @@ class RunConfig:
         _check_seed("--adversary-seed", self.adversary_seed)
         _check_seed("--policy-seed", self.policy_seed)
         if self.setting == "uninformed":
-            if self.n_upper is None:
-                raise ValueError("uninformed runs need --nbar (known upper bound on N)")
-            if self.n_upper < g.node_count:
-                raise ValueError(
-                    f"--nbar {self.n_upper} is below the actual node count {g.node_count}"
-                )
+            _check_nbar(self.n_upper, g, "uninformed runs need --nbar (known upper bound on N)")
         self.adversary  # fail fast
 
     @cached_property
@@ -126,9 +120,18 @@ def _check_seed(flag: str, seed: int) -> None:
         raise ValueError(f"{flag} must be >= 0, got {seed}")
 
 
+def _check_nbar(nbar: int | None, g: Graph, missing: str) -> None:
+    """An uninformed election's --nbar: given (else ``missing``), and at least the node count."""
+    if nbar is None:
+        raise ValueError(missing)
+    if nbar < g.node_count:
+        raise ValueError(f"--nbar {nbar} is below the actual node count {g.node_count}")
+
+
 def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None) -> list[RunResult]:
-    """The runs of seeds ``indices`` as lanes of one call; uninformed seeds elect their own."""
-    from .simulate import run_informed_batch, run_lanes, uninformed_lane
+    """The runs of seeds ``indices`` as lanes of one call: informed seeds share one election,
+    uninformed seeds elect their own."""
+    from .simulate import Lane, run_lanes, uninformed_lane
 
     base = cfg.adversary  # only a bernoulli oracle reads its seed
     oracles = [replace(base, seed=cfg.adversary_seed + i) if base.kind == "bernoulli" else base
@@ -140,10 +143,12 @@ def _run_seeds(cfg: RunConfig, g: Graph, indices: range, log_prefix: str | None)
             for i in indices
         ]
         if cfg.setting == "informed":
-            return run_informed_batch(g, cfg.arms, cfg.horizon, oracles, p_seeds,
-                                      debug=cfg.debug_invariants, log_sinks=sinks)
-        lanes = [uninformed_lane(g, cfg.arms, cfg.n_upper, cfg.horizon, *lane)
-                 for lane in zip(oracles, p_seeds, sinks)]
+            part = compute_centers_informed(g, cfg.arms)
+            lanes = [Lane(g, part, oracle, np.random.default_rng(seed), sink)
+                     for oracle, seed, sink in zip(oracles, p_seeds, sinks)]
+        else:
+            lanes = [uninformed_lane(g, cfg.arms, cfg.n_upper, cfg.horizon, *lane)
+                     for lane in zip(oracles, p_seeds, sinks)]
         return run_lanes(lanes, cfg.horizon, cfg.debug_invariants)
 
 
@@ -167,7 +172,6 @@ def sweep(cfg: RunConfig, g: Graph, log_prefix: str | None = None) -> list[RunRe
         return [res for chunk in pool.map(_pool_worker, payloads) for res in chunk]
 
 
-CHUNK_ROWS = 1024  # rows per write of the CSV, the summary's per_agent list and the stdout table
 # a per_agent entry as json.dump(..., indent=1) lays it out two levels deep, after
 # the comma that parts it from the one before
 _AGENT_ENTRY = "{}\n  {{\n" + ",\n".join(f'   "{key}": {{}}' for key in (
@@ -183,13 +187,37 @@ def _json_float(text: str) -> str:
 
 @dataclass
 class ResultColumns:
-    """A sweep's (seed, agent) rows as columns: seed s's come from results[s], agents ascending."""
+    """A sweep's (seed, agent) rows as columns: seed s's come from results[s], agents ascending.
+    Each agent's regrets averaged over seeds, with seed 0's columns, make the summary's
+    per_agent list."""
 
     results: list[RunResult]
     degree: list[int]
     bound_degree: list[float]
     bound_individual: list[list[float]]  # one list per seed
     text: dict[float, str]  # each bound's repr, made once per distinct value
+    mean_regret: list[float]
+    mean_regret_semi: list[float]
+
+    def _agents(self):
+        part = self.results[0].partition
+        return zip(range(len(self.degree)), self.degree, part.mass_m.tolist(),
+                   part.mass_d.tolist(), part.delay.tolist(), self.mean_regret,
+                   self.mean_regret_semi, self.bound_individual[0], self.bound_degree)
+
+    def entries(self) -> Iterator[str]:
+        """The per_agent entries' text, as json.dump(..., indent=1) writes them in the summary."""
+        text = self.text
+        return (_AGENT_ENTRY.format("," if v else "", v, d, m, md, dl, _json_float(repr(mr)),
+                                    _json_float(repr(sr)), _json_float(text[bi]),
+                                    _json_float(text[bd]), "true" if sr <= bi else "false",
+                                    "true" if sr <= bd else "false")
+                for v, d, m, md, dl, mr, sr, bi, bd in self._agents())
+
+    def table(self) -> Iterator[str]:
+        """The stdout table, one line per agent."""
+        return (f"  agent {v:>3} mass ({m},{md}) semi {sr:>10.2f} vs bounds {bi:>10.1f} / "
+                f"{bd:>12.1f}\n" for v, _, m, md, _, _, sr, bi, bd in self._agents())
 
 
 def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> ResultColumns:
@@ -206,15 +234,14 @@ def results_rows(cfg: RunConfig, g: Graph, results: list[RunResult]) -> ResultCo
               for res in results]
     by_mass = {md: individual_bound(mass_value(*md), cfg.arms, cfg.horizon)
                for md in set().union(*masses)}
+    # a C-contiguous (agents, seeds) array's row means sum pairwise in seed
+    # order, bit for bit np.mean's over each agent's rows
+    regret, semi = (np.stack([getattr(res, name) for res in results], axis=1).mean(axis=1).tolist()
+                    for name in ("regret", "semi_regret"))
     return ResultColumns(results, degree, [by_degree[d] for d in degree],
                          [[by_mass[md] for md in seed_masses] for seed_masses in masses],
-                         {x: repr(x) for x in (*by_degree.values(), *by_mass.values())})
-
-
-def _chunks(lines: Iterator[str], count: int) -> Iterator[str]:
-    """The lines joined CHUNK_ROWS at a time; ``count`` is how many there are."""
-    for _ in range(0, count, CHUNK_ROWS):
-        yield "".join(islice(lines, CHUNK_ROWS))
+                         {x: repr(x) for x in (*by_degree.values(), *by_mass.values())},
+                         regret, semi)
 
 
 def write_csv(path: str, rows: ResultColumns) -> None:
@@ -224,50 +251,15 @@ def write_csv(path: str, rows: ResultColumns) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for s, res in enumerate(rows.results):
             part = res.partition
-            fh.writelines(_chunks((
+            fh.writelines(
                 f"{s},{v},{d},{m},{md},{dl},{r!r},{sr!r},{text[bi]},{text[bd]},{res.setup_steps}\r\n"
                 for v, d, m, md, dl, r, sr, bi, bd in zip(
                     range(n), rows.degree, part.mass_m.tolist(), part.mass_d.tolist(),
                     part.delay.tolist(), res.regret.tolist(), res.semi_regret.tolist(),
-                    rows.bound_individual[s], rows.bound_degree)), n))
-
-
-@dataclass
-class PerAgent:
-    """The summary's per_agent list: seed 0's columns, each agent's regrets averaged over seeds."""
-
-    rows: ResultColumns
-    mean_regret: list[float]
-    mean_regret_semi: list[float]
-
-    def _columns(self):
-        r = self.rows
-        part = r.results[0].partition
-        return zip(range(len(r.degree)), r.degree, part.mass_m.tolist(), part.mass_d.tolist(),
-                   part.delay.tolist(), self.mean_regret, self.mean_regret_semi,
-                   r.bound_individual[0], r.bound_degree)
-
-    def entries(self) -> Iterator[str]:
-        """Chunks of the entries' text, as json.dump(..., indent=1) writes them in the summary."""
-        text = self.rows.text
-        return _chunks((
-            _AGENT_ENTRY.format("," if v else "", v, d, m, md, dl, _json_float(repr(mr)),
-                                _json_float(repr(sr)), _json_float(text[bi]), _json_float(text[bd]),
-                                "true" if sr <= bi else "false", "true" if sr <= bd else "false")
-            for v, d, m, md, dl, mr, sr, bi, bd in self._columns()), len(self.rows.degree))
-
-    def table(self) -> Iterator[str]:
-        """Chunks of the stdout table, one line per agent."""
-        return _chunks((
-            f"  agent {v:>3} mass ({m},{md}) semi {sr:>10.2f} vs bounds {bi:>10.1f} / {bd:>12.1f}\n"
-            for v, _, m, md, _, _, sr, bi, bd in self._columns()), len(self.rows.degree))
+                    rows.bound_individual[s], rows.bound_degree))
 
 
 def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: ResultColumns) -> dict:
-    # a C-contiguous (agents, seeds) array's row means sum pairwise in seed
-    # order, bit for bit np.mean's over each agent's rows
-    regret, semi = (np.stack([getattr(res, name) for res in results], axis=1).mean(axis=1).tolist()
-                    for name in ("regret", "semi_regret"))
     per_seed = [
         {"seed": i, "adversary_seed": cfg.adversary_seed + i, "policy_seed": cfg.policy_seed + i,
          "digest": res.digest, "setup_steps": res.setup_steps, "best_arm": res.best_arm,
@@ -284,7 +276,7 @@ def summary_doc(cfg: RunConfig, g: Graph, results: list[RunResult], rows: Result
             "debug_invariants": cfg.debug_invariants,
         },
         "per_seed": per_seed,
-        "per_agent": PerAgent(rows, regret, semi),
+        "per_agent": rows,  # write_summary writes its entries()
         "aggregate": {
             # every row, seed by seed: np.mean's pairwise sum over one array
             "mean_regret": float(np.mean(np.concatenate([res.regret for res in results]))),
@@ -323,10 +315,7 @@ def cmd_partition(args) -> int:
         setup_note = "setup steps charged: 0 (graph known in advance)"
         exhausted = 0
     else:
-        if args.nbar is None:
-            raise ValueError("uninformed partitioning needs --nbar")
-        if args.nbar < g.node_count:
-            raise ValueError(f"--nbar {args.nbar} is below the actual node count {g.node_count}")
+        _check_nbar(args.nbar, g, "uninformed partitioning needs --nbar")
         election = compute_centers_uninformed(
             g, args.arms, args.nbar, args.horizon, np.random.default_rng(args.policy_seed)
         )
@@ -371,8 +360,7 @@ def cmd_simulate(args) -> int:
         f"{cfg.setting} sweep: {cfg.seeds} seed(s), mean regret {agg['mean_regret']:.2f}, "
         f"mean semi-expected regret {agg['mean_regret_semi']:.2f}"
     )
-    for chunk in doc["per_agent"].table():
-        sys.stdout.write(chunk)
+    sys.stdout.writelines(rows.table())
     violations = sum(len(res.debug_violations) for res in results)
     if violations:
         print(f"DEBUG INVARIANT VIOLATIONS: {violations}")

@@ -441,32 +441,16 @@ def solo_lane(arms: int, oracle: LossOracle, policy_seed: int) -> Lane:
     return Lane(build_graph(1, ()), solo, oracle, np.random.default_rng(policy_seed))
 
 
-def run_informed_batch(g: Graph, arms: int, horizon: int, oracles: Sequence[LossOracle],
-                       policy_seeds: Sequence[int], partition: Partition | None = None,
-                       debug: bool = False, log_sinks: Sequence | None = None) -> list[RunResult]:
-    """run_informed for each (oracle, policy seed) pair, as lanes on one election."""
-    if len(oracles) != len(policy_seeds) or not oracles:
-        raise ValueError(f"need one oracle per policy seed, got {len(oracles)} and "
-                         f"{len(policy_seeds)}")
-    if log_sinks is not None and len(log_sinks) != len(oracles):
-        raise ValueError(f"need one log sink per seed, got {len(log_sinks)} for "
-                         f"{len(oracles)} seeds")
-    if partition is None:
-        partition = compute_centers_informed(g, arms)
-    else:  # here, so that a partition over other arms is named before the oracles
-        _check_partition(g, arms, partition)
-    return run_lanes([Lane(g, partition, oracle, np.random.default_rng(seed), sink)
-                      for oracle, seed, sink in zip(oracles, policy_seeds,
-                                                    log_sinks or [None] * len(oracles))],
-                     horizon, debug)
-
-
 def run_informed(g: Graph, arms: int, horizon: int, oracle: LossOracle, policy_seed: int,
                  debug: bool = False, log_sink: IO | None = None,
                  partition: Partition | None = None) -> RunResult:
     """Simulate with the graph known in advance: partitioning costs no steps."""
-    return run_informed_batch(g, arms, horizon, [oracle], [policy_seed], partition, debug,
-                              [log_sink])[0]
+    if partition is None:
+        partition = compute_centers_informed(g, arms)
+    else:  # here, so that a partition over other arms is named before the oracle
+        _check_partition(g, arms, partition)
+    lane = Lane(g, partition, oracle, np.random.default_rng(policy_seed), log_sink)
+    return run_lanes([lane], horizon, debug)[0]
 
 
 def run_uninformed(g: Graph, arms: int, n_upper: int, horizon: int, oracle: LossOracle,

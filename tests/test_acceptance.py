@@ -44,7 +44,6 @@ from coopmab.simulate import (
     Lane,
     individual_bound,
     run_informed,
-    run_informed_batch,
     run_lanes,
     run_uninformed,
     solo_lane,
@@ -256,9 +255,10 @@ def test_criterion_6_star_regret_bounds(capsys):
     means = [0.4] + [0.5] * (arms - 1)
     oracles = [bernoulli_losses(means, 100 + i) for i in range(seeds)]
     # one election, all seeds in lockstep; each run equals run_informed's bit for bit
-    runs = run_informed_batch(g, arms, horizon, oracles, [9000 + i for i in range(seeds)])
+    part = compute_centers_informed(g, arms)
+    runs = run_lanes([Lane(g, part, oracle, np.random.default_rng(9000 + i))
+                      for i, oracle in enumerate(oracles)], horizon)
     semis = [r.semi_regret for r in runs]
-    part = runs[-1].partition
     mean_semi = np.mean(semis, axis=0)
     hub = int(part.centers[0])
     assert mass(part, hub) == OrderedMass(arms, 0) and g.closed_degrees[hub] == 11

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -485,6 +486,51 @@ def test_column_writers_equal_csv_and_json_modules(tmp_path, setting, seeds):
         f"{r['bound_individual']:>10.1f} / {r['bound_degree']:>12.1f}\n"
         for r in want_doc["per_agent"])
     assert "".join(doc["per_agent"].table()) == want_table
+
+
+def test_sweep_elects_once_and_plays_its_seeds_as_lanes_of_one_call(tmp_path, path_file,
+                                                                     monkeypatch):
+    # per process: an informed sweep makes one election and one run_lanes call,
+    # whose lanes share that partition; an uninformed one, one call over its seeds
+    from coopmab import cli, simulate
+
+    calls = tmp_path / "calls"  # a file, so that calls in worker processes count too
+    elect, run_lanes = cli.compute_centers_informed, simulate.run_lanes
+
+    def record(line):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {line}\n")
+
+    def counted_elect(*args):
+        part = elect(*args)
+        record(f"elect {id(part)}")
+        return part
+
+    def counted_run_lanes(lanes, *args):
+        record("run " + " ".join(str(id(lane.partition)) for lane in lanes))
+        return run_lanes(lanes, *args)
+
+    monkeypatch.setattr(cli, "compute_centers_informed", counted_elect)
+    monkeypatch.setattr(simulate, "run_lanes", counted_run_lanes)
+    g = read_edge_list(path_file)
+    for setting, workers, chunks in (("informed", 1, [5]), ("informed", 2, [2, 3]),
+                                     ("uninformed", 1, [5])):
+        calls.write_text("")
+        assert len(sweep(_config(path_file, setting, 5, workers=workers), g)) == 5
+        by_pid: dict[str, list[list[str]]] = {}
+        for line in calls.read_text().splitlines():
+            pid, *words = line.split()
+            by_pid.setdefault(pid, []).append(words)
+        seeds = []  # lanes per process
+        for got in by_pid.values():
+            if setting == "informed":
+                (elected, part), (run, *parts) = got
+                assert (elected, run, set(parts)) == ("elect", "run", {part})
+            else:
+                [(run, *parts)] = got
+                assert run == "run" and len(set(parts)) == len(parts)
+            seeds.append(len(parts))
+        assert sorted(seeds) == chunks
 
 
 @pytest.mark.parametrize("setting", ["informed", "uninformed"])

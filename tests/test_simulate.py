@@ -28,7 +28,6 @@ from coopmab.simulate import (
     individual_bound,
     matrix_losses,
     run_informed,
-    run_informed_batch,
     run_lanes,
     run_solo_exp3,
     run_uninformed,
@@ -271,7 +270,6 @@ def test_short_horizon_warning_points_at_the_caller():
     g, oracle = path_graph(3), bernoulli_losses([0.5] * 10, 1)
     calls = {
         "run_informed": lambda: run_informed(g, 10, 5, oracle, 1),
-        "run_informed_batch": lambda: run_informed_batch(g, 10, 5, [oracle], [1]),
         "run_uninformed": lambda: run_uninformed(g, 10, 3, 5, oracle, 1),
         "run_solo_exp3": lambda: run_solo_exp3(10, 5, oracle, 1),
         "run_lanes": lambda: run_lanes([solo_lane(10, oracle, 1)], 5),
@@ -280,6 +278,12 @@ def test_short_horizon_warning_points_at_the_caller():
         with pytest.warns(RuntimeWarning, match="horizon 5") as record:
             call()
         assert [w.filename for w in record] == [__file__], name
+
+
+def _shared(g, part, oracles, policy_seeds, sinks=None) -> list[Lane]:
+    """An informed sweep's lanes: one partition, a lane per (oracle, policy seed, log sink)."""
+    return [Lane(g, part, oracle, np.random.default_rng(seed), sink) for oracle, seed, sink
+            in zip(oracles, policy_seeds, sinks or [None] * len(oracles))]
 
 
 def _logged_steps(sink) -> list[int]:
@@ -305,7 +309,8 @@ def test_kernel_raises_on_a_non_finite_estimate(monkeypatch, bad, seeds):
         if seeds == 1:
             run_informed(path_graph(3), 2, 6, oracles[0], 4, log_sink=sinks[0])
         else:
-            run_informed_batch(path_graph(3), 2, 6, oracles, [4, 5], log_sinks=sinks)
+            g = path_graph(3)
+            run_lanes(_shared(g, compute_centers_informed(g, 2), oracles, [4, 5], sinks), 6)
     assert [_logged_steps(sink) for sink in sinks] == [[1, 2]] * seeds
 
 
@@ -329,7 +334,7 @@ def test_kernel_raises_on_an_observed_arm_with_zero_probability(monkeypatch, see
         if seeds == 1:
             run_informed(one, 2, 6, oracle, 4, log_sink=sinks[0], partition=solo)
         else:
-            run_informed_batch(one, 2, 6, [oracle] * 2, [5, 4], solo, log_sinks=sinks)
+            run_lanes(_shared(one, solo, [oracle] * 2, [5, 4], sinks), 6)
     assert [_logged_steps(sink) for sink in sinks] == [[1, 2]] * seeds
 
 
@@ -377,7 +382,7 @@ def test_snapshot_cells_per_seed_within_the_cap():
     # snapshots equal its one-seed run's, whichever seeds share the call.
     g, part = _capped_star(3)
     oracles = [bernoulli_losses([0.3, 0.5, 0.7], 7 + i) for i in range(3)]
-    batch = run_informed_batch(g, 3, 654, oracles, [8, 9, 10], part)
+    batch = run_lanes(_shared(g, part, oracles, [8, 9, 10]), 654)
     for run, oracle, seed in zip(batch, oracles, (8, 9, 10)):
         cells = sum(r.size + s.size + a.size for _, r, s, a in run.checkpoints)
         assert simulate.CHECKPOINT_CELLS - 6 * 4003 < cells <= simulate.CHECKPOINT_CELLS
@@ -480,7 +485,7 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
     kernel = [run_informed(g, arms, horizon, oracle, seed, partition=part) for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
     calls.clear()
-    batch = run_informed_batch(g, arms, horizon, [oracle, oracle], list(draws), partition=part)
+    batch = run_lanes(_shared(g, part, [oracle, oracle], list(draws)), horizon)
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
 
     for (seed, rows), single, one, batched in zip(draws.items(), singles, kernel, batch):
@@ -551,7 +556,7 @@ def test_fallback_on_rare_draws_inside_a_block_matches_reference(monkeypatch):
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
     assert want[0].dist_history[1][1, 0] > 0.0 == want[0].dist_history[2][1, 0]
     for play in (lambda: [run_informed(g, arms, horizon, oracle, s, partition=part) for s in draws],
-                 lambda: run_informed_batch(g, arms, horizon, [oracle] * 2, list(draws), part)):
+                 lambda: run_lanes(_shared(g, part, [oracle] * 2, list(draws)), horizon)):
         calls.clear()
         runs = play()
         assert sorted(calls) == [0.0, 0.0, 0.0, top]
@@ -654,7 +659,8 @@ def test_batch_runs_equal_per_seed_runs(monkeypatch, name, g, arms, kind, seeds,
     monkeypatch.setattr(simulate, "BATCH_ROWS", block)
     oracles = _batch_oracles(kind, seeds, arms, horizon)
     policy_seeds = [300 + 7 * i for i in range(seeds)]
-    batch = run_informed_batch(g, arms, horizon, oracles, policy_seeds)
+    batch = run_lanes(_shared(g, compute_centers_informed(g, arms), oracles, policy_seeds),
+                      horizon)
     assert len(batch) == seeds
     for run, oracle, seed in zip(batch, oracles, policy_seeds):
         reference.assert_same_run(run, reference.run_informed(g, arms, horizon, oracle, seed))
@@ -930,32 +936,15 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
     g = path_graph(5)
     part = reference.centers_to_components(g, {2}, 3).to_partition()
     oracles = [bernoulli_losses([0.2, 0.5, 0.8], 1), bernoulli_losses([0.2, 0.5, 0.8], 2)]
-    batch = run_informed_batch(g, 3, 300, oracles, [5, 6], partition=part)
+    batch = run_lanes(_shared(g, part, oracles, [5, 6]), 300)
     for run, oracle, seed in zip(batch, oracles, (5, 6)):
         assert run.partition is part
         want = reference.run_informed(g, 3, 300, oracle, seed, partition=part)
         reference.assert_same_run(run, want)
     with pytest.raises(ValueError):
-        run_informed_batch(g, 3, 300, oracles, [5])  # one seed short
-    with pytest.raises(ValueError):
-        run_informed_batch(g, 3, 300, [], [])
-    with pytest.raises(ValueError):
         run_lanes([solo_lane(2, oracles[0], 5)], 300)  # oracle arm count mismatch
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         run_lanes([solo_lane(3, oracle, 5) for oracle in oracles], 0)
-    with pytest.raises(exp3.ArmsTooFewError):
-        run_informed_batch(g, 1, 300, oracles, [5, 6])
-
-
-@pytest.mark.parametrize("sinks", [1, 3])
-def test_batch_needs_one_log_sink_per_seed(sinks):
-    # unchecked, one sink ends in an IndexError after seed 0's lines are written,
-    # and a third sink is never written to
-    logs = [io.StringIO() for _ in range(sinks)]
-    oracles = [bernoulli_losses([0.3, 0.6], 1), bernoulli_losses([0.3, 0.6], 2)]
-    with pytest.raises(ValueError, match=f"need one log sink per seed, got {sinks} for 2 seeds"):
-        run_informed_batch(star_graph(3), 2, 20, oracles, [5, 6], log_sinks=logs)
-    assert [log.getvalue() for log in logs] == [""] * sinks
 
 
 # one center at either end of a 4-node path, so its relays sit 1, 2 and 3 steps away
@@ -1072,8 +1061,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
             part = _reweighed(compute_centers_informed(g, arms), mass, order)
-            runs = run_informed_batch(g, arms, horizon, oracles, policy_seeds, part,
-                                      log_sinks=kernel_logs, **options)
+            runs = run_lanes(_shared(g, part, oracles, policy_seeds, kernel_logs), horizon,
+                             **options)
             expected = [
                 reference.run_informed(g, arms, horizon, oracle, seed, partition=part,
                                        log_sink=sink, **options)
@@ -1157,8 +1146,9 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
         mp.setattr(simulate, "BATCH_ROWS", block)
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
-            runs = run_informed_batch(g, arms, horizon, oracles, policy_seeds, debug=True,
-                                      log_sinks=kernel_logs)
+            part = compute_centers_informed(g, arms)
+            runs = run_lanes(_shared(g, part, oracles, policy_seeds, kernel_logs), horizon,
+                             debug=True)
         else:
             runs = [run_uninformed(g, arms, n_upper, horizon, oracle, p_seed, debug=True,
                                    log_sink=sink)
@@ -1206,46 +1196,38 @@ def _relay_partition(arms: int, origin_of=(0, 0, 1, 2)) -> Partition:
                      delay=(0, 1, 2, 3), mass_m=(4, 4, 4, 4), mass_d=(0, 1, 2, 3))
 
 
-def _informed_both(g, arms, part):
+def _run_on(g, arms, part):
     oracle = bernoulli_losses([0.4, 0.6, 0.5][:arms], 1)
-    yield lambda: run_informed(g, arms, 50, oracle, 2, partition=part)
-    yield lambda: run_informed_batch(g, arms, 50, [oracle, oracle], [2, 3], partition=part)
+    return run_informed(g, arms, 50, oracle, 2, partition=part)
 
 
 def test_caller_partition_fits_the_graph():
     part = _relay_partition(2)
-    for run in _informed_both(path_graph(4), 2, part):
-        run()  # a valid partition runs
-    for run in _informed_both(path_graph(5), 2, part):
-        with pytest.raises(ValueError, match="partition covers 4 nodes"):
-            run()
+    _run_on(path_graph(4), 2, part)  # a valid partition runs
+    with pytest.raises(ValueError, match="partition covers 4 nodes"):
+        _run_on(path_graph(5), 2, part)
 
 
 def test_caller_partition_fits_the_arms():
-    part = _relay_partition(2)
-    for run in _informed_both(path_graph(4), 3, part):
-        with pytest.raises(ValueError, match="partition is over 2 arms"):
-            run()
+    with pytest.raises(ValueError, match="partition is over 2 arms"):
+        _run_on(path_graph(4), 3, _relay_partition(2))
 
 
 def test_caller_partition_relays_copy_a_neighbor():
     part = _relay_partition(2, origin_of=(0, 0, 0, 2))  # node 2 is two hops from 0
-    for run in _informed_both(path_graph(4), 2, part):
-        with pytest.raises(ValueError, match="relay 2 copies node 0"):
-            run()
+    with pytest.raises(ValueError, match="relay 2 copies node 0"):
+        _run_on(path_graph(4), 2, part)
 
 
 def test_caller_partition_lists_the_self_claiming_nodes():
     claims = dataclasses.replace(_relay_partition(2), center_of=(0, 0, 2, 0))  # 2 is unlisted
     twice = dataclasses.replace(_relay_partition(2), centers=(0, 0))
     for part in (claims, twice):
-        for run in _informed_both(path_graph(4), 2, part):
-            with pytest.raises(ValueError, match="are not the self-claiming nodes"):
-                run()
+        with pytest.raises(ValueError, match="are not the self-claiming nodes"):
+            _run_on(path_graph(4), 2, part)
 
 
 def test_caller_partition_relays_copy_one_delay_earlier():
     part = _relay_partition(2, origin_of=(0, 0, 3, 2))  # relays 2 and 3 copy each other
-    for run in _informed_both(path_graph(4), 2, part):
-        with pytest.raises(ValueError, match="relay 2 copies node 3, not one delay step earlier"):
-            run()
+    with pytest.raises(ValueError, match="relay 2 copies node 3, not one delay step earlier"):
+        _run_on(path_graph(4), 2, part)

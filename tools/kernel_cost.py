@@ -44,7 +44,8 @@ the lanes of one ``run_lanes`` call:
 - ``clique-11``: 20 seeds on the 11-node clique (one center, ten relays),
   K = 10, 20,000 steps;
 - ``star-4``: 4 seeds on the 11-node star, K = 10, 2,000 steps (the shape
-  of the benchmark's star-sweep op);
+  of the benchmark's star-sweep op); this row and clique-11 elect their
+  one partition inside the timed call, as the CLI's informed sweep does;
 - ``crit8-20``: acceptance criterion 8's 20 random graphs of 4 to 30
   nodes, one seed each, K = 5, 10,000 steps (partitions elected before
   the clock starts);
@@ -53,10 +54,16 @@ the lanes of one ``run_lanes`` call:
   set-up steps plus the horizon, and each seed's election is timed.
 
 The rows other than crit8-20 draw the Bernoulli means above; crit8-20
-has criterion 8's (arm 0 at 0.3, the rest 0.5).  Each row runs in three
-processes per checkout, the checkouts alternating, each process one
-untimed call and five timed ones; the figure is the median of the
-fifteen.
+has criterion 8's (arm 0 at 0.3, the rest 0.5).  Each row runs in
+``STEP_ROUNDS`` rounds.  A round starts one process per checkout, each
+making one untimed call and five timed ones, and the processes take
+turns call by call; the figure is the median of all the rounds' timed
+calls.  With ``--baseline``, each of this checkout's rows also holds
+``vs_baseline``: for every round, the ratio of this process's median to
+the baseline process's (``pair_ratios``), and the median and quartiles
+of those ratios.  A single call's time swings up to 2x on a shared box,
+in phases of a few seconds; calls that take turns see about the same
+phase.
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ ADVERSARY_SEED, POLICY_SEED = 21, 22
 PHASES = ("election", "warmup", "policy", "digest", "output", "other")
 STEP_CASES = {"solo": (1, 20_000), "clique-11": (20, 20_000), "star-4": (4, 2_000),
               "crit8-20": (20, 10_000), "uninformed-4": (4, 2_000)}  # runs, policy steps
-STEP_ROUNDS = 3  # processes per checkout and step case
+STEP_ROUNDS = 15  # rounds per step case, each one process per checkout
 PEAK_NODES = 20_000  # the peak-RSS-only case's tree, run informed
 
 # VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork and exec, so a
@@ -140,36 +147,24 @@ class Probe:
                 return result
             return wrapped
 
-        for name in ("compute_centers_informed", "compute_centers_uninformed"):
-            setattr(simulate, name, election(getattr(simulate, name)))
-        oracle_class = simulate.LossOracle
+        # every module that binds them: a checkout's sweep may elect in either
+        for module in (cli, simulate):
+            for name in ("compute_centers_informed", "compute_centers_uninformed"):
+                setattr(module, name, election(getattr(module, name)))
+        stream = simulate.LossOracle.stream
 
-        def policy_at(start) -> None:  # the first policy block starts at the set-up's end
-            if probe.phase == "warmup" and start == probe.setup:
-                probe.switch("policy")
+        def timed_stream(oracle, stop):  # the kernel reads a stream per oracle, in blocks
+            read, done = stream(oracle, stop), 0
 
-        if hasattr(oracle_class, "stream"):  # the kernel reads a stream per oracle, in blocks
-            stream = oracle_class.stream
+            def timed_read(m):
+                nonlocal done
+                if probe.phase == "warmup" and done == probe.setup:  # the first policy block
+                    probe.switch("policy")
+                done += m
+                return read(m)
+            return timed_read
 
-            def timed_stream(oracle, stop):
-                read, done = stream(oracle, stop), 0
-
-                def timed_read(m):
-                    nonlocal done
-                    policy_at(done)
-                    done += m
-                    return read(m)
-                return timed_read
-
-            oracle_class.stream = timed_stream
-        else:  # a checkout whose kernel calls rows per block (after one length check)
-            rows = oracle_class.rows
-
-            def timed_rows(oracle, start, stop):
-                policy_at(start)
-                return rows(oracle, start, stop)
-
-            oracle_class.rows = timed_rows
+        simulate.LossOracle.stream = timed_stream
 
         class TimedHash:
             def __init__(self, *args, **kwargs):
@@ -248,7 +243,12 @@ def _step_runs(case: str):
     if case in ("clique-11", "star-4"):
         g = graph.star_graph(10) if case == "star-4" else graph.build_graph(
             11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
-        return arms, horizon, lambda: simulate.run_informed_batch(g, arms, horizon, *zip(*pairs))
+
+        def informed():  # one election for every seed, as the CLI's informed sweep makes
+            part = partition.compute_centers_informed(g, arms)
+            return lanes([simulate.Lane(g, part, o, np.random.default_rng(s)) for o, s in pairs],
+                         horizon)
+        return arms, horizon, informed
     if case == "crit8-20":  # criterion 8's draws of the graphs
         rng, graphs = np.random.default_rng(808), []
         for _ in range(seeds):
@@ -265,17 +265,44 @@ def _step_runs(case: str):
 
 
 def step_worker(src: str, case: str) -> dict:
-    """Median microseconds per step of a run over REPEATS calls of one step case."""
+    """Median microseconds per step of a run over REPEATS calls of one step case, each call
+    made when a line arrives on stdin and answered by one on stdout."""
     sys.path.insert(0, src)
     arms, steps, run = _step_runs(case)
-    run()
     runs = []
-    for _ in range(REPEATS):
+    for _ in range(REPEATS + 1):  # the first call is untimed
+        sys.stdin.readline()
         t0 = time.perf_counter()
         run()
         runs.append((time.perf_counter() - t0) / steps * 1e6)
+        print(flush=True)
     return {"case": case, "seeds": STEP_CASES[case][0], "steps": steps, "arms": arms,
-            "us_per_step": statistics.median(runs), "runs_us_per_step": runs}
+            "us_per_step": statistics.median(runs[1:]), "runs_us_per_step": runs[1:]}
+
+
+def step_round(checkouts: dict[str, Path], case: str) -> dict[str, dict]:
+    """One step-worker process per checkout, their calls taking turns (the first checkout's
+    first on even calls, the other's on odd ones), so that each call pair sees about the
+    same moment of the machine."""
+    procs = {name: subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--step-worker", str(root / "src"), case],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}) for name, root in checkouts.items()}
+    for call in range(REPEATS + 1):
+        for proc in list(procs.values())[::1 if call % 2 == 0 else -1]:
+            proc.stdin.write("\n")
+            proc.stdin.flush()
+            if not proc.stdout.readline():  # the worker ended early
+                raise SystemExit(proc.stderr.read().strip()[-2000:])
+    rows = {}
+    for name, proc in procs.items():
+        # read through the pipes' buffers: the last readline may hold the row already
+        proc.stdin.close()
+        out, err = proc.stdout.read(), proc.stderr.read()
+        if proc.wait() != 0:
+            raise SystemExit(err.strip()[-2000:])
+        rows[name] = json.loads(out)
+    return rows
 
 
 def _subprocess(args: list[str]) -> str:
@@ -338,16 +365,23 @@ def main(argv=None) -> int:
     peak_only: dict[str, list[dict]] = {name: [] for name in checkouts}
     for case in STEP_CASES:
         rows: dict[str, list[dict]] = {name: [] for name in checkouts}
-        for _ in range(STEP_ROUNDS):  # checkouts alternate, so both see the machine's swings
-            for name, root in checkouts.items():
-                rows[name].append(json.loads(_subprocess(
-                    [str(Path(__file__).resolve()), "--step-worker", str(root / "src"), case])))
+        for _ in range(STEP_ROUNDS):
+            for name, row in step_round(checkouts, case).items():
+                rows[name].append(row)
         for name, got in rows.items():
             runs = [x for row in got for x in row["runs_us_per_step"]]
             row = {**got[0], "us_per_step": statistics.median(runs), "runs_us_per_step": runs}
             per_step[name].append(row)
             print(f"{name} {case}: {row['seeds']} seed(s), {row['us_per_step']:.1f} us per step",
                   flush=True)
+        if args.baseline is not None:  # each round's two processes took turns
+            ratios = [this["us_per_step"] / base["us_per_step"]
+                      for base, this in zip(rows["baseline"], rows["this"])]
+            low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
+            per_step["this"][-1]["vs_baseline"] = {"pair_ratios": ratios, "median": mid,
+                                                   "quartiles": [low, high]}
+            print(f"this / baseline {case}: median {mid:.3f} of {len(ratios)} process pairs "
+                  f"(quartiles {low:.3f}-{high:.3f})", flush=True)
     with tempfile.TemporaryDirectory() as work:
         *timed, (nodes, graph) = _graphs(work)
         for name, root in checkouts.items():
