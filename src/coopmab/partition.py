@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .exp3 import ArmsTooFewError
-from .graph import Graph, _bfs, _distinct
+from .graph import Graph, _bfs, _distinct, _neighbors
 
 MASS_DECAY_DENOM = 6  # one relay hop multiplies mass by exp(-1/6)
 
@@ -70,23 +70,6 @@ def _mass_keys(top: int, rounds: int) -> tuple[np.ndarray, ...]:
     out[0, key[:, :-1]] = key[:, 1:]
     out[1:, key[1:]] = np.indices(key.shape)[:, 1:]
     return key, out[0], out[1:]
-
-
-def _spread_round(prev, deeper, nbrs, own, is_center) -> np.ndarray:
-    """One synchronous round for the nodes whose padded neighbor rows are ``nbrs``.
-
-    ``prev`` is the whole previous round of ``_SpreadRounds.states`` and
-    ``own`` the advanced nodes' columns of it.  A node whose origin already
-    is a center keeps its state; every other node picks the neighbor of
-    highest key (the first, lowest-id one on ties, since rows are
-    ascending), inherits its center pointer and takes its mass one hop deeper.
-    """
-    best = prev[2].take(nbrs).argmax(axis=1)
-    chosen = nbrs.take(np.arange(0, nbrs.size, nbrs.shape[1]) + best)  # flat index of each row's best
-    pick = prev.take(chosen, axis=1)
-    pick[1] = chosen
-    pick[2] = deeper.take(pick[2])
-    return np.where(is_center.take(own[1]), own, pick)
 
 
 PARTITION_COLUMNS = ("centers", "center_of", "origin_of", "delay", "mass_m", "mass_d")
@@ -165,50 +148,70 @@ def partition_from_json(doc: dict) -> Partition:
 class _SpreadRounds:
     """Every propagation round 0..rounds of a growing center set.
 
-    ``states[t]`` is the (3, N + 1) state after t ``_spread_round`` rounds
-    from the centers added so far (rows center_of, origin_of, mass key;
-    column N is the nil node), the last round repeated past settling.  The
-    empty set starts it: nil mass everywhere and, from round 1 on, every
-    origin at the node's first neighbor.
+    ``states[t]`` is the (3, N + 1) state after t rounds (see ``add``) of
+    the centers so far (rows center_of, origin_of, mass key; column N is
+    the nil node), the last round repeated past settling.  With no center,
+    mass is nil and from round 1 on each origin is the first neighbor.
+    Row v of ``closed`` is v, then its neighbors ascending, padded with N.
     """
 
     def __init__(self, g: Graph, arms: int):
-        n = g.node_count
+        n, (indptr, indices) = g.node_count, g.csr
         self.arms = arms
         self.rounds = rounds = spread_rounds(arms) + 1
         self.clamp = degree_clamp(g, arms)
         key, self.deeper, self.pair = _mass_keys(int(self.clamp.max()), rounds)
         self.center_key = key[:, 0].take(self.clamp)  # each node's mass as a center
-        self.nbrs = g.padded_neighbors()  # contiguous: take() on a strided view copies it whole
+        width = int(g.closed_degrees.max())
+        self.closed = closed = np.full((n + 1, width), n)
+        closed[:, 0] = np.arange(n + 1)
+        at = np.repeat(np.arange(n) * width + 1 - indptr[:-1], np.diff(indptr))
+        closed.put(at + np.arange(indices.size), indices)
+        self.offset = np.arange(0, closed.size, width)  # each row's start, flat
         self.is_center = np.zeros(n + 1, dtype=bool)
         # int32: ids up to N, keys up to arms * (rounds + 1)
         self.states = np.zeros((rounds + 1, 3, n + 1), dtype=np.int32)
         self.states[:, :2] = -1
         self.states[0, 1, n] = n
-        self.states[1:, 1] = self.nbrs[:, 0]
+        self.states[1:, 1] = closed[:, 1]
         self._mark = np.zeros(n + 1, dtype=bool)
+
+    def _ids(self, rows: np.ndarray) -> np.ndarray:
+        """Sorted distinct ids in ``rows``: a sort in place, or a mask if they outnumber nodes."""
+        if rows.size <= self._mark.size:
+            return _distinct(rows)
+        self._mark[rows] = True
+        ids = np.flatnonzero(self._mark)
+        self._mark[ids] = False
+        return ids
 
     def add(self, new: np.ndarray) -> np.ndarray:
         """Make ``new``, sorted distinct non-centers, centers; return the
         nodes whose final-round state changed.
 
-        A node's round-t state depends only on its own and its neighbors'
-        round-(t-1) states, so round t is redone only for the closed
-        neighborhood of D, the nodes whose round-(t-1) state changed
-        (D = ``new`` at round 0).  Once D repeats with the same states and
-        no node within two hops of D changes any more, every later round
-        only repeats D's states.
+        Per round a node whose origin is a center keeps its state; others
+        copy the neighbor of highest key (lowest id on ties) one hop deeper.
+        So round t is redone only for the ids in the closed rows of D, the
+        nodes whose round-(t-1) state changed (D = ``new`` at round 0).
+        Once D repeats its states and no node within two hops of D
+        changes, later rounds repeat D's states.
         """
-        states, rounds = self.states, self.rounds
+        states, rounds, closed = self.states, self.rounds, self.closed
         self.is_center[new] = True
         states[0][:2, new] = new
         states[0][2, new] = self.center_key.take(new)
         changed = new
         for t in range(1, rounds + 1):
-            cand = _distinct(np.concatenate((changed, self.nbrs.take(changed, axis=0).ravel())))
+            cand = self._ids(closed.take(changed, axis=0))
+            prev = states[t - 1]
             own, old = states[t - 1:t + 1].take(cand, axis=2)
-            nbrs = self.nbrs.take(cand, axis=0)
-            cur = _spread_round(states[t - 1], self.deeper, nbrs, own, self.is_center)
+            keys = prev[2].take(closed.take(cand, axis=0))
+            keys[:, 0] = -1  # a node picks a neighbor
+            chosen = closed.take(self.offset.take(cand) + keys.argmax(axis=1))
+            cur = prev.take(chosen, axis=1)
+            cur[1] = chosen
+            cur[2] = self.deeper.take(cur[2])
+            np.copyto(cur, own, where=self.is_center.take(own[1]))
             diff = np.logical_or.reduce(cur != old)
             states[t][:, cand] = cur
             now = cand[diff]
@@ -223,24 +226,20 @@ class _SpreadRounds:
     def _ring_settled(self, near: np.ndarray, core: np.ndarray, t: int) -> bool:
         """No node within two hops of ``core`` but outside it changes from round t on.
 
-        ``near`` is core's closed neighborhood, so its neighbors include
-        every node within two hops of core outside it.  Those ring nodes
-        are outside the sets this update wrote at rounds t-1 and t, so
-        their stored rounds from t-1 on are still the previous center set's.
+        ``near``, core's closed neighborhood, has the ring in its closed
+        rows; no ring node was written at rounds t-1 and t, so their rounds
+        from t-1 on are still the previous center set's.
         """
-        ring = _distinct(self.nbrs.take(near, axis=0))
-        self._mark[core] = True  # a scratch mask; np.setdiff1d costs O(N) here
+        ring = self._ids(self.closed.take(near, axis=0))
+        self._mark[core] = True
         ring = ring[~self._mark[ring]]
         self._mark[core] = False
         tail = self.states[t - 1:].take(ring, axis=2)
         return bool((tail == tail[0]).all())
 
     def partition(self) -> Partition:
-        """The partition of the centers added so far, read off the last round.
-
-        Every round past settling repeats the settled state, so the last
-        round holds it.  Raises ValueError if some node has no center.
-        """
+        """The centers' partition, read off the last round, which repeats the
+        settled state.  Raises ValueError if some node has no center."""
         n = self.states.shape[2] - 1
         cof, uof, key = self.states[-1, :, :n]
         missing = np.flatnonzero(key == 0).tolist()  # nil mass: no center reached it
@@ -254,7 +253,7 @@ class _SpreadRounds:
 def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
     """The informed greedy's centers in order of addition, and their rounds."""
     spread = _SpreadRounds(g, arms)
-    nbrs, final = spread.nbrs, spread.states[-1, 2]
+    closed, final = spread.closed, spread.states[-1, 2]
     n = g.node_count
     cdeg = np.append(g.closed_degrees, 0)
     # key that satisfies a node; nil once a center is within two hops
@@ -269,8 +268,7 @@ def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
         if len(centers) == n:
             raise AssertionError("center search failed to shrink the unsatisfied set")
         centers.append(nxt)
-        near = np.append(nbrs[nxt], nxt)
-        ball = np.concatenate((near, nbrs.take(near, axis=0).ravel()))
+        ball = closed.take(closed[nxt], axis=0)  # within two hops, maybe the nil node
         target[ball] = unsat[ball] = 0
         moved = spread.add(np.array([nxt]))
         unsat[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
@@ -281,11 +279,8 @@ def compute_centers_informed(g: Graph, arms: int) -> Partition:
 
     A node is satisfied once its mass reaches its own clamped closed degree
     or a center sits within two hops.  Ties in closed degree go to the
-    lowest id.  Each added center updates every propagation round of the
-    grown set (``_SpreadRounds.add``), redoing only the nodes whose state
-    it can change, and only nodes whose final mass changed are re-scored.
-    Each pass adds exactly one center, so the loop ends within node_count
-    iterations.  The last round gives the returned partition.
+    lowest id.  Each pass adds one center, updates the kept rounds
+    (``_SpreadRounds.add``) and re-scores the nodes whose mass changed.
     """
     n = g.node_count
     if n < 2:
@@ -322,22 +317,33 @@ def luby_2mis(g: Graph, universe: Iterable[int], max_rounds: int, rng) -> LubyTr
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
 
+    # rounds run on the participants' closed neighborhood, renumbered;
+    # outside neighbors read slot r, which stays 0
+    region = _distinct(np.concatenate((remaining, _neighbors(indptr, indices, remaining)[0])))
+    r = region.size
+    local = np.full(n, r)
+    local[region] = np.arange(r)
+    nbrs, counts = _neighbors(indptr, indices, region)
+    nbrs = np.append(local.take(nbrs), r)  # slot r's row: itself
+    starts = np.concatenate(([0], np.cumsum(counts)))
+
     def two_hop_max(x: np.ndarray) -> np.ndarray:  # a closed-neighborhood maximum, twice
-        for _ in range(2 if indices.size else 0):  # a one-node graph has no neighbor segments
-            x = np.maximum(x, np.maximum.reduceat(x.take(indices), indptr[:-1]))
+        for _ in range(2):
+            x = np.maximum(x, np.maximum.reduceat(x.take(nbrs), starts))
         return x
 
-    joined, rounds = np.zeros(n, dtype=bool), 0
+    mine, joined, rounds = local.take(remaining), np.zeros(r + 1, dtype=bool), 0
     while remaining.size and rounds < max_rounds:
         rounds += 1
         draws = rng.random(remaining.size)
         # (draw, -id) as one integer, equal draws equal; non-participants 0
-        key = np.zeros(n, dtype=np.int64)
-        key[remaining] = (np.sort(draws).searchsorted(draws) + 1) * n + (n - 1 - remaining)
-        joined[remaining[two_hop_max(key).take(remaining) == key.take(remaining)]] = True
+        key = np.zeros(r + 1, dtype=np.int64)
+        key[mine] = (np.sort(draws).searchsorted(draws) + 1) * n + (n - 1 - remaining)
+        joined[mine[two_hop_max(key).take(mine) == key.take(mine)]] = True
         # no one left is within two hops of an earlier round's joiner
-        remaining = remaining[~two_hop_max(joined).take(remaining)]
-    return LubyTranscript(rounds, frozenset(np.flatnonzero(joined).tolist()),
+        keep = ~two_hop_max(joined).take(mine)
+        remaining, mine = remaining[keep], mine[keep]
+    return LubyTranscript(rounds, frozenset(region[joined[:-1]].tolist()),
                           exhausted=bool(remaining.size))
 
 
@@ -386,14 +392,12 @@ def compute_centers_uninformed(
     """Elect centers by descending clamped degree without global knowledge.
 
     Iteration t runs one two-hop MIS election among still-unsatisfied nodes
-    of clamped closed degree exactly arms - t, then adds its joiners to
-    the propagation rounds of the centers so far (``_SpreadRounds.add``).
-    A node is satisfied once its mass reaches its own clamp or a center
-    sits within two hops (equivalently: its center pointer is set within
-    two propagation rounds).  Every iteration is charged the full
-    synchronous budget, elections that finish early included, because
-    agents cannot detect global emptiness; one final propagation pass
-    publishes the partition and is charged on top.
+    of clamped closed degree exactly arms - t and adds its joiners to the
+    kept rounds (``_SpreadRounds.add``).  A node is satisfied once its mass
+    reaches its own clamp or its center pointer is set by round 2 (a center
+    within two hops).  Every iteration is charged the full synchronous
+    budget, as agents cannot detect global emptiness; one final propagation
+    pass publishes the partition and is charged on top.
     """
     n = g.node_count
     if n < 2:
@@ -412,8 +416,8 @@ def compute_centers_uninformed(
         bucket = np.flatnonzero(~satisfied & (spread.clamp == arms - t))
         outcome = luby_2mis(g, bucket.tolist(), budget, rng)
         calls.append(LubyCall(frozenset(bucket.tolist()), outcome))
-        # an iteration without joiners changes no round; its steps are still
-        # charged below since the synchronous schedule runs regardless
+        # without joiners no round changes; the steps are still charged
+        # below, as the synchronous schedule runs regardless
         if outcome.joined:
             spread.add(np.array(sorted(outcome.joined)))
             satisfied = ((spread.states[-1, 2, :n] >= spread.center_key)
@@ -493,7 +497,7 @@ def validate_partition(g: Graph, p: Partition) -> PartitionReport:
 
     The checks recompute distances and masses independently of however the
     partition was produced, so a buggy generator cannot vouch for itself.
-    Each is array work and reports its first witness in node order.
+    Each reports its first witness in node order.
     """
     n = g.node_count
     if p.node_count != n:

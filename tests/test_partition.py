@@ -523,6 +523,26 @@ def test_luby_equals_per_ball_oracle(kind, n, density, graph_seed, share, budget
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("size", [1, 3, 40, 400])
+@pytest.mark.parametrize("budget", [1, mis_round_budget(5000, 10, 100_000)])
+def test_luby_few_participants_on_a_large_tree_equal_per_ball_oracle(size, budget):
+    # few participants on a large graph: each round runs on their two-hop region only
+    g = random_connected_graph(5000, 0.0, 25)
+    indptr, indices = g.csr
+    pick = np.random.default_rng(size)
+    universe = [int(pick.choice(np.flatnonzero(np.diff(indptr) == 1)))]  # a leaf
+    if size > 1:  # with its one neighbor: an adjacent pair
+        universe.append(int(indices[indptr[universe[0]]]))
+        others = np.setdiff1d(np.arange(g.node_count), universe)
+        universe += pick.choice(others, size - 2, replace=False).tolist()
+    pick.shuffle(universe)
+    got_rng, want_rng = np.random.default_rng(size + budget), np.random.default_rng(size + budget)
+    got = luby_2mis(g, universe, budget, got_rng)
+    assert got == reference.luby_2mis(g, universe, budget, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got.joined and (got.exhausted or is_r_mis(g, got.joined, universe, 2))
+
+
 class _TiedDraws:
     """A generator stand-in whose every draw is 0.5: each pair of participants ties."""
 

@@ -1,4 +1,4 @@
-"""Cost of ``coopmab partition`` on random trees: read, both elections, validation, write.
+"""Cost of ``coopmab partition`` on trees and a star: read, both elections, validation, write.
 
 Run from the root of a checkout (stdlib and numpy only):
 
@@ -6,26 +6,36 @@ Run from the root of a checkout (stdlib and numpy only):
     python tools/election_cost.py --baseline ../other-checkout --out cost.json
 
 For each n in 1,500, 3,000, 10^4 and 10^5, one seeded uniform random tree
-(``random_connected_graph(n, 0.0, n)``) with K = 10 arms, written as an
-edge-list file.  Each timing is the median of 3 runs of: ``read_edge_list``
-on that file (parse and graph build, ``read_s``), the informed election,
-the uninformed election (n_upper = n, horizon 10^5, policy seed 0),
+(``random_connected_graph(n, 0.0, n)``), then the 2,000-node star
+(``star_graph(1999)``), each with K = 10 arms and written as an edge-list
+file.  Each timing is the median of 3 runs of: ``read_edge_list`` on that
+file (parse and graph build, ``read_s``), the informed election, the
+uninformed election (n_upper = n, horizon 10^5, policy seed 0),
 ``validate_partition`` on each election's partition, and writing the
 informed partition's JSON as ``coopmab partition --out`` writes it
-(``write_s``).  Every size runs in a fresh child process, so its
-``peak_rss_mb`` (the child's ``ru_maxrss``, graph included) is that size's
+(``write_s``).  Every graph runs in a fresh child process, so its
+``peak_rss_mb`` (the child's ``VmHWM``, graph included) is that graph's
 alone; ``informed_peak_rss_mb`` is the same reading taken right after the
-informed runs, before anything else is allocated.  With ``--baseline``,
-every size also runs on that checkout's ``src/``, right before this one's,
-so both see the same moment of the machine; its elections must return
-their partitions as this one's do (``compute_centers_informed`` a
-``Partition``, ``compute_centers_uninformed`` one in ``.partition``).
-The result, with the machine it ran on, goes to ``BENCH_election.json``.
+informed runs, before anything else is allocated.  ``ru_maxrss`` would
+not do: Linux carries it across fork and exec, so a child would report
+this process's peak whenever that is larger.
+
+``informed_sha256`` hashes the informed partition's six columns, and
+``uninformed_sha256`` the uninformed one's and every ``LubyCall``
+(universe, rounds used, joined set, exhaustion).  With ``--baseline``,
+every graph also runs on that checkout's ``src/``, right before this
+one's, so both see the same moment of the machine; its elections must
+return their partitions as this one's do (``compute_centers_informed`` a
+``Partition``, ``compute_centers_uninformed`` one in ``.partition``).  The
+script then exits 1 unless both checkouts' hashes are equal on every
+graph.  The result, with the machine it ran on, goes to
+``BENCH_election.json`` either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -39,7 +49,7 @@ from pathlib import Path
 from _machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (1_500, 3_000, 10_000, 100_000)
+GRAPHS = (("tree", 1_500), ("tree", 3_000), ("tree", 10_000), ("tree", 100_000), ("star", 2_000))
 ARMS = 10
 HORIZON = 100_000
 REPEATS = 3
@@ -55,23 +65,48 @@ def _median_time(fn):
     return statistics.median(times), out
 
 
-def measure(n: int, work: str) -> dict:
-    """Time one size in this process; the caller runs it in a fresh child."""
+def _peak_mb() -> float:
+    """This process's own peak resident set (VmHWM) in MB."""
+    try:
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _sha256(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def measure(kind: str, n: int, work: str) -> dict:
+    """Time one graph in this process; the caller runs it in a fresh child."""
     import numpy as np
 
-    from coopmab.graph import format_edge_list, random_connected_graph, read_edge_list
-    from coopmab.partition import (compute_centers_informed, compute_centers_uninformed,
-                                   validate_partition)
+    from coopmab.graph import format_edge_list, random_connected_graph, read_edge_list, star_graph
+    from coopmab.partition import (PARTITION_COLUMNS, compute_centers_informed,
+                                   compute_centers_uninformed, validate_partition)
 
-    graph = os.path.join(work, f"tree-{n}.txt")
+    graph = os.path.join(work, f"{kind}-{n}.txt")
     with open(graph, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(random_connected_graph(n, 0.0, n)))
+        fh.write(format_edge_list(
+            star_graph(n - 1) if kind == "star" else random_connected_graph(n, 0.0, n)))
     read_s, g = _median_time(lambda: read_edge_list(graph))
     informed_s, informed = _median_time(lambda: compute_centers_informed(g, ARMS))
-    informed_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    informed_rss = _peak_mb()
     uninformed_s, uninformed = _median_time(
         lambda: compute_centers_uninformed(g, ARMS, n, HORIZON, np.random.default_rng(0)))
+
+    def columns(part):
+        return [np.asarray(getattr(part, name), dtype=np.int64).tobytes()
+                for name in PARTITION_COLUMNS]
+
+    calls = [(sorted(c.universe), c.result.rounds_used, sorted(c.result.joined),
+              c.result.exhausted) for c in uninformed.luby_calls]
     out = {
+        "graph": kind,
         "n": n,
         "read_s": read_s,
         "informed_s": informed_s,
@@ -79,17 +114,19 @@ def measure(n: int, work: str) -> dict:
         "informed_peak_rss_mb": informed_rss,
         "uninformed_s": uninformed_s,
         "uninformed_centers": len(uninformed.partition.centers),
+        "informed_sha256": _sha256(*columns(informed)),
+        "uninformed_sha256": _sha256(*columns(uninformed.partition), calls),
     }
     parts = {"informed": informed, "uninformed": uninformed.partition}
     for name, part in parts.items():
         out[f"validate_{name}_s"], report = _median_time(lambda: validate_partition(g, part))
         if not report.ok:
-            raise SystemExit(f"n={n}: {name} partition fails validation: {report.lines()}")
+            raise SystemExit(f"{kind} n={n}: {name} partition fails validation: {report.lines()}")
     from coopmab.cli import write_partition  # late: informed_peak_rss_mb leaves it out
 
     out["write_s"], _ = _median_time(
         lambda: write_partition(os.path.join(work, "partition.json"), parts["informed"]))
-    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out["peak_rss_mb"] = _peak_mb()
     return out
 
 
@@ -98,12 +135,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_election.json")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="another checkout whose src/ runs every size as well")
-    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)  # n, src, work dir
+    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)  # kind, n, src, work dir
     args = parser.parse_args(argv)
     if args.child is not None:
-        n, src, work = args.child
+        kind, n, src, work = args.child
         sys.path.insert(0, src)
-        print(json.dumps(measure(int(n), work)))
+        print(json.dumps(measure(kind, int(n), work)))
         return 0
 
     checkouts = {"this": ROOT}
@@ -111,14 +148,14 @@ def main(argv=None) -> int:
         checkouts = {"baseline": args.baseline.resolve(), **checkouts}
     results: dict[str, list[dict]] = {name: [] for name in checkouts}
     with tempfile.TemporaryDirectory() as work:
-        for n in SIZES:
+        for kind, n in GRAPHS:
             for name, root in checkouts.items():
                 child = subprocess.run(
-                    [sys.executable, __file__, "--child", str(n), str(root / "src"), work],
+                    [sys.executable, __file__, "--child", kind, str(n), str(root / "src"), work],
                     check=True, capture_output=True, text=True)
                 row = json.loads(child.stdout.strip().splitlines()[-1])
                 results[name].append(row)
-                print(f"{name} n={n}: read {row['read_s']:.3f} s, "
+                print(f"{name} {kind} n={n}: read {row['read_s']:.3f} s, "
                       f"informed {row['informed_s']:.3f} s ({row['informed_centers']} centers, "
                       f"peak RSS {row['informed_peak_rss_mb']:.1f} MB), "
                       f"uninformed {row['uninformed_s']:.3f} s, "
@@ -126,7 +163,7 @@ def main(argv=None) -> int:
                       f"write {row['write_s']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB", flush=True)
     doc = {
         "what": "partition read, election, validation and write time on seeded uniform random "
-                "trees, K=10, median of 3",
+                "trees and a star, K=10, median of 3",
         "arms": ARMS,
         "horizon": HORIZON,
         "repeats": REPEATS,
@@ -135,7 +172,13 @@ def main(argv=None) -> int:
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    if args.baseline is None:
+        return 0
+    unequal = [f"{a['graph']} n={a['n']} {key}" for a, b in zip(*results.values())
+               for key in ("informed_sha256", "uninformed_sha256") if a[key] != b[key]]
+    for line in unequal:
+        print(f"elections differ: {line}", file=sys.stderr)
+    return 1 if unequal else 0
 
 
 if __name__ == "__main__":

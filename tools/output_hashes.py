@@ -20,7 +20,14 @@ in a temporary directory that is removed afterwards:
   seeds on one worker (one kernel call of three lanes), with
   ``--debug-invariants``;
 - ``partition-informed`` and ``partition-uninformed``: ``partition --out``
-  on the same graph.
+  on the same graph;
+- ``partition-tree-informed`` and ``partition-tree-uninformed``: ``partition
+  --out`` on a seeded 3,000-node random tree, K = 10 (the uninformed one
+  with ``--nbar 3000``); their elections build candidate sets both by
+  sorting and through the node mask, and run Luby rounds on regions much
+  smaller than the graph;
+- ``partition-star300-informed`` and ``partition-star300-uninformed``: the
+  same on a 300-node star, whose hub reaches every node in one round.
 
 The graph and loss-table files are written by this script, not by the
 checkout, so both sides of a comparison read the same inputs.  Each output
@@ -83,6 +90,8 @@ def _runs(work: Path) -> list[tuple[str, list[str]]]:
     (work / "star.txt").write_text(_edge_text(11, [(0, v) for v in range(1, 11)]))
     (work / "path.txt").write_text(_edge_text(40, [(v, v + 1) for v in range(39)]))
     (work / "mesh.txt").write_text(_mesh_text(400, 400, 400))
+    (work / "tree.txt").write_text(_mesh_text(3000, 0, 3000))
+    (work / "star300.txt").write_text(_edge_text(300, [(0, v) for v in range(1, 300)]))
     table = np.random.default_rng(5).random((2000, 5))
     np.savetxt(work / "losses.csv", table, delimiter=",", fmt="%.17g")
     mesh = ["--graph", "mesh.txt", "--arms", "5"]
@@ -106,6 +115,11 @@ def _runs(work: Path) -> list[tuple[str, list[str]]]:
         ("partition-uninformed", ["partition", *mesh, "--setting", "uninformed",
                                   "--nbar", "400", "--horizon", "300",
                                   "--out", "partition-uninformed.json"]),
+        *((f"partition-{name}-{setting}",
+           ["partition", "--graph", f"{name}.txt", "--arms", "10", "--setting", setting,
+            "--nbar", str(n), "--out", f"partition-{name}-{setting}.json"])
+          for name, n in (("tree", 3000), ("star300", 300))
+          for setting in ("informed", "uninformed")),
     ]
 
 
