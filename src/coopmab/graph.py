@@ -147,17 +147,6 @@ class Graph:
         """Every node's closed-neighborhood size, |N(v)| = degree + 1."""
         return _frozen(np.diff(self.csr[0]) + 1)
 
-    def padded_neighbors(self) -> np.ndarray:
-        """(N + 1, max degree) neighbor rows, ascending, padded with the sentinel N.
-
-        Row N, a nil node's, holds only N.  Built on every call and not kept:
-        a graph holds only its CSR arrays.
-        """
-        n, rows, (indptr, indices) = self.node_count, self.rows(), self.csr
-        pad = np.full((n + 1, int(self.closed_degrees.max()) - 1), n)
-        pad[rows, np.arange(indices.size) - indptr[rows]] = indices
-        return pad
-
     def multi_source_distances(self, sources: Iterable[int]) -> np.ndarray:
         """Hop distance from every node to its nearest source (-1 where unreachable)."""
         n = self.node_count

@@ -58,14 +58,6 @@ class RunResult:
     short_horizon: bool = False
 
     @property
-    def checkpoints(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """(t, realized, semi, arm) at every snapshot step, views into ``snapshots``."""
-        n, total = self.realized_loss.size, self.total_steps
-        every = _snapshot_every(total, n, self.arm_loss.size)
-        return [(min(t, total), row[:n], row[n:2 * n], row[2 * n:])
-                for t, row in zip(range(every, total + every, every), self.snapshots)]
-
-    @property
     def best_arm(self) -> int:
         return int(self.arm_loss.argmin())  # argmin's first-hit rule = lowest-index tie-break
 
@@ -168,6 +160,8 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
 
 _Layout = namedtuple("_Layout", "arms off sizes origin roles centers nodes center_lane members "
                      "starts rates runs")
+# a state buffer: both planes, each agent's p and CDF, the planes' (2A, K) rows and p per run
+_Buffer = namedtuple("_Buffer", "planes p cdf rows p_runs")
 
 
 def _layout(lanes: Sequence[Lane], horizon: int) -> _Layout:
@@ -249,7 +243,7 @@ class _Kernel:
         state = np.empty((2, 2, a, k))
         state[0, 0] = 1.0 / k
         np.cumsum(state[0, 0], axis=1, out=state[0, 1])
-        views = [(x, x[0], x[1], x.reshape(-1, k), [x[0, off[l0]:off[l1]].reshape(
+        self.views = [_Buffer(x, x[0], x[1], x.reshape(-1, k), [x[0, off[l0]:off[l1]].reshape(
             -1, sizes[l0], k) for l0, l1 in lay.runs]) for x in state]
         c, h, cells = lay.centers.size, lay.members.size, (lay.centers.size, k)
         self.drift = (not short) & (lay.rates[:, 0] <= 0.5 / k + 1e-15)  # the drift audit's
@@ -257,18 +251,16 @@ class _Kernel:
         self.stash = np.empty((4, self.chunk) + cells)  # p_now, p_next, est, observe
         self.slots = [tuple(self.stash[:, i]) for i in range(self.chunk)]  # a step's views
         self.violations: list[list[str]] = [[] for _ in lanes]
-        # `play`'s state and scratch, named there: the log-weights, the rates in full
-        # shape (no ufunc buffering), the flat index of observed[slot, 0] per member, the
-        # center rows of a state buffer's arm rows, and the centers' new distribution and
-        # CDF (the CDF's rows are scratch until then)
-        fresh = np.empty((2,) + cells)
-        self.scratch = (views, np.zeros(cells), np.broadcast_to(lay.rates, cells).copy(),
-                        lay.origin, lay.members, lay.starts,
-                        k * np.repeat(np.arange(c), np.diff(lay.starts, append=h)),
-                        np.concatenate((lay.centers, lay.centers + a)), *fresh,
-                        fresh.reshape(-1, k), np.empty((c, 1)), np.empty(a), np.ones(k),
-                        np.empty((h, k)), np.empty(cells, bool), np.empty(h, np.int64),
-                        np.ones(1, bool))
+        # `play`'s buffers: `rates` in full shape (no ufunc buffering), `slot_cell` the flat
+        # index of observed[slot, 0] per member, `fresh_at` the center rows of a buffer's rows,
+        # `p_next` and `work` the centers' new p and CDF (the CDF's rows are scratch until then)
+        self.logw, self.rates = np.zeros(cells), np.broadcast_to(lay.rates, cells).copy()
+        self.slot_cell = k * np.repeat(np.arange(c), np.diff(lay.starts, append=h))
+        self.fresh_at = np.concatenate((lay.centers, lay.centers + a))
+        self.p_next, self.work = fresh = np.empty((2,) + cells)
+        self.fresh_rows, self.row, self.count = fresh.reshape(-1, k), np.empty((c, 1)), np.empty(a)
+        self.gathered, self.observed = np.empty((h, k)), np.empty(cells, bool)
+        self.seen, self.ones, self.true = np.empty(h, np.int64), np.ones(k), np.ones(1, bool)
         self.center_loss = np.empty((block,) + cells)
         # per step: views of its actions, draws (also as a column), center losses and, per run
         # of lanes, loss rows and expected losses p @ loss row (one (lanes, n, k) @ (lanes, k, 1))
@@ -293,36 +285,39 @@ class _Kernel:
 
     def play(self, start, m):
         """The block's steps: agents sample, centers update, relays stage their origin's play."""
-        (views, logw, rates, origin, flat, starts, slot_cell, fresh_at, p_next, work, fresh_rows,
-         row, count, ones, gathered, observed, seen, true) = self.scratch
-        lay, draws, per_row, k, debug, chunk = (self.lay, self.draws[:m], self.per_row,
-                                                self.lay.arms, self.debug, self.chunk)
+        lay, views, logw, rates, row, count = (self.lay, self.views, self.logw, self.rates,
+                                               self.row, self.count)
+        origin, flat, starts, ones, true = lay.origin, lay.members, lay.starts, self.ones, self.true
+        gathered, observed, seen, slot_cell = self.gathered, self.observed, self.seen, self.slot_cell
+        p_next, work, fresh_at, fresh_rows = self.p_next, self.work, self.fresh_at, self.fresh_rows
+        draws, per_row, k, debug, chunk = (self.draws[:m], self.per_row, lay.arms, self.debug,
+                                           self.chunk)
         p_now, p_out, est, observe = self.slots[0]
         # the steps where a draw is 0 or above the CDF floor
         rare = ((draws.min(axis=1) == 0.0) | (draws.max(axis=1) > _cdf_floor(k))).tolist()
         self.losses[1:m + 1].take(lay.center_lane, axis=1, out=self.center_loss[:m])
         for j in range(m):
-            (now, p, cdf, _, mm), (new, p_new, _, new_rows, _) = views
+            now, new = views
             act, draw, draw_col, loss_row, expect = per_row[j]
             # inverse-CDF sample, arms ascending: the action is the number
             # of arms whose CDF lies below the draw (exact small sums in
-            # p_new until the relays' take fills it), an arm of positive
+            # new.p until the relays' take fills it), an arm of positive
             # probability unless every arm lies below or the draw is 0
-            np.matmul(np.less(cdf, draw_col, out=p_new), ones, out=count)
+            np.matmul(np.less(now.cdf, draw_col, out=new.p), ones, out=count)
             if rare[j]:
                 for v in np.flatnonzero((count >= k) | (draw == 0.0)).tolist():
-                    count[v] = exp3.sample_action(p[v], float(draw[v]))
+                    count[v] = exp3.sample_action(now.p[v], float(draw[v]))
             act[...] = count
-            for p_run, (loss_run, expected) in zip(mm, expect):
+            for p_run, (loss_run, expected) in zip(now.p_runs, expect):
                 np.matmul(p_run, loss_run, out=expected)
             # relays stage the origin's round-t distribution and CDF ("clip"
             # lets take write to out unbuffered; every index is in range)
-            now.take(origin, axis=1, out=new, mode="clip")
+            now.planes.take(origin, axis=1, out=new.planes, mode="clip")
             if debug:
                 t, i = start + j + 1, (start + j - self.setup) % chunk
                 p_now, p_out, est, observe = self.slots[i]
             # each center: products over its closed neighborhood, members ascending
-            p.take(flat, axis=0, out=gathered, mode="clip")
+            now.p.take(flat, axis=0, out=gathered, mode="clip")
             np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=0,
                                  out=observe)
             np.subtract(1.0, observe, out=observe)
@@ -334,12 +329,12 @@ class _Kernel:
             exp3.probs_from_log_weights(logw, p_next, work, row)
             np.add.accumulate(p_next, axis=1, out=work)
             if debug:
-                p.take(lay.centers, axis=0, out=p_now)
+                now.p.take(lay.centers, axis=0, out=p_now)
                 p_out[...] = p_next
                 if i == chunk - 1 or t == self.total:
                     exp3._audit(self.violations, t - i, lay.nodes, lay.center_lane,
                                 *self.stash[:, :i + 1], lay.rates, self.drift)
-            new_rows[fresh_at] = fresh_rows
+            new.rows[fresh_at] = fresh_rows
             views.reverse()
         if not np.isfinite(logw).all():
             raise exp3.NonFiniteEstimateError("loss estimates must be finite")

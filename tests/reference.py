@@ -5,7 +5,9 @@ loop over centers; ``run_informed``, ``run_uninformed`` and
 ``run_solo_exp3`` drive it one seed per call, and return a ``ReferenceRun``:
 a ``RunResult`` that also holds the played distributions when asked to
 record them; ``run_lane`` plays any partition after any number of
-warm-up steps.  ``assert_same_run`` compares two runs field by field.
+warm-up steps.  ``assert_same_run`` compares two runs field by field, and
+``checkpoints`` gives any run's (t, realized, semi, arm) views of its
+ledger snapshots, as ``RunResult.checkpoints`` once did.
 With a log sink, the world writes log v2 through ``json.dumps``: a header
 of every agent's role, then one line per step of its loss row and every
 agent's action; ``log_records`` decodes one into per-agent records.  The
@@ -363,13 +365,21 @@ def _ledgers(world: SimWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return world.realized.copy(), world.semi.copy(), world.arm_cum.copy()
 
 
+def checkpoints(run: RunResult) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(t, realized, semi, arm) at every snapshot step, views into ``run.snapshots``."""
+    n, total = run.realized_loss.size, run.total_steps
+    every = simulate._snapshot_every(total, n, run.arm_loss.size)
+    return [(min(t, total), row[:n], row[n:2 * n], row[2 * n:])
+            for t, row in zip(range(every, total + every, every), run.snapshots)]
+
+
 def assert_same_run(run: RunResult, want: RunResult, each_step: bool = False) -> None:
     """Every ``RunResult`` field equal: arrays, also inside checkpoints and
     ``policy_start``, in dtype, shape and bytes.  With ``each_step``, ``run``
     must hold a checkpoint per step (runs under 512 steps do), so the semi
     ledger compares every agent's p . loss at every step."""
     if each_step:
-        assert [c[0] for c in run.checkpoints] == list(range(1, run.total_steps + 1))
+        assert [c[0] for c in checkpoints(run)] == list(range(1, run.total_steps + 1))
     for name in RunResult.__dataclass_fields__:
         a, b = getattr(run, name), getattr(want, name)
         if name == "partition":

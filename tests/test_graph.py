@@ -500,17 +500,12 @@ def test_array_forms_match_adjacency():
     for g in (random_connected_graph(30, 0.2, 4), star_graph(6), path_graph(7), build_graph(1, [])):
         n = g.node_count
         indptr, indices = g.csr
-        pad = g.padded_neighbors()
         want = reference.build_graph(n, g.edges())  # neighbor tuples from per-edge sets
         degree = [len(want[v]) for v in range(n)]
         assert indptr.tolist() == np.cumsum([0] + degree).tolist()
         assert g.closed_degrees.tolist() == [d + 1 for d in degree]
-        assert pad.shape == (n + 1, max(degree))
-        assert (pad[n] == n).all()  # the nil node's row
         for v in range(n):
             assert tuple(indices[indptr[v]:indptr[v + 1]]) == reference.neighbors(g, v) == want[v]
-            assert tuple(pad[v, : degree[v]]) == want[v]
-            assert (pad[v, degree[v]:] == n).all()
         for a in (indptr, indices, g.closed_degrees):
             assert not a.flags.writeable
         assert g.csr is g.csr  # built once

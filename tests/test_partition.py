@@ -112,6 +112,21 @@ def test_mass_keys_order_pairs_as_their_scores(arms):
     assert (spread.pair[1].take(spread.states[:, 2, :-1]) == np.where(v <= t, v, 0)).all()
 
 
+def test_closed_rows_match_adjacency():
+    # row v is v, then its neighbors ascending, padded with N; row N only N.  Elections
+    # take two nodes or more, so the smallest graph here is the edge, not the lone node.
+    for g in (random_connected_graph(30, 0.2, 4), star_graph(6), path_graph(7), path_graph(2)):
+        n = g.node_count
+        closed = _SpreadRounds(g, 3).closed
+        want = reference.build_graph(n, g.edges())  # neighbor tuples from per-edge sets
+        assert closed.shape == (n + 1, 1 + max(len(row) for row in want))
+        assert (closed[n] == n).all()  # the nil node's row
+        for v in range(n):
+            size = 1 + len(want[v])
+            assert tuple(closed[v, :size]) == (v, *want[v])
+            assert (closed[v, size:] == n).all()
+
+
 def test_degree_clamp_and_center_distance():
     g = star_graph(5)
     assert degree_clamp(g, 3).tolist() == [3, 2, 2, 2, 2, 2]

@@ -342,22 +342,23 @@ def test_checkpoints_cover_run():
     g = path_graph(3)
     oracle = bernoulli_losses([0.5, 0.5], 1)
     res = run_informed(g, 2, 1000, oracle, 3)
-    steps = [c[0] for c in res.checkpoints]
+    got = reference.checkpoints(res)
+    steps = [c[0] for c in got]
     assert steps[-1] == 1000
     assert len(steps) >= 250
     assert steps == sorted(steps)
     # the final snapshot is the final ledger
-    _, realized, semi, arm = res.checkpoints[-1]
+    _, realized, semi, arm = got[-1]
     assert np.array_equal(realized, res.realized_loss)
     assert np.array_equal(semi, res.semi_loss)
     assert np.array_equal(arm, res.arm_loss)
     # cumulative ledgers never decrease between snapshots
-    for (t0, r0, s0, a0), (t1, r1, s1, a1) in zip(res.checkpoints, res.checkpoints[1:]):
+    for (t0, r0, s0, a0), (t1, r1, s1, a1) in zip(got, got[1:]):
         assert t0 < t1
         assert (r1 >= r0).all() and (s1 >= s0 - 1e-12).all() and (a1 >= a0).all()
     # identical rerun reproduces every snapshot exactly
     again = run_informed(g, 2, 1000, oracle, 3)
-    for (t0, r0, s0, a0), (t1, r1, s1, a1) in zip(res.checkpoints, again.checkpoints):
+    for (t0, r0, s0, a0), (t1, r1, s1, a1) in zip(got, reference.checkpoints(again)):
         assert t0 == t1 and np.array_equal(r0, r1) and np.array_equal(s0, s1)
 
 
@@ -372,7 +373,7 @@ def test_capped_snapshots_equal_reference():
     g, part = _capped_star(3)
     oracle = bernoulli_losses([0.3, 0.5, 0.7], 5)
     run = run_informed(g, 3, 600, oracle, 6, partition=part)
-    assert [c[0] for c in run.checkpoints[:2]] == [10, 20]  # 600 // 256 alone gives 2
+    assert [c[0] for c in reference.checkpoints(run)[:2]] == [10, 20]  # 600 // 256 alone gives 2
     reference.assert_same_run(run, reference.run_informed(g, 3, 600, oracle, 6, partition=part))
 
 
@@ -384,9 +385,9 @@ def test_snapshot_cells_per_seed_within_the_cap():
     oracles = [bernoulli_losses([0.3, 0.5, 0.7], 7 + i) for i in range(3)]
     batch = run_lanes(_shared(g, part, oracles, [8, 9, 10]), 654)
     for run, oracle, seed in zip(batch, oracles, (8, 9, 10)):
-        cells = sum(r.size + s.size + a.size for _, r, s, a in run.checkpoints)
+        cells = sum(r.size + s.size + a.size for _, r, s, a in reference.checkpoints(run))
         assert simulate.CHECKPOINT_CELLS - 6 * 4003 < cells <= simulate.CHECKPOINT_CELLS
-        assert run.checkpoints[-1][0] == 654
+        assert reference.checkpoints(run)[-1][0] == 654
         reference.assert_same_run(run, run_informed(g, 3, 654, oracle, seed, partition=part))
 
 
@@ -717,7 +718,7 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
         means = np.random.default_rng(94).random(300)
         run, want = (f.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96)
                      for f in (simulate, reference))
-    assert want.checkpoints[0][0] >= 9 or case == "arms-300"  # the checkpoint spacing
+    assert reference.checkpoints(want)[0][0] >= 9 or case == "arms-300"  # the checkpoint spacing
     reference.assert_same_run(run, want, each_step=case == "arms-300")
 
 
@@ -914,8 +915,8 @@ def test_snapshot_spacing_follows_each_lanes_own_size():
     lanes = [Lane(g, part, oracle, np.random.default_rng(8)),
              Lane(small, compute_centers_informed(small, 3), oracle, np.random.default_rng(9))]
     big, path = run_lanes(lanes, 654)
-    assert [c[0] for c in big.checkpoints[:2]] == [11, 22]
-    assert [c[0] for c in path.checkpoints[:2]] == [2, 4]
+    assert [c[0] for c in reference.checkpoints(big)[:2]] == [11, 22]
+    assert [c[0] for c in reference.checkpoints(path)[:2]] == [2, 4]
     reference.assert_same_run(big, run_informed(g, 3, 654, oracle, 8, partition=part))
     reference.assert_same_run(path, reference.run_informed(small, 3, 654, oracle, 9))
 

@@ -15,10 +15,12 @@ uninformed election (n_upper = n, horizon 10^5, policy seed 0),
 informed partition's JSON as ``coopmab partition --out`` writes it
 (``write_s``).  Every graph runs in a fresh child process, so its
 ``peak_rss_mb`` (the child's ``VmHWM``, graph included) is that graph's
-alone; ``informed_peak_rss_mb`` is the same reading taken right after the
-informed runs, before anything else is allocated.  ``ru_maxrss`` would
-not do: Linux carries it across fork and exec, so a child would report
-this process's peak whenever that is larger.
+alone; ``informed_peak_rss_mb`` is the same reading taken right after one
+untimed informed election, before the timed runs and anything else: a
+process's peak on the star grows with the number of elections it has
+run, so a reading after all of them would count the repeats.
+``ru_maxrss`` would not do: Linux carries it across fork and exec, so a
+child would report this process's peak whenever that is larger.
 
 ``informed_sha256`` hashes the informed partition's six columns, and
 ``uninformed_sha256`` the uninformed one's and every ``LubyCall``
@@ -94,8 +96,9 @@ def measure(kind: str, n: int, work: str) -> dict:
         fh.write(format_edge_list(
             star_graph(n - 1) if kind == "star" else random_connected_graph(n, 0.0, n)))
     read_s, g = _median_time(lambda: read_edge_list(graph))
-    informed_s, informed = _median_time(lambda: compute_centers_informed(g, ARMS))
+    compute_centers_informed(g, ARMS)  # one untimed election, then its peak
     informed_rss = _peak_mb()
+    informed_s, informed = _median_time(lambda: compute_centers_informed(g, ARMS))
     uninformed_s, uninformed = _median_time(
         lambda: compute_centers_uninformed(g, ARMS, n, HORIZON, np.random.default_rng(0)))
 

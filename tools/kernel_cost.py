@@ -24,11 +24,14 @@ program by wrapping its functions:
 - output: from the sweep's end to the op's end (rows, CSV, JSON, table);
 - other: from the op's start to the sweep's (graph parsing, checks).
 
-Each case runs in its own process: one untimed op, then five timed ops;
-the figures are medians.  Peak RSS is the maximum resident set (VmHWM)
-of a fresh process that imports the package and runs one op.  With
-``--baseline``, every case also runs on that checkout's ``src/``, right
-before this one's, so both see the same moment of the machine.
+Each case runs in its own process: one untimed op, then ``CLI_REPEATS``
+(20) timed ops; the figures are medians.  Peak RSS is the maximum
+resident set (VmHWM) of a fresh process that imports the package and
+runs one op.  With ``--baseline``, each case runs in one process per
+checkout, and the two take turns op by op, as the per-step rows below
+do; each of this checkout's rows also holds ``vs_baseline``: the ratio
+of each timed op's wall time to the baseline's op at the same turn
+(``pair_ratios``), and the median and quartiles of those ratios.
 
 One more case reads peak RSS alone: N = 20,000 (a seeded uniform random
 tree, no chords), informed, the same K, horizon and seeds, one fresh
@@ -83,7 +86,8 @@ from pathlib import Path
 from _machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 5
+REPEATS = 5  # timed calls per step-case round
+CLI_REPEATS = 20  # timed ops per CLI case: a 0.06 s op pair's ratio swings from 0.6 to 1.5
 ARMS, HORIZON, SEEDS = 10, 2000, 2
 ADVERSARY_SEED, POLICY_SEED = 21, 22
 PHASES = ("election", "warmup", "policy", "digest", "output", "other")
@@ -205,17 +209,27 @@ class Probe:
         return {"wall": end - self.op_start, **self.total}
 
 
+def _turns(calls):
+    """Make each call when a line arrives on stdin, and answer it with one on stdout."""
+    for call in calls:
+        sys.stdin.readline()
+        call()
+        print(flush=True)
+
+
 def worker(src: str, graph: str, nodes: int, setting: str) -> dict:
-    """Phase medians of REPEATS timed ops of one case on the package under ``src``."""
+    """Phase medians of CLI_REPEATS timed ops of one case on the package under ``src``, one op
+    per turn after an untimed one."""
     sys.path.insert(0, src)
     from coopmab import cli, simulate
 
     probe = Probe()
     probe.install(cli, simulate)
+    runs = []
     with tempfile.TemporaryDirectory() as work:
         argv = _argv(graph, nodes, setting, os.path.join(work, "run"))
-        probe.op(cli, argv)
-        runs = [probe.op(cli, argv) for _ in range(REPEATS)]
+        _turns([lambda: probe.op(cli, argv)]
+               + [lambda: runs.append(probe.op(cli, argv))] * CLI_REPEATS)
         with open(os.path.join(work, "run.json"), encoding="utf-8") as fh:
             setup = [s["setup_steps"] for s in json.load(fh)["per_seed"]]
     wall = statistics.median(r["wall"] for r in runs)
@@ -265,30 +279,30 @@ def _step_runs(case: str):
 
 
 def step_worker(src: str, case: str) -> dict:
-    """Median microseconds per step of a run over REPEATS calls of one step case, each call
-    made when a line arrives on stdin and answered by one on stdout."""
+    """Median microseconds per step of a run over REPEATS calls of one step case, one call per
+    turn after an untimed one."""
     sys.path.insert(0, src)
     arms, steps, run = _step_runs(case)
     runs = []
-    for _ in range(REPEATS + 1):  # the first call is untimed
-        sys.stdin.readline()
+
+    def timed():
         t0 = time.perf_counter()
         run()
         runs.append((time.perf_counter() - t0) / steps * 1e6)
-        print(flush=True)
+    _turns([run] + [timed] * REPEATS)
     return {"case": case, "seeds": STEP_CASES[case][0], "steps": steps, "arms": arms,
-            "us_per_step": statistics.median(runs[1:]), "runs_us_per_step": runs[1:]}
+            "us_per_step": statistics.median(runs), "runs_us_per_step": runs}
 
 
-def step_round(checkouts: dict[str, Path], case: str) -> dict[str, dict]:
-    """One step-worker process per checkout, their calls taking turns (the first checkout's
-    first on even calls, the other's on odd ones), so that each call pair sees about the
-    same moment of the machine."""
+def take_turns(checkouts: dict[str, Path], calls: int, flag: str, *args: str) -> dict[str, dict]:
+    """One worker process (``flag``: --worker or --step-worker) per checkout, their ``calls``
+    calls taking turns (the first checkout's first on even calls, the other's on odd ones), so
+    that each call pair sees about the same moment of the machine."""
     procs = {name: subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--step-worker", str(root / "src"), case],
+        [sys.executable, str(Path(__file__).resolve()), flag, str(root / "src"), *args],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}) for name, root in checkouts.items()}
-    for call in range(REPEATS + 1):
+    for call in range(calls):
         for proc in list(procs.values())[::1 if call % 2 == 0 else -1]:
             proc.stdin.write("\n")
             proc.stdin.flush()
@@ -324,11 +338,12 @@ def fresh_peak(src: str, graph: str, nodes: int, setting: str) -> float:
     return int(rss_kb) / 1024.0
 
 
-def measure(src: str, graph: str, nodes: int, setting: str) -> dict:
-    row = json.loads(_subprocess([str(Path(__file__).resolve()), "--worker", src, graph,
-                                  str(nodes), setting]))
-    row["peak_rss_mb"] = fresh_peak(src, graph, nodes, setting)
-    return row
+def _vs_baseline(what: str, ratios: list[float]) -> dict:
+    """Pair ratios (this / baseline) with their median and quartiles, printed as well."""
+    low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
+    print(f"this / baseline {what}: median {mid:.3f} of {len(ratios)} pairs "
+          f"(quartiles {low:.3f}-{high:.3f})", flush=True)
+    return {"pair_ratios": ratios, "median": mid, "quartiles": [low, high]}
 
 
 def _graphs(work: str) -> list[tuple[int, str]]:
@@ -366,7 +381,7 @@ def main(argv=None) -> int:
     for case in STEP_CASES:
         rows: dict[str, list[dict]] = {name: [] for name in checkouts}
         for _ in range(STEP_ROUNDS):
-            for name, row in step_round(checkouts, case).items():
+            for name, row in take_turns(checkouts, REPEATS + 1, "--step-worker", case).items():
                 rows[name].append(row)
         for name, got in rows.items():
             runs = [x for row in got for x in row["runs_us_per_step"]]
@@ -375,13 +390,9 @@ def main(argv=None) -> int:
             print(f"{name} {case}: {row['seeds']} seed(s), {row['us_per_step']:.1f} us per step",
                   flush=True)
         if args.baseline is not None:  # each round's two processes took turns
-            ratios = [this["us_per_step"] / base["us_per_step"]
-                      for base, this in zip(rows["baseline"], rows["this"])]
-            low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
-            per_step["this"][-1]["vs_baseline"] = {"pair_ratios": ratios, "median": mid,
-                                                   "quartiles": [low, high]}
-            print(f"this / baseline {case}: median {mid:.3f} of {len(ratios)} process pairs "
-                  f"(quartiles {low:.3f}-{high:.3f})", flush=True)
+            per_step["this"][-1]["vs_baseline"] = _vs_baseline(case, [
+                this["us_per_step"] / base["us_per_step"]
+                for base, this in zip(rows["baseline"], rows["this"])])
     with tempfile.TemporaryDirectory() as work:
         *timed, (nodes, graph) = _graphs(work)
         for name, root in checkouts.items():
@@ -390,19 +401,27 @@ def main(argv=None) -> int:
             print(f"{name} N={nodes} informed: peak {peak:.1f} MB", flush=True)
         for nodes, graph in timed:
             for setting in ("informed", "uninformed"):
+                rows = take_turns(checkouts, CLI_REPEATS + 1, "--worker", graph,
+                                  str(nodes), setting)
                 for name, root in checkouts.items():
-                    row = {"nodes": nodes, "setting": setting,
-                           **measure(str(root / "src"), graph, nodes, setting)}
+                    row = {"nodes": nodes, "setting": setting, **rows[name],
+                           "peak_rss_mb": fresh_peak(str(root / "src"), graph, nodes, setting)}
                     results[name].append(row)
                     print(f"{name} N={nodes} {setting}: {row['seed_rounds_per_s']:,.0f} "
                           f"seed-rounds/s, {row['wall_s']:.3f} s ("
                           + ", ".join(f"{p} {row['phases_s'][p]:.3f}" for p in PHASES)
                           + f"), peak {row['peak_rss_mb']:.1f} MB", flush=True)
+                if args.baseline is not None:  # the two processes took turns op by op
+                    results["this"][-1]["vs_baseline"] = _vs_baseline(
+                        f"N={nodes} {setting}", [this / base for base, this in zip(
+                            rows["baseline"]["wall_runs_s"], rows["this"]["wall_runs_s"])])
     doc = {
-        "what": "coopmab simulate seed-rounds/s by phase, median of 5 in-process ops per case; "
+        "what": f"coopmab simulate seed-rounds/s by phase, median of {CLI_REPEATS} in-process ops "
+                "per case; "
                 "per_step: microseconds per policy step of the kernel called from Python; "
                 "peak_only: fresh-process peak RSS of one op",
         "config": {"arms": ARMS, "horizon": HORIZON, "seeds": SEEDS, "repeats": REPEATS,
+                   "cli_repeats": CLI_REPEATS,
                    "adversary_seed": ADVERSARY_SEED, "policy_seed": POLICY_SEED},
         "machine": machine(),
         "checkouts": list(checkouts),
