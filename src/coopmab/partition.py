@@ -467,24 +467,6 @@ def _first(mask: np.ndarray) -> int | None:
     return i if mask[i] else None
 
 
-def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
-    """A caller's partition must fit the graph and the run: size, arms, centers, relays."""
-    n = g.node_count
-    if partition.node_count != n:
-        raise ValueError(f"partition covers {partition.node_count} nodes, graph has {n}")
-    if partition.arms != arms:
-        raise ValueError(f"partition is over {partition.arms} arms, run uses {arms}")
-    node, cof, uof, delay = np.arange(n), partition.center_of, partition.origin_of, partition.delay
-    centers = sorted(partition.centers.tolist())
-    if np.flatnonzero(cof == node).tolist() != centers:
-        raise ValueError(f"centers {centers} are not the self-claiming nodes")
-    u, apart = np.clip(uof, 0, n - 1), ~g.are_adjacent(node, uof)
-    v = _first((cof != node) & (apart | (delay.take(u) != delay - 1)))
-    if v is not None:
-        raise ValueError(f"relay {v} copies node {uof[v]}, which is not its neighbor" if apart[v]
-                         else f"relay {v} copies node {uof[v]}, not one delay step earlier")
-
-
 def _scores(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     """6 ln(m) - d of every pair, -inf where m <= 0, from math.log once per distinct m."""
     distinct = _distinct(np.maximum(m, 1))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -29,13 +28,7 @@ import numpy as np
 from . import exp3
 from .graph import Graph, _distinct, _neighbors, build_graph
 from .losses import LossOracle, bernoulli_losses, matrix_losses, switching_losses  # noqa: F401
-from .partition import (
-    Partition,
-    _check_partition,
-    compute_centers_informed,
-    compute_centers_uninformed,
-    mass_value,
-)
+from .partition import Partition, _first, compute_centers_uninformed, mass_value
 
 ROLE_CODES = ("center", "adjacent", "simple")  # a role's code is its index
 
@@ -55,7 +48,6 @@ class RunResult:
     snapshots: np.ndarray = field(repr=False)  # (checkpoints, 2N + K): the three per row
     debug_violations: list[str]
     luby_budget_exhaustions: int = 0
-    short_horizon: bool = False
 
     @property
     def best_arm(self) -> int:
@@ -92,9 +84,8 @@ class Lane:
 
 
 def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle]) -> bool:
-    """Check a run's arms, horizon and oracles; return (and warn, at the first caller
-    outside this module) whether the horizon is below arms^2*ln(arms), where the
-    regret guarantees do not apply.
+    """Check a run's arms, horizon and oracles; return (and warn, at run_lanes' caller)
+    whether the horizon is below arms^2*ln(arms), where the regret guarantees do not apply.
     """
     if arms < 2:
         raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
@@ -105,11 +96,8 @@ def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle]) -> b
             raise ValueError(f"oracle is over {oracle.arms} arms, run uses {arms}")
     short = horizon < arms * arms * math.log(arms)
     if short:
-        up, frame = 2, sys._getframe(1)
-        while frame.f_globals is globals():
-            up, frame = up + 1, frame.f_back
         warnings.warn(f"horizon {horizon} is below arms^2*ln(arms); regret guarantees do not "
-                      "apply", RuntimeWarning, stacklevel=up)
+                      "apply", RuntimeWarning, stacklevel=3)
     return short
 
 
@@ -153,7 +141,7 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
             for stage in stages:
                 stage(start, min(start + run.block, end) - start)
     return [RunResult(lane.partition, setup, total, *ledger, tuple(first), digest.hexdigest(),
-                      snap, found, lane.exhaustions, short)
+                      snap, found, lane.exhaustions)
             for lane, ledger, first, digest, snap, found
             in zip(lanes, run.ledgers, policy_start, run.digests, run.snaps, run.violations)]
 
@@ -393,6 +381,24 @@ def _log_lines(sink: IO, first_t: int, actions, loss_rows, arm_text) -> None:
     sink.write("".join(map(str.__add__, heads, acts.splitlines(True))))
 
 
+def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
+    """A caller's partition must fit the graph and the run: size, arms, centers, relays."""
+    n = g.node_count
+    if partition.node_count != n:
+        raise ValueError(f"partition covers {partition.node_count} nodes, graph has {n}")
+    if partition.arms != arms:
+        raise ValueError(f"partition is over {partition.arms} arms, run uses {arms}")
+    node, cof, uof, delay = np.arange(n), partition.center_of, partition.origin_of, partition.delay
+    centers = sorted(partition.centers.tolist())
+    if np.flatnonzero(cof == node).tolist() != centers:
+        raise ValueError(f"centers {centers} are not the self-claiming nodes")
+    u, apart = np.clip(uof, 0, n - 1), ~g.are_adjacent(node, uof)
+    v = _first((cof != node) & (apart | (delay.take(u) != delay - 1)))
+    if v is not None:
+        raise ValueError(f"relay {v} copies node {uof[v]}, which is not its neighbor" if apart[v]
+                         else f"relay {v} copies node {uof[v]}, not one delay step earlier")
+
+
 def run_lanes(lanes: Sequence[Lane], horizon: int, debug: bool = False) -> list[RunResult]:
     """Play every lane for its setup steps and ``horizon`` policy steps; one result each.
 
@@ -434,30 +440,6 @@ def solo_lane(arms: int, oracle: LossOracle, policy_seed: int) -> Lane:
     solo = Partition(arms=arms, centers=(0,), center_of=(0,), origin_of=(0,), delay=(0,),
                      mass_m=(1,), mass_d=(0,))
     return Lane(build_graph(1, ()), solo, oracle, np.random.default_rng(policy_seed))
-
-
-def run_informed(g: Graph, arms: int, horizon: int, oracle: LossOracle, policy_seed: int,
-                 debug: bool = False, log_sink: IO | None = None,
-                 partition: Partition | None = None) -> RunResult:
-    """Simulate with the graph known in advance: partitioning costs no steps."""
-    if partition is None:
-        partition = compute_centers_informed(g, arms)
-    else:  # here, so that a partition over other arms is named before the oracle
-        _check_partition(g, arms, partition)
-    lane = Lane(g, partition, oracle, np.random.default_rng(policy_seed), log_sink)
-    return run_lanes([lane], horizon, debug)[0]
-
-
-def run_uninformed(g: Graph, arms: int, n_upper: int, horizon: int, oracle: LossOracle,
-                   policy_seed: int, debug: bool = False, log_sink: IO | None = None) -> RunResult:
-    """Simulate the uninformed protocol (uninformed_lane); losses accrue from step 1."""
-    lane = uninformed_lane(g, arms, n_upper, horizon, oracle, policy_seed, log_sink)
-    return run_lanes([lane], horizon, debug)[0]
-
-
-def run_solo_exp3(arms: int, horizon: int, oracle: LossOracle, policy_seed: int) -> RunResult:
-    """Baseline: one agent, no neighbors, importance weights from its own play."""
-    return run_lanes([solo_lane(arms, oracle, policy_seed)], horizon)[0]
 
 
 def individual_bound(mass_value: float, arms: int, horizon: int) -> float:

@@ -5,9 +5,12 @@ loop over centers; ``run_informed``, ``run_uninformed`` and
 ``run_solo_exp3`` drive it one seed per call, and return a ``ReferenceRun``:
 a ``RunResult`` that also holds the played distributions when asked to
 record them; ``run_lane`` plays any partition after any number of
-warm-up steps.  ``assert_same_run`` compares two runs field by field, and
-``checkpoints`` gives any run's (t, realized, semi, arm) views of its
-ledger snapshots, as ``RunResult.checkpoints`` once did.
+warm-up steps.  ``informed_lane`` builds the kernel's ``simulate.Lane`` of
+an informed run from ``run_informed``'s arguments, for the tests that call
+``simulate.run_lanes`` with one lane.  ``assert_same_run`` compares two
+runs field by field, and ``checkpoints`` gives any run's (t, realized,
+semi, arm) views of its ledger snapshots, as ``RunResult.checkpoints``
+once did.
 With a log sink, the world writes log v2 through ``json.dumps``: a header
 of every agent's role, then one line per step of its loss row and every
 agent's action; ``log_records`` decodes one into per-agent records.  The
@@ -353,12 +356,12 @@ class ReferenceRun(RunResult):
     dist_history: list = field(repr=False, default_factory=list)
 
 
-def _finish(world: SimWorld, setup, snapshot, exhaustions=0, short=False) -> ReferenceRun:
+def _finish(world: SimWorld, setup, snapshot, exhaustions=0) -> ReferenceRun:
     # the snapshots as one (checkpoints, 2N + K) block of ledger rows, as RunResult holds them
     rows = np.array([np.concatenate(c[1:]) for c in world.checkpoints])
     return ReferenceRun(world.partition, setup, world.t - 1, world.realized, world.semi,
                         world.arm_cum, snapshot, world.digest.hexdigest(), rows,
-                        world.violations, exhaustions, short, world.dist_history)
+                        world.violations, exhaustions, world.dist_history)
 
 
 def _ledgers(world: SimWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,7 +440,7 @@ def run_lane(
     snapshot = _ledgers(world)
     for _ in range(horizon):
         world.advance_round()
-    return _finish(world, setup, snapshot, exhaustions=exhaustions, short=short)
+    return _finish(world, setup, snapshot, exhaustions=exhaustions)
 
 
 def run_informed(
@@ -456,6 +459,21 @@ def run_informed(
         partition = compute_centers_informed(g, arms)
     return run_lane(g, partition, oracle, np.random.default_rng(policy_seed), 0, horizon, debug,
                     log_sink, record_distributions)
+
+
+def informed_lane(
+    g: Graph,
+    arms: int,
+    oracle: LossOracle,
+    policy_seed: int,
+    log_sink: IO | None = None,
+    partition: Partition | None = None,
+) -> simulate.Lane:
+    """A kernel lane of an informed run: ``partition``, or the informed election's when
+    none is given, played from ``policy_seed``'s stream."""
+    if partition is None:
+        partition = compute_centers_informed(g, arms)
+    return simulate.Lane(g, partition, oracle, np.random.default_rng(policy_seed), log_sink)
 
 
 def run_uninformed(

@@ -15,6 +15,7 @@ from reference import (
     OrderedMass,
     complete_graph,
     independence_number,
+    informed_lane,
     is_r_independent,
     is_r_mis,
     mass,
@@ -43,11 +44,10 @@ from coopmab.simulate import (
     degree_bound,
     Lane,
     individual_bound,
-    run_informed,
     run_lanes,
-    run_uninformed,
     solo_lane,
     switching_losses,
+    uninformed_lane,
 )
 
 SWEEP_SEED = 11
@@ -198,23 +198,26 @@ def test_criterion_3_setup_step_accounting(capsys):
 def test_criterion_4_weight_sandwich_under_debug(capsys):
     # horizons all satisfy T >= K^2 ln K, so the one-step floor check is armed
     runs = []
-    r = run_informed(star_graph(9), 10, 2000,
-                     bernoulli_losses([0.3] + [0.6] * 9, 41), 141, debug=True)
+    r = run_lanes([informed_lane(star_graph(9), 10, bernoulli_losses([0.3] + [0.6] * 9, 41),
+                                 141)], 2000, debug=True)[0]
     runs.append(("star-10", r))
-    r = run_informed(path_graph(7), 5, 1000,
-                     bernoulli_losses([0.2, 0.5, 0.5, 0.5, 0.8], 42), 142, debug=True)
+    r = run_lanes([informed_lane(path_graph(7), 5, bernoulli_losses([0.2, 0.5, 0.5, 0.5, 0.8], 42),
+                                 142)], 1000, debug=True)[0]
     runs.append(("path-7", r))
     g = random_connected_graph(20, 0.15, np.random.default_rng(43))
-    r = run_informed(g, 5, 1000, bernoulli_losses([0.4, 0.5, 0.5, 0.6, 0.6], 43), 143, debug=True)
+    r = run_lanes([informed_lane(g, 5, bernoulli_losses([0.4, 0.5, 0.5, 0.6, 0.6], 43), 143)],
+                  1000, debug=True)[0]
     runs.append(("random-20", r))
-    r = run_uninformed(path_graph(6), 3, 12, 1000,
-                       bernoulli_losses([0.3, 0.5, 0.7], 44), 144, debug=True)
+    r = run_lanes([uninformed_lane(path_graph(6), 3, 12, 1000,
+                                   bernoulli_losses([0.3, 0.5, 0.7], 44), 144)],
+                  1000, debug=True)[0]
     runs.append(("uninformed-path-6", r))
-    r = run_informed(complete_graph(6), 5, 1000,
-                     bernoulli_losses([0.1, 0.5, 0.5, 0.5, 0.9], 45), 145, debug=True)
+    r = run_lanes([informed_lane(complete_graph(6), 5,
+                                 bernoulli_losses([0.1, 0.5, 0.5, 0.5, 0.9], 45), 145)],
+                  1000, debug=True)[0]
     runs.append(("clique-6", r))
-    r = run_informed(star_graph(3), 3, 1000,
-                     switching_losses([(0, 0), (500, 2)], 3), 146, debug=True)
+    r = run_lanes([informed_lane(star_graph(3), 3, switching_losses([(0, 0), (500, 2)], 3), 146)],
+                  1000, debug=True)[0]
     runs.append(("switch-star-4", r))
 
     violations = [f"{name}: {v}" for name, run in runs for v in run.debug_violations]
@@ -254,7 +257,7 @@ def test_criterion_6_star_regret_bounds(capsys):
     arms, horizon, seeds = 10, 100_000, 20
     means = [0.4] + [0.5] * (arms - 1)
     oracles = [bernoulli_losses(means, 100 + i) for i in range(seeds)]
-    # one election, all seeds in lockstep; each run equals run_informed's bit for bit
+    # one election, all seeds in lockstep; each run equals its lane's run alone, bit for bit
     part = compute_centers_informed(g, arms)
     runs = run_lanes([Lane(g, part, oracle, np.random.default_rng(9000 + i))
                       for i, oracle in enumerate(oracles)], horizon)
@@ -297,8 +300,8 @@ def test_criterion_7_cooperation_beats_solo(capsys):
     g = complete_graph(arms + 1)
     means = [0.4] + [0.5] * (arms - 1)
     oracles = [bernoulli_losses(means, 100 + i) for i in range(seeds)]
-    # the clique and solo runs as lanes of one kernel call; each equals run_informed /
-    # run_solo_exp3 seed by seed, bit for bit
+    # the clique and solo runs as lanes of one kernel call; each equals its lane's run
+    # alone, seed by seed, bit for bit
     part = compute_centers_informed(g, arms)
     lanes = [Lane(g, part, oracle, np.random.default_rng(9000 + i)) for i, oracle in enumerate(oracles)]
     lanes += [solo_lane(arms, oracle, 7000 + i) for i, oracle in enumerate(oracles)]

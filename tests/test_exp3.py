@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import reference
+from reference import informed_lane
 
 from coopmab.exp3 import (
     ArmsTooFewError,
@@ -16,7 +17,7 @@ from coopmab.exp3 import (
     sample_action,
 )
 from coopmab.graph import path_graph
-from coopmab.simulate import matrix_losses, run_informed
+from coopmab.simulate import matrix_losses, run_lanes
 
 
 def test_learning_rate_frozen_values():
@@ -143,7 +144,7 @@ def test_observation_probability():
     # with probability 1 - (1/2)^2 = 3/4 and its round-2 distribution divides
     # the observed loss by 3/4.
     sink, oracle = io.StringIO(), matrix_losses([[1.0, 0.0]] * 3)
-    res = run_informed(path_graph(2), 2, 3, oracle, 0, log_sink=sink)
+    res = run_lanes([informed_lane(path_graph(2), 2, oracle, 0, log_sink=sink)], 3)[0]
     ref = reference.run_informed(path_graph(2), 2, 3, oracle, 0, record_distributions=True)
     reference.assert_same_run(res, ref, each_step=True)
     c = res.partition.centers[0]

@@ -8,8 +8,9 @@ import pytest
 import reference
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from reference import informed_lane
 
-from coopmab import exp3, simulate
+from coopmab import cli, exp3, simulate
 from coopmab.graph import build_graph, path_graph, random_connected_graph, star_graph
 from coopmab.partition import (
     Partition,
@@ -27,10 +28,7 @@ from coopmab.simulate import (
     degree_bound,
     individual_bound,
     matrix_losses,
-    run_informed,
     run_lanes,
-    run_solo_exp3,
-    run_uninformed,
     solo_lane,
     switching_losses,
     uninformed_degree_bound,
@@ -94,7 +92,7 @@ def test_switch_oracle_semantics():
 def test_zero_losses_zero_regret():
     g = build_graph(2, [(0, 1)])
     oracle = matrix_losses(np.zeros((400, 2)))
-    res = run_informed(g, 2, 400, oracle, 3)
+    res = run_lanes([informed_lane(g, 2, oracle, 3)], 400)[0]
     assert np.array_equal(res.regret, np.zeros(2))
     assert np.array_equal(res.semi_regret, np.zeros(2))
     assert res.best_arm == 0  # tie broken to the lowest arm
@@ -104,7 +102,7 @@ def test_dominant_arm_is_learned():
     g = star_graph(4)
     table = np.ones((4000, 3))
     table[:, 0] = 0.0
-    res = run_informed(g, 3, 4000, matrix_losses(table), 11)
+    res = run_lanes([informed_lane(g, 3, matrix_losses(table), 11)], 4000)[0]
     want = reference.run_informed(g, 3, 4000, matrix_losses(table), 11, record_distributions=True)
     reference.assert_same_run(res, want)
     final = want.dist_history[-1]
@@ -115,8 +113,8 @@ def test_dominant_arm_is_learned():
 def test_determinism_and_digest():
     g = random_connected_graph(8, 0.3, 2)
     oracle = bernoulli_losses([0.4, 0.5, 0.6], 9)
-    a = run_informed(g, 3, 600, oracle, 17)
-    b = run_informed(g, 3, 600, oracle, 17)
+    a = run_lanes([informed_lane(g, 3, oracle, 17)], 600)[0]
+    b = run_lanes([informed_lane(g, 3, oracle, 17)], 600)[0]
     assert a.digest == b.digest
     assert np.array_equal(a.realized_loss, b.realized_loss)
     assert np.array_equal(a.semi_loss, b.semi_loss)
@@ -126,8 +124,8 @@ def test_determinism_and_digest():
 def test_adversary_oblivious_to_policy_seed():
     g = random_connected_graph(8, 0.3, 2)
     oracle = bernoulli_losses([0.4, 0.5, 0.6], 9)
-    a = run_informed(g, 3, 600, oracle, 17)
-    b = run_informed(g, 3, 600, oracle, 4242)
+    a = run_lanes([informed_lane(g, 3, oracle, 17)], 600)[0]
+    b = run_lanes([informed_lane(g, 3, oracle, 4242)], 600)[0]
     assert np.array_equal(a.arm_loss, b.arm_loss)  # loss table unchanged
     assert a.digest != b.digest  # actions differ
 
@@ -136,7 +134,7 @@ def test_relay_causality_on_path():
     g = path_graph(5)
     part = reference.centers_to_components(g, {2}, 4).to_partition()
     oracle = bernoulli_losses([0.2, 0.4, 0.6, 0.8], 1)
-    res = run_informed(g, 4, 60, oracle, 5, partition=part)
+    res = run_lanes([informed_lane(g, 4, oracle, 5, partition=part)], 60)[0]
     want = reference.run_informed(g, 4, 60, oracle, 5, record_distributions=True, partition=part)
     reference.assert_same_run(res, want, each_step=True)
     hist = want.dist_history  # hist[t-1] = distributions played at round t
@@ -156,7 +154,7 @@ def test_center_weights_reconstructable_from_messages():
     g = star_graph(3)
     oracle = bernoulli_losses([0.3, 0.5, 0.7], 8)
     sink = io.StringIO()
-    res = run_informed(g, 3, 300, oracle, 21, log_sink=sink)
+    res = run_lanes([informed_lane(g, 3, oracle, 21, log_sink=sink)], 300)[0]
     want = reference.run_informed(g, 3, 300, oracle, 21, record_distributions=True)
     reference.assert_same_run(res, want, each_step=True)
     actions = np.zeros((300, 4), dtype=int)
@@ -180,7 +178,7 @@ def test_center_weights_reconstructable_from_messages():
 def test_debug_run_has_no_violations():
     g = star_graph(6)
     oracle = bernoulli_losses([0.4] + [0.5] * 4, 3)
-    res = run_informed(g, 5, 2000, oracle, 13, debug=True)
+    res = run_lanes([informed_lane(g, 5, oracle, 13)], 2000, debug=True)[0]
     assert res.debug_violations == []
 
 
@@ -188,7 +186,7 @@ def test_run_log_matches_ledger():
     g = path_graph(4)
     oracle = bernoulli_losses([0.5, 0.5], 2)
     sink = io.StringIO()
-    res = run_informed(g, 2, 150, oracle, 7, log_sink=sink)
+    res = run_lanes([informed_lane(g, 2, oracle, 7, log_sink=sink)], 150)[0]
     totals = np.zeros(4)
     seen_roles = {}
     records, table = reference.log_records(sink.getvalue()), oracle.rows(0, 150)
@@ -204,7 +202,7 @@ def test_run_log_matches_ledger():
 def test_uninformed_run_timeline():
     g = path_graph(4)
     oracle = bernoulli_losses([0.3, 0.6], 4)
-    res = run_uninformed(g, 2, 8, 500, oracle, 19)
+    res = run_lanes([uninformed_lane(g, 2, 8, 500, oracle, 19)], 500)[0]
     election = compute_centers_uninformed(g, 2, 8, 500, np.random.default_rng(19))
     assert res.setup_steps == election.total_steps
     assert res.total_steps == res.setup_steps + 500
@@ -217,7 +215,7 @@ def test_uninformed_run_timeline():
 
 def test_uninformed_zero_losses():
     g = path_graph(4)
-    res = run_uninformed(g, 2, 8, 300, matrix_losses(np.zeros((5000, 2))), 1)
+    res = run_lanes([uninformed_lane(g, 2, 8, 300, matrix_losses(np.zeros((5000, 2))), 1)], 300)[0]
     assert np.array_equal(res.regret, np.zeros(4))
     assert np.array_equal(_policy_phase(res)[2], np.zeros(4))
 
@@ -233,7 +231,7 @@ def _policy_phase(res: RunResult):
 def test_policy_slice_consistency():
     g = star_graph(4)
     oracle = bernoulli_losses([0.2, 0.5, 0.5], 6)
-    res = run_uninformed(g, 3, 10, 400, oracle, 23)
+    res = run_lanes([uninformed_lane(g, 3, 10, 400, oracle, 23)], 400)[0]
     losses = oracle.rows(0, res.total_steps)
     policy_rows = losses[res.setup_steps:]
     realized, best_loss, regret = _policy_phase(res)
@@ -247,37 +245,43 @@ def test_run_argument_validation():
     g = path_graph(3)
     oracle = bernoulli_losses([0.5, 0.5], 0)
     with pytest.raises(exp3.ArmsTooFewError):
-        run_informed(g, 1, 10, bernoulli_losses([0.5], 0), 0)
+        run_lanes([informed_lane(g, 1, bernoulli_losses([0.5], 0), 0)], 10)
     with pytest.raises(ValueError):
-        run_informed(g, 2, 0, oracle, 0)
+        run_lanes([informed_lane(g, 2, oracle, 0)], 0)
     with pytest.raises(ValueError):
-        run_informed(g, 3, 10, oracle, 0)  # oracle arm count mismatch
+        run_lanes([informed_lane(g, 3, oracle, 0)], 10)  # oracle arm count mismatch
     with pytest.raises(ValueError):
-        run_uninformed(g, 2, 2, 100, oracle, 0)  # n_upper below node count
+        run_lanes([uninformed_lane(g, 2, 2, 100, oracle, 0)], 100)  # n_upper below node count
 
 
 def test_short_horizon_warns():
     g = path_graph(3)
     oracle = bernoulli_losses([0.5] * 10, 1)
-    with pytest.warns(RuntimeWarning):
-        res = run_informed(g, 10, 50, oracle, 2)
-    assert res.short_horizon
+    with pytest.warns(RuntimeWarning, match="horizon"):
+        run_lanes([informed_lane(g, 10, oracle, 2)], 50)
 
 
-def test_short_horizon_warning_points_at_the_caller():
-    # each entry point reports the warning at the line that called it, so
-    # the default filter shows one warning per calling line
+def test_short_horizon_warning_points_at_the_caller(tmp_path):
+    # the warning names the line that called run_lanes, whatever its lanes, so
+    # the default filter shows one warning per calling line; the CLI's sweep
+    # is such a caller
     g, oracle = path_graph(3), bernoulli_losses([0.5] * 10, 1)
     calls = {
-        "run_informed": lambda: run_informed(g, 10, 5, oracle, 1),
-        "run_uninformed": lambda: run_uninformed(g, 10, 3, 5, oracle, 1),
-        "run_solo_exp3": lambda: run_solo_exp3(10, 5, oracle, 1),
-        "run_lanes": lambda: run_lanes([solo_lane(10, oracle, 1)], 5),
+        "informed": lambda: run_lanes([informed_lane(g, 10, oracle, 1)], 5),
+        "uninformed": lambda: run_lanes([uninformed_lane(g, 10, 3, 5, oracle, 1)], 5),
+        "solo": lambda: run_lanes([solo_lane(10, oracle, 1)], 5),
     }
     for name, call in calls.items():
         with pytest.warns(RuntimeWarning, match="horizon 5") as record:
             call()
         assert [w.filename for w in record] == [__file__], name
+    graph = tmp_path / "path.txt"
+    graph.write_text("3 2\n0 1\n1 2\n")
+    with pytest.warns(RuntimeWarning, match="horizon 5") as record:
+        assert cli.main(["simulate", "--graph", str(graph), "--arms", "10", "--horizon", "5",
+                         "--adversary", "bernoulli:" + ",".join(["0.5"] * 10),
+                         "--out", str(tmp_path / "run")]) == 0
+    assert [w.filename for w in record] == [cli.__file__]
 
 
 def _shared(g, part, oracles, policy_seeds, sinks=None) -> list[Lane]:
@@ -307,7 +311,7 @@ def test_kernel_raises_on_a_non_finite_estimate(monkeypatch, bad, seeds):
     sinks = [io.StringIO() for _ in range(seeds)]
     with pytest.raises(exp3.NonFiniteEstimateError):
         if seeds == 1:
-            run_informed(path_graph(3), 2, 6, oracles[0], 4, log_sink=sinks[0])
+            run_lanes([informed_lane(path_graph(3), 2, oracles[0], 4, log_sink=sinks[0])], 6)
         else:
             g = path_graph(3)
             run_lanes(_shared(g, compute_centers_informed(g, 2), oracles, [4, 5], sinks), 6)
@@ -332,7 +336,7 @@ def test_kernel_raises_on_an_observed_arm_with_zero_probability(monkeypatch, see
     sinks = [io.StringIO() for _ in range(seeds)]
     with pytest.raises(exp3.ZeroObservationProbabilityError):
         if seeds == 1:
-            run_informed(one, 2, 6, oracle, 4, log_sink=sinks[0], partition=solo)
+            run_lanes([informed_lane(one, 2, oracle, 4, log_sink=sinks[0], partition=solo)], 6)
         else:
             run_lanes(_shared(one, solo, [oracle] * 2, [5, 4], sinks), 6)
     assert [_logged_steps(sink) for sink in sinks] == [[1, 2]] * seeds
@@ -341,7 +345,7 @@ def test_kernel_raises_on_an_observed_arm_with_zero_probability(monkeypatch, see
 def test_checkpoints_cover_run():
     g = path_graph(3)
     oracle = bernoulli_losses([0.5, 0.5], 1)
-    res = run_informed(g, 2, 1000, oracle, 3)
+    res = run_lanes([informed_lane(g, 2, oracle, 3)], 1000)[0]
     got = reference.checkpoints(res)
     steps = [c[0] for c in got]
     assert steps[-1] == 1000
@@ -357,7 +361,7 @@ def test_checkpoints_cover_run():
         assert t0 < t1
         assert (r1 >= r0).all() and (s1 >= s0 - 1e-12).all() and (a1 >= a0).all()
     # identical rerun reproduces every snapshot exactly
-    again = run_informed(g, 2, 1000, oracle, 3)
+    again = run_lanes([informed_lane(g, 2, oracle, 3)], 1000)[0]
     for (t0, r0, s0, a0), (t1, r1, s1, a1) in zip(got, reference.checkpoints(again)):
         assert t0 == t1 and np.array_equal(r0, r1) and np.array_equal(s0, s1)
 
@@ -372,7 +376,7 @@ def _capped_star(arms):
 def test_capped_snapshots_equal_reference():
     g, part = _capped_star(3)
     oracle = bernoulli_losses([0.3, 0.5, 0.7], 5)
-    run = run_informed(g, 3, 600, oracle, 6, partition=part)
+    run = run_lanes([informed_lane(g, 3, oracle, 6, partition=part)], 600)[0]
     assert [c[0] for c in reference.checkpoints(run)[:2]] == [10, 20]  # 600 // 256 alone gives 2
     reference.assert_same_run(run, reference.run_informed(g, 3, 600, oracle, 6, partition=part))
 
@@ -388,7 +392,8 @@ def test_snapshot_cells_per_seed_within_the_cap():
         cells = sum(r.size + s.size + a.size for _, r, s, a in reference.checkpoints(run))
         assert simulate.CHECKPOINT_CELLS - 6 * 4003 < cells <= simulate.CHECKPOINT_CELLS
         assert reference.checkpoints(run)[-1][0] == 654
-        reference.assert_same_run(run, run_informed(g, 3, 654, oracle, seed, partition=part))
+        alone = run_lanes([informed_lane(g, 3, oracle, seed, partition=part)], 654)[0]
+        reference.assert_same_run(run, alone)
 
 
 def test_run_memory_does_not_grow_with_the_horizon():
@@ -399,12 +404,12 @@ def test_run_memory_does_not_grow_with_the_horizon():
     # untraced first run warms numpy's lazily built state up.
     g, arms, horizon = star_graph(10), 10, 512
     oracle = bernoulli_losses(np.linspace(0.2, 0.8, arms), 1)
-    run_informed(g, arms, horizon, oracle, 2)
+    run_lanes([informed_lane(g, arms, oracle, 2)], horizon)
     peaks = []
     for steps in (horizon, 8 * horizon):
         tracemalloc.start()
         try:
-            run_informed(g, arms, steps, oracle, 2)
+            run_lanes([informed_lane(g, arms, oracle, 2)], steps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -413,7 +418,7 @@ def test_run_memory_does_not_grow_with_the_horizon():
 
 def test_solo_baseline():
     oracle = bernoulli_losses([0.3, 0.5, 0.5], 12)
-    res = run_solo_exp3(3, 2000, oracle, 9)
+    res = run_lanes([solo_lane(3, oracle, 9)], 2000)[0]
     assert res.partition.node_count == 1
     assert reference.mass(res.partition, 0) == reference.OrderedMass(1, 0)
     assert np.isfinite(res.regret).all()
@@ -423,7 +428,7 @@ def test_sampler_never_plays_zero_arm_at_boundary():
     g = build_graph(2, [(0, 1)])
     oracle = matrix_losses(np.zeros((3, 3)))
     with pytest.warns(RuntimeWarning):  # horizon intentionally tiny
-        res = run_informed(g, 3, 1, oracle, 0, partition=None)
+        res = run_lanes([informed_lane(g, 3, oracle, 0)], 1)[0]
         want = reference.run_informed(g, 3, 1, oracle, 0, record_distributions=True)
     # direct check on the fallback: rig a world-like row with a zero arm
     p = np.array([0.5, 0.0, 0.5])
@@ -483,7 +488,8 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
                                       record_distributions=True) for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]  # every rigged cell took the fallback
     calls.clear()
-    kernel = [run_informed(g, arms, horizon, oracle, seed, partition=part) for seed in draws]
+    kernel = [run_lanes([informed_lane(g, arms, oracle, seed, partition=part)], horizon)[0]
+              for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
     calls.clear()
     batch = run_lanes(_shared(g, part, [oracle, oracle], list(draws)), horizon)
@@ -556,7 +562,8 @@ def test_fallback_on_rare_draws_inside_a_block_matches_reference(monkeypatch):
                                    record_distributions=True) for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
     assert want[0].dist_history[1][1, 0] > 0.0 == want[0].dist_history[2][1, 0]
-    for play in (lambda: [run_informed(g, arms, horizon, oracle, s, partition=part) for s in draws],
+    for play in (lambda: [run_lanes([informed_lane(g, arms, oracle, s, partition=part)],
+                                    horizon)[0] for s in draws],
                  lambda: run_lanes(_shared(g, part, [oracle] * 2, list(draws)), horizon)):
         calls.clear()
         runs = play()
@@ -582,7 +589,7 @@ def test_bound_helpers_are_plain_formulas():
 def test_switch_adversary_full_run():
     g = path_graph(4)
     oracle = switching_losses([(0, 1), (300, 0)], 2)
-    res = run_informed(g, 2, 600, oracle, 3)
+    res = run_lanes([informed_lane(g, 2, oracle, 3)], 600)[0]
     table = oracle.rows(0, 600)
     assert res.arm_loss[0] == pytest.approx(table[:, 0].sum())
     assert res.best_arm in (0, 1)
@@ -677,7 +684,8 @@ def test_uninformed_runs_equal_reference_runs(monkeypatch, name, g, arms, kind):
     horizon = 1101
     monkeypatch.setattr(simulate, "BATCH_ROWS", 37)
     for oracle, seed in zip(_batch_oracles(kind, 2, arms, 4000), (11, 12)):
-        run = run_uninformed(g, arms, 2 * g.node_count, horizon, oracle, seed)
+        lane = uninformed_lane(g, arms, 2 * g.node_count, horizon, oracle, seed)
+        run = run_lanes([lane], horizon)[0]
         assert run.setup_steps > 37
         want = reference.run_uninformed(g, arms, 2 * g.node_count, horizon, oracle, seed)
         reference.assert_same_run(run, want)
@@ -695,12 +703,14 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
     # four-agent lanes in one kernel call.
     oracle = bernoulli_losses(np.linspace(0.2, 0.8, 3), 90)
     if case == "solo":
-        run, want = (f.run_solo_exp3(3, 3000, oracle, 91) for f in (simulate, reference))
+        run = run_lanes([solo_lane(3, oracle, 91)], 3000)[0]
+        want = reference.run_solo_exp3(3, 3000, oracle, 91)
     elif case == "edge-informed":
-        run, want = (f.run_informed(path_graph(2), 3, 2400, oracle, 92) for f in (simulate, reference))
+        run = run_lanes([informed_lane(path_graph(2), 3, oracle, 92)], 2400)[0]
+        want = reference.run_informed(path_graph(2), 3, 2400, oracle, 92)
     elif case == "edge-uninformed":
-        run, want = (f.run_uninformed(path_graph(2), 3, 4, 2400, oracle, 93)
-                     for f in (simulate, reference))
+        run = run_lanes([uninformed_lane(path_graph(2), 3, 4, 2400, oracle, 93)], 2400)[0]
+        want = reference.run_uninformed(path_graph(2), 3, 4, 2400, oracle, 93)
         assert run.setup_steps > 0
     elif case == "mixed":
         edge, star = path_graph(2), star_graph(3)
@@ -716,8 +726,9 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
         run, want = runs[0], wants[0]
     else:
         means = np.random.default_rng(94).random(300)
-        run, want = (f.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96)
-                     for f in (simulate, reference))
+        run = run_lanes([informed_lane(star_graph(3), 300, bernoulli_losses(means, 95), 96)],
+                        60)[0]
+        want = reference.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96)
     assert reference.checkpoints(want)[0][0] >= 9 or case == "arms-300"  # the checkpoint spacing
     reference.assert_same_run(run, want, each_step=case == "arms-300")
 
@@ -917,19 +928,19 @@ def test_snapshot_spacing_follows_each_lanes_own_size():
     big, path = run_lanes(lanes, 654)
     assert [c[0] for c in reference.checkpoints(big)[:2]] == [11, 22]
     assert [c[0] for c in reference.checkpoints(path)[:2]] == [2, 4]
-    reference.assert_same_run(big, run_informed(g, 3, 654, oracle, 8, partition=part))
+    reference.assert_same_run(big, run_lanes([informed_lane(g, 3, oracle, 8, partition=part)],
+                                             654)[0])
     reference.assert_same_run(path, reference.run_informed(small, 3, 654, oracle, 9))
 
 
 def test_solo_short_horizon_equals_reference():
-    # 5 steps is below 3^2 ln 3: a solo run warns and flags the short
-    # horizon as the graph runs do, and so does the reference
+    # 5 steps is below 3^2 ln 3: a solo run warns as the graph runs do, and
+    # so does the reference
     oracle = bernoulli_losses([0.2, 0.5, 0.8], 97)
     with pytest.warns(RuntimeWarning, match="horizon 5"):
-        run = run_solo_exp3(3, 5, oracle, 98)
+        run = run_lanes([solo_lane(3, oracle, 98)], 5)[0]
     with pytest.warns(RuntimeWarning, match="horizon 5"):
         want = reference.run_solo_exp3(3, 5, oracle, 98)
-    assert run.short_horizon
     reference.assert_same_run(run, want)
 
 
@@ -961,20 +972,24 @@ def test_partition_rejects_a_short_column(center, column):
     # unchecked, the short mass_m runs (only the center's entry is read) and the other
     # cases fail inside numpy, with an IndexError or a broadcast error
     cols = dict(_PATH_END[center])
-    assert run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
-                        partition=Partition(arms=2, **cols)).partition.node_count == 4
+
+    def run(cols):
+        lane = informed_lane(path_graph(4), 2, bernoulli_losses([0.3, 0.6], 1), 0,
+                             partition=Partition(arms=2, **cols))
+        return run_lanes([lane], 5)[0]
+
+    assert run(cols).partition.node_count == 4
     cols[column] = cols[column][:2]
     with pytest.raises(ValueError, match=f"column {column} has 2 entries, center_of has 4"):
-        run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
-                     partition=Partition(arms=2, **cols))
+        run(cols)
 
 
 @pytest.mark.parametrize("m, d", [(-1, 0), (2, -1)])
 def test_run_rejects_a_negative_center_mass(m, d):
     cols = dict(_PATH_END[0], mass_m=(m, 2, 2, 2), mass_d=(d, 1, 2, 3))
     with pytest.raises(ValueError, match="mass fields must be non-negative"):
-        run_informed(path_graph(4), 2, 5, bernoulli_losses([0.3, 0.6], 1), 0,
-                     partition=Partition(arms=2, **cols))
+        run_lanes([informed_lane(path_graph(4), 2, bernoulli_losses([0.3, 0.6], 1), 0,
+                                 partition=Partition(arms=2, **cols))], 5)
 
 
 def _small_graph(kind: str, n: int, seed: int):
@@ -1078,7 +1093,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
             mp.setattr(simulate, "compute_centers_uninformed", elect)
             mp.setattr(reference, "compute_centers_uninformed", elect)
             runs = [
-                run_uninformed(g, arms, n_upper, horizon, oracle, seed, log_sink=sink, **options)
+                run_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, seed, sink)],
+                          horizon, **options)[0]
                 for oracle, seed, sink in zip(oracles, policy_seeds, kernel_logs)
             ]
             expected = [
@@ -1151,8 +1167,8 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
             runs = run_lanes(_shared(g, part, oracles, policy_seeds, kernel_logs), horizon,
                              debug=True)
         else:
-            runs = [run_uninformed(g, arms, n_upper, horizon, oracle, p_seed, debug=True,
-                                   log_sink=sink)
+            runs = [run_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, p_seed, sink)],
+                              horizon, debug=True)[0]
                     for oracle, p_seed, sink in zip(oracles, policy_seeds, kernel_logs)]
     for run, oracle, p_seed, log, want_log in zip(runs, oracles, policy_seeds, kernel_logs,
                                                    reference_logs):
@@ -1181,7 +1197,8 @@ def test_log_prints_non_finite_warm_up_losses_as_json_dumps():
     table[0], table[1] = (np.inf, -np.inf), (np.nan, -0.0)
     oracle = LossOracle(kind="matrix", arms=arms, table=table)
     log, want_log = io.StringIO(), io.StringIO()
-    run = run_uninformed(g, arms, n_upper, horizon, oracle, 3, debug=True, log_sink=log)
+    run = run_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, 3, log)], horizon,
+                    debug=True)[0]
     want = reference.run_uninformed(g, arms, n_upper, horizon, oracle, 3, debug=True,
                                     log_sink=want_log)
     reference.assert_same_run(run, want)
@@ -1199,7 +1216,7 @@ def _relay_partition(arms: int, origin_of=(0, 0, 1, 2)) -> Partition:
 
 def _run_on(g, arms, part):
     oracle = bernoulli_losses([0.4, 0.6, 0.5][:arms], 1)
-    return run_informed(g, arms, 50, oracle, 2, partition=part)
+    return run_lanes([informed_lane(g, arms, oracle, 2, partition=part)], 50)[0]
 
 
 def test_caller_partition_fits_the_graph():
@@ -1210,8 +1227,13 @@ def test_caller_partition_fits_the_graph():
 
 
 def test_caller_partition_fits_the_arms():
-    with pytest.raises(ValueError, match="partition is over 2 arms"):
-        _run_on(path_graph(4), 3, _relay_partition(2))
+    # the run's arms are the first lane's; a later lane's oracle over them
+    # passes, and its partition over 3 arms is named
+    oracle = bernoulli_losses([0.4, 0.6], 1)
+    lanes = [solo_lane(2, oracle, 1),
+             Lane(path_graph(4), _relay_partition(3), oracle, np.random.default_rng(2))]
+    with pytest.raises(ValueError, match="partition is over 3 arms, run uses 2"):
+        run_lanes(lanes, 50)
 
 
 def test_caller_partition_relays_copy_a_neighbor():

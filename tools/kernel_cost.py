@@ -154,7 +154,8 @@ class Probe:
         # every module that binds them: a checkout's sweep may elect in either
         for module in (cli, simulate):
             for name in ("compute_centers_informed", "compute_centers_uninformed"):
-                setattr(module, name, election(getattr(module, name)))
+                if hasattr(module, name):
+                    setattr(module, name, election(getattr(module, name)))
         stream = simulate.LossOracle.stream
 
         def timed_stream(oracle, stop):  # the kernel reads a stream per oracle, in blocks
