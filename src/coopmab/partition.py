@@ -208,6 +208,7 @@ class _SpreadRounds:
             keys = prev[2].take(closed.take(cand, axis=0))
             keys[:, 0] = -1  # a node picks a neighbor
             chosen = closed.take(self.offset.take(cand) + keys.argmax(axis=1))
+            del keys
             cur = prev.take(chosen, axis=1)
             cur[1] = chosen
             cur[2] = self.deeper.take(cur[2])
@@ -237,41 +238,47 @@ class _SpreadRounds:
         tail = self.states[t - 1:].take(ring, axis=2)
         return bool((tail == tail[0]).all())
 
+    def unsatisfied(self) -> np.ndarray:
+        """Per node: mass below its clamp's, and no center within two hops."""
+        return (self.states[-1, 2, :-1] < self.center_key) & (self.states[2, 0, :-1] < 0)
+
     def partition(self) -> Partition:
         """The centers' partition, read off the last round, which repeats the
         settled state.  Raises ValueError if some node has no center."""
-        n = self.states.shape[2] - 1
-        cof, uof, key = self.states[-1, :, :n]
+        cof, uof, key = self.states[-1, :, :-1]
         missing = np.flatnonzero(key == 0).tolist()  # nil mass: no center reached it
         if missing:
             raise ValueError(f"nodes {missing} were never reached by any center")
         mass_m, mass_d = self.pair.take(key, axis=1)
-        return Partition(arms=self.arms, centers=np.flatnonzero(self.is_center[:n]),
+        return Partition(arms=self.arms, centers=np.flatnonzero(self.is_center[:-1]),
                          center_of=cof, origin_of=uof, delay=mass_d, mass_m=mass_m, mass_d=mass_d)
 
 
 def _greedy_centers(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
-    """The informed greedy's centers in order of addition, and their rounds."""
+    """The informed greedy's centers in order of addition, and their rounds.
+
+    Rounds depend only on the center set, so one clamp c's picks share one
+    ``add``: outside its ball, a pick p flips no node x of clamp c' >= c
+    between satisfied and not.  p gives x at most (c, 1) < (c', 0).  Keys
+    never drop over rounds, so p lowers x's mass only by freezing a node y
+    on x's origin chain, p or a neighbor.  If y = x, x is in p's ball; else
+    p held x's mass, >= (c', 0) >= (c, 0), so p was satisfied: no pick.
+    """
     spread = _SpreadRounds(g, arms)
-    closed, final = spread.closed, spread.states[-1, 2]
-    n = g.node_count
-    cdeg = np.append(g.closed_degrees, 0)
-    # key that satisfies a node; nil once a center is within two hops
-    target = np.append(spread.center_key, 0)
-    # closed degree while unsatisfied, else 0: argmax's first hit is the lowest id
-    unsat = cdeg.copy()
-    centers: list[int] = []
-    while True:
-        nxt = int(unsat.argmax())
-        if not unsat[nxt]:
-            return centers, spread
-        if len(centers) == n:
-            raise AssertionError("center search failed to shrink the unsatisfied set")
-        centers.append(nxt)
-        ball = closed.take(closed[nxt], axis=0)  # within two hops, maybe the nil node
-        target[ball] = unsat[ball] = 0
-        moved = spread.add(np.array([nxt]))
-        unsat[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
+    closed, centers = spread.closed, []
+    for c in range(spread.clamp.max(), 0, -1):
+        run = np.flatnonzero(spread.clamp == c)
+        unsat, picks = np.append(spread.unsatisfied(), False), []  # not the nil node
+        for v in run[np.argsort(-g.closed_degrees[run], kind="stable")].tolist():
+            if unsat[v]:
+                picks.append(v)
+                unsat[closed.take(closed[v], axis=0)] = False  # its two-hop ball
+        if picks:
+            spread.add(np.sort(picks))
+            centers += picks
+    if spread.unsatisfied().any():
+        raise AssertionError("the greedy left a node unsatisfied")
+    return centers, spread
 
 
 def compute_centers_informed(g: Graph, arms: int) -> Partition:
@@ -279,14 +286,10 @@ def compute_centers_informed(g: Graph, arms: int) -> Partition:
 
     A node is satisfied once its mass reaches its own clamped closed degree
     or a center sits within two hops.  Ties in closed degree go to the
-    lowest id.  Each pass adds one center, updates the kept rounds
-    (``_SpreadRounds.add``) and re-scores the nodes whose mass changed.
+    lowest id.  Each clamp's picks join in one pass (``_greedy_centers``).
     """
-    n = g.node_count
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    if arms < 2:
-        raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
+    if g.node_count < 2:
+        raise ValueError(f"need at least 2 nodes, got {g.node_count}")
     return _greedy_centers(g, arms)[1].partition()
 
 
@@ -391,13 +394,12 @@ def compute_centers_uninformed(
 ) -> UninformedElection:
     """Elect centers by descending clamped degree without global knowledge.
 
-    Iteration t runs one two-hop MIS election among still-unsatisfied nodes
+    Iteration t runs one two-hop MIS election among the unsatisfied nodes
     of clamped closed degree exactly arms - t and adds its joiners to the
-    kept rounds (``_SpreadRounds.add``).  A node is satisfied once its mass
-    reaches its own clamp or its center pointer is set by round 2 (a center
-    within two hops).  Every iteration is charged the full synchronous
-    budget, as agents cannot detect global emptiness; one final propagation
-    pass publishes the partition and is charged on top.
+    kept rounds (``_SpreadRounds.unsatisfied`` and ``add``).  Every
+    iteration is charged the full synchronous budget, as agents cannot
+    detect global emptiness; one final propagation pass publishes the
+    partition and is charged on top.
     """
     n = g.node_count
     if n < 2:
@@ -410,18 +412,15 @@ def compute_centers_uninformed(
     spread = _SpreadRounds(g, arms)
     pass_rounds = spread.rounds
 
-    satisfied = np.zeros(n, dtype=bool)
     calls: list[LubyCall] = []
     for t in range(arms):
-        bucket = np.flatnonzero(~satisfied & (spread.clamp == arms - t))
+        bucket = np.flatnonzero(spread.unsatisfied() & (spread.clamp == arms - t))
         outcome = luby_2mis(g, bucket.tolist(), budget, rng)
         calls.append(LubyCall(frozenset(bucket.tolist()), outcome))
         # without joiners no round changes; the steps are still charged
         # below, as the synchronous schedule runs regardless
         if outcome.joined:
             spread.add(np.array(sorted(outcome.joined)))
-            satisfied = ((spread.states[-1, 2, :n] >= spread.center_key)
-                         | (spread.states[2, 0, :n] >= 0))
 
     if not spread.is_center.any():
         raise EmptyCenterSetError("no node won any election; partition impossible")

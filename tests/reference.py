@@ -57,6 +57,9 @@ propagation once returned: its columns, its kept rounds and its settle
 round; ``decoded_rounds`` turns a ``_SpreadRounds``' mass keys back into
 (m, d) rows, ``spread_map`` reads a record off them, and
 ``centers_to_components`` propagates a whole center set into one.
+``sequential_greedy`` is the informed greedy that adds one center per
+``_SpreadRounds.add``, kept as it was in ``coopmab.partition`` for the
+differential tests in ``test_partition.py``.
 """
 
 from __future__ import annotations
@@ -878,6 +881,30 @@ def centers_to_components(g: Graph, centers: Iterable[int], arms: int) -> Spread
     spread = _SpreadRounds(g, arms)
     spread.add(np.array(center_list))
     return spread_map(spread)
+
+
+def sequential_greedy(g: Graph, arms: int) -> tuple[list[int], _SpreadRounds]:
+    """The informed greedy's centers in order of addition, and their rounds."""
+    spread = _SpreadRounds(g, arms)
+    closed, final = spread.closed, spread.states[-1, 2]
+    n = g.node_count
+    cdeg = np.append(g.closed_degrees, 0)
+    # key that satisfies a node; nil once a center is within two hops
+    target = np.append(spread.center_key, 0)
+    # closed degree while unsatisfied, else 0: argmax's first hit is the lowest id
+    unsat = cdeg.copy()
+    centers: list[int] = []
+    while True:
+        nxt = int(unsat.argmax())
+        if not unsat[nxt]:
+            return centers, spread
+        if len(centers) == n:
+            raise AssertionError("center search failed to shrink the unsatisfied set")
+        centers.append(nxt)
+        ball = closed.take(closed[nxt], axis=0)  # within two hops, maybe the nil node
+        target[ball] = unsat[ball] = 0
+        moved = spread.add(np.array([nxt]))
+        unsat[moved] = np.where(final.take(moved) < target.take(moved), cdeg.take(moved), 0)
 
 
 def spread_history_violations(g: Graph, comp: SpreadMap) -> list[str]:

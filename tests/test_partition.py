@@ -478,6 +478,75 @@ def test_spread_rounds_equal_history_after_every_center(arms):
                 assert moved.tolist() == changed.tolist()
 
 
+def _shaped_graph(kind, n, seed):
+    """A connected n-node graph: a tree, a sparse or dense random graph, a
+    caterpillar (a path with leaves hung at random) or hubs (a tree of
+    about n / 15 hubs, the other nodes their leaves, plus n / 10 chords)."""
+    rng = np.random.default_rng(seed)
+    if kind in ("tree", "sparse", "dense"):
+        return random_connected_graph(n, {"tree": 0.0, "sparse": 0.05, "dense": 0.4}[kind], rng)
+    core = max(1, n // (4 if kind == "caterpillar" else 15))
+    if kind == "caterpillar":
+        edges = {(v - 1, v) for v in range(1, core)}
+    else:
+        edges = set(random_connected_graph(core, 0.0, rng).edges())
+    edges |= {(int(rng.integers(core)), v) for v in range(core, n)}
+    for _ in range(n // 10 if kind == "hubs" else 0):
+        u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if u != v:
+            edges.add((u, v))
+    return build_graph(n, sorted(edges))
+
+
+GREEDY_CASES = {
+    "kind": st.sampled_from(["tree", "sparse", "dense", "caterpillar", "hubs"]),
+    "n": st.integers(2, 90),
+    "seed": st.integers(0, 2**32 - 1),
+    "arms": st.sampled_from([2, 3, 4, 5, 10, 50]),
+}
+
+
+def _assert_same_greedy(g, arms):
+    """The greedy's order and every kept round equal one center per ``add``'s."""
+    order, spread = _greedy_centers(g, arms)
+    want, oracle = reference.sequential_greedy(g, arms)
+    assert order == want
+    assert spread.states.tobytes() == oracle.states.tobytes()
+    assert spread.is_center.tobytes() == oracle.is_center.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(**GREEDY_CASES)
+def test_informed_greedy_equals_one_center_per_add(kind, n, seed, arms):
+    _assert_same_greedy(_shaped_graph(kind, n, seed), arms)
+
+
+@pytest.mark.parametrize("n", [1500, 3000, 10_000])
+def test_informed_greedy_equals_one_center_per_add_on_large_trees(n):
+    _assert_same_greedy(random_connected_graph(n, 0.0, n), 10)
+
+
+@pytest.mark.parametrize("arms", [2, 3, 4, 5, 10, 50])
+def test_informed_greedy_equals_one_center_per_add_on_blocking_graph(arms):
+    _assert_same_greedy(_blocking_graph(), arms)
+
+
+def test_informed_greedy_fails_loudly_if_a_node_stays_unsatisfied(monkeypatch):
+    # adds that spread nothing leave every node unsatisfied after the last clamp
+    monkeypatch.setattr(_SpreadRounds, "add", lambda self, new: new)
+    with pytest.raises(AssertionError, match="left a node unsatisfied"):
+        _greedy_centers(path_graph(9), 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**GREEDY_CASES)
+def test_one_center_per_add_never_raises_the_clamp(kind, n, seed, arms):
+    # why the greedy can add each clamp's picks in one call
+    g = _shaped_graph(kind, n, seed)
+    order = reference.sequential_greedy(g, arms)[0]
+    assert (np.diff(degree_clamp(g, arms)[order]) <= 0).all()
+
+
 def test_luby_singleton_and_empty():
     g = path_graph(4)
     solo = luby_2mis(g, {2}, 5, np.random.default_rng(0))

@@ -1,4 +1,4 @@
-"""Cost of ``coopmab partition`` on trees and a star: read, both elections, validation, write.
+"""Cost of ``coopmab partition`` on seeded graphs: read, both elections, validation, write.
 
 Run from the root of a checkout (stdlib and numpy only):
 
@@ -7,9 +7,11 @@ Run from the root of a checkout (stdlib and numpy only):
 
 For each n in 1,500, 3,000, 10^4 and 10^5, one seeded uniform random tree
 (``random_connected_graph(n, 0.0, n)``), then the 2,000-node star
-(``star_graph(1999)``), each with K = 10 arms and written as an edge-list
-file.  Each timing is the median of 3 runs of: ``read_edge_list`` on that
-file (parse and graph build, ``read_s``), the informed election, the
+(``star_graph(1999)``), then a 3,000-node mesh shaped as the benchmark's
+mesh-uninformed graph (a seeded random tree plus 3,000 random chords),
+each with K = 10 arms and written as an edge-list file.  Each timing is
+the median of 3 runs of: ``read_edge_list`` on that file (parse and
+graph build, ``read_s``), the informed election, the
 uninformed election (n_upper = n, horizon 10^5, policy seed 0),
 ``validate_partition`` on each election's partition, and writing the
 informed partition's JSON as ``coopmab partition --out`` writes it
@@ -51,7 +53,8 @@ from pathlib import Path
 from _machine import machine
 
 ROOT = Path(__file__).resolve().parent.parent
-GRAPHS = (("tree", 1_500), ("tree", 3_000), ("tree", 10_000), ("tree", 100_000), ("star", 2_000))
+GRAPHS = (("tree", 1_500), ("tree", 3_000), ("tree", 10_000), ("tree", 100_000), ("star", 2_000),
+          ("mesh", 3_000))
 ARMS = 10
 HORIZON = 100_000
 REPEATS = 3
@@ -83,6 +86,21 @@ def _sha256(*parts) -> str:
     return h.hexdigest()
 
 
+def _mesh(n: int):
+    """A seeded random tree on n nodes plus n distinct random chords."""
+    import numpy as np
+
+    from coopmab.graph import build_graph, random_connected_graph
+
+    rng = np.random.default_rng(n)
+    edges = set(random_connected_graph(n, 0.0, rng).edges())
+    while len(edges) < 2 * n - 1:
+        u, v = sorted(rng.integers(0, n, size=2).tolist())
+        if u != v:
+            edges.add((u, v))
+    return build_graph(n, sorted(edges))
+
+
 def measure(kind: str, n: int, work: str) -> dict:
     """Time one graph in this process; the caller runs it in a fresh child."""
     import numpy as np
@@ -92,9 +110,10 @@ def measure(kind: str, n: int, work: str) -> dict:
                                    compute_centers_uninformed, validate_partition)
 
     graph = os.path.join(work, f"{kind}-{n}.txt")
+    make = {"star": lambda: star_graph(n - 1), "mesh": lambda: _mesh(n),
+            "tree": lambda: random_connected_graph(n, 0.0, n)}[kind]
     with open(graph, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(
-            star_graph(n - 1) if kind == "star" else random_connected_graph(n, 0.0, n)))
+        fh.write(format_edge_list(make()))
     read_s, g = _median_time(lambda: read_edge_list(graph))
     compute_centers_informed(g, ARMS)  # one untimed election, then its peak
     informed_rss = _peak_mb()
@@ -166,7 +185,7 @@ def main(argv=None) -> int:
                       f"write {row['write_s']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB", flush=True)
     doc = {
         "what": "partition read, election, validation and write time on seeded uniform random "
-                "trees and a star, K=10, median of 3",
+                "trees, a star and a chorded tree, K=10, median of 3",
         "arms": ARMS,
         "horizon": HORIZON,
         "repeats": REPEATS,
