@@ -20,7 +20,7 @@ import json
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ class RunResult:
     arm_loss: np.ndarray
     policy_start: tuple[np.ndarray, np.ndarray, np.ndarray]  # the three, after the warm-up
     digest: str
-    snapshots: np.ndarray = field(repr=False)  # (checkpoints, 2N + K): the three per row
     debug_violations: list[str]
     luby_budget_exhaustions: int = 0
 
@@ -103,12 +102,6 @@ def _check_run_args(arms: int, horizon: int, oracles: Sequence[LossOracle]) -> b
 
 BATCH_ROWS = 64  # steps per block of losses, policy draws, digest records and log lines
 BATCH_CELLS = 1 << 16  # at most this many agents per kernel call, agent-steps per block
-CHECKPOINT_CELLS = 1 << 18  # ledger snapshot cells per lane, at most (or one snapshot)
-
-
-def _snapshot_every(total: int, n: int, k: int) -> int:
-    """Steps between a lane's ledger snapshots: about 256 a run, at most CHECKPOINT_CELLS cells."""
-    return max(1, total // 256, -(-total // max(1, CHECKPOINT_CELLS // (2 * n + k))))
 
 
 def _cdf_floor(k: int) -> float:
@@ -141,9 +134,9 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
             for stage in stages:
                 stage(start, min(start + run.block, end) - start)
     return [RunResult(lane.partition, setup, total, *ledger, tuple(first), digest.hexdigest(),
-                      snap, found, lane.exhaustions)
-            for lane, ledger, first, digest, snap, found
-            in zip(lanes, run.ledgers, policy_start, run.digests, run.snaps, run.violations)]
+                      found, lane.exhaustions)
+            for lane, ledger, first, digest, found
+            in zip(lanes, run.ledgers, policy_start, run.digests, run.violations)]
 
 
 _Layout = namedtuple("_Layout", "arms off sizes origin roles centers nodes center_lane members "
@@ -206,16 +199,14 @@ class _Kernel:
         self.block = block = max(1, min(BATCH_ROWS, BATCH_CELLS // a))
         # Running totals: realized and semi-expected loss per agent, loss per
         # lane and arm.  Rows 1..m of `steps` and `losses` take a block's
-        # charges, expected losses and loss rows; with the totals in the row
-        # before a segment, a sum over rows adds the segment step by step, as a
-        # per-step `+=` does (two agent totals keep the inner axis 2 long or
-        # more: numpy sums a lone contiguous axis pairwise).
+        # charges, expected losses and loss rows; with the totals in row 0, a
+        # sum over rows 0..m adds the block step by step, as a per-step `+=`
+        # does (two agent totals keep the inner axis 2 long or more: numpy
+        # sums a lone contiguous axis pairwise).
         self.totals, self.arm_totals = np.zeros((2, a)), np.zeros((len(lanes), k))
         # each lane's realized and semi loss per agent and loss per arm, views of the totals
         self.ledgers = [(self.totals[0, lo:hi], self.totals[1, lo:hi], self.arm_totals[l])
                         for l, (lo, hi) in enumerate(zip(off, off[1:]))]
-        self.every = [_snapshot_every(total, n, k) for n in sizes]
-        self.snaps = [np.empty((-(-total // e), 2 * n + k)) for e, n in zip(self.every, sizes)]
         self.steps, self.losses = np.empty((block + 1, 2, a)), np.empty((block + 1, len(lanes), k))
         # a step's actions overwrite the draws they were sampled with; `charge`
         # makes them their flat index into losses
@@ -346,18 +337,11 @@ class _Kernel:
                            self.arm_text)
 
     def fold(self, start, m):
-        """Fold the block into the totals, cut at each lane's snapshot steps."""
-        steps, losses, totals, arm_totals = self.steps, self.losses, self.totals, self.arm_totals
-        lo = 0
-        for hi in sorted({h for e in set(self.every) for h in range(e - start % e, m, e)} | {m}):
-            steps[lo], losses[lo] = totals, arm_totals
-            np.add.reduce(steps[lo:hi + 1], axis=0, out=totals)
-            np.add.reduce(losses[lo:hi + 1], axis=0, out=arm_totals)
-            t = start + hi
-            for l, (snap, e) in enumerate(zip(self.snaps, self.every)):
-                if t % e == 0 or t == self.total:
-                    np.concatenate(self.ledgers[l], out=snap[(t - 1) // e])
-            lo = hi
+        """Fold the block into the totals."""
+        steps, losses = self.steps, self.losses
+        steps[0], losses[0] = self.totals, self.arm_totals
+        np.add.reduce(steps[:m + 1], axis=0, out=self.totals)
+        np.add.reduce(losses[:m + 1], axis=0, out=self.arm_totals)
 
 
 def _log_lines(sink: IO, first_t: int, actions, loss_rows, arm_text) -> None:
@@ -392,6 +376,9 @@ def _check_partition(g: Graph, arms: int, partition: Partition) -> None:
     centers = sorted(partition.centers.tolist())
     if np.flatnonzero(cof == node).tolist() != centers:
         raise ValueError(f"centers {centers} are not the self-claiming nodes")
+    c = _first((cof == node) & (delay != 0))
+    if c is not None:
+        raise ValueError(f"center {c} has delay {delay[c]}, not 0")
     u, apart = np.clip(uof, 0, n - 1), ~g.are_adjacent(node, uof)
     v = _first((cof != node) & (apart | (delay.take(u) != delay - 1)))
     if v is not None:

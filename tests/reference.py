@@ -3,14 +3,16 @@
 ``SimWorld`` advances one run one global step at a time, with a Python
 loop over centers; ``run_informed``, ``run_uninformed`` and
 ``run_solo_exp3`` drive it one seed per call, and return a ``ReferenceRun``:
-a ``RunResult`` that also holds the played distributions when asked to
-record them; ``run_lane`` plays any partition after any number of
+a ``RecordedRun`` (a ``RunResult`` with its ``Ledgers`` after every step)
+that also holds the played distributions when asked to record them;
+``run_lane`` plays any partition after any number of
 warm-up steps.  ``informed_lane`` builds the kernel's ``simulate.Lane`` of
 an informed run from ``run_informed``'s arguments, for the tests that call
-``simulate.run_lanes`` with one lane.  ``assert_same_run`` compares two
-runs field by field, and ``checkpoints`` gives any run's (t, realized,
-semi, arm) views of its ledger snapshots, as ``RunResult.checkpoints``
-once did.
+``simulate.run_lanes`` with one lane.  The world records its ledgers
+(t, realized, semi, arm) after every step; ``recorded_lanes`` is
+``simulate.run_lanes`` with the same per-step ledgers rebuilt from each
+block the kernel folds into its totals.  ``assert_same_run`` compares two
+such runs field by field and step by step.
 With a log sink, the world writes log v2 through ``json.dumps``: a header
 of every agent's role, then one line per step of its loss row and every
 agent's action; ``log_records`` decodes one into per-agent records.  The
@@ -68,7 +70,7 @@ import hashlib
 import heapq
 import json
 import math
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import IO, Iterable
@@ -104,6 +106,13 @@ from coopmab.partition import (
 from coopmab.simulate import LossOracle, RunResult, _check_run_args
 
 ROLES = ("center", "adjacent", "simple")  # the digest header's role codes, by index
+# a run's ledgers after each step: row t - 1 holds step t's, and t[t - 1] == t
+Ledgers = namedtuple("Ledgers", "t realized semi arm")
+
+
+def _ledger_rows(total: int, n: int, k: int) -> Ledgers:
+    return Ledgers(np.zeros(total, np.int64), np.empty((total, n)), np.empty((total, n)),
+                   np.empty((total, k)))
 
 
 def is_distribution(probs, tol: float = exp3.DISTRIBUTION_TOL) -> bool:
@@ -220,10 +229,7 @@ class SimWorld:
         self._draw_buf = np.empty((0, n))
         self._draw_ptr = 0
         self.violations: list[str] = []
-        self.checkpoints: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        # about 256 snapshots a run, at most CHECKPOINT_CELLS ledger cells (or one snapshot)
-        fit = max(1, simulate.CHECKPOINT_CELLS // (2 * n + self.arms))
-        self.checkpoint_every = max(1, losses.shape[0] // 256, -(-losses.shape[0] // fit))
+        self.steps = _ledger_rows(losses.shape[0], n, self.arms)
         self.dist_history: list[np.ndarray] = []
 
         self.digest = hashlib.blake2b(digest_size=8)
@@ -255,10 +261,8 @@ class SimWorld:
         if self.log_sink is not None:
             self.log_sink.write(json.dumps({"t": self.t, "loss": loss_row.tolist(),
                                             "action": actions.tolist()}) + "\n")
-        if self.t % self.checkpoint_every == 0 or self.t == self.losses.shape[0]:
-            self.checkpoints.append(
-                (self.t, self.realized.copy(), self.semi.copy(), self.arm_cum.copy())
-            )
+        for column, value in zip(self.steps, (self.t, self.realized, self.semi, self.arm_cum)):
+            column[self.t - 1] = value
 
     def warmup_round(self) -> None:
         """Uniform i.i.d. play while the partition protocol is still running."""
@@ -352,41 +356,70 @@ class SimWorld:
 
 
 @dataclass
-class ReferenceRun(RunResult):
+class RecordedRun(RunResult):
+    """A run's result with its ``Ledgers`` after every step."""
+
+    steps: Ledgers | None = field(repr=False, default=None)
+
+
+@dataclass
+class ReferenceRun(RecordedRun):
     """A reference run's result; ``dist_history[t - 1]`` holds every agent's
     distribution played at policy step t when the run records them."""
 
     dist_history: list = field(repr=False, default_factory=list)
 
 
-def _finish(world: SimWorld, setup, snapshot, exhaustions=0) -> ReferenceRun:
-    # the snapshots as one (checkpoints, 2N + K) block of ledger rows, as RunResult holds them
-    rows = np.array([np.concatenate(c[1:]) for c in world.checkpoints])
+def _finish(world: SimWorld, setup, policy_start, exhaustions=0) -> ReferenceRun:
     return ReferenceRun(world.partition, setup, world.t - 1, world.realized, world.semi,
-                        world.arm_cum, snapshot, world.digest.hexdigest(), rows,
-                        world.violations, exhaustions, world.dist_history)
+                        world.arm_cum, policy_start, world.digest.hexdigest(), world.violations,
+                        exhaustions, world.steps, world.dist_history)
 
 
 def _ledgers(world: SimWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return world.realized.copy(), world.semi.copy(), world.arm_cum.copy()
 
 
-def checkpoints(run: RunResult) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(t, realized, semi, arm) at every snapshot step, views into ``run.snapshots``."""
-    n, total = run.realized_loss.size, run.total_steps
-    every = simulate._snapshot_every(total, n, run.arm_loss.size)
-    return [(min(t, total), row[:n], row[n:2 * n], row[2 * n:])
-            for t, row in zip(range(every, total + every, every), run.snapshots)]
+def recorded_lanes(lanes, horizon: int, debug: bool = False) -> list[RecordedRun]:
+    """``simulate.run_lanes``, each result with its lane's ``Ledgers`` after every step.
+
+    For this one call, a wrapper of ``simulate._Kernel.fold`` rebuilds each
+    step's ledgers from the block's rows, the carried totals in row 0, with
+    ``np.add.accumulate``: the order of the kernel's own sums, so bit for bit.
+    A kernel call's first block starts at step 0, and calls run one after another.
+    """
+    fold, calls = simulate._Kernel.fold, []
+
+    def record(kernel, start, m):
+        fold(kernel, start, m)
+        if start == 0:
+            calls.append([_ledger_rows(kernel.total, n, kernel.lay.arms)
+                          for n in kernel.lay.sizes])
+        steps = np.add.accumulate(kernel.steps[:m + 1], axis=0)[1:]
+        losses = np.add.accumulate(kernel.losses[:m + 1], axis=0)[1:]
+        off = kernel.lay.off
+        for l, (kept, lo, hi) in enumerate(zip(calls[-1], off, off[1:])):
+            kept.t[start:start + m] = np.arange(start + 1, start + m + 1)
+            kept.realized[start:start + m] = steps[:, 0, lo:hi]
+            kept.semi[start:start + m] = steps[:, 1, lo:hi]
+            kept.arm[start:start + m] = losses[:, l]
+
+    simulate._Kernel.fold = record
+    try:
+        runs = simulate.run_lanes(lanes, horizon, debug)
+    finally:
+        simulate._Kernel.fold = fold
+    return [RecordedRun(**vars(run), steps=steps)
+            for run, steps in zip(runs, (kept for call in calls for kept in call))]
 
 
-def assert_same_run(run: RunResult, want: RunResult, each_step: bool = False) -> None:
-    """Every ``RunResult`` field equal: arrays, also inside checkpoints and
-    ``policy_start``, in dtype, shape and bytes.  With ``each_step``, ``run``
-    must hold a checkpoint per step (runs under 512 steps do), so the semi
-    ledger compares every agent's p . loss at every step."""
-    if each_step:
-        assert [c[0] for c in checkpoints(run)] == list(range(1, run.total_steps + 1))
-    for name in RunResult.__dataclass_fields__:
+def assert_same_run(run: RecordedRun, want: RecordedRun) -> None:
+    """Every ``RunResult`` field and every step's ledgers equal: arrays, also
+    inside ``policy_start`` and ``steps``, in dtype, shape and bytes.  So the
+    semi ledger compares every agent's p . loss at every step."""
+    for r in (run, want):
+        assert r.steps.t.tolist() == list(range(1, r.total_steps + 1))
+    for name in RecordedRun.__dataclass_fields__:
         a, b = getattr(run, name), getattr(want, name)
         if name == "partition":
             assert_same_partition(a, b)
@@ -440,10 +473,10 @@ def run_lane(
     for _ in range(setup):
         world.warmup_round()
     assert world.t - 1 == setup, "warm-up step accounting drifted"
-    snapshot = _ledgers(world)
+    policy_start = _ledgers(world)
     for _ in range(horizon):
         world.advance_round()
-    return _finish(world, setup, snapshot, exhaustions=exhaustions)
+    return _finish(world, setup, policy_start, exhaustions=exhaustions)
 
 
 def run_informed(

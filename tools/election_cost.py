@@ -27,13 +27,20 @@ child would report this process's peak whenever that is larger.
 ``informed_sha256`` hashes the informed partition's six columns, and
 ``uninformed_sha256`` the uninformed one's and every ``LubyCall``
 (universe, rounds used, joined set, exhaustion).  With ``--baseline``,
-every graph also runs on that checkout's ``src/``, right before this
-one's, so both see the same moment of the machine; its elections must
-return their partitions as this one's do (``compute_centers_informed`` a
-``Partition``, ``compute_centers_uninformed`` one in ``.partition``).  The
-script then exits 1 unless both checkouts' hashes are equal on every
-graph.  The result, with the machine it ran on, goes to
-``BENCH_election.json`` either way.
+every graph also runs on that checkout's ``src/`` (its elections must
+return their partitions as this one's do: ``compute_centers_informed`` a
+``Partition``, ``compute_centers_uninformed`` one in ``.partition``), in
+``REPEATS`` rounds of one child per checkout, the baseline's first in
+even rounds and this one's in odd ones, so that each pair sees about the
+same moment of the machine.  A checkout's row then holds the median of
+its rounds for every reading, and this checkout's row also holds
+``vs_baseline``: per timed phase, the ratio of this child's time to the
+baseline child's in each round (``pair_ratios``), their median and their
+range.  A single time follows the box's speed (three runs of one round
+each put the informed election at 10^5 at 0.61, 0.78 and 1.00 s), while
+the ratio of two children that took turns held at 0.20-0.24 in them.  The script exits 1 unless both
+checkouts' hashes are equal on every graph in every round.  The result,
+with the machine it ran on, goes to ``BENCH_election.json`` either way.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ GRAPHS = (("tree", 1_500), ("tree", 3_000), ("tree", 10_000), ("tree", 100_000),
 ARMS = 10
 HORIZON = 100_000
 REPEATS = 3
+TIMED = ("read_s", "informed_s", "uninformed_s", "validate_informed_s", "validate_uninformed_s",
+         "write_s")
 
 
 def _median_time(fn):
@@ -168,14 +177,21 @@ def main(argv=None) -> int:
     checkouts = {"this": ROOT}
     if args.baseline is not None:
         checkouts = {"baseline": args.baseline.resolve(), **checkouts}
+    rounds = REPEATS if args.baseline is not None else 1
     results: dict[str, list[dict]] = {name: [] for name in checkouts}
+    unequal = []
     with tempfile.TemporaryDirectory() as work:
         for kind, n in GRAPHS:
-            for name, root in checkouts.items():
-                child = subprocess.run(
-                    [sys.executable, __file__, "--child", kind, str(n), str(root / "src"), work],
-                    check=True, capture_output=True, text=True)
-                row = json.loads(child.stdout.strip().splitlines()[-1])
+            got: dict[str, list[dict]] = {name: [] for name in checkouts}
+            for turn in range(rounds):
+                for name, root in list(checkouts.items())[::1 if turn % 2 == 0 else -1]:
+                    child = subprocess.run(
+                        [sys.executable, __file__, "--child", kind, str(n), str(root / "src"),
+                         work], check=True, capture_output=True, text=True)
+                    got[name].append(json.loads(child.stdout.strip().splitlines()[-1]))
+            for name, rows in got.items():
+                row = {key: statistics.median(r[key] for r in rows) if isinstance(value, float)
+                       else value for key, value in rows[0].items()}
                 results[name].append(row)
                 print(f"{name} {kind} n={n}: read {row['read_s']:.3f} s, "
                       f"informed {row['informed_s']:.3f} s ({row['informed_centers']} centers, "
@@ -183,21 +199,31 @@ def main(argv=None) -> int:
                       f"uninformed {row['uninformed_s']:.3f} s, "
                       f"validate {row['validate_informed_s']:.3f} / {row['validate_uninformed_s']:.3f} s, "
                       f"write {row['write_s']:.3f} s, peak RSS {row['peak_rss_mb']:.1f} MB", flush=True)
+            if args.baseline is None:
+                continue
+            unequal += [f"{kind} n={n} {key}" for key in ("informed_sha256", "uninformed_sha256")
+                        if len({r[key] for rows in got.values() for r in rows}) > 1]
+            ratios = {phase: [t[phase] / b[phase] for b, t in zip(got["baseline"], got["this"])]
+                      for phase in TIMED}
+            results["this"][-1]["vs_baseline"] = {
+                phase: {"pair_ratios": r, "median": statistics.median(r), "range": [min(r), max(r)]}
+                for phase, r in ratios.items()}
+            print(f"this / baseline {kind} n={n}: " + ", ".join(
+                f"{phase[:-2]} {statistics.median(r):.3f} ({min(r):.3f}-{max(r):.3f})"
+                for phase, r in ratios.items()), flush=True)
     doc = {
         "what": "partition read, election, validation and write time on seeded uniform random "
-                "trees, a star and a chorded tree, K=10, median of 3",
+                "trees, a star and a chorded tree, K=10, median of 3 per child; with a baseline, "
+                f"the median of {rounds} rounds of one child per checkout",
         "arms": ARMS,
         "horizon": HORIZON,
         "repeats": REPEATS,
+        "rounds": rounds,
         "machine": machine(),
         "checkouts": list(checkouts),
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    if args.baseline is None:
-        return 0
-    unequal = [f"{a['graph']} n={a['n']} {key}" for a, b in zip(*results.values())
-               for key in ("informed_sha256", "uninformed_sha256") if a[key] != b[key]]
     for line in unequal:
         print(f"elections differ: {line}", file=sys.stderr)
     return 1 if unequal else 0

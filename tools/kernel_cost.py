@@ -35,9 +35,10 @@ of each timed op's wall time to the baseline's op at the same turn
 
 One more case reads peak RSS alone: N = 20,000 (a seeded uniform random
 tree, no chords), informed, the same K, horizon and seeds, one fresh
-process per checkout.  At that size the ledger snapshots a run keeps
-(``RunResult.snapshots``) are the largest allocation; their cap shows
-there.
+process per checkout.  At that size the per-agent buffers a kernel call
+keeps in O(N + K) per lane (each agent's two distributions and CDFs,
+the block's charges and draws, the digest records) show beside the
+graph and the election.
 
 Five more rows time the kernel itself, in microseconds per step of a
 run, by calling it from Python (no CLI, no output), each run's runs as
