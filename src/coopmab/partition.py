@@ -222,6 +222,7 @@ class _SpreadRounds:
                 states[t + 1:, :, now] = states[t].take(now, axis=1)
                 break
             changed = now
+            del own, old, cur, chosen
         return now
 
     def _ring_settled(self, near: np.ndarray, core: np.ndarray, t: int) -> bool:

@@ -141,19 +141,18 @@ def _run_batch(lanes: Sequence[Lane], horizon: int, short: bool = False,
 
 _Layout = namedtuple("_Layout", "arms off sizes origin roles centers nodes center_lane members "
                      "starts rates runs")
-# a state buffer: both planes, each agent's p and CDF, the planes' (2A, K) rows and p per run
+# a state buffer: both planes, each agent's p and CDF, the planes' flat cells and p per run
 _Buffer = namedtuple("_Buffer", "planes p cdf rows p_runs")
 
 
 def _layout(lanes: Sequence[Lane], horizon: int) -> _Layout:
     """The lanes' index arrays on one flat agent axis, lane l's agents at off[l]..off[l + 1] - 1.
 
-    Per agent: ``origin``, whose distribution it plays.  Per lane: ``sizes``
-    and ``roles`` (0 a center, 1 a relay one delay step from its center, 2
-    any other relay).  Per center, lane by lane in partition order: its
-    agent, node, lane, rate (a column) and closed neighborhood, ``members``
-    from ``starts`` on, ascending (sorted by slot * n + member).  ``runs``:
-    (first, end) of each run of lanes of equal size."""
+    Per agent: ``origin``, whose distribution it plays.  Per lane: ``sizes`` and ``roles`` (0 a
+    center, 1 a relay one delay step from its center, 2 any other relay).  Per center, lane by
+    lane in partition order: its agent, node, lane, rate (a column) and closed neighborhood,
+    ``members`` from ``starts`` on, ascending (sorted by slot * n + member).  ``runs``: (first,
+    end) of each run of lanes of equal size."""
     k, sizes = lanes[0].partition.arms, [lane.partition.node_count for lane in lanes]
     off = np.cumsum([0, *sizes]).tolist()
     origin, roles, members, segs, masses = ([] for _ in range(5))
@@ -197,19 +196,18 @@ class _Kernel:
                            + "\n")
         self.arm_text = np.array([f"{x}{end}" for end in (", ", "]}\n") for x in range(k)], "S")
         self.block = block = max(1, min(BATCH_ROWS, BATCH_CELLS // a))
-        # Running totals: realized and semi-expected loss per agent, loss per
-        # lane and arm.  Rows 1..m of `steps` and `losses` take a block's
-        # charges, expected losses and loss rows; with the totals in row 0, a
-        # sum over rows 0..m adds the block step by step, as a per-step `+=`
-        # does (two agent totals keep the inner axis 2 long or more: numpy
-        # sums a lone contiguous axis pairwise).
+        # Running totals: realized and semi-expected loss per agent, loss per lane and arm.
+        # Rows 1..m of `steps` and `losses` take a block's charges, expected losses and loss
+        # rows; with the totals in row 0, a sum over rows 0..m adds the block step by step, as a
+        # per-step `+=` does (two agent totals keep the inner axis 2 long or more: numpy sums a
+        # lone contiguous axis pairwise).
         self.totals, self.arm_totals = np.zeros((2, a)), np.zeros((len(lanes), k))
-        # each lane's realized and semi loss per agent and loss per arm, views of the totals
+        # each lane's three ledgers, views of the totals
         self.ledgers = [(self.totals[0, lo:hi], self.totals[1, lo:hi], self.arm_totals[l])
                         for l, (lo, hi) in enumerate(zip(off, off[1:]))]
         self.steps, self.losses = np.empty((block + 1, 2, a)), np.empty((block + 1, len(lanes), k))
-        # a step's actions overwrite the draws they were sampled with; `charge`
-        # makes them their flat index into losses
+        # a step's actions overwrite the draws they were sampled with; `charge` makes them
+        # their flat index into losses
         self.draws = np.empty((block, a))
         self.actions = self.draws.view(np.int64)
         # flat index of losses[1 + j, lane of v, 0]: a lane's row plus a step's
@@ -222,22 +220,24 @@ class _Kernel:
         state = np.empty((2, 2, a, k))
         state[0, 0] = 1.0 / k
         np.cumsum(state[0, 0], axis=1, out=state[0, 1])
-        self.views = [_Buffer(x, x[0], x[1], x.reshape(-1, k), [x[0, off[l0]:off[l1]].reshape(
+        self.views = [_Buffer(x, x[0], x[1], x.reshape(-1), [x[0, off[l0]:off[l1]].reshape(
             -1, sizes[l0], k) for l0, l1 in lay.runs]) for x in state]
         c, h, cells = lay.centers.size, lay.members.size, (lay.centers.size, k)
         self.drift = (not short) & (lay.rates[:, 0] <= 0.5 / k + 1e-15)  # the drift audit's
-        self.chunk = max(1, (BATCH_CELLS >> 6) // (c * k)) if debug else 1  # steps per audit
-        self.stash = np.empty((4, self.chunk) + cells)  # p_now, p_next, est, observe
-        self.slots = [tuple(self.stash[:, i]) for i in range(self.chunk)]  # a step's views
+        self.chunk = max(1, (BATCH_CELLS >> 4) // (c * k)) if debug else 1  # steps per audit
+        # p, est, observe: a chunk's step i in row i + 1, the p played at step 0 in p's row 0
+        self.stash = np.empty((3, self.chunk + 1) + cells)
+        if debug:
+            self.stash[0, 0] = 1.0 / k
+        self.slots = list(zip(*self.stash[:, 1:]))  # per step
         self.violations: list[list[str]] = [[] for _ in lanes]
         # `play`'s buffers: `rates` in full shape (no ufunc buffering), `slot_cell` the flat
-        # index of observed[slot, 0] per member, `fresh_at` the center rows of a buffer's rows,
-        # `p_next` and `work` the centers' new p and CDF (the CDF's rows are scratch until then)
+        # index of observed[slot, 0] per member, `fresh` the centers' new p and CDF (the CDF is
+        # scratch until then) and `cells` their flat indices in a buffer's `rows`
         self.logw, self.rates = np.zeros(cells), np.broadcast_to(lay.rates, cells).copy()
         self.slot_cell = k * np.repeat(np.arange(c), np.diff(lay.starts, append=h))
-        self.fresh_at = np.concatenate((lay.centers, lay.centers + a))
-        self.p_next, self.work = fresh = np.empty((2,) + cells)
-        self.fresh_rows, self.row, self.count = fresh.reshape(-1, k), np.empty((c, 1)), np.empty(a)
+        self.cells = np.add.outer(np.stack((lay.centers, lay.centers + a)) * k, np.arange(k))
+        self.fresh, self.row, self.count = np.empty((2,) + cells), np.empty((c, 1)), np.empty(a)
         self.gathered, self.observed = np.empty((h, k)), np.empty(cells, bool)
         self.seen, self.ones, self.true = np.empty(h, np.int64), np.ones(k), np.ones(1, bool)
         self.center_loss = np.empty((block,) + cells)
@@ -268,20 +268,19 @@ class _Kernel:
                                                self.row, self.count)
         origin, flat, starts, ones, true = lay.origin, lay.members, lay.starts, self.ones, self.true
         gathered, observed, seen, slot_cell = self.gathered, self.observed, self.seen, self.slot_cell
-        p_next, work, fresh_at, fresh_rows = self.p_next, self.work, self.fresh_at, self.fresh_rows
+        fresh, cells, (p_out, est, observe) = self.fresh, self.cells, self.slots[0]
+        p_next, work = fresh
         draws, per_row, k, debug, chunk = (self.draws[:m], self.per_row, lay.arms, self.debug,
                                            self.chunk)
-        p_now, p_out, est, observe = self.slots[0]
         # the steps where a draw is 0 or above the CDF floor
         rare = ((draws.min(axis=1) == 0.0) | (draws.max(axis=1) > _cdf_floor(k))).tolist()
         self.losses[1:m + 1].take(lay.center_lane, axis=1, out=self.center_loss[:m])
         for j in range(m):
             now, new = views
             act, draw, draw_col, loss_row, expect = per_row[j]
-            # inverse-CDF sample, arms ascending: the action is the number
-            # of arms whose CDF lies below the draw (exact small sums in
-            # new.p until the relays' take fills it), an arm of positive
-            # probability unless every arm lies below or the draw is 0
+            # inverse-CDF sample, arms ascending: the action is the number of arms whose CDF
+            # lies below the draw (exact small sums in new.p until the relays' take fills it),
+            # an arm of positive probability unless every arm lies below or the draw is 0
             np.matmul(np.less(now.cdf, draw_col, out=new.p), ones, out=count)
             if rare[j]:
                 for v in np.flatnonzero((count >= k) | (draw == 0.0)).tolist():
@@ -289,12 +288,12 @@ class _Kernel:
             act[...] = count
             for p_run, (loss_run, expected) in zip(now.p_runs, expect):
                 np.matmul(p_run, loss_run, out=expected)
-            # relays stage the origin's round-t distribution and CDF ("clip"
-            # lets take write to out unbuffered; every index is in range)
+            # relays stage the origin's round-t distribution and CDF ("clip" lets take write to
+            # out unbuffered; every index is in range)
             now.planes.take(origin, axis=1, out=new.planes, mode="clip")
             if debug:
                 t, i = start + j + 1, (start + j - self.setup) % chunk
-                p_now, p_out, est, observe = self.slots[i]
+                p_out, est, observe = self.slots[i]
             # each center: products over its closed neighborhood, members ascending
             now.p.take(flat, axis=0, out=gathered, mode="clip")
             np.multiply.reduceat(np.subtract(1.0, gathered, out=gathered), starts, axis=0,
@@ -308,12 +307,13 @@ class _Kernel:
             exp3.probs_from_log_weights(logw, p_next, work, row)
             np.add.accumulate(p_next, axis=1, out=work)
             if debug:
-                now.p.take(lay.centers, axis=0, out=p_now)
                 p_out[...] = p_next
                 if i == chunk - 1 or t == self.total:
                     exp3._audit(self.violations, t - i, lay.nodes, lay.center_lane,
-                                *self.stash[:, :i + 1], lay.rates, self.drift)
-            new.rows[fresh_at] = fresh_rows
+                                self.stash[0, :i + 1], *self.stash[:, 1:i + 2], lay.rates,
+                                self.drift)
+                    self.stash[0, 0] = p_out
+            new.rows[cells] = fresh
             views.reverse()
         if not np.isfinite(logw).all():
             raise exp3.NonFiniteEstimateError("loss estimates must be finite")

@@ -1010,7 +1010,7 @@ def _reweighed(part: Partition, mass: str, order: str) -> Partition:
     mass=st.sampled_from(["elected", "inflated", "decayed"]),
     order=st.sampled_from(["ascending", "descending"]),
     block=st.sampled_from([3, 37, simulate.BATCH_ROWS]),
-    cells=st.sampled_from([14, simulate.BATCH_CELLS]),
+    cells=st.sampled_from([14, 192, simulate.BATCH_CELLS]),
 )
 # short horizons, where only the decayed masses bring the floor and ceiling checks in
 @example(kind="path", n=5, graph_seed=0, arms=4, horizon=10, setting="informed", seeds=1,
@@ -1025,6 +1025,10 @@ def _reweighed(part: Partition, mass: str, order: str) -> Partition:
          mass="elected", order="descending", block=37, cells=simulate.BATCH_CELLS)
 @example(kind="path", n=7, graph_seed=0, arms=3, horizon=20, setting="uninformed", seeds=1,
          mass="elected", order="descending", block=37, cells=simulate.BATCH_CELLS)
+# audit chunks of (192 >> 4) // (1 center * 3 arms) = 4 steps in blocks of 3: the p history's
+# row 0 is carried across six chunk ends, four of them inside a block
+@example(kind="star", n=5, graph_seed=0, arms=3, horizon=25, setting="informed", seeds=1,
+         mass="elected", order="ascending", block=3, cells=192)
 def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, horizon, setting,
                                                     seeds, mass, order, block, cells):
     # Every field, step's ledgers, played distribution, log byte and audit message
@@ -1034,7 +1038,8 @@ def test_kernel_equals_reference_with_debug_and_log(kind, n, graph_seed, arms, h
     # its own arm is at least 5/arms > 1.  Inflated masses give rates so large
     # that arms drop to probability 0; decayed ones give rates small enough
     # for the one-step floor and ceiling checks, short horizons included.  At
-    # 14 cells an informed batch splits into kernel calls of 14 // N seeds.
+    # 14 cells an informed batch splits into kernel calls of 14 // N seeds; at 192 an audit
+    # chunk is (192 >> 4) // (centers * arms) steps, a few on these graphs.
     # A caller's partition may list its centers in any order; descending
     # ones must give the reference's results too.
     g = _small_graph(kind, n, graph_seed)

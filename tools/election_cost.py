@@ -30,9 +30,13 @@ child would report this process's peak whenever that is larger.
 every graph also runs on that checkout's ``src/`` (its elections must
 return their partitions as this one's do: ``compute_centers_informed`` a
 ``Partition``, ``compute_centers_uninformed`` one in ``.partition``), in
-``REPEATS`` rounds of one child per checkout, the baseline's first in
-even rounds and this one's in odd ones, so that each pair sees about the
-same moment of the machine.  A checkout's row then holds the median of
+``ROUNDS`` (4, an even number) rounds of one child per checkout, the
+baseline's first in even rounds and this one's in odd ones, so that each
+pair sees about the same moment of the machine and each checkout goes
+first equally often.  The script warns on stderr when the two checkouts'
+paths differ in length: with the same ``partition.py`` in both, a
+checkout whose path was 6 characters shorter than the baseline's read
+the 2,000-node star's elections at 1.12-1.26 of the baseline's time.  A checkout's row then holds the median of
 its rounds for every reading, and this checkout's row also holds
 ``vs_baseline``: per timed phase, the ratio of this child's time to the
 baseline child's in each round (``pair_ratios``), their median and their
@@ -58,13 +62,15 @@ import time
 from pathlib import Path
 
 from _machine import machine
+from _turns import warn_unequal_paths
 
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = (("tree", 1_500), ("tree", 3_000), ("tree", 10_000), ("tree", 100_000), ("star", 2_000),
           ("mesh", 3_000))
 ARMS = 10
 HORIZON = 100_000
-REPEATS = 3
+REPEATS = 3  # runs per timing in a child
+ROUNDS = 4  # children per checkout and graph with a baseline; even, so each leads half
 TIMED = ("read_s", "informed_s", "uninformed_s", "validate_informed_s", "validate_uninformed_s",
          "write_s")
 
@@ -177,7 +183,8 @@ def main(argv=None) -> int:
     checkouts = {"this": ROOT}
     if args.baseline is not None:
         checkouts = {"baseline": args.baseline.resolve(), **checkouts}
-    rounds = REPEATS if args.baseline is not None else 1
+        warn_unequal_paths(checkouts)
+    rounds = ROUNDS if args.baseline is not None else 1
     results: dict[str, list[dict]] = {name: [] for name in checkouts}
     unequal = []
     with tempfile.TemporaryDirectory() as work:

@@ -85,6 +85,7 @@ import time
 from pathlib import Path
 
 from _machine import machine
+from _turns import serve, take_turns, vs_baseline, warn_unequal_paths
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5  # timed calls per step-case round
@@ -211,14 +212,6 @@ class Probe:
         return {"wall": end - self.op_start, **self.total}
 
 
-def _turns(calls):
-    """Make each call when a line arrives on stdin, and answer it with one on stdout."""
-    for call in calls:
-        sys.stdin.readline()
-        call()
-        print(flush=True)
-
-
 def worker(src: str, graph: str, nodes: int, setting: str) -> dict:
     """Phase medians of CLI_REPEATS timed ops of one case on the package under ``src``, one op
     per turn after an untimed one."""
@@ -230,7 +223,7 @@ def worker(src: str, graph: str, nodes: int, setting: str) -> dict:
     runs = []
     with tempfile.TemporaryDirectory() as work:
         argv = _argv(graph, nodes, setting, os.path.join(work, "run"))
-        _turns([lambda: probe.op(cli, argv)]
+        serve([lambda: probe.op(cli, argv)]
                + [lambda: runs.append(probe.op(cli, argv))] * CLI_REPEATS)
         with open(os.path.join(work, "run.json"), encoding="utf-8") as fh:
             setup = [s["setup_steps"] for s in json.load(fh)["per_seed"]]
@@ -291,34 +284,9 @@ def step_worker(src: str, case: str) -> dict:
         t0 = time.perf_counter()
         run()
         runs.append((time.perf_counter() - t0) / steps * 1e6)
-    _turns([run] + [timed] * REPEATS)
+    serve([run] + [timed] * REPEATS)
     return {"case": case, "seeds": STEP_CASES[case][0], "steps": steps, "arms": arms,
             "us_per_step": statistics.median(runs), "runs_us_per_step": runs}
-
-
-def take_turns(checkouts: dict[str, Path], calls: int, flag: str, *args: str) -> dict[str, dict]:
-    """One worker process (``flag``: --worker or --step-worker) per checkout, their ``calls``
-    calls taking turns (the first checkout's first on even calls, the other's on odd ones), so
-    that each call pair sees about the same moment of the machine."""
-    procs = {name: subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), flag, str(root / "src"), *args],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}) for name, root in checkouts.items()}
-    for call in range(calls):
-        for proc in list(procs.values())[::1 if call % 2 == 0 else -1]:
-            proc.stdin.write("\n")
-            proc.stdin.flush()
-            if not proc.stdout.readline():  # the worker ended early
-                raise SystemExit(proc.stderr.read().strip()[-2000:])
-    rows = {}
-    for name, proc in procs.items():
-        # read through the pipes' buffers: the last readline may hold the row already
-        proc.stdin.close()
-        out, err = proc.stdout.read(), proc.stderr.read()
-        if proc.wait() != 0:
-            raise SystemExit(err.strip()[-2000:])
-        rows[name] = json.loads(out)
-    return rows
 
 
 def _subprocess(args: list[str]) -> str:
@@ -338,14 +306,6 @@ def fresh_peak(src: str, graph: str, nodes: int, setting: str) -> float:
     if code != "0":
         raise SystemExit(f"fresh op exit code {code}")
     return int(rss_kb) / 1024.0
-
-
-def _vs_baseline(what: str, ratios: list[float]) -> dict:
-    """Pair ratios (this / baseline) with their median and quartiles, printed as well."""
-    low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
-    print(f"this / baseline {what}: median {mid:.3f} of {len(ratios)} pairs "
-          f"(quartiles {low:.3f}-{high:.3f})", flush=True)
-    return {"pair_ratios": ratios, "median": mid, "quartiles": [low, high]}
 
 
 def _graphs(work: str) -> list[tuple[int, str]]:
@@ -377,13 +337,15 @@ def main(argv=None) -> int:
     checkouts = {"this": ROOT}
     if args.baseline is not None:
         checkouts = {"baseline": args.baseline.resolve(), **checkouts}
+        warn_unequal_paths(checkouts)
     results: dict[str, list[dict]] = {name: [] for name in checkouts}
     per_step: dict[str, list[dict]] = {name: [] for name in checkouts}
     peak_only: dict[str, list[dict]] = {name: [] for name in checkouts}
     for case in STEP_CASES:
         rows: dict[str, list[dict]] = {name: [] for name in checkouts}
         for _ in range(STEP_ROUNDS):
-            for name, row in take_turns(checkouts, REPEATS + 1, "--step-worker", case).items():
+            for name, row in take_turns(__file__, checkouts, REPEATS + 1, "--step-worker",
+                                         case).items():
                 rows[name].append(row)
         for name, got in rows.items():
             runs = [x for row in got for x in row["runs_us_per_step"]]
@@ -392,7 +354,7 @@ def main(argv=None) -> int:
             print(f"{name} {case}: {row['seeds']} seed(s), {row['us_per_step']:.1f} us per step",
                   flush=True)
         if args.baseline is not None:  # each round's two processes took turns
-            per_step["this"][-1]["vs_baseline"] = _vs_baseline(case, [
+            per_step["this"][-1]["vs_baseline"] = vs_baseline(case, [
                 this["us_per_step"] / base["us_per_step"]
                 for base, this in zip(rows["baseline"], rows["this"])])
     with tempfile.TemporaryDirectory() as work:
@@ -403,7 +365,7 @@ def main(argv=None) -> int:
             print(f"{name} N={nodes} informed: peak {peak:.1f} MB", flush=True)
         for nodes, graph in timed:
             for setting in ("informed", "uninformed"):
-                rows = take_turns(checkouts, CLI_REPEATS + 1, "--worker", graph,
+                rows = take_turns(__file__, checkouts, CLI_REPEATS + 1, "--worker", graph,
                                   str(nodes), setting)
                 for name, root in checkouts.items():
                     row = {"nodes": nodes, "setting": setting, **rows[name],
@@ -414,7 +376,7 @@ def main(argv=None) -> int:
                           + ", ".join(f"{p} {row['phases_s'][p]:.3f}" for p in PHASES)
                           + f"), peak {row['peak_rss_mb']:.1f} MB", flush=True)
                 if args.baseline is not None:  # the two processes took turns op by op
-                    results["this"][-1]["vs_baseline"] = _vs_baseline(
+                    results["this"][-1]["vs_baseline"] = vs_baseline(
                         f"N={nodes} {setting}", [this / base for base, this in zip(
                             rows["baseline"]["wall_runs_s"], rows["this"]["wall_runs_s"])])
     doc = {
