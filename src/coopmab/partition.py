@@ -21,6 +21,9 @@ from .exp3 import ArmsTooFewError
 from .graph import Graph, _bfs, _distinct, _neighbors
 
 MASS_DECAY_DENOM = 6  # one relay hop multiplies mass by exp(-1/6)
+# a round after one that changed over 1/_DENSE_SHARE of the nodes redoes them all from CSR:
+# their closed rows then cover most of the graph (shares 1/8 to 1/2 timed alike)
+_DENSE_SHARE = 4
 
 
 class EmptyCenterSetError(ValueError):
@@ -117,34 +120,6 @@ def partition_to_json(p: Partition) -> dict:
             **{name: getattr(p, name).tolist() for name in PARTITION_COLUMNS}}
 
 
-def partition_from_json(doc: dict) -> Partition:
-    """Read a partition document; ids, arms and centers are checked, not trusted.
-
-    Raises ValueError on a field of the wrong length, ``arms < 2``, a
-    duplicate center, or a center, ``center_of`` or ``origin_of`` id
-    outside 0..node_count-1.  Structural checks are validate_partition's.
-    """
-    n = int(doc["node_count"])
-    arms = int(doc["arms"])
-    if arms < 2:
-        raise ArmsTooFewError(f"need at least 2 arms, got {arms}")
-    arrays = {}
-    for key in PARTITION_COLUMNS[1:]:  # the per-node columns
-        vals = [int(x) for x in doc[key]]
-        if len(vals) != n:
-            raise ValueError(f"field {key} has {len(vals)} entries, expected {n}")
-        arrays[key] = vals
-    centers = [int(c) for c in doc["centers"]]
-    if len(set(centers)) != len(centers):
-        raise ValueError(f"duplicate centers in {centers}")
-    for key, ids in (("centers", centers), ("center_of", arrays["center_of"]),
-                     ("origin_of", arrays["origin_of"])):
-        bad = [v for v in ids if not 0 <= v < n]
-        if bad:
-            raise ValueError(f"{key} holds node {bad[0]} outside 0..{n - 1}")
-    return Partition(arms=arms, centers=centers, **arrays)
-
-
 class _SpreadRounds:
     """Every propagation round 0..rounds of a growing center set.
 
@@ -152,16 +127,18 @@ class _SpreadRounds:
     the centers so far (rows center_of, origin_of, mass key; column N is
     the nil node), the last round repeated past settling.  With no center,
     mass is nil and from round 1 on each origin is the first neighbor.
-    Row v of ``closed`` is v, then its neighbors ascending, padded with N.
+    Row v of ``closed`` is v, then its neighbors ascending, padded with N;
+    sparse rounds, ``_ring_settled`` and the greedy's balls read it.
     """
 
     def __init__(self, g: Graph, arms: int):
         n, (indptr, indices) = g.node_count, g.csr
-        self.arms = arms
+        self.arms, self.csr, self.bits = arms, g.csr, n.bit_length()
         self.rounds = rounds = spread_rounds(arms) + 1
         self.clamp = degree_clamp(g, arms)
         key, self.deeper, self.pair = _mass_keys(int(self.clamp.max()), rounds)
         self.center_key = key[:, 0].take(self.clamp)  # each node's mass as a center
+        self.low = (1 << self.bits) - 1 - np.arange(n)
         width = int(g.closed_degrees.max())
         self.closed = closed = np.full((n + 1, width), n)
         closed[:, 0] = np.arange(n + 1)
@@ -191,23 +168,36 @@ class _SpreadRounds:
 
         Per round a node whose origin is a center keeps its state; others
         copy the neighbor of highest key (lowest id on ties) one hop deeper.
-        So round t is redone only for the ids in the closed rows of D, the
-        nodes whose round-(t-1) state changed (D = ``new`` at round 0).
+        Each kept round is this rule applied to the round before, so round
+        t is redone only for the ids in the closed rows of D, the nodes
+        whose round-(t-1) state changed (D = ``new`` at round 0), read from
+        ``closed``.  A dense round, D over 1/_DENSE_SHARE of the nodes,
+        redoes all from CSR: one ``maximum.reduceat`` of neighbor keys as
+        key << b | ``low``, ``low`` = 2**b - 1 - id, b = N.bit_length();
+        the low bits give the id, and other nodes come out as kept.
         Once D repeats its states and no node within two hops of D
         changes, later rounds repeat D's states.
         """
-        states, rounds, closed = self.states, self.rounds, self.closed
+        states, rounds, closed, (indptr, indices) = self.states, self.rounds, self.closed, self.csr
+        n = indptr.size - 1
         self.is_center[new] = True
         states[0][:2, new] = new
         states[0][2, new] = self.center_key.take(new)
         changed = new
         for t in range(1, rounds + 1):
-            cand = self._ids(closed.take(changed, axis=0))
             prev = states[t - 1]
-            own, old = states[t - 1:t + 1].take(cand, axis=2)
-            keys = prev[2].take(closed.take(cand, axis=0))
-            keys[:, 0] = -1  # a node picks a neighbor
-            chosen = closed.take(self.offset.take(cand) + keys.argmax(axis=1))
+            if dense := changed.size * _DENSE_SHARE > n + 1:
+                cand = slice(n)
+                own, old = states[t - 1:t + 1, :, :n]
+                keys = np.left_shift(prev[2, :n], self.bits, dtype=np.int64)
+                keys |= self.low
+                chosen = ~np.maximum.reduceat(keys.take(indices), indptr[:-1]) & self.low[0]
+            else:
+                cand = self._ids(closed.take(changed, axis=0))
+                own, old = states[t - 1:t + 1].take(cand, axis=2)
+                keys = prev[2].take(closed.take(cand, axis=0))
+                keys[:, 0] = -1  # a node picks a neighbor
+                chosen = closed.take(self.offset.take(cand) + keys.argmax(axis=1))
             del keys
             cur = prev.take(chosen, axis=1)
             cur[1] = chosen
@@ -215,24 +205,24 @@ class _SpreadRounds:
             np.copyto(cur, own, where=self.is_center.take(own[1]))
             diff = np.logical_or.reduce(cur != old)
             states[t][:, cand] = cur
-            now = cand[diff]
+            now = np.flatnonzero(diff) if dense else cand[diff]
             if (t < rounds and now.size == changed.size and (now == changed).all()
                     and not np.logical_or.reduce(cur != own)[diff].any()
-                    and self._ring_settled(cand, now, t)):
+                    and self._ring_settled(now, t)):
                 states[t + 1:, :, now] = states[t].take(now, axis=1)
                 break
             changed = now
             del own, old, cur, chosen
         return now
 
-    def _ring_settled(self, near: np.ndarray, core: np.ndarray, t: int) -> bool:
+    def _ring_settled(self, core: np.ndarray, t: int) -> bool:
         """No node within two hops of ``core`` but outside it changes from round t on.
 
-        ``near``, core's closed neighborhood, has the ring in its closed
-        rows; no ring node was written at rounds t-1 and t, so their rounds
-        from t-1 on are still the previous center set's.
+        The ring lies in the closed rows of core's closed neighborhood; no
+        ring node changed at rounds t-1 and t, so their rounds from t-1 on
+        are still the previous center set's.
         """
-        ring = self._ids(self.closed.take(near, axis=0))
+        ring = self._ids(self.closed.take(self._ids(self.closed.take(core, axis=0)), axis=0))
         self._mark[core] = True
         ring = ring[~self._mark[ring]]
         self._mark[core] = False

@@ -53,6 +53,9 @@ a stored pair that is no mass (m <= 0 or d < 0) instead of raising.
 left in ``coopmab``, and ``is_distribution`` (a 1-D vector over two or more
 arms, each in [0, 1 + tol], summing to 1 within tol) is only the tests'.
 
+``partition_from_json`` reads the partition document that
+``coopmab.partition.partition_to_json`` writes; only the tests read one.
+
 ``OrderedMass`` is the mass pair with the order and score that
 ``coopmab.partition.Mass`` once had.  ``SpreadMap`` is the record a
 propagation once returned: its columns, its kept rounds and its settle
@@ -177,6 +180,34 @@ def assert_same_partition(a: Partition, b: Partition) -> None:
     for name in PARTITION_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tolist() == y.tolist(), name
+
+
+def partition_from_json(doc: dict) -> Partition:
+    """Read a partition document; ids, arms and centers are checked, not trusted.
+
+    Raises ValueError on a field of the wrong length, ``arms < 2``, a
+    duplicate center, or a center, ``center_of`` or ``origin_of`` id
+    outside 0..node_count-1.  Structural checks are validate_partition's.
+    """
+    n = int(doc["node_count"])
+    arms = int(doc["arms"])
+    if arms < 2:
+        raise exp3.ArmsTooFewError(f"need at least 2 arms, got {arms}")
+    arrays = {}
+    for key in PARTITION_COLUMNS[1:]:  # the per-node columns
+        vals = [int(x) for x in doc[key]]
+        if len(vals) != n:
+            raise ValueError(f"field {key} has {len(vals)} entries, expected {n}")
+        arrays[key] = vals
+    centers = [int(c) for c in doc["centers"]]
+    if len(set(centers)) != len(centers):
+        raise ValueError(f"duplicate centers in {centers}")
+    for key, ids in (("centers", centers), ("center_of", arrays["center_of"]),
+                     ("origin_of", arrays["origin_of"])):
+        bad = [v for v in ids if not 0 <= v < n]
+        if bad:
+            raise ValueError(f"{key} holds node {bad[0]} outside 0..{n - 1}")
+    return Partition(arms=arms, centers=centers, **arrays)
 
 
 class SimWorld:

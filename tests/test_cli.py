@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 import reference
+from reference import partition_from_json
 
 from coopmab.cli import (
     CSV_COLUMNS,
@@ -22,7 +23,7 @@ from coopmab.cli import (
 )
 from coopmab import partition
 from coopmab.graph import format_edge_list, path_graph, read_edge_list, star_graph
-from coopmab.partition import compute_centers_uninformed, partition_from_json
+from coopmab.partition import compute_centers_uninformed
 from coopmab.simulate import degree_bound, individual_bound, uninformed_degree_bound
 
 

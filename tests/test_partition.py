@@ -17,10 +17,12 @@ from reference import (
     complete_graph,
     is_r_independent,
     is_r_mis,
+    partition_from_json,
     spread_history_violations,
     spread_map,
 )
 
+from coopmab import partition
 from coopmab.cli import write_partition
 
 from coopmab.graph import (
@@ -41,7 +43,6 @@ from coopmab.partition import (
     mass_value,
     min_center_distance,
     mis_round_budget,
-    partition_from_json,
     partition_to_json,
     spread_rounds,
     validate_partition,
@@ -52,6 +53,8 @@ from coopmab.partition import (
 
 
 NIL_MASS = OrderedMass(0, 0)
+# _DENSE_SHARE values under which every round with a changed node is dense, or none is
+ALL_DENSE, ALL_SPARSE = 10**9, 0
 
 
 def test_mass_basics():
@@ -197,12 +200,15 @@ def test_spread_history_audit_clean_on_randoms():
         assert 0 <= comp.settled_round <= comp.rounds
 
 
-def test_spread_tie_break_lowest_id():
-    # node 2 sits between equal-mass centers 0 and 4: origin must be node 1
+def test_spread_tie_break_lowest_id(monkeypatch):
+    # node 2 sits between equal-mass centers 0 and 4: origin must be node 1,
+    # whether its round reads the closed rows or CSR
     g = path_graph(5)
-    comp = centers_to_components(g, {0, 4}, 2)
-    assert comp.origin_of.tolist() == [0, 0, 1, 4, 4]
-    assert comp.center_of[2] == 0
+    for share in (ALL_DENSE, ALL_SPARSE):
+        monkeypatch.setattr(partition, "_DENSE_SHARE", share)
+        comp = centers_to_components(g, {0, 4}, 2)
+        assert comp.origin_of.tolist() == [0, 0, 1, 4, 4]
+        assert comp.center_of[2] == 0
 
 
 def test_informed_star():
@@ -445,37 +451,63 @@ def _assert_rounds_match(spread, g, centers, arms):
         assert states[t, :, n].tolist() == [-1, n, 0, 0]
 
 
-@pytest.mark.parametrize("arms", [2, 3, 10, 50])
-def test_spread_rounds_equal_history_after_every_center(arms):
+def _add_orders(arms):
+    """Graphs, each with five orders of adding centers: lists of ``add`` batches."""
     rng = np.random.default_rng(2000 + arms)
     graphs = [star_graph(9), path_graph(30), complete_graph(6), _blocking_graph()]
     for _ in range(12):
         n = int(rng.integers(2, 60))
         graphs.append(random_connected_graph(n, float(rng.choice([0.0, 0.05, 0.3])), rng))
+    # large enough that both sparse and dense rounds run under the real share
+    graphs += [star_graph(40), random_connected_graph(200, 0.0, rng)]
     for g in graphs:
         n = g.node_count
         greedy = _greedy_centers(g, arms)[0]
         perm = [int(v) for v in rng.permutation(n)[:int(rng.integers(1, min(n, 8) + 1))]]
         cuts = rng.choice(np.arange(1, len(perm)), size=min(2, len(perm) - 1), replace=False)
         hub = int(rng.integers(n))
-        adds = [
+        yield g, [
             [[c] for c in greedy],  # the greedy's own order, one center per call
             [[c] for c in perm],  # any order, adjacent centers included
             [greedy],  # the whole set in one call
             [[int(x) for x in part] for part in np.split(perm, np.sort(cuts))],  # sets after sets
             [greedy[:1], [hub, *reference.neighbors(g, hub)]],  # adjacent centers in one call, after a center
         ]
-        for batches in adds:
-            spread = _SpreadRounds(g, arms)
-            done = []
-            for batch in batches:
-                new = sorted(set(batch) - set(done))
-                before = spread.states[-1].copy()
-                moved = spread.add(np.array(new))
-                done += new
+
+
+def _added(g, arms, batches):
+    """Run ``batches`` through one ``_SpreadRounds``: yield it, the centers so far,
+    the last round before the batch and the batch's ``add`` result after each."""
+    spread = _SpreadRounds(g, arms)
+    done = []
+    for batch in batches:
+        new = sorted(set(batch) - set(done))
+        before = spread.states[-1].copy()
+        moved = spread.add(np.array(new))
+        done += new
+        yield spread, done, before, moved
+
+
+@pytest.mark.parametrize("arms", [2, 3, 10, 50])
+def test_spread_rounds_equal_history_after_every_center(arms):
+    for g, orders in _add_orders(arms):
+        for batches in orders:
+            for spread, done, before, moved in _added(g, arms, batches):
                 _assert_rounds_match(spread, g, done, arms)
                 changed = np.flatnonzero((spread.states[-1] != before).any(axis=0))
                 assert moved.tolist() == changed.tolist()
+
+
+@pytest.mark.parametrize("arms", [2, 3, 10, 50])
+def test_dense_and_sparse_rounds_keep_equal_states(monkeypatch, arms):
+    for g, orders in _add_orders(arms):
+        for batches in orders:
+            runs = []
+            for share in (ALL_DENSE, ALL_SPARSE):
+                monkeypatch.setattr(partition, "_DENSE_SHARE", share)
+                runs.append([(spread.states.tobytes(), spread.is_center.tobytes(), moved.tolist())
+                             for spread, _, _, moved in _added(g, arms, batches)])
+            assert runs[0] == runs[1], (g.node_count, batches)
 
 
 def _shaped_graph(kind, n, seed):

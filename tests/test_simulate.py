@@ -8,7 +8,7 @@ import pytest
 import reference
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from reference import informed_lane, recorded_lanes
+from reference import informed_lane, partition_from_json, recorded_lanes
 
 from coopmab import cli, exp3, simulate
 from coopmab.graph import build_graph, path_graph, random_connected_graph, star_graph
@@ -17,7 +17,6 @@ from coopmab.partition import (
     compute_centers_informed,
     compute_centers_uninformed,
     mass_value,
-    partition_from_json,
     partition_to_json,
 )
 from coopmab.simulate import (

@@ -54,12 +54,19 @@ def take_turns(script: str, checkouts: dict[str, Path], calls: int, flag: str, *
     return rows
 
 
+def pair_summary(ratios: list[float]) -> dict:
+    """Pair ratios with their median and quartiles."""
+    low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"pair_ratios": ratios, "median": mid, "quartiles": [low, high]}
+
+
 def vs_baseline(what: str, ratios: list[float]) -> dict:
     """Pair ratios (this / baseline) with their median and quartiles, printed as well."""
-    low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
+    row = pair_summary(ratios)
+    (low, high), mid = row["quartiles"], row["median"]
     print(f"this / baseline {what}: median {mid:.3f} of {len(ratios)} pairs "
           f"(quartiles {low:.3f}-{high:.3f})", flush=True)
-    return {"pair_ratios": ratios, "median": mid, "quartiles": [low, high]}
+    return row
 
 
 def warn_unequal_paths(checkouts: dict[str, Path]) -> None:
